@@ -1,16 +1,12 @@
 GO ?= go
 
-# Benchmark comparison knobs (see bench-baseline / bench-compare).
-BENCH ?= BenchmarkFig11FCTvsFlowSize
-BENCH_PKG ?= .
+# Samples per benchmark for bench-sched.
 BENCH_COUNT ?= 5
-BENCH_BASELINE ?= bench.baseline.txt
-BENCH_HEAD ?= bench.head.txt
 # Allowed relative ns/op regression for bench-gate (allocs/op always
 # gates at zero increase).
 BENCH_TOL ?= 0.10
 
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults domains bench bench-sched bench-baseline bench-compare bench-record bench-gate clean
+.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench bench-sched bench-smoke bench-record bench-gate clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -104,12 +100,13 @@ sussd-smoke:
 sussd-faults:
 	$(GO) test -race -timeout 600s -run 'TestSussdFaultRecovery|TestSussdCorruptCacheRecovery' -v ./cmd/sussim
 
-# Parallel-event-domain determinism under -race: the cluster protocol
-# tests plus every differential that replays the same workload
-# monolithically and split across domains (trees, fleet shards, the
-# chaos catalog, the fig11/fleet sweeps) and requires identical bytes.
-domains:
-	$(GO) test -race -timeout 600s -run 'Domain|Cluster' ./internal/netsim ./internal/runner ./internal/chaos ./internal/experiments
+# Non-test, non-bench/ Go lines per package plus a total: the number
+# the ROADMAP design-diet item tracks. Record the total in CHANGES.md
+# with every PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -120,24 +117,13 @@ bench:
 bench-sched:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduler(Churn|Cascade)' -benchmem -count $(BENCH_COUNT) ./internal/netsim
 
-# bench-baseline records $(BENCH) in $(BENCH_PKG) on the current tree
-# (run it on the base commit); bench-compare reruns it on HEAD and
-# diffs the two with benchstat when available. For the scheduler
-# microbenchmarks: BENCH='BenchmarkScheduler(Churn|Cascade)'
-# BENCH_PKG=./internal/netsim.
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKG) | tee $(BENCH_BASELINE)
-
-bench-compare:
-	@test -f $(BENCH_BASELINE) || { \
-		echo "missing $(BENCH_BASELINE): check out the base commit and run 'make bench-baseline' first"; exit 1; }
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKG) | tee $(BENCH_HEAD)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_BASELINE) $(BENCH_HEAD); \
-	else \
-		echo "benchstat not installed; compare $(BENCH_BASELINE) and $(BENCH_HEAD) by hand:"; \
-		grep -h '^Benchmark' $(BENCH_BASELINE) $(BENCH_HEAD); \
-	fi
+# The repo's one benchmark (BENCHMARK.json) at smoke size, plus the
+# bench module's own tests: proves bench/ still builds and runs
+# against this tree. Paired runs for a perf claim are two checkouts and
+# `bash bench/run.sh` in each (see bench/README.md).
+bench-smoke:
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test ./...
 
 # bench-record refreshes the committed JSON baselines (BENCH_fig11.json,
 # BENCH_sched.json); bench-gate reruns the same benchmarks and fails on
@@ -175,20 +161,6 @@ FLEET_BENCH = 'BenchmarkFleetShard$$'
 FLEET_FLAGS = -benchmem -benchtime 1x -count 10
 FLEET_ALLOC_SLACK = 64
 FLEET_NS_TOL = 1.0
-# The domains gate replays the same 600-flow shard monolithically
-# (domains=1) and across a 10-way partition. The domains=1 half
-# inherits the fleet gate's tolerances (deterministic serial replay,
-# map hash-seed alloc noise); the domains=10 half additionally wobbles
-# with goroutine scheduling, so the ns tolerance is shared and loose.
-# -minspeedup is the parallel gate proper: the domains=1 / domains=10
-# ns/op ratio must reach 2x — enforced only when the machine reports
-# GOMAXPROCS >= 4 (a barrier-synchronized cluster cannot express the
-# speedup without cores), reported as a notice otherwise.
-DOMAINS_BENCH = 'BenchmarkTreeDomains$$'
-DOMAINS_FLAGS = -benchmem -benchtime 1x -count 6
-DOMAINS_ALLOC_SLACK = 96
-DOMAINS_NS_TOL = 1.0
-DOMAINS_MIN_SPEEDUP = 2.0
 
 bench-record:
 	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
@@ -197,8 +169,6 @@ bench-record:
 	$(GO) run ./cmd/benchgate -record BENCH_sched.json < bench.sched.txt
 	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
 	$(GO) run ./cmd/benchgate -record BENCH_fleet.json < bench.fleet.txt
-	$(GO) test -run '^$$' -bench $(DOMAINS_BENCH) $(DOMAINS_FLAGS) ./internal/runner > bench.domains.txt
-	$(GO) run ./cmd/benchgate -record BENCH_domains.json < bench.domains.txt
 
 bench-gate:
 	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
@@ -207,9 +177,7 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -tolerance $(BENCH_TOL) -compare BENCH_sched.json < bench.sched.txt
 	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
 	$(GO) run ./cmd/benchgate -tolerance $(FLEET_NS_TOL) -allocslack $(FLEET_ALLOC_SLACK) -compare BENCH_fleet.json < bench.fleet.txt
-	$(GO) test -run '^$$' -bench $(DOMAINS_BENCH) $(DOMAINS_FLAGS) ./internal/runner > bench.domains.txt
-	$(GO) run ./cmd/benchgate -tolerance $(DOMAINS_NS_TOL) -allocslack $(DOMAINS_ALLOC_SLACK) -minspeedup $(DOMAINS_MIN_SPEEDUP) -compare BENCH_domains.json < bench.domains.txt
 
 clean:
 	$(GO) clean ./...
-	rm -f bench.fig11.txt bench.sched.txt bench.fleet.txt bench.domains.txt
+	rm -f bench.fig11.txt bench.sched.txt bench.fleet.txt

@@ -11,10 +11,6 @@
 // Compare fails (exit 1) when a baselined benchmark is missing, its
 // ns/op regresses by more than -tolerance (default 10%), or its
 // allocs/op increases by more than -allocslack (default 0) —
-// and -compare additionally reports the measured parallel speedup of
-// any benchmark family with domains= variants (ns/op of domains=1
-// over the widest split); -minspeedup turns that report into a gate
-// on machines with at least four cores —
 // allocation counts in a deterministic simulation are a property of
 // the code, not the machine, so any increase is a real regression.
 // The slack exists for benchmarks whose alloc count carries a few
@@ -61,20 +57,16 @@ func main() {
 	compare := flag.String("compare", "", "compare stdin against this baseline JSON")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed relative ns/op regression")
 	allocSlack := flag.Float64("allocslack", 0, "allowed absolute allocs/op increase")
-	minSpeedup := flag.Float64("minspeedup", 0, "minimum required domains=1/domains=N ns/op ratio (0 = report only; enforced only at GOMAXPROCS >= 4)")
 	flag.Parse()
 	if (*record == "") == (*compare == "") {
 		fmt.Fprintln(os.Stderr, "benchgate: exactly one of -record or -compare is required")
 		os.Exit(2)
 	}
 
-	got, procs, err := parse(os.Stdin)
+	got, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
-	}
-	if procs == 0 {
-		procs = 1 // go test omits the -N name suffix at GOMAXPROCS=1
 	}
 	if len(got) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark lines on stdin")
@@ -111,7 +103,6 @@ func main() {
 		os.Exit(2)
 	}
 	failures := diff(base.Benchmarks, got, *tolerance, *allocSlack)
-	failures = append(failures, checkSpeedups(got, procs, *minSpeedup)...)
 	for _, f := range failures {
 		fmt.Println("FAIL:", f)
 	}
@@ -120,79 +111,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d benchmark(s) within tolerance of %s\n", len(base.Benchmarks), *compare)
-}
-
-// checkSpeedups prints the measured parallel speedup for every
-// benchmark family with domains= variants (ns/op of domains=1 over
-// the family's widest split) and, when min > 0, returns a failure for
-// each family below it. A barrier-synchronized cluster cannot express
-// a 2× speedup without cores to run the domains on, so enforcement
-// needs GOMAXPROCS >= 4; narrower machines get a notice instead of a
-// vacuous failure — the recorded CI gate machine is the arbiter.
-func checkSpeedups(got map[string]Bench, procs int, min float64) []string {
-	var fails []string
-	for _, s := range speedups(got) {
-		fmt.Printf("  %s: parallel speedup %.2fx (domains=1 vs domains=%d, GOMAXPROCS=%d)\n",
-			s.family, s.ratio, s.n, procs)
-		if min <= 0 {
-			continue
-		}
-		if procs < 4 {
-			fmt.Printf("  %s: -minspeedup %.1f not enforced at GOMAXPROCS=%d (< 4)\n", s.family, min, procs)
-			continue
-		}
-		if s.ratio < min {
-			fails = append(fails, fmt.Sprintf("%s: parallel speedup %.2fx below required %.1fx (domains=1 vs domains=%d)",
-				s.family, s.ratio, min, s.n))
-		}
-	}
-	return fails
-}
-
-// speedup is one family's domains=1 vs widest-split ns/op ratio.
-type speedup struct {
-	family string
-	n      int
-	ratio  float64
-}
-
-// speedups groups benchmarks by the name prefix before "/domains="
-// and computes each family's ratio at its largest domain count.
-func speedups(got map[string]Bench) []speedup {
-	type fam struct {
-		mono float64 // ns/op at domains=1
-		n    int
-		ns   float64 // ns/op at domains=n
-	}
-	fams := make(map[string]*fam)
-	for name, b := range got {
-		i := strings.LastIndex(name, "/domains=")
-		if i < 0 {
-			continue
-		}
-		n, err := strconv.Atoi(name[i+len("/domains="):])
-		if err != nil {
-			continue
-		}
-		f := fams[name[:i]]
-		if f == nil {
-			f = &fam{}
-			fams[name[:i]] = f
-		}
-		if n == 1 {
-			f.mono = b.NsPerOp
-		} else if n > f.n {
-			f.n, f.ns = n, b.NsPerOp
-		}
-	}
-	var out []speedup
-	for name, f := range fams {
-		if f.mono > 0 && f.n > 1 && f.ns > 0 {
-			out = append(out, speedup{family: name, n: f.n, ratio: f.mono / f.ns})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].family < out[j].family })
-	return out
 }
 
 // benchLine matches `go test -bench` result rows:
@@ -213,12 +131,9 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-// parse reduces bench output to best-of-N per benchmark. The second
-// return is the GOMAXPROCS the run executed with, recovered from the
-// benchmark names' -N suffix (0 when no name carries one).
-func parse(r io.Reader) (map[string]Bench, int, error) {
+// parse reduces bench output to best-of-N per benchmark.
+func parse(r io.Reader) (map[string]Bench, error) {
 	out := make(map[string]Bench)
-	procs := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -227,11 +142,6 @@ func parse(r io.Reader) (map[string]Bench, int, error) {
 			continue
 		}
 		name := stripProcs(m[1])
-		if name != m[1] {
-			if p, err := strconv.Atoi(m[1][len(name)+1:]); err == nil && p > procs {
-				procs = p
-			}
-		}
 		var ns, bytes, allocs float64
 		ns = -1
 		fields := strings.Fields(m[2])
@@ -265,7 +175,7 @@ func parse(r io.Reader) (map[string]Bench, int, error) {
 		b.Samples++
 		out[name] = b
 	}
-	return out, procs, sc.Err()
+	return out, sc.Err()
 }
 
 // diff returns the failure list comparing got against base.

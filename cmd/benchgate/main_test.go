@@ -17,12 +17,9 @@ ok  	suss	2.5s
 `
 
 func TestParseBestOfN(t *testing.T) {
-	got, procs, err := parse(strings.NewReader(sample))
+	got, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if procs != 8 {
-		t.Errorf("procs = %d, want 8 (from the -8 name suffix)", procs)
 	}
 	fig := got["BenchmarkFig11FCTvsFlowSize"]
 	if fig.Samples != 2 {
@@ -92,33 +89,6 @@ func TestDiffAllocSlackAbsorbsNoise(t *testing.T) {
 	got["B"] = Bench{NsPerOp: 900, AllocsPerOp: 33900}
 	if f := diff(base, got, 0.10, 64); len(f) != 1 || !strings.Contains(f[0], "allocs/op") {
 		t.Fatalf("+146 allocs must still fail with slack 64, got %v", f)
-	}
-}
-
-func TestSpeedupsPicksWidestSplit(t *testing.T) {
-	got := map[string]Bench{
-		"BenchmarkTree/domains=1":  {NsPerOp: 4000},
-		"BenchmarkTree/domains=4":  {NsPerOp: 2000},
-		"BenchmarkTree/domains=10": {NsPerOp: 1000},
-		"BenchmarkOther":           {NsPerOp: 500},
-	}
-	s := speedups(got)
-	if len(s) != 1 || s[0].family != "BenchmarkTree" || s[0].n != 10 || s[0].ratio != 4.0 {
-		t.Fatalf("speedups = %+v, want BenchmarkTree 4.0x at domains=10", s)
-	}
-}
-
-func TestCheckSpeedupsEnforcesOnlyWithCores(t *testing.T) {
-	got := map[string]Bench{
-		"BenchmarkTree/domains=1":  {NsPerOp: 1000},
-		"BenchmarkTree/domains=10": {NsPerOp: 900},
-	}
-	if f := checkSpeedups(got, 1, 2.0); len(f) != 0 {
-		t.Fatalf("GOMAXPROCS=1 must not enforce -minspeedup, got %v", f)
-	}
-	f := checkSpeedups(got, 8, 2.0)
-	if len(f) != 1 || !strings.Contains(f[0], "speedup") {
-		t.Fatalf("GOMAXPROCS=8 below 2.0x must fail, got %v", f)
 	}
 }
 

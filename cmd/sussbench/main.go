@@ -10,7 +10,6 @@
 //	sussbench -quick          # reduced sweep for a fast smoke pass
 //	sussbench -parallel 8     # worker pool size (0 = GOMAXPROCS)
 //	sussbench -only fig11 -counters   # cross-layer loss accounting
-//	sussbench -only fleet -domains 6  # parallel event domains per simulation
 //	sussbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	sussbench -blockprofile block.pprof -mutexprofile mutex.pprof
 //
@@ -58,10 +57,9 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "worker pool size for sweep experiments (0 = GOMAXPROCS)")
 	noProgress := flag.Bool("no-progress", false, "suppress the stderr progress line")
 	counters := flag.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11)")
-	domains := flag.Int("domains", 0, "run each simulation as this many parallel event domains (0/1 = single-threaded; output is identical at any count)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit (cluster barrier waits show up here)")
+	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	flag.Parse()
 
@@ -143,7 +141,7 @@ func run() int {
 	// opts builds the sweep options for one experiment: the shared
 	// worker bound plus a stderr progress line tagged with the id.
 	opts := func(id string) []experiments.Option {
-		o := []experiments.Option{experiments.WithWorkers(*parallel), experiments.WithDomains(*domains)}
+		o := []experiments.Option{experiments.WithWorkers(*parallel)}
 		if !*noProgress {
 			o = append(o, experiments.WithProgress(func(done, total int) {
 				fmt.Fprintf(os.Stderr, "\r[%s] %d/%d jobs", id, done, total)

@@ -10,7 +10,6 @@
 //	sussim -algo suss -size 2MB -events events.jsonl -counters
 //	sussim -chaos
 //	sussim -fleet -flows 10000 -shards 4
-//	sussim -fleet -flows 10000 -shards 1 -domains 6
 //	sussim -daemon 127.0.0.1:7077
 //	sussim -submit http://127.0.0.1:7077 -spec '{"kind":"fig11","iters":3}'
 package main
@@ -51,7 +50,6 @@ func main() {
 	fleetArrival := flag.Float64("arrival", 0, "with -fleet: per-shard Poisson arrival rate in flows/s (0 = default)")
 	fleetFull := flag.Bool("fullmix", false, "with -fleet: use the full heavy-tailed class mix (64 MB elephants) instead of the CI-sized smoke mix")
 	fleetCSV := flag.String("fleetcsv", "", "with -fleet: write the merged per-class FCT CDFs to this CSV file")
-	domains := flag.Int("domains", 0, "with -fleet: run each shard as this many parallel event domains (0/1 = single-threaded; results are identical at any count)")
 	serveAddr := flag.String("serve", "", "serve -size bytes over a real UDP socket on this address (e.g. 127.0.0.1:7000); pair with a -fetch process")
 	fetchAddr := flag.String("fetch", "", "fetch -size bytes from a -serve process at this address")
 	wireLoss := flag.Float64("wireloss", 0, "with -serve: fraction of outgoing frames to erase at the wire (e.g. 0.05)")
@@ -89,7 +87,7 @@ func main() {
 	}
 
 	if *fleetRun {
-		if err := runFleet(*seed, *fleetFlows, *fleetShards, *fleetArrival, *fleetFull, *fleetCSV, *domains); err != nil {
+		if err := runFleet(*seed, *fleetFlows, *fleetShards, *fleetArrival, *fleetFull, *fleetCSV); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -194,7 +192,7 @@ func main() {
 // runFleet drives the population-scale experiment: the flow fleet is
 // sharded over independent bottleneck trees and run twice (SUSS off,
 // then on) over the identical population.
-func runFleet(seed int64, flows, shards int, arrival float64, fullMix bool, csvPath string, domains int) error {
+func runFleet(seed int64, flows, shards int, arrival float64, fullMix bool, csvPath string) error {
 	fc := experiments.DefaultFleetConfig(seed)
 	if flows > 0 {
 		fc.Flows = flows
@@ -208,7 +206,7 @@ func runFleet(seed int64, flows, shards int, arrival float64, fullMix bool, csvP
 	if fullMix {
 		fc.Mix = nil // RunFleet falls back to workload.DefaultMix
 	}
-	r := experiments.RunFleet(fc, experiments.WithDomains(domains), experiments.WithProgress(func(done, total int) {
+	r := experiments.RunFleet(fc, experiments.WithProgress(func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r[fleet] %d/%d shards", done, total)
 		if done == total {
 			fmt.Fprintln(os.Stderr)

@@ -65,7 +65,6 @@ type config struct {
 	workers  int
 	progress func(done, total int)
 	lossAcct bool
-	domains  int
 }
 
 func newConfig(opts []Option) config {
@@ -102,17 +101,6 @@ func WithProgress(fn func(done, total int)) Option {
 // is unchanged when the option is absent.
 func WithLossAccounting() Option {
 	return func(c *config) { c.lossAcct = true }
-}
-
-// WithDomains runs every simulation in the sweep as n parallel event
-// domains (netsim.Cluster) instead of one single-threaded simulator —
-// multi-core execution inside each simulation, on top of the pool's
-// across-simulation parallelism. Rendered output and CSV bytes are
-// identical at any domain count; n ≤ 1 is the monolithic default.
-// Sweeps running with WithLossAccounting fall back to monolithic
-// simulations (flight recorders don't span domains).
-func WithDomains(n int) Option {
-	return func(c *config) { c.domains = n }
 }
 
 // Download runs one file transfer over an internet-matrix scenario.
@@ -161,7 +149,7 @@ func FCTs(sc scenarios.Scenario, algo Algo, size int64, iters int, opts ...Optio
 	cfg := newConfig(opts)
 	jobs := make([]runner.Job, iters)
 	for i := range jobs {
-		jobs[i] = runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: i, Domains: cfg.domains}
+		jobs[i] = runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: i}
 	}
 	b := summarizeBatch(runner.Run(cfg.ctx, jobs, cfg.pool()))
 	if b.incomplete > 0 {

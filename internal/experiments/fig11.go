@@ -70,7 +70,6 @@ func RunFig11(server scenarios.Server, sizes []int64, iters int, seed int64, opt
 	jobs := Fig11Jobs(server, sizes, iters, seed)
 	for i := range jobs {
 		jobs[i].Observe = cfg.lossAcct
-		jobs[i].Domains = cfg.domains
 	}
 	out := runner.Run(cfg.ctx, jobs, cfg.pool())
 	return Fig11FromResults(server, sizes, iters, out, cfg.lossAcct)

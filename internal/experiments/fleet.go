@@ -182,7 +182,6 @@ func RunFleet(fc FleetConfig, opts ...Option) FleetResult {
 	var shards [2][]runner.FleetResult
 	for variant := range jobs {
 		jobs[variant].Observe = cfg.lossAcct
-		jobs[variant].Domains = cfg.domains
 		shards[variant] = runner.RunFleet(cfg.ctx, jobs[variant], cfg.pool())
 	}
 	return FleetFromShards(fc, shards, cfg.lossAcct)

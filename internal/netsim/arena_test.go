@@ -3,10 +3,20 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The timer arena recycles slots through generations; these tests pin
 // the handle semantics and the exactness of Pending.
+
+// Every pending event pays for its slot; 72 B is deadline + seq +
+// callback triple + generation and list links, with no room for a
+// second ordering key to creep back in.
+func TestTimerSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(timerSlot{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(timerSlot{}) = %d, want 72", got)
+	}
+}
 
 func TestStopRemovesFromHeapImmediately(t *testing.T) {
 	s := NewSimulator()

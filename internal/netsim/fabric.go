@@ -14,13 +14,11 @@ import "fmt"
 // All topologies in this package have unique shortest paths, so wiring
 // order is a tie-break, not a semantic choice.
 type Fabric struct {
-	sim     *Simulator
-	cluster *Cluster // nil for single-simulator fabrics
-	nextID  NodeID
+	sim    *Simulator
+	nextID NodeID
 
 	nodes []Node // insertion order; index = NodeID-1
 	hosts []*Host
-	doms  []int // per-node domain; parallel to nodes (all 0 without a cluster)
 
 	// adjacency in wiring order: edges[i] lists node i+1's outgoing
 	// links (paired with their destination IDs).
@@ -37,87 +35,38 @@ func NewFabric(sim *Simulator) *Fabric {
 	return &Fabric{sim: sim}
 }
 
-// NewFabricOn starts an empty fabric over a cluster of event domains.
-// Nodes placed with HostIn/RouterIn live in their domain's simulator;
-// Connect automatically registers links that span domains as cluster
-// frontiers. Node IDs, wiring order, and route compilation are
-// identical to a single-simulator fabric — domain placement changes
-// where events execute, never what the topology is.
-func NewFabricOn(c *Cluster) *Fabric {
-	return &Fabric{sim: c.Sim(0), cluster: c}
-}
-
-// Cluster returns the cluster this fabric builds on, or nil.
-func (f *Fabric) Cluster() *Cluster { return f.cluster }
-
-func (f *Fabric) domSim(dom int) *Simulator {
-	if f.cluster == nil {
-		if dom != 0 {
-			panic("netsim: domain placement requires a fabric built with NewFabricOn")
-		}
-		return f.sim
-	}
-	return f.cluster.Sim(dom)
-}
-
-// Host allocates a leaf node in domain 0. Hosts carry transport
-// endpoints and have exactly one output link (their first outgoing
-// edge).
-func (f *Fabric) Host(name string) *Host { return f.HostIn(0, name) }
-
-// HostIn allocates a leaf node in the given event domain.
-func (f *Fabric) HostIn(dom int, name string) *Host {
-	sim := f.domSim(dom)
+// Host allocates a leaf node. Hosts carry transport endpoints and have
+// exactly one output link (their first outgoing edge).
+func (f *Fabric) Host(name string) *Host {
 	f.nextID++
 	h := NewHost(f.nextID, name)
-	h.sim = sim
 	f.nodes = append(f.nodes, h)
 	f.hosts = append(f.hosts, h)
-	f.doms = append(f.doms, dom)
 	f.edges = append(f.edges, nil)
 	return h
 }
 
-// Router allocates a forwarding node in domain 0 whose route table
-// Compile fills.
-func (f *Fabric) Router(name string) *Router { return f.RouterIn(0, name) }
-
-// RouterIn allocates a forwarding node in the given event domain.
-func (f *Fabric) RouterIn(dom int, name string) *Router {
-	f.domSim(dom) // validate placement
+// Router allocates a forwarding node whose route table Compile fills.
+func (f *Fabric) Router(name string) *Router {
 	f.nextID++
 	r := NewRouter(f.nextID, name)
 	f.nodes = append(f.nodes, r)
-	f.doms = append(f.doms, dom)
 	f.edges = append(f.edges, nil)
 	return r
 }
 
-// Domain returns the event domain a fabric node was placed in.
-func (f *Fabric) Domain(n Node) int { return f.doms[int(n.ID())-1] }
-
 // Connect wires a unidirectional link from → to with cfg. A host's
 // first connection becomes its output link; a second one panics (hosts
 // are single-homed — multihoming would need transport-level routing).
-//
-// The link lives in the source node's event domain: enqueueing,
-// queueing, and serialization are source-side work. When the
-// destination sits in a different domain the link is registered as a
-// cluster frontier — its deliveries cross at window barriers, and its
-// propagation delay must be positive (it becomes the cluster's
-// conservative lookahead bound).
 func (f *Fabric) Connect(from, to Node, cfg LinkConfig) *Link {
-	fi, ti := int(from.ID())-1, int(to.ID())-1
-	l := NewLink(f.domSim(f.doms[fi]), cfg, to)
-	if f.doms[fi] != f.doms[ti] {
-		f.cluster.bindFrontier(l, f.doms[fi], f.doms[ti])
-	}
+	l := NewLink(f.sim, cfg, to)
 	if h, ok := from.(*Host); ok {
 		if h.Output() != nil {
 			panic(fmt.Sprintf("netsim: host %q already has an output link", h.Name()))
 		}
 		h.SetOutput(l)
 	}
+	fi := int(from.ID()) - 1
 	f.edges[fi] = append(f.edges[fi], fabricEdge{to: to.ID(), link: l})
 	return l
 }

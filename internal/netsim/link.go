@@ -88,14 +88,6 @@ type Link struct {
 	// nil check (pinned by an equality test).
 	impair *Impairments
 
-	// front, when non-nil, marks this as a cross-domain link in a
-	// Cluster: the destination node lives in another event domain, so
-	// instead of scheduling delivery locally, propagate emits the
-	// packet into this outbox for the coordinator to hand over at the
-	// next window barrier (see cluster.go). Queueing and serialization
-	// still run in the source domain; only delivery crosses.
-	front *frontierOut
-
 	// OnDrop, when non-nil, is invoked for every packet lost on this
 	// link (tail drop or random loss).
 	OnDrop func(pkt *Packet, congestion bool)
@@ -267,26 +259,6 @@ func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 		}
 		l.lastArrival = arrival
 	}
-	if o := l.front; o != nil {
-		// Cross-domain delivery: stage the packet (by value) in the
-		// frontier outbox with the ordering key this domain would have
-		// armed the delivery with, then release the pooled original —
-		// ownership transfers to the destination domain's pool at
-		// injection. The lookahead contract holds because arrival >=
-		// now + cfg.Delay: extra/jitter only add (impaired frontier
-		// links are rejected at Run), and the FIFO clamp only raises.
-		o.msgs = append(o.msgs, xmsg{
-			at:    arrival,
-			armAt: l.sim.Now(),
-			seq:   o.seq,
-			dom:   l.sim.domID,
-			link:  l,
-			pkt:   *pkt,
-		})
-		o.seq++
-		pkt.Release()
-		return
-	}
 	l.sim.ScheduleEventAt(arrival, linkDeliverEv, l, pkt)
 }
 
@@ -339,14 +311,6 @@ func (l *Link) dropWire(pkt *Packet, cause obs.DropCause) {
 
 // deliver hands a fully-propagated packet to the destination node,
 // transferring ownership (routers forward it, endpoints release it).
-//
-// On a cross-domain link, deliver runs in the *destination* domain's
-// goroutine while the source domain keeps enqueueing and serializing.
-// That is race-free by field disjointness: deliver touches only the
-// Delivered counters and the destination node, while the source side
-// writes the Enqueued/Dropped/queue-watermark counters and the FIFO
-// clamp — no overlapping memory. Stats() must only be called with the
-// cluster parked (between/after runs), as it copies the whole struct.
 func (l *Link) deliver(pkt *Packet) {
 	l.stats.DeliveredPackets++
 	l.stats.DeliveredBytes += int64(pkt.Size)

@@ -45,7 +45,6 @@ type Host struct {
 	name    string
 	handler func(pkt *Packet)
 	out     *Link
-	sim     *Simulator // owning event domain; nil for hand-built hosts
 }
 
 // NewHost creates a host. The handler may be nil initially and set
@@ -62,13 +61,6 @@ func (h *Host) Name() string { return h.name }
 
 // SetHandler installs the packet consumer.
 func (h *Host) SetHandler(fn func(pkt *Packet)) { h.handler = fn }
-
-// Sim returns the simulator of the event domain the host was placed
-// in by its Fabric, or nil for hosts built outside one. Transport
-// endpoints attached to this host must schedule and allocate through
-// this simulator — in a multi-domain Cluster, using any other
-// domain's clock or pool is a race.
-func (h *Host) Sim() *Simulator { return h.sim }
 
 // SetOutput attaches the host's (single) output link.
 func (h *Host) SetOutput(l *Link) { h.out = l }

@@ -45,11 +45,9 @@ var runClosure EventFunc = func(ctx, _ any) { ctx.(func())() }
 // when released, or bucketBatch while awaiting same-instant dispatch.
 type timerSlot struct {
 	at       time.Duration
-	armAt    time.Duration // virtual time at which the event was armed
 	seq      uint64
 	fn       EventFunc
 	ctx, arg any
-	dom      uint32 // domain that armed the event (see cluster.go)
 	gen      uint32
 	bucket   int32
 	next     int32
@@ -61,7 +59,6 @@ type timerSlot struct {
 type Simulator struct {
 	now    time.Duration
 	seq    uint64 // insertion counter for deterministic FIFO tie-break
-	domID  uint32 // cluster domain ID; 0 for a standalone simulator
 	halted bool
 
 	// Timer arena: slots holds every timer ever in flight, free is the
@@ -182,7 +179,7 @@ func (t Timer) Reset(d time.Duration) (Timer, bool) {
 	if sl.bucket != bucketBatch {
 		s.unlink(t.idx)
 	}
-	sl.at, sl.armAt, sl.dom, sl.seq = s.now+d, s.now, s.domID, s.seq
+	sl.at, sl.seq = s.now+d, s.seq
 	s.seq++
 	sl.gen++
 	s.place(t.idx)
@@ -246,37 +243,11 @@ func (s *Simulator) scheduleSlot(at time.Duration, fn EventFunc, ctx, arg any) T
 		idx = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[idx]
-	sl.at, sl.armAt, sl.dom, sl.seq, sl.fn, sl.ctx, sl.arg = at, s.now, s.domID, s.seq, fn, ctx, arg
+	sl.at, sl.seq, sl.fn, sl.ctx, sl.arg = at, s.seq, fn, ctx, arg
 	s.seq++
 	s.place(idx)
 	s.npending++
 	return Timer{s: s, idx: idx, gen: sl.gen}
-}
-
-// scheduleKeyed inserts an event carrying an explicit ordering key —
-// the arm time, domain ID and per-frontier sequence assigned by the
-// *source* domain when a packet crossed a cluster frontier. Keeping
-// the source key (instead of stamping a local one at injection time)
-// is what makes cross-domain delivery order independent of when the
-// coordinator happened to hand the message over: the dispatch
-// comparator (at, armAt, dom, seq) sees exactly the key a monolithic
-// run would have produced. The local seq counter is not consumed.
-func (s *Simulator) scheduleKeyed(at, armAt time.Duration, dom uint32, seq uint64, fn EventFunc, ctx, arg any) {
-	if at < s.now {
-		at = s.now
-	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, timerSlot{})
-		idx = int32(len(s.slots) - 1)
-	}
-	sl := &s.slots[idx]
-	sl.at, sl.armAt, sl.dom, sl.seq, sl.fn, sl.ctx, sl.arg = at, armAt, dom, seq, fn, ctx, arg
-	s.place(idx)
-	s.npending++
 }
 
 // releaseSlot recycles a slot: the generation bump invalidates every

@@ -17,7 +17,6 @@ type PathSpec struct {
 // links with a mirrored reverse chain through the same routers.
 type Path struct {
 	Sim      *Simulator
-	Cluster  *Cluster // non-nil when built with NewPathOn
 	Sender   *Host
 	Receiver *Host
 	Fwd      []*Link
@@ -44,29 +43,6 @@ func (p *Path) Bottleneck() *Link {
 // with the mirrored reverse chain through the same routers. Routes are
 // compiled by the fabric; on a chain they are the unique next hops.
 func NewPath(sim *Simulator, spec PathSpec) *Path {
-	return buildPath(NewFabric(sim), sim, spec, 0)
-}
-
-// NewPathOn wires the identical linear topology across a cluster: the
-// sender in domain 0, the routers and receiver in domain 1 (with one
-// domain, everything stays in domain 0 and runs monolithically). The
-// frontier is the first forward link and the last reverse link —
-// sender⇄r0 — so their propagation delay (typically the core hop)
-// must be positive; it becomes the cluster's lookahead. Extra domains
-// beyond two are left idle: a single flow's path has exactly one
-// useful cut, between the send-side endpoint doing congestion-control
-// work and the wire delivering it.
-func NewPathOn(c *Cluster, spec PathSpec) *Path {
-	far := 0
-	if c.N() > 1 {
-		far = 1
-	}
-	p := buildPath(NewFabricOn(c), c.Sim(0), spec, far)
-	p.Cluster = c
-	return p
-}
-
-func buildPath(f *Fabric, sim *Simulator, spec PathSpec, far int) *Path {
 	n := len(spec.Forward)
 	if n == 0 {
 		panic("netsim: NewPath needs at least one forward link")
@@ -86,10 +62,11 @@ func buildPath(f *Fabric, sim *Simulator, spec PathSpec, far int) *Path {
 	}
 
 	p := &Path{Sim: sim}
+	f := NewFabric(sim)
 	p.Sender = f.Host("sender")
-	p.Receiver = f.HostIn(far, "receiver")
+	p.Receiver = f.Host("receiver")
 	for i := 0; i < n-1; i++ {
-		p.Routers = append(p.Routers, f.RouterIn(far, fmt.Sprintf("r%d", i)))
+		p.Routers = append(p.Routers, f.Router(fmt.Sprintf("r%d", i)))
 	}
 
 	// Forward chain: sender → r0 → … → receiver.

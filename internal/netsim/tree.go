@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // TreeSpec describes a shared-bottleneck tree: leaf access links
 // feeding per-group aggregation links feeding one core bottleneck,
@@ -45,24 +42,14 @@ type TreeSpec struct {
 	// defaults to 4× the core rate with no extra delay, so the server
 	// farm is never the bottleneck unless asked for.
 	ServerAccess LinkConfig
-
-	// DomainHint, when non-nil, overrides the automatic partitioner in
-	// NewTreeOn: it returns the event domain for aggregation subtree g
-	// (the group's aggregation router, its clients, and their links).
-	// Domain 0 always holds the trunk, root, and servers in hinted
-	// mode. Subtrees placed outside domain 0 make the root⇄agg duplex
-	// a frontier, so their aggregation delay must be positive. Ignored
-	// by NewTree.
-	DomainHint func(g int) int
 }
 
 // Tree is the wired topology. Slices are indexed the way the spec
 // reads: AggDown[g] for groups, AccessDown[c] for the flattened
 // client index c = g*HostsPerGroup + h.
 type Tree struct {
-	Sim     *Simulator
-	Cluster *Cluster // non-nil when built with NewTreeOn
-	Spec    TreeSpec
+	Sim  *Simulator
+	Spec TreeSpec
 
 	Servers []*Host
 	Clients []*Host // flattened: c = g*HostsPerGroup + h
@@ -91,125 +78,9 @@ func ackMirror(cfg LinkConfig) LinkConfig {
 	return rc
 }
 
-// treePlacement assigns tree components to cluster event domains. Nil
-// funcs and a zero root mean domain 0 — the single-simulator layout.
-type treePlacement struct {
-	root   int
-	group  func(g int) int
-	server func(s int) int
-}
-
-func (p treePlacement) groupDom(g int) int {
-	if p.group == nil {
-		return 0
-	}
-	return p.group(g)
-}
-
-func (p treePlacement) serverDom(s int) int {
-	if p.server == nil {
-		return 0
-	}
-	return p.server(s)
-}
-
 // NewTree wires the topology and compiles the static route tables for
 // every host pair.
 func NewTree(sim *Simulator, spec TreeSpec) *Tree {
-	return buildTree(NewFabric(sim), sim, spec, treePlacement{})
-}
-
-// NewTreeOn wires the identical topology across a cluster's event
-// domains. Node IDs, wiring order, and routing do not depend on the
-// domain count, and neither do the simulation's results — only which
-// goroutine executes which subtree. With spec.DomainHint set, subtree
-// g goes to the hinted domain and everything else stays in domain 0;
-// otherwise an automatic partitioner splits, in priority order and
-// while domains remain: the aggregation subtrees (contiguous blocks,
-// frontier = the root⇄agg duplex), the root router (frontier = the
-// core duplex), and server blocks (frontier = the server access
-// duplex). Each split happens only when the crossed links have
-// positive propagation delay — the delay is the conservative
-// lookahead, so a zero-delay edge cannot be a frontier.
-func NewTreeOn(c *Cluster, spec TreeSpec) *Tree {
-	pl := autoTreePlacement(c.N(), spec)
-	if spec.DomainHint != nil {
-		hint := spec.DomainHint
-		n := c.N()
-		pl = treePlacement{group: func(g int) int {
-			d := hint(g)
-			if d < 0 || d >= n {
-				panic(fmt.Sprintf("netsim: DomainHint(%d) = %d outside cluster of %d domains", g, d, n))
-			}
-			return d
-		}}
-	}
-	t := buildTree(NewFabricOn(c), c.Sim(0), spec, pl)
-	t.Cluster = c
-	return t
-}
-
-// autoTreePlacement is the automatic partitioner for NewTreeOn.
-func autoTreePlacement(n int, spec TreeSpec) treePlacement {
-	var pl treePlacement
-	spare := n - 1
-	next := 1
-	groups := spec.Groups
-	servers := spec.Servers
-	if servers <= 0 {
-		servers = 1
-	}
-	aggDelay := func(g int) time.Duration {
-		cfg := spec.Agg
-		if spec.AggFor != nil {
-			cfg = spec.AggFor(g)
-		}
-		return cfg.Delay
-	}
-	allAgg := true
-	anyAgg := false
-	for g := 0; g < groups; g++ {
-		if aggDelay(g) > 0 {
-			anyAgg = true
-		} else {
-			allAgg = false
-		}
-	}
-	if spare > 0 && anyAgg {
-		gd := groups
-		if gd > spare {
-			gd = spare
-		}
-		base := next
-		pl.group = func(g int) int {
-			if aggDelay(g) <= 0 {
-				return 0 // zero-delay edge: cannot cross a frontier
-			}
-			return base + g*gd/groups
-		}
-		spare -= gd
-		next += gd
-	}
-	// The root may only leave domain 0 when every adjacent duplex can
-	// be a frontier: the core link to the trunk AND every root→agg
-	// link (groups that stayed in domain 0 still cross to the root).
-	if spare > 0 && spec.Core.Delay > 0 && allAgg {
-		pl.root = next
-		spare--
-		next++
-	}
-	if spare > 0 && spec.ServerAccess.Delay > 0 {
-		sd := servers
-		if sd > spare {
-			sd = spare
-		}
-		base := next
-		pl.server = func(s int) int { return base + s*sd/servers }
-	}
-	return pl
-}
-
-func buildTree(f *Fabric, sim *Simulator, spec TreeSpec, pl treePlacement) *Tree {
 	if spec.Groups <= 0 || spec.HostsPerGroup <= 0 {
 		panic("netsim: tree needs at least one group and one host per group")
 	}
@@ -230,18 +101,19 @@ func buildTree(f *Fabric, sim *Simulator, spec TreeSpec, pl treePlacement) *Tree
 	}
 
 	t := &Tree{Sim: sim, Spec: spec}
+	f := NewFabric(sim)
 
 	t.Trunk = f.Router("trunk")
-	t.Root = f.RouterIn(pl.root, "root")
+	t.Root = f.Router("root")
 	for g := 0; g < spec.Groups; g++ {
-		t.Aggs = append(t.Aggs, f.RouterIn(pl.groupDom(g), fmt.Sprintf("agg%d", g)))
+		t.Aggs = append(t.Aggs, f.Router(fmt.Sprintf("agg%d", g)))
 	}
 	for s := 0; s < spec.Servers; s++ {
-		t.Servers = append(t.Servers, f.HostIn(pl.serverDom(s), fmt.Sprintf("server%d", s)))
+		t.Servers = append(t.Servers, f.Host(fmt.Sprintf("server%d", s)))
 	}
 	for g := 0; g < spec.Groups; g++ {
 		for h := 0; h < spec.HostsPerGroup; h++ {
-			t.Clients = append(t.Clients, f.HostIn(pl.groupDom(g), fmt.Sprintf("client%d.%d", g, h)))
+			t.Clients = append(t.Clients, f.Host(fmt.Sprintf("client%d.%d", g, h)))
 		}
 	}
 

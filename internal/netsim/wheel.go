@@ -30,17 +30,10 @@ package netsim
 // and land at strictly lower levels, so every event descends at most
 // wheelLevels times — O(1) amortized.
 //
-// Ordering: events fire in (deadline, arm time, arm domain, arm
-// sequence) order. In a standalone simulator armAt is monotone in seq
-// and dom is constant, so the composite key degenerates to the former
-// heap's (deadline, arm sequence) comparator — golden CSVs depend on
-// that. The extra components exist for cluster runs (cluster.go):
-// events injected across a domain frontier carry the *source* domain's
-// arm time/ID/sequence, and the composite key orders them against
-// locally-armed events deterministically — by when they were armed,
-// never by which goroutine arrived first. Within a level-0 bucket,
-// direct inserts arrive in arm order but cascaded groups may
-// interleave, so drainBucket restores key order with an insertion sort
+// Ordering: events fire in (deadline, arm sequence) order, the former
+// heap's comparator — golden CSVs depend on that. Within a level-0
+// bucket, direct inserts arrive in arm order but cascaded groups may
+// interleave, so drainBucket restores seq order with an insertion sort
 // over the (near-sorted) batch before dispatch. Same-deadline
 // FIFO-by-arm-order is a tested invariant, not an accident.
 
@@ -283,25 +276,10 @@ func (s *Simulator) drainBucket(b int, at time.Duration) {
 	s.occ[b>>wheelBits] &^= 1 << uint(b&wheelMask)
 	bt := s.batch
 	for i := 1; i < len(bt); i++ {
-		for j := i; j > 0 && s.slotLess(bt[j], bt[j-1]); j-- {
+		for j := i; j > 0 && s.slots[bt[j]].seq < s.slots[bt[j-1]].seq; j-- {
 			bt[j], bt[j-1] = bt[j-1], bt[j]
 		}
 	}
-}
-
-// slotLess is the same-deadline dispatch order: (armAt, dom, seq).
-// Locally-armed events have armAt monotone in seq and a constant dom,
-// so among themselves this is plain arm order; frontier-injected
-// events (cluster.go) interleave by their source-domain key.
-func (s *Simulator) slotLess(a, b int32) bool {
-	x, y := &s.slots[a], &s.slots[b]
-	if x.armAt != y.armAt {
-		return x.armAt < y.armAt
-	}
-	if x.dom != y.dom {
-		return x.dom < y.dom
-	}
-	return x.seq < y.seq
 }
 
 // NextEventAt returns the exact deadline of the earliest pending

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"suss/internal/core"
@@ -46,21 +45,12 @@ type FleetJob struct {
 	// any flow starts — the chaos hook for attaching impairment stages
 	// to tree links.
 	Impair func(env FleetChaosEnv)
-	// Domains > 1 runs the shard's tree as a parallel event-domain
-	// cluster (netsim.NewTreeOn's partitioner: one domain per
-	// aggregation subtree, then the root, then server blocks when
-	// Fleet.ServerAccessDelay is positive). Deterministic: records are
-	// identical to the monolithic shard at any domain count. Observed
-	// jobs fall back to a monolithic run — recorders are shared rings
-	// and would race across domains.
+	// Domains is retired (see Job.Domains): RunFleetShard refuses a
+	// value > 1 through ShardResult.Err.
 	Domains int
 }
 
-// FleetChaosEnv is what a fleet Impair hook gets to work with. In a
-// multi-domain run Sim is domain 0 (trunk side); hooks must confine
-// impairment stages to links whose endpoints live in one domain —
-// cross-domain links reject impairment pipelines, because a stage
-// could reshape arrivals below the propagation-delay lookahead.
+// FleetChaosEnv is what a fleet Impair hook gets to work with.
 type FleetChaosEnv struct {
 	Sim  *netsim.Simulator
 	Tree *netsim.Tree
@@ -110,9 +100,10 @@ type ShardResult struct {
 	// Stall is non-nil when the watchdog killed the shard.
 	Stall *StallError
 	// Err reports a shard that could not run at all (a degenerate
-	// Fleet with no clients or servers); the other fields are zero.
-	// Execution failures keep their dedicated channels: watchdog kills
-	// land in Stall, panics in FleetResult.Err.
+	// Fleet with no clients or servers, or the retired Domains split);
+	// the other fields are zero. Execution failures keep their
+	// dedicated channels: watchdog kills land in Stall, panics in
+	// FleetResult.Err.
 	Err error `json:"-"`
 }
 
@@ -144,26 +135,16 @@ func RunFleetShard(j FleetJob) ShardResult {
 			"runner: degenerate fleet for %s: groups=%d hosts/group=%d servers=%d (all must be positive)",
 			j.describe(), j.Fleet.Groups, j.Fleet.HostsPerGroup, j.Fleet.Servers)}
 	}
+	if j.Domains > 1 {
+		return ShardResult{Shard: j.Shard, Algo: j.Algo, Err: fmt.Errorf("runner: %s: %s", j.describe(), domainsRemoved)}
+	}
 	simRuns.Add(1)
 	flows := j.Pop.Shard(j.Shard, j.Shards)
 
 	fl := j.Fleet
 	fl.Seed = fl.Seed*1000003 + int64(j.Shard)*7919 + 1
-	var (
-		eng  Engine
-		tree *netsim.Tree
-		rng  *rand.Rand
-	)
-	multi := j.Domains > 1 && !j.Observe
-	if multi {
-		c := netsim.NewCluster(j.Domains)
-		tree, rng = fl.BuildOn(c)
-		eng = c
-	} else {
-		sim := netsim.NewSimulator()
-		tree, rng = fl.Build(sim)
-		eng = sim
-	}
+	sim := netsim.NewSimulator()
+	tree, rng := fl.Build(sim)
 
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
@@ -181,7 +162,7 @@ func RunFleetShard(j FleetJob) ShardResult {
 	}
 
 	var reg *obs.Registry
-	if (j.Observe || j.WallLimit > 0) && !multi {
+	if j.Observe || j.WallLimit > 0 {
 		reg = obs.NewRegistry(0)
 		for i, l := range downPathLinks(tree) {
 			l.AttachRecorder(reg.Link(fmt.Sprintf("down%d/%s", i, l.Name())))
@@ -192,13 +173,11 @@ func RunFleetShard(j FleetJob) ShardResult {
 	// i%Servers to client i%NumClients, so every leaf and every branch
 	// carries its share of the population.
 	tflows := make([]*tcp.Flow, len(flows))
-	// Completion is counted atomically: in a cluster every client
-	// domain's goroutine fires OnComplete callbacks concurrently.
-	var completed atomic.Int64
+	completed := 0
 	for i, fs := range flows {
 		s := i % len(tree.Servers)
 		c := i % tree.NumClients()
-		f := tcp.NewFlow(tree.Sim, cfg, netsim.FlowID(i+1),
+		f := tcp.NewFlow(sim, cfg, netsim.FlowID(i+1),
 			tree.Servers[s], srvMux[s], tree.Clients[c], cliMux[c], fs.Size, nil)
 		var ctrl = NewController(j.Algo, f.Sender)
 		if j.Algo == Suss && j.SussOpt != nil {
@@ -216,26 +195,18 @@ func RunFleetShard(j FleetJob) ShardResult {
 		prev := f.Receiver.OnComplete
 		f.Receiver.OnComplete = func(now time.Duration) {
 			prev(now)
-			completed.Add(1)
+			completed++
 		}
-		f.StartAt(tree.Sim, fs.Start)
+		f.StartAt(sim, fs.Start)
 		tflows[i] = f
 	}
 	// Stop as soon as the whole population has finished; abandoned
-	// flows (dead-path aborts) drain the event queue on their own. A
-	// cluster stops at the next window barrier — the deterministic stop
-	// point — while a lone simulator stops at the next event.
-	allDone := func() bool { return completed.Load() == int64(len(flows)) }
-	if c := tree.Cluster; c != nil {
-		c.StopAtBarrier(allDone)
-		defer c.StopAtBarrier(nil)
-	} else {
-		eng.StopWhen(allDone)
-		defer eng.StopWhen(nil)
-	}
+	// flows (dead-path aborts) drain the event queue on their own.
+	sim.StopWhen(func() bool { return completed == len(flows) })
+	defer sim.StopWhen(nil)
 
 	if j.Impair != nil {
-		j.Impair(FleetChaosEnv{Sim: tree.Sim, Tree: tree, RNG: rng, Seed: fl.Seed})
+		j.Impair(FleetChaosEnv{Sim: sim, Tree: tree, RNG: rng, Seed: fl.Seed})
 	}
 
 	slack := j.Horizon
@@ -244,7 +215,7 @@ func RunFleetShard(j FleetJob) ShardResult {
 	}
 	horizon := workload.Horizon(flows, slack)
 	var stall *StallError
-	end, err := RunGuarded(eng, reg, horizon, j.WallLimit, j.describe())
+	end, err := RunGuarded(sim, reg, horizon, j.WallLimit, j.describe())
 	if err != nil {
 		stall = err.(*StallError)
 	}

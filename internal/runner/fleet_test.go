@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,18 @@ func TestFleetShardDeterminism(t *testing.T) {
 	}
 	if a.Core != b.Core || a.JainGoodput != b.JainGoodput {
 		t.Fatal("same shard job produced different aggregates")
+	}
+}
+
+func TestFleetShardRefusesRetiredDomains(t *testing.T) {
+	j := testFleetJob(10)
+	j.Domains = 2
+	r := RunFleetShard(j)
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "parallel event domains were removed") {
+		t.Fatalf("Domains=2: want ShardResult.Err naming the removal, got %v", r.Err)
+	}
+	if len(r.Flows) != 0 {
+		t.Errorf("refused shard simulated %d flows", len(r.Flows))
 	}
 }
 

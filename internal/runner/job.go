@@ -65,25 +65,21 @@ type Job struct {
 	// the flow starts — the hook where chaos attaches impairment stages
 	// and receiver fault modes.
 	Impair func(env ChaosEnv)
-	// Domains > 1 partitions the simulation into that many parallel
-	// event domains (netsim.Cluster): sender in one, core wire plus
-	// impaired last hop plus client in the other. Results are identical
-	// to the monolithic run — the cluster's lookahead protocol is
-	// deterministic — just computed on more cores. Sim backend only.
-	// Observed jobs fall back to a monolithic run: flight recorders are
-	// shared rings, and domains running concurrently would race on them.
+	// Domains is retired: parallel event domains were removed (one
+	// simulation is single-threaded; parallelism lives in Map). The
+	// field survives only because the frozen bench/ module reads it;
+	// Download panics on a value > 1 rather than silently ignoring it.
 	Domains int
 }
+
+// domainsRemoved is the refusal both Download and RunFleetShard give a
+// job that still asks for the retired Domains split.
+const domainsRemoved = "Domains > 1 is no longer supported: parallel event domains were removed, one simulation runs on one simulator (use runner.Map workers for parallelism)"
 
 // ChaosEnv is what an Impair hook gets to work with: the simulation,
 // the built path, the flow about to start, the scenario's RNG, and the
 // derived seed so hooks can build private RNG streams that stay
 // decoupled from the scenario's own draws.
-//
-// In a multi-domain run (Job.Domains > 1) Sim is the event domain that
-// owns the impairable end of the path — the last hop and the receiver —
-// which is where every catalog impairment attaches. Hooks touching the
-// sender side must schedule through Path.Sender.Sim() instead.
 type ChaosEnv struct {
 	Sim  *netsim.Simulator
 	Path *netsim.Path
@@ -140,6 +136,9 @@ type Result struct {
 // Download executes one job synchronously. It is the single-simulation
 // primitive all experiment sweeps reduce to.
 func Download(j Job) DownloadResult {
+	if j.Domains > 1 {
+		panic("runner: " + domainsRemoved)
+	}
 	switch j.Backend {
 	case "", "sim":
 	case "pipe":
@@ -151,26 +150,13 @@ func Download(j Job) DownloadResult {
 	simRuns.Add(1)
 	sc := j.Scenario
 	sc.Seed = sc.Seed*1000003 + int64(j.Iter)*7919 + 1
-	var (
-		eng Engine
-		p   *netsim.Path
-		rng *rand.Rand
-	)
-	multi := j.Domains > 1 && !j.Observe
-	if multi {
-		c := netsim.NewCluster(j.Domains)
-		p, rng = sc.BuildOn(c)
-		eng = c
-	} else {
-		sim := netsim.NewSimulator()
-		p, rng = sc.Build(sim)
-		eng = sim
-	}
+	sim := netsim.NewSimulator()
+	p, rng := sc.Build(sim)
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
 		cfg = *j.Transport
 	}
-	f := tcp.NewFlow(p.Sim, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size, nil)
+	f := tcp.NewFlow(sim, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size, nil)
 	var ctrl cc.Controller
 	if j.Algo == Suss && j.SussOpt != nil {
 		ctrl = core.New(f.Sender, *j.SussOpt)
@@ -179,7 +165,7 @@ func Download(j Job) DownloadResult {
 	}
 	f.Sender.SetController(ctrl)
 	var reg *obs.Registry
-	if (j.Observe || j.WallLimit > 0) && !multi {
+	if j.Observe || j.WallLimit > 0 {
 		reg = obs.NewRegistry(0)
 		fr := reg.Flow(1)
 		f.Sender.AttachRecorder(fr)
@@ -194,19 +180,15 @@ func Download(j Job) DownloadResult {
 		}
 	}
 	if j.Impair != nil {
-		envSim := p.Sim
-		if s := p.Receiver.Sim(); s != nil {
-			envSim = s
-		}
-		j.Impair(ChaosEnv{Sim: envSim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed})
+		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed})
 	}
-	f.StartAt(p.Sim, 0)
+	f.StartAt(sim, 0)
 	horizon := j.Horizon
 	if horizon <= 0 {
 		horizon = DefaultHorizon
 	}
 	var stall *StallError
-	if _, err := RunGuarded(eng, reg, horizon, j.WallLimit, j.describe()); err != nil {
+	if _, err := RunGuarded(sim, reg, horizon, j.WallLimit, j.describe()); err != nil {
 		stall = err.(*StallError)
 	}
 

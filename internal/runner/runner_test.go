@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,24 @@ func TestRunReportsIncomplete(t *testing.T) {
 	}
 	if res[1].Err != nil || !res[1].Completed {
 		t.Errorf("64 KB flow should complete: %v", res[1].Err)
+	}
+}
+
+// The retired Domains split is refused loudly, never silently run
+// monolithic: through Run the panic surfaces as a *PanicError result
+// naming the removal, and the rest of the sweep still completes.
+func TestRunRefusesRetiredDomains(t *testing.T) {
+	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 1)
+	res := Run(context.Background(), []Job{
+		{Scenario: sc, Algo: Cubic, Size: 64 << 10, Domains: 2},
+		{Scenario: sc, Algo: Cubic, Size: 64 << 10, Domains: 1},
+	}, Options{Workers: 2})
+	var pe *PanicError
+	if !errors.As(res[0].Err, &pe) || !strings.Contains(pe.Error(), "parallel event domains were removed") {
+		t.Errorf("Domains=2: want a PanicError naming the removal, got %v", res[0].Err)
+	}
+	if res[1].Err != nil || !res[1].Completed {
+		t.Errorf("Domains=1 job beside the refused one should complete: %v", res[1].Err)
 	}
 }
 

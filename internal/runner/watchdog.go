@@ -50,10 +50,11 @@ func (e *StallError) Dump() string {
 	return b.String()
 }
 
-// Engine is the simulation driver RunGuarded watches: the
-// single-threaded netsim.Simulator or a multi-domain netsim.Cluster.
-// Both stop at the next event boundary when the StopWhen predicate
-// fires.
+// Engine is the simulation driver RunGuarded watches — in production
+// always a *netsim.Simulator, which stops at the next event boundary
+// when the StopWhen predicate fires. It is an interface so the
+// watchdog tests can substitute a fake and observe the installed
+// predicate.
 type Engine interface {
 	Run(until time.Duration) time.Duration
 	Pending() int
@@ -70,10 +71,10 @@ type Engine interface {
 // *StallError is returned carrying the last flight-recorder events
 // from reg (nil reg = no tail). wall <= 0 disables the watchdog.
 //
-// The engine is not safe to halt from another goroutine directly, so
-// the expiry crosses goroutines through an atomic flag read by a
-// StopWhen predicate — checked after every event, including
-// mid-batch, and safe for the concurrent calls a Cluster makes.
+// The simulator is single-threaded and its Halt is not safe to call
+// from another goroutine, so the expiry crosses goroutines through an
+// atomic flag read by a StopWhen predicate — checked after every
+// event, including mid-batch.
 func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration, desc string) (time.Duration, error) {
 	if wall <= 0 {
 		return sim.Run(horizon), nil

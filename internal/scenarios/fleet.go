@@ -36,15 +36,6 @@ type Fleet struct {
 
 	// Seed roots the shard's RNG (impairments, workload jitter).
 	Seed int64
-
-	// ServerAccessDelay adds propagation to the server⇄trunk edges
-	// (default 0: the farm sits next to the trunk). A positive value
-	// changes the simulated RTT, so it is a topology choice, not a
-	// tuning knob — its purpose is to let the cluster partitioner
-	// split the server hosts (where send-side TCP work concentrates)
-	// into their own event domains, which needs a positive delay on
-	// the crossed edge.
-	ServerAccessDelay time.Duration
 }
 
 // DefaultFleet is the reference shard: 100 clients in four groups
@@ -79,24 +70,12 @@ func (fl Fleet) queueFor(rate float64) int {
 // shard's private stream for impairments and workload perturbation,
 // seeded from Fleet.Seed alone.
 func (fl Fleet) Build(sim *netsim.Simulator) (*netsim.Tree, *rand.Rand) {
-	return netsim.NewTree(sim, fl.treeSpec()), rand.New(rand.NewSource(fl.Seed))
-}
-
-// BuildOn wires the identical shard tree across a cluster's event
-// domains (netsim.NewTreeOn's automatic partitioner: one domain per
-// aggregation subtree, then the root, then server blocks — the last
-// only when ServerAccessDelay is positive). Same topology, same
-// results, any domain count.
-func (fl Fleet) BuildOn(c *netsim.Cluster) (*netsim.Tree, *rand.Rand) {
-	return netsim.NewTreeOn(c, fl.treeSpec()), rand.New(rand.NewSource(fl.Seed))
-}
-
-func (fl Fleet) treeSpec() netsim.TreeSpec {
+	rng := rand.New(rand.NewSource(fl.Seed))
 	// One-way propagation budget RTT/2, split 2:1:1 over the levels.
 	coreDelay := fl.RTT / 4
 	aggDelay := fl.RTT / 8
 	accessDelay := fl.RTT/2 - coreDelay - aggDelay
-	spec := netsim.TreeSpec{
+	t := netsim.NewTree(sim, netsim.TreeSpec{
 		Groups:        fl.Groups,
 		HostsPerGroup: fl.HostsPerGroup,
 		Servers:       fl.Servers,
@@ -109,9 +88,6 @@ func (fl Fleet) treeSpec() netsim.TreeSpec {
 		Access: netsim.LinkConfig{
 			Rate: fl.AccessRate, Delay: accessDelay, QueueBytes: fl.queueFor(fl.AccessRate),
 		},
-	}
-	if fl.ServerAccessDelay > 0 {
-		spec.ServerAccess = netsim.LinkConfig{Delay: fl.ServerAccessDelay}
-	}
-	return spec
+	})
+	return t, rng
 }

@@ -178,23 +178,6 @@ func All(seed int64) []Scenario {
 // the one feeding the impairments (callers reuse it to perturb
 // workloads).
 func (sc Scenario) Build(sim *netsim.Simulator) (*netsim.Path, *rand.Rand) {
-	spec, rng := sc.pathSpec()
-	return netsim.NewPath(sim, spec), rng
-}
-
-// BuildOn wires the scenario across a cluster of event domains: the
-// sender in domain 0, the core wire, last hop, and client in domain 1
-// (netsim.NewPathOn's split). The cut sits on the clean core link —
-// its fixed delay (≥ 1 ms) is the lookahead — while everything the
-// netem profile impairs or randomizes stays inside the client domain,
-// so profile RNG draws happen in the same local order as a monolithic
-// run and results are bit-identical at any domain count.
-func (sc Scenario) BuildOn(c *netsim.Cluster) (*netsim.Path, *rand.Rand) {
-	spec, rng := sc.pathSpec()
-	return netsim.NewPathOn(c, spec), rng
-}
-
-func (sc Scenario) pathSpec() (netsim.PathSpec, *rand.Rand) {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	lastHopDelay := 5 * time.Millisecond
 	coreDelay := sc.RTT/2 - lastHopDelay
@@ -202,10 +185,11 @@ func (sc Scenario) pathSpec() (netsim.PathSpec, *rand.Rand) {
 		coreDelay = time.Millisecond
 	}
 	last := sc.LastHop.Apply("lasthop", lastHopDelay, sc.RTT, rng)
-	return netsim.PathSpec{Forward: []netsim.LinkConfig{
+	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: sc.CoreRate, Delay: coreDelay, QueueBytes: 64 << 20},
 		last,
-	}}, rng
+	}})
+	return p, rng
 }
 
 // Testbed describes the paper's local dumbbell (§6.1): five pairs, a

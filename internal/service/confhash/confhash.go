@@ -20,8 +20,7 @@
 //     runner.DefaultHorizon, a nil Transport becomes tcp.DefaultConfig,
 //     an empty population mix becomes workload.DefaultMix, …), so a
 //     config relying on defaults and one spelling them out are the same
-//     key. Execution-only knobs that the determinism contract proves
-//     cannot change results — Domains, the worker pool — are excluded.
+//     key.
 //
 // Configurations whose outcome is not a pure function of the config are
 // rejected rather than mis-cached: a non-nil Impair hook (arbitrary
@@ -224,8 +223,6 @@ func FleetKey(j runner.FleetJob) (string, error) {
 //   - A positive WallLimit is folded into Observe (a wall-limited job
 //     runs with the flight recorder attached) and then cleared: the
 //     watchdog only matters on stalled runs, which are never cached.
-//   - Domains is cleared: the parallel-domain determinism contract
-//     guarantees identical results at any domain count.
 //   - A non-nil Impair hook is arbitrary code and rejects the job.
 func NormalizeJob(j runner.Job) (runner.Job, error) {
 	if j.Impair != nil {
@@ -255,7 +252,6 @@ func NormalizeJob(j runner.Job) (runner.Job, error) {
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
-	j.Domains = 0
 	return j, nil
 }
 
@@ -289,7 +285,6 @@ func NormalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
-	j.Domains = 0
 	if len(j.Pop.Mix) == 0 {
 		j.Pop.Mix = workload.DefaultMix()
 	}

@@ -58,17 +58,9 @@ func TestJobKeyDefaultedEqualsExplicit(t *testing.T) {
 }
 
 // Execution knobs the determinism contract covers must not key the
-// cache: worker/domain parallelism and the watchdog produce identical
-// records.
+// cache: the watchdog produces identical records.
 func TestJobKeyIgnoresExecutionKnobs(t *testing.T) {
 	j := baseJob()
-	base := mustJobKey(t, j)
-
-	j.Domains = 8
-	if mustJobKey(t, j) != base {
-		t.Error("Domains changed the key: parallel domains are byte-identical by contract")
-	}
-	j.Domains = 0
 
 	// WallLimit folds into Observe: a guarded job is an observed job.
 	j.WallLimit = time.Minute
@@ -77,6 +69,22 @@ func TestJobKeyIgnoresExecutionKnobs(t *testing.T) {
 	j.Observe = true
 	if withWall != mustJobKey(t, j) {
 		t.Error("WallLimit>0 must hash like Observe=true (the runner attaches the recorder for both)")
+	}
+}
+
+// A retired-field value can never share a key with a runnable job: the
+// runner refuses Domains > 1, so such a config must not alias a cached
+// result computed for the config the runner does accept.
+func TestRetiredDomainsNeverSharesKey(t *testing.T) {
+	j := baseJob()
+	j.Domains = 2
+	if mustJobKey(t, j) == mustJobKey(t, baseJob()) {
+		t.Error("Job{Domains: 2} shares a key with the runnable job")
+	}
+	fj := baseFleetJob()
+	fj.Domains = 2
+	if mustFleetKey(t, fj) == mustFleetKey(t, baseFleetJob()) {
+		t.Error("FleetJob{Domains: 2} shares a key with the runnable job")
 	}
 }
 

@@ -29,7 +29,6 @@ type Flow struct {
 	// until complete.
 	CompletedAt time.Duration
 	startAt     time.Duration
-	senderSim   *netsim.Simulator // sender's event domain (NewFlow only)
 }
 
 // NewFlowOver wires a sender and receiver for a size-byte transfer
@@ -53,39 +52,19 @@ func NewFlowOver(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn,
 // NewFlow wires a sender on srcHost and a receiver on dstHost for a
 // size-byte transfer over the simulator backend, registering both
 // with the given demuxes.
-//
-// Each endpoint binds to its own host's event domain (Host.Sim): in a
-// multi-domain cluster the sender and receiver may live on different
-// simulators, and each must schedule timers and acquire packets only
-// in its own. Hosts built outside a Fabric carry no domain; they fall
-// back to sim, which is also the single-simulator case.
 func NewFlow(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 	srcHost *netsim.Host, srcMux *Demux,
 	dstHost *netsim.Host, dstMux *Demux,
 	size int64, ctrl cc.Controller) *Flow {
 
-	sconn := simbackend.New(hostSim(srcHost, sim), srcHost, srcMux, dstHost.ID(), id)
-	rconn := simbackend.New(hostSim(dstHost, sim), dstHost, dstMux, srcHost.ID(), id)
-	f := NewFlowOver(cfg, id, sconn, rconn, size, ctrl)
-	f.senderSim = hostSim(srcHost, sim)
-	return f
+	sconn := simbackend.New(sim, srcHost, srcMux, dstHost.ID(), id)
+	rconn := simbackend.New(sim, dstHost, dstMux, srcHost.ID(), id)
+	return NewFlowOver(cfg, id, sconn, rconn, size, ctrl)
 }
 
-func hostSim(h *netsim.Host, fallback *netsim.Simulator) *netsim.Simulator {
-	if s := h.Sim(); s != nil {
-		return s
-	}
-	return fallback
-}
-
-// StartAt schedules the flow to begin at virtual time at. The start
-// event is armed in the sender's own event domain when the flow was
-// built with NewFlow; sim is the fallback for backend-agnostic flows.
+// StartAt schedules the flow to begin at virtual time at.
 func (f *Flow) StartAt(sim *netsim.Simulator, at time.Duration) {
 	f.startAt = at
-	if f.senderSim != nil {
-		sim = f.senderSim
-	}
 	sim.ScheduleAt(at, f.Sender.Start)
 }
 
