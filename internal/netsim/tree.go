@@ -58,14 +58,14 @@ type Tree struct {
 	Root  *Router   // client-side core router
 	Aggs  []*Router // one per group
 
-	Core    *Link // trunk→root, the shared bottleneck
-	CoreRev *Link // root→trunk (ACK path)
-	AggDown []*Link
-	AggUp   []*Link
+	Core       *Link // trunk→root, the shared bottleneck
+	CoreRev    *Link // root→trunk (ACK path)
+	AggDown    []*Link
+	AggUp      []*Link
 	AccessDown []*Link
 	AccessUp   []*Link
-	SrvUp   []*Link // server→trunk
-	SrvDown []*Link // trunk→server
+	SrvUp      []*Link // server→trunk
+	SrvDown    []*Link // trunk→server
 }
 
 // ackMirror derives the reverse-direction config for a duplex level:

@@ -15,10 +15,10 @@ import (
 // order, clock, Pending, and every Stop/Reset return value.
 
 type refTimer struct {
-	at    time.Duration
-	seq   uint64
-	id    int
-	pos   int // index into refSched.alive, -1 when dead
+	at  time.Duration
+	seq uint64
+	id  int
+	pos int // index into refSched.alive, -1 when dead
 }
 
 type refSched struct {
@@ -240,7 +240,7 @@ func TestSameDeadlineFIFOAcrossLevels(t *testing.T) {
 	s.ScheduleEventAt(deadline, recordFireEv, rec, 1) // mid level
 
 	s.Schedule(deadline-100*time.Nanosecond, func() {})
-	s.Run(deadline - 100 * time.Nanosecond)
+	s.Run(deadline - 100*time.Nanosecond)
 	s.ScheduleEventAt(deadline, recordFireEv, rec, 2) // level 0, direct
 
 	// Armed during the batch itself: same instant, must fire last.

@@ -78,8 +78,3 @@ func DefaultConfig() Config {
 		MaxConsecRTOs: 12,
 	}
 }
-
-// segStart returns the segment-aligned start for a byte sequence.
-func segStart(seq int64, mss int) int64 {
-	return seq - seq%int64(mss)
-}

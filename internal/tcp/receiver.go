@@ -19,9 +19,8 @@ const maxRecentSacks = 8
 //
 // The receive path is allocation-free in steady state: ACKs encode
 // from a per-receiver scratch segment with SACK blocks chosen into a
-// fixed array, the range set is rebuilt through a double buffer (with
-// an in-place fast path for in-order arrivals), and SACK recency
-// lives in a fixed array.
+// fixed array, the range set is binary-searched and edited in place,
+// and SACK recency lives in a fixed array.
 type Receiver struct {
 	conn wire.Conn
 	sim  *netsim.Simulator // conn.Clock(), cached
@@ -35,10 +34,9 @@ type Receiver struct {
 	// in-window wire value sits within ±2³¹ of.
 	seqNear int64
 
-	ranges []netsim.SackRange // sorted, disjoint received ranges
-	// rangesNext is the double-buffer half merge rebuilds into when
-	// the in-place fast path does not apply.
-	rangesNext []netsim.SackRange
+	ranges rangeSet // received byte ranges
+	// fresh is merge's scratch for the newly covered parts.
+	fresh []netsim.SackRange
 	// recent remembers the ranges most recently extended, newest
 	// first, to fill SACK blocks the way RFC 2018 recommends.
 	recent  [maxRecentSacks]netsim.SackRange
@@ -87,10 +85,10 @@ func NewReceiver(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) *Re
 
 // CumAck returns the current cumulative acknowledgment point.
 func (r *Receiver) CumAck() int64 {
-	if len(r.ranges) == 0 || r.ranges[0].Start != 0 {
-		return 0
+	if v := r.ranges.view(); len(v) > 0 && v[0].Start == 0 {
+		return v[0].End
 	}
-	return r.ranges[0].End
+	return 0
 }
 
 // Received returns the distinct payload bytes accepted so far.
@@ -134,18 +132,19 @@ func (r *Receiver) renegeTick() {
 
 // renege discards every received range above the contiguous prefix.
 func (r *Receiver) renege() {
+	v := r.ranges.view()
 	keep := 0
-	if len(r.ranges) > 0 && r.ranges[0].Start == 0 {
+	if len(v) > 0 && v[0].Start == 0 {
 		keep = 1
 	}
 	var discarded int64
-	for _, g := range r.ranges[keep:] {
+	for _, g := range v[keep:] {
 		discarded += g.End - g.Start
 	}
 	if discarded == 0 {
 		return
 	}
-	r.ranges = r.ranges[:keep]
+	r.ranges.truncate(keep)
 	r.received -= discarded
 	// Forget the recency list too: those ranges no longer exist, and
 	// re-announcing them in SACK blocks would be lying twice over.
@@ -204,7 +203,7 @@ func (r *Receiver) Handle(seg *wire.Segment, wireLen int) {
 		}
 	}
 
-	outOfOrder := newCum == prevCum || len(r.ranges) > 1
+	outOfOrder := newCum == prevCum || len(r.ranges.view()) > 1
 	r.unacked++
 	if outOfOrder || r.unacked >= r.cfg.AckEvery {
 		r.sendAck(seg.HasTS, seg.TSVal)
@@ -258,7 +257,7 @@ func (r *Receiver) fillSackBlocks(a *wire.Segment, cum int64) {
 			continue
 		}
 		// Re-resolve against current ranges (merges may have grown it).
-		cur, ok := r.containing(s.Start)
+		cur, ok := r.ranges.containing(s.Start)
 		if !ok || cur.End <= cum {
 			continue
 		}
@@ -279,15 +278,6 @@ func (r *Receiver) fillSackBlocks(a *wire.Segment, cum int64) {
 	}
 }
 
-func (r *Receiver) containing(seq int64) (netsim.SackRange, bool) {
-	for _, g := range r.ranges {
-		if g.Start <= seq && seq < g.End {
-			return g, true
-		}
-	}
-	return netsim.SackRange{}, false
-}
-
 // noteRecent records [start,end) as the most recently extended range
 // for SACK block selection (in-place shift; no allocation).
 func (r *Receiver) noteRecent(start, end int64) {
@@ -299,70 +289,16 @@ func (r *Receiver) noteRecent(start, end int64) {
 }
 
 // merge inserts [start,end) into the received set and returns the
-// number of bytes that were new. In-order arrivals (the common case)
-// extend the head range in place; the general path rebuilds into the
-// double buffer, so neither allocates in steady state.
+// number of bytes that were new.
 func (r *Receiver) merge(start, end int64) int64 {
 	if end <= start {
 		return 0
 	}
 	r.noteRecent(start, end)
-
-	// Fast path: the segment exactly extends an existing range's tail
-	// and stays clear of the next one.
-	for i := range r.ranges {
-		if r.ranges[i].End == start && (i+1 == len(r.ranges) || end < r.ranges[i+1].Start) {
-			r.ranges[i].End = end
-			return end - start
-		}
-	}
-
-	added := end - start
-	out := r.rangesNext[:0]
-	cur := netsim.SackRange{Start: start, End: end}
-	inserted := false
-	for _, g := range r.ranges {
-		switch {
-		case g.End < cur.Start:
-			out = append(out, g)
-		case cur.End < g.Start:
-			if !inserted {
-				out = append(out, cur)
-				inserted = true
-			}
-			out = append(out, g)
-		default:
-			// Overlap: subtract the intersection from "added" and fold.
-			lo := max64(g.Start, cur.Start)
-			hi := min64(g.End, cur.End)
-			if hi > lo {
-				added -= hi - lo
-			}
-			cur.Start = min64(cur.Start, g.Start)
-			cur.End = max64(cur.End, g.End)
-		}
-	}
-	if !inserted {
-		out = append(out, cur)
-	}
-	r.rangesNext = r.ranges[:0]
-	r.ranges = out
-	if added < 0 {
-		added = 0
+	r.fresh = r.ranges.add(netsim.SackRange{Start: start, End: end}, r.fresh[:0])
+	var added int64
+	for _, f := range r.fresh {
+		added += f.End - f.Start
 	}
 	return added
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

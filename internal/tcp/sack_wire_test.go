@@ -27,13 +27,13 @@ func decodeAck(t *testing.T, pkt *netsim.Packet) *wire.Segment {
 // the receiver's ground-truth ranges.
 func assertInIntervalSet(t *testing.T, r *Receiver, b wire.SackBlock) {
 	t.Helper()
-	for _, g := range r.ranges {
+	for _, g := range r.ranges.view() {
 		if g.Start == int64(b.Start) && g.End == int64(b.End) {
 			return
 		}
 	}
 	t.Fatalf("wire SACK block [%d,%d) is not in the receiver's interval set %v",
-		b.Start, b.End, r.ranges)
+		b.Start, b.End, r.ranges.view())
 }
 
 // TestWireSackTruncationKeepsMostRecent feeds five out-of-order

@@ -1,10 +1,18 @@
 package tcp
 
+// The reference sender: the transport as it stood before the ring
+// scoreboard — segment state in a Go map, loss candidates in a hole set
+// iterated on every ACK, a linearly searched retransmit queue and a
+// SACK interval set rebuilt per block. It is kept, logic unchanged, as
+// the oracle TestScoreboardDifferential drives in lockstep with Sender.
+// The one edit: detectLosses records the segments one ACK marks lost in
+// ascending order, after its loop, so that its event log can be
+// compared record for record (ranging over the hole map made the
+// original's same-ACK EvLossDetected records land in random order).
+
 import (
-	"errors"
 	"fmt"
-	"math"
-	"slices"
+	"sort"
 	"time"
 
 	"suss/internal/cc"
@@ -13,40 +21,40 @@ import (
 	"suss/internal/wire"
 )
 
-// ErrRetransLimit is the terminal flow error when Config.MaxConsecRTOs
-// consecutive retransmission timeouts fire without any forward
-// progress — the path is treated as dead and the flow gives up cleanly
-// instead of backing off forever.
-var ErrRetransLimit = errors.New("tcp: consecutive retransmission timeouts exceeded limit")
-
-// SenderStats summarizes a flow from the sender's perspective.
-type SenderStats struct {
-	BytesSent       int64 // payload bytes, including retransmissions
-	SegmentsSent    int
-	Retransmissions int
-	RTOs            int
-	SpuriousRTOs    int // timeouts later proven spurious and undone (F-RTO)
-	SackRenegs      int // SACK-reneging episodes detected and repaired
-	TLPs            int // tail loss probes sent
-	LossEvents      int // fast-retransmit congestion events
-	Delivered       int64
+// segStart returns the segment-aligned start for a byte sequence.
+func segStart(seq int64, mss int) int64 {
+	return seq - seq%int64(mss)
 }
 
-// EarliestSender is an optional controller extension: a controller may
-// gate transmissions until a future time (SUSS uses it for the guard
-// interval before its pacing period). Zero means "no gate".
-type EarliestSender interface {
-	EarliestSend(now time.Duration) time.Duration
+// segment states for the scoreboard.
+type refSegState uint8
+
+const (
+	refStInflight        refSegState = iota // sent, outcome unknown
+	refStSacked                             // selectively acknowledged
+	refStLost                               // presumed lost, awaiting retransmit
+	refStRetransInFlight                    // retransmitted, outcome unknown
+)
+
+// refSegInfo is the per-segment scoreboard entry. sentAt and delivAtSend
+// support RFC-style delivery-rate sampling (BBR): a segment's rate
+// sample is (delivered_now − delivAtSend) / (now − sentAt).
+type refSegInfo struct {
+	st          refSegState
+	lostBy      uint8 // obs.RetransCause that marked it lost (valid in refStLost)
+	sentAt      time.Duration
+	delivAtSend int64
+	retrans     bool // ever retransmitted: rate samples are ambiguous
 }
 
-// Sender drives one bulk flow of size bytes through a wire.Conn,
+// refSender drives one bulk flow of size bytes through a wire.Conn,
 // under the congestion controller ctrl. It implements cc.Env for the
 // controller. Every segment it emits is encoded to frame bytes by the
 // conn's backend, and every ACK it processes arrives as a strictly
 // decoded wire.Segment — the sender's view of its peer is exactly
 // what survives the framing, on the simulator and on a real socket
 // alike.
-type Sender struct {
+type refSender struct {
 	conn wire.Conn
 	sim  *netsim.Simulator // conn.Clock(), cached: every timer lives here
 	cfg  Config
@@ -61,24 +69,25 @@ type Sender struct {
 	sndUna int64
 	sndNxt int64
 
-	// sb is the per-segment scoreboard: a ring addressed by segment
-	// number that also carries the retransmit queue and the list of
-	// retransmissions in flight (see scoreboard.go).
-	sb       scoreboard
-	inflight int64 // bytes presumed in the network
+	state     map[int64]refSegInfo // segment start → state + rate-sample data
+	lostQueue []int64              // sorted segment starts pending retransmit
+	inflight  int64                // bytes presumed in the network
 
 	highestSacked int64
 	delivered     int64
 
-	// sacked is the merged set of SACKed intervals above sndUna, so
+	// sackedIv is the merged set of SACKed intervals above sndUna, so
 	// repeated SACK blocks (which re-announce whole contiguous ranges)
-	// are processed only for their newly-covered parts; fresh is the
-	// scratch those parts are returned in.
-	sacked rangeSet
-	fresh  []netsim.SackRange
-	// newlyLost is detectLosses' scratch: the segments one ACK marked
-	// lost, gathered so an observed run records them in sequence order.
-	newlyLost []int32
+	// are processed only for their newly-covered parts. sackedNext and
+	// freshScratch are the double-buffer / scratch halves that let
+	// addSackInterval rebuild the set without allocating per ACK.
+	sackedIv     []netsim.SackRange
+	sackedNext   []netsim.SackRange
+	freshScratch []netsim.SackRange
+	// holes are unresolved segment starts below highestSacked — the
+	// candidates for loss marking. holeScan is the swept boundary.
+	holes    map[int64]struct{}
+	holeScan int64
 
 	rtt    *rttEstimator
 	minRTT cc.MinRTTTracker
@@ -135,93 +144,43 @@ type Sender struct {
 	OnAckTrace func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64)
 }
 
-// NewSender creates a sender for one flow transmitting through conn.
+// newRefSender creates a reference sender for one flow transmitting through conn.
 // The caller must install HandleAck as the conn's handler (NewFlowOver
 // does both).
-func NewSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *Sender {
-	if size/int64(cfg.MSS) >= math.MaxInt32 {
-		panic("tcp: flow size exceeds the scoreboard's 2^31 segments")
-	}
-	return &Sender{
-		conn: conn,
-		sim:  conn.Clock(),
-		cfg:  cfg,
-		flow: flow,
-		ctrl: ctrl,
-		size: size,
-		sb:   newScoreboard(),
-		rtt:  newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
+func newRefSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *refSender {
+	return &refSender{
+		conn:  conn,
+		sim:   conn.Clock(),
+		cfg:   cfg,
+		flow:  flow,
+		ctrl:  ctrl,
+		size:  size,
+		state: make(map[int64]refSegInfo),
+		holes: make(map[int64]struct{}),
+		rtt:   newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
 	}
 }
 
 // --- cc.Env ---
 
 // Now implements cc.Env.
-func (s *Sender) Now() time.Duration { return s.sim.Now() }
+func (s *refSender) Now() time.Duration { return s.sim.Now() }
 
 // Schedule implements cc.Env.
-func (s *Sender) Schedule(d time.Duration, fn func()) cc.Timer {
+func (s *refSender) Schedule(d time.Duration, fn func()) cc.Timer {
 	return s.sim.Schedule(d, fn)
 }
 
 // Kick implements cc.Env.
-func (s *Sender) Kick() { s.trySend() }
+func (s *refSender) Kick() { s.trySend() }
 
 // MSS implements cc.Env.
-func (s *Sender) MSS() int { return s.cfg.MSS }
-
-// --- public accessors ---
-
-// Stats returns a copy of the sender counters.
-func (s *Sender) Stats() SenderStats {
-	st := s.stats
-	st.Delivered = s.delivered
-	return st
-}
-
-// Controller returns the congestion controller driving this sender.
-func (s *Sender) Controller() cc.Controller { return s.ctrl }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.rtt.SRTT() }
-
-// MinRTT returns the connection-lifetime minimum RTT.
-func (s *Sender) MinRTT() time.Duration { return s.minRTT.Get() }
-
-// Inflight returns bytes currently presumed in the network.
-func (s *Sender) Inflight() int64 { return s.inflight }
-
-// Finished reports whether every byte has been acknowledged.
-func (s *Sender) Finished() bool { return s.finished }
-
-// Failed reports whether the flow gave up with a terminal error.
-func (s *Sender) Failed() bool { return s.failed }
-
-// Err returns the terminal flow error, or nil while the flow is
-// healthy. A failed flow never reports Finished.
-func (s *Sender) Err() error { return s.failErr }
-
-// FCT returns the flow completion time (sender-side: start of
-// transmission to full acknowledgment). Zero until finished.
-func (s *Sender) FCT() time.Duration {
-	if !s.finished {
-		return 0
-	}
-	return s.doneAt - s.startAt
-}
-
-// Delivered returns total bytes delivered (cumulative + SACKed).
-func (s *Sender) Delivered() int64 { return s.delivered }
-
-// SetController installs the congestion controller. Controllers need
-// the sender as their cc.Env, so construction is two-phase: build the
-// flow with a nil controller, then install one before Start.
-func (s *Sender) SetController(ctrl cc.Controller) { s.ctrl = ctrl }
+func (s *refSender) MSS() int { return s.cfg.MSS }
 
 // AttachRecorder installs a flight recorder on this sender. Attach
 // after SetController so the cwnd-change baseline starts at the
 // controller's initial window. Pass nil to detach.
-func (s *Sender) AttachRecorder(r *obs.FlowRecorder) {
+func (s *refSender) AttachRecorder(r *obs.FlowRecorder) {
 	s.rec = r
 	if r != nil && s.ctrl != nil {
 		s.lastCwnd = s.ctrl.CwndBytes()
@@ -230,7 +189,7 @@ func (s *Sender) AttachRecorder(r *obs.FlowRecorder) {
 
 // noteCwnd records a congestion-window change observed after a
 // controller callback returned.
-func (s *Sender) noteCwnd(now time.Duration) {
+func (s *refSender) noteCwnd(now time.Duration) {
 	r := s.rec
 	if r == nil {
 		return
@@ -243,7 +202,7 @@ func (s *Sender) noteCwnd(now time.Duration) {
 }
 
 // Start begins transmitting at the current virtual time.
-func (s *Sender) Start() {
+func (s *refSender) Start() {
 	if s.started {
 		return
 	}
@@ -255,11 +214,8 @@ func (s *Sender) Start() {
 	s.trySend()
 }
 
-// segNo returns the number of the segment holding byte seq.
-func (s *Sender) segNo(seq int64) int32 { return int32(seq / int64(s.cfg.MSS)) }
-
 // segLen returns the payload length of the segment starting at seg.
-func (s *Sender) segLen(seg int64) int64 {
+func (s *refSender) segLen(seg int64) int64 {
 	l := int64(s.cfg.MSS)
 	if seg+l > s.size {
 		l = s.size - seg
@@ -270,14 +226,14 @@ func (s *Sender) segLen(seg int64) int64 {
 // --- transmission ---
 
 // The sender's three self-timers as package-level EventFuncs: arming
-// them stores the *Sender in the timer slot instead of allocating a
+// them stores the *refSender in the timer slot instead of allocating a
 // bound-method closure per arm (the RTO re-arms on every cumulative
 // advance, so this is a per-ACK saving).
-func senderTrySendEv(ctx, _ any) { ctx.(*Sender).trySend() }
-func senderFireRTOEv(ctx, _ any) { ctx.(*Sender).fireRTO() }
-func senderFireTLPEv(ctx, _ any) { ctx.(*Sender).fireTLP() }
+func refTrySendEv(ctx, _ any) { ctx.(*refSender).trySend() }
+func refFireRTOEv(ctx, _ any) { ctx.(*refSender).fireRTO() }
+func refFireTLPEv(ctx, _ any) { ctx.(*refSender).fireTLP() }
 
-func (s *Sender) trySend() {
+func (s *refSender) trySend() {
 	if !s.started || s.finished || s.failed {
 		return
 	}
@@ -285,8 +241,8 @@ func (s *Sender) trySend() {
 		var seg int64
 		retrans := false
 		switch {
-		case len(s.sb.lost) > 0:
-			seg = int64(s.sb.lost[0]) * int64(s.cfg.MSS)
+		case len(s.lostQueue) > 0:
+			seg = s.lostQueue[0]
 			retrans = true
 		case s.sndNxt < s.size:
 			seg = s.sndNxt
@@ -325,15 +281,15 @@ func (s *Sender) trySend() {
 	}
 }
 
-func (s *Sender) armKick(d time.Duration) {
+func (s *refSender) armKick(d time.Duration) {
 	if s.kickTimer.Active() {
 		return
 	}
-	s.kickTimer = s.sim.ScheduleEvent(d, senderTrySendEv, s, nil)
+	s.kickTimer = s.sim.ScheduleEvent(d, refTrySendEv, s, nil)
 	s.armRTO()
 }
 
-func (s *Sender) emit(seg, l int64, retrans bool) {
+func (s *refSender) emit(seg, l int64, retrans bool) {
 	now := s.sim.Now()
 	ws := &s.wireSeg
 	*ws = wire.Segment{
@@ -344,14 +300,14 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		Window:     65535,
 		PayloadLen: int(l),
 	}
-	n := s.segNo(seg)
 	var cause uint8
 	if retrans {
-		sl := s.sb.at(n)
-		cause = sl.lostBy
-		s.sb.removeLost(n)
-		*sl = slot{st: stRetransInFlight, sentAt: now, delivAtSend: s.delivered, retrans: true}
-		s.sb.rtxAppend(n) // RACK may need to re-detect it
+		cause = s.state[seg].lostBy
+		s.removeFromLostQueue(seg)
+		s.state[seg] = refSegInfo{st: refStRetransInFlight, sentAt: now, delivAtSend: s.delivered, retrans: true}
+		if seg+l <= s.highestSacked {
+			s.holes[seg] = struct{}{} // RACK may need to re-detect it
+		}
 		s.stats.Retransmissions++
 	} else {
 		// Karn's rule: only fresh transmissions carry a timestamp for the
@@ -359,8 +315,7 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		// signal on the wire, so retransmissions omit it entirely.
 		ws.HasTS = true
 		ws.TSVal = wire.WrapTS(now)
-		s.sb.reserve(s.segNo(s.sndUna), n)
-		*s.sb.at(n) = slot{st: stInflight, sentAt: now, delivAtSend: s.delivered}
+		s.state[seg] = refSegInfo{st: refStInflight, sentAt: now, delivAtSend: s.delivered}
 		s.sndNxt = seg + l
 	}
 	s.inflight += l
@@ -386,10 +341,10 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		}
 	}
 	s.ctrl.OnPacketSent(now, int(l), seg, retrans)
-	wrote := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes, Retrans: retrans})
+	n := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes, Retrans: retrans})
 	if r := s.rec; r != nil {
 		r.C.WireFramesOut++
-		r.C.WireBytesOut += int64(wrote)
+		r.C.WireBytesOut += int64(n)
 	}
 	s.armRTO()
 }
@@ -402,7 +357,7 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 // wire length for byte accounting. The 32-bit wire fields are
 // unwrapped against the sender's 64-bit state here, at the boundary,
 // so everything below speaks full sequence numbers.
-func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
+func (s *refSender) HandleAck(seg *wire.Segment, wireLen int) {
 	if seg.IsData() || seg.Flags&wire.FlagACK == 0 || s.finished || s.failed || !s.started {
 		return
 	}
@@ -443,26 +398,22 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 	var newBytes int64
 	var bwSample float64 // freshest delivery-rate sample, bits/sec
 
-	mss := int64(s.cfg.MSS)
-
-	// Cumulative advance. Nothing at or beyond sndNxt is on the
-	// scoreboard, whatever the peer claims to acknowledge.
+	// Cumulative advance.
 	if cumAck > s.sndUna {
-		end := s.segNo(min(cumAck, s.sndNxt) + mss - 1)
-		for n := s.segNo(s.sndUna); n < end; n++ {
-			sl := s.sb.at(n)
-			l := s.segLen(int64(n) * mss)
-			switch sl.st {
-			case stNone:
-				continue // the head segment, retired by an earlier partial ACK
-			case stInflight, stRetransInFlight:
-				s.sb.leaveFlight(sl)
+		for seg := segStart(s.sndUna, s.cfg.MSS); seg < cumAck; seg += int64(s.cfg.MSS) {
+			info, ok := s.state[seg]
+			if !ok {
+				continue
+			}
+			l := s.segLen(seg)
+			switch info.st {
+			case refStInflight, refStRetransInFlight:
 				s.inflight -= l
 				s.delivered += l
 				newBytes += l
-				bwSample = s.rateSample(sl, now, bwSample)
-			case stLost:
-				s.sb.removeLost(n)
+				bwSample = s.rateSample(info, now, bwSample)
+			case refStLost:
+				s.removeFromLostQueue(seg)
 				s.delivered += l
 				newBytes += l
 				// The original transmission was acknowledged while the
@@ -473,13 +424,18 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 					r.C.SpuriousRetrans++
 				}
 				s.bumpReoWnd()
-			case stSacked:
+			case refStSacked:
 				// already counted
 			}
-			*sl = slot{}
+			delete(s.state, seg)
 		}
 		s.sndUna = cumAck
-		s.sacked.trimBelow(s.sndUna)
+		for len(s.sackedIv) > 0 && s.sackedIv[0].End <= s.sndUna {
+			s.sackedIv = s.sackedIv[1:]
+		}
+		if len(s.sackedIv) > 0 && s.sackedIv[0].Start < s.sndUna {
+			s.sackedIv[0].Start = s.sndUna
+		}
 		if s.inRecovery && s.sndUna >= s.recoveryEnd {
 			s.inRecovery = false
 		}
@@ -500,12 +456,10 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 		if r.Start < s.sndUna {
 			r.Start = s.sndUna
 		}
-		s.fresh = s.sacked.add(r, s.fresh[:0])
-		for _, nr := range s.fresh {
-			for n := s.segNo(nr.Start); int64(n)*mss < min(nr.End, s.sndNxt); n++ {
-				seg := int64(n) * mss
-				sl := s.sb.at(n)
-				if sl.st == stNone || sl.st == stSacked {
+		for _, nr := range s.addSackInterval(r) {
+			for seg := segStart(nr.Start, s.cfg.MSS); seg < nr.End; seg += int64(s.cfg.MSS) {
+				info, ok := s.state[seg]
+				if !ok || info.st == refStSacked {
 					continue
 				}
 				l := s.segLen(seg)
@@ -513,13 +467,12 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 				if seg < nr.Start || seg+l > nr.End {
 					continue
 				}
-				switch sl.st {
-				case stInflight, stRetransInFlight:
-					s.sb.leaveFlight(sl)
+				switch info.st {
+				case refStInflight, refStRetransInFlight:
 					s.inflight -= l
-					bwSample = s.rateSample(sl, now, bwSample)
-				case stLost:
-					s.sb.removeLost(n)
+					bwSample = s.rateSample(info, now, bwSample)
+				case refStLost:
+					s.removeFromLostQueue(seg)
 					// Selectively acked while marked lost: contradicted
 					// loss marking, same as the cumulative case above.
 					if r := s.rec; r != nil {
@@ -527,7 +480,9 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 					}
 					s.bumpReoWnd()
 				}
-				sl.st = stSacked
+				info.st = refStSacked
+				s.state[seg] = info
+				delete(s.holes, seg)
 				s.delivered += l
 				newBytes += l
 				if seg+l > s.highestSacked {
@@ -539,14 +494,16 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 
 	// SACK-reneging detection: a sane receiver never cumulatively
 	// acknowledges less than data it still reports SACKed, so the head
-	// segment sitting in stSacked while sndUna hasn't covered it means
+	// segment sitting in refStSacked while sndUna hasn't covered it means
 	// the receiver threw previously-SACKed data away (RFC 2018 allows
 	// this under memory pressure). Discard the reneged scoreboard state
 	// and repair by retransmission. Reverse-path ACK reordering can
 	// false-trigger this; the consequence is a conservative retransmit,
 	// never stalled or corrupted state.
-	if s.sndUna < s.sndNxt && s.sb.at(s.segNo(s.sndUna)).st == stSacked {
-		s.onSackReneg(now)
+	if s.sndUna < s.sndNxt {
+		if info, ok := s.state[segStart(s.sndUna, s.cfg.MSS)]; ok && info.st == refStSacked {
+			s.onSackReneg(now)
+		}
 	}
 
 	if r := s.rec; r != nil {
@@ -612,84 +569,104 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 // rateSample folds one acked segment into the freshest delivery-rate
 // estimate (bits/sec): later segments overwrite earlier ones, never
 // from retransmits. It returns the updated freshest sample.
-func (s *Sender) rateSample(sl *slot, now time.Duration, cur float64) float64 {
-	if sl.retrans || sl.sentAt >= now {
+func (s *refSender) rateSample(info refSegInfo, now time.Duration, cur float64) float64 {
+	if info.retrans || info.sentAt >= now {
 		return cur
 	}
-	elapsed := (now - sl.sentAt).Seconds()
-	if bw := float64(s.delivered-sl.delivAtSend) * 8 / elapsed; bw > 0 {
+	elapsed := (now - info.sentAt).Seconds()
+	if bw := float64(s.delivered-info.delivAtSend) * 8 / elapsed; bw > 0 {
 		return bw
 	}
 	return cur
 }
 
-// markLost moves segment n, in flight or SACKed, to stLost on account
-// of cause and queues it for retransmission. Byte accounting is the
-// caller's.
-func (s *Sender) markLost(n int32, sl *slot, cause obs.RetransCause) {
-	s.sb.leaveFlight(sl)
-	sl.st, sl.lostBy = stLost, uint8(cause)
-	s.sb.pushLost(n)
-}
-
-// fastLost writes in-flight segment n off as lost by fast detection and
-// returns its length.
-func (s *Sender) fastLost(n int32, sl *slot) int64 {
-	l := s.segLen(int64(n) * int64(s.cfg.MSS))
-	s.inflight -= l
-	s.markLost(n, sl, obs.CauseFast)
-	if s.rec != nil {
-		s.newlyLost = append(s.newlyLost, n)
+// addSackInterval merges iv into the known-SACKed set and returns the
+// sub-intervals that were not previously covered. The returned slice
+// is scratch storage reused by the next call; callers consume it
+// before merging another interval. The rebuilt set lands in a
+// double buffer (sackedIv/sackedNext swap roles), so steady-state
+// SACK processing allocates nothing.
+func (s *refSender) addSackInterval(iv netsim.SackRange) []netsim.SackRange {
+	if iv.End <= iv.Start {
+		return nil
 	}
-	return l
+	fresh := s.freshScratch[:0]
+	out := s.sackedNext[:0]
+	cur := iv
+	inserted := false
+	pos := cur.Start
+	for _, g := range s.sackedIv {
+		if g.End < cur.Start {
+			out = append(out, g)
+			continue
+		}
+		if cur.End < g.Start {
+			if !inserted {
+				if pos < cur.End {
+					fresh = append(fresh, netsim.SackRange{Start: pos, End: cur.End})
+					pos = cur.End
+				}
+				out = append(out, cur)
+				inserted = true
+			}
+			out = append(out, g)
+			continue
+		}
+		// Overlap: the gap before g (if any) is fresh coverage.
+		if pos < g.Start {
+			fresh = append(fresh, netsim.SackRange{Start: pos, End: min(g.Start, cur.End)})
+		}
+		if g.End > pos {
+			pos = g.End
+		}
+		if g.Start < cur.Start {
+			cur.Start = g.Start
+		}
+		if g.End > cur.End {
+			cur.End = g.End
+		}
+	}
+	if !inserted {
+		if pos < cur.End {
+			fresh = append(fresh, netsim.SackRange{Start: pos, End: cur.End})
+		}
+		out = append(out, cur)
+	}
+	s.sackedNext = s.sackedIv[:0]
+	s.sackedIv = out
+	s.freshScratch = fresh
+	return fresh
 }
 
-// detectLosses applies the marking rule to the scoreboard: a segment
-// at or above sndUna whose start lies DupThresh segments or more below
-// highestSacked (RFC 6675) is lost once its latest transmission is
-// older than reoWnd if that was the first, or than rackWindow+reoWnd if
-// it was a retransmission. It returns the bytes newly marked.
-//
-// First transmissions are found by a sequence sweep that only moves
-// forward, so each segment is examined once; it waits at the first one
-// still too young (with reoWnd zero: sent within this very instant).
-// Retransmissions are found by walking them in transmit order and
-// stopping at the first one too young; one that is old enough but not
-// yet DupThresh below highestSacked is passed over and met again.
-func (s *Sender) detectLosses(now time.Duration) int64 {
+func (s *refSender) removeFromLostQueue(seg int64) {
+	for i, v := range s.lostQueue {
+		if v == seg {
+			s.lostQueue = append(s.lostQueue[:i], s.lostQueue[i+1:]...)
+			return
+		}
+	}
+}
+
+func (s *refSender) detectLosses(now time.Duration) int64 {
 	if s.highestSacked <= s.sndUna {
 		return 0
 	}
-	mss := int64(s.cfg.MSS)
-	// reach is the highest sequence a lost segment can start at.
-	reach := s.highestSacked - int64(s.cfg.DupThresh)*mss
-	if reach < s.sndUna {
-		return 0
+	// Sweep newly exposed territory below highestSacked into the hole
+	// candidate set (each segment is swept once, so detection is
+	// amortized O(1) per segment rather than O(window) per ACK).
+	start := segStart(s.sndUna, s.cfg.MSS)
+	if s.holeScan > start {
+		start = s.holeScan
 	}
-	var newly int64
-	sb := &s.sb
-	end := s.segNo(min(reach, s.sndNxt-1)) + 1
-	wait := int32(noSeg)
-	for n := max(sb.lossScan, s.segNo(s.sndUna+mss-1)); n < end; n++ {
-		sl := sb.at(n)
-		if sl.st != stInflight {
-			continue
+	for seg := start; seg < s.highestSacked && seg < s.sndNxt; seg += int64(s.cfg.MSS) {
+		if info, ok := s.state[seg]; ok && (info.st == refStInflight || info.st == refStRetransInFlight) {
+			s.holes[seg] = struct{}{}
 		}
-		// The adaptive reordering window (zero unless AdaptReoWnd has
-		// grown it) delays this marking, and the one below, by the
-		// extra tolerance.
-		if now-sl.sentAt > s.reoWnd {
-			newly += s.fastLost(n, sl)
-		} else if wait == noSeg {
-			wait = n
-		}
-	}
-	if wait != noSeg {
-		sb.lossScan = wait
-	} else if end > sb.lossScan {
-		sb.lossScan = end
+		s.holeScan = seg + int64(s.cfg.MSS)
 	}
 
+	var newly int64
+	thresh := int64(s.cfg.DupThresh) * int64(s.cfg.MSS)
 	// RACK-lite reordering window for re-detecting lost retransmissions:
 	// a retransmitted segment still unacknowledged well past an RTT,
 	// with DupThresh segments SACKed above it, was lost again. Without
@@ -699,30 +676,55 @@ func (s *Sender) detectLosses(now time.Duration) int64 {
 	if s.rtt.SRTT() == 0 {
 		rackWindow = s.rtt.RTO()
 	}
-	for n := sb.rtxHead; n != noSeg; {
-		sl := sb.at(n)
-		if now-sl.sentAt <= rackWindow+s.reoWnd {
-			break
+	var marked []int64
+	for seg := range s.holes {
+		if seg < s.sndUna {
+			delete(s.holes, seg)
+			continue
 		}
-		next := sl.next
-		if seg := int64(n) * mss; seg >= s.sndUna && seg <= reach {
-			newly += s.fastLost(n, sl)
+		info, ok := s.state[seg]
+		if !ok || info.st == refStSacked || info.st == refStLost {
+			delete(s.holes, seg)
+			continue
 		}
-		n = next
+		if seg+thresh > s.highestSacked {
+			continue
+		}
+		// The adaptive reordering window (zero unless AdaptReoWnd has
+		// grown it) delays both markings by the extra tolerance; with
+		// reoWnd == 0 the refStInflight condition reduces to the plain
+		// DupThresh rule since sentAt is always in the past.
+		lost := (info.st == refStInflight && now-info.sentAt > s.reoWnd) ||
+			(info.st == refStRetransInFlight && now-info.sentAt > rackWindow+s.reoWnd)
+		if lost {
+			l := s.segLen(seg)
+			s.inflight -= l
+			info.st = refStLost
+			info.lostBy = uint8(obs.CauseFast)
+			s.state[seg] = info
+			s.insertLost(seg)
+			delete(s.holes, seg)
+			newly += l
+			marked = append(marked, seg)
+		}
 	}
-
 	if r := s.rec; r != nil {
-		// Ascending sequence order, whichever half found them: the
-		// event log of a run is a function of its inputs.
-		slices.Sort(s.newlyLost)
-		for _, n := range s.newlyLost {
-			seg := int64(n) * mss
+		sort.Slice(marked, func(i, j int) bool { return marked[i] < marked[j] })
+		for _, seg := range marked {
 			r.C.LossDetected++
 			r.Record(now, obs.EvLossDetected, seg, s.segLen(seg), 0, 0)
 		}
-		s.newlyLost = s.newlyLost[:0]
 	}
 	return newly
+}
+
+func (s *refSender) insertLost(seg int64) {
+	// Keep the queue sorted; losses are detected mostly in order so
+	// append + bubble is cheap.
+	s.lostQueue = append(s.lostQueue, seg)
+	for i := len(s.lostQueue) - 1; i > 0 && s.lostQueue[i] < s.lostQueue[i-1]; i-- {
+		s.lostQueue[i], s.lostQueue[i-1] = s.lostQueue[i-1], s.lostQueue[i]
+	}
 }
 
 // --- RTO ---
@@ -734,16 +736,16 @@ func (s *Sender) detectLosses(now time.Duration) int64 {
 // receiver then renegs, only a timeout can recover. For a sane
 // receiver the term is redundant (all-SACKed flows complete on the
 // cumulative ACK already in the pipe), so behavior is unchanged.
-func (s *Sender) rtoNeeded() bool {
-	return s.inflight > 0 || len(s.sb.lost) > 0 || s.highestSacked > s.sndUna
+func (s *refSender) rtoNeeded() bool {
+	return s.inflight > 0 || len(s.lostQueue) > 0 || s.highestSacked > s.sndUna
 }
 
-func (s *Sender) armRTO() {
+func (s *refSender) armRTO() {
 	if s.finished || s.failed || !s.rtoNeeded() {
 		return
 	}
 	if !s.rtoTimer.Active() {
-		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), senderFireRTOEv, s, nil)
+		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), refFireRTOEv, s, nil)
 	}
 	s.armTLP()
 }
@@ -752,7 +754,7 @@ func (s *Sender) armRTO() {
 // if an entire tail of the flight is lost, no dupacks arrive and —
 // without a probe — only a backed-off timeout can recover, which
 // starves small-window flows in contested buffers (RFC 8985).
-func (s *Sender) armTLP() {
+func (s *refSender) armTLP() {
 	if s.finished || !s.tlpArmed || s.inflight <= 0 || s.tlpTimer.Active() {
 		return
 	}
@@ -763,47 +765,46 @@ func (s *Sender) armTLP() {
 	if pto < 10*time.Millisecond {
 		pto = 10 * time.Millisecond
 	}
-	s.tlpTimer = s.sim.ScheduleEvent(pto, senderFireTLPEv, s, nil)
+	s.tlpTimer = s.sim.ScheduleEvent(pto, refFireTLPEv, s, nil)
 }
 
 // fireTLP retransmits the highest outstanding segment once per flight,
 // soliciting the SACK feedback that lets fast recovery run instead of
 // an RTO. The congestion controller is not informed (the probe itself
 // is not a loss signal).
-func (s *Sender) fireTLP() {
+func (s *refSender) fireTLP() {
 	if s.finished || s.failed || !s.tlpArmed || s.inflight <= 0 {
 		return
 	}
-	// The probe is the highest outstanding sequence, not the latest
-	// transmission (a retransmitted hole can be younger than the tail),
-	// so it is found on the ring from the top. Once per flight.
-	mss := int64(s.cfg.MSS)
-	tail := int32(noSeg)
-	for n := s.segNo(s.sndNxt - 1); int64(n)*mss >= s.sndUna; n-- {
-		if st := s.sb.at(n).st; st == stInflight || st == stRetransInFlight {
-			tail = n
+	var tail int64 = -1
+	for seg := segStart(s.sndNxt-1, s.cfg.MSS); seg >= s.sndUna; seg -= int64(s.cfg.MSS) {
+		if info, ok := s.state[seg]; ok && (info.st == refStInflight || info.st == refStRetransInFlight) {
+			tail = seg
 			break
 		}
 	}
-	if tail == noSeg {
+	if tail < 0 {
 		return
 	}
 	s.tlpArmed = false
 	s.stats.TLPs++
-	seg := int64(tail) * mss
-	l := s.segLen(seg)
+	l := s.segLen(tail)
 	if r := s.rec; r != nil {
 		r.C.TLPFires++
-		r.Record(s.sim.Now(), obs.EvTLPFired, seg, l, 0, 0)
+		r.Record(s.sim.Now(), obs.EvTLPFired, tail, l, 0, 0)
 	}
 	// Re-send the tail as a retransmission (accounting: the original is
 	// written off, the probe takes its place in flight).
 	s.inflight -= l
-	s.markLost(tail, s.sb.at(tail), obs.CauseTLP)
-	s.emit(seg, l, true)
+	info := s.state[tail]
+	info.st = refStLost
+	info.lostBy = uint8(obs.CauseTLP)
+	s.state[tail] = info
+	s.insertLost(tail)
+	s.emit(tail, l, true)
 }
 
-func (s *Sender) resetRTO() {
+func (s *refSender) resetRTO() {
 	s.tlpTimer.Stop()
 	if s.finished || s.failed || !s.rtoNeeded() {
 		s.rtoTimer.Stop()
@@ -816,12 +817,12 @@ func (s *Sender) resetRTO() {
 	if t, ok := s.rtoTimer.Reset(s.rtt.RTO()); ok {
 		s.rtoTimer = t
 	} else {
-		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), senderFireRTOEv, s, nil)
+		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), refFireRTOEv, s, nil)
 	}
 	s.armTLP()
 }
 
-func (s *Sender) fireRTO() {
+func (s *refSender) fireRTO() {
 	if s.finished || s.failed {
 		return
 	}
@@ -859,20 +860,23 @@ func (s *Sender) fireRTO() {
 	// including ones fast detection had already marked — so the
 	// retransmit-cause partition reflects what actually queued the
 	// resend that follows.
-	mss := int64(s.cfg.MSS)
-	sb := &s.sb
-	sb.lost = sb.lost[:0]
-	sb.rtxHead, sb.rtxTail = noSeg, noSeg
-	for n := s.segNo(s.sndUna); int64(n)*mss < s.sndNxt; n++ {
-		sl := sb.at(n)
-		switch sl.st {
-		case stInflight, stRetransInFlight:
-			s.inflight -= s.segLen(int64(n) * mss)
-			sl.st = stLost
-			fallthrough
-		case stLost:
-			sl.lostBy = uint8(obs.CauseRTO)
-			sb.pushLost(n) // ascending, so each push lands in place
+	s.lostQueue = s.lostQueue[:0]
+	for seg := segStart(s.sndUna, s.cfg.MSS); seg < s.sndNxt; seg += int64(s.cfg.MSS) {
+		info, ok := s.state[seg]
+		if !ok {
+			continue
+		}
+		switch info.st {
+		case refStInflight, refStRetransInFlight:
+			s.inflight -= s.segLen(seg)
+			info.st = refStLost
+			info.lostBy = uint8(obs.CauseRTO)
+			s.state[seg] = info
+			s.insertLost(seg)
+		case refStLost:
+			info.lostBy = uint8(obs.CauseRTO)
+			s.state[seg] = info
+			s.insertLost(seg)
 		}
 	}
 	// The rebuild skips SACKed segments, so if the timeout fired with
@@ -880,14 +884,14 @@ func (s *Sender) fireRTO() {
 	// when the receiver reneged and stopped advancing the cumulative
 	// point), there is still nothing to retransmit. Treat the SACK
 	// state as lies and repair from sndUna.
-	if len(sb.lost) == 0 && s.inflight <= 0 && s.sndUna < s.sndNxt {
+	if len(s.lostQueue) == 0 && s.inflight <= 0 && s.sndUna < s.sndNxt {
 		s.onSackReneg(now)
 	}
 	s.inRecovery = false
 	s.nextRelease = 0
 	s.trySend()
 	if !s.rtoTimer.Active() {
-		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), senderFireRTOEv, s, nil)
+		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), refFireRTOEv, s, nil)
 	}
 }
 
@@ -896,7 +900,7 @@ func (s *Sender) fireRTO() {
 // never actually retransmitted go back in flight, the congestion
 // controller restores its pre-timeout window (when it can), and the
 // exponential backoff is cleared.
-func (s *Sender) undoRTO(now time.Duration) {
+func (s *refSender) undoRTO(now time.Duration) {
 	s.frtoPending = false
 	s.stats.SpuriousRTOs++
 	s.rtt.UndoBackoff()
@@ -908,18 +912,22 @@ func (s *Sender) undoRTO(now time.Duration) {
 	// the network (that is what the pre-timeout echo proved). Segments
 	// already retransmitted, or marked lost by fast detection before
 	// the timeout, stay as they are.
-	mss := int64(s.cfg.MSS)
-	for n := s.segNo(s.sndUna); int64(n)*mss < s.sndNxt; n++ {
-		sl := s.sb.at(n)
-		if sl.st != stLost || obs.RetransCause(sl.lostBy) != obs.CauseRTO {
+	kept := s.lostQueue[:0]
+	for _, seg := range s.lostQueue {
+		info := s.state[seg]
+		if obs.RetransCause(info.lostBy) == obs.CauseRTO {
+			info.st = refStInflight
+			info.lostBy = 0
+			s.state[seg] = info
+			s.inflight += s.segLen(seg)
+			if seg+s.segLen(seg) <= s.highestSacked {
+				s.holes[seg] = struct{}{} // back under RACK's eye
+			}
 			continue
 		}
-		s.sb.removeLost(n)
-		sl.st, sl.lostBy = stInflight, 0
-		s.inflight += s.segLen(int64(n) * mss)
-		// Back under the loss sweep's eye.
-		s.sb.lossScan = min(s.sb.lossScan, n)
+		kept = append(kept, seg)
 	}
+	s.lostQueue = kept
 	s.bumpReoWnd()
 	if r := s.rec; r != nil {
 		r.C.SpuriousRTOUndos++
@@ -934,30 +942,36 @@ func (s *Sender) undoRTO(now time.Duration) {
 // is written off — its delivered credit reversed — and queued for
 // retransmission, and the SACK interval set is cleared so the
 // receiver's next (truthful) blocks rebuild it from scratch.
-func (s *Sender) onSackReneg(now time.Duration) {
+func (s *refSender) onSackReneg(now time.Duration) {
 	s.stats.SackRenegs++
 	if r := s.rec; r != nil {
 		r.C.SackRenegings++
 		r.Record(now, obs.EvRenegDetected, s.sndUna, 0, s.highestSacked, 0)
 	}
-	mss := int64(s.cfg.MSS)
-	for n := s.segNo(s.sndUna); int64(n)*mss < s.sndNxt; n++ {
-		sl := s.sb.at(n)
-		if sl.st != stSacked {
+	for seg := segStart(s.sndUna, s.cfg.MSS); seg < s.sndNxt; seg += int64(s.cfg.MSS) {
+		info, ok := s.state[seg]
+		if !ok || info.st != refStSacked {
 			continue
 		}
-		s.delivered -= s.segLen(int64(n) * mss)
-		s.markLost(n, sl, obs.CauseReneg)
+		l := s.segLen(seg)
+		s.delivered -= l
+		info.st = refStLost
+		info.lostBy = uint8(obs.CauseReneg)
+		s.state[seg] = info
+		s.insertLost(seg)
 	}
-	s.sacked.reset()
+	s.sackedIv = s.sackedIv[:0]
 	s.highestSacked = s.sndUna
-	s.sb.lossScan = min(s.sb.lossScan, s.segNo(s.sndUna))
+	for seg := range s.holes {
+		delete(s.holes, seg)
+	}
+	s.holeScan = segStart(s.sndUna, s.cfg.MSS)
 }
 
 // fail terminates the flow with a permanent error: timers stop, no
 // further sends or ACK processing happen, and the owner learns via
 // OnFail / Err.
-func (s *Sender) fail(now time.Duration, err error) {
+func (s *refSender) fail(now time.Duration, err error) {
 	s.failed = true
 	s.failErr = err
 	s.rtoTimer.Stop()
@@ -977,7 +991,7 @@ func (s *Sender) fail(now time.Duration, err error) {
 // current window tolerates. Grows in minRTT/4 steps, capped at one
 // SRTT (RFC 8985's DSACK-driven adaptation, with contradicted marks
 // as the signal since the simulator has no DSACK).
-func (s *Sender) bumpReoWnd() {
+func (s *refSender) bumpReoWnd() {
 	if !s.cfg.AdaptReoWnd {
 		return
 	}
@@ -994,7 +1008,7 @@ func (s *Sender) bumpReoWnd() {
 	}
 }
 
-func (s *Sender) finish(now time.Duration) {
+func (s *refSender) finish(now time.Duration) {
 	s.finished = true
 	s.doneAt = now
 	s.rtoTimer.Stop()
@@ -1003,77 +1017,4 @@ func (s *Sender) finish(now time.Duration) {
 	if s.OnComplete != nil {
 		s.OnComplete(now)
 	}
-}
-
-// AuditScoreboard recomputes the in-flight byte count, the retransmit
-// queue and the retransmission list from the per-segment states and
-// cross-checks them against the incrementally-maintained structures,
-// the sweep pointer and the ring bounds. It returns a non-empty slice
-// of discrepancy descriptions if the invariants are violated. Tests
-// call this; production code never needs to.
-func (s *Sender) AuditScoreboard() []string {
-	var problems []string
-	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
-	sb := &s.sb
-	mss := int64(s.cfg.MSS)
-	base, top := s.segNo(s.sndUna), s.segNo(s.sndNxt+mss-1)
-	if int(top-base) > len(sb.slots) {
-		bad("window of %d segments exceeds the ring of %d", top-base, len(sb.slots))
-		return problems
-	}
-	var inflight int64
-	var lost, rtx int
-	for n := base; n < top; n++ {
-		sl := sb.at(n)
-		switch sl.st {
-		case stInflight:
-			inflight += s.segLen(int64(n) * mss)
-			if int64(n)*mss >= s.sndUna && n < sb.lossScan {
-				bad("first transmission %d in flight below the loss sweep pointer %d", n, sb.lossScan)
-			}
-		case stRetransInFlight:
-			inflight += s.segLen(int64(n) * mss)
-			rtx++
-		case stLost:
-			lost++
-			if i := int(sl.heapPos); i >= len(sb.lost) || sb.lost[i] != n {
-				bad("lost segment %d missing from retransmit queue", n)
-			}
-		}
-	}
-	if inflight != s.inflight {
-		bad("inflight counter %d != scoreboard %d", s.inflight, inflight)
-	}
-	for n := top; int(n-base) < len(sb.slots); n++ {
-		if *sb.at(n) != (slot{}) {
-			bad("ring slot of segment %d, outside the window [%d,%d), is not clear", n, base, top)
-		}
-	}
-	if len(sb.lost) != lost {
-		bad("retransmit queue holds %d segments, scoreboard has %d lost", len(sb.lost), lost)
-	}
-	for i, n := range sb.lost {
-		if n < base || n >= top || sb.at(n).st != stLost {
-			bad("queued segment %d is not marked lost", n)
-		}
-		if i > 0 && sb.lost[(i-1)/2] >= n {
-			bad("retransmit queue out of heap order at %d", i)
-		}
-	}
-	prev, last := int32(noSeg), time.Duration(-1<<63)
-	for n := sb.rtxHead; n != noSeg; n = sb.at(n).next {
-		sl := sb.at(n)
-		if rtx--; rtx < 0 || n < base || n >= top || sl.st != stRetransInFlight || sl.prev != prev || sl.sentAt < last {
-			bad("retransmission list broken at segment %d (state %d, sent %v after %v)", n, sl.st, sl.sentAt, last)
-			break
-		}
-		prev, last = n, sl.sentAt
-	}
-	if rtx != 0 || sb.rtxTail != prev {
-		bad("retransmission list misses %d retransmissions in flight (tail %d, walked to %d)", rtx, sb.rtxTail, prev)
-	}
-	if int64(sb.lossScan)*mss > s.highestSacked {
-		bad("loss sweep pointer %d beyond highestSacked %d", sb.lossScan, s.highestSacked)
-	}
-	return problems
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"suss/internal/cc"
 	"suss/internal/netsim"
 	"suss/internal/wire"
-	"suss/internal/wire/simbackend"
 )
 
 // fixedCC is a window-only stub controller for exercising the
@@ -217,41 +217,118 @@ func TestDelayedAck(t *testing.T) {
 }
 
 func TestReceiverMergeProperty(t *testing.T) {
-	// Segments delivered in any order reassemble to exactly the stream.
+	// Segments delivered in any order, with duplicates and overlaps,
+	// reassemble to exactly the stream, and at every step the range
+	// set, the byte count, the cumulative point and the SACK blocks of
+	// the ACK agree with a naive set: one bool per MSS of the stream.
+	// Most cases are small; every eighth leaves thousands of disjoint
+	// ranges, which is where the searches and splices have to be right.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sim := netsim.NewSimulator()
-		p := newTestPath(sim, 1e8, time.Millisecond, 4<<20)
 		cfg := DefaultConfig()
-		conn := simbackend.New(sim, p.Receiver, NewDemux(p.Receiver), p.Sender.ID(), 1)
-		r := NewReceiver(conn, cfg, 1, 0)
-		p.Sender.SetHandler(func(pkt *netsim.Packet) { pkt.Release() }) // swallow ACKs
+		mss := int64(cfg.MSS)
+		var ack *wire.Segment
+		r := NewReceiver(&diffConn{sim: sim, out: func(a *wire.Segment, _ diffSend) { ack = a }}, cfg, 1, 0)
 
-		size := int64(rng.Intn(100)+1) * int64(cfg.MSS)
-		var segs []int64
-		for s := int64(0); s < size; s += int64(cfg.MSS) {
-			segs = append(segs, s)
+		units := rng.Intn(100) + 1
+		if seed%8 == 0 {
+			units = 4000 + rng.Intn(4000)
 		}
-		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
-		// Duplicate a few segments.
-		for i := 0; i < len(segs)/4; i++ {
-			segs = append(segs, segs[rng.Intn(len(segs))])
-		}
-		sim.Schedule(0, func() {
-			for _, s := range segs {
-				l := int64(cfg.MSS)
-				if s+l > size {
-					l = size - s
-				}
-				r.Handle(&wire.Segment{
-					Flags:      wire.FlagACK | wire.FlagPSH,
-					Window:     65535,
-					Seq:        uint32(s),
-					PayloadLen: int(l),
-				}, int(l)+cfg.HeaderBytes)
+		size := int64(units)*mss - int64(rng.Intn(int(mss))) // a short final segment
+		byteOf := func(u int) int64 { return min(int64(u)*mss, size) }
+
+		// Odd units first, so the big cases hold units/2 disjoint
+		// ranges before anything merges; then the rest; then some
+		// duplicates and some double-length segments that overlap
+		// what is already there.
+		var order []int
+		for _, parity := range []int{1, 0} {
+			half := len(order)
+			for u := parity; u < units; u += 2 {
+				order = append(order, u)
 			}
-		})
-		sim.RunAll()
+			rng.Shuffle(len(order)-half, func(i, j int) { order[half+i], order[half+j] = order[half+j], order[half+i] })
+		}
+		for i := 0; i < units/4; i++ {
+			at := rng.Intn(len(order))
+			order = append(order[:at+1], order[at:]...)
+			order[at] = rng.Intn(units)
+		}
+
+		have := make([]bool, units)
+		rangeOf := func(u int) netsim.SackRange { // the naive containing()
+			lo, hi := u, u+1
+			for lo > 0 && have[lo-1] {
+				lo--
+			}
+			for hi < units && have[hi] {
+				hi++
+			}
+			return netsim.SackRange{Start: byteOf(lo), End: byteOf(hi)}
+		}
+		var recent []netsim.SackRange // newest first, as RFC 2018 orders blocks
+		var received int64
+		cum := 0
+		for step, u := range order {
+			n := 1 + rng.Intn(2)
+			if u+n > units {
+				n = 1
+			}
+			start, end := byteOf(u), byteOf(u+n)
+			r.Handle(&wire.Segment{
+				Flags: wire.FlagACK | wire.FlagPSH, Window: 65535,
+				Seq: uint32(start), PayloadLen: int(end - start),
+			}, int(end-start)+cfg.HeaderBytes)
+
+			for i := u; i < u+n; i++ {
+				if !have[i] {
+					have[i] = true
+					received += byteOf(i+1) - byteOf(i)
+				}
+			}
+			for cum < units && have[cum] {
+				cum++
+			}
+			if r.Received() != received || r.CumAck() != byteOf(cum) {
+				t.Logf("seed %d step %d: received %d cum %d, naive set says %d and %d", seed, step, r.Received(), r.CumAck(), received, byteOf(cum))
+				return false
+			}
+
+			// AckEvery is 1, so each arrival is ACKed at once. The
+			// ACK's blocks: the ranges of the
+			// most recently touched segments, newest first, distinct,
+			// above the cumulative point, at most MaxSack.
+			recent = append([]netsim.SackRange{{Start: start, End: end}}, recent...)
+			recent = recent[:min(len(recent), maxRecentSacks)]
+			var want []wire.SackBlock
+			for _, s := range recent {
+				g := rangeOf(int(s.Start / mss))
+				b := wire.SackBlock{Start: uint32(g.Start), End: uint32(g.End)}
+				if g.End > byteOf(cum) && !slices.Contains(want, b) && len(want) < netsim.MaxSack {
+					want = append(want, b)
+				}
+			}
+			if ack == nil || int64(ack.Ack) != byteOf(cum) || !slices.Equal(ack.SackBlocks(), want) {
+				t.Logf("seed %d step %d: ACK %+v, want cum %d blocks %v", seed, step, ack, byteOf(cum), want)
+				return false
+			}
+			ack = nil
+
+			if step%64 != 0 && step != len(order)-1 {
+				continue
+			}
+			var model []netsim.SackRange
+			for i := 0; i < units; i++ {
+				if have[i] && (i == 0 || !have[i-1]) {
+					model = append(model, rangeOf(i))
+				}
+			}
+			if !slices.Equal(r.ranges.view(), model) {
+				t.Logf("seed %d step %d: range set %v, naive set %v", seed, step, r.ranges.view(), model)
+				return false
+			}
+		}
 		return r.CumAck() == size && r.Received() == size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -1,6 +1,7 @@
 package suss
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +160,39 @@ func TestRunWebWorkloadValidation(t *testing.T) {
 	}
 	if res.Flows != 10 || res.AllOff.MeanFCT <= 0 || res.AllOn.MeanFCT <= 0 {
 		t.Fatalf("implausible result: %+v", res)
+	}
+}
+
+// TestObservedRunExportsAreReproducible pins the flight recorder's
+// determinism on a run with burst losses (229 retransmits): several
+// segments are marked lost by one ACK, and their EvLossDetected records
+// must land in the same (ascending sequence) order every time — they
+// used to follow Go's map iteration order, so the exported log differed
+// from run to run.
+func TestObservedRunExportsAreReproducible(t *testing.T) {
+	cfg := PathConfig{Link: LTE4G, RateMbps: 50, RTT: 100 * time.Millisecond, BufferBDP: 0.3, Seed: 3}
+	var jsonl, csv [3]bytes.Buffer
+	for i := range jsonl {
+		res, fr, err := RunObserved(cfg, Reno, 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retransmissions == 0 {
+			t.Fatal("the run lost nothing; it does not exercise loss-event ordering")
+		}
+		if err := fr.WriteEventsJSONL(&jsonl[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.WriteEventsCSV(&csv[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < len(jsonl); i++ {
+		if !bytes.Equal(jsonl[0].Bytes(), jsonl[i].Bytes()) {
+			t.Errorf("JSONL export of run %d differs from run 0", i)
+		}
+		if !bytes.Equal(csv[0].Bytes(), csv[i].Bytes()) {
+			t.Errorf("CSV export of run %d differs from run 0", i)
+		}
 	}
 }
