@@ -1,12 +1,6 @@
 GO ?= go
 
-# Samples per benchmark for bench-sched.
-BENCH_COUNT ?= 5
-# Allowed relative ns/op regression for bench-gate (allocs/op always
-# gates at zero increase).
-BENCH_TOL ?= 0.10
-
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench bench-sched bench-smoke bench-record bench-gate clean
+.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench bench-smoke bench-record bench-gate clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -58,11 +52,10 @@ allocgate:
 chaos:
 	$(GO) test -race -timeout 300s -v ./internal/chaos
 
-# Wire-backend interop under -race: the same transport over the
-# in-memory pipe and the UDP loopback, wall-clock timers, real frames
-# between goroutines (including lossy cells recovering by
-# retransmission). The timeout is a hang backstop — the lossy tests
-# poll with their own deadlines.
+# Wire-backend interop under -race: the same transport over the UDP
+# loopback, wall-clock timers, real frames between goroutines
+# (including a lossy cell recovering by retransmission). The timeout is
+# a hang backstop — the lossy test polls with its own deadlines.
 interop:
 	$(GO) test -race -timeout 180s ./internal/wire/...
 
@@ -116,12 +109,6 @@ loc:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Scheduler microbenchmarks: timer churn (arm/cancel/rearm, the TCP
-# hot path) and cross-level cascading. benchstat-friendly: -count 6+
-# gives it enough samples for a confidence interval.
-bench-sched:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheduler(Churn|Cascade)' -benchmem -count $(BENCH_COUNT) ./internal/netsim
-
 # The repo's one benchmark (BENCHMARK.json) at smoke size, plus the
 # bench module's own tests: proves bench/ still builds and runs
 # against this tree. Paired runs for a perf claim are two checkouts and
@@ -130,59 +117,56 @@ bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
 
-# bench-record refreshes the committed JSON baselines (BENCH_fig11.json,
-# BENCH_sched.json); bench-gate reruns the same benchmarks and fails on
-# a >10% ns/op regression or ANY allocs/op increase (see cmd/benchgate).
-# The fig11 gate runs the single-worker sweep: the parallel variant's
-# ns/op and allocs/op wobble with goroutine scheduling, while the
-# serial one is a deterministic replay whose alloc count is exact.
-# Both gates reduce -count samples to best-of-N, so run them on a quiet
-# machine, and re-record deliberately when a change legitimately shifts
-# the cost profile.
-FIG11_BENCH = 'BenchmarkFig11ParallelVsSequential/workers=1$$'
-# benchtime stays at 1x: each sample is one full sweep, so allocs/op
-# is an exact count (longer benchtimes amortize setup allocations and
-# introduce ±1 rounding jitter); the high -count tightens best-of-N.
-# Like the fleet gate, the alloc half is the precision instrument:
-# best-of-12 wall clock for the one-shot sweep still wobbles ~20%
-# process-to-process on a shared 1-vCPU runner, so the ns half only
-# backstops structural blowups.
-FIG11_FLAGS = -benchmem -benchtime 1x -count 12
-FIG11_NS_TOL = 0.50
-SCHED_BENCH = 'BenchmarkScheduler(Churn|Cascade)'
-SCHED_FLAGS = -benchmem -count 8
-# The fleet gate replays one deterministic 400-flow shard per sample:
-# serial, fully seeded, one simulation per op at 1x like the fig11
-# gate. Its alloc count carries ±~10 counts of map hash-seed noise
-# (each demux map's overflow-bucket allocation depends on Go's
-# per-map random seed), so the gate allows 64 allocs of absolute
-# slack — far below a real regression, which is per-flow and so shows
-# up 400× (one extra alloc per flow = +400 allocs/op). The alloc half
-# is the precision instrument; best-of-10 wall clock for a ~25 ms
+# bench-record refreshes the committed JSON baselines (BENCH_<name>.json);
+# bench-gate reruns the same benchmarks and fails on an ns/op regression
+# past the row's tolerance or an allocs/op increase past its slack (see
+# cmd/benchgate). Both reduce -count samples to best-of-N, so run them
+# on a quiet machine, and re-record deliberately when a change
+# legitimately shifts the cost profile. One row per gate:
+#
+#   name  package  pattern  ns-tolerance  alloc-slack  go-test-flags...
+#
+# fig11 runs the single-worker sweep: the parallel variant's ns/op and
+# allocs/op wobble with goroutine scheduling, while the serial one is a
+# deterministic replay whose alloc count is exact. benchtime stays at
+# 1x: each sample is one full sweep, so allocs/op is an exact count
+# (longer benchtimes amortize setup allocations and introduce ±1
+# rounding jitter); the high -count tightens best-of-N. The alloc half
+# is the precision instrument: best-of-12 wall clock for the one-shot
+# sweep still wobbles ~20% process-to-process on a shared 1-vCPU
+# runner, so the ns half only backstops structural blowups.
+#
+# sched is the scheduler microbenchmarks: timer churn (arm/cancel/rearm,
+# the TCP hot path) and cross-level cascading.
+#
+# fleet replays one deterministic 400-flow shard per sample: serial,
+# fully seeded, one simulation per op at 1x like fig11. Its alloc count
+# carries ±~10 counts of map hash-seed noise (each demux map's
+# overflow-bucket allocation depends on Go's per-map random seed), so
+# the gate allows 64 allocs of absolute slack — far below a real
+# regression, which is per-flow and so shows up 400× (one extra alloc
+# per flow = +400 allocs/op). Best-of-10 wall clock for a ~25 ms
 # one-shot replay wobbles close to 2× between processes on a shared
 # 1-vCPU runner, so the ns half only backstops order-of-magnitude
 # blowups (an event-loop livelock, an accidental O(n²) merge).
-FLEET_BENCH = 'BenchmarkFleetShard$$'
-FLEET_FLAGS = -benchmem -benchtime 1x -count 10
-FLEET_ALLOC_SLACK = 64
-FLEET_NS_TOL = 1.0
+define BENCH_GATES
+fig11 .                 BenchmarkFig11ParallelVsSequential/workers=1$$ 0.50 0  -benchmem -benchtime 1x -count 12
+sched ./internal/netsim BenchmarkScheduler(Churn|Cascade)              0.10 0  -benchmem -count 8
+fleet ./internal/runner BenchmarkFleetShard$$                          1.0  64 -benchmem -benchtime 1x -count 10
+endef
+export BENCH_GATES
 
-bench-record:
-	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
-	$(GO) run ./cmd/benchgate -record BENCH_fig11.json < bench.fig11.txt
-	$(GO) test -run '^$$' -bench $(SCHED_BENCH) $(SCHED_FLAGS) ./internal/netsim > bench.sched.txt
-	$(GO) run ./cmd/benchgate -record BENCH_sched.json < bench.sched.txt
-	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
-	$(GO) run ./cmd/benchgate -record BENCH_fleet.json < bench.fleet.txt
-
-bench-gate:
-	$(GO) test -run '^$$' -bench $(FIG11_BENCH) $(FIG11_FLAGS) . > bench.fig11.txt
-	$(GO) run ./cmd/benchgate -tolerance $(FIG11_NS_TOL) -compare BENCH_fig11.json < bench.fig11.txt
-	$(GO) test -run '^$$' -bench $(SCHED_BENCH) $(SCHED_FLAGS) ./internal/netsim > bench.sched.txt
-	$(GO) run ./cmd/benchgate -tolerance $(BENCH_TOL) -compare BENCH_sched.json < bench.sched.txt
-	$(GO) test -run '^$$' -bench $(FLEET_BENCH) $(FLEET_FLAGS) ./internal/runner > bench.fleet.txt
-	$(GO) run ./cmd/benchgate -tolerance $(FLEET_NS_TOL) -allocslack $(FLEET_ALLOC_SLACK) -compare BENCH_fleet.json < bench.fleet.txt
+bench-record bench-gate:
+	@set -e; echo "$$BENCH_GATES" | while read -r name pkg pattern tol slack flags; do \
+		echo "== $@: $$name"; \
+		$(GO) test -run '^$$' -bench "$$pattern" $$flags $$pkg > bench.$$name.txt; \
+		if [ $@ = bench-record ]; then \
+			$(GO) run ./cmd/benchgate -record BENCH_$$name.json < bench.$$name.txt; \
+		else \
+			$(GO) run ./cmd/benchgate -tolerance $$tol -allocslack $$slack -compare BENCH_$$name.json < bench.$$name.txt; \
+		fi; \
+	done
 
 clean:
 	$(GO) clean ./...
-	rm -f bench.fig11.txt bench.sched.txt bench.fleet.txt
+	rm -f bench.*.txt

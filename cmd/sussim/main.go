@@ -87,7 +87,7 @@ func main() {
 	}
 
 	if *fleetRun {
-		if err := runFleet(*seed, *fleetFlows, *fleetShards, *fleetArrival, *fleetFull, *fleetCSV); err != nil {
+		if err := fleetSweep(*seed, *fleetFlows, *fleetShards, *fleetArrival, *fleetFull, *fleetCSV); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -189,10 +189,10 @@ func main() {
 	}
 }
 
-// runFleet drives the population-scale experiment: the flow fleet is
+// fleetSweep drives the population-scale experiment: the flow fleet is
 // sharded over independent bottleneck trees and run twice (SUSS off,
 // then on) over the identical population.
-func runFleet(seed int64, flows, shards int, arrival float64, fullMix bool, csvPath string) error {
+func fleetSweep(seed int64, flows, shards int, arrival float64, fullMix bool, csvPath string) error {
 	fc := experiments.DefaultFleetConfig(seed)
 	if flows > 0 {
 		fc.Flows = flows

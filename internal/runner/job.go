@@ -35,11 +35,11 @@ type Job struct {
 	Algo     Algo
 	Size     int64
 	Iter     int
-	// Backend selects the wire backend carrying the flow's frames:
-	// "" or "sim" is the deterministic simulator (default); "pipe"
-	// runs the same transport over the in-memory wall-clock pipe
-	// (Observe, Impair and WallLimit do not apply there, and results
-	// are wall-clock measurements, not deterministic replays).
+	// Backend is retired: the runner drives the deterministic simulator
+	// only (wall-clock substrates are wire.Conns a test wires up itself,
+	// see udpbackend.Loopback). Like Domains the field survives because
+	// the frozen bench/ module reads it; "" and "sim" are accepted and
+	// Download panics on anything else.
 	Backend string
 	// SussOpt overrides the SUSS configuration when Algo == Suss (nil
 	// = defaults); ablations use it to disable individual mechanisms.
@@ -139,12 +139,7 @@ func Download(j Job) DownloadResult {
 	if j.Domains > 1 {
 		panic("runner: " + domainsRemoved)
 	}
-	switch j.Backend {
-	case "", "sim":
-	case "pipe":
-		simRuns.Add(1)
-		return downloadPipe(j)
-	default:
+	if j.Backend != "" && j.Backend != "sim" {
 		panic("runner: unknown backend " + j.Backend)
 	}
 	simRuns.Add(1)

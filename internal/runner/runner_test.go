@@ -168,6 +168,27 @@ func TestRunRefusesRetiredDomains(t *testing.T) {
 	}
 }
 
+// TestDownloadUnknownBackend pins the failure mode for a backend the
+// runner does not drive — a typo, or the retired wall-clock "pipe":
+// loud, not a silent fallback to the simulator. "sim" spells the
+// default.
+func TestDownloadUnknownBackend(t *testing.T) {
+	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 1)
+	for _, be := range []string{"carrier-pigeon", "pipe"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("backend %q should panic", be)
+				}
+			}()
+			Download(Job{Scenario: sc, Algo: Cubic, Size: 1 << 10, Backend: be})
+		}()
+	}
+	if r := Download(Job{Scenario: sc, Algo: Cubic, Size: 1 << 10, Backend: "sim"}); !r.Completed {
+		t.Errorf(`backend "sim" did not complete: %+v`, r)
+	}
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.LTE4G, 7)
 	var jobs []Job

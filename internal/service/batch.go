@@ -6,13 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"suss/internal/experiments"
 	"suss/internal/runner"
-	"suss/internal/scenarios"
 )
 
 // CellStatus is one matrix cell's lifecycle state.
@@ -62,9 +61,8 @@ type batch struct {
 	// DELETE /v1/jobs/{id} and by daemon drain. In-flight cells run to
 	// completion (a simulation cannot be interrupted mid-run), but no
 	// new cell starts once the context is cancelled.
-	ctx       context.Context
-	cancel    context.CancelFunc
-	cancelReq atomic.Bool
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// queuedLeft tracks this batch's share of the server's global
 	// queued-cell count: initialized to the submit-time miss estimate,
@@ -108,13 +106,6 @@ func (b *batch) setCell(i int, st CellStatus, msg string) {
 	b.mu.Unlock()
 }
 
-// requestCancel asks the batch to stop: no new cells start after it
-// returns. Idempotent; a no-op on a terminal batch.
-func (b *batch) requestCancel() {
-	b.cancelReq.Store(true)
-	b.cancel()
-}
-
 // terminal reports whether the batch has sealed (any non-running
 // state) — the retention GC's eviction criterion.
 func (b *batch) terminal() bool {
@@ -133,12 +124,6 @@ func (b *batch) finish(csv []byte, err error) {
 		csv = nil
 	}
 	b.seal(st, csv, msg)
-}
-
-// finishCanceled seals a cancelled batch: cells simulated before the
-// cancel are cached for the next submission, the rest were skipped.
-func (b *batch) finishCanceled(skipped int) {
-	b.seal(stateCanceled, nil, fmt.Sprintf("canceled: %d cell(s) skipped", skipped))
 }
 
 func (b *batch) seal(state string, csv []byte, failure string) {
@@ -305,48 +290,62 @@ func decodeShardCell(raw []byte) (runner.FleetResult, error) {
 	return res, nil
 }
 
-// fig11Plan is a validated fig11 submission: the job matrix in
-// Fig11Jobs order plus the per-cell cache keys.
-type fig11Plan struct {
-	server scenarios.Server
-	sizes  []int64
-	iters  int
-	jobs   []runner.Job
-	keys   []string
-}
-
-// fleetPlan is a validated fleet submission: two variant job templates
-// (SUSS off/on); cells are variant-major, cell i = (variant i/Shards,
-// shard i%Shards).
-type fleetPlan struct {
-	fc   experiments.FleetConfig
-	jobs [2]runner.FleetJob
+// plan is what a matrix kind is, as its planner returns it for one
+// validated submission: the per-cell cache keys plus everything execute
+// needs to run, cache and fold the cells. R is the kind's typed cell
+// result; fresh results stay typed in memory and only the cache sees
+// the encoded form.
+type plan[R any] struct {
 	keys []string
+	// run simulates cell i and gives the kind's verdict on it: whether
+	// the result may be cached (the cache policy, as data) and the
+	// error the cell carries (nil = clean). No kind caches a stall — a
+	// wall-clock artifact, not a property of the config.
+	run    func(i int) (res R, cacheable bool, cellErr error)
+	encode func(R) ([]byte, error)
+	decode func(i int, raw []byte) (R, error)
+	// unrun stands in for a cell the pool never ran to completion (a
+	// captured panic), so fold sees a full matrix.
+	unrun func(i int, err error) R
+	// fold aggregates the matrix exactly the way the in-process sweep
+	// does and writes its CSV, the batch's result.
+	fold func(results []R, csv io.Writer) error
 }
 
-// skippedByCancel reports whether a pool outcome error means the cell
-// never ran because the batch context was cancelled (as opposed to a
-// panic captured by the pool).
-func skippedByCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// planner validates a submission of one kind and returns its cell keys
+// and its executor. Adding a kind is one planFoo returning a plan and
+// one row in kinds.
+type planner func(s *Server, req SubmitRequest, seed int64) (keys []string, run func(*batch), err error)
+
+var kinds = map[string]planner{
+	"fig11": kindOf(planFig11),
+	"fleet": kindOf(planFleet),
 }
 
-// runFig11 executes a fig11 batch: serve every warm cell from the
+// kindOf erases a typed planner's cell type by binding it to execute.
+func kindOf[R any](p func(*Server, SubmitRequest, int64) (plan[R], error)) planner {
+	return func(s *Server, req SubmitRequest, seed int64) ([]string, func(*batch), error) {
+		pl, err := p(s, req, seed)
+		return pl.keys, func(b *batch) { execute(s, b, pl) }, err
+	}
+}
+
+// execute runs a batch of any kind: serve every warm cell from the
 // cache, simulate the misses on the worker pool, cache what the misses
-// produced, and aggregate exactly the way the in-process sweep does.
-// Cancellation stops new cells at the pool boundary; whatever finished
-// before the cancel stays cached for the next submission.
-func (s *Server) runFig11(b *batch, p fig11Plan) {
+// produced, and fold. Cancellation stops new cells at the pool
+// boundary; whatever finished before the cancel stays cached for the
+// next submission.
+func execute[R any](s *Server, b *batch, p plan[R]) {
 	defer func() {
 		if r := recover(); r != nil {
-			b.finish(nil, fmt.Errorf("fig11 executor panicked: %v", r))
+			b.finish(nil, fmt.Errorf("%s executor panicked: %v", b.kind, r))
 		}
 	}()
-	results := make([]runner.Result, len(p.jobs))
+	results := make([]R, len(p.keys))
 	var miss []int
-	for i := range p.jobs {
-		if raw, ok := s.cache.Get(b.cells[i].Key); ok {
-			if res, err := decodeJobCell(p.jobs[i], raw); err == nil {
+	for i, key := range p.keys {
+		if raw, ok := s.cache.Get(key); ok {
+			if res, err := p.decode(i, raw); err == nil {
 				results[i] = res
 				b.setCell(i, CellCached, "")
 				continue
@@ -354,32 +353,21 @@ func (s *Server) runFig11(b *batch, p fig11Plan) {
 		}
 		miss = append(miss, i)
 	}
-	outs := runner.Map(b.ctx, miss, func(_ context.Context, _ int, i int) (runner.Result, error) {
+	outs := runner.Map(b.ctx, miss, func(_ context.Context, _ int, i int) (R, error) {
 		s.dequeueCell(b)
 		b.setCell(i, CellRunning, "")
 		s.cellRuns.Add(1)
-		r := runner.Download(p.jobs[i])
-		res := runner.Result{Job: p.jobs[i], DownloadResult: r}
-		switch {
-		case r.Stall != nil:
-			res.Err = r.Stall
-		case r.FlowErr != nil:
-			res.Err = r.FlowErr
-		case !r.Completed:
-			res.Err = runner.ErrIncomplete
-		}
+		res, cacheable, cellErr := p.run(i)
 		// Cache (and with a cache file, persist) the cell the moment it
 		// finishes, not when the batch does: a crash or cancel mid-batch
-		// then loses only the cells still in flight. Stalls are
-		// wall-clock artifacts, not properties of the config; everything
-		// else (including a deterministic incomplete flow) is cacheable.
-		if res.Stall == nil {
-			if raw, err := encodeJobCell(res); err == nil {
-				s.cache.Put(b.cells[i].Key, raw)
+		// then loses only the cells still in flight.
+		if cacheable {
+			if raw, err := p.encode(res); err == nil {
+				s.cache.Put(p.keys[i], raw)
 			}
 		}
-		if res.Err != nil {
-			b.setCell(i, CellError, res.Err.Error())
+		if cellErr != nil {
+			b.setCell(i, CellError, cellErr.Error())
 		} else {
 			b.setCell(i, CellDone, "")
 		}
@@ -388,108 +376,26 @@ func (s *Server) runFig11(b *batch, p fig11Plan) {
 	skipped := 0
 	for k, o := range outs {
 		i := miss[k]
-		if o.Err != nil { // pool-level failure: cancellation skip or captured panic
-			if skippedByCancel(o.Err) {
-				s.dequeueCell(b)
-				b.setCell(i, CellSkipped, "")
-				skipped++
-			} else {
-				b.setCell(i, CellError, o.Err.Error())
-			}
-			results[i] = runner.Result{Job: p.jobs[i], Err: o.Err}
+		if o.Err == nil {
+			results[i] = o.Value
 			continue
 		}
-		results[i] = o.Value
-	}
-	if skipped > 0 {
-		b.finishCanceled(skipped)
-		return
-	}
-	fig := experiments.Fig11FromResults(p.server, p.sizes, p.iters, results, false)
-	var buf bytes.Buffer
-	if err := fig.WriteCSV(&buf); err != nil {
-		b.finish(nil, err)
-		return
-	}
-	b.finish(buf.Bytes(), nil)
-}
-
-// runFleet executes a fleet batch with per-shard caching: each (variant,
-// shard) cell is an independent deterministic simulation, so a
-// resubmission that only grew the shard count still reuses every shard
-// it shares with a previous run.
-func (s *Server) runFleet(b *batch, p fleetPlan) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.finish(nil, fmt.Errorf("fleet executor panicked: %v", r))
-		}
-	}()
-	n := p.fc.Shards
-	results := [2][]runner.FleetResult{make([]runner.FleetResult, n), make([]runner.FleetResult, n)}
-	var miss []int
-	for i := range b.cells {
-		if raw, ok := s.cache.Get(b.cells[i].Key); ok {
-			if res, err := decodeShardCell(raw); err == nil {
-				results[i/n][i%n] = res
-				b.setCell(i, CellCached, "")
-				continue
-			}
-		}
-		miss = append(miss, i)
-	}
-	outs := runner.Map(b.ctx, miss, func(_ context.Context, _ int, i int) (runner.FleetResult, error) {
-		s.dequeueCell(b)
-		b.setCell(i, CellRunning, "")
-		s.cellRuns.Add(1)
-		sj := p.jobs[i/n]
-		sj.Shard = i % n
-		r := runner.RunFleetShard(sj)
-		res := runner.FleetResult{ShardResult: r}
-		switch {
-		case r.Err != nil:
-			res.Err = r.Err
-		case r.Stall != nil:
-			res.Err = r.Stall
-		}
-		// Cache per cell as it completes (see runFig11): crash or cancel
-		// mid-batch loses only the in-flight shards.
-		if res.Err == nil && res.Stall == nil {
-			if raw, err := encodeShardCell(res); err == nil {
-				s.cache.Put(b.cells[i].Key, raw)
-			}
-		}
-		if res.Err != nil {
-			b.setCell(i, CellError, res.Err.Error())
+		// Pool-level failure: the cell never ran because the batch was
+		// cancelled, or the pool captured its panic.
+		if errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded) {
+			s.dequeueCell(b)
+			b.setCell(i, CellSkipped, "")
+			skipped++
 		} else {
-			b.setCell(i, CellDone, "")
+			b.setCell(i, CellError, o.Err.Error())
 		}
-		return res, nil
-	}, runner.Options{Workers: s.cfg.Workers})
-	skipped := 0
-	for k, o := range outs {
-		i := miss[k]
-		if o.Err != nil {
-			if skippedByCancel(o.Err) {
-				s.dequeueCell(b)
-				b.setCell(i, CellSkipped, "")
-				skipped++
-			} else {
-				b.setCell(i, CellError, o.Err.Error())
-			}
-			results[i/n][i%n] = runner.FleetResult{Err: o.Err}
-			continue
-		}
-		results[i/n][i%n] = o.Value
+		results[i] = p.unrun(i, o.Err)
 	}
-	if skipped > 0 {
-		b.finishCanceled(skipped)
+	if skipped > 0 { // what ran before the cancel is cached for the next submission
+		b.seal(stateCanceled, nil, fmt.Sprintf("canceled: %d cell(s) skipped", skipped))
 		return
 	}
-	fr := experiments.FleetFromShards(p.fc, results, false)
 	var buf bytes.Buffer
-	if err := fr.WriteCSV(&buf); err != nil {
-		b.finish(nil, err)
-		return
-	}
-	b.finish(buf.Bytes(), nil)
+	err := p.fold(results, &buf)
+	b.finish(buf.Bytes(), err)
 }

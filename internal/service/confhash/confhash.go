@@ -24,7 +24,7 @@
 //
 // Configurations whose outcome is not a pure function of the config are
 // rejected rather than mis-cached: a non-nil Impair hook (arbitrary
-// code) and the wall-clock "pipe" backend are not hashable.
+// code) and any Backend but the simulator are not hashable.
 package confhash
 
 import (
@@ -213,8 +213,8 @@ func FleetKey(j runner.FleetJob) (string, error) {
 // every field the runner would default is filled with that default, and
 // execution knobs that provably cannot change the result are cleared.
 //
-//   - Backend "" becomes "sim"; any other backend ("pipe") measures
-//     wall clock and is rejected.
+//   - Backend "" becomes "sim"; any other value of the retired field
+//     is one the runner refuses, and is rejected.
 //   - Horizon 0 becomes runner.DefaultHorizon.
 //   - A nil Transport becomes tcp.DefaultConfig.
 //   - SussOpt: nil becomes core.DefaultOptions when Algo is Suss (the
@@ -233,7 +233,7 @@ func NormalizeJob(j runner.Job) (runner.Job, error) {
 		j.Backend = "sim"
 	case "sim":
 	default:
-		return j, fmt.Errorf("confhash: backend %q measures wall clock and is not cacheable", j.Backend)
+		return j, fmt.Errorf("confhash: backend %q is not the simulator and is not cacheable", j.Backend)
 	}
 	if j.Horizon <= 0 {
 		j.Horizon = runner.DefaultHorizon

@@ -88,6 +88,20 @@ func TestRetiredDomainsNeverSharesKey(t *testing.T) {
 	}
 }
 
+// The same for the retired Backend field: the runner refuses every
+// value but ""/"sim", so no other value may produce a key at all, let
+// alone the runnable job's.
+func TestRetiredBackendNeverSharesKey(t *testing.T) {
+	base := mustJobKey(t, baseJob())
+	for _, be := range []string{"pipe", "udp", "carrier-pigeon"} {
+		j := baseJob()
+		j.Backend = be
+		if k, err := JobKey(j); err == nil {
+			t.Errorf("Job{Backend: %q} got key %s (runnable job's: %v); the runner refuses it", be, k, k == base)
+		}
+	}
+}
+
 func TestJobKeySemanticFieldsChangeKey(t *testing.T) {
 	base := mustJobKey(t, baseJob())
 	mutate := []struct {

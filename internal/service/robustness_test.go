@@ -55,11 +55,21 @@ func (c *client) cancel(id string) (*http.Response, []byte) {
 // the cache, seals the batch "canceled", and serves 410 on result —
 // and a resubmission of the same matrix is warm for the finished part.
 func TestCancelMidBatch(t *testing.T) {
+	for _, req := range []SubmitRequest{
+		// 64 MB cells on one worker: each takes long enough (hundreds of
+		// milliseconds) that the cancel below always lands with most of
+		// the 48-cell matrix still pending.
+		{Kind: "fig11", Sizes: []int64{64 << 20}, Iters: 4, Seed: 11},
+		// 32 shard cells of 500 flows (tens of milliseconds each): the
+		// same executor, so the same contract, on the other kind.
+		{Kind: "fleet", Flows: 8000, Shards: 16, Seed: 11},
+	} {
+		t.Run(req.Kind, func(t *testing.T) { testCancelMidBatch(t, req) })
+	}
+}
+
+func testCancelMidBatch(t *testing.T, req SubmitRequest) {
 	s, c := newServerClient(t, Config{Workers: 1})
-	// 64 MB cells on one worker: each takes long enough (hundreds of
-	// milliseconds) that the cancel below always lands with most of the
-	// 48-cell matrix still pending.
-	req := SubmitRequest{Kind: "fig11", Sizes: []int64{64 << 20}, Iters: 4, Seed: 11}
 	sub := c.submit(req)
 
 	// Wait for at least one simulated cell so "partial results stay
@@ -115,7 +125,7 @@ func TestCancelMidBatch(t *testing.T) {
 
 	// Partial results survive: the resubmission is warm exactly where
 	// the first batch got to. Cancel it too rather than simulating the
-	// ~46 remaining slow cells.
+	// remaining slow cells.
 	second := c.submit(req)
 	if second.Cached == 0 {
 		t.Error("resubmission after cancel found nothing cached")
@@ -283,8 +293,16 @@ func TestHealthReadyAndDrain(t *testing.T) {
 // the resubmission is all cache hits, zero simulator runs, identical
 // bytes, and stats account the replay.
 func TestServerCacheSurvivesRestart(t *testing.T) {
+	for _, req := range []SubmitRequest{
+		{Kind: "fig11", Sizes: []int64{256 << 10}, Iters: 2, Seed: 51},
+		{Kind: "fleet", Flows: 80, Shards: 2, Seed: 51},
+	} {
+		t.Run(req.Kind, func(t *testing.T) { testServerCacheSurvivesRestart(t, req) })
+	}
+}
+
+func testServerCacheSurvivesRestart(t *testing.T, req SubmitRequest) {
 	path := filepath.Join(t.TempDir(), "sussd.cache")
-	req := SubmitRequest{Kind: "fig11", Sizes: []int64{256 << 10}, Iters: 2, Seed: 51}
 
 	s1, c1 := newServerClient(t, Config{Workers: 4, CacheFile: path})
 	sub1 := c1.submit(req)

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -321,25 +322,13 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var keys []string
-	var run func(b *batch)
-	switch req.Kind {
-	case "fig11":
-		p, err := s.planFig11(req, seed)
-		if err != nil {
-			return SubmitResponse{}, err
-		}
-		keys = p.keys
-		run = func(b *batch) { s.runFig11(b, p) }
-	case "fleet":
-		p, err := s.planFleet(req, seed)
-		if err != nil {
-			return SubmitResponse{}, err
-		}
-		keys = p.keys
-		run = func(b *batch) { s.runFleet(b, p) }
-	default:
+	plan, ok := kinds[req.Kind]
+	if !ok {
 		return SubmitResponse{}, fmt.Errorf("unknown kind %q (want fig11 or fleet)", req.Kind)
+	}
+	keys, run, err := plan(s, req, seed)
+	if err != nil {
+		return SubmitResponse{}, err
 	}
 
 	cached := 0
@@ -438,10 +427,32 @@ func (s *Server) gcBatches() {
 	s.order = kept
 }
 
-func (s *Server) planFig11(req SubmitRequest, seed int64) (fig11Plan, error) {
+// Bounds on what one submission may ask for, refused with 400 before
+// anything is allocated: the body is outside input, and a planner sizes
+// slices from it.
+const (
+	maxBatchCells = 1 << 16
+	maxFleetFlows = 1 << 20
+)
+
+// checkCells refuses a matrix whose (positive) dimensions multiply out
+// past maxBatchCells.
+func checkCells(dims ...int) error {
+	n := 1
+	for _, d := range dims {
+		if d > maxBatchCells/n {
+			return fmt.Errorf("matrix too large: more than %d cells", maxBatchCells)
+		}
+		n *= d
+	}
+	return nil
+}
+
+func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], error) {
+	var p plan[runner.Result]
 	srv, err := parseServer(req.Server)
 	if err != nil {
-		return fig11Plan{}, err
+		return p, err
 	}
 	sizes := req.Sizes
 	if len(sizes) == 0 {
@@ -449,25 +460,54 @@ func (s *Server) planFig11(req SubmitRequest, seed int64) (fig11Plan, error) {
 	}
 	for _, sz := range sizes {
 		if sz <= 0 {
-			return fig11Plan{}, fmt.Errorf("bad size %d: must be positive bytes", sz)
+			return p, fmt.Errorf("bad size %d: must be positive bytes", sz)
 		}
 	}
 	iters := req.Iters
 	if iters <= 0 {
 		iters = 3
 	}
+	if err := checkCells(len(experiments.Fig11Links()), len(sizes), len(experiments.Fig11Algos()), iters); err != nil {
+		return p, err
+	}
 	jobs := experiments.Fig11Jobs(srv, sizes, iters, seed)
-	keys := make([]string, len(jobs))
+	p.keys = make([]string, len(jobs))
 	for i := range jobs {
 		jobs[i].WallLimit = s.cfg.WallLimit
-		if keys[i], err = confhash.JobKey(jobs[i]); err != nil {
-			return fig11Plan{}, err
+		if p.keys[i], err = confhash.JobKey(jobs[i]); err != nil {
+			return p, err
 		}
 	}
-	return fig11Plan{server: srv, sizes: sizes, iters: iters, jobs: jobs, keys: keys}, nil
+	p.run = func(i int) (runner.Result, bool, error) {
+		r := runner.Download(jobs[i])
+		res := runner.Result{Job: jobs[i], DownloadResult: r}
+		switch {
+		case r.Stall != nil:
+			res.Err = r.Stall
+		case r.FlowErr != nil:
+			res.Err = r.FlowErr
+		case !r.Completed:
+			res.Err = runner.ErrIncomplete
+		}
+		// A deterministic incomplete flow is a property of the config
+		// and is cached with its error.
+		return res, r.Stall == nil, res.Err
+	}
+	p.encode = encodeJobCell
+	p.decode = func(i int, raw []byte) (runner.Result, error) { return decodeJobCell(jobs[i], raw) }
+	p.unrun = func(i int, err error) runner.Result { return runner.Result{Job: jobs[i], Err: err} }
+	p.fold = func(rs []runner.Result, csv io.Writer) error {
+		return experiments.Fig11FromResults(srv, sizes, iters, rs, false).WriteCSV(csv)
+	}
+	return p, nil
 }
 
-func (s *Server) planFleet(req SubmitRequest, seed int64) (fleetPlan, error) {
+// planFleet caches per shard: cells are variant-major (cell i = variant
+// i/Shards, shard i%Shards), each an independent deterministic
+// simulation, so a resubmission that only grew the shard count still
+// reuses every shard it shares with a previous run.
+func planFleet(s *Server, req SubmitRequest, seed int64) (plan[runner.FleetResult], error) {
+	var p plan[runner.FleetResult]
 	fc := experiments.DefaultFleetConfig(seed)
 	if req.Flows > 0 {
 		fc.Flows = req.Flows
@@ -482,21 +522,43 @@ func (s *Server) planFleet(req SubmitRequest, seed int64) (fleetPlan, error) {
 		fc.Mix = nil // fall back to workload.DefaultMix
 	}
 	fc = fc.Normalized()
+	if fc.Flows > maxFleetFlows {
+		return p, fmt.Errorf("fleet too large: %d flows, limit %d", fc.Flows, maxFleetFlows)
+	}
+	n := fc.Shards
+	if err := checkCells(2, n); err != nil {
+		return p, err
+	}
 	jobs := experiments.FleetJobs(fc)
-	keys := make([]string, 0, 2*fc.Shards)
-	for v := range jobs {
-		jobs[v].WallLimit = s.cfg.WallLimit
-		for shard := 0; shard < fc.Shards; shard++ {
-			sj := jobs[v]
-			sj.Shard = shard
-			k, err := confhash.FleetKey(sj)
-			if err != nil {
-				return fleetPlan{}, err
-			}
-			keys = append(keys, k)
+	jobs[0].WallLimit, jobs[1].WallLimit = s.cfg.WallLimit, s.cfg.WallLimit
+	cell := func(i int) runner.FleetJob {
+		sj := jobs[i/n]
+		sj.Shard = i % n
+		return sj
+	}
+	p.keys = make([]string, 2*n)
+	for i := range p.keys {
+		var err error
+		if p.keys[i], err = confhash.FleetKey(cell(i)); err != nil {
+			return p, err
 		}
 	}
-	return fleetPlan{fc: fc, jobs: jobs, keys: keys}, nil
+	p.run = func(i int) (runner.FleetResult, bool, error) {
+		r := runner.RunFleetShard(cell(i))
+		res := runner.FleetResult{ShardResult: r, Err: r.Err}
+		if res.Err == nil && r.Stall != nil {
+			res.Err = r.Stall
+		}
+		// Only a clean shard is cached.
+		return res, res.Err == nil, res.Err
+	}
+	p.encode = encodeShardCell
+	p.decode = func(_ int, raw []byte) (runner.FleetResult, error) { return decodeShardCell(raw) }
+	p.unrun = func(_ int, err error) runner.FleetResult { return runner.FleetResult{Err: err} }
+	p.fold = func(rs []runner.FleetResult, csv io.Writer) error {
+		return experiments.FleetFromShards(fc, [2][]runner.FleetResult{rs[:n], rs[n:]}, false).WriteCSV(csv)
+	}
+	return p, nil
 }
 
 func parseServer(name string) (scenarios.Server, error) {
@@ -551,7 +613,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	b.requestCancel()
+	b.cancel()
 	st, _ := b.status(false)
 	writeJSON(w, http.StatusOK, st)
 }

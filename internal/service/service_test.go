@@ -208,6 +208,11 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"fig11","server":"mars-base"}`,
 		`{"kind":"fig11","sizes":[-1]}`,
 		`not json`,
+		// Outside input sizes the planner's slices: a matrix or a fleet
+		// that would not fit in memory is refused before any is built.
+		`{"kind":"fig11","iters":100000000}`,
+		`{"kind":"fleet","shards":2000000000}`,
+		`{"kind":"fleet","flows":2000000000}`,
 	} {
 		resp, err := http.Post(c.url+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

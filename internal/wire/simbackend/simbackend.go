@@ -174,26 +174,3 @@ func (c *Conn) Close() error {
 	c.h = nil
 	return nil
 }
-
-// Backend binds flows across a built topology, implementing
-// wire.Backend over one sender host and one receiver host.
-type Backend struct {
-	sim              *netsim.Simulator
-	srcHost, dstHost *netsim.Host
-	srcMux, dstMux   *Demux
-}
-
-// NewBackend wraps a sender/receiver host pair (with their demuxes)
-// as a wire.Backend.
-func NewBackend(sim *netsim.Simulator, srcHost *netsim.Host, srcMux *Demux, dstHost *netsim.Host, dstMux *Demux) *Backend {
-	return &Backend{sim: sim, srcHost: srcHost, dstHost: dstHost, srcMux: srcMux, dstMux: dstMux}
-}
-
-// Name implements wire.Backend.
-func (b *Backend) Name() string { return "sim" }
-
-// FlowConns implements wire.Backend.
-func (b *Backend) FlowConns(id netsim.FlowID) (snd, rcv wire.Conn, err error) {
-	return New(b.sim, b.srcHost, b.srcMux, b.dstHost.ID(), id),
-		New(b.sim, b.dstHost, b.dstMux, b.srcHost.ID(), id), nil
-}

@@ -11,9 +11,9 @@
 // duplication can be injected at the sending edge through the same
 // netsim.Impairments stages the simulator links use.
 //
-// Threading mirrors pipebackend: each endpoint owns a rtclock.Reactor
-// that runs the transport's virtual timers at wall-clock pace, plus a
-// reader goroutine that pushes arriving datagrams onto the reactor.
+// Threading: each endpoint owns a rtclock.Reactor that runs the
+// transport's virtual timers at wall-clock pace, plus a reader
+// goroutine that pushes arriving datagrams onto the reactor.
 package udpbackend
 
 import (
@@ -446,10 +446,10 @@ func (c *Conn) annotate(seg *wire.Segment, meta wire.SendMeta, n int, now time.D
 	return pkt
 }
 
-// Loopback bundles a serve and a fetch endpoint on 127.0.0.1 as a
-// wire.Backend: FlowConns handshakes the flow and returns the serve
-// side as the sender conn and the fetch side as the receiver conn
-// (the fetch side initiates, like a download).
+// Loopback bundles a serve and a fetch endpoint on 127.0.0.1, the
+// in-process wall-clock harness: FlowConns handshakes the flow and
+// returns the serve side as the sender conn and the fetch side as the
+// receiver conn (the fetch side initiates, like a download).
 type Loopback struct {
 	Serve, Fetch *Endpoint
 }
@@ -468,10 +468,7 @@ func NewLoopback(serveCfg, fetchCfg Config) (*Loopback, error) {
 	return &Loopback{Serve: s, Fetch: f}, nil
 }
 
-// Name implements wire.Backend.
-func (l *Loopback) Name() string { return "udp" }
-
-// FlowConns implements wire.Backend.
+// FlowConns returns the two ends of flow id, handshaken.
 func (l *Loopback) FlowConns(id netsim.FlowID) (snd, rcv wire.Conn, err error) {
 	type res struct {
 		c   *Conn

@@ -111,16 +111,26 @@ func TestUDPLoopbackDownloadClean(t *testing.T) {
 }
 
 // TestUDPLoopbackDownloadLossy erases 5% of data datagrams at the
-// serve side's sending edge; the flow must complete via
-// retransmission over the real socket path.
+// serve side's sending edge and 2% of ACKs at the fetch side's with
+// the same Bernoulli stage simulator links use; the flow must complete
+// via retransmission over the real socket path — loss detection, SACK
+// retransmission and RTO on wall-clock timers — and the sender must
+// then see the whole stream acknowledged.
 func TestUDPLoopbackDownloadLossy(t *testing.T) {
 	lb, err := udpbackend.NewLoopback(udpbackend.Config{
 		Impair: netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.05, rand.New(rand.NewSource(7)))}),
-	}, udpbackend.Config{})
+	}, udpbackend.Config{
+		// Seed 32 erases its 6th ACK: the stage fires however few ACKs
+		// the wall-clock run ends up sending.
+		Impair: netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.02, rand.New(rand.NewSource(32)))}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lb.Close()
+	if _, _, err := lb.Fetch.Connect(1 << 17); err == nil {
+		t.Error("flow id beyond 16 bits must be rejected: it cannot travel in a port")
+	}
 	const size = 150 << 10
 	f := runDownload(t, lb, size, 60*time.Second)
 
@@ -129,7 +139,18 @@ func TestUDPLoopbackDownloadLossy(t *testing.T) {
 	if recvd != size {
 		t.Fatalf("received %d, want %d", recvd, size)
 	}
-	if drops := lb.Serve.Stats().ImpairDrops; drops == 0 {
-		t.Fatal("impairment stage never fired; the lossy cell tested nothing")
+	// The receiver is done, but the sender still needs its final ACK —
+	// which the fetch-side impairment may erase a few times over.
+	var dlv int64
+	var finished bool
+	for waited := time.Duration(0); waited < 30*time.Second && !finished; waited += 10 * time.Millisecond {
+		time.Sleep(10 * time.Millisecond)
+		lb.Serve.Reactor().DoWait(func() { dlv, finished = f.Sender.Delivered(), f.Sender.Finished() })
+	}
+	if !finished || dlv != size {
+		t.Fatalf("sender finished=%v delivered=%d, want full ack of %d", finished, dlv, size)
+	}
+	if s, fe := lb.Serve.Stats().ImpairDrops, lb.Fetch.Stats().ImpairDrops; s == 0 || fe == 0 {
+		t.Fatalf("impairment stages fired %d (data) / %d (ACK) times; the lossy cell tested nothing", s, fe)
 	}
 }

@@ -8,14 +8,14 @@
 // caller-supplied buffer and decoding validates strictly, so the pair
 // is allocation-free on the hot path and safe on untrusted input.
 //
-// Conn is the substrate seam: a transport endpoint hands every
+// Conn is the one substrate seam: a transport endpoint hands every
 // outgoing segment to Send (which encodes it) and receives every
 // incoming segment through its handler (already decoded from the
-// frame bytes). Three backends implement it — simbackend over the
-// deterministic simulator, pipebackend over an in-process pipe with
-// wall-clock timers, and udpbackend over a UDP socket — and the same
-// sender/receiver code runs unmodified over all three, which is the
-// point: congestion-control logic is substrate-independent.
+// frame bytes). Two backends implement it — simbackend over the
+// deterministic simulator and udpbackend over a UDP socket with
+// wall-clock timers — and the same sender/receiver code runs
+// unmodified over both (tcp.NewFlowOver takes two Conns), which is
+// the point: congestion-control logic is substrate-independent.
 //
 // Wire values are raw: sequence numbers, ACKs and timestamps are the
 // 32-bit fields that actually travel. Endpoints keep 64-bit state and
@@ -189,16 +189,4 @@ type Conn interface {
 	SetHandler(h Handler)
 	// Close detaches the endpoint from the substrate.
 	Close() error
-}
-
-// Backend binds flows to a substrate: one call yields the connected
-// sender- and receiver-side Conns for a flow. The UDP backend spans
-// two processes and therefore cannot implement Backend; its endpoints
-// still implement Conn.
-type Backend interface {
-	// Name identifies the backend in diagnostics ("sim", "pipe").
-	Name() string
-	// FlowConns returns the two ends of flow id, already wired
-	// together.
-	FlowConns(id netsim.FlowID) (snd, rcv Conn, err error)
 }
