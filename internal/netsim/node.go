@@ -8,12 +8,12 @@ import "fmt"
 type Router struct {
 	id     NodeID
 	name   string
-	routes map[NodeID]*Link
+	routes []*Link // indexed by destination NodeID (dense wiring-order ids)
 }
 
 // NewRouter creates a router with the given address.
 func NewRouter(id NodeID, name string) *Router {
-	return &Router{id: id, name: name, routes: make(map[NodeID]*Link)}
+	return &Router{id: id, name: name}
 }
 
 // ID implements Node.
@@ -24,18 +24,22 @@ func (r *Router) Name() string { return r.name }
 
 // AddRoute sends traffic destined to dst out via link. Later calls for
 // the same destination replace the route.
-func (r *Router) AddRoute(dst NodeID, link *Link) { r.routes[dst] = link }
+func (r *Router) AddRoute(dst NodeID, link *Link) {
+	if int(dst) >= len(r.routes) {
+		r.routes = append(r.routes, make([]*Link, int(dst)+1-len(r.routes))...)
+	}
+	r.routes[dst] = link
+}
 
 // Deliver implements Node by forwarding onto the routed output link.
 // Packets with no route panic: a simulation wiring bug, not a runtime
 // condition.
 func (r *Router) Deliver(pkt *Packet) {
 	debugCheckLive(pkt, "router deliver")
-	link, ok := r.routes[pkt.Dst]
-	if !ok {
+	if uint(pkt.Dst) >= uint(len(r.routes)) || r.routes[pkt.Dst] == nil {
 		panic(fmt.Sprintf("netsim: router %q has no route to node %d", r.name, pkt.Dst))
 	}
-	link.Enqueue(pkt)
+	r.routes[pkt.Dst].Enqueue(pkt)
 }
 
 // Host is a leaf node that hands every delivered packet to a handler

@@ -17,7 +17,8 @@
 //
 // Pending timers are indexed by a hierarchical timing wheel rather
 // than a comparison heap (see wheel.go): Schedule, Stop, and Reset are
-// O(1), and Run dispatches all events sharing an instant as one batch.
+// O(1), and Run dispatches all events of one 4 µs window as one sorted
+// batch.
 package netsim
 
 import (
@@ -42,7 +43,7 @@ var runClosure EventFunc = func(ctx, _ any) { ctx.(func())() }
 // list; gen increments on every release so stale Timer handles are
 // detectable. next/prev link the slot into the intrusive list of its
 // wheel bucket (see wheel.go); bucket records which list, bucketNone
-// when released, or bucketBatch while awaiting same-instant dispatch.
+// when released, or bucketWindow while in the dispatch scratch.
 type timerSlot struct {
 	at       time.Duration
 	seq      uint64
@@ -66,25 +67,26 @@ type Simulator struct {
 	slots []timerSlot
 	free  []int32
 
-	// Hierarchical timing wheel (wheel.go): cur is the wheel cursor —
-	// it trails min(now, every pending deadline) so bucket placement
-	// deltas are never negative. occ is the per-level occupancy bitmap;
-	// bhead/btail are the bucket list ends (last entry = overflow).
+	// Hierarchical timing wheel (wheel.go): cur is the wheel cursor, in
+	// ticks — it trails the tick of min(now, every pending deadline) so
+	// bucket placement deltas are never negative. occ is the per-level
+	// occupancy bitmap; bhead/btail are the bucket list ends (last entry
+	// = overflow).
 	cur      int64
 	occ      [wheelLevels]uint64
 	bhead    [numWheelBuckets + 1]int32
 	btail    [numWheelBuckets + 1]int32
 	npending int
-	ovMin    int64 // cached min deadline in the overflow list
+	ovMin    int64 // cached min deadline tick in the overflow list
 	ovDirty  bool  // ovMin must be recomputed before use
 
-	// Same-instant dispatch batch: Run drains a whole level-0 bucket
-	// into this reusable ring and fires it without re-touching the
-	// wheel per event. batchPos trails len(batch) while a Halt or
-	// StopWhen pause leaves same-instant events undispatched.
-	batch    []int32
-	batchPos int
-	batchAt  time.Duration
+	// Dispatch scratch: Run drains a whole level-0 bucket — one tick-wide
+	// window — into this reusable slice in (deadline, seq) order and
+	// fires it without re-touching the wheel per event. windowPos trails
+	// len(window) while a horizon, Halt or StopWhen pause leaves part of
+	// the window undispatched; cur stays on the window's tick until then.
+	window    []windowEnt
+	windowPos int
 
 	pool PacketPool
 
@@ -96,7 +98,9 @@ type Simulator struct {
 // NewSimulator returns a simulator with the clock at zero and an empty
 // event queue.
 func NewSimulator() *Simulator {
-	s := &Simulator{ovMin: math.MaxInt64}
+	// The reserved scratch covers all but the densest windows, so a
+	// short-lived engine does not pay for growing it by doubling.
+	s := &Simulator{ovMin: math.MaxInt64, window: make([]windowEnt, 0, 64)}
 	for i := range s.bhead {
 		s.bhead[i] = -1
 		s.btail[i] = -1
@@ -136,7 +140,7 @@ func (t Timer) Stop() bool {
 	if sl.gen != t.gen || sl.bucket == bucketNone {
 		return false
 	}
-	if sl.bucket != bucketBatch {
+	if sl.bucket != bucketWindow {
 		s.unlink(t.idx)
 	}
 	s.releaseSlot(t.idx)
@@ -156,7 +160,8 @@ func (t Timer) Active() bool {
 // virtual time, keeping its callback and arguments: the slot is
 // relinked into the wheel directly instead of passing through the
 // free list, which is the fast path for the RTO/pacing rearm-per-ACK
-// pattern. A negative d is treated as zero.
+// pattern. A negative d is treated as zero, and now+d saturates at
+// math.MaxInt64.
 //
 // The rearmed timer takes a fresh insertion sequence number and a
 // fresh generation, so event ordering is byte-identical to Stop
@@ -173,17 +178,27 @@ func (t Timer) Reset(d time.Duration) (Timer, bool) {
 	if sl.gen != t.gen || sl.bucket == bucketNone {
 		return Timer{}, false
 	}
-	if d < 0 {
-		d = 0
-	}
-	if sl.bucket != bucketBatch {
+	if sl.bucket != bucketWindow {
 		s.unlink(t.idx)
 	}
-	sl.at, sl.seq = s.now+d, s.seq
+	sl.at, sl.seq = s.after(d), s.seq
 	s.seq++
 	sl.gen++
 	s.place(t.idx)
 	return Timer{s: s, idx: t.idx, gen: sl.gen}, true
+}
+
+// after returns the deadline d from now: a negative d is treated as
+// zero, and a sum past the end of time saturates at math.MaxInt64 ("never"
+// stays in the future instead of wrapping into the past).
+func (s *Simulator) after(d time.Duration) time.Duration {
+	if d <= 0 {
+		return s.now
+	}
+	if at := s.now + d; at > s.now {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is
@@ -193,10 +208,7 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("netsim: Schedule with nil fn")
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	return s.scheduleSlot(s.now+delay, runClosure, fn, nil)
+	return s.scheduleSlot(s.after(delay), runClosure, fn, nil)
 }
 
 // ScheduleAt runs fn at absolute virtual time at. Times in the past
@@ -215,10 +227,7 @@ func (s *Simulator) ScheduleEvent(delay time.Duration, fn EventFunc, ctx, arg an
 	if fn == nil {
 		panic("netsim: ScheduleEvent with nil fn")
 	}
-	if delay < 0 {
-		delay = 0
-	}
-	return s.scheduleSlot(s.now+delay, fn, ctx, arg)
+	return s.scheduleSlot(s.after(delay), fn, ctx, arg)
 }
 
 // ScheduleEventAt is ScheduleEvent with an absolute virtual time.
@@ -287,53 +296,56 @@ func (s *Simulator) Halt() { s.halted = true }
 // a Run horizon already in the past executes nothing and leaves Now()
 // unchanged.
 //
-// Events sharing an instant are dispatched as one batch: the whole
-// level-0 bucket is drained into a scratch ring, put in arm order, and
-// fired without re-touching the wheel per event. A Halt or StopWhen
-// pause mid-batch leaves the rest of the batch pending (counted by
-// Pending, cancellable, fired by a later Run), exactly as if the
+// Events are dispatched a window at a time: the level-0 bucket holding
+// the earliest deadline is drained into a scratch slice, put in
+// (deadline, seq) order, and fired without re-touching the wheel per
+// event, the clock advancing entry by entry. A horizon, Halt or
+// StopWhen stop inside a window leaves the rest of it pending (counted
+// by Pending, cancellable, fired by a later Run), exactly as if the
 // events were still queued.
 func (s *Simulator) Run(until time.Duration) time.Duration {
 	s.halted = false
 	for {
-		if s.batchPos < len(s.batch) {
-			// Resume a batch paused by Halt or StopWhen. batchAt always
-			// equals s.now here, so a smaller horizon fires nothing.
-			if s.batchAt > until {
+		// The open window: bucket wb collects what is armed into it while
+		// it is under dispatch (or paused between Runs).
+		wb := int(uint64(s.cur) & wheelMask)
+		for s.windowPos < len(s.window) {
+			if s.occ[0]>>uint(wb)&1 != 0 {
+				s.drainBucket(wb)
+			}
+			e := s.window[s.windowPos]
+			sl := &s.slots[e.idx]
+			if sl.gen != e.gen {
+				s.windowPos++ // stopped or reset while awaiting dispatch
+				continue
+			}
+			if sl.at > until {
+				if until > s.now {
+					s.now = until
+				}
 				return s.now
 			}
-			s.now = s.batchAt
-			for s.batchPos < len(s.batch) && !s.halted {
-				idx := s.batch[s.batchPos]
-				s.batchPos++
-				sl := &s.slots[idx]
-				if sl.bucket != bucketBatch {
-					continue // stopped (or reset) while awaiting dispatch
-				}
-				fn, ctx, arg := sl.fn, sl.ctx, sl.arg
-				// Recycle before firing: during its own callback the
-				// timer reads as spent (Active false, Stop no-op), and
-				// the slot is immediately reusable by events the
-				// callback schedules.
-				s.releaseSlot(idx)
-				fn(ctx, arg)
-				if s.stopWhen != nil && s.stopWhen() {
-					return s.now
-				}
-			}
-			if s.halted {
+			s.windowPos++
+			s.now = sl.at
+			fn, ctx, arg := sl.fn, sl.ctx, sl.arg
+			// Recycle before firing: during its own callback the timer
+			// reads as spent (Active false, Stop no-op), and the slot is
+			// immediately reusable by events the callback schedules.
+			s.releaseSlot(e.idx)
+			fn(ctx, arg)
+			if (s.stopWhen != nil && s.stopWhen()) || s.halted {
 				return s.now
 			}
-			continue
 		}
-		tick, bucket, fire := s.wheelNext(int64(until))
+		bucket, fire := s.wheelNext(int64(until))
 		if !fire {
 			if s.npending > 0 && until > s.now {
 				s.now = until
 			}
 			return s.now
 		}
-		s.drainBucket(bucket, time.Duration(tick))
+		s.window, s.windowPos = s.window[:0], 0
+		s.drainBucket(bucket)
 	}
 }
 
@@ -345,8 +357,8 @@ func (s *Simulator) RunAll() time.Duration {
 
 // Pending returns the number of events still queued. The count is
 // exact: Stop removes a timer from the pending set at cancellation
-// time, so cancelled timers are never counted, and events drained for
-// same-instant dispatch but not yet fired still are.
+// time, so cancelled timers are never counted, and events drained into
+// the dispatch scratch but not yet fired still are.
 func (s *Simulator) Pending() int { return s.npending }
 
 // String implements fmt.Stringer for debugging.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,31 +13,40 @@ import (
 // the dumbest possible way: a flat slice scanned for the (at, seq)
 // minimum. The wheel must be observationally identical to it over
 // millions of random arm/cancel/reset/advance operations — firing
-// order, clock, Pending, and every Stop/Reset return value.
+// order, clock, Pending, NextEventAt and every Stop/Reset return value
+// — issued both between Runs and from inside the fired callbacks,
+// where they mutate the very window that is being dispatched.
 
 type refTimer struct {
 	at  time.Duration
 	seq uint64
-	id  int
 	pos int // index into refSched.alive, -1 when dead
 }
 
 type refSched struct {
 	now    time.Duration
 	seq    uint64
-	timers []refTimer
-	alive  []int // handles of live timers, unordered (swap-remove)
+	timers []refTimer // indexed by handle = arm order
+	alive  []int      // handles of live timers, unordered (swap-remove)
 }
 
-func (r *refSched) schedule(at time.Duration, id int) int {
+func (r *refSched) after(d time.Duration) time.Duration {
+	if d < 0 {
+		d = 0
+	}
+	if d > math.MaxInt64-r.now {
+		return math.MaxInt64
+	}
+	return r.now + d
+}
+
+func (r *refSched) schedule(at time.Duration) {
 	if at < r.now {
 		at = r.now
 	}
-	h := len(r.timers)
-	r.timers = append(r.timers, refTimer{at: at, seq: r.seq, id: id, pos: len(r.alive)})
-	r.alive = append(r.alive, h)
+	r.timers = append(r.timers, refTimer{at: at, seq: r.seq, pos: len(r.alive)})
+	r.alive = append(r.alive, len(r.timers)-1)
 	r.seq++
-	return h
 }
 
 func (r *refSched) remove(h int) {
@@ -61,26 +71,31 @@ func (r *refSched) reset(h int, d time.Duration) bool {
 	if t.pos < 0 {
 		return false
 	}
-	if d < 0 {
-		d = 0
-	}
-	t.at, t.seq = r.now+d, r.seq
+	t.at, t.seq = r.after(d), r.seq
 	r.seq++
 	return true
 }
 
 func (r *refSched) pending() int { return len(r.alive) }
 
-func (r *refSched) run(until time.Duration, fire func(id int)) time.Duration {
-	for {
-		best := -1
-		for _, h := range r.alive {
-			t := &r.timers[h]
-			if best < 0 || t.at < r.timers[best].at ||
-				(t.at == r.timers[best].at && t.seq < r.timers[best].seq) {
-				best = h
-			}
+// next returns the handle of the (at, seq) minimum, -1 when idle.
+func (r *refSched) next() int {
+	best := -1
+	for _, h := range r.alive {
+		t := &r.timers[h]
+		if best < 0 || t.at < r.timers[best].at ||
+			(t.at == r.timers[best].at && t.seq < r.timers[best].seq) {
+			best = h
 		}
+	}
+	return best
+}
+
+// run fires until the queue drains, the next deadline is past until,
+// or fire reports a stop (the reference's Halt / StopWhen).
+func (r *refSched) run(until time.Duration, fire func(h int) (stop bool)) time.Duration {
+	for {
+		best := r.next()
 		if best < 0 {
 			return r.now
 		}
@@ -92,7 +107,9 @@ func (r *refSched) run(until time.Duration, fire func(id int)) time.Duration {
 		}
 		r.now = r.timers[best].at
 		r.remove(best)
-		fire(r.timers[best].id)
+		if fire(best) {
+			return r.now
+		}
 	}
 }
 
@@ -103,26 +120,135 @@ func recordFireEv(ctx, arg any) {
 	rec.got = append(rec.got, arg.(int))
 }
 
+const tick = time.Duration(1) << tickBits
+
 // randomDelay draws from a mixture that exercises every wheel level,
-// exact ties, zero delays, and the overflow list.
+// several distinct deadlines inside one level-0 window, zero delays,
+// and the overflow list.
 func randomDelay(rng *rand.Rand) time.Duration {
 	switch rng.Intn(10) {
 	case 0:
 		return 0
 	case 1:
-		return time.Duration(rng.Intn(wheelSlots)) // level 0
+		return time.Duration(rng.Intn(int(tick))) // the window now is in, or the next
 	case 2:
-		return time.Duration(rng.Intn(4096)) // levels 0–1
+		return time.Duration(rng.Intn(int(wheelSlots * tick))) // level 0
 	case 3, 4:
-		return time.Duration(rng.Intn(int(time.Millisecond))) // ≤ level 3
+		return time.Duration(rng.Intn(int(16 * time.Millisecond))) // ≤ level 1
 	case 5, 6:
-		return time.Duration(rng.Intn(int(time.Second))) // ≤ level 5
+		return time.Duration(rng.Intn(int(time.Second))) // ≤ level 2
 	case 7:
-		return time.Duration(rng.Intn(int(time.Hour))) // level 6
+		return time.Duration(rng.Intn(int(time.Hour))) // ≤ level 4
 	case 8:
 		return time.Duration(wheelSpan) + time.Duration(rng.Intn(int(time.Hour))) // overflow
 	default:
-		return time.Duration(rng.Int63n(int64(10 * time.Second)))
+		return time.Duration(rng.Int63n(int64(10 * time.Second))) // ≤ level 3
+	}
+}
+
+// pickHandle draws a handle out of n, half the time one of the newest
+// 64 — the ones likely to be pending, often in the window under
+// dispatch — and otherwise any, stale ones included.
+func pickHandle(rng *rand.Rand, n int) int {
+	if n > 64 && rng.Intn(2) == 0 {
+		return n - 1 - rng.Intn(64)
+	}
+	return rng.Intn(n)
+}
+
+// wheelOps and refOps present the wheel and the reference as the same
+// operations, so one callback script (onFire) drives either.
+type schedOps interface {
+	now() time.Duration
+	handles() int
+	armAt(at time.Duration)
+	arm(d time.Duration)
+	reset(h int, d time.Duration) bool
+	stop(h int) bool
+	halt()
+}
+
+type wheelOps struct {
+	sim     *Simulator
+	hs      []Timer
+	log     *[]int64
+	cbRng   *rand.Rand
+	stopNow bool // read by the StopWhen predicate
+}
+
+func (w *wheelOps) now() time.Duration { return w.sim.Now() }
+func (w *wheelOps) handles() int       { return len(w.hs) }
+func (w *wheelOps) armAt(at time.Duration) {
+	w.hs = append(w.hs, w.sim.ScheduleEventAt(at, wheelFired, w, len(w.hs)))
+}
+func (w *wheelOps) arm(d time.Duration) {
+	w.hs = append(w.hs, w.sim.ScheduleEvent(d, wheelFired, w, len(w.hs)))
+}
+func (w *wheelOps) reset(h int, d time.Duration) bool {
+	nt, ok := w.hs[h].Reset(d)
+	if ok {
+		w.hs[h] = nt
+	}
+	return ok
+}
+func (w *wheelOps) stop(h int) bool { return w.hs[h].Stop() }
+
+// halt alternates the two ways a callback can pause Run mid-window.
+func (w *wheelOps) halt() {
+	if len(*w.log)&1 == 0 {
+		w.sim.Halt()
+	} else {
+		w.stopNow = true
+	}
+}
+
+func wheelFired(ctx, arg any) {
+	w := ctx.(*wheelOps)
+	onFire(w, w.cbRng, w.log, arg.(int))
+}
+
+type refOps struct {
+	ref     *refSched
+	log     *[]int64
+	stopped bool
+}
+
+func (r *refOps) now() time.Duration                { return r.ref.now }
+func (r *refOps) handles() int                      { return len(r.ref.timers) }
+func (r *refOps) armAt(at time.Duration)            { r.ref.schedule(at) }
+func (r *refOps) arm(d time.Duration)               { r.ref.schedule(r.ref.after(d)) }
+func (r *refOps) reset(h int, d time.Duration) bool { return r.ref.reset(h, d) }
+func (r *refOps) stop(h int) bool                   { return r.ref.stop(h) }
+func (r *refOps) halt()                             { r.stopped = true }
+
+// onFire is the callback of every timer in the differential test, run
+// once against the wheel and once against the reference from mirrored
+// RNGs. It logs the firing and, re-entrantly, arms into the window
+// being dispatched (zero and sub-tick delays) and beyond it, resets and
+// stops other handles, and now and then pauses the run.
+func onFire(o schedOps, rng *rand.Rand, log *[]int64, id int) {
+	*log = append(*log, int64(id), int64(o.now()))
+	b2i := func(ok bool) int64 {
+		if ok {
+			return 1
+		}
+		return 0
+	}
+	switch c := rng.Intn(100); {
+	case c < 10:
+		o.arm(0)
+	case c < 20:
+		o.arm(time.Duration(rng.Intn(int(tick))))
+	case c < 30:
+		o.arm(randomDelay(rng))
+	case c < 38:
+		*log = append(*log, b2i(o.reset(pickHandle(rng, o.handles()), time.Duration(rng.Intn(int(tick))))))
+	case c < 46:
+		*log = append(*log, b2i(o.reset(pickHandle(rng, o.handles()), randomDelay(rng))))
+	case c < 60:
+		*log = append(*log, b2i(o.stop(pickHandle(rng, o.handles()))))
+	case c < 63:
+		o.halt()
 	}
 }
 
@@ -134,87 +260,111 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
-		sim := NewSimulator()
-		ref := &refSched{}
-		rec := &fireRecorder{}
-		var refFired []int
+		var wlog, rlog []int64
+		w := &wheelOps{sim: NewSimulator(), log: &wlog, cbRng: rand.New(rand.NewSource(seed + 100))}
+		w.sim.StopWhen(func() bool {
+			stop := w.stopNow
+			w.stopNow = false
+			return stop
+		})
+		r := &refOps{ref: &refSched{}, log: &rlog}
+		refRng := rand.New(rand.NewSource(seed + 100))
+		refFire := func(h int) bool {
+			onFire(r, refRng, r.log, h)
+			stop := r.stopped
+			r.stopped = false
+			return stop
+		}
+		sim, ref := w.sim, r.ref
+		both := []schedOps{w, r}
 
-		var handles []Timer // wheel handles, index-aligned with ref handles
-		live := 0
+		// run advances both schedulers and holds every observable equal.
+		run := func(op int, until time.Duration) {
+			t.Helper()
+			wlog, rlog = wlog[:0], rlog[:0]
+			end := sim.Run(until)
+			refEnd := ref.run(until, refFire)
+			if end != refEnd || sim.Now() != ref.now {
+				t.Fatalf("seed %d op %d: Run(%v) = %v now %v, reference %v now %v",
+					seed, op, until, end, sim.Now(), refEnd, ref.now)
+			}
+			if len(wlog) != len(rlog) {
+				t.Fatalf("seed %d op %d: Run(%v) logged %d fire/op records, reference %d",
+					seed, op, until, len(wlog), len(rlog))
+			}
+			for i := range wlog {
+				if wlog[i] != rlog[i] {
+					t.Fatalf("seed %d op %d: Run(%v) diverges at log record %d: got %d, reference %d",
+						seed, op, until, i, wlog[i], rlog[i])
+				}
+			}
+		}
+
 		var lastAt time.Duration
-
 		for op := 0; op < ops; op++ {
 			choice := rng.Intn(100)
-			if live > 256 && choice < 60 {
+			if ref.pending() > 256 && choice < 60 {
 				choice = 60 + rng.Intn(40) // drain: force stop/run ops
 			}
 			switch {
 			case choice < 45: // arm
 				var at time.Duration
-				if choice < 5 && lastAt >= sim.Now() {
+				switch {
+				case choice < 5 && lastAt >= sim.Now():
 					at = lastAt // exact tie with an earlier arm
-				} else {
+				case choice < 12:
+					// Either side of a nearby window edge: repeated draws
+					// tie exactly on both sides of it.
+					at = (sim.Now()>>tickBits+1+time.Duration(rng.Intn(3)))<<tickBits - time.Duration(rng.Intn(2))
+				default:
 					at = sim.Now() + randomDelay(rng)
 				}
 				lastAt = at
-				id := len(handles)
-				handles = append(handles, sim.ScheduleEventAt(at, recordFireEv, rec, id))
-				ref.schedule(at, id)
-				live++
+				for _, o := range both {
+					o.armAt(at)
+				}
 			case choice < 60: // reset a random handle, stale ones included
-				if len(handles) == 0 {
+				if w.handles() == 0 {
 					continue
 				}
-				h := rng.Intn(len(handles))
-				d := randomDelay(rng)
-				nt, ok := handles[h].Reset(d)
-				if ok {
-					handles[h] = nt
-				}
-				if refOK := ref.reset(h, d); ok != refOK {
+				h, d := pickHandle(rng, w.handles()), randomDelay(rng)
+				if ok, refOK := w.reset(h, d), r.reset(h, d); ok != refOK {
 					t.Fatalf("seed %d op %d: Reset(%d) = %v, reference %v", seed, op, h, ok, refOK)
 				}
 			case choice < 80: // stop a random handle, stale ones included
-				if len(handles) == 0 {
+				if w.handles() == 0 {
 					continue
 				}
-				h := rng.Intn(len(handles))
-				ok := handles[h].Stop()
-				if refOK := ref.stop(h); ok != refOK {
+				h := pickHandle(rng, w.handles())
+				if ok, refOK := w.stop(h), r.stop(h); ok != refOK {
 					t.Fatalf("seed %d op %d: Stop(%d) = %v, reference %v", seed, op, h, ok, refOK)
 				}
-				if ok {
-					live--
-				}
 			default: // advance
-				var until time.Duration
-				if rng.Intn(20) == 0 {
-					until = time.Duration(1<<63 - 1) // RunAll
-				} else {
-					until = sim.Now() + time.Duration(rng.Int63n(int64(2*time.Second)))
+				switch k := rng.Intn(20); {
+				case k == 0:
+					run(op, math.MaxInt64) // RunAll
+				case k < 6:
+					run(op, sim.Now()+time.Duration(rng.Int63n(int64(2*time.Second))))
+				default:
+					// A horizon a tick or two out: it usually falls strictly
+					// inside a window and leaves part of it paused, for the
+					// following ops to arm into, reset and stop.
+					run(op, sim.Now()+time.Duration(rng.Intn(int(2*tick))))
 				}
-				end := sim.Run(until)
-				refEnd := ref.run(until, func(id int) { refFired = append(refFired, id) })
-				if end != refEnd || sim.Now() != ref.now {
-					t.Fatalf("seed %d op %d: Run(%v) = %v now %v, reference %v now %v",
-						seed, op, until, end, sim.Now(), refEnd, ref.now)
-				}
-				live = ref.pending()
 			}
-			if sim.Pending() != ref.pending() {
-				t.Fatalf("seed %d op %d: Pending() = %d, reference %d", seed, op, sim.Pending(), ref.pending())
+			if sim.Pending() != ref.pending() || w.handles() != r.handles() {
+				t.Fatalf("seed %d op %d: Pending() = %d over %d handles, reference %d over %d",
+					seed, op, sim.Pending(), w.handles(), ref.pending(), r.handles())
+			}
+			if op%8 == 0 {
+				at, ok := sim.NextEventAt()
+				if h := ref.next(); ok != (h >= 0) || (ok && at != ref.timers[h].at) {
+					t.Fatalf("seed %d op %d: NextEventAt() = %v, %v; reference handle %d", seed, op, at, ok, h)
+				}
 			}
 		}
-		sim.RunAll()
-		ref.run(time.Duration(1<<63-1), func(id int) { refFired = append(refFired, id) })
-		if len(rec.got) != len(refFired) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(rec.got), len(refFired))
-		}
-		for i := range rec.got {
-			if rec.got[i] != refFired[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: got id %d, reference id %d",
-					seed, i, rec.got[i], refFired[i])
-			}
+		for sim.Pending() > 0 || ref.pending() > 0 { // a callback may pause a RunAll
+			run(ops, math.MaxInt64)
 		}
 	}
 }
@@ -232,18 +382,18 @@ func TestSameDeadlineFIFOAcrossLevels(t *testing.T) {
 	rec := &fireRecorder{}
 	deadline := 300 * time.Millisecond
 
-	s.ScheduleEventAt(deadline, recordFireEv, rec, 0) // level 4 at arm time
+	s.ScheduleEventAt(deadline, recordFireEv, rec, 0) // level 2 at arm time
 
 	// Advance close to the deadline so later arms land at lower levels.
-	s.Schedule(250*time.Millisecond, func() {})
-	s.Run(250 * time.Millisecond)
-	s.ScheduleEventAt(deadline, recordFireEv, rec, 1) // mid level
+	s.Schedule(295*time.Millisecond, func() {})
+	s.Run(295 * time.Millisecond)
+	s.ScheduleEventAt(deadline, recordFireEv, rec, 1) // level 1
 
 	s.Schedule(deadline-100*time.Nanosecond, func() {})
 	s.Run(deadline - 100*time.Nanosecond)
 	s.ScheduleEventAt(deadline, recordFireEv, rec, 2) // level 0, direct
 
-	// Armed during the batch itself: same instant, must fire last.
+	// Armed during the window's dispatch: same instant, must fire last.
 	s.ScheduleEventAt(deadline, runClosure, func() {
 		s.ScheduleEventAt(deadline, recordFireEv, rec, 3)
 	}, nil)
@@ -310,6 +460,58 @@ func TestOverflowMinInvalidation(t *testing.T) {
 	}
 	if s.Now() != far+time.Hour {
 		t.Errorf("Now() = %v, want %v", s.Now(), far+time.Hour)
+	}
+}
+
+// --- deadline saturation ---
+
+// A "never" delay must stay in the future: now+delay saturates at
+// math.MaxInt64 instead of wrapping negative (and being clamped to
+// now, firing at once).
+func TestScheduleSaturatesAtMaxDeadline(t *testing.T) {
+	s := NewSimulator()
+	s.Schedule(time.Second, func() {})
+	s.RunAll()
+	rec := &fireRecorder{}
+	s.Schedule(math.MaxInt64, func() { rec.got = append(rec.got, 0) })
+	s.ScheduleEvent(math.MaxInt64, recordFireEv, rec, 1)
+	if at, ok := s.NextEventAt(); !ok || at != math.MaxInt64 {
+		t.Fatalf("NextEventAt() = %v, %v, want the saturated deadline", at, ok)
+	}
+	if end := s.Run(2 * time.Second); end != 2*time.Second || len(rec.got) != 0 || s.Pending() != 2 {
+		t.Fatalf("Run(2s) = %v, fired %v, Pending %d: a never-delay must stay pending", end, rec.got, s.Pending())
+	}
+	s.RunAll()
+	if len(rec.got) != 2 || rec.got[0] != 0 || rec.got[1] != 1 || s.Now() != math.MaxInt64 {
+		t.Fatalf("RunAll fired %v at %v, want [0 1] at the end of time", rec.got, s.Now())
+	}
+}
+
+// Reset used to store now+d unclamped: a wrapped negative deadline went
+// to the overflow list, behind the cursor for good, and Run spun
+// migrating the list into itself.
+func TestResetSaturatesAtMaxDeadline(t *testing.T) {
+	s := NewSimulator()
+	s.Schedule(time.Second, func() {})
+	s.RunAll()
+	fired := 0
+	tm := s.Schedule(time.Millisecond, func() { fired++ })
+	nt, ok := tm.Reset(math.MaxInt64)
+	if !ok || !nt.Active() {
+		t.Fatal("Reset of a pending timer failed")
+	}
+	if at, _ := s.NextEventAt(); at != math.MaxInt64 {
+		t.Fatalf("NextEventAt() = %v, want the saturated deadline", at)
+	}
+	if b := s.slots[nt.idx].bucket; b != overflowBucket {
+		t.Fatalf("reset timer sits in bucket %d, want the overflow list", b)
+	}
+	if end := s.Run(2 * time.Second); end != 2*time.Second || fired != 0 || s.Pending() != 1 {
+		t.Fatalf("Run(2s) = %v, fired %d, Pending %d: the timer must stay pending", end, fired, s.Pending())
+	}
+	s.RunAll()
+	if fired != 1 || s.Pending() != 0 {
+		t.Fatalf("RunAll: fired %d, Pending %d, want 1 and 0", fired, s.Pending())
 	}
 }
 
@@ -392,8 +594,9 @@ func TestResetDeadTimerIsNoop(t *testing.T) {
 }
 
 // TestResetDuringSameInstantPause rearms a timer that is already
-// drained into the dispatch batch (Run paused mid-instant by
-// StopWhen): it must leave the batch and fire at the new deadline.
+// drained into the dispatch scratch (Run paused mid-instant by
+// StopWhen): its scratch entry must go stale and the timer fire at the
+// new deadline.
 func TestResetDuringSameInstantPause(t *testing.T) {
 	s := NewSimulator()
 	rec := &fireRecorder{}
@@ -409,7 +612,7 @@ func TestResetDuringSameInstantPause(t *testing.T) {
 	s.StopWhen(nil)
 	nt, ok := tm2.Reset(time.Millisecond)
 	if !ok {
-		t.Fatal("Reset of a batch-resident timer failed")
+		t.Fatal("Reset of a scratch-resident timer failed")
 	}
 	if !nt.Active() || s.Pending() != 2 {
 		t.Fatalf("after Reset: Active=%v Pending=%d, want true/2", nt.Active(), s.Pending())
@@ -441,11 +644,12 @@ func TestWheelCascadeZeroAlloc(t *testing.T) {
 	var tick EventFunc = func(ctx, arg any) { n++ }
 	deltas := []time.Duration{
 		0,
-		17,                     // level 0
-		3 * time.Microsecond,   // level 2
-		700 * time.Microsecond, // level 3
-		40 * time.Millisecond,  // level 4
-		2 * time.Second,        // level 5
+		17,                     // the window now is in
+		30 * time.Microsecond,  // level 0
+		700 * time.Microsecond, // level 1
+		40 * time.Millisecond,  // level 2
+		2 * time.Second,        // level 3
+		20 * time.Minute,       // level 4
 		90 * time.Minute,       // beyond wheelSpan: overflow + migration
 	}
 	warm := func() {
