@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench bench-smoke bench-record bench-gate clean
+.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench-smoke clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -33,15 +33,18 @@ testdebug:
 race:
 	$(GO) test -race ./internal/runner ./internal/experiments ./internal/service
 
-# Zero-allocation gates, run explicitly and WITHOUT -race: race
-# instrumentation inserts allocations of its own, so AllocsPerRun is
-# only meaningful on an uninstrumented build. Covers the flight
-# recorder (internal/obs), the event/packet arenas (internal/netsim),
-# the wire codec, the simulator backend's send/deliver path, and the
-# transport in loss recovery (a SACK-recovery ACK with 2048 losses on
-# the scoreboard, a receiver holding 4096 ranges).
+# Allocation gates, run explicitly and WITHOUT -race: race
+# instrumentation inserts allocations of its own, so an alloc count is
+# only meaningful on an uninstrumented build. Zero-alloc pins cover the
+# flight recorder (internal/obs), the event/packet arenas and the
+# scheduler (internal/netsim), the wire codec, the simulator backend's
+# send/deliver path, and the transport in loss recovery (a
+# SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
+# holding 4096 ranges). Two budget tests pin whole deterministic
+# replays against a floor constant kept next to each test: the serial
+# reduced fig11 sweep (.) and a 400-flow fleet shard (internal/runner).
 allocgate:
-	$(GO) test -run 'Alloc' -v ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp
+	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner
 
 # Chaos matrix under -race: every impairment × CC algo × seed must
 # complete (or error cleanly) with a balanced loss ledger, and a wedged
@@ -81,12 +84,13 @@ fleet-smoke:
 fleet-chaos:
 	$(GO) test -race -timeout 600s -run 'TestFleetChaos' -v ./internal/experiments
 
-# Experiment-service smoke under -race, two real processes: a sussd
-# daemon (run via sussim -daemon) and a sussim -submit client sending
-# the same fig11 matrix twice. The second pass must be 100% cache hits
-# with zero additional simulator runs, and both passes' CSV must be
-# byte-identical to the in-process sweep — the content-addressed
-# caching contract end to end over the wire.
+# Experiment-service smoke under -race, two real processes: the sussd
+# binary and a sussim -submit client sending the same fig11 matrix
+# twice. The second pass must be 100% cache hits with zero additional
+# simulator runs, and both passes' CSV must be byte-identical to the
+# in-process sweep — the content-addressed caching contract end to end
+# over the wire. The daemon is then sent SIGTERM and must drain and
+# exit 0 inside its -draintimeout.
 sussd-smoke:
 	$(GO) test -race -timeout 300s -run 'TestSussdSmoke' -v ./cmd/sussim
 
@@ -106,9 +110,6 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
 # The repo's one benchmark (BENCHMARK.json) at smoke size, plus the
 # bench module's own tests: proves bench/ still builds and runs
 # against this tree. Paired runs for a perf claim are two checkouts and
@@ -117,60 +118,5 @@ bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
 
-# bench-record refreshes the committed JSON baselines (BENCH_<name>.json);
-# bench-gate reruns the same benchmarks and fails on an ns/op regression
-# past the row's tolerance or an allocs/op increase past its slack (see
-# cmd/benchgate). Both reduce -count samples to best-of-N, so run them
-# on a quiet machine, and re-record deliberately when a change
-# legitimately shifts the cost profile. One row per gate:
-#
-#   name  package  pattern  ns-tolerance  alloc-slack  go-test-flags...
-#
-# fig11 runs the single-worker sweep: the parallel variant's ns/op and
-# allocs/op wobble with goroutine scheduling, while the serial one is a
-# deterministic replay. benchtime stays at 1x: each sample is one full
-# sweep, so allocs/op is a count, not a rounded mean (longer benchtimes
-# amortize setup allocations and introduce ±1 rounding jitter); the
-# high -count tightens best-of-N. Like the fleet row, the count carries
-# map hash-seed noise — samples spread over about 20 allocs and a
-# best-of-12 lands on the recorded floor only some of the time — so
-# the gate allows 32 of absolute slack; a real regression is per-cell
-# and shows up 252×. The alloc half is the precision instrument:
-# best-of-12 wall clock for the one-shot sweep still wobbles ~20%
-# process-to-process on a shared 1-vCPU runner, so the ns half only
-# backstops structural blowups.
-#
-# sched is the scheduler microbenchmarks: timer churn (arm/cancel/rearm,
-# the TCP hot path) and cross-level cascading.
-#
-# fleet replays one deterministic 400-flow shard per sample: serial,
-# fully seeded, one simulation per op at 1x like fig11. Its alloc count
-# carries ±~10 counts of map hash-seed noise (each demux map's
-# overflow-bucket allocation depends on Go's per-map random seed), so
-# the gate allows 64 allocs of absolute slack — far below a real
-# regression, which is per-flow and so shows up 400× (one extra alloc
-# per flow = +400 allocs/op). Best-of-10 wall clock for a ~25 ms
-# one-shot replay wobbles close to 2× between processes on a shared
-# 1-vCPU runner, so the ns half only backstops order-of-magnitude
-# blowups (an event-loop livelock, an accidental O(n²) merge).
-define BENCH_GATES
-fig11 .                 BenchmarkFig11ParallelVsSequential/workers=1$$ 0.50 32 -benchmem -benchtime 1x -count 12
-sched ./internal/netsim BenchmarkScheduler(Churn|Cascade)              0.10 0  -benchmem -count 8
-fleet ./internal/runner BenchmarkFleetShard$$                          1.0  64 -benchmem -benchtime 1x -count 10
-endef
-export BENCH_GATES
-
-bench-record bench-gate:
-	@set -e; echo "$$BENCH_GATES" | while read -r name pkg pattern tol slack flags; do \
-		echo "== $@: $$name"; \
-		$(GO) test -run '^$$' -bench "$$pattern" $$flags $$pkg > bench.$$name.txt; \
-		if [ $@ = bench-record ]; then \
-			$(GO) run ./cmd/benchgate -record BENCH_$$name.json < bench.$$name.txt; \
-		else \
-			$(GO) run ./cmd/benchgate -tolerance $$tol -allocslack $$slack -compare BENCH_$$name.json < bench.$$name.txt; \
-		fi; \
-	done
-
 clean:
 	$(GO) clean ./...
-	rm -f bench.*.txt

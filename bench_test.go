@@ -94,17 +94,64 @@ func BenchmarkFig12FCTImprovement(b *testing.B) {
 // vs parallel comparison point (the numbers produced are identical —
 // see the determinism test in internal/experiments).
 func BenchmarkFig11ParallelVsSequential(b *testing.B) {
-	sizes := []int64{512 << 10, 2 << 20}
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.RunFig11(scenarios.GoogleTokyo, sizes, 1, int64(i+1), experiments.WithWorkers(workers))
+				r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, int64(i+1), experiments.WithWorkers(workers))
 				if r.Incomplete > 0 {
 					b.Fatalf("%d incomplete downloads", r.Incomplete)
 				}
 			}
 		})
 	}
+}
+
+// fig11ReducedSizes makes the reduced sweep 24 cells: 4 links × 2 sizes
+// × 3 algos.
+var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
+
+// fig11SerialSweepAllocFloor is the fewest mallocs one single-worker
+// pass of the reduced sweep at seed 1 has been seen to make. The count
+// is a deterministic replay up to Go's per-map hash seed — passes
+// spread over about 20 — so the budget is the floor plus 32. A change
+// that legitimately moves the floor edits this one number.
+const fig11SerialSweepAllocFloor = 38926
+
+// TestFig11SerialSweepAllocBudget is the alloc gate of the sweep hot
+// path (part of `make allocgate`): an allocation added per data
+// segment, per ACK or per flow multiplies far past the slack. What it
+// cannot see is +1 per cell, which is +24 and inside it.
+func TestFig11SerialSweepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	got := minMallocs(6, func() {
+		r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, 1, experiments.WithWorkers(1))
+		if r.Incomplete > 0 {
+			t.Fatalf("%d incomplete downloads", r.Incomplete)
+		}
+	})
+	t.Logf("min mallocs over 6 passes: %d (floor %d)", got, fig11SerialSweepAllocFloor)
+	if budget := uint64(fig11SerialSweepAllocFloor + 32); got > budget {
+		t.Fatalf("serial reduced fig11 sweep made %d mallocs, budget %d", got, budget)
+	}
+}
+
+// minMallocs returns the fewest heap allocations any one of runs calls
+// to f made, process-wide: the minimum discards whatever the runtime
+// and test harness allocated alongside.
+func minMallocs(runs int, f func()) uint64 {
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.Mallocs - before.Mallocs; d < best {
+			best = d
+		}
+	}
+	return best
 }
 
 func BenchmarkFig13LargeFlowNoImpact(b *testing.B) {

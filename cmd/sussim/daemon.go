@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -14,25 +13,6 @@ import (
 
 	"suss/internal/service"
 )
-
-// runDaemon runs the experiment service in-process — the same server
-// cmd/sussd wraps, exposed here so one binary can play both sides of a
-// two-process smoke or fault-injection test.
-func runDaemon(addr string, workers int, cacheFile string) error {
-	srv, err := service.New(service.Config{Workers: workers, CacheFile: cacheFile})
-	if err != nil {
-		return err
-	}
-	if cacheFile != "" {
-		fmt.Fprintf(os.Stderr, "sussd: cache replay: %s\n", srv.Recovery())
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sussd listening on %s\n", ln.Addr())
-	return http.Serve(ln, srv.Handler())
-}
 
 // Client resilience knobs. Every non-blocking call (submit, status,
 // stats, stream dial) gets a per-request timeout; only the blocking

@@ -1,15 +1,13 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"suss/internal/experiments"
 	"suss/internal/scenarios"
@@ -59,60 +57,25 @@ func parseSummary(t *testing.T, stderr string) submitSummary {
 	return s
 }
 
-// TestSussdSmoke is the two-process end-to-end: build the binary with
-// -race, run a daemon, submit the same small fig11 matrix twice from a
-// separate client process, and require the second pass to be 100 %
-// cache hits with zero additional simulator runs and byte-identical
-// CSV — which must also match the in-process sweep's CSV.
+// TestSussdSmoke is the two-process end-to-end: build the shipped
+// daemon and the client with -race, submit the same small fig11 matrix
+// twice from a separate client process, and require the second pass to
+// be 100 % cache hits with zero additional simulator runs and
+// byte-identical CSV — which must also match the in-process sweep's
+// CSV. It ends the way a deployment does: SIGTERM, and the daemon must
+// drain and exit 0 (66 would be a detected race) inside -draintimeout.
 func TestSussdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-process smoke skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "sussim")
-	build := exec.Command("go", "build", "-race", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build -race: %v\n%s", err, out)
-	}
-
-	daemon := exec.Command(bin, "-daemon", "127.0.0.1:0")
-	daemon.Stderr = os.Stderr
-	stdout, err := daemon.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	})
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("daemon printed no listen line (err=%v)", sc.Err())
-	}
-	line := sc.Text()
-	const marker = "listening on "
-	i := strings.Index(line, marker)
-	if i < 0 {
-		t.Fatalf("unexpected daemon startup line %q", line)
-	}
-	url := "http://" + strings.TrimSpace(line[i+len(marker):])
+	sussd, sussim := buildBins(t)
+	const drainTimeout = 10 * time.Second
+	url, daemon, stderr := startDaemon(t, sussd, "-draintimeout", drainTimeout.String())
 
 	spec := `{"kind":"fig11","sizes":[262144,524288],"iters":2,"seed":1}`
 	const wantCells = 4 * 2 * 3 * 2 // links × sizes × algos × iters
 
-	submit := func(pass int) ([]byte, submitSummary) {
-		cmd := exec.Command(bin, "-submit", url, "-spec", spec)
-		var outBuf, errBuf bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("pass %d: -submit: %v\nstderr:\n%s", pass, err, errBuf.String())
-		}
-		return outBuf.Bytes(), parseSummary(t, errBuf.String())
-	}
-
-	csv1, sum1 := submit(1)
+	csv1, sum1 := submitCLI(t, sussim, url, spec)
 	if sum1.cells != wantCells {
 		t.Fatalf("pass 1: %d cells, want %d", sum1.cells, wantCells)
 	}
@@ -120,7 +83,7 @@ func TestSussdSmoke(t *testing.T) {
 		t.Errorf("pass 1 on a cold daemon reported %d cached cells", sum1.cached)
 	}
 
-	csv2, sum2 := submit(2)
+	csv2, sum2 := submitCLI(t, sussim, url, spec)
 	if sum2.cached != wantCells {
 		t.Errorf("pass 2: %d/%d cells cached, want all", sum2.cached, wantCells)
 	}
@@ -147,4 +110,23 @@ func TestSussdSmoke(t *testing.T) {
 	}
 	fmt.Printf("sussd smoke: %d cells, pass2 cached=%d sim_runs delta=%d\n",
 		wantCells, sum2.cached, sum2.simRuns-sum1.simRuns)
+
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Errorf("sussd after SIGTERM: %v, want exit status 0", err)
+		}
+	case <-time.After(drainTimeout):
+		daemon.Process.Kill()
+		<-exited
+		t.Fatalf("sussd still running %v after SIGTERM", drainTimeout)
+	}
+	if !strings.Contains(stderr.String(), "draining") {
+		t.Errorf("sussd stderr does not announce the drain:\n%s", stderr)
+	}
 }

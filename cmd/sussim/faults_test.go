@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -18,25 +19,28 @@ import (
 	"suss/internal/service"
 )
 
-// buildSussim compiles the binary once per test with the race detector
-// on — both the daemon and the client side of the fault tests run it.
-func buildSussim(t *testing.T) string {
+// buildBins compiles the two sides of the two-process tests with the
+// race detector on: the shipped daemon (cmd/sussd) and this package's
+// sussim, whose -submit mode is the client.
+func buildBins(t *testing.T) (sussd, sussim string) {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "sussim")
-	build := exec.Command("go", "build", "-race", "-o", bin, ".")
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-race", "-o", dir+string(filepath.Separator), "../sussd", ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build -race: %v\n%s", err, out)
 	}
-	return bin
+	return filepath.Join(dir, "sussd"), filepath.Join(dir, "sussim")
 }
 
-// startDaemon launches `bin -daemon 127.0.0.1:0 args...` and returns
-// its base URL (parsed from the startup handshake line) plus the
-// process handle. The caller kills it; a cleanup reaps stragglers.
-func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
+// startDaemon launches `sussd -addr 127.0.0.1:0 args...` and returns
+// its base URL (parsed from the startup handshake line), the process
+// handle and its stderr, which is complete once the process has been
+// waited for. The caller stops it; a cleanup reaps stragglers.
+func startDaemon(t *testing.T, sussd string, args ...string) (string, *exec.Cmd, *bytes.Buffer) {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-daemon", "127.0.0.1:0"}, args...)...)
-	cmd.Stderr = os.Stderr
+	cmd := exec.Command(sussd, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	stderr := new(bytes.Buffer)
+	cmd.Stderr = io.MultiWriter(os.Stderr, stderr)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +62,7 @@ func startDaemon(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
 	if i < 0 {
 		t.Fatalf("unexpected daemon startup line %q", line)
 	}
-	return "http://" + strings.TrimSpace(line[i+len(marker):]), cmd
+	return "http://" + strings.TrimSpace(line[i+len(marker):]), cmd, stderr
 }
 
 func daemonStats(t *testing.T, url string) service.Stats {
@@ -92,9 +96,9 @@ func postJob(t *testing.T, url, spec string) service.SubmitResponse {
 	return sub
 }
 
-func submitCLI(t *testing.T, bin, url, spec string) ([]byte, submitSummary) {
+func submitCLI(t *testing.T, sussim, url, spec string) ([]byte, submitSummary) {
 	t.Helper()
-	cmd := exec.Command(bin, "-submit", url, "-spec", spec)
+	cmd := exec.Command(sussim, "-submit", url, "-spec", spec)
 	var outBuf, errBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
 	if err := cmd.Run(); err != nil {
@@ -113,12 +117,12 @@ func TestSussdFaultRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-process fault test skipped in -short")
 	}
-	bin := buildSussim(t)
+	sussd, sussim := buildBins(t)
 	cacheFile := filepath.Join(t.TempDir(), "sussd.cache")
 	spec := `{"kind":"fig11","sizes":[4194304],"iters":2,"seed":1}`
 	const wantCells = 4 * 1 * 3 * 2 // links × sizes × algos × iters
 
-	url1, daemon1 := startDaemon(t, bin, "-workers", "1", "-cachefile", cacheFile)
+	url1, daemon1, _ := startDaemon(t, sussd, "-workers", "1", "-cachefile", cacheFile)
 	sub := postJob(t, url1, spec)
 	if sub.Cells != wantCells || sub.Cached != 0 {
 		t.Fatalf("cold submit: cells=%d cached=%d, want %d/0", sub.Cells, sub.Cached, wantCells)
@@ -141,7 +145,7 @@ func TestSussdFaultRecovery(t *testing.T) {
 
 	// Restart on the same cache file. Replay must recover at least the
 	// cells we saw persisted before the kill.
-	url2, _ := startDaemon(t, bin, "-workers", "1", "-cachefile", cacheFile)
+	url2, _, _ := startDaemon(t, sussd, "-workers", "1", "-cachefile", cacheFile)
 	st := daemonStats(t, url2)
 	if st.CacheReplayed < 3 {
 		t.Fatalf("restarted daemon replayed %d cells, want >= 3", st.CacheReplayed)
@@ -155,7 +159,7 @@ func TestSussdFaultRecovery(t *testing.T) {
 	// Resubmit the identical spec through the CLI client. Every
 	// persisted cell must be a cache hit; the fresh process's sim_runs
 	// counter counts exactly the re-simulated remainder.
-	csv, sum := submitCLI(t, bin, url2, spec)
+	csv, sum := submitCLI(t, sussim, url2, spec)
 	if sum.cells != wantCells {
 		t.Fatalf("resubmit: %d cells, want %d", sum.cells, wantCells)
 	}
@@ -188,13 +192,13 @@ func TestSussdCorruptCacheRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-process fault test skipped in -short")
 	}
-	bin := buildSussim(t)
+	sussd, sussim := buildBins(t)
 	cacheFile := filepath.Join(t.TempDir(), "sussd.cache")
 	spec := `{"kind":"fig11","sizes":[262144],"iters":1,"seed":1}`
 	const wantCells = 4 * 1 * 3 * 1
 
 	// Fill the cache with one clean batch, then kill the daemon.
-	url1, daemon1 := startDaemon(t, bin, "-cachefile", cacheFile)
+	url1, daemon1, _ := startDaemon(t, sussd, "-cachefile", cacheFile)
 	sub := postJob(t, url1, spec)
 	resp, err := http.Get(url1 + "/v1/jobs/" + sub.ID + "/result?wait=1")
 	if err != nil {
@@ -218,7 +222,7 @@ func TestSussdCorruptCacheRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	url2, _ := startDaemon(t, bin, "-cachefile", cacheFile)
+	url2, _, _ := startDaemon(t, sussd, "-cachefile", cacheFile)
 	st := daemonStats(t, url2)
 	if st.CacheReplayed != wantCells {
 		t.Errorf("replay recovered %d cells, want all %d intact records", st.CacheReplayed, wantCells)
@@ -229,7 +233,7 @@ func TestSussdCorruptCacheRecovery(t *testing.T) {
 
 	// The truncated file serves: full cache hits, zero simulations in
 	// the fresh process.
-	_, sum := submitCLI(t, bin, url2, spec)
+	_, sum := submitCLI(t, sussim, url2, spec)
 	if sum.cached != wantCells {
 		t.Errorf("resubmit on repaired cache: %d/%d cached", sum.cached, wantCells)
 	}

@@ -10,7 +10,6 @@
 //	sussim -algo suss -size 2MB -events events.jsonl -counters
 //	sussim -chaos
 //	sussim -fleet -flows 10000 -shards 4
-//	sussim -daemon 127.0.0.1:7077
 //	sussim -submit http://127.0.0.1:7077 -spec '{"kind":"fig11","iters":3}'
 package main
 
@@ -53,20 +52,11 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve -size bytes over a real UDP socket on this address (e.g. 127.0.0.1:7000); pair with a -fetch process")
 	fetchAddr := flag.String("fetch", "", "fetch -size bytes from a -serve process at this address")
 	wireLoss := flag.Float64("wireloss", 0, "with -serve: fraction of outgoing frames to erase at the wire (e.g. 0.05)")
-	daemonAddr := flag.String("daemon", "", "run the experiment service (sussd) in-process on this address (e.g. 127.0.0.1:0)")
 	submitURL := flag.String("submit", "", "submit -spec to a sussd daemon at this base URL (e.g. http://127.0.0.1:7077), wait, and print the result CSV")
 	spec := flag.String("spec", "", `with -submit: the job matrix as JSON, e.g. {"kind":"fig11","sizes":[262144],"iters":2,"seed":1}`)
 	outPath := flag.String("o", "", "with -submit: write the result CSV here instead of stdout")
-	workers := flag.Int("workers", 0, "with -daemon: max concurrently simulating cells (0 = GOMAXPROCS)")
-	cacheFile := flag.String("cachefile", "", "with -daemon: append-only result log replayed at startup (empty = memory-only)")
 	flag.Parse()
 
-	if *daemonAddr != "" {
-		if err := runDaemon(*daemonAddr, *workers, *cacheFile); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *submitURL != "" {
 		if *spec == "" {
 			log.Fatal("-submit needs -spec (a JSON job matrix)")

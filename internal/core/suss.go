@@ -183,10 +183,6 @@ func (s *Suss) Cubic() *cubic.Cubic { return s.cubic }
 // Stats returns a copy of the SUSS counters.
 func (s *Suss) Stats() Stats { return s.stats }
 
-// LastG returns the growth factor measured for the most recent
-// completed decision (2 when SUSS declined to accelerate).
-func (s *Suss) LastG() int { return s.lastG }
-
 // MinRTT returns the connection minimum RTT SUSS has observed.
 func (s *Suss) MinRTT() time.Duration { return s.minRTT }
 

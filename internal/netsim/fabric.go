@@ -135,6 +135,3 @@ func (f *Fabric) Compile() {
 		}
 	}
 }
-
-// Hosts returns the fabric's hosts in allocation order.
-func (f *Fabric) Hosts() []*Host { return f.hosts }

@@ -67,13 +67,10 @@ func (im *Impairments) Add(s ImpairStage) *Impairments {
 	return im
 }
 
-// Stages returns the pipeline's stages in execution order.
-func (im *Impairments) Stages() []ImpairStage { return im.stages }
-
 // Judge runs the pipeline on one packet and returns the combined
-// verdict. Links call this internally; the real-time wire backends
-// (pipe, UDP) call it directly to reuse the same impairment stages at
-// the frame layer.
+// verdict. Links call this internally; the real-time UDP wire backend
+// calls it directly to reuse the same impairment stages at the frame
+// layer.
 func (im *Impairments) Judge(now time.Duration, pkt *Packet) ImpairVerdict {
 	return im.judge(now, pkt)
 }

@@ -138,17 +138,11 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // QueueBytes returns the bytes currently buffered.
 func (l *Link) QueueBytes() int { return l.qdisc.Bytes() }
 
-// Queue returns the link's queue discipline (for AQM statistics).
-func (l *Link) Queue() Qdisc { return l.qdisc }
-
 // QueueLimit returns the configured buffer capacity in bytes.
 func (l *Link) QueueLimit() int { return l.cfg.QueueBytes }
 
 // RateAt returns the instantaneous rate in bits/sec at time now.
 func (l *Link) RateAt(now time.Duration) float64 { return l.rate(now) }
-
-// PropagationDelay returns the configured fixed one-way delay.
-func (l *Link) PropagationDelay() time.Duration { return l.cfg.Delay }
 
 // Enqueue offers a packet to the link, transferring ownership: the
 // link either carries the packet to the destination node or releases

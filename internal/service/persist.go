@@ -59,18 +59,29 @@ func (ri RecoveryInfo) String() string {
 		ri.Entries, ri.DroppedBytes, ri.Reason)
 }
 
+// logFile is what cacheLog needs of the open file; tests substitute
+// one whose Write fails part-way.
+type logFile interface {
+	io.WriteCloser
+	Truncate(size int64) error
+}
+
 // cacheLog is an open cache file positioned for appends. Callers
 // serialize access (the Cache's mutex).
 type cacheLog struct {
-	f   *os.File
-	buf []byte // reusable record scratch
+	f      logFile
+	good   int64  // end of the last intact record; the file is a replayable prefix up to here
+	broken error  // set when torn bytes could not be cut off: no further appends
+	buf    []byte // reusable record scratch
 }
 
 // openCacheLog opens (or creates) the log at path, replays every
 // intact record into entries, and truncates the file at the first bad
 // record so subsequent appends extend a known-good prefix.
 func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryInfo, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	// O_APPEND: every Write lands at the end of the file, so truncating
+	// to the known-good offset is all it takes to reposition.
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -85,17 +96,14 @@ func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryIn
 			return nil, info, fmt.Errorf("truncating corrupt tail of %s: %w", path, err)
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, info, err
-	}
 	if good == 0 {
 		if _, err := f.WriteString(cacheMagic); err != nil {
 			f.Close()
 			return nil, info, err
 		}
+		good = int64(len(cacheMagic))
 	}
-	return &cacheLog{f: f}, info, nil
+	return &cacheLog{f: f, good: good}, info, nil
 }
 
 // replay scans the file and fills entries, returning the offset of the
@@ -164,7 +172,15 @@ func replay(f *os.File, entries map[string][]byte) (RecoveryInfo, int64, error) 
 
 // append writes one record in a single Write call, so a crash leaves
 // either a complete record or a torn tail the next replay truncates.
+// A Write that fails (ENOSPC, EIO) may leave torn bytes too, and replay
+// stops at the first bad record: anything appended after them would be
+// discarded at the next restart. So a failed append cuts the file back
+// to the last intact record, and if that fails as well the log takes
+// no more appends.
 func (l *cacheLog) append(key string, val []byte) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	n := 2 + len(key) + len(val)
 	if n > maxRecordLen {
 		return fmt.Errorf("cache record for %s is %d bytes, over the %d limit", key, n, maxRecordLen)
@@ -182,8 +198,14 @@ func (l *cacheLog) append(key string, val []byte) error {
 	sum := sha256.Sum256(b[frameLen:])
 	copy(b[4:frameLen], sum[:])
 	l.buf = b
-	_, err := l.f.Write(b)
-	return err
+	if _, err := l.f.Write(b); err != nil {
+		if terr := l.f.Truncate(l.good); terr != nil {
+			l.broken = fmt.Errorf("cache log closed to appends: torn record left by %q could not be cut off: %w", err, terr)
+		}
+		return err
+	}
+	l.good += int64(len(b))
+	return nil
 }
 
 func (l *cacheLog) Close() error {

@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -225,5 +226,73 @@ func TestPersistImplausibleLengthTruncates(t *testing.T) {
 	}
 	if !strings.Contains(info.Reason, "implausible") {
 		t.Errorf("recovery reason %q does not mention the length", info.Reason)
+	}
+}
+
+// faultyFile fails its failAt-th Write (1-based) after putting half the
+// record in the file, the way a disk filling up does.
+type faultyFile struct {
+	*os.File
+	writes, failAt int
+	truncateErr    error
+}
+
+func (f *faultyFile) Write(b []byte) (int, error) {
+	if f.writes++; f.writes == f.failAt {
+		n, _ := f.File.Write(b[:len(b)/2])
+		return n, errors.New("injected: no space left on device")
+	}
+	return f.File.Write(b)
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.truncateErr != nil {
+		return f.truncateErr
+	}
+	return f.File.Truncate(size)
+}
+
+// A failed append must not poison the records that follow it: replay
+// stops at the first bad record, so torn bytes left in the middle of
+// the file would cost every later record at the next restart.
+func TestPersistFailedAppendKeepsLaterRecords(t *testing.T) {
+	path := tmpCachePath(t)
+	c, _ := mustOpen(t, path)
+	c.log.f = &faultyFile{File: c.log.f.(*os.File), failAt: 2}
+	fillCache(t, c, 3)
+	if got := c.PersistErrors(); got != 1 {
+		t.Fatalf("PersistErrors = %d, want the 1 injected failure", got)
+	}
+	c.Close()
+
+	c2, info := mustOpen(t, path)
+	defer c2.Close()
+	if info.Entries != 2 || info.Truncated {
+		t.Fatalf("reopen recovery = %+v, want records 1 and 3 from a clean file", info)
+	}
+	for key, want := range map[string]bool{"key-0000": true, "key-0001": false, "key-0002": true} {
+		if _, ok := c2.Get(key); ok != want {
+			t.Errorf("%s replayed = %v, want %v", key, ok, want)
+		}
+	}
+}
+
+// When the torn bytes cannot be cut off either, the log stops taking
+// appends (each one counted) rather than writing records replay would
+// never reach; what was intact before the failure still replays.
+func TestPersistUnrecoverableAppendStopsLog(t *testing.T) {
+	path := tmpCachePath(t)
+	c, _ := mustOpen(t, path)
+	c.log.f = &faultyFile{File: c.log.f.(*os.File), failAt: 2, truncateErr: errors.New("injected: I/O error")}
+	fillCache(t, c, 4)
+	if got := c.PersistErrors(); got != 3 {
+		t.Fatalf("PersistErrors = %d, want 3 (the failed append and the two refused after it)", got)
+	}
+	c.Close()
+
+	c2, info := mustOpen(t, path)
+	defer c2.Close()
+	if info.Entries != 1 || !info.Truncated {
+		t.Fatalf("reopen recovery = %+v, want record 1 and a truncated torn tail", info)
 	}
 }

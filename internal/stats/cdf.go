@@ -71,15 +71,6 @@ func DefaultQuantileGrid() []float64 {
 	return []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999, 1.0}
 }
 
-// Quantiles evaluates the CDF on a quantile grid.
-func (c CDF) Quantiles(grid []float64) []float64 {
-	out := make([]float64, len(grid))
-	for i, q := range grid {
-		out[i] = c.Quantile(q)
-	}
-	return out
-}
-
 // WriteCSV emits the CDF evaluated on the grid as "label,quantile,
 // value" rows with six significant digits — stable across runs and
 // platforms for golden tests and byte-identical shard merges. A nil
