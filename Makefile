@@ -29,7 +29,9 @@ testdebug:
 
 # The worker pool, the experiment sweeps built on it, and the
 # experiment service (concurrent batch executors, watchers, the shared
-# persistent cache) get a dedicated race pass.
+# persistent cache) get a dedicated race pass. internal/runner includes
+# the reused-vs-fresh engine differential at two workers
+# (TestReusedEngineTwoWorkers): each worker's scratch engine is its own.
 race:
 	$(GO) test -race ./internal/runner ./internal/experiments ./internal/service
 
@@ -40,9 +42,11 @@ race:
 # scheduler (internal/netsim), the wire codec, the simulator backend's
 # send/deliver path, and the transport in loss recovery (a
 # SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
-# holding 4096 ranges). Two budget tests pin whole deterministic
-# replays against a floor constant kept next to each test: the serial
-# reduced fig11 sweep (.) and a 400-flow fleet shard (internal/runner).
+# holding 4096 ranges). Three budget tests pin whole deterministic
+# replays against a constant kept next to each test: the serial reduced
+# fig11 sweep (.), a 400-flow fleet shard, and a warm pass of that sweep
+# through one worker's engine, per cell with no slack, so one allocation
+# more per cell fails (both internal/runner).
 allocgate:
 	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner
 

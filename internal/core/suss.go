@@ -124,6 +124,7 @@ type Suss struct {
 	redRemaining int64         // cwnd bytes still to add via ticks
 	tickInterval time.Duration
 	tickTimer    cc.Timer
+	tickFn       func() // s.tick, materialised once: a method value allocates
 	endTimer     cc.Timer
 
 	enabled bool
@@ -165,6 +166,7 @@ func New(env cc.Env, opt Options) *Suss {
 		round:   1, // the paper's round 1 is the initial-window burst
 	}
 	s.blueBudget = int64(copt.IW) * int64(env.MSS()) // S_Bdt_1 = iw
+	s.tickFn = s.tick
 	return s
 }
 
@@ -398,7 +400,7 @@ func (s *Suss) beginPacing(g int) {
 			s.gate = start
 		}
 	})
-	s.tickTimer = s.env.Schedule(guard, s.tick)
+	s.tickTimer = s.env.Schedule(guard, s.tickFn)
 	s.endTimer = s.env.Schedule(guard+dur, func() { s.stopPacing() })
 }
 
@@ -419,7 +421,7 @@ func (s *Suss) tick() {
 	s.checkCap()
 	s.env.Kick()
 	if s.redRemaining > 0 && s.frozenRound {
-		s.tickTimer = s.env.Schedule(s.tickInterval, s.tick)
+		s.tickTimer = s.env.Schedule(s.tickInterval, s.tickFn)
 	}
 }
 

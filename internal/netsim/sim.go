@@ -57,7 +57,26 @@ type timerSlot struct {
 
 // Simulator owns the virtual clock and the pending-event queue.
 // The zero value is not ready for use; call NewSimulator.
+//
+// An engine can be run more than once: Reset returns it to the state
+// NewSimulator gives while keeping the memory it has grown (timer
+// arena, packet slabs, dispatch scratch), so a worker that runs many
+// short simulations pays for growing them once.
 type Simulator struct {
+	// Self-counters, plain fields to read after Run. Fired counts the
+	// events Run has dispatched since NewSimulator or Reset — two runs of
+	// one deterministic simulation fire the same number, a stronger
+	// identity than equal results. The high-waters say what the engine
+	// has grown to over all its lives and are kept by Reset; Run brings
+	// them up to date as it returns (or unwinds from a panic): ArenaSlots is the timer arena's size
+	// in slots (the most timers ever pending at once), PoolPackets the
+	// most packets ever out of the slabs in one life, PoolSlabs the slabs
+	// allocated.
+	Fired       uint64
+	ArenaSlots  int
+	PoolPackets int
+	PoolSlabs   int
+
 	now    time.Duration
 	seq    uint64 // insertion counter for deterministic FIFO tie-break
 	halted bool
@@ -106,6 +125,42 @@ func NewSimulator() *Simulator {
 		s.btail[i] = -1
 	}
 	return s
+}
+
+// Reset returns the engine to exactly what NewSimulator gives — clock
+// and arm sequence at zero, nothing pending, no StopWhen predicate,
+// Halt forgotten, pool counters and Fired at zero — whatever state the
+// last run left it in: drained, stopped at a horizon, halted inside a
+// half-dispatched window, or abandoned by a callback that panicked.
+// What the engine grew is kept: the timer arena, the packet slabs, the
+// dispatch scratch and the three high-water counters.
+//
+// Every timer still pending is released the way Stop releases it, so a
+// handle taken before Reset reads dead afterwards (Active and Stop
+// false, Reset refuses) instead of cancelling whichever timer of the
+// next life reuses its slot; the arena is never truncated, so such a
+// handle cannot index past it either. Slots and packets are handed out
+// in the order a fresh engine hands them out (0, 1, 2 …; lowest address
+// first): what ran before a Reset can influence neither the events of
+// what runs after it nor where its state sits in memory.
+func (s *Simulator) Reset() {
+	s.free = s.free[:0]
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		if sl := &s.slots[i]; sl.bucket != bucketNone {
+			sl.release()
+		}
+		s.free = append(s.free, int32(i))
+	}
+	s.now, s.seq, s.halted, s.stopWhen = 0, 0, false, nil
+	s.cur, s.occ, s.npending = 0, [wheelLevels]uint64{}, 0
+	for i := range s.bhead {
+		s.bhead[i] = -1
+		s.btail[i] = -1
+	}
+	s.ovMin, s.ovDirty = math.MaxInt64, false
+	s.window, s.windowPos = s.window[:0], 0
+	s.pool.reset()
+	s.Fired = 0
 }
 
 // Now returns the current virtual time.
@@ -259,15 +314,19 @@ func (s *Simulator) scheduleSlot(at time.Duration, fn EventFunc, ctx, arg any) T
 	return Timer{s: s, idx: idx, gen: sl.gen}
 }
 
-// releaseSlot recycles a slot: the generation bump invalidates every
+// release marks the slot spent: the generation bump invalidates every
 // outstanding handle, and clearing fn/ctx/arg lets captured state be
-// collected. The caller must already have unlinked a wheel-resident
-// slot from its bucket.
-func (s *Simulator) releaseSlot(idx int32) {
-	sl := &s.slots[idx]
+// collected.
+func (sl *timerSlot) release() {
 	sl.gen++
 	sl.fn, sl.ctx, sl.arg = nil, nil, nil
 	sl.bucket = bucketNone
+}
+
+// releaseSlot recycles a slot. The caller must already have unlinked a
+// wheel-resident slot from its bucket.
+func (s *Simulator) releaseSlot(idx int32) {
+	s.slots[idx].release()
 	s.free = append(s.free, idx)
 	s.npending--
 }
@@ -304,6 +363,7 @@ func (s *Simulator) Halt() { s.halted = true }
 // by Pending, cancellable, fired by a later Run), exactly as if the
 // events were still queued.
 func (s *Simulator) Run(until time.Duration) time.Duration {
+	defer s.noteHighWaters()
 	s.halted = false
 	for {
 		// The open window: bucket wb collects what is armed into it while
@@ -332,6 +392,7 @@ func (s *Simulator) Run(until time.Duration) time.Duration {
 			// reads as spent (Active false, Stop no-op), and the slot is
 			// immediately reusable by events the callback schedules.
 			s.releaseSlot(e.idx)
+			s.Fired++
 			fn(ctx, arg)
 			if (s.stopWhen != nil && s.stopWhen()) || s.halted {
 				return s.now
@@ -347,6 +408,12 @@ func (s *Simulator) Run(until time.Duration) time.Duration {
 		s.window, s.windowPos = s.window[:0], 0
 		s.drainBucket(bucket)
 	}
+}
+
+// noteHighWaters brings the high-water counters up to date as Run
+// returns or unwinds.
+func (s *Simulator) noteHighWaters() {
+	s.ArenaSlots, s.PoolPackets, s.PoolSlabs = len(s.slots), s.pool.peak, len(s.pool.slabs)
 }
 
 // RunAll executes events until the queue drains (or Halt/StopWhen).

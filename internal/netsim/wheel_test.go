@@ -258,10 +258,18 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 	if testing.Short() {
 		seeds, ops = seeds[:1], 50_000
 	}
+	wheelScript(t, seeds, ops, NewSimulator)
+}
+
+// wheelScript drives, per seed, an engine — which must be in the state
+// NewSimulator gives — and a reference scheduler through ops mirrored
+// random operations and holds every observable equal.
+func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator) {
+	t.Helper()
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		var wlog, rlog []int64
-		w := &wheelOps{sim: NewSimulator(), log: &wlog, cbRng: rand.New(rand.NewSource(seed + 100))}
+		w := &wheelOps{sim: engine(), log: &wlog, cbRng: rand.New(rand.NewSource(seed + 100))}
 		w.sim.StopWhen(func() bool {
 			stop := w.stopNow
 			w.stopNow = false

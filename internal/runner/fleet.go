@@ -118,12 +118,16 @@ func (r ShardResult) Completed() int {
 	return n
 }
 
-// RunFleetShard executes one shard synchronously: generate the
-// shard's population slice, wire its tree, replay every flow at its
-// arrival time, and collect the records. Determinism contract: the
-// result depends only on the job's spec fields, never on wall clock
-// or worker scheduling.
-func RunFleetShard(j FleetJob) ShardResult {
+// RunFleetShard executes one shard synchronously on an engine of its
+// own: the one-shot form of Scratch.RunFleetShard.
+func RunFleetShard(j FleetJob) ShardResult { return new(Scratch).RunFleetShard(j) }
+
+// RunFleetShard executes one shard synchronously on the scratch's
+// engine: generate the shard's population slice, wire its tree, replay
+// every flow at its arrival time, and collect the records. Determinism
+// contract: the result depends only on the job's spec fields, never on
+// wall clock, worker scheduling or what the scratch ran before.
+func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	if j.Shards <= 0 {
 		j.Shards = 1
 	}
@@ -143,7 +147,7 @@ func RunFleetShard(j FleetJob) ShardResult {
 
 	fl := j.Fleet
 	fl.Seed = fl.Seed*1000003 + int64(j.Shard)*7919 + 1
-	sim := netsim.NewSimulator()
+	sim := scr.engine()
 	tree, rng := fl.Build(sim)
 
 	cfg := tcp.DefaultConfig()
@@ -215,7 +219,11 @@ func RunFleetShard(j FleetJob) ShardResult {
 	}
 	horizon := workload.Horizon(flows, slack)
 	var stall *StallError
-	end, err := RunGuarded(sim, reg, horizon, j.WallLimit, j.describe())
+	desc := ""
+	if j.WallLimit > 0 {
+		desc = j.describe()
+	}
+	end, err := RunGuarded(sim, reg, horizon, j.WallLimit, desc)
 	if err != nil {
 		stall = err.(*StallError)
 	}
@@ -291,10 +299,10 @@ func RunFleet(ctx context.Context, j FleetJob, opt Options) []FleetResult {
 	for i := range shards {
 		shards[i] = i
 	}
-	outs := Map(ctx, shards, func(_ context.Context, _ int, shard int) (ShardResult, error) {
+	outs := Map(ctx, shards, func(ctx context.Context, _ int, shard int) (ShardResult, error) {
 		sj := j
 		sj.Shard = shard
-		r := RunFleetShard(sj)
+		r := ScratchFrom(ctx).RunFleetShard(sj)
 		switch {
 		case r.Err != nil:
 			return r, r.Err

@@ -3,14 +3,17 @@ package runner
 import (
 	"runtime"
 	"testing"
+
+	"suss/internal/netsim"
 )
 
 // fleetShardAllocFloor is the fewest mallocs one replay of shard 0 of
 // testFleetJob(800) — 400 flows, serial, fully seeded — has been seen
-// to make. Each demux map's overflow buckets depend on Go's per-map
-// hash seed, so the budget is the floor plus 64. A change that
+// to make on an engine of its own. Each demux map's overflow buckets
+// depend on Go's per-map hash seed (30 uncached processes read
+// 11 377–11 379), so the budget is the floor plus 64. A change that
 // legitimately moves the floor edits this one number.
-const fleetShardAllocFloor = 32441
+const fleetShardAllocFloor = 11377
 
 // TestFleetShardAllocBudget is the alloc gate of the population hot
 // path (part of `make allocgate`): a regression in tree forwarding or
@@ -20,13 +23,16 @@ func TestFleetShardAllocBudget(t *testing.T) {
 		t.Skip("the race runtime allocates")
 	}
 	j := testFleetJob(800) // 2 shards → 400 flows in shard 0
+	var sim *netsim.Simulator
+	j.Impair = func(env FleetChaosEnv) { sim = env.Sim }
 	got := minMallocs(6, func() {
 		r := RunFleetShard(j)
 		if n := r.Completed(); n != len(r.Flows) {
 			t.Fatalf("only %d/%d flows completed", n, len(r.Flows))
 		}
 	})
-	t.Logf("min mallocs over 6 replays: %d (floor %d)", got, fleetShardAllocFloor)
+	t.Logf("min mallocs over 6 replays: %d (floor %d); %d events fired; engine grew to %d timer slots, %d packets in %d slabs",
+		got, fleetShardAllocFloor, sim.Fired, sim.ArenaSlots, sim.PoolPackets, sim.PoolSlabs)
 	if budget := uint64(fleetShardAllocFloor + 64); got > budget {
 		t.Fatalf("400-flow shard replay made %d mallocs, budget %d", got, budget)
 	}

@@ -133,9 +133,13 @@ type Result struct {
 	Err error
 }
 
-// Download executes one job synchronously. It is the single-simulation
-// primitive all experiment sweeps reduce to.
-func Download(j Job) DownloadResult {
+// Download executes one job synchronously on an engine of its own: the
+// one-shot form of Scratch.Download.
+func Download(j Job) DownloadResult { return new(Scratch).Download(j) }
+
+// Download executes one job synchronously on the scratch's engine. It
+// is the single-simulation primitive all experiment sweeps reduce to.
+func (scr *Scratch) Download(j Job) DownloadResult {
 	if j.Domains > 1 {
 		panic("runner: " + domainsRemoved)
 	}
@@ -145,7 +149,7 @@ func Download(j Job) DownloadResult {
 	simRuns.Add(1)
 	sc := j.Scenario
 	sc.Seed = sc.Seed*1000003 + int64(j.Iter)*7919 + 1
-	sim := netsim.NewSimulator()
+	sim := scr.engine()
 	p, rng := sc.Build(sim)
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
@@ -182,8 +186,14 @@ func Download(j Job) DownloadResult {
 	if horizon <= 0 {
 		horizon = DefaultHorizon
 	}
+	// Only a StallError reads the description; an unguarded cell does not
+	// pay to format it.
+	desc := ""
+	if j.WallLimit > 0 {
+		desc = j.describe()
+	}
 	var stall *StallError
-	if _, err := RunGuarded(sim, reg, horizon, j.WallLimit, j.describe()); err != nil {
+	if _, err := RunGuarded(sim, reg, horizon, j.WallLimit, desc); err != nil {
 		stall = err.(*StallError)
 	}
 
@@ -227,8 +237,8 @@ func Download(j Job) DownloadResult {
 // job order. One pathological job fails loudly as an error-carrying
 // result without aborting the rest of the sweep.
 func Run(ctx context.Context, jobs []Job, opt Options) []Result {
-	outs := Map(ctx, jobs, func(_ context.Context, _ int, j Job) (DownloadResult, error) {
-		r := Download(j)
+	outs := Map(ctx, jobs, func(ctx context.Context, _ int, j Job) (DownloadResult, error) {
+		r := ScratchFrom(ctx).Download(j)
 		switch {
 		case r.Stall != nil:
 			return r, fmt.Errorf("%s: %w", j.describe(), r.Stall)

@@ -13,6 +13,11 @@
 // A job that panics becomes an error-carrying result instead of
 // killing the sweep, and cancelling the context drains the remaining
 // jobs as ctx.Err() results.
+//
+// Each pool worker owns one Scratch — a simulation engine it resets
+// and reuses for every cell it runs — so a sweep of hundreds of short
+// cells grows one timer arena and one packet pool per worker instead
+// of one per cell (see Scratch).
 package runner
 
 import (
@@ -21,6 +26,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+
+	"suss/internal/netsim"
 )
 
 // Options configures pool execution.
@@ -57,10 +64,50 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
 }
 
+// Scratch is the simulation engine one worker keeps across the cells it
+// runs: Download and RunFleetShard run on it, resetting it first, so
+// only the first cell (and a cell larger than any before it) pays for
+// growing the timer arena, the packet slabs and the dispatch scratch. A
+// reset engine is indistinguishable from a new one (netsim's Reset
+// contract), so a cell's result never depends on what the scratch ran
+// before — a cell that panicked or was killed by the watchdog included.
+//
+// The zero value is ready to use; the engine is built on first use. A
+// Scratch belongs to one goroutine: Map gives each worker its own and
+// nothing is shared between workers. It dies with the Map call that
+// made it — nothing is retained while the pool is idle.
+type Scratch struct {
+	sim *netsim.Simulator
+}
+
+// engine returns the scratch's simulator in the state NewSimulator
+// gives.
+func (scr *Scratch) engine() *netsim.Simulator {
+	if scr.sim == nil {
+		scr.sim = netsim.NewSimulator()
+	} else {
+		scr.sim.Reset()
+	}
+	return scr.sim
+}
+
+type scratchKey struct{}
+
+// ScratchFrom returns the calling worker's Scratch: fn gets it through
+// the ctx Map hands it. On any other context it returns a new Scratch,
+// which makes the cell a one-shot run on an engine of its own.
+func ScratchFrom(ctx context.Context) *Scratch {
+	if sc, ok := ctx.Value(scratchKey{}).(*Scratch); ok {
+		return sc
+	}
+	return new(Scratch)
+}
+
 // Map runs fn over every item on a bounded worker pool and returns the
 // outcomes indexed like items, regardless of completion order. A panic
 // in fn becomes a *PanicError outcome; once ctx is cancelled, jobs not
-// yet started complete immediately with ctx.Err().
+// yet started complete immediately with ctx.Err(). The ctx fn receives
+// is ctx carrying the worker's Scratch (see ScratchFrom).
 func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, index int, item T) (R, error), opt Options) []Outcome[R] {
 	out := make([]Outcome[R], len(items))
 	if len(items) == 0 {
@@ -94,11 +141,12 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			wctx := context.WithValue(ctx, scratchKey{}, new(Scratch))
 			for i := range idx {
 				if err := ctx.Err(); err != nil {
 					out[i] = Outcome[R]{Err: err}
 				} else {
-					out[i] = runOne(ctx, i, items[i], fn)
+					out[i] = runOne(wctx, i, items[i], fn)
 				}
 				finish()
 			}

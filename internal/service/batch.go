@@ -297,11 +297,12 @@ func decodeShardCell(raw []byte) (runner.FleetResult, error) {
 // the encoded form.
 type plan[R any] struct {
 	keys []string
-	// run simulates cell i and gives the kind's verdict on it: whether
-	// the result may be cached (the cache policy, as data) and the
-	// error the cell carries (nil = clean). No kind caches a stall — a
-	// wall-clock artifact, not a property of the config.
-	run    func(i int) (res R, cacheable bool, cellErr error)
+	// run simulates cell i — on the pool worker's engine, which it finds
+	// in ctx (runner.ScratchFrom) — and gives the kind's verdict on it:
+	// whether the result may be cached (the cache policy, as data) and
+	// the error the cell carries (nil = clean). No kind caches a stall —
+	// a wall-clock artifact, not a property of the config.
+	run    func(ctx context.Context, i int) (res R, cacheable bool, cellErr error)
 	encode func(R) ([]byte, error)
 	decode func(i int, raw []byte) (R, error)
 	// unrun stands in for a cell the pool never ran to completion (a
@@ -353,11 +354,11 @@ func execute[R any](s *Server, b *batch, p plan[R]) {
 		}
 		miss = append(miss, i)
 	}
-	outs := runner.Map(b.ctx, miss, func(_ context.Context, _ int, i int) (R, error) {
+	outs := runner.Map(b.ctx, miss, func(ctx context.Context, _ int, i int) (R, error) {
 		s.dequeueCell(b)
 		b.setCell(i, CellRunning, "")
 		s.cellRuns.Add(1)
-		res, cacheable, cellErr := p.run(i)
+		res, cacheable, cellErr := p.run(ctx, i)
 		// Cache (and with a cache file, persist) the cell the moment it
 		// finishes, not when the batch does: a crash or cancel mid-batch
 		// then loses only the cells still in flight.

@@ -478,8 +478,8 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 			return p, err
 		}
 	}
-	p.run = func(i int) (runner.Result, bool, error) {
-		r := runner.Download(jobs[i])
+	p.run = func(ctx context.Context, i int) (runner.Result, bool, error) {
+		r := runner.ScratchFrom(ctx).Download(jobs[i])
 		res := runner.Result{Job: jobs[i], DownloadResult: r}
 		switch {
 		case r.Stall != nil:
@@ -543,8 +543,8 @@ func planFleet(s *Server, req SubmitRequest, seed int64) (plan[runner.FleetResul
 			return p, err
 		}
 	}
-	p.run = func(i int) (runner.FleetResult, bool, error) {
-		r := runner.RunFleetShard(cell(i))
+	p.run = func(ctx context.Context, i int) (runner.FleetResult, bool, error) {
+		r := runner.ScratchFrom(ctx).RunFleetShard(cell(i))
 		res := runner.FleetResult{ShardResult: r, Err: r.Err}
 		if res.Err == nil && r.Stall != nil {
 			res.Err = r.Stall

@@ -91,6 +91,7 @@ type Sender struct {
 	tlpArmed    bool // a probe may fire for the current flight
 	kickTimer   netsim.Timer
 	nextRelease time.Duration
+	ccTimers    []netsim.Timer // backs the handles Schedule returns
 
 	started  bool
 	finished bool
@@ -159,9 +160,16 @@ func NewSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl 
 // Now implements cc.Env.
 func (s *Sender) Now() time.Duration { return s.sim.Now() }
 
-// Schedule implements cc.Env.
+// Schedule implements cc.Env. The handle it returns points into a
+// chunk of timer values the sender keeps, so a controller that arms a
+// timer per pacing tick costs one allocation per 64 ticks instead of
+// one boxed netsim.Timer each.
 func (s *Sender) Schedule(d time.Duration, fn func()) cc.Timer {
-	return s.sim.Schedule(d, fn)
+	if len(s.ccTimers) == cap(s.ccTimers) {
+		s.ccTimers = make([]netsim.Timer, 0, 64)
+	}
+	s.ccTimers = append(s.ccTimers, s.sim.Schedule(d, fn))
+	return &s.ccTimers[len(s.ccTimers)-1]
 }
 
 // Kick implements cc.Env.
