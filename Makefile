@@ -42,13 +42,16 @@ race:
 # scheduler (internal/netsim), the wire codec, the simulator backend's
 # send/deliver path, and the transport in loss recovery (a
 # SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
-# holding 4096 ranges). Three budget tests pin whole deterministic
+# holding 4096 ranges) and the cache key (one allocation per JobKey,
+# internal/service/confhash). Four budget tests pin whole deterministic
 # replays against a constant kept next to each test: the serial reduced
-# fig11 sweep (.), a 400-flow fleet shard, and a warm pass of that sweep
-# through one worker's engine, per cell with no slack, so one allocation
-# more per cell fails (both internal/runner).
+# fig11 sweep (.), a 400-flow fleet shard, a warm pass of that sweep
+# through one worker's engine (both internal/runner), and a warm
+# resubmission of the 252-cell fig11 matrix to the daemon
+# (internal/service); the last two per cell, so one allocation more per
+# cell fails.
 allocgate:
-	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner
+	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 
 # Chaos matrix under -race: every impairment × CC algo × seed must
 # complete (or error cleanly) with a balanced loss ledger, and a wedged
@@ -66,10 +69,13 @@ chaos:
 interop:
 	$(GO) test -race -timeout 180s ./internal/wire/...
 
-# Short fuzz pass over the strict segment decoder: enough iterations
-# to catch parser regressions in CI without open-ended fuzzing.
+# Short fuzz passes over the strict segment decoder and over the cache
+# key (every scalar of a Job, explicit renderer against the reflective
+# reference): enough iterations to catch regressions in CI without
+# open-ended fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzJobKeyMatchesOracle -fuzztime 30s ./internal/service/confhash
 
 # Population smoke under -race: a 10k-flow fleet over 4 shared
 # bottleneck trees, SUSS off vs on over the identical population, run

@@ -1,30 +1,21 @@
-// Package confhash computes canonical, content-addressed keys for
-// experiment job configurations. The experiment service caches results
-// under these keys, so the contract is semantic identity: two configs
-// that would produce byte-identical simulation results must hash
-// identically, and any config difference that could change a result
-// must change the hash.
-//
-// Two mechanisms deliver that:
-//
-//   - Canonicalization: a config is rendered into a deterministic
-//     textual form by reflection — struct fields sorted by name, maps
-//     sorted by key, pointers dereferenced (nil renders as null),
-//     interface values tagged with their concrete type, floats in
-//     shortest round-trip form. The rendering depends only on field
-//     names and values, never on declaration order or on how the
-//     caller spelled the literal.
-//
-//   - Normalization: before hashing, every defaulted field is replaced
-//     by the value the runner would actually use (zero Horizon becomes
-//     runner.DefaultHorizon, a nil Transport becomes tcp.DefaultConfig,
-//     an empty population mix becomes workload.DefaultMix, …), so a
-//     config relying on defaults and one spelling them out are the same
-//     key.
-//
-// Configurations whose outcome is not a pure function of the config are
-// rejected rather than mis-cached: a non-nil Impair hook (arbitrary
-// code) and any Backend but the simulator are not hashable.
+// Package confhash computes the content-addressed cache keys of
+// experiment jobs: two configs that would produce byte-identical
+// results share a key, and any difference that could change a result
+// changes it. A job is normalized (every default the runner would fill
+// is filled, so a defaulted config and its explicit spelling are one
+// key), rendered by one explicit append function per type of the key
+// graph, and hashed with SHA-256. The rendered text is a frozen on-disk
+// contract, since every cache file is keyed by it: struct fields in
+// sorted-name order as Name:value, nil as null, slices in brackets,
+// interface values tagged with their concrete type
+// (<workload.Lognormal>{…}), strings quoted, floats in shortest
+// round-trip form. The tests hold it byte-equal to a reflective
+// reference renderer, so a field added to any type here fails them
+// until its append function writes it. A job whose outcome is not a
+// pure function of the text is refused: a non-nil Impair hook, any
+// Backend but the simulator, and a size or arrival distribution of a
+// type not listed here, pointer variants included (its parameters
+// could be unexported).
 package confhash
 
 import (
@@ -32,233 +23,91 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"reflect"
-	"sort"
 	"strconv"
-	"strings"
+	"time"
 
 	"suss/internal/core"
+	"suss/internal/cubic"
+	"suss/internal/netem"
 	"suss/internal/runner"
+	"suss/internal/scenarios"
 	"suss/internal/tcp"
 	"suss/internal/workload"
 )
 
-// Canonical renders v into the deterministic textual form described in
-// the package comment. It errors on values that cannot be canonically
-// rendered: non-nil funcs, channels, unsafe pointers.
-func Canonical(v any) (string, error) {
-	var b strings.Builder
-	if err := render(&b, reflect.ValueOf(v)); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// Sum returns the hex SHA-256 of Canonical(v).
-func Sum(v any) (string, error) {
-	c, err := Canonical(v)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256([]byte(c))
-	return hex.EncodeToString(h[:]), nil
-}
-
-func render(b *strings.Builder, v reflect.Value) error {
-	if !v.IsValid() {
-		b.WriteString("null")
-		return nil
-	}
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			b.WriteString("null")
-			return nil
-		}
-		return render(b, v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("null")
-			return nil
-		}
-		// The concrete type is part of the identity: two arrival
-		// processes with coincidentally equal field renderings must not
-		// collide.
-		b.WriteByte('<')
-		b.WriteString(v.Elem().Type().String())
-		b.WriteByte('>')
-		return render(b, v.Elem())
-	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		byName := make(map[string]reflect.Value, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" { // unexported: not part of a config's identity
-				continue
-			}
-			names = append(names, f.Name)
-			byName[f.Name] = v.Field(i)
-		}
-		sort.Strings(names)
-		b.WriteByte('{')
-		for i, n := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(n)
-			b.WriteByte(':')
-			if err := render(b, byName[n]); err != nil {
-				return fmt.Errorf("%s.%s: %w", t, n, err)
-			}
-		}
-		b.WriteByte('}')
-		return nil
-	case reflect.Map:
-		keys := v.MapKeys()
-		type kv struct{ k, val string }
-		ents := make([]kv, 0, len(keys))
-		for _, k := range keys {
-			var kb, vb strings.Builder
-			if err := render(&kb, k); err != nil {
-				return err
-			}
-			if err := render(&vb, v.MapIndex(k)); err != nil {
-				return err
-			}
-			ents = append(ents, kv{kb.String(), vb.String()})
-		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
-		b.WriteByte('{')
-		for i, e := range ents {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(e.k)
-			b.WriteByte(':')
-			b.WriteString(e.val)
-		}
-		b.WriteByte('}')
-		return nil
-	case reflect.Slice, reflect.Array:
-		// A nil slice and an empty one render identically: both mean
-		// "nothing here", and normalization decides what that defaults to.
-		b.WriteByte('[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if err := render(b, v.Index(i)); err != nil {
-				return err
-			}
-		}
-		b.WriteByte(']')
-		return nil
-	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
-		return nil
-	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
-		return nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-		return nil
-	case reflect.Float32, reflect.Float64:
-		// Shortest round-trip form: exact, platform-independent.
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		return nil
-	case reflect.Func:
-		if v.IsNil() {
-			b.WriteString("null")
-			return nil
-		}
-		return errors.New("func value has no canonical form")
-	default:
-		return fmt.Errorf("%s value has no canonical form", v.Kind())
-	}
-}
-
-// JobKey returns the cache key of a single-download job. The job is
-// normalized first (see NormalizeJob); jobs whose outcome is not a pure
-// function of the config error instead of producing a key.
+// JobKey returns the cache key of a download job, or why it has none.
 func JobKey(j runner.Job) (string, error) {
-	n, err := NormalizeJob(j)
+	n, err := normalizeJob(j)
 	if err != nil {
 		return "", err
 	}
-	s, err := Sum(n)
-	if err != nil {
-		return "", err
-	}
-	return "job:" + s, nil
+	var buf [1024]byte
+	return key("job:", appendJob(buf[:0], n)), nil
 }
 
 // FleetKey returns the cache key of one fleet shard job.
 func FleetKey(j runner.FleetJob) (string, error) {
-	n, err := NormalizeFleetJob(j)
+	n, err := normalizeFleetJob(j)
+	var buf [1024]byte
+	b := buf[:0]
+	if err == nil {
+		b, err = appendFleetJob(b, n)
+	}
 	if err != nil {
 		return "", err
 	}
-	s, err := Sum(n)
-	if err != nil {
-		return "", err
-	}
-	return "fleet:" + s, nil
+	return key("fleet:", b), nil
 }
 
-// NormalizeJob maps a download job onto its canonical representative:
-// every field the runner would default is filled with that default, and
-// execution knobs that provably cannot change the result are cleared.
-//
-//   - Backend "" becomes "sim"; any other value of the retired field
-//     is one the runner refuses, and is rejected.
-//   - Horizon 0 becomes runner.DefaultHorizon.
-//   - A nil Transport becomes tcp.DefaultConfig.
-//   - SussOpt: nil becomes core.DefaultOptions when Algo is Suss (the
-//     runner's controller default), and is cleared entirely for every
-//     other algorithm, which ignores it.
-//   - A positive WallLimit is folded into Observe (a wall-limited job
-//     runs with the flight recorder attached) and then cleared: the
-//     watchdog only matters on stalled runs, which are never cached.
-//   - A non-nil Impair hook is arbitrary code and rejects the job.
-func NormalizeJob(j runner.Job) (runner.Job, error) {
+func key(prefix string, canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	var k [len("fleet:") + 2*sha256.Size]byte
+	n := copy(k[:], prefix)
+	return string(k[:n+hex.Encode(k[n:], sum[:])])
+}
+
+// The defaults normalization fills in: shared and only ever read, so
+// filling them allocates nothing.
+var (
+	defaultTransport = tcp.DefaultConfig()
+	defaultSussOpt   = core.DefaultOptions()
+	defaultMix       = workload.DefaultMix()
+	defaultArrivals  = workload.ArrivalDist(workload.PoissonArrivals{Rate: 100})
+)
+
+// normalizeJob fills what the runner defaults: Backend "sim" (the
+// retired field's other values are refused, as the runner refuses
+// them), DefaultHorizon, tcp.DefaultConfig, and core.DefaultOptions for
+// Suss; other algorithms ignore SussOpt, so it is cleared. WallLimit
+// folds into Observe (a watchdogged job runs observed) and is cleared:
+// it only matters to stalled runs, which are never cached.
+func normalizeJob(j runner.Job) (runner.Job, error) {
 	if j.Impair != nil {
 		return j, errors.New("confhash: job with an Impair hook is not cacheable")
 	}
-	switch j.Backend {
-	case "":
-		j.Backend = "sim"
-	case "sim":
-	default:
+	if j.Backend != "" && j.Backend != "sim" {
 		return j, fmt.Errorf("confhash: backend %q is not the simulator and is not cacheable", j.Backend)
 	}
+	j.Backend = "sim"
 	if j.Horizon <= 0 {
 		j.Horizon = runner.DefaultHorizon
 	}
 	if j.Transport == nil {
-		cfg := tcp.DefaultConfig()
-		j.Transport = &cfg
+		j.Transport = &defaultTransport
 	}
-	if j.Algo == runner.Suss {
-		if j.SussOpt == nil {
-			opt := core.DefaultOptions()
-			j.SussOpt = &opt
-		}
-	} else {
+	if j.Algo != runner.Suss {
 		j.SussOpt = nil
+	} else if j.SussOpt == nil {
+		j.SussOpt = &defaultSussOpt
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
 	return j, nil
 }
 
-// NormalizeFleetJob is NormalizeJob's fleet-shard counterpart; it
-// additionally fills the population defaults workload.Shard applies
-// (DefaultMix, Poisson arrivals at 100 flows/s) and clamps Shards to 1.
-func NormalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
+// normalizeFleetJob treats the knobs a shard shares with a download job
+// alike, and fills what workload.Shard and the runner default.
+func normalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
 	if j.Impair != nil {
 		return j, errors.New("confhash: fleet job with an Impair hook is not cacheable")
 	}
@@ -268,28 +117,203 @@ func NormalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
 	if j.Shard < 0 || j.Shard >= j.Shards {
 		return j, fmt.Errorf("confhash: shard %d out of range [0,%d)", j.Shard, j.Shards)
 	}
-	if j.Horizon <= 0 {
-		j.Horizon = runner.DefaultHorizon
-	}
-	if j.Transport == nil {
-		cfg := tcp.DefaultConfig()
-		j.Transport = &cfg
-	}
-	if j.Algo == runner.Suss {
-		if j.SussOpt == nil {
-			opt := core.DefaultOptions()
-			j.SussOpt = &opt
-		}
-	} else {
-		j.SussOpt = nil
-	}
-	j.Observe = j.Observe || j.WallLimit > 0
-	j.WallLimit = 0
+	r, _ := normalizeJob(runner.Job{Algo: j.Algo, SussOpt: j.SussOpt, Transport: j.Transport,
+		Horizon: j.Horizon, Observe: j.Observe, WallLimit: j.WallLimit}) // no hook, no backend: cannot fail
+	j.SussOpt, j.Transport, j.Horizon, j.Observe, j.WallLimit = r.SussOpt, r.Transport, r.Horizon, r.Observe, r.WallLimit
 	if len(j.Pop.Mix) == 0 {
-		j.Pop.Mix = workload.DefaultMix()
+		j.Pop.Mix = defaultMix
 	}
 	if j.Pop.Arrivals == nil {
-		j.Pop.Arrivals = workload.PoissonArrivals{Rate: 100}
+		j.Pop.Arrivals = defaultArrivals
 	}
 	return j, nil
+}
+
+// The append functions write fields in sorted-name order; a name
+// carries the punctuation before it ("{Algo:", ",Size:").
+
+func appendInt(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
+}
+
+func appendFloat(b []byte, name string, v float64) []byte {
+	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(append(b, name...), v)
+}
+
+// appendJob renders a download job whose Impair is nil.
+func appendJob(b []byte, j runner.Job) []byte {
+	b = appendInt(b, "{Algo:", int64(j.Algo))
+	b = strconv.AppendQuote(append(b, ",Backend:"...), j.Backend)
+	b = appendInt(b, ",Domains:", int64(j.Domains))
+	b = appendInt(b, ",Horizon:", int64(j.Horizon))
+	b = appendInt(b, ",Impair:null,Iter:", int64(j.Iter))
+	b = appendBool(b, ",Observe:", j.Observe)
+	b = appendScenario(append(b, ",Scenario:"...), j.Scenario)
+	b = appendInt(b, ",Size:", j.Size)
+	return appendRunTail(b, j.SussOpt, j.Transport, j.WallLimit)
+}
+
+// appendFleetJob renders a fleet shard job whose Impair is nil.
+func appendFleetJob(b []byte, j runner.FleetJob) ([]byte, error) {
+	b = appendInt(b, "{Algo:", int64(j.Algo))
+	b = appendInt(b, ",Domains:", int64(j.Domains))
+	b = appendFleet(append(b, ",Fleet:"...), j.Fleet)
+	b = appendInt(b, ",Horizon:", int64(j.Horizon))
+	b = appendBool(b, ",Impair:null,Observe:", j.Observe)
+	b, err := appendPopulation(append(b, ",Pop:"...), j.Pop)
+	b = appendInt(b, ",Shard:", int64(j.Shard))
+	b = appendInt(b, ",Shards:", int64(j.Shards))
+	return appendRunTail(b, j.SussOpt, j.Transport, j.WallLimit), err
+}
+
+// appendRunTail writes the fields both job types end on.
+func appendRunTail(b []byte, opt *core.Options, cfg *tcp.Config, wallLimit time.Duration) []byte {
+	if b = append(b, ",SussOpt:"...); opt == nil {
+		b = append(b, "null"...)
+	} else {
+		b = appendSussOptions(b, *opt)
+	}
+	if b = append(b, ",Transport:"...); cfg == nil {
+		b = append(b, "null"...)
+	} else {
+		b = appendTransport(b, *cfg)
+	}
+	return append(appendInt(b, ",WallLimit:", int64(wallLimit)), '}')
+}
+
+func appendScenario(b []byte, s scenarios.Scenario) []byte {
+	b = appendFloat(b, "{CoreRate:", s.CoreRate)
+	b = appendProfile(append(b, ",LastHop:"...), s.LastHop)
+	b = appendInt(b, ",Link:", int64(s.Link))
+	b = appendInt(b, ",RTT:", int64(s.RTT))
+	b = appendInt(b, ",Seed:", s.Seed)
+	return append(appendInt(b, ",Server:", int64(s.Server)), '}')
+}
+
+func appendProfile(b []byte, p netem.Profile) []byte {
+	b = appendFloat(b, "{BufferBDPs:", p.BufferBDPs)
+	b = appendInt(b, ",JitterMax:", int64(p.JitterMax))
+	b = appendFloat(b, ",Loss:", p.Loss)
+	b = appendFloat(b, ",MeanRate:", p.MeanRate)
+	b = appendFloat(b, ",RelStdDev:", p.RelStdDev)
+	return append(appendInt(b, ",Type:", int64(p.Type)), '}')
+}
+
+func appendSussOptions(b []byte, o core.Options) []byte {
+	b = appendFloat(b, "{AckTrainFrac:", o.AckTrainFrac)
+	b = appendCubicOptions(append(b, ",Cubic:"...), o.Cubic)
+	b = appendFloat(b, ",DelayFactor:", o.DelayFactor)
+	b = appendInt(b, ",Kmax:", int64(o.Kmax))
+	b = appendBool(b, ",NoGuard:", o.NoGuard)
+	b = appendBool(b, ",NoPacing:", o.NoPacing)
+	return append(appendBool(b, ",PaceEverything:", o.PaceEverything), '}')
+}
+
+func appendCubicOptions(b []byte, o cubic.Options) []byte {
+	b = appendFloat(b, "{Beta:", o.Beta)
+	b = appendFloat(b, ",C:", o.C)
+	b = appendBool(b, ",FastConvergence:", o.FastConvergence)
+	b = appendBool(b, ",HyStart:", o.HyStart)
+	b = appendBool(b, ",HyStartPP:", o.HyStartPP)
+	b = appendInt(b, ",IW:", int64(o.IW))
+	return append(appendBool(b, ",TCPFriendly:", o.TCPFriendly), '}')
+}
+
+func appendTransport(b []byte, c tcp.Config) []byte {
+	b = appendInt(b, "{AckBytes:", int64(c.AckBytes))
+	b = appendInt(b, ",AckEvery:", int64(c.AckEvery))
+	b = appendBool(b, ",AdaptReoWnd:", c.AdaptReoWnd)
+	b = appendInt(b, ",DelAckTimeout:", int64(c.DelAckTimeout))
+	b = appendInt(b, ",DupThresh:", int64(c.DupThresh))
+	b = appendBool(b, ",FRTO:", c.FRTO)
+	b = appendInt(b, ",HeaderBytes:", int64(c.HeaderBytes))
+	b = appendInt(b, ",IW:", int64(c.IW))
+	b = appendInt(b, ",MSS:", int64(c.MSS))
+	b = appendInt(b, ",MaxConsecRTOs:", int64(c.MaxConsecRTOs))
+	b = appendInt(b, ",MaxRTO:", int64(c.MaxRTO))
+	return append(appendInt(b, ",MinRTO:", int64(c.MinRTO)), '}')
+}
+
+func appendFleet(b []byte, f scenarios.Fleet) []byte {
+	b = appendFloat(b, "{AccessRate:", f.AccessRate)
+	b = appendFloat(b, ",AggRate:", f.AggRate)
+	b = appendFloat(b, ",BufferBDP:", f.BufferBDP)
+	b = appendFloat(b, ",CoreRate:", f.CoreRate)
+	b = appendInt(b, ",Groups:", int64(f.Groups))
+	b = appendInt(b, ",HostsPerGroup:", int64(f.HostsPerGroup))
+	b = appendInt(b, ",RTT:", int64(f.RTT))
+	b = appendInt(b, ",Seed:", f.Seed)
+	return append(appendInt(b, ",Servers:", int64(f.Servers)), '}')
+}
+
+// From here on an error comes with partial text, which FleetKey drops.
+func appendPopulation(b []byte, p workload.PopulationSpec) ([]byte, error) {
+	b, err := appendArrivals(append(b, "{Arrivals:"...), p.Arrivals)
+	b = appendInt(b, ",Flows:", int64(p.Flows))
+	b = append(b, ",Mix:["...)
+	for i := 0; i < len(p.Mix) && err == nil; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b, err = appendClassMix(b, p.Mix[i])
+	}
+	b = appendInt(b, "],Seed:", p.Seed)
+	return append(appendInt(b, ",Start:", int64(p.Start)), '}'), err
+}
+
+func appendClassMix(b []byte, m workload.ClassMix) ([]byte, error) {
+	b = appendInt(b, "{Class:", int64(m.Class))
+	b, err := appendSizeDist(append(b, ",Sizes:"...), m.Sizes)
+	return append(appendFloat(b, ",Weight:", m.Weight), '}'), err
+}
+
+// appendArrivals and appendSizeDist tag an interface value with its
+// concrete type and refuse every type they do not list.
+func appendArrivals(b []byte, a workload.ArrivalDist) ([]byte, error) {
+	switch a := a.(type) {
+	case workload.PoissonArrivals:
+		return append(appendFloat(b, "<workload.PoissonArrivals>{Rate:", a.Rate), '}'), nil
+	case workload.LognormalArrivals:
+		b = appendInt(b, "<workload.LognormalArrivals>{MaxGap:", int64(a.MaxGap))
+		b = appendFloat(b, ",Mu:", a.Mu)
+		return append(appendFloat(b, ",Sigma:", a.Sigma), '}'), nil
+	}
+	return b, fmt.Errorf("confhash: %T is not cacheable", a)
+}
+
+func appendSizeDist(b []byte, d workload.SizeDist) (_ []byte, err error) {
+	switch d := d.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case workload.Lognormal:
+		b = appendInt(b, "<workload.Lognormal>{Max:", d.Max)
+		b = appendInt(b, ",Min:", d.Min)
+		b = appendFloat(b, ",Mu:", d.Mu)
+		return append(appendFloat(b, ",Sigma:", d.Sigma), '}'), nil
+	case workload.BoundedPareto:
+		b = appendFloat(b, "<workload.BoundedPareto>{Alpha:", d.Alpha)
+		b = appendInt(b, ",Max:", d.Max)
+		return append(appendInt(b, ",Min:", d.Min), '}'), nil
+	case workload.Mixture: // the unexported label only names it in reports
+		b = append(b, "<workload.Mixture>{Dists:["...)
+		for i := 0; i < len(d.Dists) && err == nil; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b, err = appendSizeDist(b, d.Dists[i])
+		}
+		b = append(b, "],Weights:["...)
+		for i, w := range d.Weights {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, w, 'g', -1, 64)
+		}
+		return append(b, "]}"...), err
+	}
+	return b, fmt.Errorf("confhash: %T is not cacheable", d)
 }

@@ -1,10 +1,21 @@
 package confhash
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"suss/internal/chaos"
 	"suss/internal/core"
 	"suss/internal/experiments"
 	"suss/internal/netem"
@@ -222,16 +233,71 @@ func TestFleetKeyArrivalTypeTagged(t *testing.T) {
 	}
 }
 
-// Canonical must not depend on how a value was reached: pointer vs
-// value, and map iteration order.
+// opaqueSizes is a size distribution whose one parameter is
+// unexported: a reflective walk sees no fields in it, so any two values
+// would render alike.
+type opaqueSizes struct{ size int64 }
+
+func (o opaqueSizes) Sample(*rand.Rand) int64 { return o.size }
+func (o opaqueSizes) Name() string            { return "opaque" }
+
+// A distribution type the renderer does not list is refused, never
+// rendered from what it happens to export — directly in the mix, nested
+// in a Mixture, or as a pointer variant of a listed type.
+func TestUnlistedDistNotCacheable(t *testing.T) {
+	withSizes := func(d workload.SizeDist) runner.FleetJob {
+		j := baseFleetJob()
+		j.Pop.Mix = []workload.ClassMix{{Class: workload.Web, Weight: 1, Sizes: d}}
+		return j
+	}
+	nested := func(size int64) workload.SizeDist {
+		return workload.NewMixture("m", []workload.SizeDist{workload.Lognormal{Mu: 9}, opaqueSizes{size}}, []float64{1, 1})
+	}
+	for _, c := range []struct {
+		name string
+		a, b runner.FleetJob
+	}{
+		{"in the mix", withSizes(opaqueSizes{1 << 10}), withSizes(opaqueSizes{1 << 20})},
+		{"in a mixture", withSizes(nested(1 << 10)), withSizes(nested(1 << 20))},
+	} {
+		ka, errA := FleetKey(c.a)
+		kb, errB := FleetKey(c.b)
+		if errA == nil && errB == nil && ka == kb {
+			t.Errorf("%s: two different opaque sizes share the key %s", c.name, ka)
+		}
+		for _, err := range []error{errA, errB} {
+			if err == nil || !strings.Contains(err.Error(), "confhash.opaqueSizes is not cacheable") {
+				t.Errorf("%s: got error %v, want one naming confhash.opaqueSizes as not cacheable", c.name, err)
+			}
+		}
+	}
+
+	j := baseFleetJob()
+	for _, d := range []workload.SizeDist{&workload.Lognormal{Mu: 9}, &workload.BoundedPareto{Alpha: 1}, &workload.Mixture{}} {
+		j.Pop.Mix = []workload.ClassMix{{Weight: 1, Sizes: d}}
+		if _, err := FleetKey(j); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T is not cacheable", d)) {
+			t.Errorf("sizes %T: got error %v, want not cacheable", d, err)
+		}
+	}
+	j = baseFleetJob()
+	for _, a := range []workload.ArrivalDist{&workload.PoissonArrivals{Rate: 100}, &workload.LognormalArrivals{}} {
+		j.Pop.Arrivals = a
+		if _, err := FleetKey(j); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T is not cacheable", a)) {
+			t.Errorf("arrivals %T: got error %v, want not cacheable", a, err)
+		}
+	}
+}
+
+// The reference renderer must not depend on how a value was reached:
+// pointer vs value, and map iteration order.
 func TestCanonicalStability(t *testing.T) {
 	type inner struct{ B, A int }
 	v := inner{A: 1, B: 2}
-	c1, err := Canonical(v)
+	c1, err := canonical(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Canonical(&v)
+	c2, err := canonical(&v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +311,7 @@ func TestCanonicalStability(t *testing.T) {
 	m := map[string]int{"z": 26, "a": 1, "m": 13}
 	want := `{"a":1,"m":13,"z":26}`
 	for i := 0; i < 20; i++ { // map order is randomized per iteration
-		got, err := Canonical(m)
+		got, err := canonical(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +320,395 @@ func TestCanonicalStability(t *testing.T) {
 		}
 	}
 
-	if _, err := Canonical(struct{ F func() }{F: func() {}}); err == nil {
+	if _, err := canonical(struct{ F func() }{F: func() {}}); err == nil {
 		t.Error("non-nil func rendered canonically")
+	}
+}
+
+// canonical and render are the reflective renderer the keys were first
+// defined by, kept as the reference the explicit append functions are
+// held to: the same bytes for every config.
+func canonical(v any) (string, error) {
+	var b strings.Builder
+	if err := render(&b, reflect.ValueOf(v)); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+func render(b *strings.Builder, v reflect.Value) error {
+	if !v.IsValid() {
+		b.WriteString("null")
+		return nil
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			b.WriteString("null")
+			return nil
+		}
+		return render(b, v.Elem())
+	case reflect.Interface:
+		if v.IsNil() {
+			b.WriteString("null")
+			return nil
+		}
+		// The concrete type is part of the identity: two arrival
+		// processes with coincidentally equal field renderings must not
+		// collide.
+		b.WriteByte('<')
+		b.WriteString(v.Elem().Type().String())
+		b.WriteByte('>')
+		return render(b, v.Elem())
+	case reflect.Struct:
+		t := v.Type()
+		names := make([]string, 0, t.NumField())
+		byName := make(map[string]reflect.Value, t.NumField())
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.PkgPath != "" { // unexported: not part of a config's identity
+				continue
+			}
+			names = append(names, f.Name)
+			byName[f.Name] = v.Field(i)
+		}
+		sort.Strings(names)
+		b.WriteByte('{')
+		for i, n := range names {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(n)
+			b.WriteByte(':')
+			if err := render(b, byName[n]); err != nil {
+				return fmt.Errorf("%s.%s: %w", t, n, err)
+			}
+		}
+		b.WriteByte('}')
+		return nil
+	case reflect.Map:
+		keys := v.MapKeys()
+		type kv struct{ k, val string }
+		ents := make([]kv, 0, len(keys))
+		for _, k := range keys {
+			var kb, vb strings.Builder
+			if err := render(&kb, k); err != nil {
+				return err
+			}
+			if err := render(&vb, v.MapIndex(k)); err != nil {
+				return err
+			}
+			ents = append(ents, kv{kb.String(), vb.String()})
+		}
+		sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
+		b.WriteByte('{')
+		for i, e := range ents {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(e.k)
+			b.WriteByte(':')
+			b.WriteString(e.val)
+		}
+		b.WriteByte('}')
+		return nil
+	case reflect.Slice, reflect.Array:
+		// A nil slice and an empty one render identically: both mean
+		// "nothing here", and normalization decides what that defaults to.
+		b.WriteByte('[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if err := render(b, v.Index(i)); err != nil {
+				return err
+			}
+		}
+		b.WriteByte(']')
+		return nil
+	case reflect.String:
+		b.WriteString(strconv.Quote(v.String()))
+		return nil
+	case reflect.Bool:
+		b.WriteString(strconv.FormatBool(v.Bool()))
+		return nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		b.WriteString(strconv.FormatInt(v.Int(), 10))
+		return nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		b.WriteString(strconv.FormatUint(v.Uint(), 10))
+		return nil
+	case reflect.Float32, reflect.Float64:
+		// Shortest round-trip form: exact, platform-independent.
+		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
+		return nil
+	case reflect.Func:
+		if v.IsNil() {
+			b.WriteString("null")
+			return nil
+		}
+		return errors.New("func value has no canonical form")
+	default:
+		return fmt.Errorf("%s value has no canonical form", v.Kind())
+	}
+}
+
+func mustCanonical(t *testing.T, v any) string {
+	t.Helper()
+	c, err := canonical(v)
+	if err != nil {
+		t.Fatalf("reference renderer: %v", err)
+	}
+	return c
+}
+
+// oracleKey is the key the reference renderer gives an already
+// normalized job.
+func oracleKey(t *testing.T, prefix string, normalized any) string {
+	t.Helper()
+	sum := sha256.Sum256([]byte(mustCanonical(t, normalized)))
+	return prefix + hex.EncodeToString(sum[:])
+}
+
+// corpusJobs is the download-job half of the corpus the explicit
+// renderer is held to: every server's fig11 matrix at seeds 1 and 7,
+// then every algorithm under the ablation SUSS options, the chaos
+// hardened transport and the Observe/WallLimit/Horizon knobs.
+func corpusJobs() []runner.Job {
+	var jobs []runner.Job
+	for _, seed := range []int64{1, 7} {
+		for _, srv := range scenarios.Servers {
+			jobs = append(jobs, experiments.Fig11Jobs(srv, experiments.DefaultSizes, 3, seed)...)
+		}
+	}
+	hardened := chaos.HardenedTransport()
+	variants := []func(*runner.Job){
+		func(j *runner.Job) {},
+		func(j *runner.Job) { j.Observe = true },
+		func(j *runner.Job) { j.WallLimit = 30 * time.Second },
+		func(j *runner.Job) { j.Horizon = time.Minute },
+		func(j *runner.Job) { j.Transport = &hardened },
+		func(j *runner.Job) { j.Transport, j.Observe, j.WallLimit = &hardened, true, 30*time.Second },
+		func(j *runner.Job) { j.Scenario = scenarios.New(scenarios.OracleLondon, netem.Wired, 3) },
+		func(j *runner.Job) { j.Scenario.LastHop.BufferBDPs = 0.6 },
+	}
+	for _, mutate := range []func(*core.Options){
+		func(o *core.Options) {},
+		func(o *core.Options) { o.NoPacing = true },
+		func(o *core.Options) { o.PaceEverything = true },
+		func(o *core.Options) { o.NoGuard = true },
+		func(o *core.Options) { o.Kmax = 2 },
+		func(o *core.Options) { o.Kmax = 3 },
+		func(o *core.Options) { o.Cubic.HyStartPP, o.Cubic.C = true, 0.3 },
+	} {
+		opt := core.DefaultOptions()
+		mutate(&opt)
+		variants = append(variants, func(j *runner.Job) { j.SussOpt = &opt })
+	}
+	for algo := runner.Cubic; algo <= runner.Reno; algo++ {
+		for _, v := range variants {
+			j := baseJob()
+			j.Algo = algo
+			v(&j)
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+// corpusFleetJobs is the fleet half: every shard of both variants of
+// DefaultFleetConfig at Shards 1–4, with SmokeMix, DefaultMix and the
+// defaulted mix, Poisson and lognormal arrivals, with and without the
+// daemon's watchdog.
+func corpusFleetJobs() []runner.FleetJob {
+	var jobs []runner.FleetJob
+	for _, seed := range []int64{1, 7} {
+		for _, mix := range [][]workload.ClassMix{experiments.SmokeMix(), workload.DefaultMix(), nil} {
+			for shards := 1; shards <= 4; shards++ {
+				fc := experiments.DefaultFleetConfig(seed)
+				fc.Mix, fc.Shards = mix, shards
+				for _, arrivals := range []workload.ArrivalDist{nil, workload.LognormalArrivals{Mu: -4.5, Sigma: 1.2}} {
+					for _, wall := range []time.Duration{0, 30 * time.Second} {
+						for _, tmpl := range experiments.FleetJobs(fc) {
+							for shard := 0; shard < shards; shard++ {
+								j := tmpl
+								j.Shard, j.WallLimit = shard, wall
+								if arrivals != nil {
+									j.Pop.Arrivals = arrivals
+								}
+								jobs = append(jobs, j)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// corpusKeysDigest is the SHA-256 of every corpus key, one per line,
+// jobs then fleet jobs. It pins normalization as well as rendering:
+// keys address every cache file on disk, so if this moves, every cached
+// cell is orphaned.
+const corpusKeysDigest = "5d1a8a0734456b2896360e220e147496f07ee4e42a2bfeb13052055d809aed7a"
+
+// TestKeysMatchOracle holds the explicit renderer to the reflective
+// reference over the corpus, byte for byte. Because the reference
+// renders every exported field it finds, a field added to any type of
+// the key graph fails this test until its append function writes it.
+func TestKeysMatchOracle(t *testing.T) {
+	all := sha256.New()
+	jobs := corpusJobs()
+	for _, j := range jobs {
+		n, err := normalizeJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustCanonical(t, n)
+		if got := string(appendJob(nil, n)); got != want {
+			t.Fatalf("canonical form differs from the reference renderer:\n got %s\nwant %s", got, want)
+		}
+		k := mustJobKey(t, j)
+		if want := oracleKey(t, "job:", n); k != want {
+			t.Fatalf("JobKey %s, reference %s", k, want)
+		}
+		fmt.Fprintln(all, k)
+	}
+	fleet := corpusFleetJobs()
+	for _, j := range fleet {
+		n, err := normalizeFleetJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustCanonical(t, n)
+		got, err := appendFleetJob(nil, n)
+		if err != nil || string(got) != want {
+			t.Fatalf("canonical form differs from the reference renderer (err %v):\n got %s\nwant %s", err, got, want)
+		}
+		k := mustFleetKey(t, j)
+		if want := oracleKey(t, "fleet:", n); k != want {
+			t.Fatalf("FleetKey %s, reference %s", k, want)
+		}
+		fmt.Fprintln(all, k)
+	}
+	digest := hex.EncodeToString(all.Sum(nil))
+	t.Logf("%d job and %d fleet keys match the reference renderer; digest %s", len(jobs), len(fleet), digest)
+	if digest != corpusKeysDigest {
+		t.Errorf("corpus keys digest %s, pinned %s: the keys moved, orphaning every cache file on disk", digest, corpusKeysDigest)
+	}
+}
+
+// words feeds a fuzz input to fill as a cyclic stream of 64-bit words.
+type words struct {
+	raw []byte
+	at  int
+}
+
+func (w *words) next() uint64 {
+	if len(w.raw) == 0 {
+		return 0
+	}
+	var b [8]byte
+	for i := range b {
+		b[i] = w.raw[w.at%len(w.raw)]
+		w.at++
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// fill sets every scalar reachable from v, in declaration order: an
+// integer takes a word, a float its bits, a bool its low bit, a string
+// s; a pointer is allocated unless its word is zero. Funcs stay nil
+// (normalizeJob refuses a hook).
+func fill(t *testing.T, v reflect.Value, w *words, s string) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i), w, s)
+			}
+		}
+	case reflect.Pointer:
+		if w.next() != 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(t, v.Elem(), w, s)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(w.next()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(w.next())
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(math.Float64frombits(w.next()))
+	case reflect.Bool:
+		v.SetBool(w.next()&1 != 0)
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Func:
+	default:
+		t.Fatalf("fill does not know how to fuzz a %s", v.Type())
+	}
+}
+
+// FuzzJobKeyMatchesOracle fuzzes every scalar reachable from a Job: the
+// explicit renderer must match the reference on the raw job, and JobKey
+// must either refuse it exactly when normalization does or give the
+// reference's key.
+func FuzzJobKeyMatchesOracle(f *testing.F) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 1e21, 0.1}
+	var mixed []byte
+	for _, x := range specials {
+		mixed = binary.LittleEndian.AppendUint64(mixed, math.Float64bits(x))
+	}
+	for _, backend := range []string{"", "sim", `q"u\o'te`, "日本\x00\xff "} {
+		f.Add(backend, mixed)
+		for _, x := range specials {
+			f.Add(backend, binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, backend string, raw []byte) {
+		var j runner.Job
+		fill(t, reflect.ValueOf(&j).Elem(), &words{raw: raw}, backend)
+		want := mustCanonical(t, j)
+		if got := string(appendJob(nil, j)); got != want {
+			t.Fatalf("canonical form differs from the reference renderer:\n got %s\nwant %s", got, want)
+		}
+		n, nerr := normalizeJob(j)
+		k, err := JobKey(j)
+		switch {
+		case (err == nil) != (nerr == nil):
+			t.Fatalf("JobKey err %v, normalization err %v", err, nerr)
+		case err == nil && k != oracleKey(t, "job:", n):
+			t.Fatalf("JobKey %s, reference %s", k, oracleKey(t, "job:", n))
+		}
+	})
+}
+
+// Keying a cell is on the daemon's warm path (252 keys a fig11
+// submission): the returned string is the one allocation it needs.
+func TestJobKeyAllocs(t *testing.T) {
+	j := baseJob()
+	if n := testing.AllocsPerRun(100, func() { mustJobKey(t, j) }); n > 1 {
+		t.Errorf("JobKey made %.0f allocations, budget 1", n)
+	}
+}
+
+func BenchmarkJobKey(b *testing.B) {
+	jobs := experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := JobKey(jobs[i%len(jobs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFleetKey(b *testing.B) {
+	j := baseFleetJob()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FleetKey(j); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

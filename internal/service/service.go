@@ -479,19 +479,8 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 		}
 	}
 	p.run = func(ctx context.Context, i int) (runner.Result, bool, error) {
-		r := runner.ScratchFrom(ctx).Download(jobs[i])
-		res := runner.Result{Job: jobs[i], DownloadResult: r}
-		switch {
-		case r.Stall != nil:
-			res.Err = r.Stall
-		case r.FlowErr != nil:
-			res.Err = r.FlowErr
-		case !r.Completed:
-			res.Err = runner.ErrIncomplete
-		}
-		// A deterministic incomplete flow is a property of the config
-		// and is cached with its error.
-		return res, r.Stall == nil, res.Err
+		res, cacheable := jobCell(jobs[i], runner.ScratchFrom(ctx).Download(jobs[i]))
+		return res, cacheable, res.Err
 	}
 	p.encode = encodeJobCell
 	p.decode = func(i int, raw []byte) (runner.Result, error) { return decodeJobCell(jobs[i], raw) }
@@ -500,6 +489,23 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 		return experiments.Fig11FromResults(srv, sizes, iters, rs, false).WriteCSV(csv)
 	}
 	return p, nil
+}
+
+// jobCell is a simulated download as a fig11 cell: the result with the
+// error the cell carries, and whether it may be cached. A deterministic
+// incomplete flow is a property of the config and is cached with its
+// error; a stall is not.
+func jobCell(j runner.Job, r runner.DownloadResult) (runner.Result, bool) {
+	res := runner.Result{Job: j, DownloadResult: r}
+	switch {
+	case r.Stall != nil:
+		res.Err = r.Stall
+	case r.FlowErr != nil:
+		res.Err = r.FlowErr
+	case !r.Completed:
+		res.Err = runner.ErrIncomplete
+	}
+	return res, r.Stall == nil
 }
 
 // planFleet caches per shard: cells are variant-major (cell i = variant
