@@ -23,9 +23,10 @@ test:
 # The sussdebug build tag arms the packet-lifecycle detector
 # (double-release and use-after-release panic; the pool sequesters
 # instead of recycling). The pooled hot-path packages get a pass with
-# it on.
+# it on, and so do the runner's reused-vs-fresh differentials: a packet
+# or conn scratch segment a flow reset left behind panics there.
 testdebug:
-	$(GO) test -tags sussdebug ./internal/netsim ./internal/tcp
+	$(GO) test -tags sussdebug ./internal/netsim ./internal/tcp ./internal/runner
 
 # The worker pool, the experiment sweeps built on it, and the
 # experiment service (concurrent batch executors, watchers, the shared
@@ -43,13 +44,14 @@ race:
 # send/deliver path, and the transport in loss recovery (a
 # SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
 # holding 4096 ranges) and the cache key (one allocation per JobKey,
-# internal/service/confhash). Four budget tests pin whole deterministic
+# internal/service/confhash). Five budget tests pin whole deterministic
 # replays against a constant kept next to each test: the serial reduced
-# fig11 sweep (.), a 400-flow fleet shard, a warm pass of that sweep
-# through one worker's engine (both internal/runner), and a warm
-# resubmission of the 252-cell fig11 matrix to the daemon
-# (internal/service); the last two per cell, so one allocation more per
-# cell fails.
+# fig11 sweep (.), a 400-flow fleet shard on a new and on a warm
+# scratch, a warm pass of that sweep through one worker's scratch (all
+# three internal/runner), and a warm resubmission of the 252-cell fig11
+# matrix to the daemon (internal/service). The first three are exact
+# counts; the last two are per cell, so one allocation more per cell
+# fails.
 allocgate:
 	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 

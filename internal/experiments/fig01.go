@@ -54,7 +54,7 @@ func RunFig01(size int64, seed int64) Fig01Result {
 		sim.Run(5 * time.Minute)
 
 		// θ: delivery rate over the steady half of the transfer.
-		half := tr.At(f.CompletedAt / 2)
+		half := tr.At(f.Receiver.CompletedAt() / 2)
 		end := tr.Samples[len(tr.Samples)-1]
 		theta := float64(end.Delivered-half.Delivered) * 8 / (end.T - half.T).Seconds()
 		res.Theta = append(res.Theta, theta)

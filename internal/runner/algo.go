@@ -53,6 +53,15 @@ func (a Algo) String() string {
 	}
 }
 
+// newController builds a flow's controller: a's, or SUSS configured by
+// sussOpt when a is Suss and sussOpt is set.
+func newController(a Algo, sussOpt *core.Options, s *tcp.Sender) cc.Controller {
+	if a == Suss && sussOpt != nil {
+		return core.New(s, *sussOpt)
+	}
+	return NewController(a, s)
+}
+
 // NewController builds a's controller bound to sender s.
 func NewController(a Algo, s *tcp.Sender) cc.Controller {
 	switch a {

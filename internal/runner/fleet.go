@@ -176,17 +176,16 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	// Flows are spread round-robin: flow i downloads from server
 	// i%Servers to client i%NumClients, so every leaf and every branch
 	// carries its share of the population.
-	tflows := make([]*tcp.Flow, len(flows))
-	completed := 0
+	if scr.countDone == nil {
+		scr.countDone = func(time.Duration) { scr.done++ }
+	}
+	scr.done = 0
 	for i, fs := range flows {
 		s := i % len(tree.Servers)
 		c := i % tree.NumClients()
-		f := tcp.NewFlow(sim, cfg, netsim.FlowID(i+1),
-			tree.Servers[s], srvMux[s], tree.Clients[c], cliMux[c], fs.Size, nil)
-		var ctrl = NewController(j.Algo, f.Sender)
-		if j.Algo == Suss && j.SussOpt != nil {
-			ctrl = core.New(f.Sender, *j.SussOpt)
-		}
+		f := scr.flow(i, cfg, netsim.FlowID(i+1),
+			tree.Servers[s], srvMux[s], tree.Clients[c], cliMux[c], fs.Size)
+		ctrl := newController(j.Algo, j.SussOpt, f.Sender)
 		f.Sender.SetController(ctrl)
 		if reg != nil {
 			fr := reg.Flow(int32(i + 1))
@@ -196,17 +195,13 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 				a.AttachRecorder(fr)
 			}
 		}
-		prev := f.Receiver.OnComplete
-		f.Receiver.OnComplete = func(now time.Duration) {
-			prev(now)
-			completed++
-		}
+		f.Receiver.OnComplete = scr.countDone
 		f.StartAt(sim, fs.Start)
-		tflows[i] = f
 	}
+	tflows := scr.flows[:len(flows)]
 	// Stop as soon as the whole population has finished; abandoned
 	// flows (dead-path aborts) drain the event queue on their own.
-	sim.StopWhen(func() bool { return completed == len(flows) })
+	sim.StopWhen(func() bool { return scr.done == len(flows) })
 	defer sim.StopWhen(nil)
 
 	if j.Impair != nil {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"suss/internal/cc"
 	"suss/internal/core"
 	"suss/internal/netsim"
 	"suss/internal/obs"
@@ -79,7 +78,8 @@ const domainsRemoved = "Domains > 1 is no longer supported: parallel event domai
 // ChaosEnv is what an Impair hook gets to work with: the simulation,
 // the built path, the flow about to start, the scenario's RNG, and the
 // derived seed so hooks can build private RNG streams that stay
-// decoupled from the scenario's own draws.
+// decoupled from the scenario's own draws. Sim and Flow belong to the
+// worker's Scratch and are valid only while the cell runs.
 type ChaosEnv struct {
 	Sim  *netsim.Simulator
 	Path *netsim.Path
@@ -155,13 +155,8 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	if j.Transport != nil {
 		cfg = *j.Transport
 	}
-	f := tcp.NewFlow(sim, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size, nil)
-	var ctrl cc.Controller
-	if j.Algo == Suss && j.SussOpt != nil {
-		ctrl = core.New(f.Sender, *j.SussOpt)
-	} else {
-		ctrl = NewController(j.Algo, f.Sender)
-	}
+	f := scr.flow(0, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size)
+	ctrl := newController(j.Algo, j.SussOpt, f.Sender)
 	f.Sender.SetController(ctrl)
 	var reg *obs.Registry
 	if j.Observe || j.WallLimit > 0 {

@@ -14,10 +14,11 @@
 // killing the sweep, and cancelling the context drains the remaining
 // jobs as ctx.Err() results.
 //
-// Each pool worker owns one Scratch — a simulation engine it resets
-// and reuses for every cell it runs — so a sweep of hundreds of short
-// cells grows one timer arena and one packet pool per worker instead
-// of one per cell (see Scratch).
+// Each pool worker owns one Scratch — a simulation engine and a slab
+// of flows it resets and reuses for every cell it runs — so a sweep of
+// hundreds of short cells grows one timer arena, one packet pool and
+// one set of scoreboards per worker instead of one per cell (see
+// Scratch).
 package runner
 
 import (
@@ -26,8 +27,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"suss/internal/netsim"
+	"suss/internal/tcp"
 )
 
 // Options configures pool execution.
@@ -72,12 +75,35 @@ func (e *PanicError) Error() string {
 // contract), so a cell's result never depends on what the scratch ran
 // before — a cell that panicked or was killed by the watchdog included.
 //
+// The same holds for its slab of flows: a cell resets the slots it
+// uses (Download slot 0, a fleet shard slots 0..n−1), and a slot's flow
+// is valid only during that cell.
+//
 // The zero value is ready to use; the engine is built on first use. A
 // Scratch belongs to one goroutine: Map gives each worker its own and
 // nothing is shared between workers. It dies with the Map call that
 // made it — nothing is retained while the pool is idle.
 type Scratch struct {
-	sim *netsim.Simulator
+	sim   *netsim.Simulator
+	flows []*tcp.Flow
+
+	// done counts the running fleet shard's completed flows; countDone,
+	// bound once, is the OnComplete hook that counts them.
+	done      int
+	countDone func(time.Duration)
+}
+
+// flow returns slab slot i reset for a new transfer on the scratch's
+// engine, growing the slab when i is past its end.
+func (scr *Scratch) flow(i int, cfg tcp.Config, id netsim.FlowID,
+	src *netsim.Host, srcMux *tcp.Demux, dst *netsim.Host, dstMux *tcp.Demux, size int64) *tcp.Flow {
+
+	if i == len(scr.flows) {
+		scr.flows = append(scr.flows, new(tcp.Flow))
+	}
+	f := scr.flows[i]
+	f.Reset(scr.sim, cfg, id, src, srcMux, dst, dstMux, size, nil)
+	return f
 }
 
 // engine returns the scratch's simulator in the state NewSimulator

@@ -19,16 +19,25 @@ type Demux = simbackend.Demux
 func NewDemux(host *netsim.Host) *Demux { return simbackend.NewDemux(host) }
 
 // Flow bundles a sender and receiver wired across a wire backend.
+//
+// A flow is one allocation: Sender and Receiver point into it, and so
+// do the two simulator conns NewFlow wires them over. Reset turns a
+// used flow into the one NewFlow would build, keeping the buffers it
+// grew, so a caller that runs many flows can keep a slab of them.
 type Flow struct {
 	ID       netsim.FlowID
 	Sender   *Sender
 	Receiver *Receiver
 
-	// CompletedAt is the receiver-side completion time (when the last
-	// byte arrived), the paper's FCT definition for downloads. Zero
-	// until complete.
-	CompletedAt time.Duration
-	startAt     time.Duration
+	startAt time.Duration
+
+	snd          Sender
+	rcv          Receiver
+	sconn, rconn simbackend.Conn
+
+	// The endpoints' conn handlers, bound once for the flow's lifetime
+	// (a method value allocates).
+	onAck, onData wire.Handler
 }
 
 // NewFlowOver wires a sender and receiver for a size-byte transfer
@@ -40,12 +49,8 @@ type Flow struct {
 func NewFlowOver(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn,
 	size int64, ctrl cc.Controller) *Flow {
 
-	f := &Flow{ID: id}
-	f.Sender = NewSender(sconn, cfg, id, size, ctrl)
-	f.Receiver = NewReceiver(rconn, cfg, id, size)
-	f.Receiver.OnComplete = func(now time.Duration) { f.CompletedAt = now }
-	sconn.SetHandler(f.Sender.HandleAck)
-	rconn.SetHandler(f.Receiver.Handle)
+	f := new(Flow)
+	f.reset(cfg, id, sconn, rconn, size, ctrl)
 	return f
 }
 
@@ -57,26 +62,56 @@ func NewFlow(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 	dstHost *netsim.Host, dstMux *Demux,
 	size int64, ctrl cc.Controller) *Flow {
 
-	sconn := simbackend.New(sim, srcHost, srcMux, dstHost.ID(), id)
-	rconn := simbackend.New(sim, dstHost, dstMux, srcHost.ID(), id)
-	return NewFlowOver(cfg, id, sconn, rconn, size, ctrl)
+	f := new(Flow)
+	f.Reset(sim, cfg, id, srcHost, srcMux, dstHost, dstMux, size, ctrl)
+	return f
 }
+
+// Reset makes f the flow NewFlow would return for the same arguments.
+// The simulation f last ran in must be over: its conns are not
+// unregistered from their old demuxes, and anything the caller kept
+// of the old flow (a hook's captures, a controller) no longer drives
+// it.
+func (f *Flow) Reset(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
+	srcHost *netsim.Host, srcMux *Demux,
+	dstHost *netsim.Host, dstMux *Demux,
+	size int64, ctrl cc.Controller) {
+
+	f.sconn.Reset(sim, srcHost, srcMux, dstHost.ID(), id)
+	f.rconn.Reset(sim, dstHost, dstMux, srcHost.ID(), id)
+	f.reset(cfg, id, &f.sconn, &f.rconn, size, ctrl)
+}
+
+func (f *Flow) reset(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn, size int64, ctrl cc.Controller) {
+	f.ID, f.startAt = id, 0
+	f.Sender, f.Receiver = &f.snd, &f.rcv
+	f.snd.reset(sconn, cfg, id, size, ctrl)
+	f.rcv.reset(rconn, cfg, id, size)
+	if f.onAck == nil {
+		f.onAck, f.onData = f.snd.HandleAck, f.rcv.Handle
+	}
+	sconn.SetHandler(f.onAck)
+	rconn.SetHandler(f.onData)
+}
+
+// senderStartEv starts a flow's sender without a per-flow closure.
+func senderStartEv(ctx, _ any) { ctx.(*Sender).Start() }
 
 // StartAt schedules the flow to begin at virtual time at.
 func (f *Flow) StartAt(sim *netsim.Simulator, at time.Duration) {
 	f.startAt = at
-	sim.ScheduleAt(at, f.Sender.Start)
+	sim.ScheduleEventAt(at, senderStartEv, f.Sender, nil)
 }
 
 // FCT returns the receiver-side flow completion time (download FCT):
 // time from the flow's start to the arrival of its last byte. Zero
 // until complete.
 func (f *Flow) FCT() time.Duration {
-	if f.CompletedAt == 0 {
+	if !f.Done() {
 		return 0
 	}
-	return f.CompletedAt - f.startAt
+	return f.rcv.completedAt - f.startAt
 }
 
 // Done reports whether the receiver holds the complete stream.
-func (f *Flow) Done() bool { return f.CompletedAt != 0 }
+func (f *Flow) Done() bool { return f.rcv.completedAt != 0 }

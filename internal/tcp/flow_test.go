@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"suss/internal/netsim"
+	"suss/internal/wire"
+	"suss/internal/wire/simbackend"
 )
 
 func TestDemuxRoutesMultipleFlows(t *testing.T) {
@@ -31,8 +33,8 @@ func TestDemuxRoutesMultipleFlows(t *testing.T) {
 		}
 	}
 	// FCTs ordered sanely: later, larger flows finish later.
-	if flows[0].CompletedAt >= flows[2].CompletedAt {
-		t.Errorf("completion order wrong: %v vs %v", flows[0].CompletedAt, flows[2].CompletedAt)
+	if flows[0].Receiver.CompletedAt() >= flows[2].Receiver.CompletedAt() {
+		t.Errorf("completion order wrong: %v vs %v", flows[0].Receiver.CompletedAt(), flows[2].Receiver.CompletedAt())
 	}
 }
 
@@ -41,10 +43,10 @@ func TestDemuxUnregister(t *testing.T) {
 	p := newTestPath(sim, 1e8, 5*time.Millisecond, 1<<20)
 	mux := NewDemux(p.Receiver)
 	got := 0
-	mux.Register(7, func(*netsim.Packet) { got++ })
-	p.Sender.SetHandler(func(*netsim.Packet) {})
+	simbackend.New(sim, p.Receiver, mux, p.Sender.ID(), 7).SetHandler(func(*wire.Segment, int) { got++ })
+	snd := simbackend.New(sim, p.Sender, NewDemux(p.Sender), p.Receiver.ID(), 7)
 	send := func() {
-		p.Sender.Send(&netsim.Packet{Flow: 7, Kind: netsim.Data, Size: 100, Dst: p.Receiver.ID()})
+		snd.Send(&wire.Segment{Flags: wire.FlagACK | wire.FlagPSH, PayloadLen: 100}, wire.SendMeta{})
 	}
 	sim.Schedule(0, send)
 	sim.RunAll()
@@ -92,11 +94,11 @@ func TestFlowStartAtSemantics(t *testing.T) {
 		t.Fatal("flow did not complete")
 	}
 	// CompletedAt is absolute; FCT is relative to the start time.
-	if f.CompletedAt <= 500*time.Millisecond {
-		t.Errorf("completed at %v, before the start time", f.CompletedAt)
+	if at := f.Receiver.CompletedAt(); at <= 500*time.Millisecond {
+		t.Errorf("completed at %v, before the start time", at)
 	}
-	if f.FCT() >= f.CompletedAt {
-		t.Errorf("FCT %v not relative to start (completedAt %v)", f.FCT(), f.CompletedAt)
+	if f.FCT() >= f.Receiver.CompletedAt() {
+		t.Errorf("FCT %v not relative to start (completedAt %v)", f.FCT(), f.Receiver.CompletedAt())
 	}
 	if f.FCT() <= 0 || f.FCT() > 200*time.Millisecond {
 		t.Errorf("FCT %v implausible for 64KB over 100Mbps/20ms", f.FCT())

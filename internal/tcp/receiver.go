@@ -46,10 +46,13 @@ type Receiver struct {
 	delack   netsim.Timer
 	received int64 // total payload bytes accepted (with duplicates removed)
 
-	// OnComplete fires once when the contiguous prefix reaches size.
-	OnComplete func(now time.Duration)
-	size       int64
-	completed  bool
+	// OnComplete fires once when the contiguous prefix reaches size,
+	// after CompletedAt is set. It is never nil on a new receiver (a
+	// no-op), so an owner can wrap whatever is installed.
+	OnComplete  func(now time.Duration)
+	size        int64
+	completed   bool
+	completedAt time.Duration
 
 	// OnData, when non-nil, observes every decoded data segment
 	// (tracing). seg is the conn's scratch storage, reused for the next
@@ -80,8 +83,32 @@ func (r *Receiver) AttachRecorder(rec *obs.FlowRecorder) { r.rec = rec }
 // disables it). The caller must install Handle as the conn's handler
 // (NewFlowOver does both).
 func NewReceiver(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) *Receiver {
-	return &Receiver{conn: conn, sim: conn.Clock(), cfg: cfg, flow: flow, size: size}
+	r := new(Receiver)
+	r.reset(conn, cfg, flow, size)
+	return r
 }
+
+// reset makes r exactly what NewReceiver returns, keeping only the
+// reassembly set and its scratch slice (see Sender.reset).
+func (r *Receiver) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) {
+	r.ranges.reset()
+	*r = Receiver{
+		conn:       conn,
+		sim:        conn.Clock(),
+		cfg:        cfg,
+		flow:       flow,
+		size:       size,
+		ranges:     r.ranges,
+		fresh:      r.fresh[:0],
+		OnComplete: noComplete,
+	}
+}
+
+func noComplete(time.Duration) {}
+
+// CompletedAt returns when the contiguous prefix reached the expected
+// size: the arrival of the last byte. Zero until then.
+func (r *Receiver) CompletedAt() time.Duration { return r.completedAt }
 
 // CumAck returns the current cumulative acknowledgment point.
 func (r *Receiver) CumAck() int64 {
@@ -198,8 +225,9 @@ func (r *Receiver) Handle(seg *wire.Segment, wireLen int) {
 
 	if !r.completed && r.size > 0 && newCum >= r.size {
 		r.completed = true
+		r.completedAt = r.sim.Now()
 		if r.OnComplete != nil {
-			r.OnComplete(r.sim.Now())
+			r.OnComplete(r.completedAt)
 		}
 	}
 

@@ -13,10 +13,6 @@ type rttEstimator struct {
 	hasRTT  bool
 }
 
-func newRTTEstimator(minRTO, maxRTO time.Duration) *rttEstimator {
-	return &rttEstimator{minRTO: minRTO, maxRTO: maxRTO}
-}
-
 // Update folds in a fresh RTT sample, resetting any RTO backoff.
 func (r *rttEstimator) Update(sample time.Duration) {
 	if sample <= 0 {

@@ -52,10 +52,17 @@ type scoreboard struct {
 	lossScan         int32
 }
 
-func newScoreboard() scoreboard { return scoreboard{rtxHead: noSeg, rtxTail: noSeg} }
-
 // at returns segment n's slot. The ring must be non-empty.
 func (b *scoreboard) at(n int32) *slot { return &b.slots[int(n)&(len(b.slots)-1)] }
+
+// clear zeroes the slots of segments [base, top), the window of a flow
+// that stopped before it was fully acknowledged, so the whole ring is
+// zero again. It costs the window, not the ring.
+func (b *scoreboard) clear(base, top int32) {
+	for n := base; n < top; n++ {
+		*b.at(n) = slot{}
+	}
+}
 
 // reserve makes room for segment n in a window that starts at segment
 // base, doubling the ring and re-seating the outstanding slots when

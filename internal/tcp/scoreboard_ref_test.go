@@ -157,7 +157,7 @@ func newRefSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ct
 		size:  size,
 		state: make(map[int64]refSegInfo),
 		holes: make(map[int64]struct{}),
-		rtt:   newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
+		rtt:   &rttEstimator{minRTO: cfg.MinRTO, maxRTO: cfg.MaxRTO},
 	}
 }
 

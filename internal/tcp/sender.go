@@ -80,7 +80,7 @@ type Sender struct {
 	// lost, gathered so an observed run records them in sequence order.
 	newlyLost []int32
 
-	rtt    *rttEstimator
+	rtt    rttEstimator
 	minRTT cc.MinRTTTracker
 
 	inRecovery  bool
@@ -140,18 +140,38 @@ type Sender struct {
 // The caller must install HandleAck as the conn's handler (NewFlowOver
 // does both).
 func NewSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *Sender {
+	s := new(Sender)
+	s.reset(conn, cfg, flow, size, ctrl)
+	return s
+}
+
+// reset makes s exactly what NewSender returns, keeping the buffers
+// the last flow grew. The literal names only those, so every other
+// field — hooks, recorder, timers, counters — is zero without being
+// listed. The ring is zero outside the last window, so only that is
+// cleared.
+func (s *Sender) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) {
 	if size/int64(cfg.MSS) >= math.MaxInt32 {
 		panic("tcp: flow size exceeds the scoreboard's 2^31 segments")
 	}
-	return &Sender{
-		conn: conn,
-		sim:  conn.Clock(),
-		cfg:  cfg,
-		flow: flow,
-		ctrl: ctrl,
-		size: size,
-		sb:   newScoreboard(),
-		rtt:  newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
+	if len(s.sb.slots) > 0 {
+		mss := int64(s.cfg.MSS)
+		s.sb.clear(s.segNo(s.sndUna), s.segNo(s.sndNxt+mss-1))
+	}
+	s.sacked.reset()
+	*s = Sender{
+		conn:      conn,
+		sim:       conn.Clock(),
+		cfg:       cfg,
+		flow:      flow,
+		ctrl:      ctrl,
+		size:      size,
+		sb:        scoreboard{slots: s.sb.slots, lost: s.sb.lost[:0], rtxHead: noSeg, rtxTail: noSeg},
+		sacked:    s.sacked,
+		fresh:     s.fresh[:0],
+		newlyLost: s.newlyLost[:0],
+		ccTimers:  s.ccTimers[:0],
+		rtt:       rttEstimator{minRTO: cfg.MinRTO, maxRTO: cfg.MaxRTO},
 	}
 }
 

@@ -362,7 +362,7 @@ func TestFlowSurvivesRandomLossProperty(t *testing.T) {
 }
 
 func TestRTTEstimatorRFC6298(t *testing.T) {
-	r := newRTTEstimator(200*time.Millisecond, 60*time.Second)
+	r := &rttEstimator{minRTO: 200 * time.Millisecond, maxRTO: 60 * time.Second}
 	if r.RTO() != time.Second {
 		t.Errorf("initial RTO = %v, want 1s", r.RTO())
 	}

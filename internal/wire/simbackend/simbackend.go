@@ -16,7 +16,9 @@
 package simbackend
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"suss/internal/netsim"
 	"suss/internal/wire"
@@ -29,8 +31,13 @@ var _ [netsim.MaxFrameLen - wire.MaxHeaderLen]struct{}
 // Demux dispatches packets delivered to a host among the flows
 // terminating there, so several flows can share one host (the paper's
 // Fig. 16 workload reuses client-server pairs for sequential flows).
+//
+// The conns are kept sorted by flow ID and found by binary search.
+// Every caller registers its flows in increasing ID order, so the
+// insert is an append; there is no map on the packet path, and so no
+// hash seed that could make two runs allocate differently.
 type Demux struct {
-	handlers map[netsim.FlowID]func(*netsim.Packet)
+	conns []*Conn
 }
 
 // NewDemux installs a demultiplexer as the host's packet handler.
@@ -38,25 +45,40 @@ type Demux struct {
 // released) by that flow's endpoint; packets for unregistered flows
 // are released here, so no pooled packet leaks.
 func NewDemux(host *netsim.Host) *Demux {
-	d := &Demux{handlers: make(map[netsim.FlowID]func(*netsim.Packet))}
-	host.SetHandler(func(pkt *netsim.Packet) {
-		if fn, ok := d.handlers[pkt.Flow]; ok {
-			fn(pkt)
-		} else {
-			pkt.Release()
-		}
-	})
+	d := &Demux{}
+	host.SetHandler(d.deliver)
 	return d
 }
 
-// Register routes packets of flow id to fn, replacing any previous
-// registration.
-func (d *Demux) Register(id netsim.FlowID, fn func(*netsim.Packet)) {
-	d.handlers[id] = fn
+func (d *Demux) deliver(pkt *netsim.Packet) {
+	if i, ok := d.search(pkt.Flow); ok {
+		d.conns[i].deliver(pkt)
+	} else {
+		pkt.Release()
+	}
 }
 
-// Unregister removes a flow's handler.
-func (d *Demux) Unregister(id netsim.FlowID) { delete(d.handlers, id) }
+// search returns the index of flow id's conn, or where it would go.
+func (d *Demux) search(id netsim.FlowID) (int, bool) {
+	return slices.BinarySearchFunc(d.conns, id, func(c *Conn, id netsim.FlowID) int { return cmp.Compare(c.flow, id) })
+}
+
+// register routes packets of c's flow to c, replacing any previous
+// registration of that flow.
+func (d *Demux) register(c *Conn) {
+	if i, ok := d.search(c.flow); ok {
+		d.conns[i] = c
+	} else {
+		d.conns = slices.Insert(d.conns, i, c)
+	}
+}
+
+// Unregister removes a flow's conn.
+func (d *Demux) Unregister(id netsim.FlowID) {
+	if i, ok := d.search(id); ok {
+		d.conns = slices.Delete(d.conns, i, i+1)
+	}
+}
 
 // Conn is one endpoint's attachment to the simulated network,
 // implementing wire.Conn for a single flow terminating at host.
@@ -79,7 +101,16 @@ type Conn struct {
 // conn's incoming frames are routed through mux once a handler is
 // set.
 func New(sim *netsim.Simulator, host *netsim.Host, mux *Demux, peer netsim.NodeID, flow netsim.FlowID) *Conn {
-	return &Conn{sim: sim, host: host, mux: mux, peer: peer, flow: flow}
+	c := new(Conn)
+	c.Reset(sim, host, mux, peer, flow)
+	return c
+}
+
+// Reset re-attaches c as New attaches a new conn, with no handler set.
+// It does not unregister c from its previous demux: a conn is reused
+// only once the simulation it was registered in is over.
+func (c *Conn) Reset(sim *netsim.Simulator, host *netsim.Host, mux *Demux, peer netsim.NodeID, flow netsim.FlowID) {
+	*c = Conn{sim: sim, host: host, mux: mux, peer: peer, flow: flow}
 }
 
 // Clock implements wire.Conn.
@@ -156,7 +187,7 @@ func (c *Conn) SetHandler(h wire.Handler) {
 		c.mux.Unregister(c.flow)
 		return
 	}
-	c.mux.Register(c.flow, c.deliver)
+	c.mux.register(c)
 }
 
 func (c *Conn) deliver(pkt *netsim.Packet) {
