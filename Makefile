@@ -43,15 +43,16 @@ race:
 # scheduler (internal/netsim), the wire codec, the simulator backend's
 # send/deliver path, and the transport in loss recovery (a
 # SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
-# holding 4096 ranges) and the cache key (one allocation per JobKey,
-# internal/service/confhash). Five budget tests pin whole deterministic
-# replays against a constant kept next to each test: the serial reduced
-# fig11 sweep (.), a 400-flow fleet shard on a new and on a warm
-# scratch, a warm pass of that sweep through one worker's scratch (all
-# three internal/runner), and a warm resubmission of the 252-cell fig11
-# matrix to the daemon (internal/service). The first three are exact
-# counts; the last two are per cell, so one allocation more per cell
-# fails.
+# holding 4096 ranges), the cache key (one allocation per JobKey,
+# internal/service/confhash) and the fig11 cell record (no allocation
+# to parse one or to append one to a sized buffer, internal/service).
+# Five budget tests pin whole deterministic replays against a constant
+# kept next to each test: the serial reduced fig11 sweep (.), a
+# 400-flow fleet shard on a new and on a warm scratch, a warm pass of
+# that sweep through one worker's scratch (all three internal/runner),
+# and a warm resubmission of the 252-cell fig11 matrix to the daemon
+# (internal/service). All but the warm pass are exact counts; that one
+# is per cell, so one allocation more per cell fails.
 allocgate:
 	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 
@@ -71,13 +72,15 @@ chaos:
 interop:
 	$(GO) test -race -timeout 180s ./internal/wire/...
 
-# Short fuzz passes over the strict segment decoder and over the cache
-# key (every scalar of a Job, explicit renderer against the reflective
-# reference): enough iterations to catch regressions in CI without
+# Short fuzz passes over the strict segment decoder, the cache key
+# (every scalar of a Job, explicit renderer against the reflective
+# reference) and the strict fig11 cell-record parser (against
+# encoding/json): enough iterations to catch regressions in CI without
 # open-ended fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJobKeyMatchesOracle -fuzztime 30s ./internal/service/confhash
+	$(GO) test -run '^$$' -fuzz FuzzJobCellRecord -fuzztime 30s ./internal/service
 
 # Population smoke under -race: a 10k-flow fleet over 4 shared
 # bottleneck trees, SUSS off vs on over the identical population, run

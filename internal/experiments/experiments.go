@@ -122,7 +122,7 @@ type batch struct {
 }
 
 func summarizeBatch(res []runner.Result) batch {
-	var b batch
+	b := batch{fcts: make([]float64, 0, len(res))}
 	var loss float64
 	for _, r := range res {
 		if r.Err != nil {

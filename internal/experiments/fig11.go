@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -255,19 +256,22 @@ func (r Fig13Result) Render() string {
 // WriteCSV emits the Fig. 11/12 grid as CSV rows:
 // link,size_bytes,algo,fct_mean_s,fct_std_s,improvement.
 func (r Fig11Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "link,size_bytes,algo,fct_mean_s,fct_std_s,improvement"); err != nil {
-		return err
-	}
+	const header = "link,size_bytes,algo,fct_mean_s,fct_std_s,improvement\n"
+	b := make([]byte, 0, len(header)+64*len(r.Links)*len(r.Sizes)*len(r.Algos))
+	b = append(b, header...)
 	for li, lt := range r.Links {
 		for si, size := range r.Sizes {
 			for ai, a := range r.Algos {
 				s := r.FCT[li][si][ai]
-				if _, err := fmt.Fprintf(w, "%s,%d,%s,%.6f,%.6f,%.4f\n",
-					lt, size, a, s.Mean, s.StdDev, r.Improvement[li][si]); err != nil {
-					return err
-				}
+				b = append(append(b, lt.String()...), ',')
+				b = append(strconv.AppendInt(b, size, 10), ',')
+				b = append(append(b, a.String()...), ',')
+				b = append(strconv.AppendFloat(b, s.Mean, 'f', 6, 64), ',')
+				b = append(strconv.AppendFloat(b, s.StdDev, 'f', 6, 64), ',')
+				b = append(strconv.AppendFloat(b, r.Improvement[li][si], 'f', 4, 64), '\n')
 			}
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -227,6 +228,13 @@ func TestPoolResetRestoresAddressOrder(t *testing.T) {
 	slabs := s.PoolSlabs
 
 	s.Reset()
+	// The count is process-wide, so count with the collector off and on
+	// one P, as testing.AllocsPerRun does: the collector's allocations,
+	// and the test harness's goroutines finishing the previous test on
+	// another P (16 to 2 048 bytes, about once in 20 000 runs), would
+	// land in it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range first {

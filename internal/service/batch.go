@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,73 +195,220 @@ func (b *batch) status(withCells bool) (JobStatus, int) {
 	return st, b.version
 }
 
-// cellDownload is the serializable form of one fig11 cell: the subset
-// of a download result the figure's aggregation and CSV consume.
-// Floats round-trip exactly through encoding/json (shortest-form
-// encoding), so a result reassembled from cache produces byte-identical
-// CSV output.
-type cellDownload struct {
-	FCT         time.Duration `json:"fct"`
-	LossRate    float64       `json:"loss_rate,omitempty"`
-	Delivered   int64         `json:"delivered,omitempty"`
-	Segments    int           `json:"segments,omitempty"`
-	Retrans     int           `json:"retrans,omitempty"`
-	RTOs        int           `json:"rtos,omitempty"`
-	Drops       int           `json:"drops,omitempty"`
-	PeakQueue   int           `json:"peak_queue,omitempty"`
-	MaxG        int           `json:"max_g,omitempty"`
-	AccelRounds int           `json:"accel_rounds,omitempty"`
-	Completed   bool          `json:"completed"`
-	Err         string        `json:"err,omitempty"`
-}
+// The fig11 cell record: the subset of a download result the figure's
+// aggregation and CSV consume, as one JSON object. Its text is a frozen
+// on-disk contract like the key it is stored under: every -cachefile
+// holds it. It is exactly what encoding/json wrote for the struct
+//
+//	fct int64 · loss_rate float64 · delivered int64 · segments,
+//	retrans, rtos, drops, peak_queue, max_g, accel_rounds int ·
+//	completed bool · err string
+//
+// in that order, every field but fct and completed omitted when zero.
+// Floats take encoding/json's shortest round-trip form, so a result
+// reassembled from cache produces byte-identical CSV output.
+// encoding/json stays the oracle (cellcodec_test.go).
 
-func encodeJobCell(r runner.Result) ([]byte, error) {
-	c := cellDownload{
-		FCT:         r.FCT,
-		LossRate:    r.LossRate,
-		Delivered:   r.Delivered,
-		Segments:    r.Segments,
-		Retrans:     r.Retrans,
-		RTOs:        r.RTOs,
-		Drops:       r.Drops,
-		PeakQueue:   r.PeakQueue,
-		MaxG:        r.MaxG,
-		AccelRounds: r.AccelRounds,
-		Completed:   r.Completed,
+// jobCellInts are the record's integer fields after loss_rate, in
+// record order; each is omitted when zero.
+var jobCellInts = [...]string{`,"delivered":`, `,"segments":`, `,"retrans":`, `,"rtos":`,
+	`,"drops":`, `,"peak_queue":`, `,"max_g":`, `,"accel_rounds":`}
+
+// errNotCanonical refuses a record that is not byte for byte what
+// appendJobCell writes for the value it spells; execute serves it as a
+// miss, so an unknown record is recomputed and never mis-served.
+var errNotCanonical = errors.New("service: cell record is not in canonical form")
+
+// appendJobCell appends r's cell record to b. Like json.Marshal, it
+// refuses a NaN or infinite loss rate, which JSON cannot spell.
+func appendJobCell(b []byte, r runner.Result) ([]byte, error) {
+	d := &r.DownloadResult
+	b = strconv.AppendInt(append(b, `{"fct":`...), int64(d.FCT), 10)
+	if d.LossRate != 0 {
+		if math.IsNaN(d.LossRate) || math.IsInf(d.LossRate, 0) {
+			return b, fmt.Errorf("service: loss rate %v has no JSON form", d.LossRate)
+		}
+		b = appendJSONFloat(append(b, `,"loss_rate":`...), d.LossRate)
 	}
+	ints := [len(jobCellInts)]int64{d.Delivered, int64(d.Segments), int64(d.Retrans), int64(d.RTOs),
+		int64(d.Drops), int64(d.PeakQueue), int64(d.MaxG), int64(d.AccelRounds)}
+	for k, v := range ints {
+		if v != 0 {
+			b = strconv.AppendInt(append(b, jobCellInts[k]...), v, 10)
+		}
+	}
+	b = strconv.AppendBool(append(b, `,"completed":`...), d.Completed)
 	if r.Err != nil {
-		c.Err = r.Err.Error()
+		if msg := r.Err.Error(); msg != "" {
+			b = append(append(b, `,"err":`...), quoteErr(msg)...)
+		}
 	}
-	return json.Marshal(c)
+	return append(b, '}'), nil
 }
 
-func decodeJobCell(j runner.Job, raw []byte) (runner.Result, error) {
-	var c cellDownload
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return runner.Result{}, err
+// encodeJobCell is a fresh cell's record in a slice of its own length,
+// since the cache keeps it.
+func encodeJobCell(r runner.Result) ([]byte, error) {
+	var buf [256]byte
+	b, err := appendJobCell(buf[:0], r)
+	if err != nil {
+		return nil, err
 	}
-	res := runner.Result{
-		Job: j,
-		DownloadResult: runner.DownloadResult{
-			Algo:        j.Algo,
-			Size:        j.Size,
-			FCT:         c.FCT,
-			LossRate:    c.LossRate,
-			Delivered:   c.Delivered,
-			Segments:    c.Segments,
-			Retrans:     c.Retrans,
-			RTOs:        c.RTOs,
-			Drops:       c.Drops,
-			PeakQueue:   c.PeakQueue,
-			MaxG:        c.MaxG,
-			AccelRounds: c.AccelRounds,
-			Completed:   c.Completed,
-		},
+	return bytes.Clone(b), nil
+}
+
+// appendJSONFloat writes f as encoding/json does: 'f' form for
+// 1e-6 ≤ |f| < 1e21, else 'e' form with a one-digit negative exponent
+// unpadded (1e-7, not 1e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	if c.Err != "" {
-		res.Err = errors.New(c.Err)
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// quoteErr quotes an error cell's message by encoding/json's rules
+// (HTML-safe escapes, U+2028/U+2029 escaped, invalid UTF-8 as \ufffd).
+func quoteErr(msg string) []byte {
+	q, _ := json.Marshal(msg) // a string always marshals
+	return q
+}
+
+// parseJobCell is appendJobCell's inverse on exactly the bytes it
+// writes: any other text — a space, a reordered, duplicated, unknown or
+// zero-valued optional field, a non-shortest number — is
+// errNotCanonical. A record without an error parses without
+// allocating.
+//
+// An error message holding invalid UTF-8 is the one value appendJobCell
+// cannot give back (encoding/json writes it as \ufffd, which reads back
+// as a different string), so its record is refused too and the cell is
+// recomputed each time; simulator errors are ASCII.
+func parseJobCell(j runner.Job, raw []byte) (runner.Result, error) {
+	res := runner.Result{Job: j}
+	d := &res.DownloadResult
+	d.Algo, d.Size = j.Algo, j.Size
+	s := recordScanner{rest: raw}
+	s.want(`{"fct":`)
+	d.FCT = time.Duration(s.int())
+	if s.field(`,"loss_rate":`) {
+		d.LossRate = s.float()
+		s.check(d.LossRate != 0)
+	}
+	var ints [len(jobCellInts)]int64
+	for k, name := range jobCellInts {
+		if s.field(name) {
+			ints[k] = s.int()
+			s.check(ints[k] != 0)
+		}
+	}
+	s.want(`,"completed":`)
+	d.Completed = s.bool()
+	if s.field(`,"err":`) {
+		res.Err = errors.New(s.errString())
+	}
+	s.want("}")
+	d.Delivered = ints[0]
+	for k, dst := range [...]*int{&d.Segments, &d.Retrans, &d.RTOs, &d.Drops, &d.PeakQueue, &d.MaxG, &d.AccelRounds} {
+		*dst = int(ints[k+1])
+		s.check(int64(*dst) == ints[k+1])
+	}
+	if s.bad || len(s.rest) != 0 {
+		return runner.Result{}, errNotCanonical
 	}
 	return res, nil
+}
+
+// recordScanner walks a cell record left to right. Every value must
+// re-encode to the bytes it was read from; the first mismatch sets bad,
+// and the steps after it read garbage that parseJobCell discards.
+type recordScanner struct {
+	rest []byte
+	bad  bool
+}
+
+func (s *recordScanner) check(ok bool) { s.bad = s.bad || !ok }
+
+// field consumes lit if the record continues with it.
+func (s *recordScanner) field(lit string) bool {
+	if len(s.rest) < len(lit) || string(s.rest[:len(lit)]) != lit {
+		return false
+	}
+	s.rest = s.rest[len(lit):]
+	return true
+}
+
+func (s *recordScanner) want(lit string) { s.check(s.field(lit)) }
+
+// token consumes a scalar: the bytes up to the next ',' or '}'.
+func (s *recordScanner) token() []byte {
+	n := 0
+	for n < len(s.rest) && s.rest[n] != ',' && s.rest[n] != '}' {
+		n++
+	}
+	t := s.rest[:n]
+	s.rest = s.rest[n:]
+	return t
+}
+
+// maxNumLen bounds a canonical number's text (the longest, a negative
+// subnormal in 'e' form, is 24 bytes), so the string conversions below
+// stay on the stack.
+const maxNumLen = 32
+
+func (s *recordScanner) int() int64 {
+	t := s.token()
+	if len(t) > maxNumLen {
+		s.bad = true
+		return 0
+	}
+	v, err := strconv.ParseInt(string(t), 10, 64)
+	var buf [maxNumLen]byte
+	s.check(err == nil && string(strconv.AppendInt(buf[:0], v, 10)) == string(t))
+	return v
+}
+
+func (s *recordScanner) float() float64 {
+	t := s.token()
+	if len(t) > maxNumLen {
+		s.bad = true
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(t), 64)
+	var buf [maxNumLen]byte
+	s.check(err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) && string(appendJSONFloat(buf[:0], v)) == string(t))
+	return v
+}
+
+func (s *recordScanner) bool() bool {
+	switch string(s.token()) {
+	case "true":
+		return true
+	case "false":
+		return false
+	}
+	s.bad = true
+	return false
+}
+
+// errString consumes the record's last value, the quoted, non-empty
+// error message, leaving the closing brace.
+func (s *recordScanner) errString() string {
+	if len(s.rest) < 3 || s.rest[0] != '"' {
+		s.bad = true
+		return ""
+	}
+	q := s.rest[:len(s.rest)-1]
+	s.rest = s.rest[len(q):]
+	var msg string
+	s.check(json.Unmarshal(q, &msg) == nil && msg != "" && bytes.Equal(quoteErr(msg), q))
+	return msg
 }
 
 // cellShard is the serializable form of one fleet cell. ShardResult is
@@ -348,10 +497,13 @@ func execute[R any](s *Server, b *batch, p plan[R]) {
 		if raw, ok := s.cache.Get(key); ok {
 			if res, err := p.decode(i, raw); err == nil {
 				results[i] = res
+				s.cache.count(true)
 				b.setCell(i, CellCached, "")
 				continue
 			}
 		}
+		// Absent, or a record that does not decode: simulate and re-cache.
+		s.cache.count(false)
 		miss = append(miss, i)
 	}
 	outs := runner.Map(b.ctx, miss, func(ctx context.Context, _ int, i int) (R, error) {

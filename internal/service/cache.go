@@ -45,29 +45,24 @@ func NewPersistentCache(path string) (*Cache, RecoveryInfo, error) {
 	return c, info, nil
 }
 
-// Get returns the entry for key and counts the lookup as a hit or a
-// miss. Executors call it exactly once per cell, so the counters read
-// as "cells served from cache" vs "cells that had to simulate".
+// Get returns the entry for key. It counts nothing: whether a present
+// record serves the cell is up to its decoder, so the executor counts
+// the cell once it knows (count).
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	v, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok {
+	return v, ok
+}
+
+// count records one cell as served from cache (hit) or simulated
+// (miss). Executors call it exactly once per cell, after decoding.
+func (c *Cache) count(hit bool) {
+	if hit {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return v, ok
-}
-
-// Contains reports presence without touching the hit/miss counters —
-// the submit path uses it to report how much of a batch is already
-// warm.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	_, ok := c.entries[key]
-	c.mu.Unlock()
-	return ok
 }
 
 // Put stores an entry and, when the cache is persistent, appends it to

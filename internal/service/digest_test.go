@@ -68,21 +68,7 @@ func TestBehaviourDigest(t *testing.T) {
 		}
 	}
 
-	hardened := chaos.HardenedTransport()
-	var burst chaos.Impairment
-	for _, imp := range chaos.Catalog() {
-		if imp.Name == "burst-loss" {
-			burst = imp
-		}
-	}
-	for _, j := range []runner.Job{
-		{Scenario: scenarios.New(scenarios.GoogleUSEast, netem.Wired, 1), Algo: runner.Reno, Size: 33 << 20},
-		{
-			Scenario: scenarios.New(scenarios.OracleLondon, netem.Wired, 1), Algo: runner.Suss, Size: 4 << 20,
-			Observe: true, Transport: &hardened,
-			Impair: func(env runner.ChaosEnv) { burst.Attach(env, rand.New(rand.NewSource(env.Seed^0x5eed0fc4a05))) },
-		},
-	} {
+	for _, j := range digestLossJobs() {
 		res, _ := jobCell(j, runner.Download(j))
 		raw, err := encodeJobCell(res)
 		if err != nil {
@@ -96,5 +82,26 @@ func TestBehaviourDigest(t *testing.T) {
 	t.Logf("behaviour digest %s", got)
 	if got != behaviourDigest {
 		t.Errorf("behaviour moved: regenerate the epoch (digest %s, pinned %s)", got, behaviourDigest)
+	}
+}
+
+// digestLossJobs are the digest's two loss-heavy cells: a Reno cell
+// losing thousands of segments at once on a wired path, and a
+// hardened-transport chaos cell under burst loss.
+func digestLossJobs() []runner.Job {
+	hardened := chaos.HardenedTransport()
+	var burst chaos.Impairment
+	for _, imp := range chaos.Catalog() {
+		if imp.Name == "burst-loss" {
+			burst = imp
+		}
+	}
+	return []runner.Job{
+		{Scenario: scenarios.New(scenarios.GoogleUSEast, netem.Wired, 1), Algo: runner.Reno, Size: 33 << 20},
+		{
+			Scenario: scenarios.New(scenarios.OracleLondon, netem.Wired, 1), Algo: runner.Suss, Size: 4 << 20,
+			Observe: true, Transport: &hardened,
+			Impair: func(env runner.ChaosEnv) { burst.Attach(env, rand.New(rand.NewSource(env.Seed^0x5eed0fc4a05))) },
+		},
 	}
 }

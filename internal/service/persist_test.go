@@ -135,7 +135,8 @@ func TestPersistCorruptRecordTruncatesTail(t *testing.T) {
 	if _, ok := c2.Get("key-0002"); !ok {
 		t.Error("intact record before the corruption was dropped")
 	}
-	if c2.Contains("key-0004") || c2.Contains("key-0005") {
+	_, ok4 := c2.Get("key-0004")
+	if _, ok5 := c2.Get("key-0005"); ok4 || ok5 {
 		t.Error("records after the corruption survived; replay must stop at the first bad record")
 	}
 }

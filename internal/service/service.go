@@ -333,7 +333,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 
 	cached := 0
 	for _, k := range keys {
-		if s.cache.Contains(k) {
+		if _, ok := s.cache.Get(k); ok {
 			cached++
 		}
 	}
@@ -483,7 +483,7 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 		return res, cacheable, res.Err
 	}
 	p.encode = encodeJobCell
-	p.decode = func(i int, raw []byte) (runner.Result, error) { return decodeJobCell(jobs[i], raw) }
+	p.decode = func(i int, raw []byte) (runner.Result, error) { return parseJobCell(jobs[i], raw) }
 	p.unrun = func(i int, err error) runner.Result { return runner.Result{Job: jobs[i], Err: err} }
 	p.fold = func(rs []runner.Result, csv io.Writer) error {
 		return experiments.Fig11FromResults(srv, sizes, iters, rs, false).WriteCSV(csv)
