@@ -52,7 +52,9 @@ race:
 # that sweep through one worker's scratch (all three internal/runner),
 # and a warm resubmission of the 252-cell fig11 matrix to the daemon
 # (internal/service). All but the warm pass are exact counts; that one
-# is per cell, so one allocation more per cell fails.
+# is per cell, so one allocation more per cell fails. The sweep and the
+# two shard replays also pin their events fired (the behaviour) and
+# timing-wheel placements (the scheduler's work) exactly.
 allocgate:
 	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 

@@ -16,6 +16,8 @@ import (
 
 	"suss/internal/experiments"
 	"suss/internal/netem"
+	"suss/internal/netsim"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 )
@@ -118,7 +120,17 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fig11SerialSweepAllocs = 2022
+const fig11SerialSweepAllocs = 1842
+
+// fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
+// same 24 cells fire and the timing-wheel placements they cost, summed
+// over the cells (netsim.Simulator.Fired and Placed). Fired is the
+// behaviour: it moves only with the results. Placed is the scheduler's
+// work, and moves when the way events are armed does.
+const (
+	fig11SerialSweepFired  = 196975
+	fig11SerialSweepPlaced = 284657
+)
 
 // TestFig11SerialSweepAllocBudget is the alloc gate of the sweep hot
 // path (part of `make allocgate`): an allocation added per data
@@ -133,9 +145,21 @@ func TestFig11SerialSweepAllocBudget(t *testing.T) {
 			t.Fatalf("%d incomplete downloads", r.Incomplete)
 		}
 	})
-	t.Logf("min mallocs over 6 passes: %d (want %d)", got, fig11SerialSweepAllocs)
+	var fired, placed uint64
+	for _, j := range experiments.Fig11Jobs(scenarios.GoogleTokyo, fig11ReducedSizes, 1, 1) {
+		var sim *netsim.Simulator
+		j.Impair = func(env runner.ChaosEnv) { sim = env.Sim }
+		runner.Download(j)
+		fired, placed = fired+sim.Fired, placed+sim.Placed
+	}
+	t.Logf("min mallocs over 6 passes: %d (want %d); %d events fired (want %d), %d placements (want %d)",
+		got, fig11SerialSweepAllocs, fired, fig11SerialSweepFired, placed, fig11SerialSweepPlaced)
 	if got != fig11SerialSweepAllocs {
-		t.Fatalf("serial reduced fig11 sweep made %d mallocs, want exactly %d", got, fig11SerialSweepAllocs)
+		t.Errorf("serial reduced fig11 sweep made %d mallocs, want exactly %d", got, fig11SerialSweepAllocs)
+	}
+	if fired != fig11SerialSweepFired || placed != fig11SerialSweepPlaced {
+		t.Errorf("serial reduced fig11 sweep fired %d events in %d placements, want exactly %d in %d",
+			fired, placed, fig11SerialSweepFired, fig11SerialSweepPlaced)
 	}
 }
 

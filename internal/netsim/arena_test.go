@@ -206,7 +206,7 @@ func TestLinkPipelineZeroAlloc(t *testing.T) {
 	snk := &sink{id: 1, sim: s}
 	l := NewLink(s, LinkConfig{Name: "pipe", Rate: 1e9, Delay: time.Millisecond}, snk)
 	pool := s.Pool()
-	// Warm the pool and ring buffers past their growth phase.
+	// Warm the pool and the timer arena past their growth phase.
 	for i := 0; i < 64; i++ {
 		p := pool.Get()
 		p.Size = 1500

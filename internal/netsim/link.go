@@ -77,6 +77,7 @@ type Link struct {
 	busy  bool
 
 	lastArrival time.Duration // for in-order clamping
+	line        pktFIFO       // in-band packets in propagation; one timer, the head's
 	stats       LinkStats
 
 	// rec, when non-nil, is the attached flight recorder for this
@@ -177,13 +178,25 @@ func (l *Link) Enqueue(pkt *Packet) {
 	}
 }
 
-// linkFinishTransmitEv and linkDeliverEv are the link's two
-// per-packet events as capture-free EventFuncs: scheduling them
-// stores (link, packet) in the timer slot instead of building a
-// capturing closure, so the serialize→propagate→deliver pipeline
-// allocates nothing.
+// linkFinishTransmitEv and linkDeliverEv are the link's per-packet
+// events as capture-free EventFuncs: scheduling them stores (link,
+// packet) in the timer slot instead of building a capturing closure,
+// so the serialize→propagate→deliver pipeline allocates nothing.
+// linkDeliverEv carries only out-of-band deliveries; the line's are
+// linkLineEv's.
 func linkFinishTransmitEv(ctx, arg any) { ctx.(*Link).finishTransmit(arg.(*Packet)) }
 func linkDeliverEv(ctx, arg any)        { ctx.(*Link).deliver(arg.(*Packet)) }
+
+// linkLineEv delivers the head of a link's line after arming the next
+// head at the key that packet reserved when it propagated.
+func linkLineEv(ctx, _ any) {
+	l := ctx.(*Link)
+	pkt := l.line.pop()
+	if next := l.line.head; next != nil {
+		l.sim.armSlot(next.at, next.armSeq, linkLineEv, l, nil)
+	}
+	l.deliver(pkt)
+}
 
 func (l *Link) startTransmit() {
 	pkt, dropped := l.qdisc.Dequeue(l.sim.Now())
@@ -234,6 +247,13 @@ func (l *Link) finishTransmit(pkt *Packet) {
 // delivery skips the FIFO arrival clamp and does not advance the clamp
 // watermark, so genuinely reordered copies can land behind successors
 // without delaying them.
+//
+// A clamped arrival is never earlier than the one before it, so an
+// in-band packet joins the tail of the line: a long fat pipe holds a
+// BDP of packets but costs the scheduler one pending event. The packet
+// takes its arm sequence now, as a timer armed here would, and keeps
+// it for when it heads the line. Out-of-band and AllowReorder
+// deliveries are not FIFO and keep an event of their own.
 func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 	delay := l.cfg.Delay + extra
 	if l.cfg.Jitter != nil {
@@ -247,13 +267,21 @@ func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 		delay = 0
 	}
 	arrival := l.sim.Now() + delay
-	if !outOfBand {
-		if !l.cfg.AllowReorder && arrival < l.lastArrival {
-			arrival = l.lastArrival
-		}
-		l.lastArrival = arrival
+	if outOfBand || l.cfg.AllowReorder {
+		l.sim.ScheduleEventAt(arrival, linkDeliverEv, l, pkt)
+		return
 	}
-	l.sim.ScheduleEventAt(arrival, linkDeliverEv, l, pkt)
+	if arrival < l.lastArrival {
+		arrival = l.lastArrival
+	}
+	l.lastArrival = arrival
+	s := l.sim
+	pkt.at, pkt.armSeq = arrival, s.seq
+	s.seq++
+	if l.line.head == nil {
+		s.armSlot(arrival, pkt.armSeq, linkLineEv, l, nil)
+	}
+	l.line.push(pkt)
 }
 
 // impairedPropagate runs the impairment pipeline on a packet that

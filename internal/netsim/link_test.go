@@ -204,3 +204,92 @@ func TestNewLinkValidation(t *testing.T) {
 	}()
 	NewLink(NewSimulator(), LinkConfig{Name: "bad"}, &sink{})
 }
+
+// scriptStage is an impairment stage with a fixed verdict per Seq.
+type scriptStage map[int64]ImpairVerdict
+
+func (scriptStage) Name() string                                      { return "script" }
+func (st scriptStage) Judge(_ time.Duration, p *Packet) ImpairVerdict { return st[p.Seq] }
+
+// TestLinkLine: a link's in-flight packets cost the scheduler one
+// pending timer, and every delivery fires at the (deadline, seq) key
+// its own timer would have had — the seq taken when the packet
+// propagated, not when it came to head the line.
+func TestLinkLine(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	tx := time.Duration(float64(1500*8) / 1e9 * float64(time.Second)) // as Link computes it
+	arrival := func(i int) time.Duration { return time.Duration(i+1)*tx + delay }
+	newLink := func(sim *Simulator, dst Node) *Link {
+		return NewLink(sim, LinkConfig{Name: "l", Rate: 1e9, Delay: delay, QueueBytes: 2 << 20}, dst)
+	}
+
+	t.Run("one timer for 1000 packets in flight", func(t *testing.T) {
+		sim := NewSimulator()
+		dst := &sink{id: 1, sim: sim}
+		l := newLink(sim, dst)
+		for i := 0; i < 1000; i++ {
+			l.Enqueue(&Packet{Size: 1500, Seq: int64(i), Dst: 1})
+		}
+		sim.Run(delay - time.Millisecond) // all serialized, none arrived
+		n := 0
+		for p := l.line.head; p != nil; p = p.next {
+			n++
+		}
+		if n != 1000 || sim.Pending() != 1 {
+			t.Fatalf("%d packets on the line, %d events pending; want 1000 and 1", n, sim.Pending())
+		}
+		if at, ok := sim.NextEventAt(); !ok || at != arrival(0) {
+			t.Fatalf("NextEventAt() = %v, %v; want the head's arrival %v", at, ok, arrival(0))
+		}
+		// Packet 1 propagated long ago but is not the head yet: a timer
+		// armed now at its arrival must fire after it is delivered.
+		delivered := -1
+		sim.ScheduleAt(arrival(1), func() { delivered = len(dst.pkts) })
+		sim.RunAll()
+		if delivered != 2 {
+			t.Errorf("a timer armed after packet 1 propagated, at its arrival, fired after %d deliveries, want 2", delivered)
+		}
+		for i, p := range dst.pkts {
+			if p.Seq != int64(i) || dst.at[i] != arrival(i) {
+				t.Fatalf("delivery %d: seq %d at %v, want seq %d at %v", i, p.Seq, dst.at[i], i, arrival(i))
+			}
+		}
+		if sim.Fired != 2000+1 {
+			t.Errorf("Fired = %d, want 1000 transmits + 1000 deliveries + 1 timer", sim.Fired)
+		}
+	})
+
+	t.Run("out-of-band deliveries interleave in key order", func(t *testing.T) {
+		sim := NewSimulator()
+		dst := &sink{id: 1, sim: sim}
+		l := newLink(sim, dst)
+		l.AttachImpairments(NewImpairments(scriptStage{
+			// A copy of 3 lands on 6's arrival; it propagated first.
+			3: {Duplicate: true, DupExtraDelay: 3 * tx},
+			// 5 is held back onto 8's arrival; it propagated first.
+			5: {OutOfBand: true, ExtraDelay: 3 * tx},
+			// 7 overtakes onto 6's arrival; it propagated after 6 did,
+			// but before 6 came to head the line.
+			7: {OutOfBand: true, ExtraDelay: -tx},
+		}))
+		for i := 0; i < 10; i++ {
+			l.Enqueue(&Packet{Size: 1500, Seq: int64(i), Dst: 1})
+		}
+		sim.RunAll()
+		want := []struct {
+			seq int64
+			at  time.Duration
+		}{
+			{0, arrival(0)}, {1, arrival(1)}, {2, arrival(2)}, {3, arrival(3)}, {4, arrival(4)},
+			{3, arrival(6)}, {6, arrival(6)}, {7, arrival(6)}, {5, arrival(8)}, {8, arrival(8)}, {9, arrival(9)},
+		}
+		if len(dst.pkts) != len(want) {
+			t.Fatalf("delivered %d packets, want %d", len(dst.pkts), len(want))
+		}
+		for i, w := range want {
+			if dst.pkts[i].Seq != w.seq || dst.at[i] != w.at {
+				t.Errorf("delivery %d: seq %d at %v, want seq %d at %v", i, dst.pkts[i].Seq, dst.at[i], w.seq, w.at)
+			}
+		}
+	})
+}

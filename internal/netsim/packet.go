@@ -91,6 +91,14 @@ type Packet struct {
 	frame    [MaxFrameLen]byte
 	frameLen uint8
 
+	// next, at and armSeq thread the packet through the one queue it is
+	// in at a time (pktFIFO): a qdisc's, where CoDel stamps at with the
+	// enqueue time, then its link's line, where at is its arrival and
+	// armSeq the arm sequence its delivery reserved.
+	next   *Packet
+	at     time.Duration
+	armSeq uint64
+
 	// pool is the free list this packet returns to on Release; nil for
 	// packets built with a literal. freed is the sussdebug
 	// use-after-release flag (see pool_debug.go).
@@ -123,13 +131,13 @@ func (p *Packet) SetFrameLen(n int) {
 func (p *Packet) Frame() []byte { return p.frame[:p.frameLen] }
 
 // CopyFrom copies every wire field of src into p while preserving p's
-// own pool identity, so a pooled packet can become a byte-for-byte
-// duplicate of another without corrupting either free list. Used by
-// the duplication impairment stage.
+// own pool identity and queue links, so a pooled packet can become a
+// byte-for-byte duplicate of another without corrupting either free
+// list or queue. Used by the duplication impairment stage.
 func (p *Packet) CopyFrom(src *Packet) {
-	pool, freed := p.pool, p.freed
+	pool, freed, next, at, armSeq := p.pool, p.freed, p.next, p.at, p.armSeq
 	*p = *src
-	p.pool, p.freed = pool, freed
+	p.pool, p.freed, p.next, p.at, p.armSeq = pool, freed, next, at, armSeq
 }
 
 // SackRanges returns the valid selective-ack ranges as a slice view

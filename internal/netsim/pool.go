@@ -10,9 +10,12 @@ package netsim
 // Ownership rules:
 //   - the component that acquires a packet (a transport endpoint)
 //     owns it until it hands it to the network via Host.Send;
-//   - a Link (and its Qdisc) owns every packet it has queued or is
-//     serializing, and releases packets it drops (tail drop, AQM
-//     drop, random wire loss) after the OnDrop callback returns;
+//   - a Link (and its Qdisc) owns every packet it has queued, is
+//     serializing or holds on its in-flight line, and releases packets
+//     it drops (tail drop, AQM drop, random wire loss) after the
+//     OnDrop callback returns. Queues are threaded through the packets
+//     themselves (Packet.next), so a packet is in at most one queue at
+//     a time, and Get hands a packet out with no queue link set;
 //   - delivery transfers ownership to the destination node: routers
 //     pass it to the next link, endpoints release it when they finish
 //     processing (tcp.Receiver.Handle, tcp.Sender.HandleAck, and the

@@ -29,56 +29,39 @@ type Qdisc interface {
 // QdiscFactory builds a discipline for a link's byte limit.
 type QdiscFactory func(limitBytes int) Qdisc
 
-type timedPacket struct {
-	pkt *Packet
-	at  time.Duration // enqueue time (sojourn measurement)
+// pktFIFO is a FIFO of packets threaded through Packet.next. A packet
+// is in at most one queue at a time — its qdisc's, then its link's
+// line — so a queue owns no storage: it never grows, copies or
+// allocates.
+type pktFIFO struct{ head, tail *Packet }
+
+func (q *pktFIFO) push(p *Packet) {
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
 }
 
-// pktRing is a growable FIFO of timedPacket values backed by a
-// power-of-two circular buffer: steady-state enqueue/dequeue never
-// allocates (the old slice-of-pointers queue allocated a timedPacket
-// per enqueue and leaked capacity on every q = q[1:]).
-type pktRing struct {
-	buf  []timedPacket
-	head int
-	n    int
-}
-
-func (r *pktRing) push(tp timedPacket) {
-	if r.n == len(r.buf) {
-		r.grow()
+// pop removes and returns the head, nil when the queue is empty.
+func (q *pktFIFO) pop() *Packet {
+	p := q.head
+	if p == nil {
+		return nil
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = tp
-	r.n++
-}
-
-func (r *pktRing) pop() (timedPacket, bool) {
-	if r.n == 0 {
-		return timedPacket{}, false
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
 	}
-	tp := r.buf[r.head]
-	r.buf[r.head] = timedPacket{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return tp, true
-}
-
-func (r *pktRing) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]timedPacket, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = buf, 0
+	return p
 }
 
 // dropTail is the default FIFO with a byte-capacity tail drop.
 type dropTail struct {
 	limit int
-	q     pktRing
+	q     pktFIFO
 	bytes int
 }
 
@@ -91,18 +74,18 @@ func (d *dropTail) Enqueue(now time.Duration, pkt *Packet) bool {
 	if d.bytes+pkt.Size > d.limit {
 		return false
 	}
-	d.q.push(timedPacket{pkt: pkt, at: now})
+	d.q.push(pkt)
 	d.bytes += pkt.Size
 	return true
 }
 
 func (d *dropTail) Dequeue(now time.Duration) (*Packet, []*Packet) {
-	tp, ok := d.q.pop()
-	if !ok {
+	p := d.q.pop()
+	if p == nil {
 		return nil, nil
 	}
-	d.bytes -= tp.pkt.Size
-	return tp.pkt, nil
+	d.bytes -= p.Size
+	return p, nil
 }
 
 func (d *dropTail) Bytes() int { return d.bytes }
@@ -121,7 +104,7 @@ type CoDel struct {
 	Interval time.Duration
 
 	limit int
-	q     pktRing
+	q     pktFIFO
 	bytes int
 
 	firstAboveTime time.Duration
@@ -155,26 +138,26 @@ func (c *CoDel) Enqueue(now time.Duration, pkt *Packet) bool {
 	if c.bytes+pkt.Size > c.limit {
 		return false
 	}
-	c.q.push(timedPacket{pkt: pkt, at: now})
+	pkt.at = now
+	c.q.push(pkt)
 	c.bytes += pkt.Size
 	return true
 }
 
 func (c *CoDel) Bytes() int { return c.bytes }
 
-// pop removes and returns the head (zero timedPacket when empty).
-func (c *CoDel) pop() timedPacket {
-	tp, ok := c.q.pop()
-	if !ok {
-		return timedPacket{}
+// pop removes and returns the head (nil when empty).
+func (c *CoDel) pop() *Packet {
+	p := c.q.pop()
+	if p != nil {
+		c.bytes -= p.Size
 	}
-	c.bytes -= tp.pkt.Size
-	return tp
+	return p
 }
 
 // shouldDrop runs the RFC 8289 sojourn test for one packet.
-func (c *CoDel) shouldDrop(tp timedPacket, now time.Duration) bool {
-	sojourn := now - tp.at
+func (c *CoDel) shouldDrop(p *Packet, now time.Duration) bool {
+	sojourn := now - p.at
 	if sojourn < c.Target || c.bytes <= 1500 {
 		c.firstAboveTime = 0
 		return false
@@ -193,28 +176,28 @@ func (c *CoDel) controlLaw(t time.Duration) time.Duration {
 
 func (c *CoDel) Dequeue(now time.Duration) (*Packet, []*Packet) {
 	dropped := c.dropScratch[:0]
-	tp := c.pop()
-	if tp.pkt == nil {
+	p := c.pop()
+	if p == nil {
 		c.dropping = false
 		return nil, nil
 	}
-	okToDrop := c.shouldDrop(tp, now)
+	okToDrop := c.shouldDrop(p, now)
 
 	if c.dropping {
 		if !okToDrop {
 			c.dropping = false
 		} else {
 			for c.dropping && now >= c.dropNext {
-				dropped = append(dropped, tp.pkt)
+				dropped = append(dropped, p)
 				c.Drops++
 				c.count++
-				tp = c.pop()
-				if tp.pkt == nil {
+				p = c.pop()
+				if p == nil {
 					c.dropping = false
 					c.dropScratch = dropped
 					return nil, dropped
 				}
-				if !c.shouldDrop(tp, now) {
+				if !c.shouldDrop(p, now) {
 					c.dropping = false
 				} else {
 					c.dropNext = c.controlLaw(c.dropNext)
@@ -222,7 +205,7 @@ func (c *CoDel) Dequeue(now time.Duration) (*Packet, []*Packet) {
 			}
 		}
 	} else if okToDrop {
-		dropped = append(dropped, tp.pkt)
+		dropped = append(dropped, p)
 		c.Drops++
 		c.dropping = true
 		// RFC 8289 §5.4: resume close to the last drop rate if we were
@@ -234,13 +217,13 @@ func (c *CoDel) Dequeue(now time.Duration) (*Packet, []*Packet) {
 		}
 		c.lastCount = c.count
 		c.dropNext = c.controlLaw(now)
-		tp = c.pop()
-		if tp.pkt == nil {
+		p = c.pop()
+		if p == nil {
 			c.dropping = false
 			c.dropScratch = dropped
 			return nil, dropped
 		}
 	}
 	c.dropScratch = dropped
-	return tp.pkt, dropped
+	return p, dropped
 }

@@ -75,6 +75,25 @@ var dirtyEngines = []dirtyEngine{
 		}
 		return hs
 	}},
+	{"a link's line holds packets, its head timer armed", func(t *testing.T, s *Simulator) []Timer {
+		l := NewLink(s, LinkConfig{Name: "l", Rate: 1e9, Delay: 50 * time.Millisecond}, &sink{id: 1, sim: s})
+		for i := 0; i < 5; i++ {
+			p := s.Pool().Get()
+			p.Size, p.Seq, p.Dst = 1500, int64(i), 1
+			l.Enqueue(p)
+		}
+		s.Run(time.Millisecond) // all five serialized, none arrived
+		if l.line.head == nil || s.Pending() != 1 {
+			t.Fatalf("setup: want a busy line and only its head timer pending, %d pending", s.Pending())
+		}
+		var hs []Timer
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.bucket != bucketNone {
+				hs = append(hs, Timer{s: s, idx: int32(i), gen: sl.gen})
+			}
+		}
+		return hs
+	}},
 	{"a callback panicked mid-Run", func(t *testing.T, s *Simulator) []Timer {
 		var hs []Timer
 		for i := 0; i < 4; i++ {
@@ -111,14 +130,14 @@ func TestResetDirtyEngines(t *testing.T) {
 			held := s.Pool().Get()
 			s.Pool().Get().Release()
 			hs := d.dirty(t, s)
-			fired, slots := s.Fired, len(s.slots)
+			fired, placed, slots, pkts := s.Fired, s.Placed, len(s.slots), s.pool.peak
 
 			s.Reset()
 			assertFreshState(t, s)
 			assertDead(t, hs)
-			if fired == 0 || s.ArenaSlots != slots || s.PoolPackets != 2 || s.PoolSlabs != 1 {
-				t.Errorf("counters after Reset: fired before %d; ArenaSlots %d (arena %d), PoolPackets %d, PoolSlabs %d — high-waters must survive",
-					fired, s.ArenaSlots, slots, s.PoolPackets, s.PoolSlabs)
+			if fired == 0 || placed == 0 || s.ArenaSlots != slots || s.PoolPackets != pkts || s.PoolSlabs != 1 {
+				t.Errorf("counters after Reset: fired before %d, placed %d; ArenaSlots %d (arena %d), PoolPackets %d (peak %d), PoolSlabs %d — high-waters must survive",
+					fired, placed, s.ArenaSlots, slots, s.PoolPackets, pkts, s.PoolSlabs)
 			}
 			if p := s.Pool().Get(); p != held && !debugSequester {
 				t.Errorf("first packet of the new life is %p, want the first slab packet %p", p, held)
@@ -139,7 +158,8 @@ func assertFreshState(t *testing.T, s *Simulator) {
 	if s.now != f.now || s.seq != f.seq || s.halted != f.halted || s.stopWhen != nil ||
 		s.cur != f.cur || s.occ != f.occ || s.bhead != f.bhead || s.btail != f.btail ||
 		s.npending != f.npending || s.ovMin != f.ovMin || s.ovDirty != f.ovDirty ||
-		len(s.window) != 0 || s.windowPos != 0 || s.Fired != 0 {
+		len(s.window) != 0 || s.windowPos != 0 ||
+		s.Fired != 0 || s.Placed != 0 || s.Cascades != 0 || s.WindowSorts != 0 {
 		t.Errorf("reset engine differs from a new one: %+v", *s)
 	}
 	if s.Pool().Stats() != (PoolStats{}) || len(s.pool.free) != 0 || s.pool.used != 0 {

@@ -66,13 +66,20 @@ type Simulator struct {
 	// Self-counters, plain fields to read after Run. Fired counts the
 	// events Run has dispatched since NewSimulator or Reset — two runs of
 	// one deterministic simulation fire the same number, a stronger
-	// identity than equal results. The high-waters say what the engine
+	// identity than equal results. Placed, Cascades and WindowSorts price
+	// the wheel's work over the same life: bucket placements (arms,
+	// rearms and cascade re-placements), buckets pulled apart into lower
+	// levels (overflow migrations included), and dispatch windows crowded
+	// enough to take the library sort. The high-waters say what the engine
 	// has grown to over all its lives and are kept by Reset; Run brings
 	// them up to date as it returns (or unwinds from a panic): ArenaSlots is the timer arena's size
 	// in slots (the most timers ever pending at once), PoolPackets the
 	// most packets ever out of the slabs in one life, PoolSlabs the slabs
 	// allocated.
 	Fired       uint64
+	Placed      uint64
+	Cascades    uint64
+	WindowSorts uint64
 	ArenaSlots  int
 	PoolPackets int
 	PoolSlabs   int
@@ -129,11 +136,12 @@ func NewSimulator() *Simulator {
 
 // Reset returns the engine to exactly what NewSimulator gives — clock
 // and arm sequence at zero, nothing pending, no StopWhen predicate,
-// Halt forgotten, pool counters and Fired at zero — whatever state the
-// last run left it in: drained, stopped at a horizon, halted inside a
-// half-dispatched window, or abandoned by a callback that panicked.
-// What the engine grew is kept: the timer arena, the packet slabs, the
-// dispatch scratch and the three high-water counters.
+// Halt forgotten, pool counters and the four work counters at zero —
+// whatever state the last run left it in: drained, stopped at a
+// horizon, halted inside a half-dispatched window, or abandoned by a
+// callback that panicked. What the engine grew is kept: the timer
+// arena, the packet slabs, the dispatch scratch and the three
+// high-water counters.
 //
 // Every timer still pending is released the way Stop releases it, so a
 // handle taken before Reset reads dead afterwards (Active and Stop
@@ -160,7 +168,7 @@ func (s *Simulator) Reset() {
 	s.ovMin, s.ovDirty = math.MaxInt64, false
 	s.window, s.windowPos = s.window[:0], 0
 	s.pool.reset()
-	s.Fired = 0
+	s.Fired, s.Placed, s.Cascades, s.WindowSorts = 0, 0, 0, 0
 }
 
 // Now returns the current virtual time.
@@ -295,6 +303,17 @@ func (s *Simulator) ScheduleEventAt(at time.Duration, fn EventFunc, ctx, arg any
 }
 
 func (s *Simulator) scheduleSlot(at time.Duration, fn EventFunc, ctx, arg any) Timer {
+	seq := s.seq
+	s.seq++
+	return s.armSlot(at, seq, fn, ctx, arg)
+}
+
+// armSlot arms fn at the dispatch key (at, seq), where seq is an arm
+// sequence the caller took from s.seq, now or earlier. A link reserves
+// one per packet as it propagates and arms it only once the packet
+// heads its line, so each delivery fires at the key its own timer
+// would have had. Times in the past are clamped to now.
+func (s *Simulator) armSlot(at time.Duration, seq uint64, fn EventFunc, ctx, arg any) Timer {
 	if at < s.now {
 		at = s.now
 	}
@@ -307,8 +326,7 @@ func (s *Simulator) scheduleSlot(at time.Duration, fn EventFunc, ctx, arg any) T
 		idx = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[idx]
-	sl.at, sl.seq, sl.fn, sl.ctx, sl.arg = at, s.seq, fn, ctx, arg
-	s.seq++
+	sl.at, sl.seq, sl.fn, sl.ctx, sl.arg = at, seq, fn, ctx, arg
 	s.place(idx)
 	s.npending++
 	return Timer{s: s, idx: idx, gen: sl.gen}
@@ -425,7 +443,8 @@ func (s *Simulator) RunAll() time.Duration {
 // Pending returns the number of events still queued. The count is
 // exact: Stop removes a timer from the pending set at cancellation
 // time, so cancelled timers are never counted, and events drained into
-// the dispatch scratch but not yet fired still are.
+// the dispatch scratch but not yet fired still are. A link's in-flight
+// packets count as the one event they have armed, their line's head.
 func (s *Simulator) Pending() int { return s.npending }
 
 // String implements fmt.Stringer for debugging.

@@ -21,8 +21,11 @@ package netsim
 // 2–4 and were unlinked and re-placed once per level on the way down —
 // 3.12 place calls, 2.30 wheelNext rounds and 1.38 cascades per fired
 // event on the 10k-flow fleet benchmark. At 4 µs a serialization
-// deadline lands at level 0 directly, propagation at level 1, an RTO
-// at level 2: 1.50, 0.78 and 0.03 (DESIGN.md has every workload).
+// deadline lands at level 0 directly and an RTO at level 2: 1.50, 0.78
+// and 0.03. Deliveries are not armed as packets propagate: a link arms
+// one timer, for the head of its in-flight line, one inter-arrival gap
+// ahead (link.go), so they mostly land at level 0 too: 1.17, 0.78 and
+// 0.02 (DESIGN.md has every workload).
 //
 // Deadlines are placed by the delta, in ticks, between their tick and
 // the wheel cursor `cur`: level = floor(log64(delta)), slot = the
@@ -112,6 +115,7 @@ type windowEnt struct {
 // clamp to now, now's tick >= cur, and cascades re-place only
 // still-pending events).
 func (s *Simulator) place(idx int32) {
+	s.Placed++
 	sl := &s.slots[idx]
 	et := int64(sl.at) >> tickBits
 	b := int32(overflowBucket)
@@ -178,6 +182,7 @@ func (s *Simulator) replaceAll(b int) {
 // set cur >= the bucket's range start, so every delta is below one
 // level-L slot width.
 func (s *Simulator) cascade(b int) {
+	s.Cascades++
 	s.occ[b>>wheelBits] &^= 1 << uint(b&wheelMask)
 	s.replaceAll(b)
 }
@@ -187,6 +192,7 @@ func (s *Simulator) cascade(b int) {
 // cached minimum). The caller has advanced cur to the overflow
 // minimum, so at least that event migrates.
 func (s *Simulator) migrateOverflow() {
+	s.Cascades++
 	s.ovMin, s.ovDirty = math.MaxInt64, false
 	s.replaceAll(overflowBucket)
 }
@@ -321,6 +327,7 @@ func (s *Simulator) drainBucket(b int) {
 		sl.bucket = bucketWindow
 	}
 	if len(w)-old > 64 {
+		s.WindowSorts++
 		slices.SortFunc(w[lo:], func(a, b windowEnt) int { return cmp.Compare(a.key, b.key) })
 	} else {
 		for k := old; k < len(w); k++ {

@@ -41,12 +41,17 @@ func (r *refSched) after(d time.Duration) time.Duration {
 }
 
 func (r *refSched) schedule(at time.Duration) {
+	r.scheduleSeq(at, r.seq)
+	r.seq++
+}
+
+// scheduleSeq arms at the key (at, seq) for a seq reserved earlier.
+func (r *refSched) scheduleSeq(at time.Duration, seq uint64) {
 	if at < r.now {
 		at = r.now
 	}
-	r.timers = append(r.timers, refTimer{at: at, seq: r.seq, pos: len(r.alive)})
+	r.timers = append(r.timers, refTimer{at: at, seq: seq, pos: len(r.alive)})
 	r.alive = append(r.alive, len(r.timers)-1)
-	r.seq++
 }
 
 func (r *refSched) remove(h int) {
@@ -157,23 +162,28 @@ func pickHandle(rng *rand.Rand, n int) int {
 }
 
 // wheelOps and refOps present the wheel and the reference as the same
-// operations, so one callback script (onFire) drives either.
+// operations, so one callback script (onFire) drives either. reserve
+// and armReserved are a link line's pattern: take an arm sequence now,
+// arm the oldest one taken at a deadline ≥ now later.
 type schedOps interface {
 	now() time.Duration
 	handles() int
 	armAt(at time.Duration)
 	arm(d time.Duration)
+	reserve()
+	armReserved(d time.Duration)
 	reset(h int, d time.Duration) bool
 	stop(h int) bool
 	halt()
 }
 
 type wheelOps struct {
-	sim     *Simulator
-	hs      []Timer
-	log     *[]int64
-	cbRng   *rand.Rand
-	stopNow bool // read by the StopWhen predicate
+	sim      *Simulator
+	hs       []Timer
+	reserved []uint64
+	log      *[]int64
+	cbRng    *rand.Rand
+	stopNow  bool // read by the StopWhen predicate
 }
 
 func (w *wheelOps) now() time.Duration { return w.sim.Now() }
@@ -183,6 +193,18 @@ func (w *wheelOps) armAt(at time.Duration) {
 }
 func (w *wheelOps) arm(d time.Duration) {
 	w.hs = append(w.hs, w.sim.ScheduleEvent(d, wheelFired, w, len(w.hs)))
+}
+func (w *wheelOps) reserve() {
+	w.reserved = append(w.reserved, w.sim.seq)
+	w.sim.seq++
+}
+func (w *wheelOps) armReserved(d time.Duration) {
+	if len(w.reserved) == 0 {
+		return
+	}
+	seq := w.reserved[0]
+	w.reserved = w.reserved[1:]
+	w.hs = append(w.hs, w.sim.armSlot(w.sim.after(d), seq, wheelFired, w, len(w.hs)))
 }
 func (w *wheelOps) reset(h int, d time.Duration) bool {
 	nt, ok := w.hs[h].Reset(d)
@@ -208,15 +230,27 @@ func wheelFired(ctx, arg any) {
 }
 
 type refOps struct {
-	ref     *refSched
-	log     *[]int64
-	stopped bool
+	ref      *refSched
+	reserved []uint64
+	log      *[]int64
+	stopped  bool
 }
 
-func (r *refOps) now() time.Duration                { return r.ref.now }
-func (r *refOps) handles() int                      { return len(r.ref.timers) }
-func (r *refOps) armAt(at time.Duration)            { r.ref.schedule(at) }
-func (r *refOps) arm(d time.Duration)               { r.ref.schedule(r.ref.after(d)) }
+func (r *refOps) now() time.Duration     { return r.ref.now }
+func (r *refOps) handles() int           { return len(r.ref.timers) }
+func (r *refOps) armAt(at time.Duration) { r.ref.schedule(at) }
+func (r *refOps) arm(d time.Duration)    { r.ref.schedule(r.ref.after(d)) }
+func (r *refOps) reserve() {
+	r.reserved = append(r.reserved, r.ref.seq)
+	r.ref.seq++
+}
+func (r *refOps) armReserved(d time.Duration) {
+	if len(r.reserved) == 0 {
+		return
+	}
+	r.ref.scheduleSeq(r.ref.after(d), r.reserved[0])
+	r.reserved = r.reserved[1:]
+}
 func (r *refOps) reset(h int, d time.Duration) bool { return r.ref.reset(h, d) }
 func (r *refOps) stop(h int) bool                   { return r.ref.stop(h) }
 func (r *refOps) halt()                             { r.stopped = true }
@@ -224,8 +258,9 @@ func (r *refOps) halt()                             { r.stopped = true }
 // onFire is the callback of every timer in the differential test, run
 // once against the wheel and once against the reference from mirrored
 // RNGs. It logs the firing and, re-entrantly, arms into the window
-// being dispatched (zero and sub-tick delays) and beyond it, resets and
-// stops other handles, and now and then pauses the run.
+// being dispatched (zero and sub-tick delays) and beyond it, reserves
+// sequences and arms reserved ones, resets and stops other handles,
+// and now and then pauses the run.
 func onFire(o schedOps, rng *rand.Rand, log *[]int64, id int) {
 	*log = append(*log, int64(id), int64(o.now()))
 	b2i := func(ok bool) int64 {
@@ -249,6 +284,12 @@ func onFire(o schedOps, rng *rand.Rand, log *[]int64, id int) {
 		*log = append(*log, b2i(o.stop(pickHandle(rng, o.handles()))))
 	case c < 63:
 		o.halt()
+	case c < 68:
+		o.reserve()
+	case c < 71:
+		o.armReserved(time.Duration(rng.Intn(int(tick))))
+	case c < 74:
+		o.armReserved(randomDelay(rng))
 	}
 }
 
@@ -315,7 +356,7 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 				choice = 60 + rng.Intn(40) // drain: force stop/run ops
 			}
 			switch {
-			case choice < 45: // arm
+			case choice < 41: // arm
 				var at time.Duration
 				switch {
 				case choice < 5 && lastAt >= sim.Now():
@@ -330,6 +371,15 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 				lastAt = at
 				for _, o := range both {
 					o.armAt(at)
+				}
+			case choice < 43: // take an arm sequence, for a later arm
+				for _, o := range both {
+					o.reserve()
+				}
+			case choice < 45: // arm the oldest reserved sequence, at a deadline ≥ now
+				d := randomDelay(rng)
+				for _, o := range both {
+					o.armReserved(d)
 				}
 			case choice < 60: // reset a random handle, stale ones included
 				if w.handles() == 0 {

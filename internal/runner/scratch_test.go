@@ -371,9 +371,9 @@ func TestScratchFromOutsideMap(t *testing.T) {
 // Build, the demuxes), the controller and the result. The budget is
 // this × 24 with no slack, so one allocation more per cell fails. A
 // change that legitimately moves the count edits this one number (the
-// test logs the exact total: 1 831 of the budget's 1 848, the same in
+// test logs the exact total: 1 664 of the budget's 1 680, the same in
 // 30 uncached processes).
-const warmCellAllocs = 77
+const warmCellAllocs = 70
 
 // TestWarmCellAllocBudget is the alloc gate of per-cell set-up (part of
 // `make allocgate`): the second pass of the reduced sweep through one

@@ -25,7 +25,8 @@ type StallError struct {
 	Wall time.Duration
 	// SimTime is the virtual time the simulation had reached.
 	SimTime time.Duration
-	// Pending is the event-queue depth at the kill.
+	// Pending is the event-queue depth at the kill (netsim's Pending: a
+	// link's packets in flight count as one event).
 	Pending int
 	// Events is the tail of the flight-recorder ring at the kill
 	// (empty when the job ran unobserved).
