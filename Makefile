@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults loc bench-smoke clean
+.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults identity loc bench-smoke clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -118,6 +118,14 @@ sussd-smoke:
 # file with a torn tail (the artifact a crash mid-append leaves).
 sussd-faults:
 	$(GO) test -race -timeout 600s -run 'TestSussdFaultRecovery|TestSussdCorruptCacheRecovery' -v ./cmd/sussim
+
+# Rewrite the committed identity table (internal/service/testdata/
+# behaviour.txt: one line per cell, label, cache key and the sha256 of
+# its record) from what this tree computes. TestBehaviourDigest, part of
+# `make test`, compares against it and names every cell that moved; run
+# this only for a change that moves results on purpose.
+identity:
+	$(GO) test -count=1 -run TestBehaviourDigest ./internal/service -update
 
 # Non-test, non-bench/ Go lines per package plus a total: the number
 # the ROADMAP design-diet item tracks. Record the total in CHANGES.md

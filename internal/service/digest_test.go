@@ -1,92 +1,225 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"suss/internal/chaos"
+	"suss/internal/core"
+	"suss/internal/experiments"
 	"suss/internal/netem"
 	"suss/internal/runner"
 	"suss/internal/scenarios"
+	"suss/internal/service/confhash"
 )
 
 // fig11GoldenSHA is the SHA-256 of the seed-1 fig11 CSV
 // (`{"kind":"fig11"}`: 252 cells), the figure's reference bytes.
 const fig11GoldenSHA = "b43ce3ce8986e0f06395f2ef90632bcee2ca4345666faf25131c3958775b1b37"
 
-// behaviourDigest is the SHA-256 of the cache records the simulator
-// produces for TestBehaviourDigest's inputs. The cache keys a cell by
-// its config alone, so a change that moves any of these bytes makes
+// behaviourTable is the committed identity table: one line per cell,
+// `label  key  sha256(record)`, where the record is what the daemon
+// persists for the cell (a chaos cell appends its loss ledger, and has
+// no key since an Impair hook is not cacheable: "-"). The cache keys a
+// cell by its config alone, so a change that moves any record makes
 // every cache file written before it serve results the code no longer
-// computes. A change that moves it on purpose reads the new digest from
-// the test's -v log and edits this one constant.
-const behaviourDigest = "2ffb86a845cab81c2c9f4286329f9049d2c6838f6d4a119e398ddbe3af41953a"
+// computes.
+const behaviourTable = "testdata/behaviour.txt"
 
-// TestBehaviourDigest pins what the code computes, through the same
-// encoders the daemon persists with: the seed-1 fig11 matrix (whose CSV
-// must also be the golden one), a 400-flow fleet shard per variant, a
-// Reno cell losing thousands of segments at once on a wired path, and
-// a hardened-transport chaos cell under burst loss.
+var update = flag.Bool("update", false, "rewrite "+behaviourTable+" from what this tree computes")
+
+// TestBehaviourDigest pins what the code computes, cell by cell,
+// through the same encoders the daemon persists with, and names every
+// cell that moved. `go test ./internal/service -run TestBehaviourDigest
+// -update` (make identity) rewrites the table.
 func TestBehaviourDigest(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("simulates 256 cells")
+		t.Skip("simulates ~1 100 cells")
 	}
+	got := behaviourLines(t)
+	if *update {
+		if err := os.WriteFile(behaviourTable, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d cells to %s", len(got), behaviourTable)
+		return
+	}
+	raw, err := os.ReadFile(behaviourTable)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	var order []string
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	for sc.Scan() {
+		label, rest, _ := strings.Cut(sc.Text(), "  ")
+		want[label] = rest
+		order = append(order, label)
+	}
+	have := map[string]string{}
+	moved := 0
+	for _, l := range got {
+		label, rest, _ := strings.Cut(l, "  ")
+		have[label] = rest
+		switch w, ok := want[label]; {
+		case !ok:
+			t.Errorf("new cell %s (not in the table)", label)
+		case w != rest:
+			moved++
+			if moved <= 40 {
+				t.Errorf("moved: %s\n\ttable %s\n\tnow   %s", label, w, rest)
+			}
+		}
+	}
+	for _, label := range order {
+		if _, ok := have[label]; !ok {
+			t.Errorf("cell %s is in the table but no longer computed", label)
+		}
+	}
+	if moved > 0 {
+		t.Errorf("behaviour moved in %d of %d cells", moved, len(got))
+	}
+}
+
+// behaviourLines computes the identity table in its committed order.
+func behaviourLines(t *testing.T) []string {
+	var lines []string
+	add := func(label, key string, record []byte) {
+		sum := sha256.Sum256(record)
+		lines = append(lines, label+"  "+key+"  "+hex.EncodeToString(sum[:]))
+	}
+
+	// The daemon's two kinds, as it serves them: the fig11 matrix and
+	// both fleet variants' 400-flow shard.
 	s, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Drain(context.Background()) })
-	h := sha256.New()
-	record := func(raw []byte) {
-		h.Write(raw)
-		h.Write([]byte{'\n'})
-	}
-	for _, req := range []SubmitRequest{{Kind: "fig11"}, {Kind: "fleet", Flows: 400, Shards: 1}} {
-		resp, err := s.Submit(req)
-		if err != nil {
-			t.Fatal(err)
+	for _, seed := range []int64{1, 7} {
+		var labels []string
+		for _, j := range experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, seed) {
+			labels = append(labels, fmt.Sprintf("fig11/s%d/%s/%s/%d/i%d", seed, j.Scenario.Name(), j.Algo, j.Size, j.Iter))
 		}
-		b := s.batch(resp.ID)
-		<-b.done
-		st, _ := b.status(true)
-		if st.State != stateDone {
-			t.Fatalf("%s batch %s: %s", req.Kind, st.State, st.Error)
-		}
-		for _, c := range st.Detail {
-			raw, ok := s.cache.Get(c.Key)
-			if !ok {
-				t.Fatalf("%s cell %s (%s) was not cached", req.Kind, c.Key, c.Status)
+		for _, req := range []SubmitRequest{{Kind: "fig11", Seed: seed}, {Kind: "fleet", Flows: 400, Shards: 1, Seed: seed}} {
+			if req.Kind == "fleet" {
+				labels = []string{fmt.Sprintf("fleet/s%d/cubic/shard0", seed), fmt.Sprintf("fleet/s%d/cubic+suss/shard0", seed)}
 			}
-			record(raw)
-		}
-		record(b.csv)
-		if sum := sha256.Sum256(b.csv); req.Kind == "fig11" && hex.EncodeToString(sum[:]) != fig11GoldenSHA {
-			t.Errorf("fig11 CSV sha256 %x, golden %s", sum, fig11GoldenSHA)
+			resp, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := s.batch(resp.ID)
+			<-b.done
+			st, _ := b.status(true)
+			if st.State != stateDone {
+				t.Fatalf("%s batch %s: %s", req.Kind, st.State, st.Error)
+			}
+			if len(st.Detail) != len(labels) {
+				t.Fatalf("%s seed %d: %d cells, %d labels", req.Kind, seed, len(st.Detail), len(labels))
+			}
+			for i, c := range st.Detail {
+				raw, ok := s.cache.Get(c.Key)
+				if !ok {
+					t.Fatalf("%s cell %s (%s) was not cached", req.Kind, c.Key, c.Status)
+				}
+				add(labels[i], c.Key, raw)
+			}
+			add(fmt.Sprintf("%s/s%d/csv", req.Kind, seed), "-", b.csv)
+			if sum := sha256.Sum256(b.csv); req.Kind == "fig11" && seed == 1 && hex.EncodeToString(sum[:]) != fig11GoldenSHA {
+				t.Errorf("fig11 CSV sha256 %x, golden %s", sum, fig11GoldenSHA)
+			}
 		}
 	}
 
-	for _, j := range digestLossJobs() {
-		res, _ := jobCell(j, runner.Download(j))
+	// Downloads outside the daemon's kinds, run on the pool.
+	cells := identityCells()
+	outs := runner.Map(context.Background(), cells, func(ctx context.Context, _ int, c identityCell) ([]byte, error) {
+		r := runner.ScratchFrom(ctx).Download(c.job)
+		res, _ := jobCell(c.job, r)
 		raw, err := encodeJobCell(res)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil && r.Ledger != nil {
+			raw = fmt.Appendf(raw, " %+v", *r.Ledger)
 		}
-		record(raw)
-		t.Logf("%s %s: %d segments, %d retransmitted, err %v", j.Scenario.Name(), j.Algo, res.Segments, res.Retrans, res.Err)
+		return raw, err
+	}, runner.Options{Workers: 2})
+	for i, c := range cells {
+		if outs[i].Err != nil {
+			t.Fatalf("%s: %v", c.label, outs[i].Err)
+		}
+		key, err := confhash.JobKey(c.job)
+		if err != nil {
+			key = "-"
+		}
+		add(c.label, key, outs[i].Value)
 	}
-
-	got := hex.EncodeToString(h.Sum(nil))
-	t.Logf("behaviour digest %s", got)
-	if got != behaviourDigest {
-		t.Errorf("behaviour moved: regenerate the epoch (digest %s, pinned %s)", got, behaviourDigest)
-	}
+	return lines
 }
 
-// digestLossJobs are the digest's two loss-heavy cells: a Reno cell
-// losing thousands of segments at once on a wired path, and a
+type identityCell struct {
+	label string
+	job   runner.Job
+}
+
+// identityCells are the table's download cells: the 28 internet
+// scenarios under every algorithm at 4 MB (seeds 1 and 7) and under
+// each SUSS ablation and Kmax variant (seed 1), the chaos catalog under
+// every algorithm on the hardened transport (seed 1), and a Reno cell
+// losing thousands of segments at once on a wired path.
+func identityCells() []identityCell {
+	var cells []identityCell
+	algos := []runner.Algo{runner.Cubic, runner.Suss, runner.BBR, runner.BBR2, runner.CubicHSPP, runner.BBRSuss, runner.Reno}
+	for _, seed := range []int64{1, 7} {
+		for _, sc := range scenarios.All(seed) {
+			for _, a := range algos {
+				cells = append(cells, identityCell{fmt.Sprintf("matrix/s%d/%s/%s", seed, sc.Name(), a),
+					runner.Job{Scenario: sc, Algo: a, Size: 4 << 20}})
+			}
+		}
+	}
+	variants := []struct {
+		name string
+		set  func(*core.Options)
+	}{
+		{"nopacing", func(o *core.Options) { o.NoPacing = true }},
+		{"paceall", func(o *core.Options) { o.PaceEverything = true }},
+		{"noguard", func(o *core.Options) { o.NoGuard = true }},
+		{"kmax2", func(o *core.Options) { o.Kmax = 2 }},
+		{"kmax3", func(o *core.Options) { o.Kmax = 3 }},
+	}
+	for _, v := range variants {
+		opt := core.DefaultOptions()
+		v.set(&opt)
+		for _, sc := range scenarios.All(1) {
+			cells = append(cells, identityCell{fmt.Sprintf("suss-%s/s1/%s", v.name, sc.Name()),
+				runner.Job{Scenario: sc, Algo: runner.Suss, Size: 4 << 20, SussOpt: &opt}})
+		}
+	}
+	hardened := chaos.HardenedTransport()
+	for _, imp := range chaos.Catalog() {
+		attach := imp.Attach
+		for _, a := range algos {
+			cells = append(cells, identityCell{fmt.Sprintf("chaos/s1/%s/%s", imp.Name, a), runner.Job{
+				Scenario: scenarios.New(scenarios.OracleLondon, netem.Wired, 1), Algo: a, Size: 4 << 20,
+				Observe: true, Transport: &hardened,
+				Impair: func(env runner.ChaosEnv) { attach(env, rand.New(rand.NewSource(env.Seed^0x5eed0fc4a05))) },
+			}})
+		}
+	}
+	return append(cells, identityCell{"reno-burst/s1/google-us-east/wired", digestLossJobs()[0]})
+}
+
+// digestLossJobs are two loss-heavy cells: a Reno cell losing
+// thousands of segments at once on a wired path, and a
 // hardened-transport chaos cell under burst loss.
 func digestLossJobs() []runner.Job {
 	hardened := chaos.HardenedTransport()
