@@ -83,13 +83,10 @@ type BBR struct {
 	env cc.Env
 	opt Options
 
-	st         state
-	bwFilter   *cc.WindowedMax // bits/sec, windowed over rounds
-	minRTT     *cc.WindowedMinRTT
-	round      uint64
-	roundEnd   int64
-	roundStart time.Duration
-	roundDeliv int64 // Delivered at round start
+	st       state
+	bwFilter *cc.WindowedMax // bits/sec, windowed over rounds
+	minRTT   *cc.WindowedMinRTT
+	rounds   cc.Rounds
 
 	pacingGain float64
 	cycleIdx   int
@@ -167,7 +164,7 @@ func (b *BBR) BoostedRounds() int {
 }
 
 // Round returns the round-trip counter (diagnostics).
-func (b *BBR) Round() uint64 { return b.round }
+func (b *BBR) Round() uint64 { return uint64(b.rounds.N) }
 
 // State returns the current phase name (for traces).
 func (b *BBR) State() string { return b.st.String() }
@@ -257,19 +254,18 @@ func (b *BBR) OnAck(ev cc.AckEvent) {
 	// Per-ACK delivery-rate sampling (RFC-style flight samples from the
 	// transport); app-limited samples may only raise the estimate.
 	if ev.BW > 0 && (!b.appLimited || ev.BW > b.bwFilter.Get()) {
-		b.bwFilter.Update(ev.BW, b.round)
+		b.bwFilter.Update(ev.BW, uint64(b.rounds.N))
 	}
 
 	if b.boost != nil {
-		b.boost.onAck(ev, b.round)
+		b.boost.onAck(ev)
 	}
 
 	// Round accounting: full-pipe detection and ceiling probes happen
 	// once per round trip.
-	if ev.CumAck > b.roundEnd || b.round == 0 {
-		b.round++
+	if b.rounds.Update(ev) {
 		if b.boost != nil {
-			b.boost.onRoundStart(ev.Now, b.round, b.st == stateStartup && !b.filledPipe, b.bwFilter.Get())
+			b.boost.onRoundStart(&b.rounds, b.st == stateStartup && !b.filledPipe, b.bwFilter.Get())
 			// The boosted flag for the new round is now decided; a
 			// SUSS-boosted STARTUP round is this package's EvSussBoost.
 			if b.boost.boosted {
@@ -279,9 +275,6 @@ func (b *BBR) OnAck(ev cc.AckEvent) {
 				}
 			}
 		}
-		b.roundEnd = ev.SndNxt
-		b.roundStart = ev.Now
-		b.roundDeliv = ev.Delivered
 		b.checkFullPipe()
 		if b.lossThisRound {
 			if b.st == stateStartup {

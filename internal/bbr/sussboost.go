@@ -25,7 +25,8 @@ import (
 //     the pipe fills the estimate plateaus and the condition fails,
 //     exactly as the ACK train lengthening stops CUBIC's SUSS).
 //   - Condition 2: the round's minimum RTT, extrapolated one round
-//     forward, must stay below 1.125 × minRTT (unchanged).
+//     forward, must stay below 1.125 × minRTT (unchanged). minRTT and
+//     the round it was set in are the host's cc.Rounds.
 //
 // When both hold, the round's gains are doubled: pacing_gain
 // 2.885 → 5.77 and cwnd_gain 2 → 4, so the flight quadruples per round
@@ -34,12 +35,11 @@ import (
 // is why the paper calls the integration "promising". Any loss or
 // the end of STARTUP permanently disables the boost.
 type sussBoost struct {
-	minRTT      time.Duration
-	minRTTRound uint64
-
-	moRTT       time.Duration
-	roundStartT time.Duration
-	lastBW      float64 // bandwidth estimate at the last round start
+	// moRTT is the minimum RTT since the last round start; unlike
+	// Rounds.RoundMin it counts the ACK that ends a round in the round
+	// it ends.
+	moRTT  time.Duration
+	lastBW float64 // bandwidth estimate at the last round start
 
 	boosted  bool // current round runs with doubled gains
 	disabled bool
@@ -58,40 +58,31 @@ const (
 	boostGain         = 2.0
 )
 
-// onAck processes measurement updates; call before the round
-// bookkeeping rolls.
-func (sb *sussBoost) onAck(ev cc.AckEvent, round uint64) {
-	if ev.RTT <= 0 {
-		return
-	}
-	if sb.minRTT == 0 || ev.RTT < sb.minRTT {
-		sb.minRTT = ev.RTT
-		sb.minRTTRound = round
-	}
-	if sb.moRTT == 0 || ev.RTT < sb.moRTT {
+// onAck folds the ACK's RTT sample; call before the rounds roll.
+func (sb *sussBoost) onAck(ev cc.AckEvent) {
+	if ev.RTT > 0 && (sb.moRTT == 0 || ev.RTT < sb.moRTT) {
 		sb.moRTT = ev.RTT
 	}
 }
 
 // onRoundStart rolls the round state and decides whether to boost the
-// new round. now is the ACK time that crossed the boundary; bwNow is
-// the current windowed bandwidth estimate (bits/sec).
-func (sb *sussBoost) onRoundStart(now time.Duration, round uint64, inStartup bool, bwNow float64) {
+// new round r.N; bwNow is the current windowed bandwidth estimate
+// (bits/sec).
+func (sb *sussBoost) onRoundStart(r *cc.Rounds, inStartup bool, bwNow float64) {
 	prevMoRTT := sb.moRTT
 	prevBW := sb.lastBW
 
 	sb.boosted = false
-	if !sb.disabled && inStartup && sb.minRTT > 0 && prevBW > 0 && bwNow > 0 {
+	if !sb.disabled && inStartup && r.Min > 0 && prevBW > 0 && bwNow > 0 {
 		// Condition 1 (BBR form): the estimate is still growing
 		// near-exponentially, so next round's growth is predicted to
 		// continue.
 		c1 := bwNow >= boostGrowthThresh*prevBW
 		// Condition 2 (Eq. 8): extrapolate the observed queueing drift.
 		c2 := true
-		r := round - sb.minRTTRound
-		if r > 0 && prevMoRTT > 0 {
-			projected := prevMoRTT + time.Duration(float64(prevMoRTT-sb.minRTT)/float64(r))
-			c2 = float64(projected) <= boostDelayFactor*float64(sb.minRTT)
+		if n := r.N - r.MinRound; n > 0 && prevMoRTT > 0 {
+			projected := prevMoRTT + time.Duration(float64(prevMoRTT-r.Min)/float64(n))
+			c2 = float64(projected) <= boostDelayFactor*float64(r.Min)
 		}
 		if c1 && c2 {
 			sb.boosted = true
@@ -99,7 +90,6 @@ func (sb *sussBoost) onRoundStart(now time.Duration, round uint64, inStartup boo
 		}
 	}
 
-	sb.roundStartT = now
 	sb.lastBW = bwNow
 	sb.moRTT = 0
 }

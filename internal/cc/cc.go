@@ -1,7 +1,8 @@
 // Package cc defines the congestion-control hook interface between the
 // transport sender (internal/tcp) and pluggable congestion controllers
-// (internal/cubic, internal/core, internal/bbr), plus the windowed
-// min/max filters those controllers share.
+// (internal/cubic, internal/core, internal/bbr), plus what those
+// controllers share: the round tracker, the slow-start policy seam and
+// the windowed min/max filters.
 //
 // The interface is modeled on the Linux tcp_congestion_ops / quic-go
 // SendAlgorithm hooks: the transport reports sends, ACKs and losses;
@@ -110,8 +111,8 @@ type Undoer interface {
 	UndoRTO(now time.Duration)
 }
 
-// MinRTTTracker maintains the connection-lifetime minimum RTT, which
-// HyStart, SUSS and BBR's ProbeRTT all key off.
+// MinRTTTracker maintains the connection-lifetime minimum RTT (the
+// transport's; controllers read Rounds.Min).
 type MinRTTTracker struct {
 	min   time.Duration
 	setAt time.Duration

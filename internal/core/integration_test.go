@@ -117,7 +117,7 @@ func TestSussExitsSlowStartNearCubicExit(t *testing.T) {
 	fCubic, _ := runOnce(size, 1e8, 50*time.Millisecond, 1.5, false)
 	s := fSuss.Sender.Controller().(*core.Suss)
 	c := fCubic.Sender.Controller().(*cubic.Cubic)
-	sExit := s.Cubic().SsthreshSegments()
+	sExit := s.SsthreshSegments()
 	cExit := c.SsthreshSegments()
 	t.Logf("ssthresh: suss=%v cubic=%v", sExit, cExit)
 	ratio := sExit / cExit

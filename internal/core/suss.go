@@ -19,6 +19,11 @@
 // scales elapsed time by the data-train/blue-train ratio (Eq. 9), and
 // converts a mid-round stop signal into a growth cap rather than an
 // immediate exit.
+//
+// SUSS is a cc.SlowStart policy hosted by CUBIC: the host keeps the
+// window and the flow's round tracker, and the paper's round i is host
+// round N+1 (round 1 is the initial-window burst, whose first ACK
+// begins host round 1).
 package core
 
 import (
@@ -42,8 +47,8 @@ type Options struct {
 	// DelayFactor is HyStart Condition 2's threshold multiplier on
 	// minRTT (default 1.125).
 	DelayFactor float64
-	// Cubic configures the host algorithm. Its built-in HyStart is
-	// forcibly disabled; SUSS runs the modified variant.
+	// Cubic configures the host algorithm. Its HyStart and HyStartPP
+	// are ignored: SUSS is the host's slow-start policy.
 	Cubic cubic.Options
 
 	// NoPacing disables the pacing period: the red window is granted
@@ -70,7 +75,6 @@ func DefaultOptions() Options {
 
 // Stats exposes SUSS-internal measurements for experiments and tests.
 type Stats struct {
-	Rounds            int
 	AcceleratedRounds int // rounds that ran a pacing period (G > 2)
 	MaxG              int
 	GHistory          []int // growth factor measured per round (from round 2)
@@ -80,36 +84,28 @@ type Stats struct {
 	DelayExits        int // delay-condition exits
 }
 
-// Suss is a cc.Controller implementing CUBIC+SUSS.
+// Suss is a cc.Controller implementing CUBIC+SUSS: a CUBIC host whose
+// slow-start policy is SUSS. minRTT is the host's Rounds.Min, and a
+// round's moRTT and sample count are Rounds.RoundMin and Samples.
 type Suss struct {
-	env   cc.Env
-	opt   Options
-	cubic *cubic.Cubic
-
-	minRTT      time.Duration
-	minRTTRound int
-
-	// Round bookkeeping (round numbering follows the paper: round 1 is
-	// the initial-window round).
-	round            int
-	roundStartT      time.Duration
-	roundStartSndNxt int64
-	roundStartCum    int64
-	roundEndSeq      int64
+	*cubic.Cubic
+	env cc.Env
+	opt Options
 
 	// Blue-train bookkeeping. blueBudget is S_Bdt for the current
-	// round; prev* capture the previous round at the transition.
+	// round and blueEnd the sequence its blue train ends at; prev*
+	// capture the previous round at the transition.
 	blueBudget     int64
+	blueEnd        int64
 	prevBlueBudget int64
 	prevBlueEnd    int64
 	prevCwnd       int64 // cwnd_{i-1} in bytes
+	roundStartCum  int64
 
 	// Per-round measurement state.
-	moRTT      time.Duration
-	rttSamples int
-	dtBat      time.Duration
-	gDecided   bool
-	lastG      int
+	dtBat    time.Duration
+	gDecided bool
+	lastG    int
 
 	// Modified-HyStart state.
 	hyLastAck time.Duration
@@ -139,7 +135,7 @@ type Suss struct {
 // Pass nil to detach.
 func (s *Suss) AttachRecorder(r *obs.FlowRecorder) {
 	s.rec = r
-	s.cubic.AttachRecorder(r)
+	s.Cubic.AttachRecorder(r)
 }
 
 // New creates a CUBIC+SUSS controller bound to the transport env.
@@ -157,36 +153,19 @@ func New(env cc.Env, opt Options) *Suss {
 	if copt.IW == 0 {
 		copt = cubic.DefaultOptions()
 	}
-	copt.HyStart = false // SUSS runs the modified HyStart itself
-	s := &Suss{
-		env:     env,
-		opt:     opt,
-		cubic:   cubic.New(env, copt),
-		enabled: true,
-		round:   1, // the paper's round 1 is the initial-window burst
-	}
+	s := &Suss{env: env, opt: opt, enabled: true}
 	s.blueBudget = int64(copt.IW) * int64(env.MSS()) // S_Bdt_1 = iw
+	s.blueEnd = s.blueBudget
 	s.tickFn = s.tick
+	s.Cubic = cubic.Host(env, copt, s)
 	return s
 }
 
 // Name implements cc.Controller.
 func (s *Suss) Name() string { return "cubic+suss" }
 
-// CwndBytes implements cc.Controller.
-func (s *Suss) CwndBytes() int64 { return s.cubic.CwndBytes() }
-
-// InSlowStart implements cc.Controller.
-func (s *Suss) InSlowStart() bool { return s.cubic.InSlowStart() }
-
-// Cubic returns the wrapped host algorithm.
-func (s *Suss) Cubic() *cubic.Cubic { return s.cubic }
-
 // Stats returns a copy of the SUSS counters.
 func (s *Suss) Stats() Stats { return s.stats }
-
-// MinRTT returns the connection minimum RTT SUSS has observed.
-func (s *Suss) MinRTT() time.Duration { return s.minRTT }
 
 // PacingActive reports whether a pacing period is in progress.
 func (s *Suss) PacingActive() bool { return s.pacingActive }
@@ -196,10 +175,10 @@ func (s *Suss) PacingRate() float64 {
 	if s.pacingActive {
 		return s.pacingRate
 	}
-	if s.opt.PaceEverything && s.cubic.InSlowStart() && s.minRTT > 0 {
-		return float64(s.cubic.CwndBytes()*8) / s.minRTT.Seconds()
+	if rtt := s.Rounds().Min; s.opt.PaceEverything && s.InSlowStart() && rtt > 0 {
+		return paceRate(s.CwndBytes(), rtt)
 	}
-	return s.cubic.PacingRate()
+	return s.Cubic.PacingRate()
 }
 
 // EarliestSend implements tcp.EarliestSender: during the guard
@@ -211,49 +190,26 @@ func (s *Suss) EarliestSend(now time.Duration) time.Duration {
 	return 0
 }
 
-// OnPacketSent implements cc.Controller.
-func (s *Suss) OnPacketSent(now time.Duration, size int, seq int64, retrans bool) {
-	s.cubic.OnPacketSent(now, size, seq, retrans)
-}
-
-// OnAck implements cc.Controller.
-func (s *Suss) OnAck(ev cc.AckEvent) {
-	if ev.RTT > 0 {
-		if s.minRTT == 0 || ev.RTT < s.minRTT {
-			s.minRTT = ev.RTT
-			s.minRTTRound = s.round
-		}
-		if s.moRTT == 0 || ev.RTT < s.moRTT {
-			s.moRTT = ev.RTT
-		}
-		s.rttSamples++
+// OnSlowStartAck implements cc.SlowStart. Once SUSS is off (its exit,
+// a loss or a timeout) slow start is plain doubling. The ACK that
+// begins a round rolls SUSS's round first. ACK-driven growth is frozen
+// for the remainder of a round once the pacing period has been
+// scheduled: the red window arrives via pacing ticks instead (Fig. 6
+// semantics).
+func (s *Suss) OnSlowStartAck(ev cc.AckEvent, ackedSegs float64, newRound bool) {
+	if !s.enabled {
+		s.AddCwndSegments(ackedSegs)
+		return
 	}
-
-	// Round boundary: strictly after the round-end sequence (Linux
-	// after() semantics). The ACK carrying exactly roundEndSeq is the
-	// round's last blue ACK — it must run the G decision below, not
-	// roll the round.
-	if ev.CumAck > s.roundEndSeq {
+	if newRound {
 		s.startRound(ev)
 	}
-
-	// Window accounting. ACK-driven growth is frozen for the remainder
-	// of a round once the pacing period has been scheduled: the red
-	// window arrives via pacing ticks instead (Fig. 6 semantics).
-	if s.frozenRound && s.cubic.InSlowStart() && !ev.InRecovery {
-		s.cubic.TrackRoundOnly(ev)
-	} else {
-		s.cubic.OnAck(ev)
+	if !s.frozenRound {
+		s.AddCwndSegments(ackedSegs)
 	}
-
-	if s.enabled && s.cubic.InSlowStart() {
-		s.modifiedHyStart(ev)
-		s.maybeDecideG(ev)
-		s.checkCap()
-	}
-	if !s.cubic.InSlowStart() && s.enabled {
-		s.disable(false)
-	}
+	s.modifiedHyStart(ev)
+	s.maybeDecideG(ev)
+	s.checkCap()
 }
 
 // startRound rolls the per-round bookkeeping at the first ACK of a new
@@ -261,26 +217,16 @@ func (s *Suss) OnAck(ev cc.AckEvent) {
 func (s *Suss) startRound(ev cc.AckEvent) {
 	// Capture the ending round's state before overwriting.
 	s.prevBlueBudget = s.blueBudget
-	s.prevBlueEnd = s.roundStartSndNxt + s.blueBudget
-	s.prevCwnd = s.cubic.CwndBytes() // cwnd_{i-1}: before this ACK's growth
+	s.prevBlueEnd = s.blueEnd
+	s.prevCwnd = s.CwndBytes() // cwnd_{i-1}: before this ACK's growth
 
-	s.round++
-	s.stats.Rounds = s.round
 	if r := s.rec; r != nil {
 		r.C.SussRounds++
-		r.Record(ev.Now, obs.EvSussRoundStart, ev.CumAck, 0, int64(s.round), s.cubic.CwndBytes())
+		r.Record(ev.Now, obs.EvSussRoundStart, ev.CumAck, 0, int64(s.Rounds().N+1), s.CwndBytes())
 	}
-	s.roundStartT = ev.Now
-	s.roundStartSndNxt = ev.SndNxt
 	s.roundStartCum = ev.CumAck
-	s.roundEndSeq = ev.SndNxt
 	s.blueBudget = 2 * s.prevBlueBudget
-
-	s.moRTT = ev.RTT // may be 0; updated by OnAck above for this event
-	s.rttSamples = 0
-	if ev.RTT > 0 {
-		s.rttSamples = 1
-	}
+	s.blueEnd = ev.SndNxt + s.blueBudget
 	s.dtBat = 0
 	s.gDecided = false
 	s.hyLastAck = ev.Now
@@ -297,23 +243,17 @@ func (s *Suss) startRound(ev cc.AckEvent) {
 // weaker Eq. 2 bound; we follow the body text (Eq. 6), which requires
 // minRTT/4 for quadrupling. See DESIGN.md.
 func (s *Suss) maybeDecideG(ev cc.AckEvent) {
-	if s.gDecided || s.round < 2 || s.minRTT == 0 {
-		return
-	}
-	if ev.CumAck < s.prevBlueEnd {
+	r := s.Rounds()
+	if s.gDecided || r.Min == 0 || ev.CumAck < s.prevBlueEnd {
 		return
 	}
 	s.gDecided = true
-	s.dtBat = ev.Now - s.roundStartT
+	s.dtBat = ev.Now - r.Start
 	if s.prevBlueBudget <= 0 || s.prevCwnd <= 0 {
 		return
 	}
 	// Eq. 9: scale the blue ACK-train length to the full data train.
-	ratio := float64(s.prevCwnd) / float64(s.prevBlueBudget)
-	if ratio < 1 {
-		ratio = 1
-	}
-	dtAt := time.Duration(float64(s.dtBat) * ratio)
+	dtAt := time.Duration(float64(s.dtBat) * trainRatio(s.prevCwnd, s.prevBlueBudget))
 
 	k := s.computeK(dtAt)
 	g := 1 << (k + 1)
@@ -330,22 +270,19 @@ func (s *Suss) maybeDecideG(ev cc.AckEvent) {
 // computeK returns the largest k ≤ Kmax for which Conditions 1 and 2
 // hold for round i+k.
 func (s *Suss) computeK(dtAt time.Duration) int {
-	r := s.round - s.minRTTRound
+	r := s.Rounds()
+	n := r.N - r.MinRound
 	best := 0
 	for k := 1; k <= s.opt.Kmax; k++ {
 		// Condition 1 (Eq. 17): ΔtAt ≤ AckTrainFrac·minRTT / 2^k.
-		bound := time.Duration(float64(s.minRTT) * s.opt.AckTrainFrac / float64(int64(1)<<k))
-		if dtAt > bound {
+		if dtAt > ackTrainBound(r.Min, s.opt.AckTrainFrac, k) {
 			break
 		}
 		// Condition 2 (Eq. 19): projected moRTT stays under the delay
-		// threshold. r == 0 means minRTT was lowered this round: no
+		// threshold. n == 0 means minRTT was lowered this round: no
 		// queue growth to extrapolate.
-		if r > 0 && s.moRTT > 0 {
-			projected := s.moRTT + time.Duration(float64(k)*float64(s.moRTT-s.minRTT)/float64(r))
-			if float64(projected) > s.opt.DelayFactor*float64(s.minRTT) {
-				break
-			}
+		if n > 0 && r.RoundMin > 0 && float64(projectedRTT(r.RoundMin, r.Min, k, n)) > s.opt.DelayFactor*float64(r.Min) {
+			break
 		}
 		best = k
 	}
@@ -359,7 +296,7 @@ func (s *Suss) beginPacing(g int) {
 	target := int64(g) * s.prevCwnd // cwnd_i (Eq. 1)
 	sBdt := s.blueBudget            // S_Bdt_i
 	sRdt := target - sBdt           // S_Rdt_i (Eq. 10 equivalent)
-	redGrowth := target - s.cubic.CwndBytes()
+	redGrowth := target - s.CwndBytes()
 	if sRdt <= 0 || redGrowth <= 0 {
 		return
 	}
@@ -372,23 +309,23 @@ func (s *Suss) beginPacing(g int) {
 	if s.opt.NoPacing {
 		// Clocking-only ablation: grant the red window at once; the
 		// freed + grown window leaves as a burst.
-		s.cubic.AddCwndSegments(float64(redGrowth) / float64(s.env.MSS()))
+		s.AddCwndSegments(float64(redGrowth) / float64(s.env.MSS()))
 		s.frozenRound = true
 		s.stats.RedBytesPaced += redGrowth
 		s.env.Kick()
 		return
 	}
 
-	// Eq. 12 guard; Eq. 11 rate; pacing window length S_Rdt/cwnd·minRTT.
-	guard := time.Duration(float64(s.minRTT)*float64(sBdt)/(2*float64(target))) - s.dtBat/2
-	if guard < 0 || s.opt.NoGuard {
+	// Eq. 12 guard; Eq. 11 rate, pacing period and tick interval.
+	minRTT := s.Rounds().Min
+	guard := guardInterval(minRTT, sBdt, target, s.dtBat)
+	if s.opt.NoGuard {
 		guard = 0
 	}
-	dur := time.Duration(float64(s.minRTT) * float64(sRdt) / float64(target))
-	s.pacingRate = float64(target*8) / s.minRTT.Seconds()
+	dur := paceTime(minRTT, sRdt, target)
+	s.pacingRate = paceRate(target, minRTT)
 	s.redRemaining = redGrowth
-	mss := int64(s.env.MSS())
-	s.tickInterval = time.Duration(float64(s.minRTT) * float64(mss) / float64(target))
+	s.tickInterval = paceTime(minRTT, int64(s.env.MSS()), target)
 	s.frozenRound = true
 
 	start := now + guard
@@ -417,7 +354,7 @@ func (s *Suss) tick() {
 	}
 	s.redRemaining -= add
 	s.stats.RedBytesPaced += add
-	s.cubic.AddCwndSegments(float64(add) / float64(mss))
+	s.AddCwndSegments(float64(add) / float64(mss))
 	s.checkCap()
 	s.env.Kick()
 	if s.redRemaining > 0 && s.frozenRound {
@@ -448,7 +385,8 @@ func (s *Suss) stopPacing() {
 func (s *Suss) modifiedHyStart(ev cc.AckEvent) {
 	const hystartLowWindow = 16
 	const ackDelta = 2 * time.Millisecond
-	if s.minRTT == 0 || s.cubic.CwndSegments() < hystartLowWindow {
+	r := s.Rounds()
+	if r.Min == 0 || s.CwndSegments() < hystartLowWindow {
 		return
 	}
 	// Only blue ACKs represent the unmodified path condition.
@@ -458,13 +396,10 @@ func (s *Suss) modifiedHyStart(ev cc.AckEvent) {
 	gap := now - s.hyLastAck
 	s.hyLastAck = now
 	if isBlue && gap <= ackDelta {
-		ratio := 1.0
-		if s.prevBlueBudget > 0 && s.prevCwnd > s.prevBlueBudget {
-			ratio = float64(s.prevCwnd) / float64(s.prevBlueBudget)
-		}
-		elapsed := now - s.roundStartT
+		ratio := trainRatio(s.prevCwnd, s.prevBlueBudget)
+		elapsed := now - r.Start
 		est := time.Duration(float64(elapsed) * ratio)
-		if float64(est) > s.opt.AckTrainFrac*float64(s.minRTT) {
+		if float64(est) > s.opt.AckTrainFrac*float64(r.Min) {
 			if ratio > 1 {
 				// The estimate was scaled, so the signal fired early in
 				// the round (the blue train is compressed relative to
@@ -482,7 +417,7 @@ func (s *Suss) modifiedHyStart(ev cc.AckEvent) {
 					var extra int64
 					if elapsed > 0 && acked > 0 {
 						impliedRate := float64(acked) / elapsed.Seconds() // bytes/sec
-						extra = int64(impliedRate * s.opt.AckTrainFrac * s.minRTT.Seconds())
+						extra = int64(impliedRate * s.opt.AckTrainFrac * r.Min.Seconds())
 					}
 					s.capBytes = s.prevCwnd + extra
 					s.stats.CapExits++
@@ -490,11 +425,7 @@ func (s *Suss) modifiedHyStart(ev cc.AckEvent) {
 			} else {
 				// Unscaled signal: behave exactly like HyStart.
 				s.stats.TrainExits++
-				if r := s.rec; r != nil {
-					r.C.HyStartExits++
-					r.Record(now, obs.EvHyStartExit, 0, 0, int64(obs.ExitTrain), s.cubic.CwndBytes())
-				}
-				s.exitSlowStart()
+				s.exitSlowStart(now, obs.ExitTrain)
 				return
 			}
 		}
@@ -503,76 +434,61 @@ func (s *Suss) modifiedHyStart(ev cc.AckEvent) {
 	// Condition 2: the round's minimum observed RTT against the delay
 	// threshold, after enough samples.
 	const minSamples = 8
-	if isBlue && s.rttSamples >= minSamples && s.moRTT > 0 {
-		if float64(s.moRTT) > s.opt.DelayFactor*float64(s.minRTT) {
+	if isBlue && r.Samples >= minSamples && r.RoundMin > 0 {
+		if float64(r.RoundMin) > s.opt.DelayFactor*float64(r.Min) {
 			s.stats.DelayExits++
-			if r := s.rec; r != nil {
-				r.C.HyStartExits++
-				r.Record(now, obs.EvHyStartExit, 0, 0, int64(obs.ExitDelay), s.cubic.CwndBytes())
-			}
-			s.exitSlowStart()
+			s.exitSlowStart(now, obs.ExitDelay)
 		}
 	}
 }
 
 // checkCap enforces the postponed stop installed by modifiedHyStart.
 func (s *Suss) checkCap() {
-	if s.capSet && s.cubic.CwndBytes() >= s.capBytes {
-		if r := s.rec; r != nil {
-			r.C.HyStartExits++
-			r.Record(s.env.Now(), obs.EvHyStartExit, 0, 0, int64(obs.ExitCap), s.cubic.CwndBytes())
-		}
-		s.exitSlowStart()
+	if s.capSet && s.CwndBytes() >= s.capBytes {
+		s.exitSlowStart(s.env.Now(), obs.ExitCap)
 	}
 }
 
-func (s *Suss) exitSlowStart() {
-	s.cubic.ExitSlowStart()
-	s.disable(true)
+func (s *Suss) exitSlowStart(now time.Duration, reason obs.HyStartReason) {
+	s.ExitSlowStart(now, reason)
+	s.disable()
 }
 
-// disable turns SUSS off for the rest of the connection (slow start is
-// over; CUBIC congestion avoidance takes it from here).
-func (s *Suss) disable(abortPacing bool) {
+// disable turns SUSS off for the rest of the connection, aborting any
+// pacing period (the un-granted red window is discarded). Slow start
+// is over, or a loss or timeout ended it.
+func (s *Suss) disable() {
 	if s.enabled {
 		if r := s.rec; r != nil {
 			r.C.SussExits++
 			var aborted int64
-			if abortPacing && (s.pacingActive || s.frozenRound) {
+			if s.pacingActive || s.frozenRound {
 				aborted = 1
 			}
-			r.Record(s.env.Now(), obs.EvSussExit, 0, 0, aborted, s.cubic.CwndBytes())
+			r.Record(s.env.Now(), obs.EvSussExit, 0, 0, aborted, s.CwndBytes())
 		}
 	}
 	s.enabled = false
-	if abortPacing || s.pacingActive || s.frozenRound {
-		s.stopPacing()
-		s.frozenRound = false
-	}
+	s.stopPacing()
+	s.frozenRound = false
 }
 
-// OnLoss implements cc.Controller: abort any pacing period (the
-// un-granted red window is discarded) and hand the event to CUBIC.
+// OnLoss implements cc.Controller: SUSS stops, CUBIC reacts.
 func (s *Suss) OnLoss(ev cc.LossEvent) {
-	s.disable(true)
-	s.cubic.OnLoss(ev)
+	s.disable()
+	s.Cubic.OnLoss(ev)
 }
 
-// OnRTO implements cc.Controller.
+// OnRTO implements cc.Controller. SUSS stays off even if the host
+// undoes a spurious timeout (cc.Undoer): the boost machinery is a
+// slow-start mechanism, and a timeout means the path is too unstable
+// to resume granting red windows.
 func (s *Suss) OnRTO(now time.Duration) {
-	s.disable(true)
-	s.cubic.OnRTO(now)
-}
-
-// UndoRTO implements cc.Undoer by delegating to CUBIC's window undo.
-// SUSS itself stays disabled: the boost machinery is a slow-start
-// mechanism and a timeout — even a spurious one — means the path is
-// too unstable to resume granting red windows.
-func (s *Suss) UndoRTO(now time.Duration) {
-	s.cubic.UndoRTO(now)
+	s.disable()
+	s.Cubic.OnRTO(now)
 }
 
 // String implements fmt.Stringer for debugging.
 func (s *Suss) String() string {
-	return fmt.Sprintf("suss{round:%d G:%d cwnd:%dB pacing:%v}", s.round, s.lastG, s.CwndBytes(), s.pacingActive)
+	return fmt.Sprintf("suss{round:%d G:%d cwnd:%dB pacing:%v}", s.Rounds().N+1, s.lastG, s.CwndBytes(), s.pacingActive)
 }

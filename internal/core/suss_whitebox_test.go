@@ -28,11 +28,17 @@ func newWhiteboxSuss(opt Options) (*Suss, *simEnv) {
 	return New(env, opt), env
 }
 
+// setRounds puts the host's round tracker at round n with minimum RTT
+// min set in round minRound (the paper's round n+1 and minRound+1).
+func setRounds(s *Suss, n, minRound int, min time.Duration) *cc.Rounds {
+	r := s.Rounds()
+	r.N, r.MinRound, r.Min = n, minRound, min
+	return r
+}
+
 func TestComputeKConditionOne(t *testing.T) {
 	s, _ := newWhiteboxSuss(DefaultOptions())
-	s.minRTT = 100 * time.Millisecond
-	s.round = 3
-	s.minRTTRound = 3 // r = 0: condition 2 vacuous
+	setRounds(s, 2, 2, 100*time.Millisecond) // r = 0: condition 2 vacuous
 
 	cases := []struct {
 		dtAt time.Duration
@@ -54,9 +60,7 @@ func TestComputeKKmaxGeneralized(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Kmax = 3
 	s, _ := newWhiteboxSuss(opt)
-	s.minRTT = 128 * time.Millisecond
-	s.round = 5
-	s.minRTTRound = 5
+	setRounds(s, 4, 4, 128*time.Millisecond)
 
 	// Appendix A: growth through k extra rounds requires
 	// dtAt ≤ minRTT/2^(k+1): 32 ms → k=1, 16 ms → k=2, 8 ms → k=3.
@@ -79,23 +83,21 @@ func TestComputeKKmaxGeneralized(t *testing.T) {
 
 func TestComputeKConditionTwo(t *testing.T) {
 	s, _ := newWhiteboxSuss(DefaultOptions())
-	s.minRTT = 100 * time.Millisecond
-	s.round = 4
-	s.minRTTRound = 3 // r = 1
+	r := setRounds(s, 3, 2, 100*time.Millisecond) // r = 1
 	dtAt := 10 * time.Millisecond
 
 	// moRTT = 105 ms: projected next-round 110 ms ≤ 112.5 ms → k=1.
-	s.moRTT = 105 * time.Millisecond
+	r.RoundMin = 105 * time.Millisecond
 	if got := s.computeK(dtAt); got != 1 {
 		t.Errorf("moderate queueing: k = %d, want 1", got)
 	}
 	// moRTT = 110 ms: projected 120 ms > 112.5 ms → refuse.
-	s.moRTT = 110 * time.Millisecond
+	r.RoundMin = 110 * time.Millisecond
 	if got := s.computeK(dtAt); got != 0 {
 		t.Errorf("rising queueing: k = %d, want 0", got)
 	}
 	// r = 0 bypasses condition 2 entirely (Algorithm 1 line 3).
-	s.minRTTRound = 4
+	r.MinRound = 3
 	if got := s.computeK(dtAt); got != 1 {
 		t.Errorf("r=0: k = %d, want 1", got)
 	}
@@ -108,9 +110,7 @@ func TestComputeKMonotoneProperty(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Kmax = int(kmax%4) + 1
 		s, _ := newWhiteboxSuss(opt)
-		s.minRTT = time.Duration(minMs%500+1) * time.Millisecond
-		s.round = 3
-		s.minRTTRound = 3
+		setRounds(s, 2, 2, time.Duration(minMs%500+1)*time.Millisecond)
 		a := time.Duration(dtA) * time.Microsecond
 		b := time.Duration(dtB) * time.Microsecond
 		if a > b {
@@ -128,30 +128,19 @@ func TestComputeKMonotoneProperty(t *testing.T) {
 // interval is at least S_Bdt/(4·cwnd)·minRTT.
 func TestGuardLemmaProperty(t *testing.T) {
 	f := func(minMs uint16, blueSegs uint8, batFrac uint8) bool {
-		s, env := newWhiteboxSuss(DefaultOptions())
-		mss := int64(env.mss)
 		minRTT := time.Duration(minMs%400+20) * time.Millisecond
-		s.minRTT = minRTT
-		s.round = 3
-		s.minRTTRound = 3
 
 		// A consistent G=4 setting: prevBlue = prevCwnd/2 (one prior
 		// accelerated round makes ratio 2), dtBat small enough that
 		// dtAt = dtBat·ratio ≤ minRTT/4.
-		blue := int64(blueSegs%60+4) * mss
-		s.prevBlueBudget = blue
-		s.prevCwnd = 2 * blue
-		s.blueBudget = 2 * blue
-		ratio := float64(s.prevCwnd) / float64(s.prevBlueBudget)
-		maxBat := time.Duration(float64(minRTT) / 4 / ratio)
-		s.dtBat = maxBat * time.Duration(batFrac%100) / 100
+		blue := int64(blueSegs%60+4) * 1448
+		prevCwnd, sBdt := 2*blue, 2*blue
+		maxBat := time.Duration(float64(minRTT) / 4 / trainRatio(prevCwnd, blue))
+		dtBat := maxBat * time.Duration(batFrac%100) / 100
 
-		g := 4
-		target := int64(g) * s.prevCwnd
-		sBdt := s.blueBudget
+		target := 4 * prevCwnd
 		wantGuardMin := time.Duration(float64(minRTT) * float64(sBdt) / (4 * float64(target)))
-		guard := time.Duration(float64(minRTT)*float64(sBdt)/(2*float64(target))) - s.dtBat/2
-		return guard >= wantGuardMin-time.Nanosecond
+		return guardInterval(minRTT, sBdt, target, dtBat) >= wantGuardMin-time.Nanosecond
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -182,8 +171,7 @@ func TestBeginPacingArithmetic(t *testing.T) {
 	s, env := newWhiteboxSuss(DefaultOptions())
 	mss := int64(env.mss)
 	minRTT := 100 * time.Millisecond
-	s.minRTT = minRTT
-	s.round = 2
+	setRounds(s, 1, 0, minRTT)
 
 	// Fig. 6 round 2: iw = 10 segs, prevCwnd = iw, blue budget = 2·iw,
 	// cwnd at decision = 2·iw, G = 4 → target 4·iw, S_Rdt = 2·iw,
@@ -192,7 +180,7 @@ func TestBeginPacingArithmetic(t *testing.T) {
 	s.prevBlueBudget = iw
 	s.prevCwnd = iw
 	s.blueBudget = 2 * iw
-	s.cubic.SetCwndSegments(20)
+	s.SetCwndSegments(20)
 	s.dtBat = 10 * time.Millisecond
 
 	s.beginPacing(4)
@@ -218,7 +206,7 @@ func TestBeginPacingArithmetic(t *testing.T) {
 		t.Errorf("after running all ticks, red remaining = %d", s.redRemaining)
 	}
 	// cwnd must have reached the round target exactly.
-	if got := s.cubic.CwndBytes(); got != target {
+	if got := s.CwndBytes(); got != target {
 		t.Errorf("cwnd after pacing = %d, want target %d", got, target)
 	}
 	if s.pacingActive {
@@ -232,13 +220,12 @@ func TestBeginPacingArithmetic(t *testing.T) {
 func TestStopPacingDiscardsRemainder(t *testing.T) {
 	s, env := newWhiteboxSuss(DefaultOptions())
 	mss := int64(env.mss)
-	s.minRTT = 100 * time.Millisecond
-	s.round = 2
+	setRounds(s, 1, 0, 100*time.Millisecond)
 	iw := 10 * mss
 	s.prevBlueBudget = iw
 	s.prevCwnd = iw
 	s.blueBudget = 2 * iw
-	s.cubic.SetCwndSegments(20)
+	s.SetCwndSegments(20)
 	s.dtBat = 10 * time.Millisecond
 	s.beginPacing(4)
 
@@ -248,10 +235,10 @@ func TestStopPacingDiscardsRemainder(t *testing.T) {
 	if s.redRemaining == 0 {
 		t.Fatal("test needs an unfinished pacing period")
 	}
-	s.disable(true)
+	s.disable()
 	env.sim.RunAll()
 	want := 20*mss + granted // cwnd at decision + granted red only
-	if got := s.cubic.CwndBytes(); got != want {
+	if got := s.CwndBytes(); got != want {
 		t.Errorf("cwnd after abort = %d, want %d (no overhang)", got, want)
 	}
 }
@@ -261,17 +248,16 @@ func TestNoPacingAblationBursts(t *testing.T) {
 	opt.NoPacing = true
 	s, env := newWhiteboxSuss(opt)
 	mss := int64(env.mss)
-	s.minRTT = 100 * time.Millisecond
-	s.round = 2
+	setRounds(s, 1, 0, 100*time.Millisecond)
 	iw := 10 * mss
 	s.prevBlueBudget = iw
 	s.prevCwnd = iw
 	s.blueBudget = 2 * iw
-	s.cubic.SetCwndSegments(20)
+	s.SetCwndSegments(20)
 	s.dtBat = 10 * time.Millisecond
 	s.beginPacing(4)
 	// The whole red window is granted immediately.
-	if got := s.cubic.CwndBytes(); got != 4*iw {
+	if got := s.CwndBytes(); got != 4*iw {
 		t.Errorf("cwnd = %d, want %d immediately", got, 4*iw)
 	}
 	if s.pacingActive {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"suss/internal/cc"
+	"suss/internal/obs"
 )
 
 // fakeEnv satisfies cc.Env for unit tests.
@@ -238,49 +239,61 @@ func TestHyStartInactiveBelowLowWindow(t *testing.T) {
 	}
 }
 
-func TestRoundTracking(t *testing.T) {
+// A round that rolls on a recovery ACK (which never reaches the
+// slow-start policy) still starts a fresh HyStart train: the policy
+// resets when the host's round number moves, not on the ACK that moved
+// it.
+func TestHyStartResetsAfterRecoveryRoll(t *testing.T) {
 	c, env := newTestCubic(DefaultOptions())
+	c.SetCwndSegments(64)
 	mss := env.mss
-	if c.RoundNum() != 0 {
-		t.Fatalf("round = %d before any ack", c.RoundNum())
-	}
 	env.now = 100 * time.Millisecond
-	c.OnAck(ackEvent(env, mss, 1448, 1448*20, 50*time.Millisecond))
-	if c.RoundNum() != 1 {
-		t.Fatalf("round = %d after first ack, want 1", c.RoundNum())
+	c.OnAck(ackEvent(env, mss, 1448, 1448*300, 100*time.Millisecond)) // round 1, minRTT 100 ms
+
+	// Round 2: seven samples at 120 ms (over the 112.5 ms threshold),
+	// one short of the eight the delay test waits for.
+	var cum int64 = 1448 * 300
+	for i := 0; i < 7; i++ {
+		env.now += 10 * time.Millisecond
+		cum += 1448
+		c.OnAck(ackEvent(env, mss, cum, cum+1448*300, 120*time.Millisecond))
 	}
-	// ACKs at or below the round end do not advance the round (the ACK
-	// carrying exactly the end sequence is the round's last ACK).
-	env.now = 120 * time.Millisecond
-	c.OnAck(ackEvent(env, mss, 1448*10, 1448*40, 50*time.Millisecond))
-	if c.RoundNum() != 1 {
-		t.Fatalf("round advanced early: %d", c.RoundNum())
+	// A recovery ACK rolls round 3.
+	cum += 1448 * 300
+	env.now += 10 * time.Millisecond
+	ev := ackEvent(env, mss, cum, cum+1448*300, 120*time.Millisecond)
+	ev.InRecovery = true
+	c.OnAck(ev)
+	if n := c.Rounds().N; n != 3 {
+		t.Fatalf("round = %d after the recovery roll, want 3", n)
 	}
-	env.now = 130 * time.Millisecond
-	c.OnAck(ackEvent(env, mss, 1448*20, 1448*50, 50*time.Millisecond))
-	if c.RoundNum() != 1 {
-		t.Fatalf("round advanced on its own end sequence: %d", c.RoundNum())
+	// Round 3's first slow-start ACK is its first HyStart sample, not
+	// round 2's eighth.
+	env.now += 10 * time.Millisecond
+	cum += 1448
+	c.OnAck(ackEvent(env, mss, cum, cum+1448*600, 120*time.Millisecond))
+	if !c.InSlowStart() {
+		t.Fatal("HyStart counted samples across a round boundary")
 	}
-	// Passing strictly beyond the end sequence starts round 2.
-	env.now = 150 * time.Millisecond
-	c.OnAck(ackEvent(env, mss, 1448*21, 1448*60, 50*time.Millisecond))
-	if c.RoundNum() != 2 {
-		t.Fatalf("round = %d, want 2", c.RoundNum())
+	for i := 0; i < 7 && c.InSlowStart(); i++ {
+		env.now += 10 * time.Millisecond
+		cum += 1448
+		c.OnAck(ackEvent(env, mss, cum, cum+1448*600, 120*time.Millisecond))
 	}
-	if c.RoundStart() != 150*time.Millisecond {
-		t.Errorf("round start = %v, want 150ms", c.RoundStart())
+	if c.InSlowStart() {
+		t.Fatal("eight samples of round 3 did not trigger the delay exit")
 	}
 }
 
 func TestExitSlowStartIdempotent(t *testing.T) {
 	c, _ := newTestCubic(DefaultOptions())
 	c.SetCwndSegments(40)
-	c.ExitSlowStart()
+	c.ExitSlowStart(0, obs.ExitTrain)
 	if c.InSlowStart() {
 		t.Fatal("still in slow start after exit")
 	}
 	ss := c.SsthreshSegments()
-	c.ExitSlowStart() // no-op now
+	c.ExitSlowStart(0, obs.ExitDelay) // no-op now
 	if c.SsthreshSegments() != ss {
 		t.Error("second ExitSlowStart changed ssthresh")
 	}

@@ -14,79 +14,61 @@ import (
 // Start (CSS) — exponential growth slowed by 4× — and either confirms
 // the signal after five CSS rounds (exit to congestion avoidance) or
 // detects it was spurious (RTT fell back below the baseline) and
-// resumes full slow start.
+// resumes full slow start. The per-round RTT minima are the host's
+// Rounds.PrevMin and RoundMin.
 type hystartPP struct {
-	// Per-round RTT measurement.
-	lastRoundMinRTT time.Duration
-	currRoundMinRTT time.Duration
-	samples         int
+	c *Cubic
 
 	// CSS state.
 	inCSS          bool
 	cssBaselineRTT time.Duration
 	cssRounds      int
-	cssStartCwnd   float64
 }
 
-// RFC 9406 constants.
+// RFC 9406 constants; the delay threshold is delayThresh, as HyStart's.
 const (
 	hsppMinSamples      = 8
-	hsppMinRTTThresh    = 4 * time.Millisecond
-	hsppMaxRTTThresh    = 16 * time.Millisecond
-	hsppDivisor         = 8 // RTT divisor for the threshold
 	hsppCSSGrowthDiv    = 4
 	hsppCSSRounds       = 5
 	hsppMinCwndSegments = 16 // conservative: same low window as HyStart
 )
 
-// roundStart rolls the per-round state.
-func (h *hystartPP) roundStart() {
-	h.lastRoundMinRTT = h.currRoundMinRTT
-	h.currRoundMinRTT = 0
-	h.samples = 0
-	if h.inCSS {
+// OnSlowStartAck implements cc.SlowStart: the (divided) growth, then
+// the CSS state machine.
+func (h *hystartPP) OnSlowStartAck(ev cc.AckEvent, ackedSegs float64, newRound bool) {
+	c := h.c
+	c.cwnd += ackedSegs / h.growthDivisor()
+	if newRound && h.inCSS {
 		h.cssRounds++
+	}
+	if h.sample(ev.RTT, c.cwnd, &c.rounds) {
+		c.ExitSlowStart(ev.Now, obs.ExitCSS)
 	}
 }
 
-// sample folds in one RTT observation, returning true when CSS decides
-// slow start is over.
-func (h *hystartPP) sample(rtt time.Duration, cwndSegments float64) (exitSlowStart bool) {
-	if rtt <= 0 {
+// sample judges one RTT observation against the round minima,
+// returning true when CSS decides slow start is over.
+func (h *hystartPP) sample(rtt time.Duration, cwndSegments float64, r *cc.Rounds) (exitSlowStart bool) {
+	if rtt <= 0 || cwndSegments < hsppMinCwndSegments {
 		return false
 	}
-	if h.currRoundMinRTT == 0 || rtt < h.currRoundMinRTT {
-		h.currRoundMinRTT = rtt
-	}
-	h.samples++
-	if cwndSegments < hsppMinCwndSegments {
-		return false
-	}
-	if h.samples < hsppMinSamples || h.lastRoundMinRTT == 0 {
+	if r.Samples < hsppMinSamples || r.PrevMin == 0 {
 		return false
 	}
 
 	if !h.inCSS {
 		// RFC 9406 §4.2: RttThresh = clamp(lastRoundMinRTT/8, 4ms, 16ms).
-		thresh := h.lastRoundMinRTT / hsppDivisor
-		if thresh < hsppMinRTTThresh {
-			thresh = hsppMinRTTThresh
-		}
-		if thresh > hsppMaxRTTThresh {
-			thresh = hsppMaxRTTThresh
-		}
-		if h.currRoundMinRTT >= h.lastRoundMinRTT+thresh {
+		if r.RoundMin >= r.PrevMin+delayThresh(r.PrevMin) {
 			h.inCSS = true
-			h.cssBaselineRTT = h.lastRoundMinRTT
+			h.cssBaselineRTT = r.PrevMin
 			h.cssRounds = 0
-			h.cssStartCwnd = cwndSegments
 		}
 		return false
 	}
 
 	// In CSS: a fall back below the baseline means the delay increase
 	// was spurious — resume full slow start.
-	if h.currRoundMinRTT < h.cssBaselineRTT {
+	if r.RoundMin < h.cssBaselineRTT {
 		h.inCSS = false
 		return false
 	}
@@ -104,16 +86,7 @@ func (h *hystartPP) growthDivisor() float64 {
 
 // InCSS reports whether HyStart++ is in its conservative phase
 // (exposed for traces and tests).
-func (c *Cubic) InCSS() bool { return c.hspp != nil && c.hspp.inCSS }
-
-// hystartPPUpdate drives HyStart++ from the ACK stream; it assumes the
-// caller already applied the (divided) window growth.
-func (c *Cubic) hystartPPUpdate(ev cc.AckEvent, newRound bool) {
-	if newRound {
-		c.hspp.roundStart()
-	}
-	if c.hspp.sample(ev.RTT, c.cwnd) {
-		c.ExitSlowStart()
-		c.noteHyStartExit(ev.Now, obs.ExitCSS)
-	}
+func (c *Cubic) InCSS() bool {
+	h, ok := c.ss.(*hystartPP)
+	return ok && h.inCSS
 }

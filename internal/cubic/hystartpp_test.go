@@ -3,8 +3,6 @@ package cubic
 import (
 	"testing"
 	"time"
-
-	"suss/internal/cc"
 )
 
 func newHSPPCubic() (*Cubic, *fakeEnv) {
@@ -129,11 +127,7 @@ func TestHSPPOverridesClassicHyStart(t *testing.T) {
 	opt.HyStartPP = true
 	env := &fakeEnv{mss: 1448}
 	c := New(env, opt)
-	if c.hspp == nil {
-		t.Fatal("HyStartPP not engaged")
+	if _, ok := c.ss.(*hystartPP); !ok {
+		t.Fatalf("slow-start policy %T, want HyStart++", c.ss)
 	}
-	if c.opt.HyStart {
-		t.Fatal("classic HyStart should be disabled when HyStartPP is set")
-	}
-	_ = cc.AckEvent{}
 }

@@ -55,8 +55,10 @@ const (
 	// EvCwndChanged reports a congestion-window change observed after a
 	// controller callback. Aux is the new cwnd in bytes, Aux2 the old.
 	EvCwndChanged
-	// EvSussRoundStart is a SUSS slow-start round boundary. Aux is the
-	// round number, Aux2 the cwnd in bytes at the boundary.
+	// EvSussRoundStart is a SUSS slow-start round boundary, recorded
+	// only while SUSS runs (not after its exit, a loss or a timeout).
+	// Aux is the paper's round number, Aux2 the cwnd in bytes at the
+	// boundary.
 	EvSussRoundStart
 	// EvSussBoost is an accelerated SUSS round (G > 2) or a BBR
 	// SUSS-boosted STARTUP round. Aux is the growth factor G (or the
@@ -362,7 +364,8 @@ type FlowCounters struct {
 	RcvRenegeEvents int64
 	RcvRenegedBytes int64
 
-	// Controller side.
+	// Controller side. SussRounds counts EvSussRoundStart: the rounds
+	// SUSS ran, not every round of the connection.
 	SussRounds   int64
 	SussBoosts   int64
 	SussExits    int64
