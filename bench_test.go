@@ -295,7 +295,7 @@ func BenchmarkAblationPacingVsBurst(b *testing.B) {
 func BenchmarkAblationBtlBwVariation(b *testing.B) {
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunBtlBwVariation("drop", 8<<20, int64(i+1))
+		r := experiments.RunBtlBwVariation("drop", 8<<20)
 		off, on = r.FCTOff, r.FCTOn
 	}
 	b.ReportMetric(off, "drop-fct-suss-off-s")

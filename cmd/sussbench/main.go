@@ -269,7 +269,7 @@ func run() int {
 			exit := experiments.RunSlowStartExitComparison(2<<20, *iters, *seed, opts("ablations")...)
 			incomplete += exit.Incomplete
 			emit(exit.Render())
-			aqm := experiments.RunAQMComparison(4<<20, *iters, *seed, opts("ablations")...)
+			aqm := experiments.RunAQMComparison(4<<20, opts("ablations")...)
 			incomplete += aqm.Incomplete
 			emit(aqm.Render())
 		})
@@ -309,7 +309,7 @@ func run() int {
 	if run("appendixB") {
 		timed("appendixB", func() {
 			for _, dir := range []string{"drop", "rise"} {
-				r := experiments.RunBtlBwVariation(dir, 8<<20, *seed, opts("appendixB")...)
+				r := experiments.RunBtlBwVariation(dir, 8<<20, opts("appendixB")...)
 				incomplete += len(r.Failed)
 				emit(r.Render())
 			}

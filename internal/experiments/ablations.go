@@ -120,8 +120,9 @@ type BtlBwVariationResult struct {
 }
 
 // RunBtlBwVariation runs the step experiment; the off/on variants run
-// as two independent pool items.
-func RunBtlBwVariation(direction string, size int64, seed int64, opts ...Option) BtlBwVariationResult {
+// as two independent pool items. The path has no randomness, so there
+// is nothing to seed.
+func RunBtlBwVariation(direction string, size int64, opts ...Option) BtlBwVariationResult {
 	cfg := newConfig(opts)
 	res := BtlBwVariationResult{Direction: direction}
 	base, after := 2e8, 1e8
@@ -295,9 +296,10 @@ type AQMResult struct {
 
 // RunAQMComparison downloads size bytes over a 100 Mbps × 100 ms path
 // with a shallow-ish buffer under three regimes: CUBIC + drop-tail,
-// CUBIC + CoDel, and CUBIC+SUSS + drop-tail. The variants × iters
-// simulations run as one pool batch.
-func RunAQMComparison(size int64, iters int, seed int64, opts ...Option) AQMResult {
+// CUBIC + CoDel, and CUBIC+SUSS + drop-tail. The path has no
+// randomness, so each variant runs once; the three run as one pool
+// batch.
+func RunAQMComparison(size int64, opts ...Option) AQMResult {
 	cfg := newConfig(opts)
 	res := AQMResult{}
 	type variant struct {
@@ -310,31 +312,18 @@ func RunAQMComparison(size int64, iters int, seed int64, opts ...Option) AQMResu
 		{"cubic/codel", Cubic, netsim.CoDelFactory},
 		{"suss/drop-tail", Suss, nil},
 	}
-	type aqmRun struct {
-		fct, loss, maxRTTms float64
-		hasLoss             bool
-	}
-	type item struct {
-		v  variant
-		it int
-	}
-	var items []item
-	for _, v := range variants {
-		for it := 0; it < iters; it++ {
-			items = append(items, item{v, it})
-		}
-	}
-	outs := runner.Map(cfg.ctx, items, func(_ context.Context, _ int, im item) (aqmRun, error) {
+	type aqmRun struct{ fct, loss, maxRTTms float64 }
+	outs := runner.Map(cfg.ctx, variants, func(_ context.Context, _ int, v variant) (aqmRun, error) {
 		sim := netsim.NewSimulator()
 		rtt := 100 * time.Millisecond
 		rate := 1e8
 		bdp := rate / 8 * rtt.Seconds()
 		p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 			{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},
-			{Name: "bneck", Rate: rate, Delay: 5 * time.Millisecond, QueueBytes: int(bdp), Qdisc: im.v.qdisc},
+			{Name: "bneck", Rate: rate, Delay: 5 * time.Millisecond, QueueBytes: int(bdp), Qdisc: v.qdisc},
 		}})
 		f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-		f.Sender.SetController(NewController(im.v.algo, f.Sender))
+		f.Sender.SetController(NewController(v.algo, f.Sender))
 		var maxRTT time.Duration
 		f.Sender.OnAckTrace = func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64) {
 			if srtt > maxRTT {
@@ -344,34 +333,24 @@ func RunAQMComparison(size int64, iters int, seed int64, opts ...Option) AQMResu
 		f.StartAt(sim, 0)
 		sim.Run(20 * time.Minute)
 		if !f.Done() {
-			return aqmRun{}, fmt.Errorf("AQM %s iter=%d: %w", im.v.name, im.it, runner.ErrIncomplete)
+			return aqmRun{}, fmt.Errorf("AQM %s: %w", v.name, runner.ErrIncomplete)
 		}
 		st := p.Fwd[1].Stats()
 		r := aqmRun{fct: f.FCT().Seconds(), maxRTTms: float64(maxRTT) / 1e6}
 		if off := st.EnqueuedPackets + st.DroppedPackets; off > 0 {
 			r.loss = float64(st.DroppedPackets) / float64(off)
-			r.hasLoss = true
 		}
 		return r, nil
 	}, cfg.pool())
 
-	for vi, v := range variants {
-		var fcts, losses, maxRTTs []float64
-		for _, o := range outs[vi*iters : (vi+1)*iters] {
-			if o.Err != nil {
-				res.Incomplete++
-				continue
-			}
-			fcts = append(fcts, o.Value.fct)
-			if o.Value.hasLoss {
-				losses = append(losses, o.Value.loss)
-			}
-			maxRTTs = append(maxRTTs, o.Value.maxRTTms)
+	for i, o := range outs {
+		if o.Err != nil {
+			res.Incomplete++ // reported as zeros
 		}
-		res.Variants = append(res.Variants, v.name)
-		res.FCT = append(res.FCT, stats.Mean(fcts))
-		res.Loss = append(res.Loss, stats.Mean(losses))
-		res.MaxRTTms = append(res.MaxRTTms, stats.Mean(maxRTTs))
+		res.Variants = append(res.Variants, variants[i].name)
+		res.FCT = append(res.FCT, o.Value.fct)
+		res.Loss = append(res.Loss, o.Value.loss)
+		res.MaxRTTms = append(res.MaxRTTms, o.Value.maxRTTms)
 	}
 	return res
 }

@@ -202,7 +202,7 @@ func TestSlowStartExitComparisonShape(t *testing.T) {
 }
 
 func TestBtlBwVariationShape(t *testing.T) {
-	r := RunBtlBwVariation("drop", 8<<20, 4)
+	r := RunBtlBwVariation("drop", 8<<20)
 	if r.FCTOff <= 0 || r.FCTOn <= 0 {
 		t.Fatalf("bad FCTs: %+v", r)
 	}
