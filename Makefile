@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults identity loc bench-smoke clean
+.PHONY: check build vet archgate test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults identity loc bench-smoke clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -16,6 +16,27 @@ build:
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
+
+# Bytes that do not depend on the CPU. The Go spec lets a compiler fuse
+# x*y + z into one multiply-add that rounds once instead of twice;
+# amd64 never does, arm64, ppc64le, s390x and riscv64 do. The gate
+# cross-compiles every package for those four with the assembly listing
+# on and fails on any fused multiply-add in a suss/... function
+# (stdlib code inlined into one included). A site is fixed the spec's
+# way: an explicit conversion, float64(x*y) + z, rounds the product and
+# forbids the fusion, and changes no amd64 instruction. Fusion inside
+# the standard library's own functions (math.Pow, math.Exp …) is not
+# checked here.
+archgate:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; fused=0; \
+	for arch in arm64 ppc64le s390x riscv64; do \
+		if ! GOOS=linux GOARCH=$$arch $(GO) build -gcflags='suss/...=-S' ./... 2>"$$dir/$$arch"; then \
+			grep -v '^	' "$$dir/$$arch"; exit 1; \
+		fi; \
+		awk -v arch=$$arch '/ STEXT / { fn = $$1 } /\tV?FN?M(ADD|SUB)[A-Z0-9]*\t/ && fn ~ /^suss\// { print arch ": " fn ": " $$0; n++ } END { exit n > 0 }' "$$dir/$$arch" || fused=1; \
+	done; \
+	if [ $$fused = 1 ]; then echo "archgate: fused multiply-adds in suss/... functions; round each product with float64(x*y)"; exit 1; fi; \
+	echo "archgate: no fused multiply-add in suss/... on arm64, ppc64le, s390x or riscv64"
 
 test:
 	$(GO) test ./...
@@ -52,9 +73,12 @@ race:
 # that sweep through one worker's scratch (all three internal/runner),
 # and a warm resubmission of the 252-cell fig11 matrix to the daemon
 # (internal/service). All but the warm pass are exact counts; that one
-# is per cell, so one allocation more per cell fails. The sweep and the
-# two shard replays also pin their events fired (the behaviour) and
-# timing-wheel placements (the scheduler's work) exactly.
+# is per cell, so one allocation more per cell fails. A warm scratch
+# resets each slot's flow and controller in place, so the warm shard's
+# count has no per-flow term: one allocation added to a flow's or a
+# controller's set-up shows ×400. The sweep and the two shard replays
+# also pin their events fired (the behaviour) and timing-wheel
+# placements (the scheduler's work) exactly.
 allocgate:
 	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 

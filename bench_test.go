@@ -120,7 +120,7 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fig11SerialSweepAllocs = 1842
+const fig11SerialSweepAllocs = 1709
 
 // fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
 // same 24 cells fire and the timing-wheel placements they cost, summed

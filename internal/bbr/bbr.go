@@ -84,8 +84,8 @@ type BBR struct {
 	opt Options
 
 	st       state
-	bwFilter *cc.WindowedMax // bits/sec, windowed over rounds
-	minRTT   *cc.WindowedMinRTT
+	bwFilter cc.WindowedMax // bits/sec, windowed over rounds
+	minRTT   cc.WindowedMinRTT
 	rounds   cc.Rounds
 
 	pacingGain float64
@@ -107,7 +107,7 @@ type BBR struct {
 	inRecovery    bool
 	lossRounds    int // consecutive STARTUP rounds with loss
 
-	boost *sussBoost // nil unless Options.SUSSStartup
+	boost sussBoost // runs only under Options.SUSSStartup
 
 	// undo snapshots the model state at the last OnRTO so a spurious
 	// timeout can be reverted (cc.Undoer).
@@ -123,24 +123,28 @@ func (b *BBR) AttachRecorder(r *obs.FlowRecorder) { b.rec = r }
 
 // New creates a BBR controller.
 func New(env cc.Env, opt Options) *BBR {
+	b := new(BBR)
+	b.Reset(env, opt)
+	return b
+}
+
+// Reset makes b the controller New(env, opt) returns: every field is
+// reset and the recorder detached.
+func (b *BBR) Reset(env cc.Env, opt Options) {
 	if opt.Beta == 0 {
 		opt.Beta = 0.7
 	}
 	if opt.IW == 0 {
 		opt.IW = 10
 	}
-	b := &BBR{
+	*b = BBR{
 		env:        env,
 		opt:        opt,
 		st:         stateStartup,
-		bwFilter:   cc.NewWindowedMax(bwWindowRounds),
-		minRTT:     cc.NewWindowedMinRTT(rttWindow),
+		bwFilter:   cc.MakeWindowedMax(bwWindowRounds),
+		minRTT:     cc.MakeWindowedMinRTT(rttWindow),
 		pacingGain: highGain,
 	}
-	if opt.SUSSStartup {
-		b.boost = &sussBoost{}
-	}
-	return b
 }
 
 // Name implements cc.Controller.
@@ -157,9 +161,6 @@ func (b *BBR) Name() string {
 // BoostedRounds returns how many STARTUP rounds ran with doubled gains
 // (0 unless Options.SUSSStartup).
 func (b *BBR) BoostedRounds() int {
-	if b.boost == nil {
-		return 0
-	}
 	return b.boost.Boosts
 }
 
@@ -196,7 +197,7 @@ func (b *BBR) CwndBytes() int64 {
 		return int64(b.opt.IW) * mss
 	}
 	g := cwndGain
-	if b.boost != nil && b.st == stateStartup {
+	if b.opt.SUSSStartup && b.st == stateStartup {
 		g *= b.boost.gainMultiplier()
 	}
 	w := g * bdp
@@ -207,7 +208,7 @@ func (b *BBR) CwndBytes() int64 {
 	// does): hold the window near the current flight so retransmits
 	// drain the queue instead of chasing it.
 	if b.inRecovery {
-		cap := float64(b.lastInflight) + 3*float64(mss)
+		cap := float64(b.lastInflight + 3*mss)
 		if w > cap {
 			w = cap
 		}
@@ -225,7 +226,7 @@ func (b *BBR) PacingRate() float64 {
 		return 0 // no estimate yet: release the IW unpaced
 	}
 	g := b.pacingGain
-	if b.boost != nil && b.st == stateStartup {
+	if b.opt.SUSSStartup && b.st == stateStartup {
 		g *= b.boost.gainMultiplier()
 	}
 	return g * bw
@@ -257,14 +258,14 @@ func (b *BBR) OnAck(ev cc.AckEvent) {
 		b.bwFilter.Update(ev.BW, uint64(b.rounds.N))
 	}
 
-	if b.boost != nil {
+	if b.opt.SUSSStartup {
 		b.boost.onAck(ev)
 	}
 
 	// Round accounting: full-pipe detection and ceiling probes happen
 	// once per round trip.
 	if b.rounds.Update(ev) {
-		if b.boost != nil {
+		if b.opt.SUSSStartup {
 			b.boost.onRoundStart(&b.rounds, b.st == stateStartup && !b.filledPipe, b.bwFilter.Get())
 			// The boosted flag for the new round is now decided; a
 			// SUSS-boosted STARTUP round is this package's EvSussBoost.
@@ -378,7 +379,7 @@ type bbrUndo struct {
 func (b *BBR) OnLoss(ev cc.LossEvent) {
 	b.undo.valid = false // real congestion: the pre-RTO state is stale
 	b.lossThisRound = true
-	if b.boost != nil {
+	if b.opt.SUSSStartup {
 		b.boost.disable()
 	}
 	if !b.opt.V2 {

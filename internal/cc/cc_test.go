@@ -33,7 +33,7 @@ func TestMinRTTTracker(t *testing.T) {
 }
 
 func TestWindowedMaxBasics(t *testing.T) {
-	w := NewWindowedMax(10)
+	w := MakeWindowedMax(10)
 	w.Update(100, 1)
 	if w.Get() != 100 {
 		t.Fatalf("Get = %v, want 100", w.Get())
@@ -49,7 +49,7 @@ func TestWindowedMaxBasics(t *testing.T) {
 }
 
 func TestWindowedMaxExpiry(t *testing.T) {
-	w := NewWindowedMax(10)
+	w := MakeWindowedMax(10)
 	w.Update(200, 0)
 	for tick := uint64(1); tick <= 25; tick++ {
 		w.Update(50, tick)
@@ -65,7 +65,7 @@ func TestWindowedMaxExpiry(t *testing.T) {
 func TestWindowedMaxProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := NewWindowedMax(10)
+		w := MakeWindowedMax(10)
 		var history []maxSample
 		for tick := uint64(0); tick < 100; tick++ {
 			v := rng.Float64()*100 + 1
@@ -93,7 +93,7 @@ func TestWindowedMaxProperty(t *testing.T) {
 }
 
 func TestWindowedMinRTT(t *testing.T) {
-	w := NewWindowedMinRTT(10 * time.Second)
+	w := MakeWindowedMinRTT(10 * time.Second)
 	w.Update(100*time.Millisecond, 0)
 	w.Update(200*time.Millisecond, time.Second)
 	if w.Get() != 100*time.Millisecond {
@@ -113,7 +113,7 @@ func TestWindowedMinRTT(t *testing.T) {
 }
 
 func TestWindowedMinRTTIgnoresZero(t *testing.T) {
-	w := NewWindowedMinRTT(time.Second)
+	w := MakeWindowedMinRTT(time.Second)
 	w.Update(0, 0)
 	if w.Get() != 0 {
 		t.Fatal("zero sample should be ignored")

@@ -16,10 +16,10 @@ type maxSample struct {
 	t uint64
 }
 
-// NewWindowedMax creates a filter with the given window length in
-// ticks (e.g. 10 round trips for BBR's bandwidth filter).
-func NewWindowedMax(windowTicks uint64) *WindowedMax {
-	return &WindowedMax{window: windowTicks}
+// MakeWindowedMax returns an empty filter with the given window length
+// in ticks (e.g. 10 round trips for BBR's bandwidth filter).
+func MakeWindowedMax(windowTicks uint64) WindowedMax {
+	return WindowedMax{window: windowTicks}
 }
 
 // Update folds in sample v at tick t (t must be non-decreasing).
@@ -68,9 +68,9 @@ type WindowedMinRTT struct {
 	setAt  time.Duration
 }
 
-// NewWindowedMinRTT creates the filter.
-func NewWindowedMinRTT(window time.Duration) *WindowedMinRTT {
-	return &WindowedMinRTT{window: window}
+// MakeWindowedMinRTT returns an empty filter over the given window.
+func MakeWindowedMinRTT(window time.Duration) WindowedMinRTT {
+	return WindowedMinRTT{window: window}
 }
 
 // Update folds in a sample at virtual time now.

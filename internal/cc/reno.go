@@ -38,10 +38,17 @@ type Reno struct {
 
 // NewReno creates the controller bound to the transport environment.
 func NewReno(env Env, opt RenoOptions) *Reno {
+	r := new(Reno)
+	r.Reset(env, opt)
+	return r
+}
+
+// Reset makes r the controller NewReno(env, opt) returns.
+func (r *Reno) Reset(env Env, opt RenoOptions) {
 	if opt.IW <= 0 {
 		opt.IW = 10
 	}
-	return &Reno{
+	*r = Reno{
 		env:      env,
 		opt:      opt,
 		cwnd:     float64(opt.IW),

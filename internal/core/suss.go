@@ -88,7 +88,7 @@ type Stats struct {
 // slow-start policy is SUSS. minRTT is the host's Rounds.Min, and a
 // round's moRTT and sample count are Rounds.RoundMin and Samples.
 type Suss struct {
-	*cubic.Cubic
+	cubic.Cubic
 	env cc.Env
 	opt Options
 
@@ -119,9 +119,13 @@ type Suss struct {
 	gate         time.Duration // earliest-send gate (guard interval)
 	redRemaining int64         // cwnd bytes still to add via ticks
 	tickInterval time.Duration
+	gateAt       time.Duration // the gate openGate installs
 	tickTimer    cc.Timer
-	tickFn       func() // s.tick, materialised once: a method value allocates
 	endTimer     cc.Timer
+
+	// openGate, tick and stopPacing as funcs, bound once per controller
+	// (a method value allocates) and kept by Reset.
+	openGateFn, tickFn, stopPacingFn func()
 
 	enabled bool
 	stats   Stats
@@ -140,6 +144,15 @@ func (s *Suss) AttachRecorder(r *obs.FlowRecorder) {
 
 // New creates a CUBIC+SUSS controller bound to the transport env.
 func New(env cc.Env, opt Options) *Suss {
+	s := new(Suss)
+	s.Reset(env, opt)
+	return s
+}
+
+// Reset makes s the controller New(env, opt) returns. It keeps only
+// what no result can see: the bound pacing callbacks and the backing
+// array of Stats().GHistory. The recorder is detached.
+func (s *Suss) Reset(env cc.Env, opt Options) {
 	if opt.Kmax <= 0 {
 		opt.Kmax = 1
 	}
@@ -153,18 +166,29 @@ func New(env cc.Env, opt Options) *Suss {
 	if copt.IW == 0 {
 		copt = cubic.DefaultOptions()
 	}
-	s := &Suss{env: env, opt: opt, enabled: true}
-	s.blueBudget = int64(copt.IW) * int64(env.MSS()) // S_Bdt_1 = iw
-	s.blueEnd = s.blueBudget
-	s.tickFn = s.tick
-	s.Cubic = cubic.Host(env, copt, s)
-	return s
+	blue := int64(copt.IW) * int64(env.MSS()) // S_Bdt_1 = iw
+	*s = Suss{
+		env:          env,
+		opt:          opt,
+		enabled:      true,
+		blueBudget:   blue,
+		blueEnd:      blue,
+		stats:        Stats{GHistory: s.stats.GHistory[:0]},
+		openGateFn:   s.openGateFn,
+		tickFn:       s.tickFn,
+		stopPacingFn: s.stopPacingFn,
+	}
+	if s.tickFn == nil {
+		s.openGateFn, s.tickFn, s.stopPacingFn = s.openGate, s.tick, s.stopPacing
+	}
+	s.Cubic.Reset(env, copt, s)
 }
 
 // Name implements cc.Controller.
 func (s *Suss) Name() string { return "cubic+suss" }
 
-// Stats returns a copy of the SUSS counters.
+// Stats returns a copy of the SUSS counters. Its GHistory shares the
+// controller's array: it is valid until the controller's next Reset.
 func (s *Suss) Stats() Stats { return s.stats }
 
 // PacingActive reports whether a pacing period is in progress.
@@ -328,17 +352,21 @@ func (s *Suss) beginPacing(g int) {
 	s.tickInterval = paceTime(minRTT, int64(s.env.MSS()), target)
 	s.frozenRound = true
 
-	start := now + guard
 	// Activate the gate in a follow-up event so the clocked sends
 	// triggered by this same ACK are not caught by it.
-	s.env.Schedule(0, func() {
-		if s.frozenRound {
-			s.pacingActive = true
-			s.gate = start
-		}
-	})
+	s.gateAt = now + guard
+	s.env.Schedule(0, s.openGateFn)
 	s.tickTimer = s.env.Schedule(guard, s.tickFn)
-	s.endTimer = s.env.Schedule(guard+dur, func() { s.stopPacing() })
+	s.endTimer = s.env.Schedule(guard+dur, s.stopPacingFn)
+}
+
+// openGate starts the guard interval beginPacing scheduled, unless the
+// round's pacing was called off in between.
+func (s *Suss) openGate() {
+	if s.frozenRound {
+		s.pacingActive = true
+		s.gate = s.gateAt
+	}
 }
 
 // tick releases one MSS of red window and reschedules itself until the

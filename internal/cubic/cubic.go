@@ -73,8 +73,9 @@ type Cubic struct {
 	srtt   time.Duration
 
 	ss     cc.SlowStart
-	hy     hyStart // ss when classic HyStart runs
-	exited bool    // slow start ended by the policy (ssthresh set)
+	hy     hyStart   // ss when classic HyStart runs
+	hpp    hystartPP // ss when HyStart++ runs
+	exited bool      // slow start ended by the policy (ssthresh set)
 
 	// undo snapshots the window state at the last OnRTO so a spurious
 	// timeout can be reverted (cc.Undoer).
@@ -90,11 +91,17 @@ func (c *Cubic) AttachRecorder(r *obs.FlowRecorder) { c.rec = r }
 
 // New creates a CUBIC controller bound to the transport environment,
 // running the slow-start policy opt selects.
-func New(env cc.Env, opt Options) *Cubic { return Host(env, opt, nil) }
+func New(env cc.Env, opt Options) *Cubic {
+	c := new(Cubic)
+	c.Reset(env, opt, nil)
+	return c
+}
 
-// Host creates a CUBIC controller whose slow start runs ss; a nil ss
-// selects HyStart++, classic HyStart or plain doubling from opt.
-func Host(env cc.Env, opt Options, ss cc.SlowStart) *Cubic {
+// Reset makes c the controller New(env, opt) returns, except that its
+// slow start runs ss when ss is non-nil (a host built for a policy of
+// its own, SUSS). A nil ss selects HyStart++, classic HyStart or plain
+// doubling from opt. Every field is reset and the recorder detached.
+func (c *Cubic) Reset(env cc.Env, opt Options, ss cc.SlowStart) {
 	if opt.IW <= 0 {
 		opt.IW = 10
 	}
@@ -104,7 +111,7 @@ func Host(env cc.Env, opt Options, ss cc.SlowStart) *Cubic {
 	if opt.Beta == 0 {
 		opt.Beta = 0.7
 	}
-	c := &Cubic{
+	*c = Cubic{
 		env:      env,
 		opt:      opt,
 		cwnd:     float64(opt.IW),
@@ -114,12 +121,12 @@ func Host(env cc.Env, opt Options, ss cc.SlowStart) *Cubic {
 	switch {
 	case ss != nil:
 	case opt.HyStartPP:
-		c.ss = &hystartPP{c: c}
+		c.hpp.c = c
+		c.ss = &c.hpp
 	case opt.HyStart:
 		c.hy.c = c
 		c.ss = &c.hy
 	}
-	return c
 }
 
 // Name implements cc.Controller.
@@ -274,7 +281,7 @@ func (c *Cubic) congestionAvoidance(now time.Duration, ackedSegs float64) {
 
 	t := (now - c.epochStart).Seconds()
 	rtt := c.srtt.Seconds()
-	target := c.wMax + c.opt.C*math.Pow(t+rtt-c.k, 3)
+	target := c.wMax + float64(c.opt.C*math.Pow(t+rtt-c.k, 3))
 
 	var incPerAck float64
 	if target > c.cwnd {
@@ -288,12 +295,12 @@ func (c *Cubic) congestionAvoidance(now time.Duration, ackedSegs float64) {
 		// segments per window of ACKs (RFC 9438 §4.3).
 		alpha := 3 * (1 - c.opt.Beta) / (1 + c.opt.Beta)
 		c.wEst += alpha * ackedSegs / c.cwnd
-		if c.wEst > c.cwnd+incPerAck*ackedSegs {
+		if c.wEst > c.cwnd+float64(incPerAck*ackedSegs) {
 			c.cwnd = c.wEst
 			return
 		}
 	}
-	c.cwnd += incPerAck * ackedSegs
+	c.cwnd += float64(incPerAck * ackedSegs)
 }
 
 // cubicUndo is the pre-RTO window snapshot for cc.Undoer.

@@ -86,7 +86,4 @@ func (h *hystartPP) growthDivisor() float64 {
 
 // InCSS reports whether HyStart++ is in its conservative phase
 // (exposed for traces and tests).
-func (c *Cubic) InCSS() bool {
-	h, ok := c.ss.(*hystartPP)
-	return ok && h.inCSS
-}
+func (c *Cubic) InCSS() bool { return c.ss == &c.hpp && c.hpp.inCSS }

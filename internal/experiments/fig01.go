@@ -62,7 +62,7 @@ func RunFig01(size int64, seed int64) Fig01Result {
 		var got, opt []float64
 		var worst float64
 		for _, cp := range res.Checkpoints {
-			d := float64(tr.At(cp).Delivered) / (1 << 20)
+			d := float64(float64(tr.At(cp).Delivered) / (1 << 20))
 			o := theta / 8 * cp.Seconds() / (1 << 20)
 			if o > float64(size)/(1<<20) {
 				o = float64(size) / (1 << 20)

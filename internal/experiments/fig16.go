@@ -45,7 +45,7 @@ func RunFig16(largeAlgo, smallAlgo Algo, rtt time.Duration, bufferBDP float64, l
 		})
 	}
 	// Horizon: long enough for the large flow at a contended 50 Mbps.
-	horizon := time.Duration(float64(largeSize*8)/tb.BtlRate*3+30) * time.Second
+	horizon := time.Duration(float64(float64(largeSize*8)/tb.BtlRate*3)+30) * time.Second
 	run := RunTestbed(tb, specs, horizon, time.Second)
 
 	res := Fig16Result{LargeAlgo: largeAlgo, SmallAlgo: smallAlgo, RTT: rtt, BufferBDP: bufferBDP}

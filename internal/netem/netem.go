@@ -78,8 +78,8 @@ func (v *VariableRate) Rate(now time.Duration) float64 {
 		// OU step: x += k(mean-x) + sigma*sqrt(2k)*N(0,1); with the
 		// stationary stddev sigma = RelStdDev*Mean.
 		sigma := v.RelStdDev * v.Mean
-		noise := v.rng.NormFloat64() * sigma * math.Sqrt(2*v.Reversion)
-		v.current += v.Reversion*(v.Mean-v.current) + noise
+		noise := float64(v.rng.NormFloat64() * sigma * math.Sqrt(2*v.Reversion))
+		v.current += float64(v.Reversion*(v.Mean-v.current)) + noise
 		if v.current < v.Floor {
 			v.current = v.Floor
 		}
@@ -135,7 +135,7 @@ func CorrelatedJitter(max, interval time.Duration, rng *rand.Rand) netsim.DelayF
 // pair.
 func NormalJitter(mean, stddev time.Duration, rng *rand.Rand) netsim.DelayFunc {
 	return func(time.Duration, *netsim.Packet) time.Duration {
-		d := time.Duration(float64(mean) + rng.NormFloat64()*float64(stddev))
+		d := time.Duration(float64(mean) + float64(rng.NormFloat64()*float64(stddev)))
 		if d < 0 {
 			d = 0
 		}

@@ -53,35 +53,50 @@ func (a Algo) String() string {
 	}
 }
 
-// newController builds a flow's controller: a's, or SUSS configured by
-// sussOpt when a is Suss and sussOpt is set.
-func newController(a Algo, sussOpt *core.Options, s *tcp.Sender) cc.Controller {
-	if a == Suss && sussOpt != nil {
-		return core.New(s, *sussOpt)
+// controllers holds one controller of each family, for a flow to run
+// under whichever its cell's Algo names.
+type controllers struct {
+	cubic cubic.Cubic
+	suss  core.Suss
+	bbr   bbr.BBR
+	reno  cc.Reno
+}
+
+// reset returns a's controller bound to sender s, reset to the state
+// its constructor builds: SUSS is configured by sussOpt when a is Suss
+// and sussOpt is set.
+func (cs *controllers) reset(a Algo, sussOpt *core.Options, s *tcp.Sender) cc.Controller {
+	switch a {
+	case Cubic, CubicHSPP:
+		opt := cubic.DefaultOptions()
+		opt.HyStartPP = a == CubicHSPP
+		cs.cubic.Reset(s, opt, nil)
+		return &cs.cubic
+	case Suss:
+		opt := core.DefaultOptions()
+		if sussOpt != nil {
+			opt = *sussOpt
+		}
+		cs.suss.Reset(s, opt)
+		return &cs.suss
+	case BBR:
+		cs.bbr.Reset(s, bbr.DefaultOptions())
+		return &cs.bbr
+	case BBR2:
+		cs.bbr.Reset(s, bbr.V2Options())
+		return &cs.bbr
+	case BBRSuss:
+		cs.bbr.Reset(s, bbr.SUSSOptions())
+		return &cs.bbr
+	case Reno:
+		cs.reno.Reset(s, cc.DefaultRenoOptions())
+		return &cs.reno
+	default:
+		panic("runner: unknown algo")
 	}
-	return NewController(a, s)
 }
 
 // NewController builds a's controller bound to sender s.
 func NewController(a Algo, s *tcp.Sender) cc.Controller {
-	switch a {
-	case Cubic:
-		return cubic.New(s, cubic.DefaultOptions())
-	case Suss:
-		return core.New(s, core.DefaultOptions())
-	case BBR:
-		return bbr.New(s, bbr.DefaultOptions())
-	case BBR2:
-		return bbr.New(s, bbr.V2Options())
-	case CubicHSPP:
-		opt := cubic.DefaultOptions()
-		opt.HyStartPP = true
-		return cubic.New(s, opt)
-	case BBRSuss:
-		return bbr.New(s, bbr.SUSSOptions())
-	case Reno:
-		return cc.NewReno(s, cc.DefaultRenoOptions())
-	default:
-		panic("runner: unknown algo")
-	}
+	return new(controllers).reset(a, nil, s)
 }

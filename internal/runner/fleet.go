@@ -183,10 +183,8 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	for i, fs := range flows {
 		s := i % len(tree.Servers)
 		c := i % tree.NumClients()
-		f := scr.flow(i, cfg, netsim.FlowID(i+1),
+		f, ctrl := scr.flow(i, j.Algo, j.SussOpt, cfg, netsim.FlowID(i+1),
 			tree.Servers[s], srvMux[s], tree.Clients[c], cliMux[c], fs.Size)
-		ctrl := newController(j.Algo, j.SussOpt, f.Sender)
-		f.Sender.SetController(ctrl)
 		if reg != nil {
 			fr := reg.Flow(int32(i + 1))
 			f.Sender.AttachRecorder(fr)
@@ -198,7 +196,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 		f.Receiver.OnComplete = scr.countDone
 		f.StartAt(sim, fs.Start)
 	}
-	tflows := scr.flows[:len(flows)]
+	slots := scr.slots[:len(flows)]
 	// Stop as soon as the whole population has finished; abandoned
 	// flows (dead-path aborts) drain the event queue on their own.
 	sim.StopWhen(func() bool { return scr.done == len(flows) })
@@ -226,7 +224,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	res := ShardResult{Shard: j.Shard, Algo: j.Algo, Flows: make([]FlowRecord, len(flows)), SimEnd: end, Stall: stall}
 	var goodputs []float64
 	for i, fs := range flows {
-		f := tflows[i]
+		f := &slots[i].flow
 		st := f.Sender.Stats()
 		rec := FlowRecord{
 			ID:        fs.ID,

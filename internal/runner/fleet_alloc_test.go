@@ -28,7 +28,7 @@ func skipAllocCount(t *testing.T) {
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fleetShardAllocs = 7240
+const fleetShardAllocs = 6724
 
 // fleetShardFired and fleetShardPlaced are the events that replay
 // fires and the timing-wheel placements they cost (netsim.Simulator
@@ -74,10 +74,11 @@ func checkShardWork(t *testing.T, sim *netsim.Simulator) {
 
 // warmFleetShardAllocs is the number of mallocs the same shard makes
 // on a Scratch that has run it before, whose engine and flow slab are
-// grown: what is left is the tree and its demuxes, one controller per
-// flow and the result. The constant has no per-flow term, so one
-// allocation added to a flow's set-up shows ×400.
-const warmFleetShardAllocs = 4436
+// grown: what is left is the tree and its demuxes and the result (a
+// slot's flow and its controller are reset in place). The constant has
+// no per-flow term, so one allocation added to a flow's set-up shows
+// ×400.
+const warmFleetShardAllocs = 2449
 
 // TestWarmFleetShardAllocBudget is the alloc gate of warm flows (part
 // of `make allocgate`).
@@ -92,7 +93,7 @@ func TestWarmFleetShardAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("min mallocs over 6 warm replays: %d (want %d); %d flows in the slab; %d events fired in %d placements",
-		got, warmFleetShardAllocs, len(scr.flows), scr.sim.Fired, scr.sim.Placed)
+		got, warmFleetShardAllocs, len(scr.slots), scr.sim.Fired, scr.sim.Placed)
 	if got != warmFleetShardAllocs {
 		t.Errorf("warm 400-flow shard replay made %d mallocs, want exactly %d", got, warmFleetShardAllocs)
 	}

@@ -86,6 +86,9 @@ type ChaosEnv struct {
 	Flow *tcp.Flow
 	RNG  *rand.Rand
 	Seed int64
+	// Rec is the flow's flight recorder: nil unless the job is observed
+	// or watchdogged.
+	Rec *obs.FlowRecorder
 }
 
 func (j Job) describe() string {
@@ -155,13 +158,14 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	if j.Transport != nil {
 		cfg = *j.Transport
 	}
-	f := scr.flow(0, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size)
-	ctrl := newController(j.Algo, j.SussOpt, f.Sender)
-	f.Sender.SetController(ctrl)
-	var reg *obs.Registry
+	f, ctrl := scr.flow(0, j.Algo, j.SussOpt, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size)
+	var (
+		reg *obs.Registry
+		fr  *obs.FlowRecorder
+	)
 	if j.Observe || j.WallLimit > 0 {
 		reg = obs.NewRegistry(0)
-		fr := reg.Flow(1)
+		fr = reg.Flow(1)
 		f.Sender.AttachRecorder(fr)
 		f.Receiver.AttachRecorder(fr)
 		if a, ok := ctrl.(recorderAttacher); ok {
@@ -174,7 +178,7 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 		}
 	}
 	if j.Impair != nil {
-		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed})
+		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed, Rec: fr})
 	}
 	f.StartAt(sim, 0)
 	horizon := j.Horizon

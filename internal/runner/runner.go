@@ -29,6 +29,8 @@ import (
 	"sync"
 	"time"
 
+	"suss/internal/cc"
+	"suss/internal/core"
 	"suss/internal/netsim"
 	"suss/internal/tcp"
 )
@@ -75,9 +77,11 @@ func (e *PanicError) Error() string {
 // contract), so a cell's result never depends on what the scratch ran
 // before — a cell that panicked or was killed by the watchdog included.
 //
-// The same holds for its slab of flows: a cell resets the slots it
-// uses (Download slot 0, a fleet shard slots 0..n−1), and a slot's flow
-// is valid only during that cell.
+// The same holds for its slab of slots, each a flow and one controller
+// per family (CUBIC, SUSS, BBR, Reno): a cell resets the slots it uses
+// (Download slot 0, a fleet shard slots 0..n−1) and, in each, the
+// controller its Algo names, so a warm cell allocates neither. A slot's
+// flow and controller are valid only during that cell.
 //
 // The zero value is ready to use; the engine is built on first use. A
 // Scratch belongs to one goroutine: Map gives each worker its own and
@@ -85,7 +89,7 @@ func (e *PanicError) Error() string {
 // made it — nothing is retained while the pool is idle.
 type Scratch struct {
 	sim   *netsim.Simulator
-	flows []*tcp.Flow
+	slots []*slot
 
 	// done counts the running fleet shard's completed flows; countDone,
 	// bound once, is the OnComplete hook that counts them.
@@ -93,17 +97,29 @@ type Scratch struct {
 	countDone func(time.Duration)
 }
 
-// flow returns slab slot i reset for a new transfer on the scratch's
-// engine, growing the slab when i is past its end.
-func (scr *Scratch) flow(i int, cfg tcp.Config, id netsim.FlowID,
-	src *netsim.Host, srcMux *tcp.Demux, dst *netsim.Host, dstMux *tcp.Demux, size int64) *tcp.Flow {
+// slot is one flow of a Scratch's slab and the controllers it can run
+// under, one per family: a cell resets the flow and the one controller
+// its Algo needs.
+type slot struct {
+	flow tcp.Flow
+	ctrl controllers
+}
 
-	if i == len(scr.flows) {
-		scr.flows = append(scr.flows, new(tcp.Flow))
+// flow returns slab slot i's flow reset for a new transfer on the
+// scratch's engine, under its controller for a (and sussOpt) reset,
+// growing the slab when i is past its end.
+func (scr *Scratch) flow(i int, a Algo, sussOpt *core.Options, cfg tcp.Config, id netsim.FlowID,
+	src *netsim.Host, srcMux *tcp.Demux, dst *netsim.Host, dstMux *tcp.Demux, size int64) (*tcp.Flow, cc.Controller) {
+
+	if i == len(scr.slots) {
+		scr.slots = append(scr.slots, new(slot))
 	}
-	f := scr.flows[i]
+	sl := scr.slots[i]
+	f := &sl.flow
 	f.Reset(scr.sim, cfg, id, src, srcMux, dst, dstMux, size, nil)
-	return f
+	ctrl := sl.ctrl.reset(a, sussOpt, f.Sender)
+	f.Sender.SetController(ctrl)
+	return f, ctrl
 }
 
 // engine returns the scratch's simulator in the state NewSimulator

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"suss/internal/core"
 	"suss/internal/netem"
 	"suss/internal/netsim"
+	"suss/internal/obs"
 	"suss/internal/scenarios"
 )
 
@@ -193,13 +195,14 @@ func runShard(scr *Scratch, j FleetJob) shardCell {
 }
 
 // TestReusedEngineFleet: "a reused flow is a fresh flow". One Scratch
-// runs the shards of four controllers' fleets in order, reversed and
+// runs the shards of every controller's fleet in order, reversed and
 // interleaved — so a slot's last flow was a different controller's, a
 // larger or smaller one, observed or not — and every shard equals the
 // same shard run one-shot, in result and in events fired.
 func TestReusedEngineFleet(t *testing.T) {
+	algos := []Algo{Cubic, Suss, BBR, Reno, CubicHSPP, BBR2, BBRSuss}
 	var jobs []FleetJob
-	for _, algo := range []Algo{Cubic, Suss, BBR, Reno} {
+	for _, algo := range algos {
 		for shard := 0; shard < 3; shard++ {
 			j := testFleetJob(600)
 			j.Algo, j.Shards, j.Shard = algo, 3, shard
@@ -214,10 +217,10 @@ func TestReusedEngineFleet(t *testing.T) {
 			t.Fatalf("%s: err %v, %d/%d flows complete, ledger %v", j.describe(), r.Err, r.Completed(), len(r.Flows), r.Ledger != nil)
 		}
 	}
-	var inOrder, interleaved []int // interleaved is shard-major: the four controllers' shard 0, then shard 1 …
+	var inOrder, interleaved []int // interleaved is shard-major: every controller's shard 0, then shard 1 …
 	for i := range jobs {
 		inOrder = append(inOrder, i)
-		interleaved = append(interleaved, 3*(i%4)+i/4)
+		interleaved = append(interleaved, 3*(i%len(algos))+i/len(algos))
 	}
 	for _, order := range []struct {
 		name string
@@ -237,6 +240,109 @@ func TestReusedEngineFleet(t *testing.T) {
 			if !reflect.DeepEqual(got.Res, fresh[i].Res) {
 				t.Errorf("%s: %s differs between the reused scratch and a fresh one", order.name, jobs[i].describe())
 			}
+		}
+	}
+}
+
+// controllerCells are Download cells over every controller
+// configuration: the seven algorithms and SUSS under each ablation and
+// a larger Kmax, each unobserved and then observed. A NoPacing SUSS
+// cell runs right before a default one and BBR+SUSS right before BBR,
+// so reversed the other way round too. CUBIC's last hop is one where
+// HyStart ends its slow start: that exit is the one write a CUBIC
+// controller makes to its recorder.
+func controllerCells() []Job {
+	suss := func(set func(*core.Options)) *core.Options {
+		o := core.DefaultOptions()
+		set(&o)
+		return &o
+	}
+	cfgs := []struct {
+		algo Algo
+		opt  *core.Options
+		hop  netem.LinkType
+	}{
+		{Cubic, nil, netem.WiFi},
+		{CubicHSPP, nil, netem.LTE4G},
+		{Suss, suss(func(o *core.Options) { o.NoPacing = true }), netem.Wired},
+		{Suss, nil, netem.NR5G},
+		{Suss, suss(func(o *core.Options) { o.PaceEverything = true }), netem.WiFi},
+		{Suss, suss(func(o *core.Options) { o.NoGuard = true }), netem.LTE4G},
+		{Suss, suss(func(o *core.Options) { o.Kmax = 2 }), netem.Wired},
+		{Suss, suss(func(o *core.Options) { o.Kmax = 3 }), netem.NR5G},
+		{BBRSuss, nil, netem.Wired},
+		{BBR, nil, netem.LTE4G},
+		{BBR2, nil, netem.WiFi},
+		{Reno, nil, netem.NR5G},
+	}
+	var jobs []Job
+	for i, c := range cfgs {
+		sc := scenarios.New(scenarios.OracleSydney, c.hop, int64(i))
+		for _, observe := range []bool{false, true} {
+			jobs = append(jobs, Job{Scenario: sc, Algo: c.algo, SussOpt: c.opt, Size: 1 << 20, Observe: observe})
+		}
+	}
+	return jobs
+}
+
+// controllerCell is one run of a controllerCells job: its result,
+// events fired, and the flow recorder's counters when observed.
+type controllerCell struct {
+	Res      DownloadResult
+	Fired    uint64
+	Counters obs.FlowCounters
+}
+
+// runControllerCell runs j on scr and returns the cell and its
+// recorder (nil unless observed).
+func runControllerCell(scr *Scratch, j Job) (controllerCell, *obs.FlowRecorder) {
+	var env ChaosEnv
+	j.Impair = func(e ChaosEnv) { env = e }
+	c := controllerCell{Res: scr.Download(j), Fired: env.Sim.Fired}
+	if env.Rec != nil {
+		c.Counters = env.Rec.C
+	}
+	return c, env.Rec
+}
+
+// TestReusedControllers: "a reset controller is a new one", end to end.
+// One Scratch runs controllerCells forward and then reversed in slot 0,
+// and every cell equals the same cell on a new Scratch in result,
+// events fired and flight-recorder counters. No cell's recorder moves
+// once its cell is over: a controller reused by a later cell writes to
+// that cell's recorder only.
+func TestReusedControllers(t *testing.T) {
+	jobs := controllerCells()
+	fresh := make([]controllerCell, len(jobs))
+	for i, j := range jobs {
+		fresh[i], _ = runControllerCell(new(Scratch), j)
+		if r := fresh[i].Res; !r.Completed || (j.Algo == Suss && r.MaxG == 0) {
+			t.Fatalf("%s: completed %v, max G %d", j.describe(), r.Completed, r.MaxG)
+		}
+	}
+	type done struct {
+		rec *obs.FlowRecorder
+		c   obs.FlowCounters
+	}
+	var observed []done
+	var scr Scratch
+	order := make([]int, 0, 2*len(jobs))
+	for i := range jobs {
+		order = append(order, i)
+	}
+	for _, i := range append(order, reversed(order)...) {
+		got, rec := runControllerCell(&scr, jobs[i])
+		if !reflect.DeepEqual(got, fresh[i]) {
+			t.Errorf("%s observed=%v (SussOpt %+v) differs on the reused scratch:\nreused %+v\nfresh  %+v",
+				jobs[i].describe(), jobs[i].Observe, jobs[i].SussOpt, got, fresh[i])
+		}
+		if rec != nil {
+			observed = append(observed, done{rec, got.Counters})
+		}
+	}
+	for k, o := range observed {
+		if o.rec.C != o.c {
+			t.Errorf("observed cell %d's recorder moved after its cell:\nthen %+v\nnow  %+v", k, o.c, o.rec.C)
 		}
 	}
 }
@@ -291,8 +397,8 @@ func TestScratchSurvivesPanicAndStall(t *testing.T) {
 	// never read, so only the audit sees a reset that leaves them.
 	var scr Scratch
 	audit := func(what string, n int) {
-		for i, f := range scr.flows[:n] {
-			if p := f.Sender.AuditScoreboard(); len(p) > 0 {
+		for i, sl := range scr.slots[:n] {
+			if p := sl.flow.Sender.AuditScoreboard(); len(p) > 0 {
 				t.Errorf("%s: slot %d fails the scoreboard audit: %v", what, i, p)
 			}
 		}
@@ -331,8 +437,8 @@ func TestScratchSurvivesPanicAndStall(t *testing.T) {
 		t.Fatalf("fleet: want a watchdog stall with events pending, got %+v", r.Stall)
 	}
 	dirty := 0
-	for _, f := range scr.flows[:len(killed.Pop.Shard(0, killed.Shards))] {
-		if s := f.Sender; !s.Finished() && s.Inflight() > 0 && s.Stats().Retransmissions > 0 {
+	for _, sl := range scr.slots[:len(killed.Pop.Shard(0, killed.Shards))] {
+		if s := sl.flow.Sender; !s.Finished() && s.Inflight() > 0 && s.Stats().Retransmissions > 0 {
 			dirty++
 		}
 	}
@@ -368,12 +474,12 @@ func TestScratchFromOutsideMap(t *testing.T) {
 // warmCellAllocs is the most heap allocations a cell of the reduced
 // Fig. 11 sweep may make, on average, on an engine and flow slot that
 // have already grown: what is left is building the topology (Scenario.
-// Build, the demuxes), the controller and the result. The budget is
-// this × 24 with no slack, so one allocation more per cell fails. A
-// change that legitimately moves the count edits this one number (the
-// test logs the exact total: 1 664 of the budget's 1 680, the same in
-// 30 uncached processes).
-const warmCellAllocs = 70
+// Build, the demuxes) and the result; the slot's controller is reset in
+// place. The budget is this × 24 with no slack, so one allocation more
+// per cell fails. A change that legitimately moves the count edits this
+// one number (the test logs the exact total: 1 524 of the budget's
+// 1 536, the same in 30 uncached processes).
+const warmCellAllocs = 64
 
 // TestWarmCellAllocBudget is the alloc gate of per-cell set-up (part of
 // `make allocgate`): the second pass of the reduced sweep through one

@@ -204,20 +204,24 @@ func TestRetentionEviction(t *testing.T) {
 		ids = append(ids, sub.ID)
 	}
 
-	// GC runs just after the executor seals; poll briefly.
+	// GC runs just after each executor seals, so the last batch's
+	// eviction of the second-oldest can still be pending once a result
+	// is served; poll until it has landed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, _ := c.get("/v1/jobs/" + ids[0])
-		if resp.StatusCode == http.StatusNotFound {
+		resp, _ := c.get("/v1/jobs/" + ids[1])
+		if resp.StatusCode == http.StatusNotFound && c.stats().EvictedJobs >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("oldest batch %s still present, want evicted", ids[0])
+			t.Fatalf("second-oldest batch %s: HTTP %d after 5 s, want evicted", ids[1], resp.StatusCode)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if resp, _ := c.get("/v1/jobs/" + ids[1]); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("second-oldest batch: HTTP %d, want 404", resp.StatusCode)
+	for _, id := range ids[:2] {
+		if resp, _ := c.get("/v1/jobs/" + id); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted batch %s: HTTP %d, want 404", id, resp.StatusCode)
+		}
 	}
 	for _, id := range ids[2:] {
 		if resp, _ := c.get("/v1/jobs/" + id); resp.StatusCode != http.StatusOK {

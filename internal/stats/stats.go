@@ -31,7 +31,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -56,13 +56,13 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(rank)
 	frac := rank - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // JainIndex computes Jain's fairness index F = (Σx)² / (n·Σx²) over
@@ -75,7 +75,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 0

@@ -102,7 +102,7 @@ type LognormalArrivals struct {
 
 // NextGap implements ArrivalDist.
 func (l LognormalArrivals) NextGap(rng *rand.Rand) time.Duration {
-	gap := time.Duration(math.Exp(l.Mu+l.Sigma*rng.NormFloat64()) * float64(time.Second))
+	gap := time.Duration(math.Exp(l.Mu+float64(l.Sigma*rng.NormFloat64())) * float64(time.Second))
 	max := l.MaxGap
 	if max <= 0 {
 		max = time.Duration(10 * math.Exp(l.Mu) * float64(time.Second))

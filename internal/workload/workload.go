@@ -28,7 +28,7 @@ type Lognormal struct {
 
 // Sample implements SizeDist.
 func (l Lognormal) Sample(rng *rand.Rand) int64 {
-	v := int64(math.Exp(l.Mu + l.Sigma*rng.NormFloat64()))
+	v := int64(math.Exp(l.Mu + float64(l.Sigma*rng.NormFloat64())))
 	if l.Min > 0 && v < l.Min {
 		v = l.Min
 	}
@@ -55,7 +55,7 @@ func (p BoundedPareto) Sample(rng *rand.Rand) int64 {
 	hi := float64(p.Max)
 	la := math.Pow(lo, p.Alpha)
 	ha := math.Pow(hi, p.Alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
+	x := math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/p.Alpha)
 	v := int64(x)
 	if v < p.Min {
 		v = p.Min
