@@ -12,7 +12,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"suss"
 	"suss/internal/chaos"
 	"suss/internal/core"
 	"suss/internal/experiments"
@@ -29,7 +31,9 @@ const fig11GoldenSHA = "b43ce3ce8986e0f06395f2ef90632bcee2ca4345666faf25131c3958
 // behaviourTable is the committed identity table: one line per cell,
 // `label  key  sha256(record)`, where the record is what the daemon
 // persists for the cell (a chaos cell appends its loss ledger, and has
-// no key since an Impair hook is not cacheable: "-"). The cache keys a
+// no key since an Impair hook is not cacheable: "-"; so have the trace
+// figures and the public API's runs, whose record is their result
+// printed). The cache keys a
 // cell by its config alone, so a change that moves any record makes
 // every cache file written before it serve results the code no longer
 // computes.
@@ -161,6 +165,41 @@ func behaviourLines(t *testing.T) []string {
 			key = "-"
 		}
 		add(c.label, key, outs[i].Value)
+	}
+
+	// Single-flow runs the paper's trace figures and the public API make.
+	f01 := experiments.RunFig01(60<<20, 1)
+	for i, a := range f01.Algos {
+		add(fmt.Sprintf("fig01/s1/%s", a), "-", fmt.Appendf(nil, "%v %v %v %v",
+			f01.Theta[i], f01.DeliveredAt[i], f01.OptimalAt[i], f01.RampLoss[i]))
+	}
+	f09 := experiments.RunFig09(25<<20, 1)
+	for v, name := range []string{"off", "on"} {
+		rec := fmt.Appendf(nil, "%v %v %v %v %v", f09.ExitCwnd[v], f09.TimeToExitCwnd[v],
+			f09.MaxSRTTDuringSS[v], f09.DeliveredAt2s[v], f09.Traces[v].Samples)
+		if v == 1 {
+			rec = fmt.Appendf(rec, " %v", f09.GHistory)
+		}
+		add("fig09/s1/"+name, "-", rec)
+	}
+	f13 := experiments.RunFig13(1)
+	for v, name := range []string{"off", "on"} {
+		add("fig13/s1/"+name, "-", fmt.Appendf(nil, "%v", f13.TimeAt[v]))
+	}
+	for _, link := range []suss.LinkType{suss.Wired, suss.LTE4G} {
+		for _, a := range []suss.Algorithm{suss.CUBIC, suss.CUBICWithSUSS} {
+			cfg := suss.PathConfig{RateMbps: 50, RTT: 100 * time.Millisecond, Link: link, Seed: 1}
+			res, fr, err := suss.RunObserved(cfg, a, 4<<20)
+			if err != nil {
+				t.Fatalf("root %s %s: %v", link, a, err)
+			}
+			rec := fmt.Appendf(nil, "%+v\n", res)
+			var counters bytes.Buffer
+			if err := fr.WriteCounters(&counters); err != nil {
+				t.Fatal(err)
+			}
+			add(fmt.Sprintf("root/s1/%s/%s", link, a), "-", append(rec, counters.Bytes()...))
+		}
 	}
 	return lines
 }
