@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"suss"
-	"suss/internal/cc"
 	"suss/internal/netem"
 	"suss/internal/netsim"
 	"suss/internal/runner"
@@ -17,25 +16,6 @@ import (
 // handshakeTimeout bounds how long the demo endpoints wait for the
 // other process to show up.
 const handshakeTimeout = 10 * time.Minute
-
-// runnerAlgo maps the public algorithm enum onto the runner catalog so
-// the wire demo can build controllers directly.
-func runnerAlgo(a suss.Algorithm) runner.Algo {
-	switch a {
-	case suss.CUBIC:
-		return runner.Cubic
-	case suss.CUBICWithSUSS:
-		return runner.Suss
-	case suss.BBRv1:
-		return runner.BBR
-	case suss.BBRv2Lite:
-		return runner.BBR2
-	case suss.Reno:
-		return runner.Reno
-	default:
-		panic("sussim: unknown algorithm")
-	}
-}
 
 // serveFlow is the server half of the two-process UDP demo: bind addr,
 // wait for a fetch's SYN, then push size bytes through the unmodified
@@ -66,8 +46,7 @@ func serveFlow(addr string, algo suss.Algorithm, size int64, wireLoss float64, s
 	r := ep.Reactor()
 	start := time.Now()
 	r.DoWait(func() {
-		var ctrl cc.Controller = runner.NewController(runnerAlgo(algo), snd)
-		snd.SetController(ctrl)
+		snd.SetController(runner.NewController(algo, snd))
 		sim := r.Sim()
 		sim.ScheduleAt(sim.Now(), snd.Start)
 	})

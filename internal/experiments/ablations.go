@@ -129,28 +129,14 @@ func RunBtlBwVariation(direction string, size int64, opts ...Option) BtlBwVariat
 	if direction == "rise" {
 		base, after = 1e8, 2e8
 	}
-	type stepRun struct{ fct, loss float64 }
-	outs := runner.Map(cfg.ctx, []Algo{Cubic, Suss}, func(_ context.Context, _ int, algo Algo) (stepRun, error) {
-		sim := netsim.NewSimulator()
-		rtt := 150 * time.Millisecond
-		bdp := base / 8 * rtt.Seconds()
-		p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
-			{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},
-			{Name: "bneck", RateModel: netem.Step(base, after, time.Second), Delay: 5 * time.Millisecond, QueueBytes: int(bdp)},
-		}})
-		f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-		f.Sender.SetController(NewController(algo, f.Sender))
-		f.StartAt(sim, 0)
-		sim.Run(20 * time.Minute)
-		if !f.Done() {
-			return stepRun{}, fmt.Errorf("BtlBw %s %s: %w", direction, algo, runner.ErrIncomplete)
+	rtt := 150 * time.Millisecond
+	bneck := netsim.LinkConfig{RateModel: netem.Step(base, after, time.Second), QueueBytes: int(base / 8 * rtt.Seconds())}
+	outs := runner.Map(cfg.ctx, []Algo{Cubic, Suss}, func(_ context.Context, _ int, algo Algo) (twoHopRun, error) {
+		r, err := runTwoHop(algo, size, rtt, bneck)
+		if err != nil {
+			return r, fmt.Errorf("BtlBw %s %s: %w", direction, algo, err)
 		}
-		st := p.Fwd[1].Stats()
-		loss := 0.0
-		if off := st.EnqueuedPackets + st.DroppedPackets; off > 0 {
-			loss = float64(st.DroppedPackets) / float64(off)
-		}
-		return stepRun{fct: f.FCT().Seconds(), loss: loss}, nil
+		return r, nil
 	}, cfg.pool())
 	for variant, o := range outs {
 		if o.Err != nil {
@@ -312,33 +298,12 @@ func RunAQMComparison(size int64, opts ...Option) AQMResult {
 		{"cubic/codel", Cubic, netsim.CoDelFactory},
 		{"suss/drop-tail", Suss, nil},
 	}
-	type aqmRun struct{ fct, loss, maxRTTms float64 }
-	outs := runner.Map(cfg.ctx, variants, func(_ context.Context, _ int, v variant) (aqmRun, error) {
-		sim := netsim.NewSimulator()
-		rtt := 100 * time.Millisecond
-		rate := 1e8
-		bdp := rate / 8 * rtt.Seconds()
-		p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
-			{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},
-			{Name: "bneck", Rate: rate, Delay: 5 * time.Millisecond, QueueBytes: int(bdp), Qdisc: v.qdisc},
-		}})
-		f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-		f.Sender.SetController(NewController(v.algo, f.Sender))
-		var maxRTT time.Duration
-		f.Sender.OnAckTrace = func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64) {
-			if srtt > maxRTT {
-				maxRTT = srtt
-			}
-		}
-		f.StartAt(sim, 0)
-		sim.Run(20 * time.Minute)
-		if !f.Done() {
-			return aqmRun{}, fmt.Errorf("AQM %s: %w", v.name, runner.ErrIncomplete)
-		}
-		st := p.Fwd[1].Stats()
-		r := aqmRun{fct: f.FCT().Seconds(), maxRTTms: float64(maxRTT) / 1e6}
-		if off := st.EnqueuedPackets + st.DroppedPackets; off > 0 {
-			r.loss = float64(st.DroppedPackets) / float64(off)
+	rtt, rate := 100*time.Millisecond, 1e8
+	outs := runner.Map(cfg.ctx, variants, func(_ context.Context, _ int, v variant) (twoHopRun, error) {
+		bneck := netsim.LinkConfig{Rate: rate, QueueBytes: int(rate / 8 * rtt.Seconds()), Qdisc: v.qdisc}
+		r, err := runTwoHop(v.algo, size, rtt, bneck)
+		if err != nil {
+			return r, fmt.Errorf("AQM %s: %w", v.name, err)
 		}
 		return r, nil
 	}, cfg.pool())
@@ -353,6 +318,41 @@ func RunAQMComparison(size int64, opts ...Option) AQMResult {
 		res.MaxRTTms = append(res.MaxRTTms, o.Value.maxRTTms)
 	}
 	return res
+}
+
+// twoHopRun is one flow's outcome on a two-hop ablation path: its FCT
+// (s), the bottleneck's loss rate, and its worst smoothed RTT (ms).
+type twoHopRun struct{ fct, loss, maxRTTms float64 }
+
+// runTwoHop downloads size bytes under algo over a 1 Gbps core hop into
+// bneck, whose name and 5 ms delay it sets; the core's delay makes the
+// path's propagation round trip rtt. The Appendix-B step and the AQM
+// comparison both run here: their bottlenecks need a rate model or a
+// qdisc that no internet scenario has.
+func runTwoHop(algo Algo, size int64, rtt time.Duration, bneck netsim.LinkConfig) (twoHopRun, error) {
+	sim := netsim.NewSimulator()
+	bneck.Name, bneck.Delay = "bneck", 5*time.Millisecond
+	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
+		{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},
+		bneck,
+	}})
+	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
+	f.Sender.SetController(runner.NewController(algo, f.Sender))
+	var maxRTT time.Duration
+	f.Sender.OnAckTrace = func(_ time.Duration, _ int64, srtt time.Duration, _ int64) {
+		maxRTT = max(maxRTT, srtt)
+	}
+	f.StartAt(sim, 0)
+	sim.Run(20 * time.Minute)
+	if !f.Done() {
+		return twoHopRun{}, runner.ErrIncomplete
+	}
+	st := p.Fwd[1].Stats()
+	r := twoHopRun{fct: f.FCT().Seconds(), maxRTTms: float64(maxRTT) / 1e6}
+	if off := st.EnqueuedPackets + st.DroppedPackets; off > 0 {
+		r.loss = float64(st.DroppedPackets) / float64(off)
+	}
+	return r, nil
 }
 
 // Render prints the comparison.

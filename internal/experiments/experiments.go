@@ -14,11 +14,9 @@ import (
 	"context"
 	"fmt"
 
-	"suss/internal/cc"
 	"suss/internal/core"
 	"suss/internal/runner"
 	"suss/internal/scenarios"
-	"suss/internal/tcp"
 )
 
 // Algo selects a congestion-control algorithm for a flow. It is the
@@ -43,11 +41,6 @@ const (
 	// Reno is classic AIMD (RFC 5681), the implicit baseline.
 	Reno = runner.Reno
 )
-
-// NewController builds a's controller bound to sender s.
-func NewController(a Algo, s *tcp.Sender) cc.Controller {
-	return runner.NewController(a, s)
-}
 
 // SussOptions lets ablation runs customize the SUSS configuration.
 type SussOptions = core.Options
@@ -101,15 +94,6 @@ func WithProgress(fn func(done, total int)) Option {
 // is unchanged when the option is absent.
 func WithLossAccounting() Option {
 	return func(c *config) { c.lossAcct = true }
-}
-
-// Download runs one file transfer over an internet-matrix scenario.
-// iter perturbs the impairment seed so repeated runs sample the
-// stochastic wireless models, mirroring the paper's 50 iterations.
-// sussOpt overrides the SUSS configuration when algo == Suss and
-// sussOpt != nil.
-func Download(sc scenarios.Scenario, algo Algo, size int64, iter int, sussOpt *SussOptions) DownloadResult {
-	return runner.Download(runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: iter, SussOpt: sussOpt})
 }
 
 // batch summarizes a slice of runner results: completion times in

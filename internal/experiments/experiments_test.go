@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"suss/internal/netem"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 )
 
 func TestDownloadCompletesAllAlgos(t *testing.T) {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 1)
 	for _, algo := range []Algo{Cubic, Suss, BBR, BBR2, CubicHSPP} {
-		r := Download(sc, algo, 1<<20, 0, nil)
+		r := runner.Download(runner.Job{Scenario: sc, Algo: algo, Size: 1 << 20})
 		if !r.Completed {
 			t.Errorf("%s did not complete", algo)
 		}
@@ -27,12 +28,12 @@ func TestDownloadCompletesAllAlgos(t *testing.T) {
 
 func TestDownloadDeterministicPerIter(t *testing.T) {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.LTE4G, 5)
-	a := Download(sc, Suss, 2<<20, 3, nil)
-	b := Download(sc, Suss, 2<<20, 3, nil)
+	a := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 3})
+	b := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 3})
 	if a.FCT != b.FCT || a.Retrans != b.Retrans {
 		t.Errorf("same iter differs: %v/%d vs %v/%d", a.FCT, a.Retrans, b.FCT, b.Retrans)
 	}
-	c := Download(sc, Suss, 2<<20, 4, nil)
+	c := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 4})
 	if c.FCT == a.FCT {
 		t.Log("different iters gave identical FCT (possible but unlikely on 4G)")
 	}
@@ -41,8 +42,8 @@ func TestDownloadDeterministicPerIter(t *testing.T) {
 func TestSussBeatsCubicOnLargeBDPSmallFlow(t *testing.T) {
 	// The headline behaviour driving Figs. 11/12/18.
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 2)
-	cub := Download(sc, Cubic, 2<<20, 0, nil)
-	sus := Download(sc, Suss, 2<<20, 0, nil)
+	cub := runner.Download(runner.Job{Scenario: sc, Algo: Cubic, Size: 2 << 20})
+	sus := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20})
 	if !cub.Completed || !sus.Completed {
 		t.Fatal("incomplete")
 	}

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"suss/internal/netem"
-	"suss/internal/netsim"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
-	"suss/internal/tcp"
-	"suss/internal/trace"
 )
 
 // Fig01Result reproduces Fig. 1: a file download from a US cloud
@@ -36,25 +34,19 @@ func RunFig01(size int64, seed int64) Fig01Result {
 		Algos:       []Algo{Cubic, BBR2},
 		Checkpoints: []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second, 8 * time.Second},
 	}
+	sc := scenarios.Scenario{
+		Server:   scenarios.GoogleUSEast,
+		Link:     netem.Wired,
+		RTT:      190 * time.Millisecond,
+		LastHop:  netem.DefaultProfile(netem.Wired, 1e8),
+		CoreRate: 1e9,
+		Seed:     seed,
+	}
 	for _, algo := range res.Algos {
-		sim := netsim.NewSimulator()
-		sc := scenarios.Scenario{
-			Server:   scenarios.GoogleUSEast,
-			Link:     netem.Wired,
-			RTT:      190 * time.Millisecond,
-			LastHop:  netem.DefaultProfile(netem.Wired, 1e8),
-			CoreRate: 1e9,
-			Seed:     seed,
-		}
-		p, _ := sc.Build(sim)
-		f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-		f.Sender.SetController(NewController(algo, f.Sender))
-		tr := trace.Attach(f.Sender, algo.String(), 10*time.Millisecond)
-		f.StartAt(sim, 0)
-		sim.Run(5 * time.Minute)
+		r, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size, Horizon: 5 * time.Minute}, 10*time.Millisecond)
 
 		// θ: delivery rate over the steady half of the transfer.
-		half := tr.At(f.Receiver.CompletedAt() / 2)
+		half := tr.At(r.FCT / 2)
 		end := tr.Samples[len(tr.Samples)-1]
 		theta := float64(end.Delivered-half.Delivered) * 8 / (end.T - half.T).Seconds()
 		res.Theta = append(res.Theta, theta)

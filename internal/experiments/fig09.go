@@ -5,11 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"suss/internal/cc"
 	"suss/internal/core"
 	"suss/internal/netem"
-	"suss/internal/netsim"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
-	"suss/internal/tcp"
 	"suss/internal/trace"
 )
 
@@ -37,30 +37,31 @@ type Fig09Result struct {
 // RunFig09 traces both variants over the 4G scenario.
 func RunFig09(size int64, seed int64) Fig09Result {
 	var res Fig09Result
+	sc := scenarios.New(scenarios.GoogleUSEast, netem.LTE4G, seed)
 	for variant := 0; variant < 2; variant++ {
-		sim := netsim.NewSimulator()
-		sc := scenarios.New(scenarios.GoogleUSEast, netem.LTE4G, seed)
-		p, _ := sc.Build(sim)
-		f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
 		algo := Cubic
 		if variant == 1 {
 			algo = Suss
 		}
-		ctrl := NewController(algo, f.Sender)
-		f.Sender.SetController(ctrl)
-		tr := trace.Attach(f.Sender, algo.String(), 5*time.Millisecond)
-
-		var exitCwnd int64
-		var exitAt time.Duration
-		sim.StopWhen(func() bool {
-			if exitCwnd == 0 && !ctrl.InSlowStart() {
-				exitCwnd = ctrl.CwndBytes()
-				exitAt = sim.Now()
-			}
-			return false
-		})
-		f.StartAt(sim, 0)
-		sim.Run(5 * time.Minute)
+		// The hook notes where exponential growth ended. A one-shot
+		// Download runs on an engine and controller of its own, so ctrl
+		// stays readable after the run.
+		var (
+			ctrl     cc.Controller
+			exitCwnd int64
+			exitAt   time.Duration
+		)
+		watchExit := func(env runner.ChaosEnv) {
+			ctrl = env.Flow.Sender.Controller()
+			env.Sim.StopWhen(func() bool {
+				if exitCwnd == 0 && !ctrl.InSlowStart() {
+					exitCwnd = ctrl.CwndBytes()
+					exitAt = env.Sim.Now()
+				}
+				return false
+			})
+		}
+		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size, Horizon: 5 * time.Minute, Impair: watchExit}, 5*time.Millisecond)
 
 		res.Traces[variant] = tr
 		res.ExitCwnd[variant] = exitCwnd

@@ -223,7 +223,7 @@ func RunFig13(seed int64) Fig13Result {
 		if variant == 1 {
 			algo = Suss
 		}
-		tr := downloadTrace(sc, algo, size)
+		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size}, 0)
 		for _, cp := range res.Checkpoints {
 			t, ok := tr.TimeToDeliver(cp)
 			if !ok {

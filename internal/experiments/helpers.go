@@ -3,22 +3,22 @@ package experiments
 import (
 	"time"
 
-	"suss/internal/netsim"
-	"suss/internal/scenarios"
-	"suss/internal/tcp"
+	"suss/internal/runner"
 	"suss/internal/trace"
 )
 
-// downloadTrace runs one download over a scenario and returns its
-// delivery trace, sampled at every ACK so volume checkpoints (e.g.
-// Fig. 13's "time to deliver N MB") are exact.
-func downloadTrace(sc scenarios.Scenario, algo Algo, size int64) *trace.FlowTrace {
-	sim := netsim.NewSimulator()
-	p, _ := sc.Build(sim)
-	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-	f.Sender.SetController(NewController(algo, f.Sender))
-	tr := trace.Attach(f.Sender, algo.String(), 0)
-	f.StartAt(sim, 0)
-	sim.Run(20 * time.Minute)
-	return tr
+// downloadTrace runs j with a delivery trace on its flow, sampled at
+// most once per every of virtual time (0 = every ACK, so volume
+// checkpoints such as Fig. 13's "time to deliver N MB" are exact). A
+// hook already in j.Impair still runs, after the trace is attached.
+func downloadTrace(j runner.Job, every time.Duration) (runner.DownloadResult, *trace.FlowTrace) {
+	var tr *trace.FlowTrace
+	hook := j.Impair
+	j.Impair = func(env runner.ChaosEnv) {
+		tr = trace.Attach(env.Flow.Sender, j.Algo.String(), every)
+		if hook != nil {
+			hook(env)
+		}
+	}
+	return runner.Download(j), tr
 }

@@ -6,6 +6,7 @@ import (
 
 	"suss/internal/core"
 	"suss/internal/netsim"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 	"suss/internal/tcp"
@@ -67,7 +68,7 @@ func RunTestbed(tb scenarios.Testbed, specs []TestbedFlow, horizon, bin time.Dur
 		if spec.Algo == Suss && spec.SussOpt != nil {
 			f.Sender.SetController(core.New(f.Sender, *spec.SussOpt))
 		} else {
-			f.Sender.SetController(NewController(spec.Algo, f.Sender))
+			f.Sender.SetController(runner.NewController(spec.Algo, f.Sender))
 		}
 
 		b := stats.NewBinnedCounter(bin)

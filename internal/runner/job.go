@@ -60,9 +60,14 @@ type Job struct {
 	// job is observed). Zero disables the watchdog. A watchdogged job
 	// is always observed, so a stall dump is never empty.
 	WallLimit time.Duration
-	// Impair, when non-nil, runs after the topology is built and before
-	// the flow starts — the hook where chaos attaches impairment stages
-	// and receiver fault modes.
+	// Impair, when non-nil, runs after the topology is built and the
+	// flow's controller set, and before the flow starts: the one place a
+	// cell attaches anything to its simulation. Chaos attaches impairment
+	// stages and receiver fault modes there; the trace figures and the
+	// public API attach a trace to the sender, the public API's observed
+	// runs keep the flight recorder, and Fig. 9 reads the controller and
+	// installs a stop predicate (Sim.StopWhen) that watches for
+	// slow-start exit.
 	Impair func(env ChaosEnv)
 	// Domains is retired: parallel event domains were removed (one
 	// simulation is single-threaded; parallelism lives in Map). The
@@ -86,9 +91,13 @@ type ChaosEnv struct {
 	Flow *tcp.Flow
 	RNG  *rand.Rand
 	Seed int64
-	// Rec is the flow's flight recorder: nil unless the job is observed
-	// or watchdogged.
-	Rec *obs.FlowRecorder
+	// Rec is the flow's flight recorder and Registry the one it records
+	// into, with every link's counters: nil unless the job is observed or
+	// watchdogged. The registry is the job's own and stays readable after
+	// the run; a result does not carry it, so a batch of observed results
+	// does not keep a ring of events per cell alive.
+	Rec      *obs.FlowRecorder
+	Registry *obs.Registry
 }
 
 func (j Job) describe() string {
@@ -178,7 +187,7 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 		}
 	}
 	if j.Impair != nil {
-		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed, Rec: fr})
+		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed, Rec: fr, Registry: reg})
 	}
 	f.StartAt(sim, 0)
 	horizon := j.Horizon

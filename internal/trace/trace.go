@@ -67,28 +67,6 @@ func (tr *FlowTrace) At(t time.Duration) Sample {
 	return out
 }
 
-// MaxCwnd returns the largest congestion window observed.
-func (tr *FlowTrace) MaxCwnd() int64 {
-	var m int64
-	for _, s := range tr.Samples {
-		if s.CwndBytes > m {
-			m = s.CwndBytes
-		}
-	}
-	return m
-}
-
-// MaxSRTT returns the largest smoothed RTT observed.
-func (tr *FlowTrace) MaxSRTT() time.Duration {
-	var m time.Duration
-	for _, s := range tr.Samples {
-		if s.SRTT > m {
-			m = s.SRTT
-		}
-	}
-	return m
-}
-
 // TimeToDeliver returns when the trace first shows at least n bytes
 // delivered, and whether it ever did.
 func (tr *FlowTrace) TimeToDeliver(n int64) (time.Duration, bool) {

@@ -8,50 +8,31 @@ import (
 	"suss/internal/core"
 	"suss/internal/experiments"
 	"suss/internal/netem"
-	"suss/internal/netsim"
 	"suss/internal/obs"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
-	"suss/internal/tcp"
 	"suss/internal/trace"
 )
 
-// Algorithm selects the congestion controller for a flow.
-type Algorithm int
+// Algorithm selects the congestion controller for a flow. It is the
+// simulator's own catalog, re-exported so the public API cannot drift
+// from what the runner builds.
+type Algorithm = runner.Algo
 
 const (
 	// CUBIC is Linux-default CUBIC with HyStart (the paper's "SUSS
 	// off" baseline).
-	CUBIC Algorithm = iota
+	CUBIC = runner.Cubic
 	// CUBICWithSUSS enables the SUSS slow-start accelerator.
-	CUBICWithSUSS
+	CUBICWithSUSS = runner.Suss
 	// BBRv1 is the model-based baseline.
-	BBRv1
+	BBRv1 = runner.BBR
 	// BBRv2Lite is BBRv1 plus a loss-bounded inflight ceiling.
-	BBRv2Lite
+	BBRv2Lite = runner.BBR2
 	// Reno is classic AIMD (RFC 5681) without any slow-start
 	// acceleration — the yardstick baseline.
-	Reno
+	Reno = runner.Reno
 )
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string { return a.algo().String() }
-
-func (a Algorithm) algo() experiments.Algo {
-	switch a {
-	case CUBIC:
-		return experiments.Cubic
-	case CUBICWithSUSS:
-		return experiments.Suss
-	case BBRv1:
-		return experiments.BBR
-	case BBRv2Lite:
-		return experiments.BBR2
-	case Reno:
-		return experiments.Reno
-	default:
-		panic("suss: unknown algorithm")
-	}
-}
 
 // LinkType names a last-hop technology for PathConfig.
 type LinkType string
@@ -142,12 +123,7 @@ type Result struct {
 }
 
 // TracePoint is one sample of a flow's transport state.
-type TracePoint struct {
-	T         time.Duration
-	CwndBytes int64
-	SRTT      time.Duration
-	Delivered int64
-}
+type TracePoint = trace.Sample
 
 // FlightRecorder exposes what an observed run recorded: the
 // structured per-flow event log (ring-buffered; oldest events are
@@ -181,14 +157,14 @@ func (f *FlightRecorder) WriteCounters(w io.Writer) error {
 // Run transfers size bytes over the configured path with the given
 // algorithm and returns the outcome.
 func Run(cfg PathConfig, algo Algorithm, size int64) (Result, error) {
-	res, _, _, err := run(cfg, algo, size, 0, false)
+	res, _, _, err := run(cfg, algo, size, false, false, 0)
 	return res, err
 }
 
 // RunTrace is Run plus the cwnd/RTT/delivered time series, sampled at
 // most once per the given interval (0 = every ACK).
 func RunTrace(cfg PathConfig, algo Algorithm, size int64, every time.Duration) (Result, []TracePoint, error) {
-	res, pts, _, err := run(cfg, algo, size, every, false)
+	res, pts, _, err := run(cfg, algo, size, false, true, every)
 	return res, pts, err
 }
 
@@ -196,76 +172,67 @@ func RunTrace(cfg PathConfig, algo Algorithm, size int64, every time.Duration) (
 // receiver, congestion controller and every forward link; the
 // returned recorder holds the run's event log and counters.
 func RunObserved(cfg PathConfig, algo Algorithm, size int64) (Result, *FlightRecorder, error) {
-	res, _, fr, err := run(cfg, algo, size, 0, true)
+	res, _, fr, err := run(cfg, algo, size, true, false, 0)
 	return res, fr, err
 }
 
 // RunTraceObserved combines RunTrace and RunObserved in one simulation.
 func RunTraceObserved(cfg PathConfig, algo Algorithm, size int64, every time.Duration) (Result, []TracePoint, *FlightRecorder, error) {
-	return run(cfg, algo, size, every, true)
+	return run(cfg, algo, size, true, true, every)
 }
 
-func run(cfg PathConfig, algo Algorithm, size int64, every time.Duration, observe bool) (Result, []TracePoint, *FlightRecorder, error) {
-	if size <= 0 {
-		return Result{}, nil, nil, fmt.Errorf("suss: size must be positive, got %d", size)
-	}
+func run(cfg PathConfig, algo Algorithm, size int64, observe, traced bool, every time.Duration) (Result, []TracePoint, *FlightRecorder, error) {
 	sc, err := cfg.scenario()
 	if err != nil {
 		return Result{}, nil, nil, err
 	}
-	sim := netsim.NewSimulator()
-	p, _ := sc.Build(sim)
-	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
+	j := runner.Job{Scenario: sc, Algo: algo, Size: size, Observe: observe}
 	if algo == CUBICWithSUSS && cfg.Kmax > 0 {
 		opt := core.DefaultOptions()
 		opt.Kmax = cfg.Kmax
-		f.Sender.SetController(core.New(f.Sender, opt))
-	} else {
-		f.Sender.SetController(experiments.NewController(algo.algo(), f.Sender))
+		j.SussOpt = &opt
 	}
-	var rec *FlightRecorder
-	if observe {
-		reg := obs.NewRegistry(0)
-		fr := reg.Flow(1)
-		f.Sender.AttachRecorder(fr)
-		f.Receiver.AttachRecorder(fr)
-		if a, ok := f.Sender.Controller().(interface {
-			AttachRecorder(*obs.FlowRecorder)
-		}); ok {
-			a.AttachRecorder(fr)
-		}
-		for i, l := range p.Fwd {
-			l.AttachRecorder(reg.Link(fmt.Sprintf("fwd%d/%s", i, l.Name())))
-		}
-		rec = &FlightRecorder{reg: reg}
-	}
-	tr := trace.Attach(f.Sender, algo.String(), every)
-	f.StartAt(sim, 0)
-	sim.Run(30 * time.Minute)
-	if !f.Done() {
-		return Result{}, nil, rec, fmt.Errorf("suss: transfer did not complete within the simulation horizon (delivered %d of %d bytes)",
-			f.Sender.Delivered(), size)
-	}
+	return download(j, traced, every)
+}
 
-	last := p.Fwd[len(p.Fwd)-1].Stats()
+// download runs j to the 30-minute horizon every public run shares;
+// traced attaches a trace sampled at most once per every (0 = every
+// ACK).
+func download(j runner.Job, traced bool, every time.Duration) (Result, []TracePoint, *FlightRecorder, error) {
+	if j.Size <= 0 {
+		return Result{}, nil, nil, fmt.Errorf("suss: size must be positive, got %d", j.Size)
+	}
+	j.Horizon = 30 * time.Minute
+	var (
+		rec *FlightRecorder
+		tr  *trace.FlowTrace
+	)
+	j.Impair = func(env runner.ChaosEnv) {
+		if env.Registry != nil {
+			rec = &FlightRecorder{reg: env.Registry}
+		}
+		if traced {
+			tr = trace.Attach(env.Flow.Sender, j.Algo.String(), every)
+		}
+	}
+	r := runner.Download(j)
+	if !r.Completed {
+		return Result{}, nil, rec, fmt.Errorf("suss: transfer did not complete within the simulation horizon (delivered %d of %d bytes)",
+			r.Delivered, j.Size)
+	}
 	res := Result{
-		FCT:             f.FCT(),
-		DeliveredBytes:  f.Sender.Delivered(),
-		Retransmissions: f.Sender.Stats().Retransmissions,
-		RTOs:            f.Sender.Stats().RTOs,
+		FCT:               r.FCT,
+		DeliveredBytes:    r.Delivered,
+		Retransmissions:   r.Retrans,
+		RTOs:              r.RTOs,
+		LossRate:          r.LossRate,
+		MaxG:              r.MaxG,
+		AcceleratedRounds: r.AccelRounds,
 	}
-	if offered := last.EnqueuedPackets + last.DroppedPackets; offered > 0 {
-		res.LossRate = float64(last.DroppedPackets+last.ErasedPackets) / float64(offered)
+	if tr == nil {
+		return res, nil, rec, nil
 	}
-	if s, ok := f.Sender.Controller().(*core.Suss); ok {
-		res.MaxG = s.Stats().MaxG
-		res.AcceleratedRounds = s.Stats().AcceleratedRounds
-	}
-	pts := make([]TracePoint, len(tr.Samples))
-	for i, s := range tr.Samples {
-		pts[i] = TracePoint{T: s.T, CwndBytes: s.CwndBytes, SRTT: s.SRTT, Delivered: s.Delivered}
-	}
-	return res, pts, rec, nil
+	return res, tr.Samples, rec, nil
 }
 
 // InternetScenario names one cell of the paper's 7-server × 4-link
@@ -285,19 +252,8 @@ func Scenarios() []InternetScenario {
 func RunScenario(name InternetScenario, algo Algorithm, size int64, seed int64) (Result, error) {
 	for _, sc := range scenarios.All(seed) {
 		if sc.Name() == string(name) {
-			r := experiments.Download(sc, algo.algo(), size, 0, nil)
-			if !r.Completed {
-				return Result{}, fmt.Errorf("suss: scenario %s did not complete", name)
-			}
-			return Result{
-				FCT:               r.FCT,
-				DeliveredBytes:    r.Delivered,
-				Retransmissions:   r.Retrans,
-				RTOs:              r.RTOs,
-				LossRate:          r.LossRate,
-				MaxG:              r.MaxG,
-				AcceleratedRounds: r.AccelRounds,
-			}, nil
+			res, _, _, err := download(runner.Job{Scenario: sc, Algo: algo, Size: size}, false, 0)
+			return res, err
 		}
 	}
 	return Result{}, fmt.Errorf("suss: unknown scenario %q (see Scenarios())", name)

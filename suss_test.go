@@ -39,6 +39,28 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// Regression: RunScenario used to accept a non-positive size and report
+// it as a scenario that "did not complete". Both entry points share one
+// validation.
+func TestNonPositiveSizeRejected(t *testing.T) {
+	cfg := PathConfig{RateMbps: 10, RTT: time.Second}
+	entries := map[string]func(size int64) error{
+		"Run": func(size int64) error { _, err := Run(cfg, CUBIC, size); return err },
+		"RunScenario": func(size int64) error {
+			_, err := RunScenario(Scenarios()[0], CUBIC, size, 1)
+			return err
+		},
+	}
+	for name, run := range entries {
+		for _, size := range []int64{0, -5} {
+			err := run(size)
+			if err == nil || !strings.Contains(err.Error(), "size must be positive") {
+				t.Errorf("%s(size %d) = %v, want a size-must-be-positive error", name, size, err)
+			}
+		}
+	}
+}
+
 func TestCompareFCTHeadline(t *testing.T) {
 	cfg := PathConfig{RateMbps: 100, RTT: 120 * time.Millisecond, BufferBDP: 1}
 	_, _, imp, err := CompareFCT(cfg, CUBIC, CUBICWithSUSS, 2<<20)
