@@ -38,8 +38,12 @@ archgate:
 	if [ $$fused = 1 ]; then echo "archgate: fused multiply-adds in suss/... functions; round each product with float64(x*y)"; exit 1; fi; \
 	echo "archgate: no fused multiply-add in suss/... on arm64, ppc64le, s390x or riscv64"
 
+# The runner's tests run a second time shuffled, twice over: Map keeps
+# idle Scratches process-wide, so a test that passes only after (or
+# before) another one fails here.
 test:
 	$(GO) test ./...
+	$(GO) test -shuffle=on -count=2 ./internal/runner
 
 # The sussdebug build tag arms the packet-lifecycle detector
 # (double-release and use-after-release panic; the pool sequesters
@@ -53,7 +57,10 @@ testdebug:
 # experiment service (concurrent batch executors, watchers, the shared
 # persistent cache) get a dedicated race pass. internal/runner includes
 # the reused-vs-fresh engine differential at two workers
-# (TestReusedEngineTwoWorkers): each worker's scratch engine is its own.
+# (TestReusedEngineTwoWorkers): each worker's scratch engine is its own;
+# and two concurrent Map calls of two workers each, twice over
+# (TestWarmScratchesConcurrentMaps), taking and returning Scratches on
+# the process-wide idle list.
 race:
 	$(GO) test -race ./internal/runner ./internal/experiments ./internal/service
 
@@ -67,20 +74,24 @@ race:
 # holding 4096 ranges), the cache key (one allocation per JobKey,
 # internal/service/confhash) and the fig11 cell record (no allocation
 # to parse one or to append one to a sized buffer, internal/service).
-# Five budget tests pin whole deterministic replays against a constant
-# kept next to each test: the serial reduced fig11 sweep (.), a
-# 400-flow fleet shard on a new and on a warm scratch, a warm pass of
-# that sweep through one worker's scratch (all three internal/runner),
-# and a warm resubmission of the 252-cell fig11 matrix to the daemon
-# (internal/service). All but the warm pass are exact counts; that one
-# is per cell, so one allocation more per cell fails. A warm scratch
-# resets each slot's flow and controller in place, so the warm shard's
+# Six budget tests pin whole deterministic replays against a constant
+# kept next to each test: the serial reduced fig11 sweep (.), which is a
+# warm pass because Map's workers keep their scratch between calls; a
+# cold pass of that sweep on a new scratch, a 400-flow fleet shard on a
+# new and on a warm scratch, a warm pass of the sweep through one
+# scratch (all four internal/runner); and a warm resubmission of the
+# 252-cell fig11 matrix to the daemon (internal/service). All but the
+# per-scratch warm pass are exact counts; that one is per cell, so one
+# allocation more per cell fails. A warm scratch resets each slot's
+# flow and controller, and its tree, in place, so the warm shard's
 # count has no per-flow term: one allocation added to a flow's or a
 # controller's set-up shows ×400. The sweep and the two shard replays
 # also pin their events fired (the behaviour) and timing-wheel
-# placements (the scheduler's work) exactly.
+# placements (the scheduler's work) exactly. Map keeps idle Scratches
+# process-wide, so the gates run shuffled, twice over: a pin that holds
+# only in one test order fails.
 allocgate:
-	$(GO) test -run 'Alloc' -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
+	$(GO) test -run 'Alloc' -shuffle=on -count=2 -v . ./internal/obs ./internal/netsim ./internal/wire ./internal/wire/simbackend ./internal/tcp ./internal/runner ./internal/service ./internal/service/confhash
 
 # Chaos matrix under -race: every impairment × CC algo × seed must
 # complete (or error cleanly) with a balanced loss ledger, and a wedged

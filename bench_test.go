@@ -115,12 +115,14 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 
 // fig11SerialSweepAllocs is the number of mallocs one single-worker
 // pass of the reduced sweep at seed 1 makes: 24 cells on one worker's
-// engine and flow slot, which the first cells grow (a cold pass — the
-// warm one is TestWarmCellAllocBudget in internal/runner). No map is
-// left on the packet path, so the count is exact (30 uncached
-// processes read one number) and the gate is an equality. A change
-// that legitimately moves the count edits this one number.
-const fig11SerialSweepAllocs = 1709
+// engine, flow slot and path. Map's workers keep their Scratch between
+// calls, so every pass after the first reuses what the first grew and
+// the minimum is a warm pass (the cold one is pinned by
+// TestColdSweepAllocBudget in internal/runner). No map is left on the
+// packet path, so the count is exact (30 uncached processes read one
+// number) and the gate is an equality. A change that legitimately moves
+// the count edits this one number.
+const fig11SerialSweepAllocs = 341
 
 // fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
 // same 24 cells fire and the timing-wheel placements they cost, summed

@@ -68,10 +68,9 @@ type LinkStats struct {
 // propagation delay plus optional jitter. After the propagation delay
 // the packet is handed to the destination node.
 type Link struct {
-	sim  *Simulator
-	cfg  LinkConfig
-	dst  Node
-	rate RateFunc
+	sim *Simulator
+	cfg LinkConfig
+	dst Node
 
 	qdisc Qdisc
 	busy  bool
@@ -109,25 +108,33 @@ func (l *Link) Impairments() *Impairments { return l.impair }
 // a non-positive fixed rate panics, since it would stall the queue
 // silently.
 func NewLink(sim *Simulator, cfg LinkConfig, dst Node) *Link {
+	l := &Link{sim: sim, dst: dst}
+	l.reset(cfg)
+	return l
+}
+
+// reset puts l in the state NewLink(l.sim, cfg, l.dst) builds, whatever
+// its last run left behind: queued packets and packets on the line are
+// forgotten (the engine's Reset reclaims them), the counters are zero
+// and the recorder, impairments and OnDrop are detached. A drop-tail
+// queue is emptied in place; any other discipline is rebuilt from
+// cfg.Qdisc.
+func (l *Link) reset(cfg LinkConfig) {
 	if cfg.RateModel == nil && cfg.Rate <= 0 {
 		panic(fmt.Sprintf("netsim: link %q has non-positive rate %v", cfg.Name, cfg.Rate))
 	}
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = 1 << 20
 	}
-	l := &Link{sim: sim, cfg: cfg, dst: dst}
-	if cfg.Qdisc != nil {
-		l.qdisc = cfg.Qdisc(cfg.QueueBytes)
+	q := l.qdisc
+	if d, ok := q.(*dropTail); ok && cfg.Qdisc == nil {
+		*d = dropTail{limit: cfg.QueueBytes}
+	} else if cfg.Qdisc != nil {
+		q = cfg.Qdisc(cfg.QueueBytes)
 	} else {
-		l.qdisc = NewDropTail(cfg.QueueBytes)
+		q = NewDropTail(cfg.QueueBytes)
 	}
-	if cfg.RateModel != nil {
-		l.rate = cfg.RateModel
-	} else {
-		r := cfg.Rate
-		l.rate = func(time.Duration) float64 { return r }
-	}
-	return l
+	*l = Link{sim: l.sim, cfg: cfg, dst: l.dst, qdisc: q}
 }
 
 // Name returns the configured link name.
@@ -142,8 +149,14 @@ func (l *Link) QueueBytes() int { return l.qdisc.Bytes() }
 // QueueLimit returns the configured buffer capacity in bytes.
 func (l *Link) QueueLimit() int { return l.cfg.QueueBytes }
 
-// RateAt returns the instantaneous rate in bits/sec at time now.
-func (l *Link) RateAt(now time.Duration) float64 { return l.rate(now) }
+// RateAt returns the instantaneous rate in bits/sec at time now: the
+// rate model's, or the fixed rate.
+func (l *Link) RateAt(now time.Duration) float64 {
+	if m := l.cfg.RateModel; m != nil {
+		return m(now)
+	}
+	return l.cfg.Rate
+}
 
 // Enqueue offers a packet to the link, transferring ownership: the
 // link either carries the packet to the destination node or releases
@@ -217,7 +230,7 @@ func (l *Link) startTransmit() {
 		return
 	}
 	l.busy = true
-	rate := l.rate(l.sim.Now())
+	rate := l.RateAt(l.sim.Now())
 	if rate <= 0 {
 		panic(fmt.Sprintf("netsim: link %q rate model returned %v", l.cfg.Name, rate))
 	}

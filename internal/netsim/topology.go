@@ -47,17 +47,7 @@ func NewPath(sim *Simulator, spec PathSpec) *Path {
 	if n == 0 {
 		panic("netsim: NewPath needs at least one forward link")
 	}
-	rev := spec.Reverse
-	if rev == nil {
-		rev = make([]LinkConfig, n)
-		for i, c := range spec.Forward {
-			rc := c
-			rc.Name = c.Name + "-rev"
-			rc.QueueBytes = 4 << 20
-			rev[n-1-i] = rc
-		}
-	}
-	if len(rev) != n {
+	if spec.Reverse != nil && len(spec.Reverse) != n {
 		panic("netsim: reverse chain must have the same number of links as forward")
 	}
 
@@ -91,10 +81,38 @@ func NewPath(sim *Simulator, spec PathSpec) *Path {
 		if i < n-1 {
 			to = p.Routers[n-2-i]
 		}
-		p.Rev[i] = f.Connect(from, to, rev[i])
+		p.Rev[i] = f.Connect(from, to, spec.reverse(i))
 	}
 	f.Compile()
 	return p
+}
+
+// reverse returns the config of reverse link i (receiver side first):
+// Reverse[i], or the ACK mirror of the forward link it pairs with.
+func (spec PathSpec) reverse(i int) LinkConfig {
+	if spec.Reverse != nil {
+		return spec.Reverse[i]
+	}
+	return ackMirror(spec.Forward[len(spec.Forward)-1-i])
+}
+
+// Reset turns p into the path NewPath(p.Sim, spec) wires, reusing its
+// hosts, routers, links and routes: every link takes its config from
+// spec, with NewLink's validation and defaults, and is otherwise back
+// in its just-built state (see Link.reset). spec must have as many
+// hops as p. The engine is not reset here: packets the links forget
+// belong to its pool, which Simulator.Reset reclaims.
+func (p *Path) Reset(spec PathSpec) {
+	n := len(p.Fwd)
+	if len(spec.Forward) != n || (spec.Reverse != nil && len(spec.Reverse) != n) {
+		panic(fmt.Sprintf("netsim: Path.Reset of a %d-hop path to a %d-hop spec", n, len(spec.Forward)))
+	}
+	for i, l := range p.Fwd {
+		l.reset(spec.Forward[i])
+	}
+	for i, l := range p.Rev {
+		l.reset(spec.reverse(i))
+	}
 }
 
 // DumbbellSpec describes the classic n-pair dumbbell: n servers on the

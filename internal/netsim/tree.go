@@ -156,6 +156,21 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 	return t
 }
 
+// Reset puts every link of t back in its just-built state (see
+// Link.reset) under the config it was built with: t is then the tree
+// NewTree(t.Sim, t.Spec) wires, hosts, routers and routes included. The
+// engine is not reset here: packets the links forget belong to its
+// pool, which Simulator.Reset reclaims.
+func (t *Tree) Reset() {
+	for _, ls := range [][]*Link{t.SrvUp, t.SrvDown, t.AggDown, t.AggUp, t.AccessDown, t.AccessUp} {
+		for _, l := range ls {
+			l.reset(l.cfg)
+		}
+	}
+	t.Core.reset(t.Core.cfg)
+	t.CoreRev.reset(t.CoreRev.cfg)
+}
+
 // RateAt0 returns the link's rate at time zero (fixed rate, or the
 // rate model sampled at 0).
 func (c LinkConfig) RateAt0() float64 {

@@ -50,7 +50,9 @@ type FleetJob struct {
 	Domains int
 }
 
-// FleetChaosEnv is what a fleet Impair hook gets to work with.
+// FleetChaosEnv is what a fleet Impair hook gets to work with. Sim and
+// Tree belong to the worker's Scratch and are valid only while the
+// shard runs.
 type FleetChaosEnv struct {
 	Sim  *netsim.Simulator
 	Tree *netsim.Tree
@@ -100,7 +102,8 @@ type ShardResult struct {
 	// Stall is non-nil when the watchdog killed the shard.
 	Stall *StallError
 	// Err reports a shard that could not run at all (a degenerate
-	// Fleet with no clients or servers, or the retired Domains split);
+	// Fleet with no clients or servers, a Shard outside [0, Shards), or
+	// the retired Domains split);
 	// the other fields are zero. Execution failures keep their
 	// dedicated channels: watchdog kills land in Stall, panics in
 	// FleetResult.Err.
@@ -142,13 +145,17 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	if j.Domains > 1 {
 		return ShardResult{Shard: j.Shard, Algo: j.Algo, Err: fmt.Errorf("runner: %s: %s", j.describe(), domainsRemoved)}
 	}
+	if j.Shard < 0 || j.Shard >= j.Shards {
+		return ShardResult{Shard: j.Shard, Algo: j.Algo, Err: fmt.Errorf(
+			"runner: %s: shard %d out of range [0,%d)", j.describe(), j.Shard, j.Shards)}
+	}
 	simRuns.Add(1)
 	flows := j.Pop.Shard(j.Shard, j.Shards)
 
 	fl := j.Fleet
 	fl.Seed = fl.Seed*1000003 + int64(j.Shard)*7919 + 1
 	sim := scr.engine()
-	tree, rng := fl.Build(sim)
+	tree, rng := scr.treeFor(fl)
 
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
@@ -156,14 +163,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	}
 
 	// One demux per host; every flow registers under its own ID.
-	srvMux := make([]*tcp.Demux, len(tree.Servers))
-	for s, h := range tree.Servers {
-		srvMux[s] = tcp.NewDemux(h)
-	}
-	cliMux := make([]*tcp.Demux, tree.NumClients())
-	for c, h := range tree.Clients {
-		cliMux[c] = tcp.NewDemux(h)
-	}
+	srvMux, cliMux := scr.srvMux, scr.cliMux
 
 	var reg *obs.Registry
 	if j.Observe || j.WallLimit > 0 {
@@ -222,7 +222,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	}
 
 	res := ShardResult{Shard: j.Shard, Algo: j.Algo, Flows: make([]FlowRecord, len(flows)), SimEnd: end, Stall: stall}
-	var goodputs []float64
+	goodputs := make([]float64, 0, len(flows))
 	for i, fs := range flows {
 		f := &slots[i].flow
 		st := f.Sender.Stats()

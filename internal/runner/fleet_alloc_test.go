@@ -28,7 +28,7 @@ func skipAllocCount(t *testing.T) {
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fleetShardAllocs = 6724
+const fleetShardAllocs = 6497
 
 // fleetShardFired and fleetShardPlaced are the events that replay
 // fires and the timing-wheel placements they cost (netsim.Simulator
@@ -73,12 +73,13 @@ func checkShardWork(t *testing.T, sim *netsim.Simulator) {
 }
 
 // warmFleetShardAllocs is the number of mallocs the same shard makes
-// on a Scratch that has run it before, whose engine and flow slab are
-// grown: what is left is the tree and its demuxes and the result (a
-// slot's flow and its controller are reset in place). The constant has
+// on a Scratch that has run it before, whose engine, flow slab and tree
+// are grown: what is left is the shard's flow list, its RNG, the stop
+// predicate and the result (a slot's flow and its controller are reset
+// in place, and the tree and its demuxes with them). The constant has
 // no per-flow term, so one allocation added to a flow's set-up shows
 // ×400.
-const warmFleetShardAllocs = 2449
+const warmFleetShardAllocs = 9
 
 // TestWarmFleetShardAllocBudget is the alloc gate of warm flows (part
 // of `make allocgate`).

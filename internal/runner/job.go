@@ -83,8 +83,8 @@ const domainsRemoved = "Domains > 1 is no longer supported: parallel event domai
 // ChaosEnv is what an Impair hook gets to work with: the simulation,
 // the built path, the flow about to start, the scenario's RNG, and the
 // derived seed so hooks can build private RNG streams that stay
-// decoupled from the scenario's own draws. Sim and Flow belong to the
-// worker's Scratch and are valid only while the cell runs.
+// decoupled from the scenario's own draws. Sim, Path and Flow belong to
+// the worker's Scratch and are valid only while the cell runs.
 type ChaosEnv struct {
 	Sim  *netsim.Simulator
 	Path *netsim.Path
@@ -162,12 +162,13 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	sc := j.Scenario
 	sc.Seed = sc.Seed*1000003 + int64(j.Iter)*7919 + 1
 	sim := scr.engine()
-	p, rng := sc.Build(sim)
+	spec, rng := sc.Spec()
+	p := scr.pathFor(spec)
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
 		cfg = *j.Transport
 	}
-	f, ctrl := scr.flow(0, j.Algo, j.SussOpt, cfg, 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), j.Size)
+	f, ctrl := scr.flow(0, j.Algo, j.SussOpt, cfg, 1, p.Sender, scr.pathMux[0], p.Receiver, scr.pathMux[1], j.Size)
 	var (
 		reg *obs.Registry
 		fr  *obs.FlowRecorder

@@ -14,16 +14,17 @@
 // killing the sweep, and cancelling the context drains the remaining
 // jobs as ctx.Err() results.
 //
-// Each pool worker owns one Scratch — a simulation engine and a slab
-// of flows it resets and reuses for every cell it runs — so a sweep of
-// hundreds of short cells grows one timer arena, one packet pool and
-// one set of scoreboards per worker instead of one per cell (see
-// Scratch).
+// Each pool worker holds one Scratch — a simulation engine, a slab of
+// flows and the last topology it wired, which it resets and reuses for
+// every cell it runs — so a sweep of hundreds of short cells grows one
+// timer arena, one packet pool and one set of scoreboards per worker
+// instead of one per cell, and a later sweep reuses them (see Scratch).
 package runner
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -32,6 +33,7 @@ import (
 	"suss/internal/cc"
 	"suss/internal/core"
 	"suss/internal/netsim"
+	"suss/internal/scenarios"
 	"suss/internal/tcp"
 )
 
@@ -83,13 +85,33 @@ func (e *PanicError) Error() string {
 // controller its Algo names, so a warm cell allocates neither. A slot's
 // flow and controller are valid only during that cell.
 //
+// It keeps its topologies too: the last path Download wired, with its
+// two demuxes, and the last fleet shard's tree, with one demux per
+// host. A cell whose path has as many hops, or a shard whose Fleet
+// equals the last one but for its seed, resets them (netsim's
+// Path.Reset and Tree.Reset) instead of wiring new ones. The path and
+// tree a hook sees are, like the flow, valid only during its cell.
+//
 // The zero value is ready to use; the engine is built on first use. A
-// Scratch belongs to one goroutine: Map gives each worker its own and
-// nothing is shared between workers. It dies with the Map call that
-// made it — nothing is retained while the pool is idle.
+// Scratch belongs to one goroutine at a time. Map's workers take theirs
+// from a process-wide idle list and put them back when they exit, so
+// the next Map call starts warm; the list holds at most GOMAXPROCS
+// Scratches, and with them their slabs, between calls.
 type Scratch struct {
 	sim   *netsim.Simulator
 	slots []*slot
+
+	// path and pathMux are the last Download's topology and its sender's
+	// and receiver's demuxes.
+	path    *netsim.Path
+	pathMux [2]*tcp.Demux
+
+	// tree is the last fleet shard's topology, wired for fleet (its Seed
+	// zeroed), with a demux per server and per client.
+	tree   *netsim.Tree
+	fleet  scenarios.Fleet
+	srvMux []*tcp.Demux
+	cliMux []*tcp.Demux
 
 	// done counts the running fleet shard's completed flows; countDone,
 	// bound once, is the OnComplete hook that counts them.
@@ -131,6 +153,84 @@ func (scr *Scratch) engine() *netsim.Simulator {
 		scr.sim.Reset()
 	}
 	return scr.sim
+}
+
+// pathFor returns the scratch's path rewired to spec, with its demuxes
+// emptied, or a new one when the scratch has none with as many hops.
+func (scr *Scratch) pathFor(spec netsim.PathSpec) *netsim.Path {
+	if p := scr.path; p != nil && len(p.Fwd) == len(spec.Forward) {
+		p.Reset(spec)
+		scr.pathMux[0].Reset()
+		scr.pathMux[1].Reset()
+		return p
+	}
+	p := netsim.NewPath(scr.sim, spec)
+	scr.path, scr.pathMux = p, [2]*tcp.Demux{tcp.NewDemux(p.Sender), tcp.NewDemux(p.Receiver)}
+	return p
+}
+
+// treeFor returns the scratch's tree reset, with its demuxes emptied,
+// when it was wired for fl; otherwise it wires fl's tree and a demux
+// per host. fl.Seed is the shard's derived seed, which seeds the
+// returned RNG and nothing of the tree.
+func (scr *Scratch) treeFor(fl scenarios.Fleet) (*netsim.Tree, *rand.Rand) {
+	spec, rng := fl.Spec()
+	fl.Seed = 0
+	if scr.tree != nil && scr.fleet == fl {
+		scr.tree.Reset()
+		for _, d := range scr.srvMux {
+			d.Reset()
+		}
+		for _, d := range scr.cliMux {
+			d.Reset()
+		}
+		return scr.tree, rng
+	}
+	t := netsim.NewTree(scr.sim, spec)
+	scr.tree, scr.fleet = t, fl
+	scr.srvMux = make([]*tcp.Demux, len(t.Servers))
+	for s, h := range t.Servers {
+		scr.srvMux[s] = tcp.NewDemux(h)
+	}
+	scr.cliMux = make([]*tcp.Demux, len(t.Clients))
+	for c, h := range t.Clients {
+		scr.cliMux[c] = tcp.NewDemux(h)
+	}
+	return t, rng
+}
+
+// idle is the process-wide list of Scratches no Map worker holds, most
+// recently returned last. It is a list under a mutex and not a
+// sync.Pool: a pool's per-P slot and the collector's right to empty it
+// would make a warm pass's allocation count depend on scheduling.
+var idle struct {
+	sync.Mutex
+	list []*Scratch
+}
+
+// takeScratch hands a Map worker the most recently idle Scratch, or a
+// new one when none is idle.
+func takeScratch() *Scratch {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.list)
+	if n == 0 {
+		return new(Scratch)
+	}
+	scr := idle.list[n-1]
+	idle.list[n-1] = nil
+	idle.list = idle.list[:n-1]
+	return scr
+}
+
+// putScratch returns a worker's Scratch to the idle list, which keeps at
+// most GOMAXPROCS; one past that is left to the collector.
+func putScratch(scr *Scratch) {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.list) < runtime.GOMAXPROCS(0) {
+		idle.list = append(idle.list, scr)
+	}
 }
 
 type scratchKey struct{}
@@ -183,7 +283,9 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			wctx := context.WithValue(ctx, scratchKey{}, new(Scratch))
+			scr := takeScratch()
+			defer putScratch(scr)
+			wctx := context.WithValue(ctx, scratchKey{}, scr)
 			for i := range idx {
 				if err := ctx.Err(); err != nil {
 					out[i] = Outcome[R]{Err: err}

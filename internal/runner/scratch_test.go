@@ -472,14 +472,15 @@ func TestScratchFromOutsideMap(t *testing.T) {
 }
 
 // warmCellAllocs is the most heap allocations a cell of the reduced
-// Fig. 11 sweep may make, on average, on an engine and flow slot that
-// have already grown: what is left is building the topology (Scenario.
-// Build, the demuxes) and the result; the slot's controller is reset in
-// place. The budget is this × 24 with no slack, so one allocation more
-// per cell fails. A change that legitimately moves the count edits this
-// one number (the test logs the exact total: 1 524 of the budget's
-// 1 536, the same in 30 uncached processes).
-const warmCellAllocs = 64
+// Fig. 11 sweep may make, on average, on an engine, flow slot and path
+// that have already grown: what is left is the scenario's spec (its RNG
+// and the last hop's netem models), the reverse links' names and the
+// result; the slot's controller and the path are reset in place. The
+// budget is this × 24 with no slack, so one allocation more per cell
+// fails. A change that legitimately moves the count edits this one
+// number (the test logs the exact total: 228 of the budget's 240, the
+// same in 30 uncached processes).
+const warmCellAllocs = 10
 
 // TestWarmCellAllocBudget is the alloc gate of per-cell set-up (part of
 // `make allocgate`): the second pass of the reduced sweep through one
@@ -504,5 +505,32 @@ func TestWarmCellAllocBudget(t *testing.T) {
 		got, float64(got)/float64(len(jobs)), warmCellAllocs, fired, scr.sim.ArenaSlots, scr.sim.PoolPackets, scr.sim.PoolSlabs)
 	if budget := uint64(warmCellAllocs * len(jobs)); got > budget {
 		t.Fatalf("warm pass of %d cells made %d mallocs, budget %d (%d per cell)", len(jobs), got, budget, warmCellAllocs)
+	}
+}
+
+// coldSweepAllocs is the number of mallocs one single-worker Run of
+// the reduced Fig. 11 sweep at seed 1 makes on a new Scratch: the first
+// cells grow the engine, the flow slot and the path. The idle list is
+// drained first, so the worker cannot start warm; the count is exact
+// and the gate an equality, like the warm pass the root package pins
+// (TestFig11SerialSweepAllocBudget).
+const coldSweepAllocs = 391
+
+// TestColdSweepAllocBudget is the alloc gate of cold growth (part of
+// `make allocgate`), which the warm pins no longer see.
+func TestColdSweepAllocBudget(t *testing.T) {
+	skipAllocCount(t)
+	jobs := fig11Matrix(1, fig11ReducedSizes, 1)
+	got := minMallocs(6, func() {
+		drainIdle()
+		for _, r := range Run(context.Background(), jobs, Options{Workers: 1}) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	})
+	t.Logf("min mallocs over 6 cold passes: %d (want %d)", got, coldSweepAllocs)
+	if got != coldSweepAllocs {
+		t.Errorf("cold pass of the reduced sweep made %d mallocs, want exactly %d", got, coldSweepAllocs)
 	}
 }

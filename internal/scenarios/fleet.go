@@ -70,12 +70,19 @@ func (fl Fleet) queueFor(rate float64) int {
 // shard's private stream for impairments and workload perturbation,
 // seeded from Fleet.Seed alone.
 func (fl Fleet) Build(sim *netsim.Simulator) (*netsim.Tree, *rand.Rand) {
-	rng := rand.New(rand.NewSource(fl.Seed))
+	spec, rng := fl.Spec()
+	return netsim.NewTree(sim, spec), rng
+}
+
+// Spec returns the tree Build wires and the RNG it returns. The spec
+// does not depend on Seed, so two Fleets equal but for their seeds
+// wire the same tree (Tree.Reset restores one).
+func (fl Fleet) Spec() (netsim.TreeSpec, *rand.Rand) {
 	// One-way propagation budget RTT/2, split 2:1:1 over the levels.
 	coreDelay := fl.RTT / 4
 	aggDelay := fl.RTT / 8
 	accessDelay := fl.RTT/2 - coreDelay - aggDelay
-	t := netsim.NewTree(sim, netsim.TreeSpec{
+	return netsim.TreeSpec{
 		Groups:        fl.Groups,
 		HostsPerGroup: fl.HostsPerGroup,
 		Servers:       fl.Servers,
@@ -88,6 +95,5 @@ func (fl Fleet) Build(sim *netsim.Simulator) (*netsim.Tree, *rand.Rand) {
 		Access: netsim.LinkConfig{
 			Rate: fl.AccessRate, Delay: accessDelay, QueueBytes: fl.queueFor(fl.AccessRate),
 		},
-	})
-	return t, rng
+	}, rand.New(rand.NewSource(fl.Seed))
 }

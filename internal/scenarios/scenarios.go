@@ -178,6 +178,15 @@ func All(seed int64) []Scenario {
 // the one feeding the impairments (callers reuse it to perturb
 // workloads).
 func (sc Scenario) Build(sim *netsim.Simulator) (*netsim.Path, *rand.Rand) {
+	spec, rng := sc.Spec()
+	return netsim.NewPath(sim, spec), rng
+}
+
+// Spec returns the path Build wires and the RNG it returns, seeded
+// from Scenario.Seed alone, whose draws the last hop's models have
+// taken: Path.Reset with this spec rewires a two-hop path as Build
+// would.
+func (sc Scenario) Spec() (netsim.PathSpec, *rand.Rand) {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	lastHopDelay := 5 * time.Millisecond
 	coreDelay := sc.RTT/2 - lastHopDelay
@@ -185,11 +194,10 @@ func (sc Scenario) Build(sim *netsim.Simulator) (*netsim.Path, *rand.Rand) {
 		coreDelay = time.Millisecond
 	}
 	last := sc.LastHop.Apply("lasthop", lastHopDelay, sc.RTT, rng)
-	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
+	return netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: sc.CoreRate, Delay: coreDelay, QueueBytes: 64 << 20},
 		last,
-	}})
-	return p, rng
+	}}, rng
 }
 
 // Testbed describes the paper's local dumbbell (§6.1): five pairs, a

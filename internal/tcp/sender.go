@@ -91,7 +91,13 @@ type Sender struct {
 	tlpArmed    bool // a probe may fire for the current flight
 	kickTimer   netsim.Timer
 	nextRelease time.Duration
-	ccTimers    []netsim.Timer // backs the handles Schedule returns
+	// ccChunks is the list of chunks backing the handles Schedule
+	// returns, kept across resets; ccCur is the one being filled and
+	// ccUsed how much of it is. A life rewinds to the first chunk and
+	// never returns to a chunk it has left.
+	ccChunks *timerChunk
+	ccCur    *timerChunk
+	ccUsed   int
 
 	started  bool
 	finished bool
@@ -170,7 +176,8 @@ func (s *Sender) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int6
 		sacked:    s.sacked,
 		fresh:     s.fresh[:0],
 		newlyLost: s.newlyLost[:0],
-		ccTimers:  s.ccTimers[:0],
+		ccChunks:  s.ccChunks,
+		ccCur:     s.ccChunks,
 		rtt:       rttEstimator{minRTO: cfg.MinRTO, maxRTO: cfg.MaxRTO},
 	}
 }
@@ -183,13 +190,29 @@ func (s *Sender) Now() time.Duration { return s.sim.Now() }
 // Schedule implements cc.Env. The handle it returns points into a
 // chunk of timer values the sender keeps, so a controller that arms a
 // timer per pacing tick costs one allocation per 64 ticks instead of
-// one boxed netsim.Timer each.
+// one boxed netsim.Timer each, and a reset sender refills the chunks
+// its earlier lives grew before it allocates another.
 func (s *Sender) Schedule(d time.Duration, fn func()) cc.Timer {
-	if len(s.ccTimers) == cap(s.ccTimers) {
-		s.ccTimers = make([]netsim.Timer, 0, 64)
+	if s.ccCur == nil || s.ccUsed == len(s.ccCur.t) {
+		next := &s.ccChunks
+		if s.ccCur != nil {
+			next = &s.ccCur.next
+		}
+		if *next == nil {
+			*next = new(timerChunk)
+		}
+		s.ccCur, s.ccUsed = *next, 0
 	}
-	s.ccTimers = append(s.ccTimers, s.sim.Schedule(d, fn))
-	return &s.ccTimers[len(s.ccTimers)-1]
+	t := &s.ccCur.t[s.ccUsed]
+	s.ccUsed++
+	*t = s.sim.Schedule(d, fn)
+	return t
+}
+
+// timerChunk is one link of a sender's list of controller-timer values.
+type timerChunk struct {
+	t    [64]netsim.Timer
+	next *timerChunk
 }
 
 // Kick implements cc.Env.

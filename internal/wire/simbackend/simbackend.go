@@ -73,6 +73,14 @@ func (d *Demux) register(c *Conn) {
 	}
 }
 
+// Reset forgets every registration, keeping the demux installed on its
+// host and the capacity it grew: the demux NewDemux gives, for a
+// topology that outlives the flows of one simulation.
+func (d *Demux) Reset() {
+	clear(d.conns)
+	d.conns = d.conns[:0]
+}
+
 // Unregister removes a flow's conn.
 func (d *Demux) Unregister(id netsim.FlowID) {
 	if i, ok := d.search(id); ok {

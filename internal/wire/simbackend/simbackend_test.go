@@ -110,6 +110,41 @@ func TestDemuxRoutesByFlow(t *testing.T) {
 	}
 }
 
+// TestDemuxResetForgetsFlows: a reset demux, still the host's handler,
+// routes as a new one does. Flows registered before the reset are
+// released like any unregistered flow's; a conn registered after it
+// gets its own flow's segments.
+func TestDemuxResetForgetsFlows(t *testing.T) {
+	sim := netsim.NewSimulator()
+	p := testPath(sim)
+	smux := simbackend.NewDemux(p.Sender)
+	rmux := simbackend.NewDemux(p.Receiver)
+
+	var stale, fresh []netsim.FlowID
+	for _, id := range []netsim.FlowID{1, 2} {
+		id := id
+		simbackend.New(sim, p.Receiver, rmux, p.Sender.ID(), id).SetHandler(func(*wire.Segment, int) { stale = append(stale, id) })
+	}
+	rmux.Reset()
+	simbackend.New(sim, p.Receiver, rmux, p.Sender.ID(), 2).SetHandler(func(*wire.Segment, int) { fresh = append(fresh, 2) })
+
+	sim.Schedule(0, func() {
+		for _, id := range []netsim.FlowID{1, 2, 3} {
+			simbackend.New(sim, p.Sender, smux, p.Receiver.ID(), id).Send(&wire.Segment{
+				Flags: wire.FlagACK | wire.FlagPSH, Window: 65535, PayloadLen: 1448,
+			}, wire.SendMeta{})
+		}
+	})
+	sim.RunAll()
+
+	if len(stale) != 0 || len(fresh) != 1 {
+		t.Fatalf("after Reset: flows registered before it saw %v, the one registered after it %v (want none, [2])", stale, fresh)
+	}
+	if st := sim.Pool().Stats(); st.Outstanding() != 0 {
+		t.Fatalf("%d packets leaked", st.Outstanding())
+	}
+}
+
 // TestAnnotationMirrorsWire checks that the packet-level annotation
 // fields the links and recorders read are reconstructed from the same
 // values the peer decodes off the wire.
