@@ -201,6 +201,41 @@ func behaviourLines(t *testing.T) []string {
 			add(fmt.Sprintf("root/s1/%s/%s", link, a), "-", append(rec, counters.Bytes()...))
 		}
 	}
+
+	// Multi-flow runs on the local dumbbell testbed, and the two-hop
+	// paths of the AQM comparison and Appendix B.
+	joinAt, horizon := 15*time.Second, 40*time.Second
+	for _, a := range []runner.Algo{runner.Cubic, runner.BBR2} {
+		r := experiments.RunFig02(a, 100*time.Millisecond, 2, joinAt, horizon)
+		add("fig02/"+a.String(), "-", fmt.Appendf(nil, "%v %v %v %v", r.FairShare, r.Share, r.TimeToHalfShare, r.TimeToFairShare))
+	}
+	f15 := experiments.RunFig15(experiments.Fig15Config{RTT: 200 * time.Millisecond, BufferBDP: 1}, joinAt, horizon)
+	for v, name := range []string{"off", "on"} {
+		add("fig15/200ms/1bdp/"+name, "-", fmt.Appendf(nil, "%v %v %v", f15.Jain[v], f15.RecoveryTime[v], f15.MeanPostJoin[v]))
+	}
+	f16 := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
+	add("fig16/40MB", "-", fmt.Appendf(nil, "%v %v %v", f16.LargeFCT, f16.SmallFCTs, f16.LargeGoodput))
+	t1 := experiments.RunTable1(runner.Cubic, 40<<20)
+	add("table1/cubic/40MB", "-", fmt.Appendf(nil, "%v %v", t1.Rows, t1.Failed))
+	wm := experiments.RunWebMix(40, 3, 1)
+	add("webmix/s1/40", "-", fmt.Appendf(nil, "%v", wm))
+	aqm := experiments.RunAQMComparison(4 << 20)
+	add("aqm/4MB", "-", fmt.Appendf(nil, "%v %v %v %v %v", aqm.Variants, aqm.FCT, aqm.Loss, aqm.MaxRTTms, aqm.Incomplete))
+	for _, dir := range []string{"drop", "rise"} {
+		add("appendixB/"+dir, "-", fmt.Appendf(nil, "%v", experiments.RunBtlBwVariation(dir, 8<<20)))
+	}
+	for _, on := range []bool{false, true} {
+		r, err := suss.RunFairness(suss.FairnessConfig{RTT: 100 * time.Millisecond, BufferBDP: 1, JoinAt: joinAt, Horizon: horizon, WithSUSS: on})
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("root/fairness/suss=%v", on), "-", fmt.Appendf(nil, "%v", r))
+	}
+	web, err := suss.RunWebWorkload(40, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("root/webworkload/s1/40", "-", fmt.Appendf(nil, "%v", web))
 	return lines
 }
 
