@@ -49,14 +49,12 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	if cfg.Horizon <= cfg.JoinAt {
 		cfg.Horizon = cfg.JoinAt + 30*time.Second
 	}
-	r := experiments.RunFig15(experiments.Fig15Config{RTT: cfg.RTT, BufferBDP: cfg.BufferBDP}, cfg.JoinAt, cfg.Horizon)
-	v := 0
+	algo := experiments.Cubic
 	if cfg.WithSUSS {
-		v = 1
+		algo = experiments.Suss
 	}
-	return FairnessResult{
-		Jain:         r.Jain[v],
-		RecoveryTime: r.RecoveryTime[v],
-		MeanPostJoin: r.MeanPostJoin[v],
-	}, nil
+	var r FairnessResult
+	r.Jain, r.RecoveryTime, r.MeanPostJoin = experiments.RunFig15Variant(
+		experiments.Fig15Config{RTT: cfg.RTT, BufferBDP: cfg.BufferBDP}, algo, cfg.JoinAt, cfg.Horizon)
+	return r, nil
 }

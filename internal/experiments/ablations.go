@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
-	"suss/internal/tcp"
 )
 
 // AblationResult compares SUSS variants on one path, isolating the
@@ -131,22 +129,16 @@ func RunBtlBwVariation(direction string, size int64, opts ...Option) BtlBwVariat
 	}
 	rtt := 150 * time.Millisecond
 	bneck := netsim.LinkConfig{RateModel: netem.Step(base, after, time.Second), QueueBytes: int(base / 8 * rtt.Seconds())}
-	outs := runner.Map(cfg.ctx, []Algo{Cubic, Suss}, func(_ context.Context, _ int, algo Algo) (twoHopRun, error) {
-		r, err := runTwoHop(algo, size, rtt, bneck)
-		if err != nil {
-			return r, fmt.Errorf("BtlBw %s %s: %w", direction, algo, err)
-		}
-		return r, nil
-	}, cfg.pool())
-	for variant, o := range outs {
+	jobs := []runner.Job{twoHop(Cubic, size, rtt, bneck, new(time.Duration)), twoHop(Suss, size, rtt, bneck, new(time.Duration))}
+	for variant, o := range runner.Run(cfg.ctx, jobs, cfg.pool()) {
 		if o.Err != nil {
-			res.Failed = append(res.Failed, o.Err.Error())
+			res.Failed = append(res.Failed, fmt.Sprintf("BtlBw %s: %v", direction, o.Err))
 			continue
 		}
 		if variant == 0 {
-			res.FCTOff, res.LossOff = o.Value.fct, o.Value.loss
+			res.FCTOff, res.LossOff = o.FCT.Seconds(), o.LossRate
 		} else {
-			res.FCTOn, res.LossOn = o.Value.fct, o.Value.loss
+			res.FCTOn, res.LossOn = o.FCT.Seconds(), o.LossRate
 		}
 	}
 	return res
@@ -299,60 +291,47 @@ func RunAQMComparison(size int64, opts ...Option) AQMResult {
 		{"suss/drop-tail", Suss, nil},
 	}
 	rtt, rate := 100*time.Millisecond, 1e8
-	outs := runner.Map(cfg.ctx, variants, func(_ context.Context, _ int, v variant) (twoHopRun, error) {
+	maxRTT := make([]time.Duration, len(variants))
+	jobs := make([]runner.Job, len(variants))
+	for i, v := range variants {
 		bneck := netsim.LinkConfig{Rate: rate, QueueBytes: int(rate / 8 * rtt.Seconds()), Qdisc: v.qdisc}
-		r, err := runTwoHop(v.algo, size, rtt, bneck)
-		if err != nil {
-			return r, fmt.Errorf("AQM %s: %w", v.name, err)
-		}
-		return r, nil
-	}, cfg.pool())
-
-	for i, o := range outs {
+		jobs[i] = twoHop(v.algo, size, rtt, bneck, &maxRTT[i])
+	}
+	for i, o := range runner.Run(cfg.ctx, jobs, cfg.pool()) {
+		fct, loss, rttMs := 0.0, 0.0, 0.0 // a failed run is reported as zeros
 		if o.Err != nil {
-			res.Incomplete++ // reported as zeros
+			res.Incomplete++
+		} else {
+			fct, loss, rttMs = o.FCT.Seconds(), o.LossRate, float64(maxRTT[i])/1e6
 		}
 		res.Variants = append(res.Variants, variants[i].name)
-		res.FCT = append(res.FCT, o.Value.fct)
-		res.Loss = append(res.Loss, o.Value.loss)
-		res.MaxRTTms = append(res.MaxRTTms, o.Value.maxRTTms)
+		res.FCT = append(res.FCT, fct)
+		res.Loss = append(res.Loss, loss)
+		res.MaxRTTms = append(res.MaxRTTms, rttMs)
 	}
 	return res
 }
 
-// twoHopRun is one flow's outcome on a two-hop ablation path: its FCT
-// (s), the bottleneck's loss rate, and its worst smoothed RTT (ms).
-type twoHopRun struct{ fct, loss, maxRTTms float64 }
-
-// runTwoHop downloads size bytes under algo over a 1 Gbps core hop into
-// bneck, whose name and 5 ms delay it sets; the core's delay makes the
-// path's propagation round trip rtt. The Appendix-B step and the AQM
-// comparison both run here: their bottlenecks need a rate model or a
-// qdisc that no internet scenario has.
-func runTwoHop(algo Algo, size int64, rtt time.Duration, bneck netsim.LinkConfig) (twoHopRun, error) {
-	sim := netsim.NewSimulator()
+// twoHop is a download of size bytes under algo over a 1 Gbps core hop
+// into bneck, whose name and 5 ms delay it sets; the core's delay makes
+// the path's propagation round trip rtt. Its Impair hook rewires the
+// two hops of a wired scenario into that path, and keeps the flow's
+// worst smoothed RTT in *maxRTT. The Appendix-B step and the AQM
+// comparison run here: their bottlenecks need a rate model or a qdisc
+// that no internet scenario has.
+func twoHop(algo Algo, size int64, rtt time.Duration, bneck netsim.LinkConfig, maxRTT *time.Duration) runner.Job {
 	bneck.Name, bneck.Delay = "bneck", 5*time.Millisecond
-	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
+	spec := netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},
 		bneck,
-	}})
-	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
-	f.Sender.SetController(runner.NewController(algo, f.Sender))
-	var maxRTT time.Duration
-	f.Sender.OnAckTrace = func(_ time.Duration, _ int64, srtt time.Duration, _ int64) {
-		maxRTT = max(maxRTT, srtt)
-	}
-	f.StartAt(sim, 0)
-	sim.Run(20 * time.Minute)
-	if !f.Done() {
-		return twoHopRun{}, runner.ErrIncomplete
-	}
-	st := p.Fwd[1].Stats()
-	r := twoHopRun{fct: f.FCT().Seconds(), maxRTTms: float64(maxRTT) / 1e6}
-	if off := st.EnqueuedPackets + st.DroppedPackets; off > 0 {
-		r.loss = float64(st.DroppedPackets) / float64(off)
-	}
-	return r, nil
+	}}
+	return runner.Job{Scenario: scenarios.New(scenarios.GoogleTokyo, netem.Wired, 0), Algo: algo, Size: size,
+		Impair: func(env runner.ChaosEnv) {
+			env.Path.Reset(spec)
+			env.Flow.Sender.OnAckTrace = func(_ time.Duration, _ int64, srtt time.Duration, _ int64) {
+				*maxRTT = max(*maxRTT, srtt)
+			}
+		}}
 }
 
 // Render prints the comparison.

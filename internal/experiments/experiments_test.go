@@ -80,21 +80,6 @@ func TestSizeLabel(t *testing.T) {
 	}
 }
 
-func TestRunTestbedBasics(t *testing.T) {
-	tb := scenarios.DefaultTestbed(50*time.Millisecond, 1)
-	run := RunTestbed(tb, []TestbedFlow{
-		{Pair: 0, Algo: Cubic, Size: 1 << 20, Start: 0},
-		{Pair: 1, Algo: Suss, Size: 1 << 20, Start: time.Second},
-	}, 30*time.Second, time.Second)
-	fcts := run.FlowFCTsSeconds([]int{0, 1})
-	if len(fcts) != 2 || fcts[0] <= 0 || fcts[1] <= 0 {
-		t.Fatalf("fcts = %v", fcts)
-	}
-	if len(run.Bins[0].Bins()) == 0 {
-		t.Error("no goodput bins recorded")
-	}
-}
-
 func TestFig01Shape(t *testing.T) {
 	r := RunFig01(20<<20, 1)
 	if len(r.Theta) != 2 {

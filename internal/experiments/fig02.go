@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 )
@@ -38,12 +39,7 @@ type Fig02Result struct {
 // (all five flows use it).
 func RunFig02(algo Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon time.Duration) Fig02Result {
 	tb := scenarios.DefaultTestbed(rtt, bufferBDP)
-	specs := make([]TestbedFlow, 0, 5)
-	for i := 0; i < 4; i++ {
-		specs = append(specs, TestbedFlow{Pair: i, Algo: algo, Start: time.Duration(i) * 2 * time.Second})
-	}
-	specs = append(specs, TestbedFlow{Pair: 4, Algo: algo, Start: joinAt})
-	run := RunTestbed(tb, specs, horizon, time.Second)
+	run := runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0]
 
 	res := Fig02Result{Algo: algo, JoinAt: joinAt, FairShare: tb.BtlRate / 5}
 	joinBin := int(joinAt / time.Second)
@@ -62,6 +58,18 @@ func RunFig02(algo Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon t
 		}
 	}
 	return res
+}
+
+// lateJoiner is the testbed cell of Figs. 2 and 15: four flows under
+// algo started 2 s apart on pairs 0–3, and a fifth joining on pair 4
+// at joinAt, all unbounded.
+func lateJoiner(algo Algo, tb scenarios.Testbed, joinAt, horizon time.Duration) runner.TestbedJob {
+	j := runner.TestbedJob{Testbed: tb, Horizon: horizon}
+	for i := 0; i < 4; i++ {
+		j.Flows = append(j.Flows, runner.TestbedFlow{Pair: i, Algo: algo, Start: time.Duration(i) * 2 * time.Second})
+	}
+	j.Flows = append(j.Flows, runner.TestbedFlow{Pair: 4, Algo: algo, Start: joinAt})
+	return j
 }
 
 // Render prints the joiner's share curve.

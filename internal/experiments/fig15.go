@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 )
@@ -38,43 +39,45 @@ type Fig15Result struct {
 	// onward (variant 0 = SUSS off, 1 = on).
 	Jain [2][]float64
 	// RecoveryTime[variant] is how long after the join the index
-	// first returns above 0.95 (-1 if never).
+	// first returns above 0.95 (NeverReached if never).
 	RecoveryTime [2]time.Duration
 	// MeanPostJoin[variant] is the average index over the post-join
 	// window — higher is fairer.
 	MeanPostJoin [2]float64
 }
 
-// RunFig15 runs both variants for one configuration.
+// RunFig15 runs both variants for one configuration as one pool batch.
 func RunFig15(cfg Fig15Config, joinAt, horizon time.Duration) Fig15Result {
 	res := Fig15Result{Config: cfg, JoinAt: joinAt}
-	for variant := 0; variant < 2; variant++ {
-		algo := Cubic
-		if variant == 1 {
-			algo = Suss
-		}
-		tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
-		var specs []TestbedFlow
-		for i := 0; i < 4; i++ {
-			specs = append(specs, TestbedFlow{Pair: i, Algo: algo, Start: time.Duration(i) * 2 * time.Second})
-		}
-		specs = append(specs, TestbedFlow{Pair: 4, Algo: algo, Start: joinAt})
-		run := RunTestbed(tb, specs, horizon, time.Second)
-
-		series := stats.JainOverTime(run.Bins, true)
-		joinBin := int(joinAt / time.Second)
-		res.RecoveryTime[variant] = -1
-		var post []float64
-		for i := joinBin; i < len(series); i++ {
-			res.Jain[variant] = append(res.Jain[variant], series[i])
-			post = append(post, series[i])
-			if res.RecoveryTime[variant] < 0 && i > joinBin && series[i] >= 0.95 {
-				res.RecoveryTime[variant] = time.Duration(i-joinBin) * time.Second
-			}
-		}
-		res.MeanPostJoin[variant] = stats.Mean(post)
+	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
+	runs := runTestbeds(lateJoiner(Cubic, tb, joinAt, horizon), lateJoiner(Suss, tb, joinAt, horizon))
+	for v, run := range runs {
+		res.Jain[v], res.RecoveryTime[v], res.MeanPostJoin[v] = fairnessRecovery(run, joinAt)
 	}
 	return res
+}
+
+// RunFig15Variant runs one variant of a configuration, algo Cubic for
+// SUSS off or Suss for on, and returns what Fig15Result holds for it.
+func RunFig15Variant(cfg Fig15Config, algo Algo, joinAt, horizon time.Duration) (jain []float64, recovery time.Duration, meanPostJoin float64) {
+	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
+	return fairnessRecovery(runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0], joinAt)
+}
+
+// fairnessRecovery folds a late-joiner run into Jain's index per bin
+// from the join, the time until it first returns above 0.95 and its
+// post-join mean.
+func fairnessRecovery(run runner.TestbedResult, joinAt time.Duration) (jain []float64, recovery time.Duration, mean float64) {
+	series := stats.JainOverTime(run.Bins, true)
+	joinBin := int(joinAt / time.Second)
+	recovery = NeverReached
+	for i := joinBin; i < len(series); i++ {
+		jain = append(jain, series[i])
+		if recovery == NeverReached && i > joinBin && series[i] >= 0.95 {
+			recovery = time.Duration(i-joinBin) * time.Second
+		}
+	}
+	return jain, recovery, stats.Mean(jain)
 }
 
 // Render prints the recovery metrics and the first seconds of the
@@ -85,8 +88,8 @@ func (r Fig15Result) Render() string {
 		r.Config.RTT, r.Config.BufferBDP, r.JoinAt)
 	names := [2]string{"SUSS off", "SUSS on"}
 	for v := 0; v < 2; v++ {
-		fmt.Fprintf(&b, "  %-8s recovery(F≥0.95)=%-10v mean post-join F=%.3f\n",
-			names[v], r.RecoveryTime[v], r.MeanPostJoin[v])
+		fmt.Fprintf(&b, "  %-8s recovery(F≥0.95)=%-11s mean post-join F=%.3f\n",
+			names[v], fmtReached(r.RecoveryTime[v]), r.MeanPostJoin[v])
 	}
 	n := len(r.Jain[0])
 	if n > 10 {

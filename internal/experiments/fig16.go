@@ -31,33 +31,48 @@ type Fig16Result struct {
 // bytes plus twelve 2 MB flows at 2-second intervals, small flows
 // rotating over the remaining four pairs with spread minRTTs.
 func RunFig16(largeAlgo, smallAlgo Algo, rtt time.Duration, bufferBDP float64, largeSize int64) Fig16Result {
-	perPair := []time.Duration{rtt, 30 * time.Millisecond, 60 * time.Millisecond, 120 * time.Millisecond, 180 * time.Millisecond}
-	tb := scenarios.DefaultTestbed(rtt, bufferBDP)
-	tb.PerPairRTT = perPair
+	c := fig16Cell{largeAlgo, smallAlgo, rtt, bufferBDP, largeSize}
+	return c.result(runTestbeds(c.job())[0])
+}
 
-	specs := []TestbedFlow{{Pair: 0, Algo: largeAlgo, Size: largeSize, Start: 0}}
+// fig16Cell is one stability run's parameters.
+type fig16Cell struct {
+	largeAlgo, smallAlgo Algo
+	rtt                  time.Duration
+	bufferBDP            float64
+	largeSize            int64
+}
+
+// job is the cell's testbed run.
+func (c fig16Cell) job() runner.TestbedJob {
+	tb := scenarios.DefaultTestbed(c.rtt, c.bufferBDP)
+	tb.PerPairRTT = []time.Duration{c.rtt, 30 * time.Millisecond, 60 * time.Millisecond, 120 * time.Millisecond, 180 * time.Millisecond}
+	j := runner.TestbedJob{Testbed: tb, Flows: []runner.TestbedFlow{{Pair: 0, Algo: c.largeAlgo, Size: c.largeSize}}}
 	for i := 0; i < 12; i++ {
-		specs = append(specs, TestbedFlow{
+		j.Flows = append(j.Flows, runner.TestbedFlow{
 			Pair:  1 + i%4,
-			Algo:  smallAlgo,
+			Algo:  c.smallAlgo,
 			Size:  2 << 20,
 			Start: time.Duration(i+1) * 2 * time.Second,
 		})
 	}
 	// Horizon: long enough for the large flow at a contended 50 Mbps.
-	horizon := time.Duration(float64(float64(largeSize*8)/tb.BtlRate*3)+30) * time.Second
-	run := RunTestbed(tb, specs, horizon, time.Second)
+	j.Horizon = time.Duration(float64(float64(c.largeSize*8)/tb.BtlRate*3)+30) * time.Second
+	return j
+}
 
-	res := Fig16Result{LargeAlgo: largeAlgo, SmallAlgo: smallAlgo, RTT: rtt, BufferBDP: bufferBDP}
-	if !run.Flows[0].Done() {
-		panic("experiments: large flow did not complete; raise the horizon")
-	}
-	res.LargeFCT = run.Flows[0].FCT().Seconds()
-	for i := 1; i <= 12; i++ {
-		if !run.Flows[i].Done() {
-			panic(fmt.Sprintf("experiments: small flow %d did not complete", i))
+// result folds the cell's run; it panics if a flow did not complete.
+func (c fig16Cell) result(run runner.TestbedResult) Fig16Result {
+	res := Fig16Result{LargeAlgo: c.largeAlgo, SmallAlgo: c.smallAlgo, RTT: c.rtt, BufferBDP: c.bufferBDP}
+	for i, f := range run.Flows {
+		if !f.Completed {
+			panic(fmt.Sprintf("experiments: Fig. 16 flow %d did not complete; raise the horizon", i))
 		}
-		res.SmallFCTs = append(res.SmallFCTs, run.Flows[i].FCT().Seconds())
+		if i == 0 {
+			res.LargeFCT = f.FCT.Seconds()
+		} else {
+			res.SmallFCTs = append(res.SmallFCTs, f.FCT.Seconds())
+		}
 	}
 	for _, v := range run.Bins[0].Rate() {
 		res.LargeGoodput = append(res.LargeGoodput, v*8)
@@ -95,40 +110,30 @@ type Table1Result struct {
 // drops its config into Failed instead of aborting the table.
 func RunTable1(largeAlgo Algo, largeSize int64, opts ...Option) Table1Result {
 	cfg := newConfig(opts)
-	type t1cfg struct {
-		buf float64
-		rtt time.Duration
-	}
-	var cfgs []t1cfg
+	var cells []fig16Cell
 	for _, buf := range []float64{1, 2} {
 		for _, rttMs := range []int{25, 50, 100, 200} {
-			cfgs = append(cfgs, t1cfg{buf, time.Duration(rttMs) * time.Millisecond})
+			for _, small := range []Algo{Cubic, Suss} {
+				cells = append(cells, fig16Cell{largeAlgo, small, time.Duration(rttMs) * time.Millisecond, buf, largeSize})
+			}
 		}
 	}
-	type item struct {
-		t1cfg
-		smallAlgo Algo
-	}
-	var items []item
-	for _, c := range cfgs {
-		items = append(items, item{c, Cubic}, item{c, Suss})
-	}
-	outs := runner.Map(cfg.ctx, items, func(_ context.Context, _ int, it item) (Fig16Result, error) {
-		return RunFig16(largeAlgo, it.smallAlgo, it.rtt, it.buf, largeSize), nil
+	outs := runner.Map(cfg.ctx, cells, func(ctx context.Context, _ int, c fig16Cell) (Fig16Result, error) {
+		return c.result(runner.ScratchFrom(ctx).RunTestbed(c.job())), nil
 	}, cfg.pool())
 
 	res := Table1Result{LargeAlgo: largeAlgo}
-	for i, c := range cfgs {
-		off, on := outs[2*i], outs[2*i+1]
+	for i := 0; i < len(cells); i += 2 {
+		c, off, on := cells[i], outs[i], outs[i+1]
 		if err := off.Err; err != nil || on.Err != nil {
 			if err == nil {
 				err = on.Err
 			}
-			res.Failed = append(res.Failed, fmt.Sprintf("buffer=%.1fBDP minRTT=%v: %v", c.buf, c.rtt, err))
+			res.Failed = append(res.Failed, fmt.Sprintf("buffer=%.1fBDP minRTT=%v: %v", c.bufferBDP, c.rtt, err))
 			continue
 		}
 		row := Table1Row{
-			BufferBDP:   c.buf,
+			BufferBDP:   c.bufferBDP,
 			RTT:         c.rtt,
 			LargeFCTOff: off.Value.LargeFCT,
 			SmallFCTOff: stats.Mean(off.Value.SmallFCTs),

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 	"suss/internal/workload"
@@ -40,41 +41,31 @@ func RunWebMix(n int, arrivalRate float64, seed int64) WebMixResult {
 	}
 	arrivals := workload.Arrivals{Rate: arrivalRate}.Schedule(rng, n, 100*time.Millisecond)
 
+	tb := scenarios.DefaultTestbed(100*time.Millisecond, 1)
+	var jobs [2]runner.TestbedJob
+	for variant, algo := range []Algo{Cubic, Suss} {
+		jobs[variant] = runner.TestbedJob{Testbed: tb, Flows: make([]runner.TestbedFlow, n), Horizon: arrivals[n-1] + 10*time.Minute}
+		for i := range sizes {
+			jobs[variant].Flows[i] = runner.TestbedFlow{Pair: i % tb.Pairs, Algo: algo, Size: sizes[i], Start: arrivals[i]}
+		}
+	}
 	res := WebMixResult{Flows: n}
 	var fcts [2][]float64
-	for variant := 0; variant < 2; variant++ {
-		algo := Cubic
-		if variant == 1 {
-			algo = Suss
-		}
-		tb := scenarios.DefaultTestbed(100*time.Millisecond, 1)
-		specs := make([]TestbedFlow, n)
-		for i := range specs {
-			specs[i] = TestbedFlow{
-				Pair:  i % tb.Pairs,
-				Algo:  algo,
-				Size:  sizes[i],
-				Start: arrivals[i],
+	for variant, run := range runTestbeds(jobs[:]...) {
+		var small, large []float64
+		for i, f := range run.Flows {
+			if !f.Completed {
+				panic(fmt.Sprintf("experiments: web-mix flow %d did not complete", i))
 			}
-		}
-		horizon := arrivals[n-1] + 10*time.Minute
-		run := RunTestbed(tb, specs, horizon, time.Second)
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		fcts[variant] = run.FlowFCTsSeconds(idx)
-
-		var all, small, large []float64
-		for i, f := range fcts[variant] {
-			all = append(all, f)
+			fct := f.FCT.Seconds()
+			fcts[variant] = append(fcts[variant], fct)
 			if sizes[i] <= 1<<20 {
-				small = append(small, f)
+				small = append(small, fct)
 			} else {
-				large = append(large, f)
+				large = append(large, fct)
 			}
 		}
-		res.All[variant] = stats.Summarize(all)
+		res.All[variant] = stats.Summarize(fcts[variant])
 		res.Small[variant] = stats.Summarize(small)
 		res.Large[variant] = stats.Summarize(large)
 	}

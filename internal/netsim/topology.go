@@ -120,14 +120,15 @@ func (p *Path) Reset(spec PathSpec) {
 // bottleneck. Data flows server→client.
 type DumbbellSpec struct {
 	Pairs int
-	// Access configures every server→router and router→client edge
-	// link; it should be much faster than the bottleneck. AccessDelay
-	// may be overridden per pair with PairDelay to give flows
-	// different minRTTs.
+	// Access configures every access link, server and client side, in
+	// both directions; it should be much faster than the bottleneck.
+	// PairDelay may override it per pair to give flows different
+	// minRTTs.
 	Access LinkConfig
-	// PairDelay, when non-nil, returns the one-way access propagation
-	// delay for pair i (applied on the client-side access link in both
-	// directions). Nil means Access.Delay everywhere.
+	// PairDelay, when non-nil, returns pair i's access config in place
+	// of Access: it applies to all four of the pair's access links
+	// (server up and down, client up and down). Nil means Access
+	// everywhere.
 	PairDelay func(i int) LinkConfig
 	// Bottleneck configures the shared R1→R2 link (and its mirror).
 	Bottleneck LinkConfig
@@ -176,21 +177,15 @@ func NewDumbbell(sim *Simulator, spec DumbbellSpec) *Dumbbell {
 			acc.Name = fmt.Sprintf("access%d", i)
 		}
 
-		up := acc
-		up.Name = fmt.Sprintf("%s-srv-up", acc.Name)
-		f.Connect(srv, d.Left, up)
-
-		down := acc
-		down.Name = fmt.Sprintf("%s-cli-down", acc.Name)
-		f.Connect(d.Right, cli, down)
-
-		cup := acc
-		cup.Name = fmt.Sprintf("%s-cli-up", acc.Name)
-		f.Connect(cli, d.Right, cup)
-
-		sdown := acc
-		sdown.Name = fmt.Sprintf("%s-srv-down", acc.Name)
-		f.Connect(d.Left, srv, sdown)
+		// Server up, client down, client up, server down.
+		for _, e := range [4]struct {
+			from, to Node
+			dir      string
+		}{{srv, d.Left, "srv-up"}, {d.Right, cli, "cli-down"}, {cli, d.Right, "cli-up"}, {d.Left, srv, "srv-down"}} {
+			c := acc
+			c.Name = acc.Name + "-" + e.dir
+			f.Connect(e.from, e.to, c)
+		}
 	}
 	f.Compile()
 	return d

@@ -222,8 +222,9 @@ func DefaultTestbed(rtt time.Duration, bufferBDP float64) Testbed {
 	}
 }
 
-// Build wires the dumbbell. Per-pair RTTs (when set) are applied on
-// the client access links, as the paper does with netem.
+// Build wires the dumbbell. A per-pair RTT (when set) applies to all
+// four of the pair's access links, server and client side: each gets
+// half of what the bottleneck leaves of the RTT's one-way budget.
 func (tb Testbed) Build(sim *netsim.Simulator) *netsim.Dumbbell {
 	bdp := tb.BtlRate / 8 * tb.RTT.Seconds()
 	queue := int(tb.BufferBDP * bdp)
