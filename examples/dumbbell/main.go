@@ -43,5 +43,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-	_ = time.Second
 }

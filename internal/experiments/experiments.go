@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"suss/internal/core"
 	"suss/internal/runner"
 	"suss/internal/scenarios"
 )
@@ -41,12 +40,6 @@ const (
 	// Reno is classic AIMD (RFC 5681), the implicit baseline.
 	Reno = runner.Reno
 )
-
-// SussOptions lets ablation runs customize the SUSS configuration.
-type SussOptions = core.Options
-
-// DownloadResult captures one file download.
-type DownloadResult = runner.DownloadResult
 
 // Option configures how a sweep executes (worker count, cancellation,
 // progress reporting). The zero configuration runs on GOMAXPROCS

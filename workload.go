@@ -4,59 +4,7 @@ import (
 	"fmt"
 
 	"suss/internal/experiments"
-	"suss/internal/workload"
 )
-
-// The traffic-model vocabulary below is re-exported from
-// internal/workload verbatim: the internal package is the single
-// source of truth for flow-size distributions and arrival processes,
-// and the public API cannot drift from it.
-
-// SizeDist samples flow sizes in bytes.
-type SizeDist = workload.SizeDist
-
-// Lognormal is the classic heavy-tailed web-object size model.
-type Lognormal = workload.Lognormal
-
-// BoundedPareto models elephant tails: P(X > x) ∝ x^-Alpha on
-// [Min, Max].
-type BoundedPareto = workload.BoundedPareto
-
-// SizeMixture combines size distributions with weights.
-type SizeMixture = workload.Mixture
-
-// WebMixSizes returns the mice-and-elephants mixture the paper's
-// motivation describes (~85 % small web objects, ~15 % large
-// transfers with a Pareto tail).
-func WebMixSizes() SizeDist { return workload.WebMix() }
-
-// FlowClass buckets a population flow by application archetype
-// (web / RPC / video).
-type FlowClass = workload.Class
-
-// ClassMix is one component of a population: a class, its arrival
-// share, and its size distribution.
-type ClassMix = workload.ClassMix
-
-// DefaultClassMix returns the three-class population mix used by the
-// fleet experiment.
-func DefaultClassMix() []ClassMix { return workload.DefaultMix() }
-
-// ArrivalDist generates flow inter-arrival gaps.
-type ArrivalDist = workload.ArrivalDist
-
-// PoissonArrivals is the memoryless arrival process.
-type PoissonArrivals = workload.PoissonArrivals
-
-// LognormalArrivals models burstier-than-Poisson arrival clustering.
-type LognormalArrivals = workload.LognormalArrivals
-
-// PopulationSpec describes a fleet-scale flow population with
-// deterministic per-shard generation.
-type PopulationSpec = workload.PopulationSpec
-
-// FlowSpec is one generated flow of a shard's population.
-type FlowSpec = workload.FlowSpec
 
 // WorkloadStats summarizes per-flow completion times for one variant
 // of a workload run (seconds).
