@@ -71,7 +71,8 @@ race:
 # scheduler (internal/netsim), the wire codec, the simulator backend's
 # send/deliver path, and the transport in loss recovery (a
 # SACK-recovery ACK with 2048 losses on the scoreboard, a receiver
-# holding 4096 ranges), the cache key (one allocation per JobKey,
+# holding 4096 ranges), the cache keys (one allocation per JobKey, and
+# a fixed count per matrix for JobKeys at any length,
 # internal/service/confhash) and the fig11 cell record (no allocation
 # to parse one or to append one to a sized buffer, internal/service).
 # Six budget tests pin whole deterministic replays against a constant
@@ -111,12 +112,14 @@ interop:
 
 # Short fuzz passes over the strict segment decoder, the cache key
 # (every scalar of a Job, explicit renderer against the reflective
-# reference) and the strict fig11 cell-record parser (against
+# reference, alone and as a matrix's memoized keys) and the strict
+# fig11 cell-record parser (against
 # encoding/json): enough iterations to catch regressions in CI without
 # open-ended fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJobKeyMatchesOracle -fuzztime 30s ./internal/service/confhash
+	$(GO) test -run '^$$' -fuzz FuzzJobKeysMatchOracle -fuzztime 30s ./internal/service/confhash
 	$(GO) test -run '^$$' -fuzz FuzzJobCellRecord -fuzztime 30s ./internal/service
 
 # Population smoke under -race: a 10k-flow fleet over 4 shared
@@ -173,7 +176,7 @@ loc:
 # The ceiling on loc's total. locgate fails when the tree has more
 # non-test lines than this; a PR may raise it only with a CHANGES.md
 # line that gives the rise and the reason.
-LOC_CEILING = 17997
+LOC_CEILING = 18076
 
 locgate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

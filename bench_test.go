@@ -122,7 +122,7 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 // packet path, so the count is exact (30 uncached processes read one
 // number) and the gate is an equality. A change that legitimately moves
 // the count edits this one number.
-const fig11SerialSweepAllocs = 341
+const fig11SerialSweepAllocs = 273
 
 // fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
 // same 24 cells fire and the timing-wheel placements they cost, summed

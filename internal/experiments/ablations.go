@@ -40,7 +40,7 @@ func runSussVariants(cfg config, sc scenarios.Scenario, name string, names []str
 	}
 	out := runner.Run(cfg.ctx, jobs, cfg.pool())
 	for vi := range options {
-		b := summarizeBatch(out[vi*iters : (vi+1)*iters])
+		b := summarizeBatch(out[vi*iters:(vi+1)*iters], nil)
 		res.Incomplete += b.incomplete
 		peakQ := 0
 		var losses []float64
@@ -180,7 +180,7 @@ func RunSlowStartExitComparison(size int64, iters int, seed int64, opts ...Optio
 	}
 	out := runner.Run(cfg.ctx, jobs, cfg.pool())
 	for vi, algo := range algos {
-		b := summarizeBatch(out[vi*iters : (vi+1)*iters])
+		b := summarizeBatch(out[vi*iters:(vi+1)*iters], nil)
 		res.Incomplete += b.incomplete
 		res.Variants = append(res.Variants, algo.String())
 		res.FCT = append(res.FCT, stats.Mean(b.fcts))
@@ -234,7 +234,7 @@ func RunFutureWorkBBRSuss(sizes []int64, iters int, seed int64, opts ...Option) 
 	for range sizes {
 		var means []float64
 		for range algos {
-			b := summarizeBatch(out[k : k+iters])
+			b := summarizeBatch(out[k:k+iters], nil)
 			k += iters
 			res.Incomplete += b.incomplete
 			means = append(means, stats.Mean(b.fcts))

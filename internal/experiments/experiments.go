@@ -13,9 +13,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"suss/internal/runner"
 	"suss/internal/scenarios"
+	"suss/internal/stats"
 )
 
 // Algo selects a congestion-control algorithm for a flow. It is the
@@ -98,8 +100,8 @@ type batch struct {
 	firstErr   error
 }
 
-func summarizeBatch(res []runner.Result) batch {
-	b := batch{fcts: make([]float64, 0, len(res))}
+func summarizeBatch(res []runner.Result, buf []float64) batch {
+	b := batch{fcts: slices.Grow(buf[:0], len(res))}
 	var loss float64
 	for _, r := range res {
 		if r.Err != nil {
@@ -118,6 +120,33 @@ func summarizeBatch(res []runner.Result) batch {
 	return b
 }
 
+// foldSizes summarizes results laid out sizes × algos × iters: per
+// size and algo the FCT summary and mean loss, per size SUSS's
+// improvement over CUBIC; it adds the failed runs to incomplete. The
+// grid is allocated in blocks and the groups share one FCT buffer.
+func foldSizes(out []runner.Result, sizes int, algos []Algo, iters int, incomplete *int) (fct [][]stats.Summary, loss [][]float64, imp []float64) {
+	na := len(algos)
+	fct, loss, imp = make([][]stats.Summary, sizes), make([][]float64, sizes), make([]float64, sizes)
+	sums, losses, buf := make([]stats.Summary, sizes*na), make([]float64, sizes*na), make([]float64, 0, iters)
+	for si := range fct {
+		fct[si], loss[si] = sums[si*na:][:na:na], losses[si*na:][:na:na]
+		var cubicMean, sussMean float64
+		for ai, algo := range algos {
+			b := summarizeBatch(out[(si*na+ai)*iters:][:iters], buf)
+			*incomplete += b.incomplete
+			fct[si][ai], loss[si][ai] = stats.Summarize(b.fcts), b.meanLoss
+			switch algo {
+			case Cubic:
+				cubicMean = fct[si][ai].Mean
+			case Suss:
+				sussMean = fct[si][ai].Mean
+			}
+		}
+		imp[si] = Improvement(cubicMean, sussMean)
+	}
+	return fct, loss, imp
+}
+
 // FCTs runs iters downloads as one job batch and returns completion
 // times in seconds plus the mean loss rate. A non-completing flow is a
 // bug in the stack, not a data point: it is dropped from fcts and
@@ -128,7 +157,7 @@ func FCTs(sc scenarios.Scenario, algo Algo, size int64, iters int, opts ...Optio
 	for i := range jobs {
 		jobs[i] = runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: i}
 	}
-	b := summarizeBatch(runner.Run(cfg.ctx, jobs, cfg.pool()))
+	b := summarizeBatch(runner.Run(cfg.ctx, jobs, cfg.pool()), nil)
 	if b.incomplete > 0 {
 		err = fmt.Errorf("experiments: %d/%d downloads failed: %w", b.incomplete, iters, b.firstErr)
 	}

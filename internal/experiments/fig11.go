@@ -93,39 +93,16 @@ func Fig11FromResults(server scenarios.Server, sizes []int64, iters int, out []r
 		res.Ledgers = make([]obs.LossLedger, len(res.Links))
 	}
 
-	k := 0
+	per := len(sizes) * len(res.Algos) * iters
+	res.FCT, res.Improvement = make([][][]stats.Summary, len(res.Links)), make([][]float64, len(res.Links))
 	for li := range res.Links {
-		var bySize [][]stats.Summary
-		var imp []float64
-		for range sizes {
-			var byAlgo []stats.Summary
-			var cubicMean, sussMean float64
-			for _, algo := range res.Algos {
-				batch := out[k : k+iters]
-				if lossAcct {
-					for _, r := range batch {
-						if r.Ledger != nil {
-							res.Ledgers[li].Add(*r.Ledger)
-						}
-					}
-				}
-				b := summarizeBatch(batch)
-				k += iters
-				res.Incomplete += b.incomplete
-				s := stats.Summarize(b.fcts)
-				byAlgo = append(byAlgo, s)
-				switch algo {
-				case Cubic:
-					cubicMean = s.Mean
-				case Suss:
-					sussMean = s.Mean
-				}
+		link := out[li*per:][:per]
+		res.FCT[li], _, res.Improvement[li] = foldSizes(link, len(sizes), res.Algos, iters, &res.Incomplete)
+		for _, r := range link {
+			if lossAcct && r.Ledger != nil {
+				res.Ledgers[li].Add(*r.Ledger)
 			}
-			bySize = append(bySize, byAlgo)
-			imp = append(imp, Improvement(cubicMean, sussMean))
 		}
-		res.FCT = append(res.FCT, bySize)
-		res.Improvement = append(res.Improvement, imp)
 	}
 	return res
 }

@@ -58,29 +58,7 @@ func buildCell(sc scenarios.Scenario, sizes []int64, iters int, out []runner.Res
 		Sizes:    sizes,
 		Algos:    matrixAlgos,
 	}
-	k := 0
-	for range sizes {
-		var fcts []stats.Summary
-		var losses []float64
-		var cubicMean, sussMean float64
-		for _, algo := range cell.Algos {
-			b := summarizeBatch(out[k : k+iters])
-			k += iters
-			cell.Incomplete += b.incomplete
-			s := stats.Summarize(b.fcts)
-			fcts = append(fcts, s)
-			losses = append(losses, b.meanLoss)
-			switch algo {
-			case Cubic:
-				cubicMean = s.Mean
-			case Suss:
-				sussMean = s.Mean
-			}
-		}
-		cell.FCT = append(cell.FCT, fcts)
-		cell.Loss = append(cell.Loss, losses)
-		cell.Improvement = append(cell.Improvement, Improvement(cubicMean, sussMean))
-	}
+	cell.FCT, cell.Loss, cell.Improvement = foldSizes(out, len(sizes), cell.Algos, iters, &cell.Incomplete)
 	return cell
 }
 

@@ -357,21 +357,31 @@ func (s *recordScanner) token() []byte {
 	return t
 }
 
-// maxNumLen bounds a canonical number's text (the longest, a negative
+// maxNumLen bounds a canonical float's text (the longest, a negative
 // subnormal in 'e' form, is 24 bytes), so the string conversions below
 // stay on the stack.
 const maxNumLen = 32
 
+// int scans strconv.AppendInt's spelling of an int64: '-' or not, then
+// 0 alone or up to 19 digits without a leading zero, in range.
 func (s *recordScanner) int() int64 {
 	t := s.token()
-	if len(t) > maxNumLen {
-		s.bad = true
-		return 0
+	neg := len(t) > 1 && t[0] == '-'
+	if neg {
+		t = t[1:]
 	}
-	v, err := strconv.ParseInt(string(t), 10, 64)
-	var buf [maxNumLen]byte
-	s.check(err == nil && string(strconv.AppendInt(buf[:0], v, 10)) == string(t))
-	return v
+	ok := len(t) > 0 && len(t) <= 19 && (t[0] != '0' || len(t) == 1 && !neg)
+	var u uint64 // 19 digits cannot overflow it
+	for _, c := range t {
+		ok = ok && '0' <= c && c <= '9'
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		s.check(ok && u <= 1<<63)
+		return -int64(u)
+	}
+	s.check(ok && u <= math.MaxInt64)
+	return int64(u)
 }
 
 func (s *recordScanner) float() float64 {
@@ -462,10 +472,10 @@ type plan[R any] struct {
 	fold func(results []R, csv io.Writer) error
 }
 
-// planner validates a submission of one kind and returns its cell keys
-// and its executor. Adding a kind is one planFoo returning a plan and
-// one row in kinds.
-type planner func(s *Server, req SubmitRequest, seed int64) (keys []string, run func(*batch), err error)
+// planner validates a submission of one kind and returns its cell keys,
+// the cells the cache cannot serve, and its executor. Adding a kind is
+// one planFoo returning a plan and one row in kinds.
+type planner func(s *Server, req SubmitRequest, seed int64) (keys []string, miss []int, run func(*batch), err error)
 
 var kinds = map[string]planner{
 	"fig11": kindOf(planFig11),
@@ -473,39 +483,49 @@ var kinds = map[string]planner{
 }
 
 // kindOf erases a typed planner's cell type by binding it to execute.
+// It probes and decodes each cell once, at submit: a cell is a miss if
+// the cache has no record for it or one that does not decode.
 func kindOf[R any](p func(*Server, SubmitRequest, int64) (plan[R], error)) planner {
-	return func(s *Server, req SubmitRequest, seed int64) ([]string, func(*batch), error) {
+	return func(s *Server, req SubmitRequest, seed int64) ([]string, []int, func(*batch), error) {
 		pl, err := p(s, req, seed)
-		return pl.keys, func(b *batch) { execute(s, b, pl) }, err
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		results := make([]R, len(pl.keys))
+		var miss []int
+		for i, key := range pl.keys {
+			raw, ok := s.cache.Get(key)
+			if ok {
+				results[i], err = pl.decode(i, raw)
+			}
+			if !ok || err != nil {
+				miss = append(miss, i)
+			}
+		}
+		return pl.keys, miss, func(b *batch) { execute(s, b, pl, results, miss) }, nil
 	}
 }
 
-// execute runs a batch of any kind: serve every warm cell from the
-// cache, simulate the misses on the worker pool, cache what the misses
+// execute runs a batch of any kind: serve the warm cells from results,
+// simulate the misses on the worker pool, cache what the misses
 // produced, and fold. Cancellation stops new cells at the pool
 // boundary; whatever finished before the cancel stays cached for the
 // next submission.
-func execute[R any](s *Server, b *batch, p plan[R]) {
+func execute[R any](s *Server, b *batch, p plan[R], results []R, miss []int) {
 	defer func() {
 		if r := recover(); r != nil {
 			b.finish(nil, fmt.Errorf("%s executor panicked: %v", b.kind, r))
 		}
 	}()
-	results := make([]R, len(p.keys))
-	var miss []int
-	for i, key := range p.keys {
-		if raw, ok := s.cache.Get(key); ok {
-			if res, err := p.decode(i, raw); err == nil {
-				results[i] = res
-				s.cache.count(true)
-				b.setCell(i, CellCached, "")
-				continue
-			}
+	for i, m := 0, 0; i < len(p.keys); i++ {
+		if m < len(miss) && miss[m] == i {
+			m++
+		} else {
+			b.setCell(i, CellCached, "")
 		}
-		// Absent, or a record that does not decode: simulate and re-cache.
-		s.cache.count(false)
-		miss = append(miss, i)
 	}
+	s.cache.hits.Add(int64(len(p.keys) - len(miss)))
+	s.cache.misses.Add(int64(len(miss)))
 	outs := runner.Map(b.ctx, miss, func(ctx context.Context, _ int, i int) (R, error) {
 		s.dequeueCell(b)
 		b.setCell(i, CellRunning, "")

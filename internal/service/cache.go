@@ -47,22 +47,12 @@ func NewPersistentCache(path string) (*Cache, RecoveryInfo, error) {
 
 // Get returns the entry for key. It counts nothing: whether a present
 // record serves the cell is up to its decoder, so the executor counts
-// the cell once it knows (count).
+// hits and misses once it runs.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	v, ok := c.entries[key]
 	c.mu.Unlock()
 	return v, ok
-}
-
-// count records one cell as served from cache (hit) or simulated
-// (miss). Executors call it exactly once per cell, after decoding.
-func (c *Cache) count(hit bool) {
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 }
 
 // Put stores an entry and, when the cache is persistent, appends it to

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -196,6 +197,41 @@ func TestJobCellParseRefusesNonCanonical(t *testing.T) {
 	}
 }
 
+// canonicalInts are integer tokens strconv.AppendInt writes, the int64
+// extremes among them; nonCanonicalInts are tokens it never writes.
+var (
+	canonicalInts    = []string{"0", "7", "-7", "1000", "9223372036854775807", "-9223372036854775808"}
+	nonCanonicalInts = []string{"-0", "007", "-07", "+5", "1e3", "5.0", " 5", "-", "--5", "9223372036854775808",
+		"-9223372036854775809", "18446744073709551616", "12345678901234567890", ""}
+)
+
+// TestRecordIntEdgeCases: the record scanner reads every canonical
+// integer back as its value and refuses every other token, in a cell
+// record as errNotCanonical.
+func TestRecordIntEdgeCases(t *testing.T) {
+	for _, tok := range canonicalInts {
+		s := recordScanner{rest: []byte(tok)}
+		if v := s.int(); s.bad || strconv.FormatInt(v, 10) != tok {
+			t.Errorf("int(%q) = %d, bad %v", tok, v, s.bad)
+		}
+		rec := `{"fct":` + tok + `,"completed":true}`
+		if r, err := parseJobCell(runner.Job{}, []byte(rec)); err != nil || strconv.FormatInt(int64(r.FCT), 10) != tok {
+			t.Errorf("%s: fct %d, err %v", rec, r.FCT, err)
+		}
+	}
+	for _, tok := range nonCanonicalInts {
+		s := recordScanner{rest: []byte(tok)}
+		if v := s.int(); !s.bad {
+			t.Errorf("int(%q) accepted as %d", tok, v)
+		}
+		for _, rec := range []string{`{"fct":` + tok + `,"completed":true}`, `{"fct":1,"delivered":` + tok + `,"completed":true}`} {
+			if r, err := parseJobCell(runner.Job{}, []byte(rec)); !errors.Is(err, errNotCanonical) {
+				t.Errorf("%s: parsed as %+v, err %v; want errNotCanonical", rec, r.DownloadResult, err)
+			}
+		}
+	}
+}
+
 // FuzzJobCellRecord: whatever parseJobCell accepts, encoding/json reads
 // as the same cell and appendJobCell writes back byte for byte; and
 // every record that is a fixed point of encoding/json is accepted.
@@ -207,6 +243,10 @@ func FuzzJobCellRecord(f *testing.F) {
 	}
 	for _, rec := range nonCanonical {
 		f.Add([]byte(rec))
+	}
+	for _, tok := range append(append([]string(nil), canonicalInts...), nonCanonicalInts...) {
+		f.Add([]byte(`{"fct":` + tok + `,"completed":true}`))
+		f.Add([]byte(`{"fct":1,"delivered":` + tok + `,"completed":true}`))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		got, err := parseJobCell(runner.Job{}, raw)
@@ -274,6 +314,9 @@ func TestUndecodableRecordIsAMiss(t *testing.T) {
 	n := int64(sub.Cells)
 	if st := cl.stats(); st.CacheHits != n-1 || st.CacheMisses != 1 || st.CellRuns != 1 {
 		t.Errorf("stats %d hits, %d misses, %d cell runs; want %d, 1, 1", st.CacheHits, st.CacheMisses, st.CellRuns, n-1)
+	}
+	if sub.Cached != sub.Cells-1 {
+		t.Errorf("submit reported %d of %d cells cached; the undecodable one is a miss", sub.Cached, sub.Cells)
 	}
 	if st := cl.status(sub.ID); st.Cached != sub.Cells-1 || st.Done != 1 {
 		t.Errorf("batch %d cached, %d done; want %d, 1", st.Cached, st.Done, sub.Cells-1)

@@ -19,11 +19,14 @@
 package confhash
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"time"
 
 	"suss/internal/core"
@@ -42,7 +45,32 @@ func JobKey(j runner.Job) (string, error) {
 		return "", err
 	}
 	var buf [1024]byte
-	return key("job:", appendJob(buf[:0], n)), nil
+	var k [keyLen]byte
+	return string(appendKey(k[:0], "job:", appendJob(buf[:0], n))), nil
+}
+
+// JobKeys returns JobKey of every job, or the first refusal. A matrix
+// repeats a few scenarios and run tails, so JobKeys renders each once
+// and splices its text into every cell's; a cell then costs one hash.
+// The keys are slices of one string.
+func JobKeys(jobs []runner.Job) ([]string, error) {
+	text := jobText{&memo[scenarioKey]{}, &memo[runTail]{}}
+	var all strings.Builder
+	all.Grow(len(jobs) * keyLen)
+	var buf [1024]byte
+	for _, j := range jobs {
+		n, err := normalizeJob(j)
+		if err != nil {
+			return nil, err
+		}
+		var k [keyLen]byte
+		all.Write(appendKey(k[:0], "job:", text.append(buf[:0], n)))
+	}
+	s, keys := all.String(), make([]string, len(jobs))
+	for i := range keys {
+		keys[i] = s[i*keyLen:][:keyLen]
+	}
+	return keys, nil
 }
 
 // FleetKey returns the cache key of one fleet shard job.
@@ -56,14 +84,15 @@ func FleetKey(j runner.FleetJob) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return key("fleet:", b), nil
+	var k [len("fleet:") + 2*sha256.Size]byte
+	return string(appendKey(k[:0], "fleet:", b)), nil
 }
 
-func key(prefix string, canonical []byte) string {
+const keyLen = len("job:") + 2*sha256.Size // a job key's length
+
+func appendKey(b []byte, prefix string, canonical []byte) []byte {
 	sum := sha256.Sum256(canonical)
-	var k [len("fleet:") + 2*sha256.Size]byte
-	n := copy(k[:], prefix)
-	return string(k[:n+hex.Encode(k[n:], sum[:])])
+	return hex.AppendEncode(append(b, prefix...), sum[:])
 }
 
 // The defaults normalization fills in: shared and only ever read, so
@@ -145,16 +174,70 @@ func appendBool(b []byte, name string, v bool) []byte {
 }
 
 // appendJob renders a download job whose Impair is nil.
-func appendJob(b []byte, j runner.Job) []byte {
+func appendJob(b []byte, j runner.Job) []byte { return jobText{}.append(b, j) }
+
+// jobText renders download jobs; with memos (JobKeys) it copies the
+// text of a scenario or run tail it rendered before.
+type jobText struct {
+	scens *memo[scenarioKey]
+	tails *memo[runTail]
+}
+
+func (t jobText) append(b []byte, j runner.Job) []byte {
 	b = appendInt(b, "{Algo:", int64(j.Algo))
 	b = strconv.AppendQuote(append(b, ",Backend:"...), j.Backend)
 	b = appendInt(b, ",Domains:", int64(j.Domains))
 	b = appendInt(b, ",Horizon:", int64(j.Horizon))
 	b = appendInt(b, ",Impair:null,Iter:", int64(j.Iter))
 	b = appendBool(b, ",Observe:", j.Observe)
-	b = appendScenario(append(b, ",Scenario:"...), j.Scenario)
+	sc, ok := keyScenario(j.Scenario), false
+	if b, ok = t.scens.get(append(b, ",Scenario:"...), sc); !ok {
+		b = t.scens.put(sc, len(b), appendScenario(b, j.Scenario))
+	}
 	b = appendInt(b, ",Size:", j.Size)
-	return appendRunTail(b, j.SussOpt, j.Transport, j.WallLimit)
+	tail := runTail{j.SussOpt, j.Transport, j.WallLimit}
+	if b, ok = t.tails.get(b, tail); !ok {
+		b = t.tails.put(tail, len(b), appendRunTail(b, tail))
+	}
+	return b
+}
+
+// scenarioKey is a scenario with its floats' bits: == on scenarios
+// alone would take -0 for 0, which renders differently.
+type scenarioKey struct {
+	s    scenarios.Scenario
+	bits [5]uint64
+}
+
+func keyScenario(s scenarios.Scenario) scenarioKey {
+	h, bits := s.LastHop, math.Float64bits
+	return scenarioKey{s, [...]uint64{bits(s.CoreRate), bits(h.BufferBDPs), bits(h.Loss), bits(h.MeanRate), bits(h.RelStdDev)}}
+}
+
+// memo holds the first few distinct keys' texts; a nil memo holds none.
+type memo[K comparable] struct {
+	n     int
+	keys  [8]K
+	texts [8][]byte
+}
+
+// get appends k's text to b if the memo holds it.
+func (m *memo[K]) get(b []byte, k K) ([]byte, bool) {
+	for i := 0; m != nil && i < m.n; i++ {
+		if m.keys[i] == k {
+			return append(b, m.texts[i]...), true
+		}
+	}
+	return b, false
+}
+
+// put remembers b[from:] as k's text, if there is room, and returns b.
+func (m *memo[K]) put(k K, from int, b []byte) []byte {
+	if m != nil && m.n < len(m.keys) {
+		m.keys[m.n], m.texts[m.n] = k, bytes.Clone(b[from:])
+		m.n++
+	}
+	return b
 }
 
 // appendFleetJob renders a fleet shard job whose Impair is nil.
@@ -167,22 +250,29 @@ func appendFleetJob(b []byte, j runner.FleetJob) ([]byte, error) {
 	b, err := appendPopulation(append(b, ",Pop:"...), j.Pop)
 	b = appendInt(b, ",Shard:", int64(j.Shard))
 	b = appendInt(b, ",Shards:", int64(j.Shards))
-	return appendRunTail(b, j.SussOpt, j.Transport, j.WallLimit), err
+	return appendRunTail(b, runTail{j.SussOpt, j.Transport, j.WallLimit}), err
 }
 
-// appendRunTail writes the fields both job types end on.
-func appendRunTail(b []byte, opt *core.Options, cfg *tcp.Config, wallLimit time.Duration) []byte {
-	if b = append(b, ",SussOpt:"...); opt == nil {
+// runTail is the fields both job types end on. As a memo key it
+// compares pointers: equal options behind two pointers render twice.
+type runTail struct {
+	opt  *core.Options
+	cfg  *tcp.Config
+	wall time.Duration
+}
+
+func appendRunTail(b []byte, t runTail) []byte {
+	if b = append(b, ",SussOpt:"...); t.opt == nil {
 		b = append(b, "null"...)
 	} else {
-		b = appendSussOptions(b, *opt)
+		b = appendSussOptions(b, *t.opt)
 	}
-	if b = append(b, ",Transport:"...); cfg == nil {
+	if b = append(b, ",Transport:"...); t.cfg == nil {
 		b = append(b, "null"...)
 	} else {
-		b = appendTransport(b, *cfg)
+		b = appendTransport(b, *t.cfg)
 	}
-	return append(appendInt(b, ",WallLimit:", int64(wallLimit)), '}')
+	return append(appendInt(b, ",WallLimit:", int64(t.wall)), '}')
 }
 
 func appendScenario(b []byte, s scenarios.Scenario) []byte {

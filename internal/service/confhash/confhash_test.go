@@ -712,3 +712,151 @@ func BenchmarkFleetKey(b *testing.B) {
 		}
 	}
 }
+
+// scalarLeaves returns every settable int, float and bool reachable
+// from v through exported fields and non-nil pointers.
+func scalarLeaves(v reflect.Value) (out []reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				out = append(out, scalarLeaves(v.Field(i))...)
+			}
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = scalarLeaves(v.Elem())
+		}
+	case reflect.Int, reflect.Int64, reflect.Float64, reflect.Bool:
+		out = append(out, v)
+	}
+	return out
+}
+
+// floatEdgeJobs returns a SUSS job once per float reachable from its
+// scenario, SUSS (and so CUBIC) options and transport, with that float
+// set in turn to 0, -0 and two NaNs that differ in their bits: values
+// that == takes for equal (±0) or never equal (NaN), where a memo of
+// rendered text must still give each its own text.
+func floatEdgeJobs() []runner.Job {
+	var jobs []runner.Job
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001)}
+	for k := 0; ; k++ {
+		for _, x := range specials {
+			j := baseJob()
+			opt, cfg := core.DefaultOptions(), tcp.DefaultConfig()
+			j.SussOpt, j.Transport = &opt, &cfg
+			var floats []reflect.Value
+			for _, v := range scalarLeaves(reflect.ValueOf(&j).Elem()) {
+				if v.Kind() == reflect.Float64 {
+					floats = append(floats, v)
+				}
+			}
+			if k == len(floats) {
+				return jobs
+			}
+			floats[k].SetFloat(x)
+			jobs = append(jobs, j)
+		}
+	}
+}
+
+// TestJobKeysMatchJobKey holds the memoized matrix keying to JobKey and
+// the reference renderer: over the corpus in order, and shuffled and
+// repeated with the float edge variants mixed in, so the
+// memos are hit, missed and overflowed.
+func TestJobKeysMatchJobKey(t *testing.T) {
+	corpus := corpusJobs()
+	mixed := append(append(append([]runner.Job(nil), corpus...), corpus...), floatEdgeJobs()...)
+	rand.New(rand.NewSource(1)).Shuffle(len(mixed), func(a, b int) { mixed[a], mixed[b] = mixed[b], mixed[a] })
+	for _, jobs := range [][]runner.Job{corpus, mixed, floatEdgeJobs()} {
+		keys, err := JobKeys(jobs)
+		if err != nil || len(keys) != len(jobs) {
+			t.Fatalf("JobKeys: %d keys for %d jobs, err %v", len(keys), len(jobs), err)
+		}
+		for i, j := range jobs {
+			n, _ := normalizeJob(j)
+			if want := mustJobKey(t, j); keys[i] != want || keys[i] != oracleKey(t, "job:", n) {
+				t.Fatalf("job %d: JobKeys %s, JobKey %s, reference %s", i, keys[i], want, oracleKey(t, "job:", n))
+			}
+		}
+	}
+	bad := baseJob()
+	bad.Backend = "pipe"
+	if keys, err := JobKeys([]runner.Job{baseJob(), bad}); err == nil {
+		t.Errorf("JobKeys keyed a pipe-backend job: %v", keys)
+	}
+}
+
+// FuzzJobKeysMatchOracle keys two jobs with JobKeys: one filled from
+// the fuzzer's words, and a copy of it with one scalar changed, so a
+// memo that conflates two values shows as a wrong second key.
+func FuzzJobKeysMatchOracle(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), math.NaN(), 0.1} {
+		f.Add(binary.LittleEndian.AppendUint64([]byte{1, 0, 0, 0, 0, 0, 0, 0}, math.Float64bits(x)))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var jobs [2]runner.Job
+		for i := range jobs { // the same words: equal jobs, pointers apart
+			fill(t, reflect.ValueOf(&jobs[i]).Elem(), &words{raw: raw}, "sim")
+		}
+		w := words{raw: raw, at: len(raw) / 2}
+		leaves := scalarLeaves(reflect.ValueOf(&jobs[1]).Elem())
+		switch v, x := leaves[w.next()%uint64(len(leaves))], w.next(); v.Kind() {
+		case reflect.Float64:
+			v.SetFloat(math.Float64frombits(x))
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			v.SetInt(int64(x))
+		}
+		keys, err := JobKeys(jobs[:])
+		for i, j := range jobs {
+			n, nerr := normalizeJob(j)
+			switch {
+			case nerr != nil:
+				if err == nil {
+					t.Fatalf("JobKeys keyed job %d, which normalization refuses: %v", i, nerr)
+				}
+			case err == nil && keys[i] != oracleKey(t, "job:", n):
+				t.Fatalf("job %d: JobKeys %s, reference %s", i, keys[i], oracleKey(t, "job:", n))
+			}
+		}
+	})
+}
+
+// Keying a matrix takes a fixed number of allocations however many
+// cells it has: the keys' string and slice, and the memos' text.
+func TestJobKeysAllocs(t *testing.T) {
+	counts := map[int]float64{}
+	for _, iters := range []int{1, 3, 9} {
+		jobs := experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, iters, 1)
+		for i := range jobs {
+			jobs[i].WallLimit = time.Minute // as the daemon's are
+		}
+		counts[len(jobs)] = testing.AllocsPerRun(20, func() {
+			if _, err := JobKeys(jobs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocations keying a fig11 matrix, by cells: %v", counts)
+	for cells, n := range counts {
+		if n != jobKeysAllocs {
+			t.Errorf("JobKeys made %.0f allocations keying %d cells, want %d at every length", n, cells, jobKeysAllocs)
+		}
+	}
+}
+
+// jobKeysAllocs is JobKeys' exact allocation count on a fig11 matrix.
+const jobKeysAllocs = 8
+
+func BenchmarkJobKeys(b *testing.B) {
+	jobs := experiments.Fig11Jobs(scenarios.GoogleTokyo, experiments.DefaultSizes, 3, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := JobKeys(jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

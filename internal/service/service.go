@@ -326,22 +326,16 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if !ok {
 		return SubmitResponse{}, fmt.Errorf("unknown kind %q (want fig11 or fleet)", req.Kind)
 	}
-	keys, run, err := plan(s, req, seed)
+	keys, miss, run, err := plan(s, req, seed)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
 
-	cached := 0
-	for _, k := range keys {
-		if _, ok := s.cache.Get(k); ok {
-			cached++
-		}
-	}
 	// Admission control: bound the backlog of cells that are admitted
 	// but not yet simulating. A batch landing on an idle queue is
 	// always admitted (otherwise a single batch bigger than the cap
 	// could never run); past that, the cap holds within one batch.
-	est := int64(len(keys) - cached)
+	est := int64(len(miss))
 	if cap := s.cfg.maxQueued(); cap > 0 {
 		if q := s.queued.Load(); q > 0 && q+est > cap {
 			return SubmitResponse{}, &OverloadError{Queued: q, Limit: cap, RetryAfter: retryAfter(q)}
@@ -360,7 +354,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 
 	s.running.Add(1)
 	go s.runBatch(b, run)
-	return SubmitResponse{ID: id, Kind: req.Kind, Cells: len(keys), Cached: cached}, nil
+	return SubmitResponse{ID: id, Kind: req.Kind, Cells: len(keys), Cached: len(keys) - len(miss)}, nil
 }
 
 // runBatch wraps a batch executor with the lifecycle bookkeeping every
@@ -471,12 +465,11 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 		return p, err
 	}
 	jobs := experiments.Fig11Jobs(srv, sizes, iters, seed)
-	p.keys = make([]string, len(jobs))
 	for i := range jobs {
 		jobs[i].WallLimit = s.cfg.WallLimit
-		if p.keys[i], err = confhash.JobKey(jobs[i]); err != nil {
-			return p, err
-		}
+	}
+	if p.keys, err = confhash.JobKeys(jobs); err != nil {
+		return p, err
 	}
 	p.run = func(ctx context.Context, i int) (runner.Result, bool, error) {
 		res, cacheable := jobCell(jobs[i], runner.ScratchFrom(ctx).Download(jobs[i]))

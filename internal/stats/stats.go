@@ -6,6 +6,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -103,14 +104,15 @@ type Summary struct {
 	Max    float64
 }
 
-// Summarize computes a Summary. The input is copied and sorted once;
-// both percentiles (and min/max) read the shared sorted slice.
+// Summarize computes a Summary. The input is copied (on the stack when
+// small) and sorted once; percentiles and min/max read the copy.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	var small [16]float64
+	sorted := append(small[:0], xs...)
+	slices.Sort(sorted)
 	return Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
