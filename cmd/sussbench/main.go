@@ -45,71 +45,81 @@ func main() {
 	// run does the actual work; main only translates its code into
 	// os.Exit after the profile defers inside run have flushed (an
 	// os.Exit inline would truncate the pprof files).
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	only := flag.String("only", "", "run a single experiment id (empty = all)")
-	iters := flag.Int("iters", 5, "iterations per stochastic data point")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	outDir := flag.String("out", "", "also write CSV data files to this directory (fig11, matrix)")
-	parallel := flag.Int("parallel", 0, "worker pool size for sweep experiments (0 = GOMAXPROCS)")
-	noProgress := flag.Bool("no-progress", false, "suppress the stderr progress line")
-	counters := flag.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
-	flag.Parse()
+// run parses args and runs the selected experiments, printing rows to
+// stdout and progress, profiles and errors to stderr. It returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sussbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run a single experiment id (empty = all)")
+	iters := fs.Int("iters", 5, "iterations per stochastic data point")
+	seed := fs.Int64("seed", 1, "base RNG seed")
+	quick := fs.Bool("quick", false, "smaller sweeps for a fast pass")
+	outDir := fs.String("out", "", "also write CSV data files to this directory (fig11, matrix)")
+	parallel := fs.Int("parallel", 0, "worker pool size for sweep experiments (0 = GOMAXPROCS)")
+	noProgress := fs.Bool("no-progress", false, "suppress the stderr progress line")
+	counters := fs.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
+	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cannot create -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cannot create -cpuprofile: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cannot start CPU profile: %v\n", err)
+			fmt.Fprintf(stderr, "cannot start CPU profile: %v\n", err)
 			f.Close()
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", *cpuProfile)
+			fmt.Fprintf(stderr, "wrote CPU profile to %s\n", *cpuProfile)
 		}()
 	}
 	if *memProfile != "" {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cannot create -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "cannot create -memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live heap so the snapshot is meaningful
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "cannot write -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "cannot write -memprofile: %v\n", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "wrote allocation profile to %s\n", *memProfile)
+			fmt.Fprintf(stderr, "wrote allocation profile to %s\n", *memProfile)
 		}()
 	}
 	// Block and mutex profiling carry a runtime cost, so the rates are
 	// raised from their zero defaults only when a profile was requested.
 	if *blockProfile != "" {
 		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockProfile)
+		defer writeProfile(stderr, "block", *blockProfile)
 	}
 	if *mutexProfile != "" {
 		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexProfile)
+		defer writeProfile(stderr, "mutex", *mutexProfile)
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "cannot create -out dir: %v\n", err)
+			fmt.Fprintf(stderr, "cannot create -out dir: %v\n", err)
 			return 1
 		}
 	}
@@ -120,20 +130,21 @@ func run() int {
 		path := filepath.Join(*outDir, name)
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "csv %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "csv %s: %v\n", name, err)
 			return
 		}
 		defer f.Close()
 		if err := fn(f); err != nil {
-			fmt.Fprintf(os.Stderr, "csv %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "csv %s: %v\n", name, err)
 			return
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 
 	run := func(id string) bool {
 		return *only == "" || strings.EqualFold(*only, id)
 	}
+	emit := func(s string) { fmt.Fprintln(stdout, s) }
 	start := time.Now()
 	ran := 0
 	incomplete := 0
@@ -144,9 +155,9 @@ func run() int {
 		o := []experiments.Option{experiments.WithWorkers(*parallel)}
 		if !*noProgress {
 			o = append(o, experiments.WithProgress(func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r[%s] %d/%d jobs", id, done, total)
+				fmt.Fprintf(stderr, "\r[%s] %d/%d jobs", id, done, total)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			}))
 		}
@@ -159,7 +170,7 @@ func run() int {
 		ran++
 		t0 := time.Now()
 		fn()
-		fmt.Printf("[%s] finished in %v\n\n", id, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s] finished in %v\n\n", id, time.Since(t0).Round(time.Millisecond))
 	}
 
 	sizes := experiments.DefaultSizes
@@ -317,37 +328,33 @@ func run() int {
 	}
 
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+		fmt.Fprintf(stderr, "unknown experiment %q\n", *only)
 		return 2
 	}
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("completed in %v (wall clock, %d workers)\n", time.Since(start).Round(time.Millisecond), workers)
+	fmt.Fprintf(stdout, "completed in %v (wall clock, %d workers)\n", time.Since(start).Round(time.Millisecond), workers)
 	if incomplete > 0 {
-		fmt.Fprintf(os.Stderr, "ERROR: %d simulation(s) did not complete\n", incomplete)
+		fmt.Fprintf(stderr, "ERROR: %d simulation(s) did not complete\n", incomplete)
 		return 1
 	}
 	return 0
 }
 
-func emit(s string) {
-	fmt.Println(s)
-}
-
 // writeProfile dumps a named runtime profile ("block", "mutex") at
 // exit, mirroring the -memprofile flow.
-func writeProfile(name, path string) {
+func writeProfile(stderr io.Writer, name, path string) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cannot create -%sprofile: %v\n", name, err)
+		fmt.Fprintf(stderr, "cannot create -%sprofile: %v\n", name, err)
 		return
 	}
 	defer f.Close()
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "cannot write -%sprofile: %v\n", name, err)
+		fmt.Fprintf(stderr, "cannot write -%sprofile: %v\n", name, err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s profile to %s\n", name, path)
+	fmt.Fprintf(stderr, "wrote %s profile to %s\n", name, path)
 }
