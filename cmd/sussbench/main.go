@@ -19,7 +19,7 @@
 // are identical at any -parallel value; only the wall clock changes.
 // A progress line is written to stderr, each experiment reports its
 // own wall-clock time, and the process exits nonzero if any
-// simulation failed to complete.
+// simulation failed to complete or an -out CSV file was not written.
 //
 // Experiment ids: fig01 fig02 fig09 fig11 fig13 fig14 fig15 fig16
 // table1 matrix (= fig17+fig18) ablations webmix fleet futurework
@@ -123,19 +123,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	csvFailed := 0
 	writeCSV := func(name string, fn func(io.Writer) error) {
 		if *outDir == "" {
 			return
 		}
 		path := filepath.Join(*outDir, name)
-		f, err := os.Create(path)
-		if err != nil {
+		if err := createFile(path, fn); err != nil {
 			fmt.Fprintf(stderr, "csv %s: %v\n", name, err)
-			return
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			fmt.Fprintf(stderr, "csv %s: %v\n", name, err)
+			csvFailed++
 			return
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", path)
@@ -338,9 +334,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "completed in %v (wall clock, %d workers)\n", time.Since(start).Round(time.Millisecond), workers)
 	if incomplete > 0 {
 		fmt.Fprintf(stderr, "ERROR: %d simulation(s) did not complete\n", incomplete)
+	}
+	if csvFailed > 0 {
+		fmt.Fprintf(stderr, "ERROR: %d CSV file(s) not written\n", csvFailed)
+	}
+	if incomplete > 0 || csvFailed > 0 {
 		return 1
 	}
 	return 0
+}
+
+// createFile writes path through fn; a failed create, write or close
+// is its error.
+func createFile(path string, fn func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeProfile dumps a named runtime profile ("block", "mutex") at

@@ -40,9 +40,38 @@ func TestQuickRenderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		gotPath := filepath.Join(t.TempDir(), "quick.txt")
-		os.WriteFile(gotPath, got, 0o644)
-		t.Fatalf("stdout differs from %s (got written to %s; diff them, or rerun with -update if the change is meant)", quickGolden, gotPath)
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; ; i++ {
+		if i == len(g) || i == len(w) || !bytes.Equal(g[i], w[i]) {
+			t.Fatalf("stdout differs from %s at line %d (-update rewrites it if the change is meant)\ngot:  %q\nwant: %q",
+				quickGolden, i+1, line(g, i), line(w, i))
+		}
+	}
+}
+
+func line(lines [][]byte, i int) []byte {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return nil
+}
+
+// TestCSVWriteFailureExitsNonZero makes the -out target of fig11's CSV
+// a directory: the run must report the file and exit non-zero.
+func TestCSVWriteFailureExitsNonZero(t *testing.T) {
+	out := t.TempDir()
+	if err := os.Mkdir(filepath.Join(out, "fig11.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-iters", "1", "-no-progress", "-only", "fig11", "-out", out}, &stdout, &stderr)
+	if code == 0 {
+		t.Fatalf("exit 0 with an unwritable CSV; stderr:\n%s", stderr.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("csv fig11.csv: ")) {
+		t.Fatalf("stderr does not name the CSV:\n%s", stderr.String())
 	}
 }
