@@ -8,6 +8,7 @@ package suss
 // miniature. cmd/sussbench runs the full-fidelity version.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -34,8 +35,8 @@ func BenchmarkFig01SlowStartUnderutilization(b *testing.B) {
 func BenchmarkFig02LateJoinerConvergence(b *testing.B) {
 	var cubicShare, bbrShare float64
 	for i := 0; i < b.N; i++ {
-		rc := experiments.RunFig02(experiments.Cubic, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
-		rb := experiments.RunFig02(experiments.BBR2, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
+		rc := experiments.RunFig02(runner.Cubic, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
+		rb := experiments.RunFig02(runner.BBR2, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
 		cubicShare = rc.Fig02Mean(15)
 		bbrShare = rb.Fig02Mean(15)
 	}
@@ -69,7 +70,7 @@ func BenchmarkFig11FCTvsFlowSize(b *testing.B) {
 	sizes := []int64{512 << 10, 2 << 20, 8 << 20}
 	var imp float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig11(scenarios.GoogleTokyo, sizes, 1, int64(i+1))
+		r := experiments.RunFig11(scenarios.GoogleTokyo, sizes, 1, int64(i+1), runner.Options{}, false)
 		imp = r.SmallFlowImprovement(2 << 20)
 	}
 	b.ReportMetric(100*imp, "small-flow-improvement-%")
@@ -81,14 +82,29 @@ func BenchmarkFig12FCTImprovement(b *testing.B) {
 	var imp float64
 	for i := 0; i < b.N; i++ {
 		sc := scenarios.New(scenarios.GoogleTokyo, netem.LTE4G, int64(i+1))
-		c, _, errC := experiments.FCTs(sc, experiments.Cubic, 2<<20, 2)
-		s, _, errS := experiments.FCTs(sc, experiments.Suss, 2<<20, 2)
-		if errC != nil || errS != nil {
-			b.Fatal(errC, errS)
-		}
+		c, _ := downloads(b, sc, runner.Cubic, 2<<20, 2)
+		s, _ := downloads(b, sc, runner.Suss, 2<<20, 2)
 		imp = experiments.Improvement(stats.Mean(c), stats.Mean(s))
 	}
 	b.ReportMetric(100*imp, "tokyo-4g-2MB-improvement-%")
+}
+
+// downloads runs iters downloads of size bytes under algo on sc as one
+// batch and returns their completion times in seconds and their mean
+// loss rate; a download that does not complete fails b.
+func downloads(b *testing.B, sc scenarios.Scenario, algo runner.Algo, size int64, iters int) (fcts []float64, meanLoss float64) {
+	jobs := make([]runner.Job, iters)
+	for i := range jobs {
+		jobs[i] = runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: i}
+	}
+	for _, r := range runner.Run(context.Background(), jobs, runner.Options{}) {
+		if r.Err != nil {
+			b.Fatal(r.Err)
+		}
+		fcts = append(fcts, r.FCT.Seconds())
+		meanLoss += r.LossRate
+	}
+	return fcts, meanLoss / float64(iters)
 }
 
 // BenchmarkFig11ParallelVsSequential runs the same reduced Fig. 11
@@ -100,7 +116,7 @@ func BenchmarkFig11ParallelVsSequential(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, int64(i+1), experiments.WithWorkers(workers))
+				r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, int64(i+1), runner.Options{Workers: workers}, false)
 				if r.Incomplete > 0 {
 					b.Fatalf("%d incomplete downloads", r.Incomplete)
 				}
@@ -122,7 +138,7 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 // packet path, so the count is exact (30 uncached processes read one
 // number) and the gate is an equality. A change that legitimately moves
 // the count edits this one number.
-const fig11SerialSweepAllocs = 273
+const fig11SerialSweepAllocs = 272
 
 // fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
 // same 24 cells fire and the timing-wheel placements they cost, summed
@@ -142,7 +158,7 @@ func TestFig11SerialSweepAllocBudget(t *testing.T) {
 		t.Skip("the race runtime allocates")
 	}
 	got := minMallocs(6, func() {
-		r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, 1, experiments.WithWorkers(1))
+		r := experiments.RunFig11(scenarios.GoogleTokyo, fig11ReducedSizes, 1, 1, runner.Options{Workers: 1}, false)
 		if r.Incomplete > 0 {
 			t.Fatalf("%d incomplete downloads", r.Incomplete)
 		}
@@ -201,7 +217,7 @@ func BenchmarkFig14PacketLoss(b *testing.B) {
 	sizes := []int64{2 << 20, 8 << 20}
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig14(sizes, 1, int64(i+1))
+		r := experiments.RunFig14(sizes, 1, int64(i+1), runner.Options{})
 		off, on = r.Loss[0][0], r.Loss[1][0]
 	}
 	b.ReportMetric(100*off, "loss-2MB-suss-off-%")
@@ -222,7 +238,7 @@ func BenchmarkFig15Fairness(b *testing.B) {
 func BenchmarkFig16StabilityTrace(b *testing.B) {
 	var largeFCT, smallFCT float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig16(experiments.Cubic, experiments.Suss, 100*time.Millisecond, 1, 40<<20)
+		r := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
 		largeFCT = r.LargeFCT
 		smallFCT = stats.Mean(r.SmallFCTs)
 	}
@@ -233,8 +249,8 @@ func BenchmarkFig16StabilityTrace(b *testing.B) {
 func BenchmarkTable1Stability(b *testing.B) {
 	var imp, delta float64
 	for i := 0; i < b.N; i++ {
-		off := experiments.RunFig16(experiments.Cubic, experiments.Cubic, 100*time.Millisecond, 1, 40<<20)
-		on := experiments.RunFig16(experiments.Cubic, experiments.Suss, 100*time.Millisecond, 1, 40<<20)
+		off := experiments.RunFig16(runner.Cubic, runner.Cubic, 100*time.Millisecond, 1, 40<<20)
+		on := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
 		imp = experiments.Improvement(stats.Mean(off.SmallFCTs), stats.Mean(on.SmallFCTs))
 		delta = (on.LargeFCT - off.LargeFCT) / off.LargeFCT
 	}
@@ -248,12 +264,8 @@ func BenchmarkFig17LossAllScenarios(b *testing.B) {
 	var lossSussOff, lossSussOn float64
 	for i := 0; i < b.N; i++ {
 		sc := scenarios.New(scenarios.OracleLondon, netem.NR5G, int64(i+1))
-		var errOff, errOn error
-		_, lossSussOff, errOff = experiments.FCTs(sc, experiments.Cubic, 4<<20, 1)
-		_, lossSussOn, errOn = experiments.FCTs(sc, experiments.Suss, 4<<20, 1)
-		if errOff != nil || errOn != nil {
-			b.Fatal(errOff, errOn)
-		}
+		_, lossSussOff = downloads(b, sc, runner.Cubic, 4<<20, 1)
+		_, lossSussOn = downloads(b, sc, runner.Suss, 4<<20, 1)
 	}
 	b.ReportMetric(100*lossSussOff, "loss-suss-off-%")
 	b.ReportMetric(100*lossSussOn, "loss-suss-on-%")
@@ -266,7 +278,7 @@ func BenchmarkFig18AllScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var xs []float64
 		for _, sc := range scenarios.All(int64(i + 1))[:4] { // row a
-			cell := experiments.RunMatrixCell(sc, []int64{2 << 20}, 1)
+			cell := experiments.RunMatrixCell(sc, []int64{2 << 20}, 1, runner.Options{})
 			xs = append(xs, cell.Improvement[0])
 		}
 		imp = stats.Mean(xs)
@@ -277,7 +289,7 @@ func BenchmarkFig18AllScenarios(b *testing.B) {
 func BenchmarkAblationKmax(b *testing.B) {
 	var fct1, fct3 float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAblationKmax(8<<20, 1, int64(i+1))
+		r := experiments.RunAblationKmax(8<<20, 1, int64(i+1), runner.Options{})
 		fct1, fct3 = r.FCT[0], r.FCT[2]
 	}
 	b.ReportMetric(fct1, "kmax1-fct-s")
@@ -287,7 +299,7 @@ func BenchmarkAblationKmax(b *testing.B) {
 func BenchmarkAblationPacingVsBurst(b *testing.B) {
 	var pacedQ, burstQ float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAblationMechanisms(2<<20, 1, int64(i+1))
+		r := experiments.RunAblationMechanisms(2<<20, 1, int64(i+1), runner.Options{})
 		pacedQ, burstQ = float64(r.PeakQ[0]), float64(r.PeakQ[1])
 	}
 	b.ReportMetric(pacedQ, "paced-peak-queue-B")
@@ -297,7 +309,7 @@ func BenchmarkAblationPacingVsBurst(b *testing.B) {
 func BenchmarkAblationBtlBwVariation(b *testing.B) {
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunBtlBwVariation("drop", 8<<20)
+		r := experiments.RunBtlBwVariation("drop", 8<<20, runner.Options{})
 		off, on = r.FCTOff, r.FCTOn
 	}
 	b.ReportMetric(off, "drop-fct-suss-off-s")
@@ -307,7 +319,7 @@ func BenchmarkAblationBtlBwVariation(b *testing.B) {
 func BenchmarkAblationSlowStartExits(b *testing.B) {
 	var hystart, hspp, suss float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunSlowStartExitComparison(2<<20, 1, int64(i+1))
+		r := experiments.RunSlowStartExitComparison(2<<20, 1, int64(i+1), runner.Options{})
 		hystart, hspp, suss = r.FCT[0], r.FCT[1], r.FCT[2]
 	}
 	b.ReportMetric(hystart, "hystart-fct-s")
@@ -327,7 +339,7 @@ func BenchmarkWebMixWorkload(b *testing.B) {
 func BenchmarkFutureWorkBBRSuss(b *testing.B) {
 	var imp float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFutureWorkBBRSuss([]int64{2 << 20}, 1, int64(i+1))
+		r := experiments.RunFutureWorkBBRSuss([]int64{2 << 20}, 1, int64(i+1), runner.Options{})
 		imp = r.Improvement[0]
 	}
 	b.ReportMetric(100*imp, "bbr-suss-2MB-improvement-%")

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"suss/internal/experiments"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 )
 
@@ -145,17 +146,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ran := 0
 	incomplete := 0
 
-	// opts builds the sweep options for one experiment: the shared
+	// opts builds the pool options for one experiment: the shared
 	// worker bound plus a stderr progress line tagged with the id.
-	opts := func(id string) []experiments.Option {
-		o := []experiments.Option{experiments.WithWorkers(*parallel)}
+	opts := func(id string) runner.Options {
+		o := runner.Options{Workers: *parallel}
 		if !*noProgress {
-			o = append(o, experiments.WithProgress(func(done, total int) {
+			o.Progress = func(done, total int) {
 				fmt.Fprintf(stderr, "\r[%s] %d/%d jobs", id, done, total)
 				if done == total {
 					fmt.Fprintln(stderr)
 				}
-			}))
+			}
 		}
 		return o
 	}
@@ -194,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// BBRv1-vs-droptail pathology); v2's loss-bounded inflight
 			// reproduces the paper's Fig. 2(b) convergence. See
 			// EXPERIMENTS.md.
-			for _, algo := range []experiments.Algo{experiments.Cubic, experiments.BBR2} {
+			for _, algo := range []runner.Algo{runner.Cubic, runner.BBR2} {
 				emit(experiments.RunFig02(algo, 100*time.Millisecond, 1, joinAt, horizon).Render())
 			}
 		})
@@ -206,11 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("fig11") || run("fig12") {
 		timed("fig11", func() {
-			o := opts("fig11")
-			if *counters {
-				o = append(o, experiments.WithLossAccounting())
-			}
-			r := experiments.RunFig11(scenarios.GoogleTokyo, sizes, *iters, *seed, o...)
+			r := experiments.RunFig11(scenarios.GoogleTokyo, sizes, *iters, *seed, opts("fig11"), *counters)
 			incomplete += r.Incomplete
 			emit(r.Render())
 			writeCSV("fig11.csv", r.WriteCSV)
@@ -223,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("fig14") {
 		timed("fig14", func() {
-			r := experiments.RunFig14(fig14Sizes, *iters, *seed, opts("fig14")...)
+			r := experiments.RunFig14(fig14Sizes, *iters, *seed, opts("fig14"))
 			incomplete += r.Incomplete
 			emit(r.Render())
 		})
@@ -241,17 +238,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("fig16") {
 		timed("fig16", func() {
-			emit(experiments.RunFig16(experiments.Cubic, experiments.Suss, 100*time.Millisecond, 1, large).Render())
+			emit(experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, large).Render())
 		})
 	}
 	if run("table1") {
 		timed("table1", func() {
-			algos := []experiments.Algo{experiments.Cubic, experiments.BBR, experiments.BBR2}
+			algos := []runner.Algo{runner.Cubic, runner.BBR, runner.BBR2}
 			if *quick {
 				algos = algos[:1]
 			}
 			for _, la := range algos {
-				r := experiments.RunTable1(la, large, opts("table1")...)
+				r := experiments.RunTable1(la, large, opts("table1"))
 				incomplete += len(r.Failed)
 				emit(r.Render())
 			}
@@ -259,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("matrix") || run("fig17") || run("fig18") {
 		timed("matrix", func() {
-			r := experiments.RunMatrix(matrixSizes, *iters, *seed, opts("matrix")...)
+			r := experiments.RunMatrix(matrixSizes, *iters, *seed, opts("matrix"))
 			incomplete += r.Incomplete()
 			emit(r.Render())
 			writeCSV("matrix.csv", r.WriteCSV)
@@ -267,16 +264,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("ablations") {
 		timed("ablations", func() {
-			mech := experiments.RunAblationMechanisms(4<<20, *iters, *seed, opts("ablations")...)
+			mech := experiments.RunAblationMechanisms(4<<20, *iters, *seed, opts("ablations"))
 			incomplete += mech.Incomplete
 			emit(mech.Render())
-			kmax := experiments.RunAblationKmax(8<<20, *iters, *seed, opts("ablations")...)
+			kmax := experiments.RunAblationKmax(8<<20, *iters, *seed, opts("ablations"))
 			incomplete += kmax.Incomplete
 			emit(kmax.Render())
-			exit := experiments.RunSlowStartExitComparison(2<<20, *iters, *seed, opts("ablations")...)
+			exit := experiments.RunSlowStartExitComparison(2<<20, *iters, *seed, opts("ablations"))
 			incomplete += exit.Incomplete
 			emit(exit.Render())
-			aqm := experiments.RunAQMComparison(4<<20, opts("ablations")...)
+			aqm := experiments.RunAQMComparison(4<<20, opts("ablations"))
 			incomplete += aqm.Incomplete
 			emit(aqm.Render())
 		})
@@ -296,11 +293,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *quick {
 				fc.Flows = 2000
 			}
-			o := opts("fleet")
-			if *counters {
-				o = append(o, experiments.WithLossAccounting())
-			}
-			r := experiments.RunFleet(fc, o...)
+			r := experiments.RunFleet(fc, opts("fleet"), *counters)
 			incomplete += len(r.Errs)
 			emit(r.Render())
 			writeCSV("fleet.csv", r.WriteCSV)
@@ -308,7 +301,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if run("futurework") {
 		timed("futurework", func() {
-			r := experiments.RunFutureWorkBBRSuss([]int64{512 << 10, 2 << 20, 8 << 20}, *iters, *seed, opts("futurework")...)
+			r := experiments.RunFutureWorkBBRSuss([]int64{512 << 10, 2 << 20, 8 << 20}, *iters, *seed, opts("futurework"))
 			incomplete += r.Incomplete
 			emit(r.Render())
 		})
@@ -316,7 +309,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if run("appendixB") {
 		timed("appendixB", func() {
 			for _, dir := range []string{"drop", "rise"} {
-				r := experiments.RunBtlBwVariation(dir, 8<<20, opts("appendixB")...)
+				r := experiments.RunBtlBwVariation(dir, 8<<20, opts("appendixB"))
 				incomplete += len(r.Failed)
 				emit(r.Render())
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"suss/internal/experiments"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 )
 
@@ -100,7 +101,7 @@ func TestSussdSmoke(t *testing.T) {
 
 	// The daemon's CSV is the CLI's CSV: byte-identical to the
 	// in-process sweep for the same config.
-	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{262144, 524288}, 2, 1)
+	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{262144, 524288}, 2, 1, runner.Options{}, false)
 	var buf bytes.Buffer
 	if err := direct.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

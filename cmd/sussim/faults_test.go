@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"suss/internal/experiments"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/service"
 )
@@ -172,7 +173,7 @@ func TestSussdFaultRecovery(t *testing.T) {
 
 	// The recovered-and-completed CSV is byte-identical to a run that
 	// never crashed.
-	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{4194304}, 2, 1)
+	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{4194304}, 2, 1, runner.Options{}, false)
 	var buf bytes.Buffer
 	if err := direct.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

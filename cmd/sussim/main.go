@@ -26,6 +26,7 @@ import (
 	"suss"
 	"suss/internal/chaos"
 	"suss/internal/experiments"
+	"suss/internal/runner"
 )
 
 func main() {
@@ -196,12 +197,12 @@ func fleetSweep(seed int64, flows, shards int, arrival float64, fullMix bool, cs
 	if fullMix {
 		fc.Mix = nil // RunFleet falls back to workload.DefaultMix
 	}
-	r := experiments.RunFleet(fc, experiments.WithProgress(func(done, total int) {
+	r := experiments.RunFleet(fc, runner.Options{Progress: func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r[fleet] %d/%d shards", done, total)
 		if done == total {
 			fmt.Fprintln(os.Stderr)
 		}
-	}))
+	}}, false)
 	fmt.Print(r.Render())
 	if csvPath != "" {
 		f, err := os.Create(csvPath)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"suss/internal/experiments"
+	"suss/internal/runner"
 )
 
 // FairnessConfig describes the paper's Fig. 15 workload on the local
@@ -49,9 +50,9 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	if cfg.Horizon <= cfg.JoinAt {
 		cfg.Horizon = cfg.JoinAt + 30*time.Second
 	}
-	algo := experiments.Cubic
+	algo := runner.Cubic
 	if cfg.WithSUSS {
-		algo = experiments.Suss
+		algo = runner.Suss
 	}
 	var r FairnessResult
 	r.Jain, r.RecoveryTime, r.MeanPostJoin = experiments.RunFig15Variant(

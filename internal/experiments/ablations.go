@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"suss/internal/netsim"
 	"suss/internal/runner"
 	"suss/internal/scenarios"
-	"suss/internal/stats"
 )
 
 // AblationResult compares SUSS variants on one path, isolating the
@@ -28,66 +28,62 @@ type AblationResult struct {
 	Incomplete int
 }
 
-// runSussVariants declares variants × iters SUSS downloads as one job
-// slice and aggregates FCT, loss and peak queue per variant.
-func runSussVariants(cfg config, sc scenarios.Scenario, name string, names []string, options []core.Options, size int64, iters int) AblationResult {
+// runSussVariants runs iters SUSS downloads of size bytes per variant
+// as one job slice and reports each variant's mean FCT, mean loss and
+// peak queue.
+func runSussVariants(opt runner.Options, sc scenarios.Scenario, name string, names []string, vs []runner.Job, size int64, iters int) AblationResult {
 	res := AblationResult{Name: name, Variants: names}
-	var jobs []runner.Job
-	for vi := range options {
-		for it := 0; it < iters; it++ {
-			jobs = append(jobs, runner.Job{Scenario: sc, Algo: Suss, SussOpt: &options[vi], Size: size, Iter: it})
-		}
-	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
-	for vi := range options {
-		b := summarizeBatch(out[vi*iters:(vi+1)*iters], nil)
-		res.Incomplete += b.incomplete
+	sizes := []int64{size}
+	out := runner.Run(context.Background(), sweep(nil, sc, sizes, vs, iters), opt)
+	fct, loss := fold(out, sizes, vs, iters, &res.Incomplete)
+	for vi := range vs {
 		peakQ := 0
-		var losses []float64
-		for _, r := range out[vi*iters : (vi+1)*iters] {
-			if r.Err != nil {
-				continue
+		for _, r := range out[vi*iters:][:iters] {
+			if r.Err == nil {
+				peakQ = max(peakQ, r.PeakQueue)
 			}
-			if r.PeakQueue > peakQ {
-				peakQ = r.PeakQueue
-			}
-			losses = append(losses, r.LossRate)
 		}
-		res.FCT = append(res.FCT, stats.Mean(b.fcts))
-		res.Loss = append(res.Loss, stats.Mean(losses))
+		res.FCT = append(res.FCT, fct[0][vi].Mean)
+		res.Loss = append(res.Loss, loss[0][vi])
 		res.PeakQ = append(res.PeakQ, peakQ)
 	}
 	return res
 }
 
+// sussJob is a SUSS job template whose options are the defaults as set
+// leaves them.
+func sussJob(set func(*core.Options)) runner.Job {
+	o := core.DefaultOptions()
+	set(&o)
+	return runner.Job{Algo: runner.Suss, SussOpt: &o}
+}
+
 // RunAblationMechanisms compares full SUSS against the clocking-only
 // (no pacing period) and pacing-only (everything paced) ablations plus
 // the no-guard variant, on a large-BDP 5G path.
-func RunAblationMechanisms(size int64, iters int, seed int64, opts ...Option) AblationResult {
+func RunAblationMechanisms(size int64, iters int, seed int64, opt runner.Options) AblationResult {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.NR5G, seed)
 	sc.LastHop.BufferBDPs = 0.6 // make burst damage visible
 	names := []string{"full", "no-pacing (burst reds)", "pace-everything", "no-guard"}
-	options := []core.Options{
-		core.DefaultOptions(),
-		func() core.Options { o := core.DefaultOptions(); o.NoPacing = true; return o }(),
-		func() core.Options { o := core.DefaultOptions(); o.PaceEverything = true; return o }(),
-		func() core.Options { o := core.DefaultOptions(); o.NoGuard = true; return o }(),
+	vs := []runner.Job{
+		sussJob(func(*core.Options) {}),
+		sussJob(func(o *core.Options) { o.NoPacing = true }),
+		sussJob(func(o *core.Options) { o.PaceEverything = true }),
+		sussJob(func(o *core.Options) { o.NoGuard = true }),
 	}
-	return runSussVariants(newConfig(opts), sc, "mechanisms", names, options, size, iters)
+	return runSussVariants(opt, sc, "mechanisms", names, vs, size, iters)
 }
 
 // RunAblationKmax sweeps the Appendix-A generalization kmax ∈ {1,2,3}.
-func RunAblationKmax(size int64, iters int, seed int64, opts ...Option) AblationResult {
+func RunAblationKmax(size int64, iters int, seed int64, opt runner.Options) AblationResult {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, seed)
 	var names []string
-	var options []core.Options
+	var vs []runner.Job
 	for _, k := range []int{1, 2, 3} {
-		opt := core.DefaultOptions()
-		opt.Kmax = k
 		names = append(names, fmt.Sprintf("kmax=%d", k))
-		options = append(options, opt)
+		vs = append(vs, sussJob(func(o *core.Options) { o.Kmax = k }))
 	}
-	return runSussVariants(newConfig(opts), sc, "kmax", names, options, size, iters)
+	return runSussVariants(opt, sc, "kmax", names, vs, size, iters)
 }
 
 // Render prints the comparison.
@@ -120,8 +116,7 @@ type BtlBwVariationResult struct {
 // RunBtlBwVariation runs the step experiment; the off/on variants run
 // as two independent pool items. The path has no randomness, so there
 // is nothing to seed.
-func RunBtlBwVariation(direction string, size int64, opts ...Option) BtlBwVariationResult {
-	cfg := newConfig(opts)
+func RunBtlBwVariation(direction string, size int64, opt runner.Options) BtlBwVariationResult {
 	res := BtlBwVariationResult{Direction: direction}
 	base, after := 2e8, 1e8
 	if direction == "rise" {
@@ -129,8 +124,8 @@ func RunBtlBwVariation(direction string, size int64, opts ...Option) BtlBwVariat
 	}
 	rtt := 150 * time.Millisecond
 	bneck := netsim.LinkConfig{RateModel: netem.Step(base, after, time.Second), QueueBytes: int(base / 8 * rtt.Seconds())}
-	jobs := []runner.Job{twoHop(Cubic, size, rtt, bneck, new(time.Duration)), twoHop(Suss, size, rtt, bneck, new(time.Duration))}
-	for variant, o := range runner.Run(cfg.ctx, jobs, cfg.pool()) {
+	jobs := []runner.Job{twoHop(runner.Cubic, size, rtt, bneck, new(time.Duration)), twoHop(runner.Suss, size, rtt, bneck, new(time.Duration))}
+	for variant, o := range runner.Run(context.Background(), jobs, opt) {
 		if o.Err != nil {
 			res.Failed = append(res.Failed, fmt.Sprintf("BtlBw %s: %v", direction, o.Err))
 			continue
@@ -167,24 +162,16 @@ type SlowStartExitResult struct {
 
 // RunSlowStartExitComparison sweeps the three variants over iters
 // downloads of size bytes on a large-BDP wired path, as one job slice.
-func RunSlowStartExitComparison(size int64, iters int, seed int64, opts ...Option) SlowStartExitResult {
-	cfg := newConfig(opts)
+func RunSlowStartExitComparison(size int64, iters int, seed int64, opt runner.Options) SlowStartExitResult {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, seed)
 	res := SlowStartExitResult{Scenario: sc.Name()}
-	algos := []Algo{Cubic, CubicHSPP, Suss}
-	var jobs []runner.Job
-	for _, algo := range algos {
-		for it := 0; it < iters; it++ {
-			jobs = append(jobs, runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: it})
-		}
-	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
-	for vi, algo := range algos {
-		b := summarizeBatch(out[vi*iters:(vi+1)*iters], nil)
-		res.Incomplete += b.incomplete
-		res.Variants = append(res.Variants, algo.String())
-		res.FCT = append(res.FCT, stats.Mean(b.fcts))
-		res.Loss = append(res.Loss, b.meanLoss)
+	vs, sizes := variants(runner.Cubic, runner.CubicHSPP, runner.Suss), []int64{size}
+	out := runner.Run(context.Background(), sweep(nil, sc, sizes, vs, iters), opt)
+	fct, loss := fold(out, sizes, vs, iters, &res.Incomplete)
+	for vi, v := range vs {
+		res.Variants = append(res.Variants, v.Algo.String())
+		res.FCT = append(res.FCT, fct[0][vi].Mean)
+		res.Loss = append(res.Loss, loss[0][vi])
 	}
 	return res
 }
@@ -216,32 +203,16 @@ type FutureWorkResult struct {
 
 // RunFutureWorkBBRSuss sweeps flow sizes for BBR vs BBR+SUSS as one
 // job slice.
-func RunFutureWorkBBRSuss(sizes []int64, iters int, seed int64, opts ...Option) FutureWorkResult {
-	cfg := newConfig(opts)
+func RunFutureWorkBBRSuss(sizes []int64, iters int, seed int64, opt runner.Options) FutureWorkResult {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, seed)
 	res := FutureWorkResult{Scenario: sc.Name(), Sizes: sizes}
-	algos := []Algo{BBR, BBRSuss}
-	var jobs []runner.Job
-	for _, size := range sizes {
-		for _, algo := range algos {
-			for it := 0; it < iters; it++ {
-				jobs = append(jobs, runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: it})
-			}
-		}
+	vs := variants(runner.BBR, runner.BBRSuss)
+	out := runner.Run(context.Background(), sweep(nil, sc, sizes, vs, iters), opt)
+	fct, _ := fold(out, sizes, vs, iters, &res.Incomplete)
+	for _, row := range fct {
+		res.FCT = append(res.FCT, []float64{row[0].Mean, row[1].Mean})
 	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
-	k := 0
-	for range sizes {
-		var means []float64
-		for range algos {
-			b := summarizeBatch(out[k:k+iters], nil)
-			k += iters
-			res.Incomplete += b.incomplete
-			means = append(means, stats.Mean(b.fcts))
-		}
-		res.FCT = append(res.FCT, means)
-		res.Improvement = append(res.Improvement, Improvement(means[0], means[1]))
-	}
+	res.Improvement = improvement(fct, 0, 1)
 	return res
 }
 
@@ -277,34 +248,33 @@ type AQMResult struct {
 // CUBIC + CoDel, and CUBIC+SUSS + drop-tail. The path has no
 // randomness, so each variant runs once; the three run as one pool
 // batch.
-func RunAQMComparison(size int64, opts ...Option) AQMResult {
-	cfg := newConfig(opts)
+func RunAQMComparison(size int64, opt runner.Options) AQMResult {
 	res := AQMResult{}
 	type variant struct {
 		name  string
-		algo  Algo
+		algo  runner.Algo
 		qdisc netsim.QdiscFactory
 	}
-	variants := []variant{
-		{"cubic/drop-tail", Cubic, nil},
-		{"cubic/codel", Cubic, netsim.CoDelFactory},
-		{"suss/drop-tail", Suss, nil},
+	vs := []variant{
+		{"cubic/drop-tail", runner.Cubic, nil},
+		{"cubic/codel", runner.Cubic, netsim.CoDelFactory},
+		{"suss/drop-tail", runner.Suss, nil},
 	}
 	rtt, rate := 100*time.Millisecond, 1e8
-	maxRTT := make([]time.Duration, len(variants))
-	jobs := make([]runner.Job, len(variants))
-	for i, v := range variants {
+	maxRTT := make([]time.Duration, len(vs))
+	jobs := make([]runner.Job, len(vs))
+	for i, v := range vs {
 		bneck := netsim.LinkConfig{Rate: rate, QueueBytes: int(rate / 8 * rtt.Seconds()), Qdisc: v.qdisc}
 		jobs[i] = twoHop(v.algo, size, rtt, bneck, &maxRTT[i])
 	}
-	for i, o := range runner.Run(cfg.ctx, jobs, cfg.pool()) {
+	for i, o := range runner.Run(context.Background(), jobs, opt) {
 		fct, loss, rttMs := 0.0, 0.0, 0.0 // a failed run is reported as zeros
 		if o.Err != nil {
 			res.Incomplete++
 		} else {
 			fct, loss, rttMs = o.FCT.Seconds(), o.LossRate, float64(maxRTT[i])/1e6
 		}
-		res.Variants = append(res.Variants, variants[i].name)
+		res.Variants = append(res.Variants, vs[i].name)
 		res.FCT = append(res.FCT, fct)
 		res.Loss = append(res.Loss, loss)
 		res.MaxRTTms = append(res.MaxRTTms, rttMs)
@@ -319,7 +289,7 @@ func RunAQMComparison(size int64, opts ...Option) AQMResult {
 // worst smoothed RTT in *maxRTT. The Appendix-B step and the AQM
 // comparison run here: their bottlenecks need a rate model or a qdisc
 // that no internet scenario has.
-func twoHop(algo Algo, size int64, rtt time.Duration, bneck netsim.LinkConfig, maxRTT *time.Duration) runner.Job {
+func twoHop(algo runner.Algo, size int64, rtt time.Duration, bneck netsim.LinkConfig, maxRTT *time.Duration) runner.Job {
 	bneck.Name, bneck.Delay = "bneck", 5*time.Millisecond
 	spec := netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: rtt/2 - 5*time.Millisecond, QueueBytes: 64 << 20},

@@ -12,7 +12,7 @@ import (
 
 func TestDownloadCompletesAllAlgos(t *testing.T) {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 1)
-	for _, algo := range []Algo{Cubic, Suss, BBR, BBR2, CubicHSPP} {
+	for _, algo := range []runner.Algo{runner.Cubic, runner.Suss, runner.BBR, runner.BBR2, runner.CubicHSPP} {
 		r := runner.Download(runner.Job{Scenario: sc, Algo: algo, Size: 1 << 20})
 		if !r.Completed {
 			t.Errorf("%s did not complete", algo)
@@ -28,12 +28,12 @@ func TestDownloadCompletesAllAlgos(t *testing.T) {
 
 func TestDownloadDeterministicPerIter(t *testing.T) {
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.LTE4G, 5)
-	a := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 3})
-	b := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 3})
+	a := runner.Download(runner.Job{Scenario: sc, Algo: runner.Suss, Size: 2 << 20, Iter: 3})
+	b := runner.Download(runner.Job{Scenario: sc, Algo: runner.Suss, Size: 2 << 20, Iter: 3})
 	if a.FCT != b.FCT || a.Retrans != b.Retrans {
 		t.Errorf("same iter differs: %v/%d vs %v/%d", a.FCT, a.Retrans, b.FCT, b.Retrans)
 	}
-	c := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20, Iter: 4})
+	c := runner.Download(runner.Job{Scenario: sc, Algo: runner.Suss, Size: 2 << 20, Iter: 4})
 	if c.FCT == a.FCT {
 		t.Log("different iters gave identical FCT (possible but unlikely on 4G)")
 	}
@@ -42,8 +42,8 @@ func TestDownloadDeterministicPerIter(t *testing.T) {
 func TestSussBeatsCubicOnLargeBDPSmallFlow(t *testing.T) {
 	// The headline behaviour driving Figs. 11/12/18.
 	sc := scenarios.New(scenarios.GoogleTokyo, netem.Wired, 2)
-	cub := runner.Download(runner.Job{Scenario: sc, Algo: Cubic, Size: 2 << 20})
-	sus := runner.Download(runner.Job{Scenario: sc, Algo: Suss, Size: 2 << 20})
+	cub := runner.Download(runner.Job{Scenario: sc, Algo: runner.Cubic, Size: 2 << 20})
+	sus := runner.Download(runner.Job{Scenario: sc, Algo: runner.Suss, Size: 2 << 20})
 	if !cub.Completed || !sus.Completed {
 		t.Fatal("incomplete")
 	}
@@ -145,7 +145,7 @@ func TestFig15Shape(t *testing.T) {
 
 func TestMatrixCellShape(t *testing.T) {
 	sc := scenarios.New(scenarios.OracleSydney, netem.WiFi, 3)
-	cell := RunMatrixCell(sc, []int64{512 << 10, 2 << 20}, 2)
+	cell := RunMatrixCell(sc, []int64{512 << 10, 2 << 20}, 2, runner.Options{})
 	if len(cell.FCT) != 2 || len(cell.FCT[0]) != 4 {
 		t.Fatalf("cell shape wrong: %+v", cell.FCT)
 	}
@@ -162,7 +162,7 @@ func TestMatrixCellShape(t *testing.T) {
 }
 
 func TestAblationMechanismsShape(t *testing.T) {
-	r := RunAblationMechanisms(2<<20, 1, 9)
+	r := RunAblationMechanisms(2<<20, 1, 9, runner.Options{})
 	if len(r.Variants) != 4 {
 		t.Fatalf("variants = %v", r.Variants)
 	}
@@ -175,7 +175,7 @@ func TestAblationMechanismsShape(t *testing.T) {
 }
 
 func TestSlowStartExitComparisonShape(t *testing.T) {
-	r := RunSlowStartExitComparison(2<<20, 2, 7)
+	r := RunSlowStartExitComparison(2<<20, 2, 7, runner.Options{})
 	if len(r.Variants) != 3 {
 		t.Fatalf("variants: %v", r.Variants)
 	}
@@ -188,7 +188,7 @@ func TestSlowStartExitComparisonShape(t *testing.T) {
 }
 
 func TestBtlBwVariationShape(t *testing.T) {
-	r := RunBtlBwVariation("drop", 8<<20)
+	r := RunBtlBwVariation("drop", 8<<20, runner.Options{})
 	if r.FCTOff <= 0 || r.FCTOn <= 0 {
 		t.Fatalf("bad FCTs: %+v", r)
 	}

@@ -14,7 +14,7 @@ import (
 // server to a NZ PC under CUBIC and BBRv2, showing slow-start
 // under-utilization against the optimal rate θ = cwnd*/RTT.
 type Fig01Result struct {
-	Algos []Algo
+	Algos []runner.Algo
 	// Theta is the steady-state delivery rate (bits/sec) per algo.
 	Theta []float64
 	// DeliveredAt has, per algo, delivered MB at the checkpoints.
@@ -31,7 +31,7 @@ type Fig01Result struct {
 // path (US-East → NZ) with CUBIC and BBRv2, tracing delivery.
 func RunFig01(size int64, seed int64) Fig01Result {
 	res := Fig01Result{
-		Algos:       []Algo{Cubic, BBR2},
+		Algos:       []runner.Algo{runner.Cubic, runner.BBR2},
 		Checkpoints: []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second, 8 * time.Second},
 	}
 	sc := scenarios.Scenario{

@@ -20,7 +20,7 @@ const NeverReached = time.Duration(-1)
 // uses it to motivate SUSS: CUBIC's loss-sensitive slow start keeps
 // the late joiner below its fair share for a long time.
 type Fig02Result struct {
-	Algo Algo
+	Algo runner.Algo
 	// JoinAt is when the fifth flow started.
 	JoinAt time.Duration
 	// FairShare is the per-flow fair rate (bottleneck / 5), bits/sec.
@@ -37,7 +37,7 @@ type Fig02Result struct {
 
 // RunFig02 runs the late-joiner experiment for one algorithm family
 // (all five flows use it).
-func RunFig02(algo Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon time.Duration) Fig02Result {
+func RunFig02(algo runner.Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon time.Duration) Fig02Result {
 	tb := scenarios.DefaultTestbed(rtt, bufferBDP)
 	run := runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0]
 
@@ -63,7 +63,7 @@ func RunFig02(algo Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon t
 // lateJoiner is the testbed cell of Figs. 2 and 15: four flows under
 // algo started 2 s apart on pairs 0–3, and a fifth joining on pair 4
 // at joinAt, all unbounded.
-func lateJoiner(algo Algo, tb scenarios.Testbed, joinAt, horizon time.Duration) runner.TestbedJob {
+func lateJoiner(algo runner.Algo, tb scenarios.Testbed, joinAt, horizon time.Duration) runner.TestbedJob {
 	j := runner.TestbedJob{Testbed: tb, Horizon: horizon}
 	for i := 0; i < 4; i++ {
 		j.Flows = append(j.Flows, runner.TestbedFlow{Pair: i, Algo: algo, Start: time.Duration(i) * 2 * time.Second})

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"suss/internal/runner"
 )
 
 // TestFig02NeverReachedRendering pins the sentinel rendering: an
@@ -11,7 +13,7 @@ import (
 // negative duration like "-1ns".
 func TestFig02NeverReachedRendering(t *testing.T) {
 	r := Fig02Result{
-		Algo:            Cubic,
+		Algo:            runner.Cubic,
 		JoinAt:          8 * time.Second,
 		FairShare:       10e6,
 		Share:           []float64{0.1, 0.2, 0.3},

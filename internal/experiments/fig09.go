@@ -39,9 +39,9 @@ func RunFig09(size int64, seed int64) Fig09Result {
 	var res Fig09Result
 	sc := scenarios.New(scenarios.GoogleUSEast, netem.LTE4G, seed)
 	for variant := 0; variant < 2; variant++ {
-		algo := Cubic
+		algo := runner.Cubic
 		if variant == 1 {
-			algo = Suss
+			algo = runner.Suss
 		}
 		// The hook notes where exponential growth ended. A one-shot
 		// Download runs on an engine and controller of its own, so ctrl

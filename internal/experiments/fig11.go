@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -22,7 +23,7 @@ type Fig11Result struct {
 	Server scenarios.Server
 	Links  []netem.LinkType
 	Sizes  []int64
-	Algos  []Algo
+	Algos  []runner.Algo
 	// FCT[link][size][algo] summarizes iters downloads (seconds).
 	FCT [][][]stats.Summary
 	// Improvement[link][size] is Fig. 12's (cubic−suss)/cubic.
@@ -32,7 +33,7 @@ type Fig11Result struct {
 	Incomplete int
 	// Ledgers[link] aggregates the cross-layer loss accounting over
 	// every download of that link type (nil unless the sweep ran with
-	// WithLossAccounting).
+	// loss accounting).
 	Ledgers []obs.LossLedger
 }
 
@@ -42,7 +43,12 @@ func Fig11Links() []netem.LinkType {
 }
 
 // Fig11Algos is the sweep's algorithm row order.
-func Fig11Algos() []Algo { return []Algo{BBR, Suss, Cubic} }
+func Fig11Algos() []runner.Algo { return []runner.Algo{runner.BBR, runner.Suss, runner.Cubic} }
+
+// fig11Variants are Fig11Algos as sweep templates. Fig. 12's
+// improvement is column 1 (cubic+suss) over column 2 (cubic), as in
+// matrixVariants.
+var fig11Variants = variants(Fig11Algos()...)
 
 // Fig11Jobs declares the sweep — link types × flow sizes × algorithms ×
 // iterations — as a plain job slice in the exact order Fig11FromResults
@@ -52,28 +58,22 @@ func Fig11Algos() []Algo { return []Algo{BBR, Suss, Cubic} }
 func Fig11Jobs(server scenarios.Server, sizes []int64, iters int, seed int64) []runner.Job {
 	var jobs []runner.Job
 	for li, lt := range Fig11Links() {
-		sc := scenarios.New(server, lt, seed+int64(li))
-		for _, size := range sizes {
-			for _, algo := range Fig11Algos() {
-				for it := 0; it < iters; it++ {
-					jobs = append(jobs, runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: it})
-				}
-			}
-		}
+		jobs = sweep(jobs, scenarios.New(server, lt, seed+int64(li)), sizes, fig11Variants, iters)
 	}
 	return jobs
 }
 
 // RunFig11 runs the whole sweep as one batch on the worker pool and
-// aggregates the results back into the figure's grid.
-func RunFig11(server scenarios.Server, sizes []int64, iters int, seed int64, opts ...Option) Fig11Result {
-	cfg := newConfig(opts)
+// aggregates the results back into the figure's grid. lossAcct attaches
+// a flight recorder to every download and aggregates the per-link
+// loss ledgers into the result.
+func RunFig11(server scenarios.Server, sizes []int64, iters int, seed int64, opt runner.Options, lossAcct bool) Fig11Result {
 	jobs := Fig11Jobs(server, sizes, iters, seed)
 	for i := range jobs {
-		jobs[i].Observe = cfg.lossAcct
+		jobs[i].Observe = lossAcct
 	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
-	return Fig11FromResults(server, sizes, iters, out, cfg.lossAcct)
+	out := runner.Run(context.Background(), jobs, opt)
+	return Fig11FromResults(server, sizes, iters, out, lossAcct)
 }
 
 // Fig11FromResults aggregates a result slice laid out like Fig11Jobs
@@ -97,7 +97,8 @@ func Fig11FromResults(server scenarios.Server, sizes []int64, iters int, out []r
 	res.FCT, res.Improvement = make([][][]stats.Summary, len(res.Links)), make([][]float64, len(res.Links))
 	for li := range res.Links {
 		link := out[li*per:][:per]
-		res.FCT[li], _, res.Improvement[li] = foldSizes(link, len(sizes), res.Algos, iters, &res.Incomplete)
+		res.FCT[li], _ = fold(link, sizes, fig11Variants, iters, &res.Incomplete)
+		res.Improvement[li] = improvement(res.FCT[li], 2, 1)
 		for _, r := range link {
 			if lossAcct && r.Ledger != nil {
 				res.Ledgers[li].Add(*r.Ledger)
@@ -196,9 +197,9 @@ func RunFig13(seed int64) Fig13Result {
 		Seed:     seed,
 	}
 	for variant := 0; variant < 2; variant++ {
-		algo := Cubic
+		algo := runner.Cubic
 		if variant == 1 {
-			algo = Suss
+			algo = runner.Suss
 		}
 		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size}, 0)
 		for _, cp := range res.Checkpoints {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,12 +23,16 @@ type Fig14Result struct {
 	Incomplete int
 }
 
-// RunFig14 declares the variants × sizes × iterations sweep as one job
+// offOn are the SUSS-off and SUSS-on variants: CUBIC without and with
+// the add-on.
+var offOn = variants(runner.Cubic, runner.Suss)
+
+// RunFig14 declares the sizes × variants × iterations sweep as one job
 // slice. Loss rates are measured on every run — Fig. 14 plots link
-// behaviour, not completion — but non-completing flows are still
+// behaviour, not completion — so this fold averages over all of them
+// rather than fold's completed runs; non-completing flows are still
 // counted so the caller can fail loudly.
-func RunFig14(sizes []int64, iters int, seed int64, opts ...Option) Fig14Result {
-	cfg := newConfig(opts)
+func RunFig14(sizes []int64, iters int, seed int64, opt runner.Options) Fig14Result {
 	res := Fig14Result{Sizes: sizes}
 	sc := scenarios.New(scenarios.OracleLondon, netem.NR5G, seed)
 	// The London/5G cell already carries the shallow Oracle-egress
@@ -35,30 +40,16 @@ func RunFig14(sizes []int64, iters int, seed int64, opts ...Option) Fig14Result 
 	// 2 MB point still shows slow-start loss.
 	sc.LastHop.BufferBDPs = 0.25
 
-	var jobs []runner.Job
-	for _, algo := range []Algo{Cubic, Suss} {
-		for _, size := range sizes {
-			for it := 0; it < iters; it++ {
-				jobs = append(jobs, runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: it})
+	out := runner.Run(context.Background(), sweep(nil, sc, sizes, offOn, iters), opt)
+	rates := make([]float64, iters)
+	for g := range len(sizes) * len(offOn) { // size g/2, variant g%2
+		for it, r := range out[g*iters:][:iters] {
+			if r.Err != nil {
+				res.Incomplete++
 			}
+			rates[it] = r.LossRate
 		}
-	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
-
-	k := 0
-	for vi := 0; vi < 2; vi++ {
-		for range sizes {
-			var rates []float64
-			for it := 0; it < iters; it++ {
-				r := out[k]
-				k++
-				if r.Err != nil {
-					res.Incomplete++
-				}
-				rates = append(rates, r.LossRate)
-			}
-			res.Loss[vi] = append(res.Loss[vi], stats.Mean(rates))
-		}
+		res.Loss[g%2] = append(res.Loss[g%2], stats.Mean(rates))
 	}
 	return res
 }

@@ -50,16 +50,17 @@ type Fig15Result struct {
 func RunFig15(cfg Fig15Config, joinAt, horizon time.Duration) Fig15Result {
 	res := Fig15Result{Config: cfg, JoinAt: joinAt}
 	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
-	runs := runTestbeds(lateJoiner(Cubic, tb, joinAt, horizon), lateJoiner(Suss, tb, joinAt, horizon))
+	runs := runTestbeds(lateJoiner(runner.Cubic, tb, joinAt, horizon), lateJoiner(runner.Suss, tb, joinAt, horizon))
 	for v, run := range runs {
 		res.Jain[v], res.RecoveryTime[v], res.MeanPostJoin[v] = fairnessRecovery(run, joinAt)
 	}
 	return res
 }
 
-// RunFig15Variant runs one variant of a configuration, algo Cubic for
-// SUSS off or Suss for on, and returns what Fig15Result holds for it.
-func RunFig15Variant(cfg Fig15Config, algo Algo, joinAt, horizon time.Duration) (jain []float64, recovery time.Duration, meanPostJoin float64) {
+// RunFig15Variant runs one variant of a configuration, algo
+// runner.Cubic for SUSS off or runner.Suss for on, and returns what
+// Fig15Result holds for it.
+func RunFig15Variant(cfg Fig15Config, algo runner.Algo, joinAt, horizon time.Duration) (jain []float64, recovery time.Duration, meanPostJoin float64) {
 	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
 	return fairnessRecovery(runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0], joinAt)
 }

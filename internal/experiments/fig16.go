@@ -15,8 +15,8 @@ import (
 // the bottleneck with twelve sequentially-started 2 MB flows of
 // different minRTTs.
 type Fig16Result struct {
-	LargeAlgo Algo
-	SmallAlgo Algo
+	LargeAlgo runner.Algo
+	SmallAlgo runner.Algo
 	RTT       time.Duration
 	BufferBDP float64
 	// LargeFCT is the large flow's completion time (seconds).
@@ -30,14 +30,14 @@ type Fig16Result struct {
 // RunFig16 runs the stability workload: a large flow of largeSize
 // bytes plus twelve 2 MB flows at 2-second intervals, small flows
 // rotating over the remaining four pairs with spread minRTTs.
-func RunFig16(largeAlgo, smallAlgo Algo, rtt time.Duration, bufferBDP float64, largeSize int64) Fig16Result {
+func RunFig16(largeAlgo, smallAlgo runner.Algo, rtt time.Duration, bufferBDP float64, largeSize int64) Fig16Result {
 	c := fig16Cell{largeAlgo, smallAlgo, rtt, bufferBDP, largeSize}
 	return c.result(runTestbeds(c.job())[0])
 }
 
 // fig16Cell is one stability run's parameters.
 type fig16Cell struct {
-	largeAlgo, smallAlgo Algo
+	largeAlgo, smallAlgo runner.Algo
 	rtt                  time.Duration
 	bufferBDP            float64
 	largeSize            int64
@@ -96,7 +96,7 @@ type Table1Row struct {
 
 // Table1Result is one of the paper's three sub-tables.
 type Table1Result struct {
-	LargeAlgo Algo
+	LargeAlgo runner.Algo
 	Rows      []Table1Row
 	// Failed lists configurations whose testbed run crashed or did not
 	// complete; their rows are omitted.
@@ -108,19 +108,18 @@ type Table1Result struct {
 // independent testbed runs (8 configs × off/on) are declared as one
 // item slice and fanned out across the worker pool; a crashing run
 // drops its config into Failed instead of aborting the table.
-func RunTable1(largeAlgo Algo, largeSize int64, opts ...Option) Table1Result {
-	cfg := newConfig(opts)
+func RunTable1(largeAlgo runner.Algo, largeSize int64, opt runner.Options) Table1Result {
 	var cells []fig16Cell
 	for _, buf := range []float64{1, 2} {
 		for _, rttMs := range []int{25, 50, 100, 200} {
-			for _, small := range []Algo{Cubic, Suss} {
+			for _, small := range []runner.Algo{runner.Cubic, runner.Suss} {
 				cells = append(cells, fig16Cell{largeAlgo, small, time.Duration(rttMs) * time.Millisecond, buf, largeSize})
 			}
 		}
 	}
-	outs := runner.Map(cfg.ctx, cells, func(ctx context.Context, _ int, c fig16Cell) (Fig16Result, error) {
+	outs := runner.Map(context.Background(), cells, func(ctx context.Context, _ int, c fig16Cell) (Fig16Result, error) {
 		return c.result(runner.ScratchFrom(ctx).RunTestbed(c.job())), nil
-	}, cfg.pool())
+	}, opt)
 
 	res := Table1Result{LargeAlgo: largeAlgo}
 	for i := 0; i < len(cells); i += 2 {
@@ -162,15 +161,6 @@ func (r Table1Result) Render() string {
 		fmt.Fprintf(&b, "  FAILED %s\n", f)
 	}
 	return b.String()
-}
-
-// MeanSmallImprovement averages the small-flow FCT gain over rows.
-func (r Table1Result) MeanSmallImprovement() float64 {
-	var xs []float64
-	for _, row := range r.Rows {
-		xs = append(xs, row.ImprovementSmall)
-	}
-	return stats.Mean(xs)
 }
 
 // Render prints the Fig. 16 view: the large flow's goodput trace with

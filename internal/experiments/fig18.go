@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -17,7 +18,7 @@ type MatrixCell struct {
 	Scenario scenarios.Scenario
 	Sizes    []int64
 	// FCT[size][algo] in seconds, algos ordered as Algos.
-	Algos []Algo
+	Algos []runner.Algo
 	FCT   [][]stats.Summary
 	// Improvement[size]: SUSS vs CUBIC.
 	Improvement []float64
@@ -36,29 +37,21 @@ type MatrixResult struct {
 // matrixAlgos orders each cell's algorithm columns. Reno rides along
 // as the classic-AIMD yardstick; the first three columns keep their
 // order so existing readers of the CSV stay aligned.
-var matrixAlgos = []Algo{BBR, Suss, Cubic, Reno}
+var matrixAlgos = []runner.Algo{runner.BBR, runner.Suss, runner.Cubic, runner.Reno}
 
-// cellJobs declares one scenario cell's sweep: sizes × algos × iters.
-func cellJobs(sc scenarios.Scenario, sizes []int64, iters int) []runner.Job {
-	var jobs []runner.Job
-	for _, size := range sizes {
-		for _, algo := range matrixAlgos {
-			for it := 0; it < iters; it++ {
-				jobs = append(jobs, runner.Job{Scenario: sc, Algo: algo, Size: size, Iter: it})
-			}
-		}
-	}
-	return jobs
-}
+// matrixVariants are matrixAlgos as sweep templates.
+var matrixVariants = variants(matrixAlgos...)
 
-// buildCell aggregates a cell's job results (ordered as cellJobs).
+// buildCell aggregates a cell's job results (laid out by sweep over
+// matrixVariants).
 func buildCell(sc scenarios.Scenario, sizes []int64, iters int, out []runner.Result) MatrixCell {
 	cell := MatrixCell{
 		Scenario: sc,
 		Sizes:    sizes,
 		Algos:    matrixAlgos,
 	}
-	cell.FCT, cell.Loss, cell.Improvement = foldSizes(out, len(sizes), cell.Algos, iters, &cell.Incomplete)
+	cell.FCT, cell.Loss = fold(out, sizes, matrixVariants, iters, &cell.Incomplete)
+	cell.Improvement = improvement(cell.FCT, 2, 1)
 	return cell
 }
 
@@ -66,27 +59,25 @@ func buildCell(sc scenarios.Scenario, sizes []int64, iters int, out []runner.Res
 // (scenario, size, algo, iteration) download fans out across the
 // worker pool at once. Fig. 17 uses the loss columns, Fig. 18 the FCT
 // and improvement columns.
-func RunMatrix(sizes []int64, iters int, seed int64, opts ...Option) MatrixResult {
-	cfg := newConfig(opts)
+func RunMatrix(sizes []int64, iters int, seed int64, opt runner.Options) MatrixResult {
 	scs := scenarios.All(seed)
 	var jobs []runner.Job
 	for _, sc := range scs {
-		jobs = append(jobs, cellJobs(sc, sizes, iters)...)
+		jobs = sweep(jobs, sc, sizes, matrixVariants, iters)
 	}
-	out := runner.Run(cfg.ctx, jobs, cfg.pool())
+	out := runner.Run(context.Background(), jobs, opt)
 
 	var res MatrixResult
-	per := len(sizes) * len(matrixAlgos) * iters
+	per := len(sizes) * len(matrixVariants) * iters
 	for ci, sc := range scs {
-		res.Cells = append(res.Cells, buildCell(sc, sizes, iters, out[ci*per:(ci+1)*per]))
+		res.Cells = append(res.Cells, buildCell(sc, sizes, iters, out[ci*per:][:per]))
 	}
 	return res
 }
 
 // RunMatrixCell sweeps one scenario.
-func RunMatrixCell(sc scenarios.Scenario, sizes []int64, iters int, opts ...Option) MatrixCell {
-	cfg := newConfig(opts)
-	return buildCell(sc, sizes, iters, runner.Run(cfg.ctx, cellJobs(sc, sizes, iters), cfg.pool()))
+func RunMatrixCell(sc scenarios.Scenario, sizes []int64, iters int, opt runner.Options) MatrixCell {
+	return buildCell(sc, sizes, iters, runner.Run(context.Background(), sweep(nil, sc, sizes, matrixVariants, iters), opt))
 }
 
 // Render prints a cell in Fig. 18's per-panel format.

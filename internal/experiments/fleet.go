@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -109,7 +110,7 @@ type FleetResult struct {
 	// Incomplete counts flows that never finished (per variant).
 	Incomplete [2]int
 	// Ledgers aggregates cross-layer loss accounting over all shards
-	// (nil unless WithLossAccounting).
+	// (nil unless the run had loss accounting).
 	Ledgers [2]*obs.LossLedger
 	// Errs collects shard-level failures (stalls, panics).
 	Errs []error
@@ -155,9 +156,9 @@ func FleetJobs(fc FleetConfig) [2]runner.FleetJob {
 	pop := fc.Population()
 	var out [2]runner.FleetJob
 	for variant := 0; variant < 2; variant++ {
-		algo := Cubic
+		algo := runner.Cubic
 		if variant == 1 {
-			algo = Suss
+			algo = runner.Suss
 		}
 		out[variant] = runner.FleetJob{
 			Fleet:   fc.Fleet,
@@ -174,17 +175,17 @@ func FleetJobs(fc FleetConfig) [2]runner.FleetJob {
 // identical sharded population and merges the per-class FCT
 // distributions. Rendered output and CSV bytes are identical at any
 // worker count: shards are independent instance-seeded simulations
-// collected by index.
-func RunFleet(fc FleetConfig, opts ...Option) FleetResult {
-	cfg := newConfig(opts)
+// collected by index. lossAcct attaches flight recorders to every flow
+// and aggregates their loss ledgers per variant.
+func RunFleet(fc FleetConfig, opt runner.Options, lossAcct bool) FleetResult {
 	fc = fc.Normalized()
 	jobs := FleetJobs(fc)
 	var shards [2][]runner.FleetResult
 	for variant := range jobs {
-		jobs[variant].Observe = cfg.lossAcct
-		shards[variant] = runner.RunFleet(cfg.ctx, jobs[variant], cfg.pool())
+		jobs[variant].Observe = lossAcct
+		shards[variant] = runner.RunFleet(context.Background(), jobs[variant], opt)
 	}
-	return FleetFromShards(fc, shards, cfg.lossAcct)
+	return FleetFromShards(fc, shards, lossAcct)
 }
 
 // FleetFromShards merges per-variant, shard-ordered results into the

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"suss/internal/runner"
 )
 
 // TestFleetSmoke is the CI fleet gate (`make fleet-smoke`): a ≥10k-flow
@@ -19,8 +21,8 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("smoke config must shard: %d shards", fc.Shards)
 	}
 
-	seq := RunFleet(fc, WithWorkers(1))
-	par := RunFleet(fc, WithWorkers(4))
+	seq := RunFleet(fc, runner.Options{Workers: 1}, false)
+	par := RunFleet(fc, runner.Options{Workers: 4}, false)
 	for _, r := range [2]FleetResult{seq, par} {
 		if len(r.Errs) > 0 {
 			t.Fatalf("shard errors: %v", r.Errs)
@@ -66,10 +68,10 @@ func TestFleetCSVStableAcrossRuns(t *testing.T) {
 	fc.Flows = 800
 	fc.Shards = 4
 	var a, b strings.Builder
-	if err := RunFleet(fc, WithWorkers(2)).WriteCSV(&a); err != nil {
+	if err := RunFleet(fc, runner.Options{Workers: 2}, false).WriteCSV(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunFleet(fc, WithWorkers(3)).WriteCSV(&b); err != nil {
+	if err := RunFleet(fc, runner.Options{Workers: 3}, false).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"suss/internal/netem"
+	"suss/internal/runner"
 	"suss/internal/scenarios"
 	"suss/internal/stats"
 )
@@ -18,8 +18,8 @@ import (
 // bytes are identical with 1 worker and with a full pool.
 func TestRunFig11DeterministicAcrossWorkers(t *testing.T) {
 	sizes := []int64{256 << 10, 512 << 10}
-	seq := RunFig11(scenarios.GoogleTokyo, sizes, 2, 1, WithWorkers(1))
-	par := RunFig11(scenarios.GoogleTokyo, sizes, 2, 1, WithWorkers(4))
+	seq := RunFig11(scenarios.GoogleTokyo, sizes, 2, 1, runner.Options{Workers: 1}, false)
+	par := RunFig11(scenarios.GoogleTokyo, sizes, 2, 1, runner.Options{Workers: 4}, false)
 
 	if seq.Incomplete != 0 || par.Incomplete != 0 {
 		t.Fatalf("incomplete downloads: seq=%d par=%d", seq.Incomplete, par.Incomplete)
@@ -39,36 +39,6 @@ func TestRunFig11DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestFCTsParallelMatchesSequential(t *testing.T) {
-	sc := scenarios.New(scenarios.GoogleTokyo, netem.LTE4G, 3)
-	a, lossA, errA := FCTs(sc, Suss, 512<<10, 4, WithWorkers(1))
-	b, lossB, errB := FCTs(sc, Suss, 512<<10, 4, WithWorkers(4))
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("lengths: %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("fct[%d] differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if lossA != lossB {
-		t.Errorf("mean loss differs: %v vs %v", lossA, lossB)
-	}
-}
-
-func TestFCTsCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := FCTs(scenarios.New(scenarios.GoogleTokyo, netem.Wired, 1), Cubic, 1<<20, 3,
-		WithContext(ctx), WithWorkers(2))
-	if err == nil {
-		t.Fatal("cancelled sweep should report an error")
-	}
-}
-
 // TestFig11WriteCSVGolden pins the exact CSV encoding so downstream
 // plotting scripts can rely on it.
 func TestFig11WriteCSVGolden(t *testing.T) {
@@ -76,7 +46,7 @@ func TestFig11WriteCSVGolden(t *testing.T) {
 		Server: scenarios.GoogleTokyo,
 		Links:  []netem.LinkType{netem.Wired},
 		Sizes:  []int64{1 << 20},
-		Algos:  []Algo{BBR, Suss, Cubic},
+		Algos:  []runner.Algo{runner.BBR, runner.Suss, runner.Cubic},
 		FCT: [][][]stats.Summary{{{
 			{Mean: 1.5, StdDev: 0.25},
 			{Mean: 0.75, StdDev: 0.125},

@@ -215,14 +215,14 @@ func behaviourLines(t *testing.T) []string {
 	}
 	f16 := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
 	add("fig16/40MB", "-", fmt.Appendf(nil, "%v %v %v", f16.LargeFCT, f16.SmallFCTs, f16.LargeGoodput))
-	t1 := experiments.RunTable1(runner.Cubic, 40<<20)
+	t1 := experiments.RunTable1(runner.Cubic, 40<<20, runner.Options{})
 	add("table1/cubic/40MB", "-", fmt.Appendf(nil, "%v %v", t1.Rows, t1.Failed))
 	wm := experiments.RunWebMix(40, 3, 1)
 	add("webmix/s1/40", "-", fmt.Appendf(nil, "%v", wm))
-	aqm := experiments.RunAQMComparison(4 << 20)
+	aqm := experiments.RunAQMComparison(4<<20, runner.Options{})
 	add("aqm/4MB", "-", fmt.Appendf(nil, "%v %v %v %v %v", aqm.Variants, aqm.FCT, aqm.Loss, aqm.MaxRTTms, aqm.Incomplete))
 	for _, dir := range []string{"drop", "rise"} {
-		add("appendixB/"+dir, "-", fmt.Appendf(nil, "%v", experiments.RunBtlBwVariation(dir, 8<<20)))
+		add("appendixB/"+dir, "-", fmt.Appendf(nil, "%v", experiments.RunBtlBwVariation(dir, 8<<20, runner.Options{})))
 	}
 	for _, on := range []bool{false, true} {
 		r, err := suss.RunFairness(suss.FairnessConfig{RTT: 100 * time.Millisecond, BufferBDP: 1, JoinAt: joinAt, Horizon: horizon, WithSUSS: on})

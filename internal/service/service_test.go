@@ -129,7 +129,7 @@ func TestFig11CacheRoundTrip(t *testing.T) {
 	}
 
 	// The daemon's CSV is the CLI's CSV: same aggregation, same bytes.
-	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{256 << 10}, 1, 1)
+	direct := experiments.RunFig11(scenarios.GoogleTokyo, []int64{256 << 10}, 1, 1, runner.Options{}, false)
 	var buf bytes.Buffer
 	if err := direct.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
