@@ -129,6 +129,21 @@ type DownloadResult struct {
 	Stall *StallError
 }
 
+// Verdict is the download's error: the watchdog's stall, else the
+// transport's terminal error, else ErrIncomplete for a flow that did
+// not finish; nil for a completed download.
+func (r DownloadResult) Verdict() error {
+	switch {
+	case r.Stall != nil:
+		return r.Stall
+	case r.FlowErr != nil:
+		return r.FlowErr
+	case !r.Completed:
+		return ErrIncomplete
+	}
+	return nil
+}
+
 // recorderAttacher is implemented by every congestion controller that
 // can emit into the flight recorder.
 type recorderAttacher interface {
@@ -248,13 +263,8 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 func Run(ctx context.Context, jobs []Job, opt Options) []Result {
 	outs := Map(ctx, jobs, func(ctx context.Context, _ int, j Job) (DownloadResult, error) {
 		r := ScratchFrom(ctx).Download(j)
-		switch {
-		case r.Stall != nil:
-			return r, fmt.Errorf("%s: %w", j.describe(), r.Stall)
-		case r.FlowErr != nil:
-			return r, fmt.Errorf("%s: %w", j.describe(), r.FlowErr)
-		case !r.Completed:
-			return r, fmt.Errorf("%s: %w", j.describe(), ErrIncomplete)
+		if err := r.Verdict(); err != nil {
+			return r, fmt.Errorf("%s: %w", j.describe(), err)
 		}
 		return r, nil
 	}, opt)

@@ -489,16 +489,7 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 // incomplete flow is a property of the config and is cached with its
 // error; a stall is not.
 func jobCell(j runner.Job, r runner.DownloadResult) (runner.Result, bool) {
-	res := runner.Result{Job: j, DownloadResult: r}
-	switch {
-	case r.Stall != nil:
-		res.Err = r.Stall
-	case r.FlowErr != nil:
-		res.Err = r.FlowErr
-	case !r.Completed:
-		res.Err = runner.ErrIncomplete
-	}
-	return res, r.Stall == nil
+	return runner.Result{Job: j, DownloadResult: r, Err: r.Verdict()}, r.Stall == nil
 }
 
 // planFleet caches per shard: cells are variant-major (cell i = variant
