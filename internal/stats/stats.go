@@ -84,15 +84,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// DurationsToSeconds converts for metric aggregation.
-func DurationsToSeconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
 // Summary aggregates repeated measurements of one quantity.
 type Summary struct {
 	N      int

@@ -187,10 +187,3 @@ func TestJainOverTime(t *testing.T) {
 		t.Errorf("active-only bin1 F = %v, want 1", active[1])
 	}
 }
-
-func TestDurationsToSeconds(t *testing.T) {
-	out := DurationsToSeconds([]time.Duration{time.Second, 500 * time.Millisecond})
-	if out[0] != 1 || out[1] != 0.5 {
-		t.Errorf("out = %v", out)
-	}
-}

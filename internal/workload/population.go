@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -239,15 +238,4 @@ func Horizon(flows []FlowSpec, slack time.Duration) time.Duration {
 		}
 	}
 	return last + slack
-}
-
-// SortByStart orders flows by arrival time (stable on ID), the order
-// a shard replays them.
-func SortByStart(flows []FlowSpec) {
-	sort.SliceStable(flows, func(i, j int) bool {
-		if flows[i].Start != flows[j].Start {
-			return flows[i].Start < flows[j].Start
-		}
-		return flows[i].ID < flows[j].ID
-	})
 }

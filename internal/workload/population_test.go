@@ -109,18 +109,3 @@ func TestLognormalArrivalsClamp(t *testing.T) {
 		}
 	}
 }
-
-func TestSortByStart(t *testing.T) {
-	flows := []FlowSpec{
-		{ID: 2, Start: 3 * time.Second},
-		{ID: 0, Start: time.Second},
-		{ID: 1, Start: time.Second},
-	}
-	SortByStart(flows)
-	wantIDs := []int{0, 1, 2}
-	for i, f := range flows {
-		if f.ID != wantIDs[i] {
-			t.Fatalf("order after sort: got flow %d at position %d, want %d", f.ID, i, wantIDs[i])
-		}
-	}
-}
