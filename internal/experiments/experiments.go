@@ -29,6 +29,10 @@ func variants(algos ...runner.Algo) []runner.Job {
 	return vs
 }
 
+// offOn are the SUSS-off and SUSS-on variants, CUBIC without and with
+// the add-on, in the order every off/on result indexes them.
+var offOn = variants(runner.Cubic, runner.Suss)
+
 // sweep appends the grid sizes × variants × iters on sc to jobs: each
 // job is a variant template with its scenario, size and iteration set.
 func sweep(jobs []runner.Job, sc scenarios.Scenario, sizes []int64, variants []runner.Job, iters int) []runner.Job {

@@ -38,11 +38,7 @@ type Fig09Result struct {
 func RunFig09(size int64, seed int64) Fig09Result {
 	var res Fig09Result
 	sc := scenarios.New(scenarios.GoogleUSEast, netem.LTE4G, seed)
-	for variant := 0; variant < 2; variant++ {
-		algo := runner.Cubic
-		if variant == 1 {
-			algo = runner.Suss
-		}
+	for variant, v := range offOn {
 		// The hook notes where exponential growth ended. A one-shot
 		// Download runs on an engine and controller of its own, so ctrl
 		// stays readable after the run.
@@ -61,7 +57,7 @@ func RunFig09(size int64, seed int64) Fig09Result {
 				return false
 			})
 		}
-		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size, Horizon: 5 * time.Minute, Impair: watchExit}, 5*time.Millisecond)
+		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: v.Algo, Size: size, Horizon: 5 * time.Minute, Impair: watchExit}, 5*time.Millisecond)
 
 		res.Traces[variant] = tr
 		res.ExitCwnd[variant] = exitCwnd

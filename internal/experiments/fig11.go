@@ -196,12 +196,9 @@ func RunFig13(seed int64) Fig13Result {
 		CoreRate: 1e9,
 		Seed:     seed,
 	}
-	for variant := 0; variant < 2; variant++ {
-		algo := runner.Cubic
-		if variant == 1 {
-			algo = runner.Suss
-		}
-		_, tr := downloadTrace(runner.Job{Scenario: sc, Algo: algo, Size: size}, 0)
+	for variant, v := range offOn {
+		v.Scenario, v.Size = sc, size
+		_, tr := downloadTrace(v, 0)
 		for _, cp := range res.Checkpoints {
 			t, ok := tr.TimeToDeliver(cp)
 			if !ok {

@@ -23,10 +23,6 @@ type Fig14Result struct {
 	Incomplete int
 }
 
-// offOn are the SUSS-off and SUSS-on variants: CUBIC without and with
-// the add-on.
-var offOn = variants(runner.Cubic, runner.Suss)
-
 // RunFig14 declares the sizes × variants × iterations sweep as one job
 // slice. Loss rates are measured on every run — Fig. 14 plots link
 // behaviour, not completion — so this fold averages over all of them

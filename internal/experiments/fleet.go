@@ -155,14 +155,10 @@ func FleetJobs(fc FleetConfig) [2]runner.FleetJob {
 	fc = fc.Normalized()
 	pop := fc.Population()
 	var out [2]runner.FleetJob
-	for variant := 0; variant < 2; variant++ {
-		algo := runner.Cubic
-		if variant == 1 {
-			algo = runner.Suss
-		}
+	for variant, v := range offOn {
 		out[variant] = runner.FleetJob{
 			Fleet:   fc.Fleet,
-			Algo:    algo,
+			Algo:    v.Algo,
 			Pop:     pop,
 			Shards:  fc.Shards,
 			Horizon: fc.Horizon,

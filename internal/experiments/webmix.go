@@ -43,10 +43,10 @@ func RunWebMix(n int, arrivalRate float64, seed int64) WebMixResult {
 
 	tb := scenarios.DefaultTestbed(100*time.Millisecond, 1)
 	var jobs [2]runner.TestbedJob
-	for variant, algo := range []runner.Algo{runner.Cubic, runner.Suss} {
+	for variant, v := range offOn {
 		jobs[variant] = runner.TestbedJob{Testbed: tb, Flows: make([]runner.TestbedFlow, n), Horizon: arrivals[n-1] + 10*time.Minute}
 		for i := range sizes {
-			jobs[variant].Flows[i] = runner.TestbedFlow{Pair: i % tb.Pairs, Algo: algo, Size: sizes[i], Start: arrivals[i]}
+			jobs[variant].Flows[i] = runner.TestbedFlow{Pair: i % tb.Pairs, Algo: v.Algo, Size: sizes[i], Start: arrivals[i]}
 		}
 	}
 	res := WebMixResult{Flows: n}
