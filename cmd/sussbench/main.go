@@ -59,10 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 5, "iterations per stochastic data point")
 	seed := fs.Int64("seed", 1, "base RNG seed")
 	quick := fs.Bool("quick", false, "smaller sweeps for a fast pass")
-	outDir := fs.String("out", "", "also write CSV data files to this directory (fig11, matrix)")
+	outDir := fs.String("out", "", "also write CSV data files to this directory (fig11, matrix, fleet)")
 	parallel := fs.Int("parallel", 0, "worker pool size for sweep experiments (0 = GOMAXPROCS)")
 	noProgress := fs.Bool("no-progress", false, "suppress the stderr progress line")
-	counters := fs.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11)")
+	counters := fs.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11, fleet)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")

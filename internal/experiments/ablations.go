@@ -255,15 +255,15 @@ func RunAQMComparison(size int64, opt runner.Options) AQMResult {
 		algo  runner.Algo
 		qdisc netsim.QdiscFactory
 	}
-	vs := []variant{
+	variants := []variant{
 		{"cubic/drop-tail", runner.Cubic, nil},
 		{"cubic/codel", runner.Cubic, netsim.CoDelFactory},
 		{"suss/drop-tail", runner.Suss, nil},
 	}
 	rtt, rate := 100*time.Millisecond, 1e8
-	maxRTT := make([]time.Duration, len(vs))
-	jobs := make([]runner.Job, len(vs))
-	for i, v := range vs {
+	maxRTT := make([]time.Duration, len(variants))
+	jobs := make([]runner.Job, len(variants))
+	for i, v := range variants {
 		bneck := netsim.LinkConfig{Rate: rate, QueueBytes: int(rate / 8 * rtt.Seconds()), Qdisc: v.qdisc}
 		jobs[i] = twoHop(v.algo, size, rtt, bneck, &maxRTT[i])
 	}
@@ -274,7 +274,7 @@ func RunAQMComparison(size int64, opt runner.Options) AQMResult {
 		} else {
 			fct, loss, rttMs = o.FCT.Seconds(), o.LossRate, float64(maxRTT[i])/1e6
 		}
-		res.Variants = append(res.Variants, vs[i].name)
+		res.Variants = append(res.Variants, variants[i].name)
 		res.FCT = append(res.FCT, fct)
 		res.Loss = append(res.Loss, loss)
 		res.MaxRTTms = append(res.MaxRTTms, rttMs)
