@@ -134,11 +134,13 @@ var fig11ReducedSizes = []int64{512 << 10, 2 << 20}
 // engine, flow slot and path. Map's workers keep their Scratch between
 // calls, so every pass after the first reuses what the first grew and
 // the minimum is a warm pass (the cold one is pinned by
-// TestColdSweepAllocBudget in internal/runner). No map is left on the
+// TestColdSweepAllocBudget in internal/runner). A warm cell allocates
+// nothing, so the count is the sweep's own: the job list, Run's and
+// Map's bookkeeping and the fold. No map is left on the
 // packet path, so the count is exact (30 uncached processes read one
 // number) and the gate is an equality. A change that legitimately moves
 // the count edits this one number.
-const fig11SerialSweepAllocs = 272
+const fig11SerialSweepAllocs = 39
 
 // fig11SerialSweepFired and fig11SerialSweepPlaced are the events the
 // same 24 cells fire and the timing-wheel placements they cost, summed

@@ -56,8 +56,9 @@ var fig11Variants = variants(Fig11Algos()...)
 // experiment service caches them individually) build the identical
 // matrix the in-process sweep runs.
 func Fig11Jobs(server scenarios.Server, sizes []int64, iters int, seed int64) []runner.Job {
-	var jobs []runner.Job
-	for li, lt := range Fig11Links() {
+	links := Fig11Links()
+	jobs := make([]runner.Job, 0, len(links)*len(sizes)*len(fig11Variants)*max(iters, 0))
+	for li, lt := range links {
 		jobs = sweep(jobs, scenarios.New(server, lt, seed+int64(li)), sizes, fig11Variants, iters)
 	}
 	return jobs

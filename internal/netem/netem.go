@@ -16,12 +16,6 @@ import (
 	"suss/internal/netsim"
 )
 
-// Constant returns a fixed-rate RateFunc. It exists so scenario code
-// can treat every last hop uniformly as a rate model.
-func Constant(bps float64) netsim.RateFunc {
-	return func(time.Duration) float64 { return bps }
-}
-
 // Step returns a RateFunc that switches from before to after at the
 // given time — the Appendix B BtlBw step-change experiment.
 func Step(before, after float64, at time.Duration) netsim.RateFunc {
@@ -59,8 +53,8 @@ type VariableRate struct {
 
 // NewVariableRate builds a model with sensible defaults filled in:
 // Reversion 0.2, Interval 100 ms, Floor Mean/8, Ceil 2×Mean.
-func NewVariableRate(mean, relStdDev float64, rng *rand.Rand) *VariableRate {
-	return &VariableRate{
+func NewVariableRate(mean, relStdDev float64, rng *rand.Rand) VariableRate {
+	return VariableRate{
 		Mean:      mean,
 		RelStdDev: relStdDev,
 		Reversion: 0.2,
@@ -91,27 +85,12 @@ func (v *VariableRate) Rate(now time.Duration) float64 {
 	return v.current
 }
 
-// Jitter returns a DelayFunc adding per-packet delay drawn uniformly
-// from [0, max). Zero max returns nil (no jitter). Note that
-// independent per-packet jitter destroys ACK-train compression (the
-// spread of an n-packet train approaches max); use CorrelatedJitter
-// for wireless links, where delay variation comes from scheduling and
-// shifts whole bursts together.
-func Jitter(max time.Duration, rng *rand.Rand) netsim.DelayFunc {
-	if max <= 0 {
-		return nil
-	}
-	return func(time.Duration, *netsim.Packet) time.Duration {
-		return time.Duration(rng.Int63n(int64(max)))
-	}
-}
-
 // CorrelatedJitter resamples a uniform [0, max) delay once per
 // interval of virtual time and applies the same value to every packet
 // inside the interval: packets of one burst shift together, so
 // intra-train spacing (which HyStart and SUSS measure) survives, while
 // RTT still varies across rounds — the behaviour of cellular/WiFi
-// schedulers.
+// schedulers. Zero max returns nil (no jitter).
 func CorrelatedJitter(max, interval time.Duration, rng *rand.Rand) netsim.DelayFunc {
 	if max <= 0 {
 		return nil
@@ -119,28 +98,23 @@ func CorrelatedJitter(max, interval time.Duration, rng *rand.Rand) netsim.DelayF
 	if interval <= 0 {
 		interval = 20 * time.Millisecond
 	}
-	var current time.Duration
-	var nextAt time.Duration
-	return func(now time.Duration, _ *netsim.Packet) time.Duration {
-		for now >= nextAt {
-			current = time.Duration(rng.Int63n(int64(max)))
-			nextAt += interval
-		}
-		return current
-	}
+	return (&corrJitter{max: max, interval: interval, rng: rng}).Delay
 }
 
-// NormalJitter returns a DelayFunc with normally-distributed extra
-// delay (mean, stddev), truncated at zero — the netem delay/jitter
-// pair.
-func NormalJitter(mean, stddev time.Duration, rng *rand.Rand) netsim.DelayFunc {
-	return func(time.Duration, *netsim.Packet) time.Duration {
-		d := time.Duration(float64(mean) + float64(rng.NormFloat64()*float64(stddev)))
-		if d < 0 {
-			d = 0
-		}
-		return d
+// corrJitter is CorrelatedJitter's state.
+type corrJitter struct {
+	max, interval   time.Duration
+	rng             *rand.Rand
+	current, nextAt time.Duration
+}
+
+// Delay implements netsim.DelayFunc.
+func (j *corrJitter) Delay(now time.Duration, _ *netsim.Packet) time.Duration {
+	for now >= j.nextAt {
+		j.current = time.Duration(j.rng.Int63n(int64(j.max)))
+		j.nextAt += j.interval
 	}
+	return j.current
 }
 
 // Bernoulli returns a LossFunc dropping each packet independently with
@@ -149,8 +123,17 @@ func Bernoulli(p float64, rng *rand.Rand) netsim.LossFunc {
 	if p <= 0 {
 		return nil
 	}
-	return func(*netsim.Packet) bool { return rng.Float64() < p }
+	return (&bernoulli{p: p, rng: rng}).Drop
 }
+
+// bernoulli is Bernoulli's state.
+type bernoulli struct {
+	p   float64
+	rng *rand.Rand
+}
+
+// Drop implements netsim.LossFunc.
+func (b *bernoulli) Drop(*netsim.Packet) bool { return b.rng.Float64() < b.p }
 
 // GilbertElliott is a two-state burst-loss model: in the Good state
 // packets drop with probability LossGood (usually 0), in the Bad state
@@ -248,22 +231,55 @@ func DefaultProfile(t LinkType, meanRate float64) Profile {
 	}
 }
 
+// Models holds a last hop's stochastic models, the variable rate,
+// correlated jitter and Bernoulli loss, for Profile.Apply to rewrite in
+// place: each model's method value is bound on its first use, so a
+// caller that keeps one Models applies profile after profile without
+// allocating. The link configs Apply returns share its models, so a
+// Models serves one link at a time.
+type Models struct {
+	rate   VariableRate
+	jitter corrJitter
+	loss   bernoulli
+
+	rateFn   netsim.RateFunc
+	jitterFn netsim.DelayFunc
+	lossFn   netsim.LossFunc
+}
+
 // Apply converts the profile into a netsim.LinkConfig for the last-hop
-// link. oneWayDelay is the link's propagation delay; the drop-tail
-// buffer is sized BufferBDPs × MeanRate × (2×pathOneWayDelay).
-func (p Profile) Apply(name string, oneWayDelay, pathRTT time.Duration, rng *rand.Rand) netsim.LinkConfig {
+// link, with its models reset in m to draw from rng. oneWayDelay is the
+// link's propagation delay; the drop-tail buffer is sized BufferBDPs ×
+// MeanRate × (2×pathOneWayDelay). A model the profile does not use is
+// nil in the config.
+func (p Profile) Apply(m *Models, name string, oneWayDelay, pathRTT time.Duration, rng *rand.Rand) netsim.LinkConfig {
 	cfg := netsim.LinkConfig{
 		Name:  name,
 		Delay: oneWayDelay,
 	}
 	if p.RelStdDev > 0 {
-		vr := NewVariableRate(p.MeanRate, p.RelStdDev, rng)
-		cfg.RateModel = vr.Rate
+		m.rate = NewVariableRate(p.MeanRate, p.RelStdDev, rng)
+		if m.rateFn == nil {
+			m.rateFn = m.rate.Rate
+		}
+		cfg.RateModel = m.rateFn
 	} else {
 		cfg.Rate = p.MeanRate
 	}
-	cfg.Jitter = CorrelatedJitter(p.JitterMax, 20*time.Millisecond, rng)
-	cfg.Loss = Bernoulli(p.Loss, rng)
+	if p.JitterMax > 0 {
+		m.jitter = corrJitter{max: p.JitterMax, interval: 20 * time.Millisecond, rng: rng}
+		if m.jitterFn == nil {
+			m.jitterFn = m.jitter.Delay
+		}
+		cfg.Jitter = m.jitterFn
+	}
+	if p.Loss > 0 {
+		m.loss = bernoulli{p: p.Loss, rng: rng}
+		if m.lossFn == nil {
+			m.lossFn = m.loss.Drop
+		}
+		cfg.Loss = m.lossFn
+	}
 	bdp := p.MeanRate / 8 * pathRTT.Seconds()
 	buf := int(p.BufferBDPs * bdp)
 	if buf < 64<<10 {

@@ -6,14 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-)
 
-func TestConstant(t *testing.T) {
-	r := Constant(5e7)
-	if r(0) != 5e7 || r(time.Hour) != 5e7 {
-		t.Fatal("Constant rate not constant")
-	}
-}
+	"suss/internal/netsim"
+)
 
 func TestStep(t *testing.T) {
 	r := Step(1e8, 2.5e7, time.Second)
@@ -69,30 +64,6 @@ func TestVariableRateMonotonicQueriesOnly(t *testing.T) {
 	b := v.Rate(time.Second)
 	if a != b {
 		t.Fatalf("same-time queries differ: %v vs %v", a, b)
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	j := Jitter(10*time.Millisecond, rng)
-	for i := 0; i < 1000; i++ {
-		d := j(0, nil)
-		if d < 0 || d >= 10*time.Millisecond {
-			t.Fatalf("jitter %v outside [0,10ms)", d)
-		}
-	}
-	if Jitter(0, rng) != nil {
-		t.Error("zero jitter should return nil")
-	}
-}
-
-func TestNormalJitterNonNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	j := NormalJitter(2*time.Millisecond, 5*time.Millisecond, rng)
-	for i := 0; i < 1000; i++ {
-		if j(0, nil) < 0 {
-			t.Fatal("normal jitter went negative")
-		}
 	}
 }
 
@@ -163,8 +134,9 @@ func TestDefaultProfiles(t *testing.T) {
 
 func TestProfileApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var m Models
 	p := DefaultProfile(LTE4G, 5e7)
-	cfg := p.Apply("last", 5*time.Millisecond, 200*time.Millisecond, rng)
+	cfg := p.Apply(&m, "last", 5*time.Millisecond, 200*time.Millisecond, rng)
 	if cfg.RateModel == nil {
 		t.Fatal("4G profile must install a rate model")
 	}
@@ -177,12 +149,81 @@ func TestProfileApply(t *testing.T) {
 		t.Errorf("buffer = %d, want %d", cfg.QueueBytes, wantBuf)
 	}
 
-	w := DefaultProfile(Wired, 5e7).Apply("wired", time.Millisecond, 100*time.Millisecond, rng)
+	w := DefaultProfile(Wired, 5e7).Apply(&m, "wired", time.Millisecond, 100*time.Millisecond, rng)
 	if w.RateModel != nil || w.Jitter != nil || w.Loss != nil {
 		t.Error("wired profile should have no impairments")
 	}
 	if w.Rate != 5e7 {
 		t.Errorf("wired rate = %v", w.Rate)
+	}
+}
+
+// TestApplyReusedModels: a profile applied to models that last ran
+// under another profile, with their RNG reseeded, draws the rate,
+// jitter and loss sequence a fresh Apply with a new RNG of that seed
+// draws, and installs the same models (none for wired). The last
+// profile's heavy loss makes a stale loss probability show in drops.
+func TestApplyReusedModels(t *testing.T) {
+	var profiles []Profile
+	for _, lt := range []LinkType{Wired, WiFi, LTE4G, NR5G} {
+		profiles = append(profiles, DefaultProfile(lt, 1e8))
+	}
+	profiles = append(profiles, Profile{Type: WiFi, MeanRate: 5e7, RelStdDev: 0.5, JitterMax: 5 * time.Millisecond, Loss: 0.05, BufferBDPs: 1})
+	const seed, steps = 17, 20000
+	for i, prev := range profiles {
+		for j, p := range profiles {
+			rng := rand.New(rand.NewSource(99))
+			var reused Models
+			run(prev.Apply(&reused, "x", time.Millisecond, 50*time.Millisecond, rng), 3000)
+			rng.Seed(seed)
+			got := run(p.Apply(&reused, "x", time.Millisecond, 50*time.Millisecond, rng), steps)
+			want := run(p.Apply(new(Models), "x", time.Millisecond, 50*time.Millisecond, rand.New(rand.NewSource(seed))), steps)
+			if got != want {
+				t.Errorf("profile %d after %d: reused models drew %+v, fresh %+v", j, i, got, want)
+			}
+		}
+	}
+}
+
+// draws is what run saw a link config's models do: which are set, and
+// a digest of their outputs.
+type draws struct {
+	rate, jitter, loss bool
+	sum                float64
+	drops              int
+}
+
+// run steps cfg's models 1 ms apart, steps times, as a link would.
+func run(cfg netsim.LinkConfig, steps int) draws {
+	d := draws{rate: cfg.RateModel != nil, jitter: cfg.Jitter != nil, loss: cfg.Loss != nil}
+	for i := range steps {
+		now := time.Duration(i) * time.Millisecond
+		if d.rate {
+			d.sum += cfg.RateModel(now)
+		}
+		if d.jitter {
+			d.sum += float64(cfg.Jitter(now, nil))
+		}
+		if d.loss && cfg.Loss(nil) {
+			d.drops++
+		}
+	}
+	return d
+}
+
+// TestApplyReuseAllocs: re-applying a profile to warm models (and
+// reseeding their RNG) allocates nothing.
+func TestApplyReuseAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var m Models
+	p := DefaultProfile(LTE4G, 1.5e8)
+	p.Apply(&m, "lasthop", 5*time.Millisecond, 100*time.Millisecond, rng)
+	allocs := testing.AllocsPerRun(100, func() {
+		rng.Seed(1)
+		p.Apply(&m, "lasthop", 5*time.Millisecond, 100*time.Millisecond, rng)
+	})
+	if allocs != 0 {
+		t.Errorf("re-applying a profile to warm models made %.1f allocs, want 0", allocs)
 	}
 }
 

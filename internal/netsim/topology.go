@@ -81,19 +81,20 @@ func NewPath(sim *Simulator, spec PathSpec) *Path {
 		if i < n-1 {
 			to = p.Routers[n-2-i]
 		}
-		p.Rev[i] = f.Connect(from, to, spec.reverse(i))
+		p.Rev[i] = f.Connect(from, to, spec.reverse(i, ""))
 	}
 	f.Compile()
 	return p
 }
 
 // reverse returns the config of reverse link i (receiver side first):
-// Reverse[i], or the ACK mirror of the forward link it pairs with.
-func (spec PathSpec) reverse(i int) LinkConfig {
+// Reverse[i], or the ACK mirror of the forward link it pairs with, which
+// keeps the name was when it is the mirror's (see ackMirror).
+func (spec PathSpec) reverse(i int, was string) LinkConfig {
 	if spec.Reverse != nil {
 		return spec.Reverse[i]
 	}
-	return ackMirror(spec.Forward[len(spec.Forward)-1-i])
+	return ackMirror(spec.Forward[len(spec.Forward)-1-i], was)
 }
 
 // Reset turns p into the path NewPath(p.Sim, spec) wires, reusing its
@@ -111,7 +112,7 @@ func (p *Path) Reset(spec PathSpec) {
 		l.reset(spec.Forward[i])
 	}
 	for i, l := range p.Rev {
-		l.reset(spec.reverse(i))
+		l.reset(spec.reverse(i, l.Name()))
 	}
 }
 
@@ -161,7 +162,7 @@ func NewDumbbell(sim *Simulator, spec DumbbellSpec) *Dumbbell {
 	if bcfg.Name == "" {
 		bcfg.Name = "bottleneck"
 	}
-	d.Bottleneck, d.RevBneck = f.Duplex(d.Left, d.Right, bcfg, ackMirror(bcfg))
+	d.Bottleneck, d.RevBneck = f.Duplex(d.Left, d.Right, bcfg, ackMirror(bcfg, ""))
 
 	for i := 0; i < spec.Pairs; i++ {
 		srv := f.Host(fmt.Sprintf("server%d", i))

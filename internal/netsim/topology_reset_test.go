@@ -263,3 +263,22 @@ func TestResetPathIsNewPath(t *testing.T) {
 	}()
 	p.Reset(PathSpec{Forward: b.Forward[:1]})
 }
+
+// TestPathResetAllocs: rewiring a path to a spec with unchanged names
+// allocates nothing, because a mirrored reverse link keeps its "-rev"
+// name; a changed name is still mirrored.
+func TestPathResetAllocs(t *testing.T) {
+	spec := PathSpec{Forward: []LinkConfig{
+		{Name: "core", Rate: 1e9, Delay: time.Millisecond},
+		{Name: "last", Rate: 1e8, Delay: time.Millisecond},
+	}}
+	p := NewPath(NewSimulator(), spec)
+	if allocs := testing.AllocsPerRun(100, func() { p.Reset(spec) }); allocs != 0 {
+		t.Errorf("Path.Reset to unchanged names made %.1f allocs, want 0", allocs)
+	}
+	spec.Forward[1].Name = "wifi"
+	p.Reset(spec)
+	if got := []string{p.Rev[0].Name(), p.Rev[1].Name()}; got[0] != "wifi-rev" || got[1] != "core-rev" {
+		t.Errorf("reverse names after a renamed reset: %q, want [wifi-rev core-rev]", got)
+	}
+}

@@ -70,10 +70,16 @@ type Tree struct {
 
 // ackMirror derives the reverse-direction config for a duplex level:
 // same rate and delay, a queue generous enough that the ACK path is
-// never the bottleneck unless the caller overrides it explicitly.
-func ackMirror(cfg LinkConfig) LinkConfig {
+// never the bottleneck unless the caller overrides it explicitly, and
+// the name cfg.Name+"-rev". was is the reverse link's name before a
+// reset ("" for a new link); it is kept when it already is that name,
+// so rewiring to unchanged names builds no string.
+func ackMirror(cfg LinkConfig, was string) LinkConfig {
 	rc := cfg
-	rc.Name = cfg.Name + "-rev"
+	rc.Name = was
+	if n := len(cfg.Name); len(was) != n+4 || was[:n] != cfg.Name || was[n:] != "-rev" {
+		rc.Name = cfg.Name + "-rev"
+	}
 	rc.QueueBytes = 4 << 20
 	return rc
 }
@@ -122,11 +128,11 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 		if cfg.Name == "" {
 			cfg.Name = fmt.Sprintf("srv%d", s)
 		}
-		up, down := f.Duplex(host, t.Trunk, cfg, ackMirror(cfg))
+		up, down := f.Duplex(host, t.Trunk, cfg, ackMirror(cfg, ""))
 		t.SrvUp = append(t.SrvUp, up)
 		t.SrvDown = append(t.SrvDown, down)
 	}
-	t.Core, t.CoreRev = f.Duplex(t.Trunk, t.Root, core, ackMirror(core))
+	t.Core, t.CoreRev = f.Duplex(t.Trunk, t.Root, core, ackMirror(core, ""))
 	for g := 0; g < spec.Groups; g++ {
 		cfg := spec.Agg
 		if spec.AggFor != nil {
@@ -135,7 +141,7 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 		if cfg.Name == "" {
 			cfg.Name = fmt.Sprintf("agg%d", g)
 		}
-		down, up := f.Duplex(t.Root, t.Aggs[g], cfg, ackMirror(cfg))
+		down, up := f.Duplex(t.Root, t.Aggs[g], cfg, ackMirror(cfg, ""))
 		t.AggDown = append(t.AggDown, down)
 		t.AggUp = append(t.AggUp, up)
 		for h := 0; h < spec.HostsPerGroup; h++ {
@@ -147,7 +153,7 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 				acc.Name = fmt.Sprintf("access%d.%d", g, h)
 			}
 			cli := t.Clients[g*spec.HostsPerGroup+h]
-			adown, aup := f.Duplex(t.Aggs[g], cli, acc, ackMirror(acc))
+			adown, aup := f.Duplex(t.Aggs[g], cli, acc, ackMirror(acc, ""))
 			t.AccessDown = append(t.AccessDown, adown)
 			t.AccessUp = append(t.AccessUp, aup)
 		}

@@ -50,9 +50,9 @@ type FleetJob struct {
 	Domains int
 }
 
-// FleetChaosEnv is what a fleet Impair hook gets to work with. Sim and
-// Tree belong to the worker's Scratch and are valid only while the
-// shard runs.
+// FleetChaosEnv is what a fleet Impair hook gets to work with. Sim,
+// Tree and RNG belong to the worker's Scratch and are valid only while
+// the shard runs.
 type FleetChaosEnv struct {
 	Sim  *netsim.Simulator
 	Tree *netsim.Tree

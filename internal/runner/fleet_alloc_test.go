@@ -74,12 +74,12 @@ func checkShardWork(t *testing.T, sim *netsim.Simulator) {
 
 // warmFleetShardAllocs is the number of mallocs the same shard makes
 // on a Scratch that has run it before, whose engine, flow slab and tree
-// are grown: what is left is the shard's flow list, its RNG, the stop
-// predicate and the result (a slot's flow and its controller are reset
-// in place, and the tree and its demuxes with them). The constant has
-// no per-flow term, so one allocation added to a flow's set-up shows
-// ×400.
-const warmFleetShardAllocs = 9
+// are grown: what is left is the shard's flow list, the stop predicate
+// and the result (a slot's flow and its controller are reset in place,
+// the tree and its demuxes with them, and the scratch's one RNG is
+// reseeded). The constant has no per-flow term, so one allocation added
+// to a flow's set-up shows ×400.
+const warmFleetShardAllocs = 7
 
 // TestWarmFleetShardAllocBudget is the alloc gate of warm flows (part
 // of `make allocgate`).

@@ -83,8 +83,9 @@ const domainsRemoved = "Domains > 1 is no longer supported: parallel event domai
 // ChaosEnv is what an Impair hook gets to work with: the simulation,
 // the built path, the flow about to start, the scenario's RNG, and the
 // derived seed so hooks can build private RNG streams that stay
-// decoupled from the scenario's own draws. Sim, Path and Flow belong to
-// the worker's Scratch and are valid only while the cell runs.
+// decoupled from the scenario's own draws. Sim, Path, Flow and RNG
+// belong to the worker's Scratch and are valid only while the cell
+// runs.
 type ChaosEnv struct {
 	Sim  *netsim.Simulator
 	Path *netsim.Path
@@ -177,7 +178,7 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	sc := j.Scenario
 	sc.Seed = sc.Seed*1000003 + int64(j.Iter)*7919 + 1
 	sim := scr.engine()
-	spec, rng := sc.Spec()
+	spec, rng := sc.Spec(&scr.wiring)
 	p := scr.pathFor(spec)
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {

@@ -4,7 +4,7 @@
 //
 // Every data point in the paper's evaluation is an independent
 // simulation whose randomness is fully determined by its own seed
-// (scenarios.Build seeds a private RNG per simulator instance), so
+// (every cell seeds its RNG afresh from it), so
 // jobs can run on any number of workers without changing the numbers.
 // The pool guarantees the stronger property the experiment runners
 // rely on: results are collected by job index, never by completion
@@ -89,8 +89,12 @@ func (e *PanicError) Error() string {
 // two demuxes, and the last fleet shard's tree, with one demux per
 // host. A cell whose path has as many hops, or a shard whose Fleet
 // equals the last one but for its seed, resets them (netsim's
-// Path.Reset and Tree.Reset) instead of wiring new ones. The path and
-// tree a hook sees are, like the flow, valid only during its cell.
+// Path.Reset and Tree.Reset) instead of wiring new ones. A cell's spec
+// is written into the scratch as well (scenarios.Wiring): one RNG,
+// reseeded per cell or shard as rand.New would seed a new one, and the
+// last hop's rate, jitter and loss models, rewritten in place. So a warm
+// unobserved Download allocates nothing. The path, tree and RNG a hook
+// sees are, like the flow, valid only during its cell.
 //
 // The zero value is ready to use; the engine is built on first use. A
 // Scratch belongs to one goroutine at a time. Map's workers take theirs
@@ -100,6 +104,9 @@ func (e *PanicError) Error() string {
 type Scratch struct {
 	sim   *netsim.Simulator
 	slots []*slot
+
+	// wiring holds the cell's spec and RNG, rewritten for every cell.
+	wiring scenarios.Wiring
 
 	// path and pathMux are the last Download's topology and its sender's
 	// and receiver's demuxes.
@@ -174,7 +181,7 @@ func (scr *Scratch) pathFor(spec netsim.PathSpec) *netsim.Path {
 // per host. fl.Seed is the shard's derived seed, which seeds the
 // returned RNG and nothing of the tree.
 func (scr *Scratch) treeFor(fl scenarios.Fleet) (*netsim.Tree, *rand.Rand) {
-	spec, rng := fl.Spec()
+	spec, rng := fl.Spec(&scr.wiring)
 	fl.Seed = 0
 	if scr.tree != nil && scr.fleet == fl {
 		scr.tree.Reset()

@@ -207,18 +207,26 @@ func TestWarmTopologySequences(t *testing.T) {
 		}
 	})
 
-	t.Run("wired → 4g → wired", func(t *testing.T) {
+	t.Run("wired → 4g → wifi → 5g → wired", func(t *testing.T) {
+		// The hook's erasures draw from the scenario's RNG, between the
+		// last hop's own draws.
+		erase := func(env ChaosEnv) {
+			env.Path.Fwd[1].AttachImpairments(netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.01, env.RNG)}))
+		}
 		var calls [][]Outcome[tap[DownloadResult]]
-		for k, lt := range []netem.LinkType{netem.Wired, netem.LTE4G, netem.Wired} {
+		for k, lt := range []netem.LinkType{netem.Wired, netem.LTE4G, netem.WiFi, netem.NR5G, netem.Wired} {
 			jobs := []Job{
-				{Scenario: scenarios.New(scenarios.OracleSydney, lt, int64(k)), Algo: Suss, Size: 1 << 20},
+				{Scenario: scenarios.New(scenarios.OracleSydney, lt, int64(k)), Algo: Suss, Size: 1 << 20, Impair: erase},
 				{Scenario: scenarios.New(scenarios.GoogleTokyo, lt, 3), Algo: BBR, Size: 512 << 10, Observe: true},
 			}
 			outs := mapDownloads(jobs, 1)
+			if outs[0].Value.Res.Drops == 0 {
+				t.Errorf("%v: the hook's erasures dropped nothing", lt)
+			}
 			sameAsOneShot(t, lt.String(), jobs, outs, downloadTap)
 			calls = append(calls, outs)
 		}
-		oneScratch(t, "wired → 4g → wired", calls...)
+		oneScratch(t, "wired → 4g → wifi → 5g → wired", calls...)
 		for k, outs := range calls {
 			for i, o := range outs {
 				if o.Value.topo != calls[0][0].Value.topo {

@@ -178,26 +178,47 @@ func All(seed int64) []Scenario {
 // the one feeding the impairments (callers reuse it to perturb
 // workloads).
 func (sc Scenario) Build(sim *netsim.Simulator) (*netsim.Path, *rand.Rand) {
-	spec, rng := sc.Spec()
+	spec, rng := sc.Spec(new(Wiring))
 	return netsim.NewPath(sim, spec), rng
 }
 
-// Spec returns the path Build wires and the RNG it returns, seeded
-// from Scenario.Seed alone, whose draws the last hop's models have
-// taken: Path.Reset with this spec rewires a two-hop path as Build
-// would.
-func (sc Scenario) Spec() (netsim.PathSpec, *rand.Rand) {
-	rng := rand.New(rand.NewSource(sc.Seed))
+// Spec writes the path Build wires into w and returns it with the RNG
+// Build returns, seeded from Scenario.Seed alone, whose draws the last
+// hop's models take: Path.Reset with this spec rewires a two-hop path
+// as Build would. The link configs, the models and the RNG are w's,
+// rewritten in place, so a caller that keeps one Wiring builds spec
+// after spec without allocating; each is valid until w's next use.
+func (sc Scenario) Spec(w *Wiring) (netsim.PathSpec, *rand.Rand) {
+	rng := w.seed(sc.Seed)
 	lastHopDelay := 5 * time.Millisecond
 	coreDelay := sc.RTT/2 - lastHopDelay
 	if coreDelay < time.Millisecond {
 		coreDelay = time.Millisecond
 	}
-	last := sc.LastHop.Apply("lasthop", lastHopDelay, sc.RTT, rng)
-	return netsim.PathSpec{Forward: []netsim.LinkConfig{
+	w.fwd = [2]netsim.LinkConfig{
 		{Name: "core", Rate: sc.CoreRate, Delay: coreDelay, QueueBytes: 64 << 20},
-		last,
-	}}, rng
+		sc.LastHop.Apply(&w.lastHop, "lasthop", lastHopDelay, sc.RTT, rng),
+	}
+	return netsim.PathSpec{Forward: w.fwd[:]}, rng
+}
+
+// Wiring is the storage Scenario.Spec and Fleet.Spec write a spec
+// into: a path's forward link configs, its last hop's netem models and
+// the one RNG both seed.
+type Wiring struct {
+	rng     *rand.Rand
+	fwd     [2]netsim.LinkConfig
+	lastHop netem.Models
+}
+
+// seed returns w's RNG in the state rand.New(rand.NewSource(seed))
+// gives, building it on first use.
+func (w *Wiring) seed(seed int64) *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	}
+	w.rng.Seed(seed)
+	return w.rng
 }
 
 // Testbed describes the paper's local dumbbell (§6.1): five pairs, a

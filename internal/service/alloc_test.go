@@ -17,7 +17,7 @@ import (
 // reads the same count, so one allocation more anywhere on the warm
 // path fails the gate. A change that legitimately moves the count reads
 // the new one from the test's -v log and edits this one number.
-const warmResubmitAllocs = 63
+const warmResubmitAllocs = 55
 
 // TestWarmResubmitAllocBudget is the alloc gate of the daemon's warm
 // path (part of `make allocgate`): once the matrix is cached, a
