@@ -11,7 +11,6 @@
 //	sussbench -parallel 8     # worker pool size (0 = GOMAXPROCS)
 //	sussbench -only fig11 -counters   # cross-layer loss accounting
 //	sussbench -cpuprofile cpu.pprof -memprofile mem.pprof
-//	sussbench -blockprofile block.pprof -mutexprofile mutex.pprof
 //
 // Sweep experiments fan their independent simulations out over a
 // bounded worker pool (internal/runner). Results are collected by job
@@ -65,8 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	counters := fs.Bool("counters", false, "attach flight recorders and print cross-layer loss accounting (fig11, fleet)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
-	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
-	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -106,16 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "wrote allocation profile to %s\n", *memProfile)
 		}()
-	}
-	// Block and mutex profiling carry a runtime cost, so the rates are
-	// raised from their zero defaults only when a profile was requested.
-	if *blockProfile != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeProfile(stderr, "block", *blockProfile)
-	}
-	if *mutexProfile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeProfile(stderr, "mutex", *mutexProfile)
 	}
 
 	if *outDir != "" {
@@ -349,20 +336,4 @@ func createFile(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeProfile dumps a named runtime profile ("block", "mutex") at
-// exit, mirroring the -memprofile flow.
-func writeProfile(stderr io.Writer, name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cannot create -%sprofile: %v\n", name, err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(stderr, "cannot write -%sprofile: %v\n", name, err)
-		return
-	}
-	fmt.Fprintf(stderr, "wrote %s profile to %s\n", name, path)
 }

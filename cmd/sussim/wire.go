@@ -28,7 +28,7 @@ func serveFlow(addr string, algo suss.Algorithm, size int64, wireLoss float64, s
 		cfg.Impair = netsim.NewImpairments(
 			netem.Erasure{Fn: netem.Bernoulli(wireLoss, rand.New(rand.NewSource(seed)))})
 	}
-	ep, err := udpbackend.ListenConfig(addr, cfg)
+	ep, err := udpbackend.Listen(addr, cfg)
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func serveFlow(addr string, algo suss.Algorithm, size int64, wireLoss float64, s
 // raddr and receive size bytes (the two processes must agree on size —
 // the demo has no application-layer length header).
 func fetchFlow(raddr string, size int64) error {
-	ep, err := udpbackend.Dial(raddr)
+	ep, err := udpbackend.Dial(raddr, udpbackend.Config{})
 	if err != nil {
 		return err
 	}

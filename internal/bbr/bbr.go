@@ -97,7 +97,6 @@ type BBR struct {
 	filledPipe   bool
 
 	probeRTTStart time.Duration
-	probeRTTDone  bool
 
 	inflightHi float64 // v2 loss-bounded ceiling in bytes (0 = none)
 
@@ -147,25 +146,11 @@ func (b *BBR) Reset(env cc.Env, opt Options) {
 	}
 }
 
-// Name implements cc.Controller.
-func (b *BBR) Name() string {
-	if b.opt.V2 {
-		return "bbr2"
-	}
-	if b.opt.SUSSStartup {
-		return "bbr+suss"
-	}
-	return "bbr"
-}
-
 // BoostedRounds returns how many STARTUP rounds ran with doubled gains
 // (0 unless Options.SUSSStartup).
 func (b *BBR) BoostedRounds() int {
 	return b.boost.Boosts
 }
-
-// Round returns the round-trip counter (diagnostics).
-func (b *BBR) Round() uint64 { return uint64(b.rounds.N) }
 
 // State returns the current phase name (for traces).
 func (b *BBR) State() string { return b.st.String() }

@@ -79,9 +79,6 @@ type LossEvent struct {
 
 // Controller is a pluggable congestion-control algorithm.
 type Controller interface {
-	// Name identifies the algorithm in traces ("cubic", "cubic+suss",
-	// "bbr", "bbr2").
-	Name() string
 	// OnPacketSent is invoked for every data transmission.
 	OnPacketSent(now time.Duration, size int, seq int64, retrans bool)
 	// OnAck is invoked for every ACK that makes progress.

@@ -56,9 +56,6 @@ func (r *Reno) Reset(env Env, opt RenoOptions) {
 	}
 }
 
-// Name implements Controller.
-func (r *Reno) Name() string { return "reno" }
-
 // CwndBytes implements Controller.
 func (r *Reno) CwndBytes() int64 { return int64(r.cwnd * float64(r.env.MSS())) }
 

@@ -88,6 +88,9 @@ func TestWatchdogKillsWedgedJob(t *testing.T) {
 	if res.Stall.SimTime != 0 {
 		t.Errorf("livelocked sim advanced to %v, want pinned at 0", res.Stall.SimTime)
 	}
+	if msg := res.Stall.Error(); !strings.Contains(msg, j.Scenario.Name()) || !strings.Contains(msg, "size=1048576") {
+		t.Errorf("stall error %q does not describe the job", msg)
+	}
 	dump := res.Stall.Dump()
 	// The flow's initial window went out at t=0 before the wedge pinned
 	// the clock, so the dump must carry real flight-recorder events.

@@ -184,9 +184,6 @@ func (s *Suss) Reset(env cc.Env, opt Options) {
 	s.Cubic.Reset(env, copt, s)
 }
 
-// Name implements cc.Controller.
-func (s *Suss) Name() string { return "cubic+suss" }
-
 // Stats returns a copy of the SUSS counters. Its GHistory shares the
 // controller's array: it is valid until the controller's next Reset.
 func (s *Suss) Stats() Stats { return s.stats }

@@ -129,9 +129,6 @@ func (c *Cubic) Reset(env cc.Env, opt Options, ss cc.SlowStart) {
 	}
 }
 
-// Name implements cc.Controller.
-func (c *Cubic) Name() string { return "cubic" }
-
 // CwndBytes implements cc.Controller.
 func (c *Cubic) CwndBytes() int64 {
 	return int64(c.cwnd * float64(c.env.MSS()))

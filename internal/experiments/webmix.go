@@ -39,7 +39,13 @@ func RunWebMix(n int, arrivalRate float64, seed int64) WebMixResult {
 	for i := range sizes {
 		sizes[i] = dist.Sample(rng)
 	}
-	arrivals := workload.Arrivals{Rate: arrivalRate}.Schedule(rng, n, 100*time.Millisecond)
+	poisson := workload.PoissonArrivals{Rate: arrivalRate}
+	arrivals := make([]time.Duration, n)
+	at := 100 * time.Millisecond
+	for i := range arrivals {
+		at += poisson.NextGap(rng)
+		arrivals[i] = at
+	}
 
 	tb := scenarios.DefaultTestbed(100*time.Millisecond, 1)
 	var jobs [2]runner.TestbedJob

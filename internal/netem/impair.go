@@ -33,9 +33,6 @@ func NewReorder(prob float64, minExtra, maxExtra time.Duration, rng *rand.Rand) 
 	return &Reorder{Prob: prob, MinExtra: minExtra, MaxExtra: maxExtra, rng: rng}
 }
 
-// Name implements netsim.ImpairStage.
-func (r *Reorder) Name() string { return "reorder" }
-
 // Judge implements netsim.ImpairStage.
 func (r *Reorder) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
 	if r.rng.Float64() >= r.Prob {
@@ -64,9 +61,6 @@ func NewDuplicate(prob float64, extra time.Duration, rng *rand.Rand) *Duplicate 
 	return &Duplicate{Prob: prob, Extra: extra, rng: rng}
 }
 
-// Name implements netsim.ImpairStage.
-func (d *Duplicate) Name() string { return "duplicate" }
-
 // Judge implements netsim.ImpairStage.
 func (d *Duplicate) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
 	if d.rng.Float64() >= d.Prob {
@@ -91,9 +85,6 @@ func NewCorrupt(prob float64, rng *rand.Rand) *Corrupt {
 	return &Corrupt{Prob: prob, rng: rng}
 }
 
-// Name implements netsim.ImpairStage.
-func (c *Corrupt) Name() string { return "corrupt" }
-
 // Judge implements netsim.ImpairStage.
 func (c *Corrupt) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
 	if c.rng.Float64() < c.Prob {
@@ -109,9 +100,6 @@ type Erasure struct {
 	// Fn decides the drop; it owns whatever RNG it was built with.
 	Fn netsim.LossFunc
 }
-
-// Name implements netsim.ImpairStage.
-func (e Erasure) Name() string { return "erasure" }
 
 // Judge implements netsim.ImpairStage.
 func (e Erasure) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
@@ -133,9 +121,6 @@ type Outage struct {
 	// Windows are the dark intervals, in ascending order.
 	Windows []Window
 }
-
-// Name implements netsim.ImpairStage.
-func (o *Outage) Name() string { return "outage" }
 
 // Judge implements netsim.ImpairStage.
 func (o *Outage) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
@@ -170,9 +155,6 @@ func NewFlaps(meanUp, meanDown time.Duration, rng *rand.Rand) *Flaps {
 	return &Flaps{MeanUp: meanUp, MeanDown: meanDown, rng: rng, down: true}
 }
 
-// Name implements netsim.ImpairStage.
-func (f *Flaps) Name() string { return "flaps" }
-
 // Judge implements netsim.ImpairStage.
 func (f *Flaps) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
 	for now >= f.nextAt {
@@ -205,9 +187,6 @@ type RTTStep struct {
 	// Steps are the scheduled deltas, in ascending At order.
 	Steps []DelayStep
 }
-
-// Name implements netsim.ImpairStage.
-func (r *RTTStep) Name() string { return "rtt-step" }
 
 // Judge implements netsim.ImpairStage.
 func (r *RTTStep) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {

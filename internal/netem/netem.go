@@ -85,23 +85,11 @@ func (v *VariableRate) Rate(now time.Duration) float64 {
 	return v.current
 }
 
-// CorrelatedJitter resamples a uniform [0, max) delay once per
-// interval of virtual time and applies the same value to every packet
-// inside the interval: packets of one burst shift together, so
-// intra-train spacing (which HyStart and SUSS measure) survives, while
-// RTT still varies across rounds — the behaviour of cellular/WiFi
-// schedulers. Zero max returns nil (no jitter).
-func CorrelatedJitter(max, interval time.Duration, rng *rand.Rand) netsim.DelayFunc {
-	if max <= 0 {
-		return nil
-	}
-	if interval <= 0 {
-		interval = 20 * time.Millisecond
-	}
-	return (&corrJitter{max: max, interval: interval, rng: rng}).Delay
-}
-
-// corrJitter is CorrelatedJitter's state.
+// corrJitter resamples a uniform [0, max) delay once per interval of
+// virtual time and applies the same value to every packet inside the
+// interval: packets of one burst shift together, so intra-train
+// spacing (which HyStart and SUSS measure) survives, while RTT still
+// varies across rounds — the behaviour of cellular/WiFi schedulers.
 type corrJitter struct {
 	max, interval   time.Duration
 	rng             *rand.Rand

@@ -37,15 +37,13 @@ type ImpairVerdict struct {
 // propagation. Implementations live in internal/netem; they must be
 // deterministic given their own seeded RNG and the packet sequence.
 type ImpairStage interface {
-	// Name identifies the stage in diagnostics.
-	Name() string
 	// Judge returns the stage's verdict for pkt at virtual time now.
 	// The packet is read-only: stages must not mutate or retain it.
 	Judge(now time.Duration, pkt *Packet) ImpairVerdict
 }
 
 // Impairments is an ordered pipeline of stages attached to a link.
-// Stages run in Add order; the combined verdict is:
+// Stages run in the order given; the combined verdict is:
 //
 //   - the first Drop wins and stops the pipeline (a dropped packet
 //     cannot be further delayed or duplicated);
@@ -56,15 +54,9 @@ type Impairments struct {
 	stages []ImpairStage
 }
 
-// NewImpairments builds an empty pipeline.
+// NewImpairments builds a pipeline of stages.
 func NewImpairments(stages ...ImpairStage) *Impairments {
 	return &Impairments{stages: stages}
-}
-
-// Add appends a stage and returns the pipeline for chaining.
-func (im *Impairments) Add(s ImpairStage) *Impairments {
-	im.stages = append(im.stages, s)
-	return im
 }
 
 // Judge runs the pipeline on one packet and returns the combined

@@ -101,9 +101,6 @@ func (l *Link) AttachRecorder(r *obs.LinkRecorder) { l.rec = r }
 // Pass nil to detach.
 func (l *Link) AttachImpairments(im *Impairments) { l.impair = im }
 
-// Impairments returns the attached pipeline, or nil.
-func (l *Link) Impairments() *Impairments { return l.impair }
-
 // NewLink creates a link feeding dst. The configuration is validated:
 // a non-positive fixed rate panics, since it would stall the queue
 // silently.

@@ -208,7 +208,6 @@ func TestNewLinkValidation(t *testing.T) {
 // scriptStage is an impairment stage with a fixed verdict per Seq.
 type scriptStage map[int64]ImpairVerdict
 
-func (scriptStage) Name() string                                      { return "script" }
 func (st scriptStage) Judge(_ time.Duration, p *Packet) ImpairVerdict { return st[p.Seq] }
 
 // TestLinkLine: a link's in-flight packets cost the scheduler one

@@ -19,9 +19,6 @@ func NewRouter(id NodeID, name string) *Router {
 // ID implements Node.
 func (r *Router) ID() NodeID { return r.id }
 
-// Name returns the router's human-readable name.
-func (r *Router) Name() string { return r.name }
-
 // AddRoute sends traffic destined to dst out via link. Later calls for
 // the same destination replace the route.
 func (r *Router) AddRoute(dst NodeID, link *Link) {

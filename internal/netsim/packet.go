@@ -64,8 +64,8 @@ type Packet struct {
 	CumAck int64
 	// SACK holds up to MaxSack selective-ack ranges above CumAck;
 	// NSack of them are valid. The array is inline so SACK-bearing
-	// ACKs allocate nothing — use SackRanges or AddSack rather than
-	// touching the pair directly.
+	// ACKs allocate nothing — use AddSack rather than touching the pair
+	// directly.
 	SACK  [MaxSack]SackRange
 	NSack uint8
 	// EchoTS echoes the sender's departure timestamp so the sender can
@@ -139,11 +139,6 @@ func (p *Packet) CopyFrom(src *Packet) {
 	*p = *src
 	p.pool, p.freed, p.next, p.at, p.armSeq = pool, freed, next, at, armSeq
 }
-
-// SackRanges returns the valid selective-ack ranges as a slice view
-// into the packet's inline array (no allocation). The view is only
-// valid while the caller owns the packet.
-func (p *Packet) SackRanges() []SackRange { return p.SACK[:p.NSack] }
 
 // AddSack appends a selective-ack range, reporting false when the
 // inline array is full.

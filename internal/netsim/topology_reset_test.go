@@ -66,7 +66,6 @@ func routeSnap(routers []*Router, links []*Link) [][]int {
 // the dirty phase's traffic cannot miss.
 type thirdStage struct{}
 
-func (thirdStage) Name() string { return "third" }
 func (thirdStage) Judge(_ time.Duration, p *Packet) ImpairVerdict {
 	return ImpairVerdict{Drop: p.Seq%3 == 0, Cause: obs.DropCorrupt}
 }

@@ -30,18 +30,10 @@ type TreeSpec struct {
 	// bottleneck in the congested (download) direction. Its mirror
 	// carries ACKs with a generous queue.
 	Core LinkConfig
-	// Agg configures each root→agg[g] aggregation link; AggFor, when
-	// non-nil, overrides it per group.
-	Agg    LinkConfig
-	AggFor func(g int) LinkConfig
-	// Access configures each agg[g]→client leaf link; AccessFor, when
-	// non-nil, overrides it per (group, host).
-	Access    LinkConfig
-	AccessFor func(g, h int) LinkConfig
-	// ServerAccess configures each server⇄trunk edge. A zero Rate
-	// defaults to 4× the core rate with no extra delay, so the server
-	// farm is never the bottleneck unless asked for.
-	ServerAccess LinkConfig
+	// Agg configures each root→agg[g] aggregation link.
+	Agg LinkConfig
+	// Access configures each agg[g]→client leaf link.
+	Access LinkConfig
 }
 
 // Tree is the wired topology. Slices are indexed the way the spec
@@ -97,13 +89,11 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 	if core.Name == "" {
 		core.Name = "core"
 	}
-	srv := spec.ServerAccess
-	if srv.RateModel == nil && srv.Rate <= 0 {
-		srv.Rate = 4 * core.Rate
-		if srv.Rate <= 0 {
-			srv.Rate = 4 * core.RateAt0()
-		}
-		srv.QueueBytes = 64 << 20
+	// Each server⇄trunk edge runs at 4× the core rate with no extra
+	// delay, so the server farm is never the bottleneck.
+	srv := LinkConfig{Rate: 4 * core.Rate, QueueBytes: 64 << 20}
+	if srv.Rate <= 0 {
+		srv.Rate = 4 * core.RateAt0()
 	}
 
 	t := &Tree{Sim: sim, Spec: spec}
@@ -135,9 +125,6 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 	t.Core, t.CoreRev = f.Duplex(t.Trunk, t.Root, core, ackMirror(core, ""))
 	for g := 0; g < spec.Groups; g++ {
 		cfg := spec.Agg
-		if spec.AggFor != nil {
-			cfg = spec.AggFor(g)
-		}
 		if cfg.Name == "" {
 			cfg.Name = fmt.Sprintf("agg%d", g)
 		}
@@ -146,9 +133,6 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 		t.AggUp = append(t.AggUp, up)
 		for h := 0; h < spec.HostsPerGroup; h++ {
 			acc := spec.Access
-			if spec.AccessFor != nil {
-				acc = spec.AccessFor(g, h)
-			}
 			if acc.Name == "" {
 				acc.Name = fmt.Sprintf("access%d.%d", g, h)
 			}

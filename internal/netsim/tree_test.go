@@ -125,7 +125,6 @@ func TestTreeDegeneratesToPath(t *testing.T) {
 		Core:          LinkConfig{Rate: 1e9, Delay: 20 * time.Millisecond},
 		Agg:           LinkConfig{Rate: 1e9, Delay: 15 * time.Millisecond},
 		Access:        LinkConfig{Rate: 1e9, Delay: 15 * time.Millisecond},
-		ServerAccess:  LinkConfig{Rate: 1e10, Delay: 0},
 	})
 	cli := tr.Clients[0]
 	var ackAt time.Duration

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"suss/internal/core"
@@ -50,13 +49,13 @@ type FleetJob struct {
 	Domains int
 }
 
-// FleetChaosEnv is what a fleet Impair hook gets to work with. Sim,
-// Tree and RNG belong to the worker's Scratch and are valid only while
-// the shard runs.
+// FleetChaosEnv is what a fleet Impair hook gets to work with: the
+// simulation, the wired tree, and the shard's derived seed so hooks
+// can build private RNG streams. Sim and Tree belong to the worker's
+// Scratch and are valid only while the shard runs.
 type FleetChaosEnv struct {
 	Sim  *netsim.Simulator
 	Tree *netsim.Tree
-	RNG  *rand.Rand
 	Seed int64
 }
 
@@ -156,7 +155,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	fl := j.Fleet
 	fl.Seed = fl.Seed*1000003 + int64(j.Shard)*7919 + 1
 	sim := scr.engine()
-	tree, rng := scr.treeFor(fl)
+	tree := scr.treeFor(fl)
 
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
@@ -204,7 +203,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	defer sim.StopWhen(nil)
 
 	if j.Impair != nil {
-		j.Impair(FleetChaosEnv{Sim: sim, Tree: tree, RNG: rng, Seed: fl.Seed})
+		j.Impair(FleetChaosEnv{Sim: sim, Tree: tree, Seed: fl.Seed})
 	}
 
 	slack := j.Horizon
@@ -213,13 +212,10 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 	}
 	horizon := workload.Horizon(flows, slack)
 	var stall *StallError
-	desc := ""
-	if j.WallLimit > 0 {
-		desc = j.describe()
-	}
-	end, err := RunGuarded(sim, reg, horizon, j.WallLimit, desc)
+	end, err := RunGuarded(sim, reg, horizon, j.WallLimit)
 	if err != nil {
 		stall = err.(*StallError)
+		stall.Desc = j.describe()
 	}
 
 	res := ShardResult{Shard: j.Shard, Algo: j.Algo, Flows: make([]FlowRecord, len(flows)), SimEnd: end, Stall: stall}

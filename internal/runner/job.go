@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"suss/internal/core"
@@ -81,16 +80,14 @@ type Job struct {
 const domainsRemoved = "Domains > 1 is no longer supported: parallel event domains were removed, one simulation runs on one simulator (use runner.Map workers for parallelism)"
 
 // ChaosEnv is what an Impair hook gets to work with: the simulation,
-// the built path, the flow about to start, the scenario's RNG, and the
-// derived seed so hooks can build private RNG streams that stay
-// decoupled from the scenario's own draws. Sim, Path, Flow and RNG
-// belong to the worker's Scratch and are valid only while the cell
-// runs.
+// the built path, the flow about to start, and the derived seed so
+// hooks can build private RNG streams that stay decoupled from the
+// scenario's own draws. Sim, Path and Flow belong to the worker's
+// Scratch and are valid only while the cell runs.
 type ChaosEnv struct {
 	Sim  *netsim.Simulator
 	Path *netsim.Path
 	Flow *tcp.Flow
-	RNG  *rand.Rand
 	Seed int64
 	// Rec is the flow's flight recorder and Registry the one it records
 	// into, with every link's counters: nil unless the job is observed or
@@ -178,8 +175,7 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	sc := j.Scenario
 	sc.Seed = sc.Seed*1000003 + int64(j.Iter)*7919 + 1
 	sim := scr.engine()
-	spec, rng := sc.Spec(&scr.wiring)
-	p := scr.pathFor(spec)
+	p := scr.pathFor(sc.Spec(&scr.wiring))
 	cfg := tcp.DefaultConfig()
 	if j.Transport != nil {
 		cfg = *j.Transport
@@ -204,22 +200,17 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 		}
 	}
 	if j.Impair != nil {
-		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, RNG: rng, Seed: sc.Seed, Rec: fr, Registry: reg})
+		j.Impair(ChaosEnv{Sim: sim, Path: p, Flow: f, Seed: sc.Seed, Rec: fr, Registry: reg})
 	}
 	f.StartAt(sim, 0)
 	horizon := j.Horizon
 	if horizon <= 0 {
 		horizon = DefaultHorizon
 	}
-	// Only a StallError reads the description; an unguarded cell does not
-	// pay to format it.
-	desc := ""
-	if j.WallLimit > 0 {
-		desc = j.describe()
-	}
 	var stall *StallError
-	if _, err := RunGuarded(sim, reg, horizon, j.WallLimit, desc); err != nil {
+	if _, err := RunGuarded(sim, reg, horizon, j.WallLimit); err != nil {
 		stall = err.(*StallError)
+		stall.Desc = j.describe()
 	}
 
 	last := p.Fwd[len(p.Fwd)-1]

@@ -24,7 +24,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -91,10 +90,10 @@ func (e *PanicError) Error() string {
 // equals the last one but for its seed, resets them (netsim's
 // Path.Reset and Tree.Reset) instead of wiring new ones. A cell's spec
 // is written into the scratch as well (scenarios.Wiring): one RNG,
-// reseeded per cell or shard as rand.New would seed a new one, and the
-// last hop's rate, jitter and loss models, rewritten in place. So a warm
-// unobserved Download allocates nothing. The path, tree and RNG a hook
-// sees are, like the flow, valid only during its cell.
+// reseeded per cell as rand.New would seed a new one, and the last
+// hop's rate, jitter and loss models, rewritten in place. So a warm
+// unobserved Download allocates nothing. The path and tree a hook sees
+// are, like the flow, valid only during its cell.
 //
 // The zero value is ready to use; the engine is built on first use. A
 // Scratch belongs to one goroutine at a time. Map's workers take theirs
@@ -177,11 +176,9 @@ func (scr *Scratch) pathFor(spec netsim.PathSpec) *netsim.Path {
 }
 
 // treeFor returns the scratch's tree reset, with its demuxes emptied,
-// when it was wired for fl; otherwise it wires fl's tree and a demux
-// per host. fl.Seed is the shard's derived seed, which seeds the
-// returned RNG and nothing of the tree.
-func (scr *Scratch) treeFor(fl scenarios.Fleet) (*netsim.Tree, *rand.Rand) {
-	spec, rng := fl.Spec(&scr.wiring)
+// when it was wired for fl but for its seed; otherwise it wires fl's
+// tree and a demux per host.
+func (scr *Scratch) treeFor(fl scenarios.Fleet) *netsim.Tree {
 	fl.Seed = 0
 	if scr.tree != nil && scr.fleet == fl {
 		scr.tree.Reset()
@@ -191,9 +188,9 @@ func (scr *Scratch) treeFor(fl scenarios.Fleet) (*netsim.Tree, *rand.Rand) {
 		for _, d := range scr.cliMux {
 			d.Reset()
 		}
-		return scr.tree, rng
+		return scr.tree
 	}
-	t := netsim.NewTree(scr.sim, spec)
+	t := netsim.NewTree(scr.sim, fl.Spec())
 	scr.tree, scr.fleet = t, fl
 	scr.srvMux = make([]*tcp.Demux, len(t.Servers))
 	for s, h := range t.Servers {
@@ -203,7 +200,7 @@ func (scr *Scratch) treeFor(fl scenarios.Fleet) (*netsim.Tree, *rand.Rand) {
 	for c, h := range t.Clients {
 		scr.cliMux[c] = tcp.NewDemux(h)
 	}
-	return t, rng
+	return t
 }
 
 // idle is the process-wide list of Scratches no Map worker holds, most

@@ -381,6 +381,9 @@ func TestScratchSurvivesPanicAndStall(t *testing.T) {
 	if res[2].Stall == nil || res[2].Stall.Pending == 0 {
 		t.Fatalf("cell 2: want a watchdog stall with events pending, got %+v", res[2].Stall)
 	}
+	if res[2].Stall.Desc != wedged.describe() {
+		t.Errorf("cell 2: stall describes %q, want %q", res[2].Stall.Desc, wedged.describe())
+	}
 	for _, i := range []int{1, 3} {
 		if cells[i].sim != cells[0].sim {
 			t.Fatalf("cell %d did not run on the worker's engine", i)
@@ -435,6 +438,8 @@ func TestScratchSurvivesPanicAndStall(t *testing.T) {
 	}
 	if r := scr.RunFleetShard(killed); r.Stall == nil || r.Stall.Pending == 0 {
 		t.Fatalf("fleet: want a watchdog stall with events pending, got %+v", r.Stall)
+	} else if r.Stall.Desc != killed.describe() {
+		t.Errorf("fleet: stall describes %q, want %q", r.Stall.Desc, killed.describe())
 	}
 	dirty := 0
 	for _, sl := range scr.slots[:len(killed.Pop.Shard(0, killed.Shards))] {

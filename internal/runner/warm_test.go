@@ -208,10 +208,11 @@ func TestWarmTopologySequences(t *testing.T) {
 	})
 
 	t.Run("wired → 4g → wifi → 5g → wired", func(t *testing.T) {
-		// The hook's erasures draw from the scenario's RNG, between the
-		// last hop's own draws.
+		// The hook's erasures draw from an RNG of its own, seeded from
+		// the cell's derived seed.
 		erase := func(env ChaosEnv) {
-			env.Path.Fwd[1].AttachImpairments(netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.01, env.RNG)}))
+			rng := rand.New(rand.NewSource(env.Seed))
+			env.Path.Fwd[1].AttachImpairments(netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.01, rng)}))
 		}
 		var calls [][]Outcome[tap[DownloadResult]]
 		for k, lt := range []netem.LinkType{netem.Wired, netem.LTE4G, netem.WiFi, netem.NR5G, netem.Wired} {

@@ -19,7 +19,8 @@ const stallTailEvents = 40
 // simulator means a livelocked event loop (events begetting events at
 // a frozen or crawling clock), never a slow scenario.
 type StallError struct {
-	// Desc identifies the job.
+	// Desc identifies the job; RunGuarded's caller fills it, so a cell
+	// that does not stall never formats one.
 	Desc string
 	// Wall is the wall-clock budget that expired.
 	Wall time.Duration
@@ -70,13 +71,14 @@ type Engine interface {
 // wall-clock watchdog. If the budget expires before the simulation
 // drains, the run is stopped at the next event boundary and a
 // *StallError is returned carrying the last flight-recorder events
-// from reg (nil reg = no tail). wall <= 0 disables the watchdog.
+// from reg (nil reg = no tail) and no Desc. wall <= 0 disables the
+// watchdog.
 //
 // The simulator is single-threaded and its Halt is not safe to call
 // from another goroutine, so the expiry crosses goroutines through an
 // atomic flag read by a StopWhen predicate — checked after every
 // event, including mid-batch.
-func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration, desc string) (time.Duration, error) {
+func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration) (time.Duration, error) {
 	if wall <= 0 {
 		return sim.Run(horizon), nil
 	}
@@ -99,7 +101,6 @@ func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration, desc
 		return end, nil
 	}
 	se := &StallError{
-		Desc:    desc,
 		Wall:    wall,
 		SimTime: end,
 		Pending: sim.Pending(),

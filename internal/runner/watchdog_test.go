@@ -51,7 +51,7 @@ func TestRunGuardedComposesCallerPredicate(t *testing.T) {
 			t.Error("composed predicate ignored the caller's stop condition")
 		}
 	}
-	if _, err := RunGuarded(eng, nil, time.Second, time.Hour, "compose"); err != nil {
+	if _, err := RunGuarded(eng, nil, time.Second, time.Hour); err != nil {
 		t.Fatalf("unexpected stall: %v", err)
 	}
 	if callerCalls == 0 {
@@ -85,7 +85,7 @@ func TestRunGuardedNoCallerPredicate(t *testing.T) {
 			t.Error("predicate fired before the wall budget expired")
 		}
 	}
-	if _, err := RunGuarded(eng, nil, time.Second, time.Hour, "solo"); err != nil {
+	if _, err := RunGuarded(eng, nil, time.Second, time.Hour); err != nil {
 		t.Fatalf("unexpected stall: %v", err)
 	}
 	if eng.pred != nil {

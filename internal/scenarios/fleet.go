@@ -70,15 +70,13 @@ func (fl Fleet) queueFor(rate float64) int {
 // shard's private stream for impairments and workload perturbation,
 // seeded from Fleet.Seed alone.
 func (fl Fleet) Build(sim *netsim.Simulator) (*netsim.Tree, *rand.Rand) {
-	spec, rng := fl.Spec(new(Wiring))
-	return netsim.NewTree(sim, spec), rng
+	return netsim.NewTree(sim, fl.Spec()), rand.New(rand.NewSource(fl.Seed))
 }
 
-// Spec returns the tree Build wires and the RNG it returns, w's RNG
-// reseeded in place (see Scenario.Spec). The spec does not depend on
-// Seed, so two Fleets equal but for their seeds wire the same tree
-// (Tree.Reset restores one).
-func (fl Fleet) Spec(w *Wiring) (netsim.TreeSpec, *rand.Rand) {
+// Spec returns the tree Build wires. It does not depend on Seed, so
+// two Fleets equal but for their seeds wire the same tree (Tree.Reset
+// restores one).
+func (fl Fleet) Spec() netsim.TreeSpec {
 	// One-way propagation budget RTT/2, split 2:1:1 over the levels.
 	coreDelay := fl.RTT / 4
 	aggDelay := fl.RTT / 8
@@ -96,5 +94,5 @@ func (fl Fleet) Spec(w *Wiring) (netsim.TreeSpec, *rand.Rand) {
 		Access: netsim.LinkConfig{
 			Rate: fl.AccessRate, Delay: accessDelay, QueueBytes: fl.queueFor(fl.AccessRate),
 		},
-	}, w.seed(fl.Seed)
+	}
 }

@@ -178,17 +178,18 @@ func All(seed int64) []Scenario {
 // the one feeding the impairments (callers reuse it to perturb
 // workloads).
 func (sc Scenario) Build(sim *netsim.Simulator) (*netsim.Path, *rand.Rand) {
-	spec, rng := sc.Spec(new(Wiring))
-	return netsim.NewPath(sim, spec), rng
+	w := new(Wiring)
+	p := netsim.NewPath(sim, sc.Spec(w))
+	return p, w.rng
 }
 
-// Spec writes the path Build wires into w and returns it with the RNG
-// Build returns, seeded from Scenario.Seed alone, whose draws the last
-// hop's models take: Path.Reset with this spec rewires a two-hop path
-// as Build would. The link configs, the models and the RNG are w's,
-// rewritten in place, so a caller that keeps one Wiring builds spec
-// after spec without allocating; each is valid until w's next use.
-func (sc Scenario) Spec(w *Wiring) (netsim.PathSpec, *rand.Rand) {
+// Spec writes the path Build wires into w and returns it: Path.Reset
+// with this spec rewires a two-hop path as Build would. The last hop's
+// models draw from w's RNG, seeded from Scenario.Seed alone. The link
+// configs, the models and the RNG are w's, rewritten in place, so a
+// caller that keeps one Wiring builds spec after spec without
+// allocating; each is valid until w's next use.
+func (sc Scenario) Spec(w *Wiring) netsim.PathSpec {
 	rng := w.seed(sc.Seed)
 	lastHopDelay := 5 * time.Millisecond
 	coreDelay := sc.RTT/2 - lastHopDelay
@@ -199,12 +200,12 @@ func (sc Scenario) Spec(w *Wiring) (netsim.PathSpec, *rand.Rand) {
 		{Name: "core", Rate: sc.CoreRate, Delay: coreDelay, QueueBytes: 64 << 20},
 		sc.LastHop.Apply(&w.lastHop, "lasthop", lastHopDelay, sc.RTT, rng),
 	}
-	return netsim.PathSpec{Forward: w.fwd[:]}, rng
+	return netsim.PathSpec{Forward: w.fwd[:]}
 }
 
-// Wiring is the storage Scenario.Spec and Fleet.Spec write a spec
-// into: a path's forward link configs, its last hop's netem models and
-// the one RNG both seed.
+// Wiring is the storage Scenario.Spec writes a spec into: a path's
+// forward link configs, its last hop's netem models and the RNG they
+// draw from.
 type Wiring struct {
 	rng     *rand.Rand
 	fwd     [2]netsim.LinkConfig

@@ -239,7 +239,6 @@ func TestFleetKeyArrivalTypeTagged(t *testing.T) {
 type opaqueSizes struct{ size int64 }
 
 func (o opaqueSizes) Sample(*rand.Rand) int64 { return o.size }
-func (o opaqueSizes) Name() string            { return "opaque" }
 
 // A distribution type the renderer does not list is refused, never
 // rendered from what it happens to export — directly in the mix, nested
@@ -251,7 +250,7 @@ func TestUnlistedDistNotCacheable(t *testing.T) {
 		return j
 	}
 	nested := func(size int64) workload.SizeDist {
-		return workload.NewMixture("m", []workload.SizeDist{workload.Lognormal{Mu: 9}, opaqueSizes{size}}, []float64{1, 1})
+		return workload.NewMixture([]workload.SizeDist{workload.Lognormal{Mu: 9}, opaqueSizes{size}}, []float64{1, 1})
 	}
 	for _, c := range []struct {
 		name string

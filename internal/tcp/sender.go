@@ -101,8 +101,6 @@ type Sender struct {
 
 	started  bool
 	finished bool
-	startAt  time.Duration
-	doneAt   time.Duration
 
 	// F-RTO (Eifel) spurious-timeout detection state: armed by fireRTO,
 	// resolved by the first ACKs after it. frtoAt is when the timeout
@@ -132,11 +130,6 @@ type Sender struct {
 	rec      *obs.FlowRecorder
 	lastCwnd int64
 
-	// OnComplete fires once when every byte has been cumulatively
-	// acknowledged.
-	OnComplete func(now time.Duration)
-	// OnFail fires once if the flow gives up (see ErrRetransLimit).
-	OnFail func(now time.Duration, err error)
 	// OnAckTrace, when non-nil, observes state after each processed
 	// ACK (for cwnd/RTT time series).
 	OnAckTrace func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64)
@@ -252,15 +245,6 @@ func (s *Sender) Failed() bool { return s.failed }
 // healthy. A failed flow never reports Finished.
 func (s *Sender) Err() error { return s.failErr }
 
-// FCT returns the flow completion time (sender-side: start of
-// transmission to full acknowledgment). Zero until finished.
-func (s *Sender) FCT() time.Duration {
-	if !s.finished {
-		return 0
-	}
-	return s.doneAt - s.startAt
-}
-
 // Delivered returns total bytes delivered (cumulative + SACKed).
 func (s *Sender) Delivered() int64 { return s.delivered }
 
@@ -302,7 +286,6 @@ func (s *Sender) Start() {
 		panic("tcp: Start before SetController")
 	}
 	s.started = true
-	s.startAt = s.sim.Now()
 	s.trySend()
 }
 
@@ -635,7 +618,7 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 		if s.OnAckTrace != nil {
 			s.OnAckTrace(now, s.ctrl.CwndBytes(), s.rtt.SRTT(), s.delivered)
 		}
-		s.finish(now)
+		s.finish()
 		return
 	}
 
@@ -1007,7 +990,7 @@ func (s *Sender) onSackReneg(now time.Duration) {
 
 // fail terminates the flow with a permanent error: timers stop, no
 // further sends or ACK processing happen, and the owner learns via
-// OnFail / Err.
+// Err.
 func (s *Sender) fail(now time.Duration, err error) {
 	s.failed = true
 	s.failErr = err
@@ -1017,9 +1000,6 @@ func (s *Sender) fail(now time.Duration, err error) {
 	if r := s.rec; r != nil {
 		r.C.FlowAborts++
 		r.Record(now, obs.EvFlowAbort, s.sndUna, 0, int64(s.stats.RTOs), 0)
-	}
-	if s.OnFail != nil {
-		s.OnFail(now, err)
 	}
 }
 
@@ -1045,15 +1025,11 @@ func (s *Sender) bumpReoWnd() {
 	}
 }
 
-func (s *Sender) finish(now time.Duration) {
+func (s *Sender) finish() {
 	s.finished = true
-	s.doneAt = now
 	s.rtoTimer.Stop()
 	s.tlpTimer.Stop()
 	s.kickTimer.Stop()
-	if s.OnComplete != nil {
-		s.OnComplete(now)
-	}
 }
 
 // AuditScoreboard recomputes the in-flight byte count, the retransmit

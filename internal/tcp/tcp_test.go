@@ -23,7 +23,6 @@ type fixedCC struct {
 	halveOnLoss bool
 }
 
-func (f *fixedCC) Name() string                                 { return "fixed" }
 func (f *fixedCC) OnPacketSent(time.Duration, int, int64, bool) {}
 func (f *fixedCC) OnAck(ev cc.AckEvent)                         { f.acked += int64(ev.AckedBytes) }
 func (f *fixedCC) OnRTO(time.Duration)                          { f.rtos++ }

@@ -206,10 +206,3 @@ func (c *Conn) deliver(pkt *netsim.Packet) {
 	}
 	c.h(&c.scratch, n)
 }
-
-// Close implements wire.Conn.
-func (c *Conn) Close() error {
-	c.mux.Unregister(c.flow)
-	c.h = nil
-	return nil
-}

@@ -98,17 +98,13 @@ type Endpoint struct {
 }
 
 // Listen opens the serve-side endpoint on addr (e.g.
-// "127.0.0.1:7000", or ":0" for an ephemeral port).
-func Listen(addr string) (*Endpoint, error) { return open(addr, "", Config{}) }
+// "127.0.0.1:7000", or ":0" for an ephemeral port) with cfg's
+// impairments and options.
+func Listen(addr string, cfg Config) (*Endpoint, error) { return open(addr, "", cfg) }
 
-// ListenConfig is Listen with impairments and options.
-func ListenConfig(addr string, cfg Config) (*Endpoint, error) { return open(addr, "", cfg) }
-
-// Dial opens the fetch-side endpoint talking to raddr.
-func Dial(raddr string) (*Endpoint, error) { return open("", raddr, Config{}) }
-
-// DialConfig is Dial with impairments and options.
-func DialConfig(raddr string, cfg Config) (*Endpoint, error) { return open("", raddr, cfg) }
+// Dial opens the fetch-side endpoint talking to raddr with cfg's
+// impairments and options.
+func Dial(raddr string, cfg Config) (*Endpoint, error) { return open("", raddr, cfg) }
 
 func open(laddr, raddr string, cfg Config) (*Endpoint, error) {
 	ep := &Endpoint{cfg: cfg, flows: make(map[netsim.FlowID]*flowState)}
@@ -366,18 +362,6 @@ func (c *Conn) SetHandler(h wire.Handler) {
 	c.ep.r.DoWait(func() { c.h = h })
 }
 
-// Close implements wire.Conn (the socket stays open; only the flow
-// detaches).
-func (c *Conn) Close() error {
-	c.ep.r.DoWait(func() {
-		c.h = nil
-		if st := c.ep.flows[c.flow]; st != nil && st.conn == c {
-			st.conn = nil
-		}
-	})
-	return nil
-}
-
 // Send implements wire.Conn. It must run on the endpoint's reactor
 // goroutine (transport endpoints always send from event callbacks).
 // The datagram carries the encoded header plus seg.PayloadLen real
@@ -456,11 +440,11 @@ type Loopback struct {
 
 // NewLoopback opens both endpoints on ephemeral loopback ports.
 func NewLoopback(serveCfg, fetchCfg Config) (*Loopback, error) {
-	s, err := ListenConfig("127.0.0.1:0", serveCfg)
+	s, err := Listen("127.0.0.1:0", serveCfg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := DialConfig(s.Addr().String(), fetchCfg)
+	f, err := Dial(s.Addr().String(), fetchCfg)
 	if err != nil {
 		s.Close()
 		return nil, err

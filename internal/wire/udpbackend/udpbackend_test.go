@@ -49,12 +49,12 @@ func runDownload(t *testing.T, lb *udpbackend.Loopback, size int64, deadline tim
 // TestUDPLoopbackHandshake checks the SYN / SYN-ACK exchange carries
 // the options both ways.
 func TestUDPLoopbackHandshake(t *testing.T) {
-	s, err := udpbackend.ListenConfig("127.0.0.1:0", udpbackend.Config{MSS: 1400})
+	s, err := udpbackend.Listen("127.0.0.1:0", udpbackend.Config{MSS: 1400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	f, err := udpbackend.DialConfig(s.Addr().String(), udpbackend.Config{MSS: 1448})
+	f, err := udpbackend.Dial(s.Addr().String(), udpbackend.Config{MSS: 1448})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,6 +187,4 @@ type Conn interface {
 	// strict decoding are dropped by the backend, as a checksum-
 	// failing frame would be by a NIC.
 	SetHandler(h Handler)
-	// Close detaches the endpoint from the substrate.
-	Close() error
 }

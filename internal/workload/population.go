@@ -71,8 +71,6 @@ func DefaultMix() []ClassMix {
 type ArrivalDist interface {
 	// NextGap samples the gap to the next arrival.
 	NextGap(rng *rand.Rand) time.Duration
-	// Name identifies the process in reports.
-	Name() string
 }
 
 // PoissonArrivals is the memoryless arrival process: exponential gaps
@@ -85,9 +83,6 @@ type PoissonArrivals struct {
 func (p PoissonArrivals) NextGap(rng *rand.Rand) time.Duration {
 	return time.Duration(rng.ExpFloat64() / p.Rate * float64(time.Second))
 }
-
-// Name implements ArrivalDist.
-func (p PoissonArrivals) Name() string { return "poisson" }
 
 // LognormalArrivals models burstier-than-Poisson user behavior:
 // log-normal gaps (think-time style clustering) with median gap
@@ -114,9 +109,6 @@ func (l LognormalArrivals) NextGap(rng *rand.Rand) time.Duration {
 	}
 	return gap
 }
-
-// Name implements ArrivalDist.
-func (l LognormalArrivals) Name() string { return "lognormal" }
 
 // PopulationSpec describes a fleet-scale flow population
 // deterministically: same spec + same seed ⇒ the same flows, on any

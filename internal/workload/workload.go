@@ -8,14 +8,11 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"time"
 )
 
 // SizeDist samples flow sizes in bytes.
 type SizeDist interface {
 	Sample(rng *rand.Rand) int64
-	// Name identifies the distribution in reports.
-	Name() string
 }
 
 // Lognormal is the classic heavy-tailed web-object size model.
@@ -37,9 +34,6 @@ func (l Lognormal) Sample(rng *rand.Rand) int64 {
 	}
 	return v
 }
-
-// Name implements SizeDist.
-func (l Lognormal) Name() string { return "lognormal" }
 
 // BoundedPareto models elephant tails: P(X > x) ∝ x^-Alpha on
 // [Min, Max].
@@ -66,22 +60,18 @@ func (p BoundedPareto) Sample(rng *rand.Rand) int64 {
 	return v
 }
 
-// Name implements SizeDist.
-func (p BoundedPareto) Name() string { return "bounded-pareto" }
-
 // Mixture combines distributions with weights.
 type Mixture struct {
 	Dists   []SizeDist
 	Weights []float64
-	label   string
 }
 
 // NewMixture builds a weighted mixture (weights need not sum to 1).
-func NewMixture(label string, dists []SizeDist, weights []float64) Mixture {
+func NewMixture(dists []SizeDist, weights []float64) Mixture {
 	if len(dists) != len(weights) || len(dists) == 0 {
 		panic("workload: mixture needs matching non-empty dists and weights")
 	}
-	return Mixture{Dists: dists, Weights: weights, label: label}
+	return Mixture{Dists: dists, Weights: weights}
 }
 
 // Sample implements SizeDist.
@@ -100,41 +90,16 @@ func (m Mixture) Sample(rng *rand.Rand) int64 {
 	return m.Dists[len(m.Dists)-1].Sample(rng)
 }
 
-// Name implements SizeDist.
-func (m Mixture) Name() string { return m.label }
-
 // WebMix returns the mice-and-elephants mixture the paper's motivation
 // describes: ~85 % small web objects (pages, images, API responses,
 // median ≈ 30 KB) and ~15 % larger transfers (photos, short videos)
 // with a Pareto tail to 50 MB. Most flows finish inside slow start.
 func WebMix() SizeDist {
-	return NewMixture("web-mix",
+	return NewMixture(
 		[]SizeDist{
 			Lognormal{Mu: math.Log(30 << 10), Sigma: 1.3, Min: 2 << 10, Max: 2 << 20},
 			BoundedPareto{Alpha: 1.2, Min: 1 << 20, Max: 50 << 20},
 		},
 		[]float64{0.85, 0.15},
 	)
-}
-
-// Arrivals generates a Poisson arrival process.
-type Arrivals struct {
-	// Rate is the mean arrivals per second.
-	Rate float64
-}
-
-// Next returns the gap to the following arrival.
-func (a Arrivals) Next(rng *rand.Rand) time.Duration {
-	return time.Duration(rng.ExpFloat64() / a.Rate * float64(time.Second))
-}
-
-// Schedule samples n arrival times starting at base.
-func (a Arrivals) Schedule(rng *rand.Rand, n int, base time.Duration) []time.Duration {
-	out := make([]time.Duration, n)
-	at := base
-	for i := range out {
-		at += a.Next(rng)
-		out[i] = at
-	}
-	return out
 }

@@ -85,13 +85,18 @@ func TestMixtureValidation(t *testing.T) {
 			t.Fatal("mismatched mixture should panic")
 		}
 	}()
-	NewMixture("bad", []SizeDist{Lognormal{}}, []float64{1, 2})
+	NewMixture([]SizeDist{Lognormal{}}, []float64{1, 2})
 }
 
 func TestArrivalsMeanRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := Arrivals{Rate: 50}
-	sched := a.Schedule(rng, 5000, 0)
+	a := PoissonArrivals{Rate: 50}
+	sched := make([]time.Duration, 5000)
+	var at time.Duration
+	for i := range sched {
+		at += a.NextGap(rng)
+		sched[i] = at
+	}
 	if !sort.SliceIsSorted(sched, func(i, j int) bool { return sched[i] < sched[j] }) {
 		t.Fatal("arrivals not monotonic")
 	}
@@ -122,11 +127,10 @@ func TestDistBoundsProperty(t *testing.T) {
 
 func TestArrivalsNextPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := Arrivals{Rate: 10}
+	a := PoissonArrivals{Rate: 10}
 	for i := 0; i < 1000; i++ {
-		if a.Next(rng) <= 0 {
+		if a.NextGap(rng) <= 0 {
 			t.Fatal("non-positive inter-arrival")
 		}
 	}
-	_ = time.Second
 }
