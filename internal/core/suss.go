@@ -78,10 +78,9 @@ type Stats struct {
 	AcceleratedRounds int // rounds that ran a pacing period (G > 2)
 	MaxG              int
 	GHistory          []int // growth factor measured per round (from round 2)
-	RedBytesPaced     int64
-	CapExits          int // slow-start exits via the growth cap
-	TrainExits        int // immediate ACK-train exits
-	DelayExits        int // delay-condition exits
+	CapExits          int   // slow-start exits via the growth cap
+	TrainExits        int   // immediate ACK-train exits
+	DelayExits        int   // delay-condition exits
 }
 
 // Suss is a cc.Controller implementing CUBIC+SUSS: a CUBIC host whose
@@ -332,7 +331,6 @@ func (s *Suss) beginPacing(g int) {
 		// freed + grown window leaves as a burst.
 		s.AddCwndSegments(float64(redGrowth) / float64(s.env.MSS()))
 		s.frozenRound = true
-		s.stats.RedBytesPaced += redGrowth
 		s.env.Kick()
 		return
 	}
@@ -378,7 +376,6 @@ func (s *Suss) tick() {
 		add = s.redRemaining
 	}
 	s.redRemaining -= add
-	s.stats.RedBytesPaced += add
 	s.AddCwndSegments(float64(add) / float64(mss))
 	s.checkCap()
 	s.env.Kick()

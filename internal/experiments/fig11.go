@@ -165,7 +165,6 @@ func (r Fig11Result) SmallFlowImprovement(maxSize int64) float64 {
 // (US-East → Sydney) where SUSS's gain appears in the early megabytes
 // and tapers to nothing.
 type Fig13Result struct {
-	Size int64
 	// Checkpoints are delivered-volume marks (bytes).
 	Checkpoints []int64
 	// TimeAt[variant][i] is when the variant (0=off, 1=on) had
@@ -180,7 +179,7 @@ type Fig13Result struct {
 // RunFig13 runs the large-flow experiment.
 func RunFig13(seed int64) Fig13Result {
 	size := int64(100 << 20)
-	res := Fig13Result{Size: size}
+	var res Fig13Result
 	for _, mb := range []int64{1, 2, 5, 10, 20, 50, 100} {
 		res.Checkpoints = append(res.Checkpoints, mb<<20)
 	}

@@ -16,7 +16,7 @@ func downloadTrace(j runner.Job, every time.Duration) (runner.DownloadResult, *t
 	var tr *trace.FlowTrace
 	hook := j.Impair
 	j.Impair = func(env runner.ChaosEnv) {
-		tr = trace.Attach(env.Flow.Sender, j.Algo.String(), every)
+		tr = trace.Attach(env.Flow.Sender, every)
 		if hook != nil {
 			hook(env)
 		}

@@ -69,16 +69,14 @@ func (h *Host) SetOutput(l *Link) { h.out = l }
 // Output returns the host's output link.
 func (h *Host) Output() *Link { return h.out }
 
-// Send stamps the packet with the host address and pushes it onto the
-// output link, transferring ownership of pooled packets to the
-// network (the link releases drops; the consuming endpoint releases
-// deliveries).
+// Send pushes the packet onto the output link, transferring
+// ownership of pooled packets to the network (the link releases drops;
+// the consuming endpoint releases deliveries).
 func (h *Host) Send(pkt *Packet) {
 	if h.out == nil {
 		panic(fmt.Sprintf("netsim: host %q has no output link", h.name))
 	}
 	debugCheckLive(pkt, "host send")
-	pkt.Src = h.id
 	h.out.Enqueue(pkt)
 }
 

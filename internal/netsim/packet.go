@@ -6,8 +6,9 @@ import "time"
 type FlowID int
 
 // PacketKind distinguishes data segments from ACKs on the wire. The
-// simulator itself treats both identically (bytes through queues); the
-// kind exists so endpoints can dispatch and tooling can filter.
+// simulator itself treats both identically (bytes through queues);
+// endpoints decode the frame, and the kind is there for the link's
+// drop and duplicate events and for tooling that filters.
 type PacketKind uint8
 
 const (
@@ -28,13 +29,11 @@ func (k PacketKind) String() string {
 	}
 }
 
-// MaxSack is the number of selective-ack ranges an ACK can carry
-// (RFC 2018 with a timestamp option leaves room for three).
-const MaxSack = 3
-
-// Packet is the unit moved through links and routers. Transport
-// endpoints populate the header fields they need; the network layer
-// only reads Size, Dst and (for tracing) Flow/Kind.
+// Packet is the unit moved through links and routers. Its one header
+// is the encoded wire frame, which the receiving endpoint decodes; the
+// exported fields are what the network layer itself reads: Size for
+// serialization and queueing, Dst for routing, and Flow, Kind and Seq
+// for the link's drop and duplicate events.
 //
 // Hot-path packets come from a PacketPool (see Simulator.Pool) and
 // follow a single-owner lifecycle: whoever holds the packet — a
@@ -51,35 +50,12 @@ type Packet struct {
 	// Size is the wire size in bytes, including all headers.
 	Size int
 
-	// Src and Dst are node addresses used by routers.
-	Src, Dst NodeID
+	// Dst is the node address routers forward on.
+	Dst NodeID
 
-	// Seq is the first byte sequence number carried (data) or a pure
-	// transmission counter (ACK retransmits).
+	// Seq is a data segment's first byte, unwrapped to 64 bits; zero
+	// for ACKs.
 	Seq int64
-	// Len is the payload length in bytes for data packets.
-	Len int64
-	// CumAck is the cumulative acknowledgment: every byte below it has
-	// been received. Valid for Kind == Ack.
-	CumAck int64
-	// SACK holds up to MaxSack selective-ack ranges above CumAck;
-	// NSack of them are valid. The array is inline so SACK-bearing
-	// ACKs allocate nothing — use AddSack rather than touching the pair
-	// directly.
-	SACK  [MaxSack]SackRange
-	NSack uint8
-	// EchoTS echoes the sender's departure timestamp so the sender can
-	// take an RTT sample without keeping per-packet state. Retransmitted
-	// segments clear it (Karn's rule).
-	EchoTS time.Duration
-	// HasEcho reports whether EchoTS is valid.
-	HasEcho bool
-	// Retrans marks a retransmitted data segment.
-	Retrans bool
-
-	// SentAt is stamped by the sending endpoint when the packet enters
-	// the first link. Used for tracing only.
-	SentAt time.Duration
 
 	// frame holds the packet's encoded wire image — the IPv4+TCP
 	// headers produced by internal/wire. Payload bytes are virtual in
@@ -138,23 +114,6 @@ func (p *Packet) CopyFrom(src *Packet) {
 	pool, freed, next, at, armSeq := p.pool, p.freed, p.next, p.at, p.armSeq
 	*p = *src
 	p.pool, p.freed, p.next, p.at, p.armSeq = pool, freed, next, at, armSeq
-}
-
-// AddSack appends a selective-ack range, reporting false when the
-// inline array is full.
-func (p *Packet) AddSack(r SackRange) bool {
-	if int(p.NSack) >= MaxSack {
-		return false
-	}
-	p.SACK[p.NSack] = r
-	p.NSack++
-	return true
-}
-
-// SackRange is a half-open received range [Start, End) above the
-// cumulative ACK point.
-type SackRange struct {
-	Start, End int64
 }
 
 // NodeID addresses a node (host or router) in the topology.

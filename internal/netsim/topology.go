@@ -138,13 +138,11 @@ type DumbbellSpec struct {
 // Dumbbell is the constructed topology: a Tree with a single
 // aggregation level collapsed away — two routers, one shared queue.
 type Dumbbell struct {
-	Sim        *Simulator
 	Servers    []*Host
 	Clients    []*Host
 	Left       *Router // server side
 	Right      *Router // client side
 	Bottleneck *Link   // left→right, the congested direction
-	RevBneck   *Link   // right→left (ACK path)
 }
 
 // NewDumbbell wires the topology. Every server i sends to client i.
@@ -152,7 +150,7 @@ func NewDumbbell(sim *Simulator, spec DumbbellSpec) *Dumbbell {
 	if spec.Pairs <= 0 {
 		panic("netsim: dumbbell needs at least one pair")
 	}
-	d := &Dumbbell{Sim: sim}
+	d := &Dumbbell{}
 	f := NewFabric(sim)
 
 	d.Left = f.Router("left")
@@ -162,7 +160,7 @@ func NewDumbbell(sim *Simulator, spec DumbbellSpec) *Dumbbell {
 	if bcfg.Name == "" {
 		bcfg.Name = "bottleneck"
 	}
-	d.Bottleneck, d.RevBneck = f.Duplex(d.Left, d.Right, bcfg, ackMirror(bcfg, ""))
+	d.Bottleneck, _ = f.Duplex(d.Left, d.Right, bcfg, ackMirror(bcfg, ""))
 
 	for i := 0; i < spec.Pairs; i++ {
 		srv := f.Host(fmt.Sprintf("server%d", i))

@@ -166,11 +166,12 @@ func TestReorderingTolerance(t *testing.T) {
 func TestTLPFiresOnTailLoss(t *testing.T) {
 	// Drop exactly the last 3 segments of the initial window once: no
 	// dupacks can arrive, so only a TLP (not a slow RTO) should recover.
+	// The hook remembers what it dropped, so retransmissions pass.
 	sim := netsim.NewSimulator()
-	dropped := 0
+	dropped := map[int64]bool{}
 	loss := func(pkt *netsim.Packet) bool {
-		if pkt.Kind == netsim.Data && !pkt.Retrans && pkt.Seq >= 7*1448 && pkt.Seq < 10*1448 && dropped < 3 {
-			dropped++
+		if pkt.Kind == netsim.Data && pkt.Seq >= 7*1448 && pkt.Seq < 10*1448 && !dropped[pkt.Seq] {
+			dropped[pkt.Seq] = true
 			return true
 		}
 		return false

@@ -25,7 +25,6 @@ func NewDemux(host *netsim.Host) *Demux { return simbackend.NewDemux(host) }
 // used flow into the one NewFlow would build, keeping the buffers it
 // grew, so a caller that runs many flows can keep a slab of them.
 type Flow struct {
-	ID       netsim.FlowID
 	Sender   *Sender
 	Receiver *Receiver
 
@@ -83,7 +82,7 @@ func (f *Flow) Reset(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 }
 
 func (f *Flow) reset(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn, size int64, ctrl cc.Controller) {
-	f.ID, f.startAt = id, 0
+	f.startAt = 0
 	f.Sender, f.Receiver = &f.snd, &f.rcv
 	f.snd.reset(sconn, cfg, id, size, ctrl)
 	f.rcv.reset(rconn, cfg, id, size)

@@ -1,6 +1,10 @@
 package tcp
 
-import "suss/internal/netsim"
+// sackRange is a half-open byte range [Start, End): a SACKed interval
+// on the sender, a received one on the receiver.
+type sackRange struct {
+	Start, End int64
+}
 
 // rangeSet is a sorted set of disjoint, non-touching half-open byte
 // ranges: the sender's SACKed intervals and the receiver's reassembly
@@ -15,13 +19,13 @@ import "suss/internal/netsim"
 // append would otherwise grow the backing array, so steady-state
 // operation allocates nothing.
 type rangeSet struct {
-	buf []netsim.SackRange
+	buf []sackRange
 	off int
 }
 
 // view returns the live ranges in ascending order. The slice is valid
 // until the next mutation.
-func (s *rangeSet) view() []netsim.SackRange { return s.buf[s.off:] }
+func (s *rangeSet) view() []sackRange { return s.buf[s.off:] }
 
 // reset empties the set, keeping its storage.
 func (s *rangeSet) reset() { s.buf, s.off = s.buf[:0], 0 }
@@ -46,12 +50,12 @@ func (s *rangeSet) search(seq int64) int {
 }
 
 // containing returns the range holding byte seq.
-func (s *rangeSet) containing(seq int64) (netsim.SackRange, bool) {
+func (s *rangeSet) containing(seq int64) (sackRange, bool) {
 	v := s.view()
 	if i := s.search(seq + 1); i < len(v) && v[i].Start <= seq {
 		return v[i], true
 	}
-	return netsim.SackRange{}, false
+	return sackRange{}, false
 }
 
 // trimBelow drops everything below seq: whole ranges by advancing the
@@ -70,7 +74,7 @@ func (s *rangeSet) trimBelow(seq int64) {
 // add merges iv into the set (ranges that touch are joined) and appends
 // to fresh the parts of iv that were not covered before, in ascending
 // order. It returns the extended fresh slice.
-func (s *rangeSet) add(iv netsim.SackRange, fresh []netsim.SackRange) []netsim.SackRange {
+func (s *rangeSet) add(iv sackRange, fresh []sackRange) []sackRange {
 	if iv.End <= iv.Start {
 		return fresh
 	}
@@ -90,24 +94,24 @@ func (s *rangeSet) add(iv netsim.SackRange, fresh []netsim.SackRange) []netsim.S
 	pos := iv.Start
 	for ; hi < len(v) && v[hi].Start <= iv.End; hi++ {
 		if g := v[hi]; pos < g.Start {
-			fresh = append(fresh, netsim.SackRange{Start: pos, End: g.Start})
+			fresh = append(fresh, sackRange{Start: pos, End: g.Start})
 		}
 		pos = max(pos, v[hi].End)
 	}
 	if pos < iv.End {
-		fresh = append(fresh, netsim.SackRange{Start: pos, End: iv.End})
+		fresh = append(fresh, sackRange{Start: pos, End: iv.End})
 	}
 	if lo == hi {
 		s.insert(lo, iv)
 		return fresh
 	}
-	v[lo] = netsim.SackRange{Start: min(iv.Start, v[lo].Start), End: max(iv.End, v[hi-1].End)}
+	v[lo] = sackRange{Start: min(iv.Start, v[lo].Start), End: max(iv.End, v[hi-1].End)}
 	s.remove(lo+1, hi)
 	return fresh
 }
 
 // insert places r at index i of the view, moving the shorter side.
-func (s *rangeSet) insert(i int, r netsim.SackRange) {
+func (s *rangeSet) insert(i int, r sackRange) {
 	n := len(s.buf) - s.off
 	if s.off > 0 && i < n-i {
 		s.off--
@@ -122,7 +126,7 @@ func (s *rangeSet) insert(i int, r netsim.SackRange) {
 		s.buf = s.buf[:copy(s.buf, s.view())]
 		s.off = 0
 	}
-	s.buf = append(s.buf, netsim.SackRange{})
+	s.buf = append(s.buf, sackRange{})
 	v := s.view()
 	copy(v[i+1:], v[i:n])
 	v[i] = r

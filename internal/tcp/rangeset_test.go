@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"suss/internal/netsim"
 )
 
 // TestRangeSetAgainstBitmap drives add, trimBelow, truncate and
@@ -21,14 +19,14 @@ func TestRangeSetAgainstBitmap(t *testing.T) {
 		have := make([]bool, universe)
 		var s rangeSet
 		var floor int // trimBelow only ever moves up
-		model := func() (m []netsim.SackRange) {
+		model := func() (m []sackRange) {
 			for i := 0; i < universe; i++ {
 				if have[i] && (i == 0 || !have[i-1]) {
 					j := i
 					for j < universe && have[j] {
 						j++
 					}
-					m = append(m, netsim.SackRange{Start: int64(i), End: int64(j)})
+					m = append(m, sackRange{Start: int64(i), End: int64(j)})
 				}
 			}
 			return m
@@ -39,18 +37,18 @@ func TestRangeSetAgainstBitmap(t *testing.T) {
 				// Short ranges keep the set fragmented.
 				a := rng.Intn(universe)
 				b := min(universe, a+rng.Intn(6))
-				var wantFresh []netsim.SackRange
+				var wantFresh []sackRange
 				for i := a; i < b; i++ {
 					if !have[i] {
 						if n := len(wantFresh); n > 0 && wantFresh[n-1].End == int64(i) {
 							wantFresh[n-1].End++
 						} else {
-							wantFresh = append(wantFresh, netsim.SackRange{Start: int64(i), End: int64(i + 1)})
+							wantFresh = append(wantFresh, sackRange{Start: int64(i), End: int64(i + 1)})
 						}
 						have[i] = true
 					}
 				}
-				fresh := s.add(netsim.SackRange{Start: int64(a), End: int64(b)}, nil)
+				fresh := s.add(sackRange{Start: int64(a), End: int64(b)}, nil)
 				if !slices.Equal(fresh, wantFresh) {
 					t.Fatalf("seed %d op %d: add [%d,%d) reported fresh %v, want %v", seed, op, a, b, fresh, wantFresh)
 				}

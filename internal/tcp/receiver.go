@@ -9,6 +9,10 @@ import (
 	"suss/internal/wire"
 )
 
+// maxSack is the number of SACK blocks an ACK carries: what fits
+// beside a timestamp option (RFC 2018).
+const maxSack = 3
+
 // maxRecentSacks is how many recently-extended ranges the receiver
 // remembers for RFC 2018 SACK block selection.
 const maxRecentSacks = 8
@@ -36,10 +40,10 @@ type Receiver struct {
 
 	ranges rangeSet // received byte ranges
 	// fresh is merge's scratch for the newly covered parts.
-	fresh []netsim.SackRange
+	fresh []sackRange
 	// recent remembers the ranges most recently extended, newest
 	// first, to fill SACK blocks the way RFC 2018 recommends.
-	recent  [maxRecentSacks]netsim.SackRange
+	recent  [maxRecentSacks]sackRange
 	nRecent int
 
 	unacked  int // in-order packets since last ACK (for AckEvery)
@@ -271,15 +275,15 @@ func (r *Receiver) sendAck(echo bool, tsecr uint32) {
 	}
 }
 
-// fillSackBlocks writes up to netsim.MaxSack ranges above the
+// fillSackBlocks writes up to maxSack ranges above the
 // cumulative ACK into the segment's SACK blocks, most recently
 // changed first. The cap matches what fits beside a timestamp option
 // (RFC 2018), and is held even on no-echo ACKs so the sender's view
 // does not depend on whether an ACK happened to carry a timestamp.
 func (r *Receiver) fillSackBlocks(a *wire.Segment, cum int64) {
-	var chosen [netsim.MaxSack]netsim.SackRange
+	var chosen [maxSack]sackRange
 	n := 0
-	for i := 0; i < r.nRecent && n < netsim.MaxSack; i++ {
+	for i := 0; i < r.nRecent && n < maxSack; i++ {
 		s := r.recent[i]
 		if s.End <= cum {
 			continue
@@ -310,7 +314,7 @@ func (r *Receiver) fillSackBlocks(a *wire.Segment, cum int64) {
 // for SACK block selection (in-place shift; no allocation).
 func (r *Receiver) noteRecent(start, end int64) {
 	copy(r.recent[1:], r.recent[:maxRecentSacks-1])
-	r.recent[0] = netsim.SackRange{Start: start, End: end}
+	r.recent[0] = sackRange{Start: start, End: end}
 	if r.nRecent < maxRecentSacks {
 		r.nRecent++
 	}
@@ -323,7 +327,7 @@ func (r *Receiver) merge(start, end int64) int64 {
 		return 0
 	}
 	r.noteRecent(start, end)
-	r.fresh = r.ranges.add(netsim.SackRange{Start: start, End: end}, r.fresh[:0])
+	r.fresh = r.ranges.add(sackRange{Start: start, End: end}, r.fresh[:0])
 	var added int64
 	for _, f := range r.fresh {
 		added += f.End - f.Start

@@ -55,16 +55,16 @@ func TestReceiverSACKBlockLimit(t *testing.T) {
 		}
 	})
 	sim.RunAll()
-	last := (*acks)[len(*acks)-1]
+	last := decodeAck(t, (*acks)[len(*acks)-1])
 	if last.NSack > 3 {
 		t.Fatalf("ACK carries %d SACK blocks, max is 3", last.NSack)
 	}
-	if last.CumAck != 0 {
-		t.Fatalf("cum ack %d, want 0 (nothing in order)", last.CumAck)
+	if last.Ack != 0 {
+		t.Fatalf("cum ack %d, want 0 (nothing in order)", last.Ack)
 	}
 	// The most recently received island must be the first block.
-	if last.NSack == 0 || last.SACK[0].Start != 8*1448 {
-		t.Fatalf("first SACK block %v, want the freshest island (seq 8)", last.SACK)
+	if last.NSack == 0 || last.Sack[0].Start != 8*1448 {
+		t.Fatalf("first SACK block %v, want the freshest island (seq 8)", last.SackBlocks())
 	}
 }
 
@@ -109,8 +109,8 @@ func TestReceiverDelAckTimeout(t *testing.T) {
 	if ackAt[0] < 35*time.Millisecond || ackAt[0] > 50*time.Millisecond {
 		t.Errorf("delack fired at %v, want ≈40ms", ackAt[0])
 	}
-	if acks[0].CumAck != 1448 {
-		t.Errorf("cum ack %d, want 1448", acks[0].CumAck)
+	if a := decodeAck(t, acks[0]); a.Ack != 1448 {
+		t.Errorf("cum ack %d, want 1448", a.Ack)
 	}
 }
 
@@ -163,10 +163,10 @@ func TestReceiverEchoOnlyFromFreshData(t *testing.T) {
 	if len(*acks) != 2 {
 		t.Fatalf("acks = %d", len(*acks))
 	}
-	if !(*acks)[0].HasEcho || (*acks)[0].EchoTS != at {
+	if a := decodeAck(t, (*acks)[0]); !a.HasTS || a.TSEcr != wire.WrapTS(at) {
 		t.Error("fresh data's echo not reflected")
 	}
-	if (*acks)[1].HasEcho {
+	if decodeAck(t, (*acks)[1]).HasTS {
 		t.Error("retransmission without echo produced an echoed ACK")
 	}
 }

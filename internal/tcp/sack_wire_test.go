@@ -10,8 +10,7 @@ import (
 
 // These tests pin SACK behavior at the wire boundary: the blocks are
 // read back out of the captured frame bytes with the strict decoder
-// (not from the packet annotations) and checked against the
-// receiver's interval set as ground truth.
+// and checked against the receiver's interval set as ground truth.
 
 // decodeAck strictly decodes a captured ACK packet's frame.
 func decodeAck(t *testing.T, pkt *netsim.Packet) *wire.Segment {
@@ -55,8 +54,8 @@ func TestWireSackTruncationKeepsMostRecent(t *testing.T) {
 	if a.Ack != 0 {
 		t.Fatalf("cum ack %d, want 0", a.Ack)
 	}
-	if a.NSack != netsim.MaxSack {
-		t.Fatalf("wire carries %d SACK blocks, want %d", a.NSack, netsim.MaxSack)
+	if a.NSack != maxSack {
+		t.Fatalf("wire carries %d SACK blocks, want %d", a.NSack, maxSack)
 	}
 	// Newest first: islands 10, 8, 6; islands 2 and 4 fell off.
 	want := []int64{10, 8, 6}
@@ -157,7 +156,6 @@ func TestWireMalformedOptionDropped(t *testing.T) {
 		pkt.Kind = netsim.Data
 		pkt.Size = 1500
 		pkt.Seq = 0
-		pkt.Len = 1448
 		p.Sender.Send(pkt)
 	})
 	sim.RunAll()

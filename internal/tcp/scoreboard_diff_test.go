@@ -106,7 +106,7 @@ func runDiffFlow(t *testing.T, rng *rand.Rand, fl diffFlow, tot *diffTotals) {
 
 	h.recv = NewReceiver(&diffConn{sim: sim, out: h.onAck}, fl.cfg, 1, size)
 	if fl.offset > 0 {
-		h.recv.ranges.add(netsim.SackRange{End: fl.offset}, nil)
+		h.recv.ranges.add(sackRange{End: fl.offset}, nil)
 		h.recv.seqNear = fl.offset
 	}
 

@@ -81,9 +81,9 @@ type refSender struct {
 	// are processed only for their newly-covered parts. sackedNext and
 	// freshScratch are the double-buffer / scratch halves that let
 	// addSackInterval rebuild the set without allocating per ACK.
-	sackedIv     []netsim.SackRange
-	sackedNext   []netsim.SackRange
-	freshScratch []netsim.SackRange
+	sackedIv     []sackRange
+	sackedNext   []sackRange
+	freshScratch []sackRange
 	// holes are unresolved segment starts below highestSacked — the
 	// candidates for loss marking. holeScan is the swept boundary.
 	holes    map[int64]struct{}
@@ -319,7 +319,6 @@ func (s *refSender) emit(seg, l int64, retrans bool) {
 		s.sndNxt = seg + l
 	}
 	s.inflight += l
-	s.stats.BytesSent += l
 	s.stats.SegmentsSent++
 	if r := s.rec; r != nil {
 		if retrans {
@@ -451,7 +450,7 @@ func (s *refSender) HandleAck(seg *wire.Segment, wireLen int) {
 	// recovery is exact; garbage blocks from a hostile peer unwrap to
 	// ranges the clamps below neutralize.
 	for _, b := range seg.SackBlocks() {
-		r := netsim.SackRange{Start: wire.Unwrap32(s.sndUna, b.Start)}
+		r := sackRange{Start: wire.Unwrap32(s.sndUna, b.Start)}
 		r.End = wire.Unwrap32(r.Start, b.End)
 		if r.Start < s.sndUna {
 			r.Start = s.sndUna
@@ -586,7 +585,7 @@ func (s *refSender) rateSample(info refSegInfo, now time.Duration, cur float64) 
 // before merging another interval. The rebuilt set lands in a
 // double buffer (sackedIv/sackedNext swap roles), so steady-state
 // SACK processing allocates nothing.
-func (s *refSender) addSackInterval(iv netsim.SackRange) []netsim.SackRange {
+func (s *refSender) addSackInterval(iv sackRange) []sackRange {
 	if iv.End <= iv.Start {
 		return nil
 	}
@@ -603,7 +602,7 @@ func (s *refSender) addSackInterval(iv netsim.SackRange) []netsim.SackRange {
 		if cur.End < g.Start {
 			if !inserted {
 				if pos < cur.End {
-					fresh = append(fresh, netsim.SackRange{Start: pos, End: cur.End})
+					fresh = append(fresh, sackRange{Start: pos, End: cur.End})
 					pos = cur.End
 				}
 				out = append(out, cur)
@@ -614,7 +613,7 @@ func (s *refSender) addSackInterval(iv netsim.SackRange) []netsim.SackRange {
 		}
 		// Overlap: the gap before g (if any) is fresh coverage.
 		if pos < g.Start {
-			fresh = append(fresh, netsim.SackRange{Start: pos, End: min(g.Start, cur.End)})
+			fresh = append(fresh, sackRange{Start: pos, End: min(g.Start, cur.End)})
 		}
 		if g.End > pos {
 			pos = g.End
@@ -628,7 +627,7 @@ func (s *refSender) addSackInterval(iv netsim.SackRange) []netsim.SackRange {
 	}
 	if !inserted {
 		if pos < cur.End {
-			fresh = append(fresh, netsim.SackRange{Start: pos, End: cur.End})
+			fresh = append(fresh, sackRange{Start: pos, End: cur.End})
 		}
 		out = append(out, cur)
 	}

@@ -21,7 +21,6 @@ var ErrRetransLimit = errors.New("tcp: consecutive retransmission timeouts excee
 
 // SenderStats summarizes a flow from the sender's perspective.
 type SenderStats struct {
-	BytesSent       int64 // payload bytes, including retransmissions
 	SegmentsSent    int
 	Retransmissions int
 	RTOs            int
@@ -75,7 +74,7 @@ type Sender struct {
 	// are processed only for their newly-covered parts; fresh is the
 	// scratch those parts are returned in.
 	sacked rangeSet
-	fresh  []netsim.SackRange
+	fresh  []sackRange
 	// newlyLost is detectLosses' scratch: the segments one ACK marked
 	// lost, gathered so an observed run records them in sequence order.
 	newlyLost []int32
@@ -398,7 +397,6 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		s.sndNxt = seg + l
 	}
 	s.inflight += l
-	s.stats.BytesSent += l
 	s.stats.SegmentsSent++
 	if r := s.rec; r != nil {
 		if retrans {
@@ -529,7 +527,7 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 	// recovery is exact; garbage blocks from a hostile peer unwrap to
 	// ranges the clamps below neutralize.
 	for _, b := range seg.SackBlocks() {
-		r := netsim.SackRange{Start: wire.Unwrap32(s.sndUna, b.Start)}
+		r := sackRange{Start: wire.Unwrap32(s.sndUna, b.Start)}
 		r.End = wire.Unwrap32(r.Start, b.End)
 		if r.Start < s.sndUna {
 			r.Start = s.sndUna

@@ -256,7 +256,7 @@ func TestReceiverMergeProperty(t *testing.T) {
 		}
 
 		have := make([]bool, units)
-		rangeOf := func(u int) netsim.SackRange { // the naive containing()
+		rangeOf := func(u int) sackRange { // the naive containing()
 			lo, hi := u, u+1
 			for lo > 0 && have[lo-1] {
 				lo--
@@ -264,9 +264,9 @@ func TestReceiverMergeProperty(t *testing.T) {
 			for hi < units && have[hi] {
 				hi++
 			}
-			return netsim.SackRange{Start: byteOf(lo), End: byteOf(hi)}
+			return sackRange{Start: byteOf(lo), End: byteOf(hi)}
 		}
-		var recent []netsim.SackRange // newest first, as RFC 2018 orders blocks
+		var recent []sackRange // newest first, as RFC 2018 orders blocks
 		var received int64
 		cum := 0
 		for step, u := range order {
@@ -298,13 +298,13 @@ func TestReceiverMergeProperty(t *testing.T) {
 			// ACK's blocks: the ranges of the
 			// most recently touched segments, newest first, distinct,
 			// above the cumulative point, at most MaxSack.
-			recent = append([]netsim.SackRange{{Start: start, End: end}}, recent...)
+			recent = append([]sackRange{{Start: start, End: end}}, recent...)
 			recent = recent[:min(len(recent), maxRecentSacks)]
 			var want []wire.SackBlock
 			for _, s := range recent {
 				g := rangeOf(int(s.Start / mss))
 				b := wire.SackBlock{Start: uint32(g.Start), End: uint32(g.End)}
-				if g.End > byteOf(cum) && !slices.Contains(want, b) && len(want) < netsim.MaxSack {
+				if g.End > byteOf(cum) && !slices.Contains(want, b) && len(want) < maxSack {
 					want = append(want, b)
 				}
 			}
@@ -317,7 +317,7 @@ func TestReceiverMergeProperty(t *testing.T) {
 			if step%64 != 0 && step != len(order)-1 {
 				continue
 			}
-			var model []netsim.SackRange
+			var model []sackRange
 			for i := 0; i < units; i++ {
 				if have[i] && (i == 0 || !have[i-1]) {
 					model = append(model, rangeOf(i))

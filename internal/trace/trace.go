@@ -26,7 +26,6 @@ type Sample struct {
 
 // FlowTrace collects samples at a bounded rate.
 type FlowTrace struct {
-	Name    string
 	Samples []Sample
 
 	every time.Duration
@@ -38,8 +37,8 @@ type FlowTrace struct {
 // `every` of virtual time (zero records every ACK). A previously
 // installed OnAckTrace hook keeps firing: observers chain rather than
 // silently replacing each other, in installation order.
-func Attach(s *tcp.Sender, name string, every time.Duration) *FlowTrace {
-	tr := &FlowTrace{Name: name, every: every}
+func Attach(s *tcp.Sender, every time.Duration) *FlowTrace {
+	tr := &FlowTrace{every: every}
 	prev := s.OnAckTrace
 	s.OnAckTrace = func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64) {
 		if prev != nil {

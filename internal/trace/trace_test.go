@@ -19,7 +19,7 @@ func runTracedFlow(t *testing.T, every time.Duration) *FlowTrace {
 	}})
 	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), 2<<20, nil)
 	f.Sender.SetController(cubic.New(f.Sender, cubic.DefaultOptions()))
-	tr := Attach(f.Sender, "test", every)
+	tr := Attach(f.Sender, every)
 	f.StartAt(sim, 0)
 	sim.Run(time.Minute)
 	if !f.Done() {
@@ -91,8 +91,8 @@ func TestAttachChainsObservers(t *testing.T) {
 	}})
 	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), 1<<20, nil)
 	f.Sender.SetController(cubic.New(f.Sender, cubic.DefaultOptions()))
-	dense := Attach(f.Sender, "dense", 0)
-	sparse := Attach(f.Sender, "sparse", 50*time.Millisecond)
+	dense := Attach(f.Sender, 0)
+	sparse := Attach(f.Sender, 50*time.Millisecond)
 	f.StartAt(sim, 0)
 	sim.Run(time.Minute)
 	if !f.Done() {
@@ -115,7 +115,7 @@ func TestAttachChainsObservers(t *testing.T) {
 }
 
 func TestQueriesOnEmptyTrace(t *testing.T) {
-	tr := &FlowTrace{Name: "empty"}
+	tr := &FlowTrace{}
 	if s := tr.At(time.Second); s != (Sample{}) {
 		t.Errorf("At on empty trace = %+v, want zero Sample", s)
 	}

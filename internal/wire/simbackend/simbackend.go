@@ -8,11 +8,11 @@
 // (Config.HeaderBytes/AckBytes) that the pinned figure outputs were
 // produced with.
 //
+// The frame is the packet's only header. Beside it Send sets just what
+// the network layer reads: the wire size, the destination, the flow,
+// the kind and a data segment's sequence number unwrapped to 64 bits.
 // The hot path allocates nothing: frames encode into the packet's
-// inline buffer, decode lands in a per-conn scratch Segment, and the
-// header annotation fields links and recorders read (Seq, CumAck,
-// EchoTS…) are reconstructed from the same wire values the far end
-// will decode.
+// inline buffer and decode into a per-conn scratch Segment.
 package simbackend
 
 import (
@@ -100,9 +100,9 @@ type Conn struct {
 	h       wire.Handler
 	scratch wire.Segment
 
-	// seqNear/ackNear anchor the 32→64-bit unwrap of outgoing wire
-	// values when reconstructing the packet annotation fields.
-	seqNear, ackNear int64
+	// seqNear anchors the 32→64-bit unwrap of outgoing data sequence
+	// numbers into Packet.Seq.
+	seqNear int64
 }
 
 // New attaches a conn for flow to host, delivering to peer. The
@@ -132,9 +132,9 @@ func nodeAddr(id netsim.NodeID) uint32 { return 0x0A000000 | uint32(id)&0x00FFFF
 // inline frame buffer and hands the packet to the host. Payload bytes
 // are virtual in the simulator, so seg.Payload must be nil — the
 // frame is header-only while its IP total length covers the payload.
-// The packet's annotation fields (the ones links, impairment stages
-// and recorders read) are reconstructed from the same wire values the
-// receiving endpoint will decode.
+// Of the header, the packet carries outside the frame only the kind
+// and a data segment's 64-bit Seq, which the link's drop and
+// duplicate events record.
 func (c *Conn) Send(seg *wire.Segment, meta wire.SendMeta) int {
 	if seg.Payload != nil {
 		panic("simbackend: payload bytes are virtual in the simulator; seg.Payload must be nil")
@@ -148,11 +148,8 @@ func (c *Conn) Send(seg *wire.Segment, meta wire.SendMeta) int {
 		panic(fmt.Sprintf("simbackend: encode: %v", err))
 	}
 	pkt.SetFrameLen(n - seg.PayloadLen)
-	now := c.sim.Now()
 	pkt.Flow = c.flow
 	pkt.Dst = c.peer
-	pkt.SentAt = now
-	pkt.Retrans = meta.Retrans
 	if meta.WireSize > 0 {
 		pkt.Size = meta.WireSize
 	} else {
@@ -162,25 +159,8 @@ func (c *Conn) Send(seg *wire.Segment, meta wire.SendMeta) int {
 		pkt.Kind = netsim.Data
 		c.seqNear = wire.Unwrap32(c.seqNear, seg.Seq)
 		pkt.Seq = c.seqNear
-		pkt.Len = int64(seg.PayloadLen)
-		if seg.HasTS {
-			pkt.EchoTS = wire.UnwrapTS(now, seg.TSVal)
-			pkt.HasEcho = true
-		}
 	} else {
 		pkt.Kind = netsim.Ack
-		c.ackNear = wire.Unwrap32(c.ackNear, seg.Ack)
-		pkt.CumAck = c.ackNear
-		for _, b := range seg.SackBlocks() {
-			st := wire.Unwrap32(pkt.CumAck, b.Start)
-			if !pkt.AddSack(netsim.SackRange{Start: st, End: wire.Unwrap32(st, b.End)}) {
-				break // the encoder truncated the wire copy identically
-			}
-		}
-		if seg.HasTS {
-			pkt.EchoTS = wire.UnwrapTS(now, seg.TSEcr)
-			pkt.HasEcho = true
-		}
 	}
 	c.host.Send(pkt)
 	return n

@@ -145,9 +145,12 @@ func TestDemuxResetForgetsFlows(t *testing.T) {
 	}
 }
 
-// TestAnnotationMirrorsWire checks that the packet-level annotation
-// fields the links and recorders read are reconstructed from the same
-// values the peer decodes off the wire.
+// TestAnnotationMirrorsWire checks what a simulated packet carries
+// beside its frame: an ACK's kind and modeled size, and a data
+// segment's sequence number unwrapped to 64 bits, which the link's
+// drop and duplicate events record. Two consecutive segments whose
+// 32-bit sequence numbers straddle 2^32 must stay one MSS apart, and
+// each frame must still decode to the 32-bit value that was sent.
 func TestAnnotationMirrorsWire(t *testing.T) {
 	sim := netsim.NewSimulator()
 	p := testPath(sim)
@@ -155,41 +158,43 @@ func TestAnnotationMirrorsWire(t *testing.T) {
 	p.Receiver.SetHandler(func(pkt *netsim.Packet) { pkts = append(pkts, pkt) })
 	snd := simbackend.New(sim, p.Sender, simbackend.NewDemux(p.Sender), p.Receiver.ID(), 1)
 
-	now := 5 * time.Millisecond
-	sim.Schedule(now, func() {
-		ack := &wire.Segment{
-			Flags: wire.FlagACK, Window: 65535,
-			Ack:   2896,
-			HasTS: true, TSVal: wire.WrapTS(now), TSEcr: wire.WrapTS(3 * time.Millisecond),
+	const mss, top = 1448, 1<<32 - 1000
+	// The first segment moves the unwrap anchor past 2^31, as half of
+	// a 4 GB transfer would; the next two straddle 2^32.
+	seqs := []uint32{1<<31 - 1, top, top + mss - 1<<32}
+	sim.Schedule(0, func() {
+		snd.Send(&wire.Segment{Flags: wire.FlagACK, Window: 65535, Ack: 2896}, wire.SendMeta{WireSize: 60})
+		for _, seq := range seqs {
+			snd.Send(&wire.Segment{
+				Seq: seq, Flags: wire.FlagACK | wire.FlagPSH, Window: 65535, PayloadLen: mss,
+			}, wire.SendMeta{WireSize: 1500})
 		}
-		ack.AddSack(wire.SackBlock{Start: 8 * 1448, End: 9 * 1448})
-		ack.AddSack(wire.SackBlock{Start: 5 * 1448, End: 6 * 1448})
-		snd.Send(ack, wire.SendMeta{WireSize: 60})
 	})
 	sim.RunAll()
 
-	if len(pkts) != 1 {
-		t.Fatalf("pkts = %d", len(pkts))
+	if len(pkts) != 1+len(seqs) {
+		t.Fatalf("pkts = %d, want %d", len(pkts), 1+len(seqs))
 	}
-	pkt := pkts[0]
-	defer pkt.Release()
-	if pkt.Kind != netsim.Ack || pkt.CumAck != 2896 || pkt.Size != 60 {
-		t.Fatalf("annotation wrong: kind=%v cum=%d size=%d", pkt.Kind, pkt.CumAck, pkt.Size)
+	defer func() {
+		for _, pkt := range pkts {
+			pkt.Release()
+		}
+	}()
+	if ack := pkts[0]; ack.Kind != netsim.Ack || ack.Size != 60 {
+		t.Fatalf("ACK arrived as kind=%v size=%d, want ack, 60", ack.Kind, ack.Size)
 	}
-	if pkt.NSack != 2 || pkt.SACK[0].Start != 8*1448 || pkt.SACK[1].End != 6*1448 {
-		t.Fatalf("SACK annotation wrong: %+v", pkt.SACK[:pkt.NSack])
+	data := pkts[1:]
+	for i, pkt := range data {
+		var seg wire.Segment
+		if _, err := wire.DecodeSegment(pkt.Frame(), &seg); err != nil {
+			t.Fatalf("data frame %d does not decode: %v", i, err)
+		}
+		if pkt.Kind != netsim.Data || pkt.Size != 1500 || seg.Seq != seqs[i] {
+			t.Fatalf("data %d: kind=%v size=%d wire seq %#x, want data, 1500, %#x", i, pkt.Kind, pkt.Size, seg.Seq, seqs[i])
+		}
 	}
-	if !pkt.HasEcho || pkt.EchoTS != 3*time.Millisecond {
-		t.Fatalf("echo annotation wrong: has=%v ts=%v", pkt.HasEcho, pkt.EchoTS)
-	}
-
-	// The frame itself must strictly decode to the same values.
-	var seg wire.Segment
-	if _, err := wire.DecodeSegment(pkt.Frame(), &seg); err != nil {
-		t.Fatalf("captured frame does not decode: %v", err)
-	}
-	if seg.Ack != 2896 || seg.NSack != 2 || seg.Sack[0].Start != 8*1448 {
-		t.Fatalf("wire copy diverges from annotation: %+v", seg)
+	if lo, hi := data[1].Seq, data[2].Seq; lo != top || hi-lo != mss {
+		t.Fatalf("64-bit Seqs across the 2^32 wrap: %d then %d, want %d then one MSS more", lo, hi, int64(top))
 	}
 }
 

@@ -351,7 +351,9 @@ type Conn struct {
 	flow netsim.FlowID
 	h    wire.Handler
 
-	seqNear, ackNear int64
+	// seqNear anchors the 32→64-bit unwrap of outgoing data sequence
+	// numbers into the judged packet's Seq.
+	seqNear int64
 }
 
 // Clock implements wire.Conn.
@@ -382,7 +384,7 @@ func (c *Conn) Send(seg *wire.Segment, meta wire.SendMeta) int {
 	var extra, dupExtra time.Duration
 	dup := false
 	if ep.cfg.Impair != nil {
-		v := ep.cfg.Impair.Judge(now, c.annotate(seg, meta, n, now))
+		v := ep.cfg.Impair.Judge(now, c.annotate(seg, meta, n))
 		if v.Drop {
 			ep.stats.ImpairDrops++
 			return n
@@ -409,23 +411,20 @@ func (c *Conn) writeAfter(frame []byte, d time.Duration) {
 	ep.r.Sim().Schedule(d, func() { ep.write(frame) })
 }
 
-func (c *Conn) annotate(seg *wire.Segment, meta wire.SendMeta, n int, now time.Duration) *netsim.Packet {
+// annotate fills the endpoint's judge packet with what the impairment
+// stages read, as simbackend.Send does for a simulated packet: the
+// modeled wire size, the flow, the kind and a data segment's 64-bit
+// Seq. The frame itself goes to the socket, not into the packet.
+func (c *Conn) annotate(seg *wire.Segment, meta wire.SendMeta, n int) *netsim.Packet {
 	pkt := &c.ep.judge
-	*pkt = netsim.Packet{Flow: c.flow, SentAt: now, Retrans: meta.Retrans}
+	*pkt = netsim.Packet{Flow: c.flow, Kind: netsim.Ack, Size: n}
 	if meta.WireSize > 0 {
 		pkt.Size = meta.WireSize
-	} else {
-		pkt.Size = n
 	}
 	if seg.IsData() {
 		pkt.Kind = netsim.Data
 		c.seqNear = wire.Unwrap32(c.seqNear, seg.Seq)
 		pkt.Seq = c.seqNear
-		pkt.Len = int64(seg.PayloadLen)
-	} else {
-		pkt.Kind = netsim.Ack
-		c.ackNear = wire.Unwrap32(c.ackNear, seg.Ack)
-		pkt.CumAck = c.ackNear
 	}
 	return pkt
 }

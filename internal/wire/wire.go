@@ -147,16 +147,15 @@ func UnwrapTS(now time.Duration, v uint32) time.Duration {
 	return now - time.Duration(uint32(now)-v)
 }
 
-// SendMeta carries per-send annotations that ride outside the frame.
-// The wire has no such bits; backends that keep bookkeeping beside
-// the bytes (the simulator's trace and accounting fields) use them,
-// others ignore them.
+// SendMeta carries per-send facts that ride outside the frame; the
+// wire has no such bits.
 type SendMeta struct {
 	// WireSize, when positive, overrides the modeled wire size the
 	// backend accounts for the frame (the simulator's configurable
 	// per-segment header overhead). Zero means the frame's own length.
 	WireSize int
-	// Retrans marks a retransmission for trace annotation.
+	// Retrans marks a retransmission. No backend reads it; the
+	// scoreboard differential compares it between two senders.
 	Retrans bool
 }
 

@@ -212,7 +212,7 @@ func download(j runner.Job, traced bool, every time.Duration) (Result, []TracePo
 			rec = &FlightRecorder{reg: env.Registry}
 		}
 		if traced {
-			tr = trace.Attach(env.Flow.Sender, j.Algo.String(), every)
+			tr = trace.Attach(env.Flow.Sender, every)
 		}
 	}
 	r := runner.Download(j)
