@@ -178,7 +178,7 @@ loc:
 # The ceiling on loc's total. locgate fails when the tree has more
 # non-test lines than this; a PR may raise it only with a CHANGES.md
 # line that gives the rise and the reason.
-LOC_CEILING = 17687
+LOC_CEILING = 17514
 
 locgate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

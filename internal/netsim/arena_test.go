@@ -18,6 +18,15 @@ func TestTimerSlotSize(t *testing.T) {
 	}
 }
 
+// Every packet in flight pays for a Packet; 152 B is 32 of header
+// fields, the 80-byte inline frame, the three one-byte fields sharing
+// a word, and 32 of queue links and pool.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 152 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 152", got)
+	}
+}
+
 func TestStopRemovesFromHeapImmediately(t *testing.T) {
 	s := NewSimulator()
 	var timers []Timer

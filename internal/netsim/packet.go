@@ -45,7 +45,6 @@ func (k PacketKind) String() string {
 // traffic) have no pool and Release on them is a no-op.
 type Packet struct {
 	Flow FlowID
-	Kind PacketKind
 
 	// Size is the wire size in bytes, including all headers.
 	Size int
@@ -67,6 +66,14 @@ type Packet struct {
 	frame    [MaxFrameLen]byte
 	frameLen uint8
 
+	// Kind shares a word with frameLen and freed: the three one-byte
+	// fields after frame keep Packet at 152 bytes on 64-bit targets.
+	Kind PacketKind
+
+	// freed is the sussdebug use-after-release flag (see
+	// pool_debug.go).
+	freed bool
+
 	// next, at and armSeq thread the packet through the one queue it is
 	// in at a time (pktFIFO): a qdisc's, where CoDel stamps at with the
 	// enqueue time, then its link's line, where at is its arrival and
@@ -76,10 +83,8 @@ type Packet struct {
 	armSeq uint64
 
 	// pool is the free list this packet returns to on Release; nil for
-	// packets built with a literal. freed is the sussdebug
-	// use-after-release flag (see pool_debug.go).
-	pool  *PacketPool
-	freed bool
+	// packets built with a literal.
+	pool *PacketPool
 }
 
 // MaxFrameLen is the inline frame-buffer capacity: the largest

@@ -38,31 +38,30 @@ var dirtyEngines = []dirtyEngine{
 			}))
 		}
 		s.RunAll()
-		if s.windowPos == len(s.window) || s.occ[0] == 0 || !s.halted {
-			t.Fatalf("setup: want a paused window with a fresh arm on its list: pos %d of %d, occ %b, halted %v",
-				s.windowPos, len(s.window), s.occ[0], s.halted)
+		if n := openWindow(s); n != 4 || !s.halted {
+			t.Fatalf("setup: want a halted window holding three events and a fresh arm: %d on its list, halted %v", n, s.halted)
 		}
 		return hs
 	}},
-	{"horizon stop with timers at every level and in the overflow", func(t *testing.T, s *Simulator) []Timer {
+	{"levels 0-4 and the top level, cut by a horizon", func(t *testing.T, s *Simulator) []Timer {
 		var hs []Timer
 		for _, d := range []time.Duration{
 			time.Microsecond, 8 * time.Microsecond, // fired / left in the window by the horizon
 			20 * time.Microsecond, time.Millisecond, 50 * time.Millisecond, 5 * time.Second, 10 * time.Minute, // levels 0–4
-			3 * time.Hour, time.Duration(math.MaxInt64), // overflow
+			3 * time.Hour, time.Duration(math.MaxInt64 / 2), time.Duration(math.MaxInt64), // levels 5 and 8
 		} {
 			hs = append(hs, s.ScheduleEvent(d, nopEvent, nil, nil))
 		}
 		hs = append(hs, s.ScheduleEvent(8*time.Microsecond+1, nopEvent, nil, nil))
-		hs[len(hs)-2].Stop() // the overflow minimum goes stale too
+		hs[len(hs)-2].Stop() // a stopped top-level timer
 		s.Run(8 * time.Microsecond)
-		for lvl, occ := range s.occ {
-			if occ == 0 {
+		for _, lvl := range []int{0, 1, 2, 3, 4, 5, wheelLevels - 1} {
+			if s.occ[lvl] == 0 {
 				t.Fatalf("setup: wheel level %d is empty", lvl)
 			}
 		}
-		if s.bhead[overflowBucket] < 0 || s.windowPos == len(s.window) {
-			t.Fatalf("setup: want overflow timers and a window cut by the horizon")
+		if openWindow(s) != 1 {
+			t.Fatalf("setup: want a window cut by the horizon, one event left on its list")
 		}
 		return hs
 	}},
@@ -150,6 +149,16 @@ func TestResetDirtyEngines(t *testing.T) {
 	}
 }
 
+// openWindow counts the events on the cursor's level-0 list, the
+// window Run fires from.
+func openWindow(s *Simulator) int {
+	n := 0
+	for i := s.bhead[uint64(s.cur)&wheelMask]; i >= 0; i = s.slots[i].next {
+		n++
+	}
+	return n
+}
+
 // assertFreshState holds a reset engine to what NewSimulator gives,
 // field by field, and its free lists to fresh hand-out order.
 func assertFreshState(t *testing.T, s *Simulator) {
@@ -157,9 +166,7 @@ func assertFreshState(t *testing.T, s *Simulator) {
 	f := NewSimulator()
 	if s.now != f.now || s.seq != f.seq || s.halted != f.halted || s.stopWhen != nil ||
 		s.cur != f.cur || s.occ != f.occ || s.bhead != f.bhead || s.btail != f.btail ||
-		s.npending != f.npending || s.ovMin != f.ovMin || s.ovDirty != f.ovDirty ||
-		len(s.window) != 0 || s.windowPos != 0 ||
-		s.Fired != 0 || s.Placed != 0 || s.Cascades != 0 || s.WindowSorts != 0 {
+		s.npending != f.npending || s.Fired != 0 || s.Placed != 0 || s.Cascades != 0 {
 		t.Errorf("reset engine differs from a new one: %+v", *s)
 	}
 	if s.Pool().Stats() != (PoolStats{}) || len(s.pool.free) != 0 || s.pool.used != 0 {

@@ -40,7 +40,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // BenchmarkSchedulerCascade arms deadlines spread across every wheel
 // level (microseconds to minutes) and drains them all, measuring the
-// full insert → cascade → batch-dispatch cycle rather than mutation
+// full insert → cascade → fire cycle rather than mutation
 // churn.
 func BenchmarkSchedulerCascade(b *testing.B) {
 	const batch = 1024

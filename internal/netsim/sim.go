@@ -15,10 +15,10 @@
 // is stopped; a Timer handle carries the slot's generation so a Stop
 // on a recycled handle is a detected no-op.
 //
-// Pending timers are indexed by a hierarchical timing wheel rather
-// than a comparison heap (see wheel.go): Schedule, Stop, and Reset are
-// O(1), and Run dispatches all events of one 4 µs window as one sorted
-// batch.
+// Pending timers live in a hierarchical timing wheel rather than a
+// comparison heap (see wheel.go): Schedule, Stop, and Reset link or
+// unlink one slot, and Run fires each 4 µs window from its bucket list,
+// which the wheel keeps in dispatch order.
 package netsim
 
 import (
@@ -43,7 +43,7 @@ var runClosure EventFunc = func(ctx, _ any) { ctx.(func())() }
 // list; gen increments on every release so stale Timer handles are
 // detectable. next/prev link the slot into the intrusive list of its
 // wheel bucket (see wheel.go); bucket records which list, bucketNone
-// when released, or bucketWindow while in the dispatch scratch.
+// when released.
 type timerSlot struct {
 	at       time.Duration
 	seq      uint64
@@ -60,26 +60,24 @@ type timerSlot struct {
 //
 // An engine can be run more than once: Reset returns it to the state
 // NewSimulator gives while keeping the memory it has grown (timer
-// arena, packet slabs, dispatch scratch), so a worker that runs many
-// short simulations pays for growing them once.
+// arena, packet slabs), so a worker that runs many short simulations
+// pays for growing them once.
 type Simulator struct {
 	// Self-counters, plain fields to read after Run. Fired counts the
 	// events Run has dispatched since NewSimulator or Reset — two runs of
 	// one deterministic simulation fire the same number, a stronger
-	// identity than equal results. Placed, Cascades and WindowSorts price
-	// the wheel's work over the same life: bucket placements (arms,
-	// rearms and cascade re-placements), buckets pulled apart into lower
-	// levels (overflow migrations included), and dispatch windows crowded
-	// enough to take the library sort. The high-waters say what the engine
-	// has grown to over all its lives and are kept by Reset; Run brings
-	// them up to date as it returns (or unwinds from a panic): ArenaSlots is the timer arena's size
-	// in slots (the most timers ever pending at once), PoolPackets the
+	// identity than equal results. Placed and Cascades price the wheel's
+	// work over the same life: bucket placements (arms, rearms and
+	// cascade re-placements) and buckets pulled apart into lower levels.
+	// The high-waters say what the engine has grown to over all its lives
+	// and are kept by Reset; Run brings them up to date as it returns (or
+	// unwinds from a panic): ArenaSlots is the timer arena's size in
+	// slots (the most timers ever pending at once), PoolPackets the
 	// most packets ever out of the slabs in one life, PoolSlabs the slabs
 	// allocated.
 	Fired       uint64
 	Placed      uint64
 	Cascades    uint64
-	WindowSorts uint64
 	ArenaSlots  int
 	PoolPackets int
 	PoolSlabs   int
@@ -95,24 +93,14 @@ type Simulator struct {
 
 	// Hierarchical timing wheel (wheel.go): cur is the wheel cursor, in
 	// ticks — it trails the tick of min(now, every pending deadline) so
-	// bucket placement deltas are never negative. occ is the per-level
-	// occupancy bitmap; bhead/btail are the bucket list ends (last entry
-	// = overflow).
+	// bucket placement deltas are never negative, and its level-0 bucket
+	// is the window Run fires from. occ is the per-level occupancy
+	// bitmap; bhead/btail are the bucket list ends, level-major.
 	cur      int64
 	occ      [wheelLevels]uint64
-	bhead    [numWheelBuckets + 1]int32
-	btail    [numWheelBuckets + 1]int32
+	bhead    [numWheelBuckets]int32
+	btail    [numWheelBuckets]int32
 	npending int
-	ovMin    int64 // cached min deadline tick in the overflow list
-	ovDirty  bool  // ovMin must be recomputed before use
-
-	// Dispatch scratch: Run drains a whole level-0 bucket — one tick-wide
-	// window — into this reusable slice in (deadline, seq) order and
-	// fires it without re-touching the wheel per event. windowPos trails
-	// len(window) while a horizon, Halt or StopWhen pause leaves part of
-	// the window undispatched; cur stays on the window's tick until then.
-	window    []windowEnt
-	windowPos int
 
 	pool PacketPool
 
@@ -124,9 +112,7 @@ type Simulator struct {
 // NewSimulator returns a simulator with the clock at zero and an empty
 // event queue.
 func NewSimulator() *Simulator {
-	// The reserved scratch covers all but the densest windows, so a
-	// short-lived engine does not pay for growing it by doubling.
-	s := &Simulator{ovMin: math.MaxInt64, window: make([]windowEnt, 0, 64)}
+	s := &Simulator{}
 	for i := range s.bhead {
 		s.bhead[i] = -1
 		s.btail[i] = -1
@@ -136,12 +122,11 @@ func NewSimulator() *Simulator {
 
 // Reset returns the engine to exactly what NewSimulator gives — clock
 // and arm sequence at zero, nothing pending, no StopWhen predicate,
-// Halt forgotten, pool counters and the four work counters at zero —
+// Halt forgotten, pool counters and the three work counters at zero —
 // whatever state the last run left it in: drained, stopped at a
-// horizon, halted inside a half-dispatched window, or abandoned by a
+// horizon, halted inside a half-fired window, or abandoned by a
 // callback that panicked. What the engine grew is kept: the timer
-// arena, the packet slabs, the dispatch scratch and the three
-// high-water counters.
+// arena, the packet slabs and the three high-water counters.
 //
 // Every timer still pending is released the way Stop releases it, so a
 // handle taken before Reset reads dead afterwards (Active and Stop
@@ -165,10 +150,8 @@ func (s *Simulator) Reset() {
 		s.bhead[i] = -1
 		s.btail[i] = -1
 	}
-	s.ovMin, s.ovDirty = math.MaxInt64, false
-	s.window, s.windowPos = s.window[:0], 0
 	s.pool.reset()
-	s.Fired, s.Placed, s.Cascades, s.WindowSorts = 0, 0, 0, 0
+	s.Fired, s.Placed, s.Cascades = 0, 0, 0
 }
 
 // Now returns the current virtual time.
@@ -203,9 +186,7 @@ func (t Timer) Stop() bool {
 	if sl.gen != t.gen || sl.bucket == bucketNone {
 		return false
 	}
-	if sl.bucket != bucketWindow {
-		s.unlink(t.idx)
-	}
+	s.unlink(t.idx)
 	s.releaseSlot(t.idx)
 	return true
 }
@@ -241,9 +222,7 @@ func (t Timer) Reset(d time.Duration) (Timer, bool) {
 	if sl.gen != t.gen || sl.bucket == bucketNone {
 		return Timer{}, false
 	}
-	if sl.bucket != bucketWindow {
-		s.unlink(t.idx)
-	}
+	s.unlink(t.idx)
 	sl.at, sl.seq = s.after(d), s.seq
 	s.seq++
 	sl.gen++
@@ -341,8 +320,8 @@ func (sl *timerSlot) release() {
 	sl.bucket = bucketNone
 }
 
-// releaseSlot recycles a slot. The caller must already have unlinked a
-// wheel-resident slot from its bucket.
+// releaseSlot recycles a slot. The caller must already have unlinked it
+// from its bucket.
 func (s *Simulator) releaseSlot(idx int32) {
 	s.slots[idx].release()
 	s.free = append(s.free, idx)
@@ -373,58 +352,45 @@ func (s *Simulator) Halt() { s.halted = true }
 // a Run horizon already in the past executes nothing and leaves Now()
 // unchanged.
 //
-// Events are dispatched a window at a time: the level-0 bucket holding
-// the earliest deadline is drained into a scratch slice, put in
-// (deadline, seq) order, and fired without re-touching the wheel per
-// event, the clock advancing entry by entry. A horizon, Halt or
-// StopWhen stop inside a window leaves the rest of it pending (counted
-// by Pending, cancellable, fired by a later Run), exactly as if the
-// events were still queued.
+// Events fire from the cursor's level-0 bucket, the window holding the
+// earliest deadline, whose list the wheel keeps in (deadline, seq)
+// order: Run fires its head, one event at a time, the clock advancing
+// event by event, and moves the cursor on when the list is empty. A
+// horizon, Halt or StopWhen stop inside a window leaves the rest of it
+// on its list, pending like any other event.
 func (s *Simulator) Run(until time.Duration) time.Duration {
 	defer s.noteHighWaters()
 	s.halted = false
 	for {
-		// The open window: bucket wb collects what is armed into it while
-		// it is under dispatch (or paused between Runs).
-		wb := int(uint64(s.cur) & wheelMask)
-		for s.windowPos < len(s.window) {
-			if s.occ[0]>>uint(wb)&1 != 0 {
-				s.drainBucket(wb)
-			}
-			e := s.window[s.windowPos]
-			sl := &s.slots[e.idx]
-			if sl.gen != e.gen {
-				s.windowPos++ // stopped or reset while awaiting dispatch
-				continue
-			}
-			if sl.at > until {
-				if until > s.now {
+		idx := s.bhead[uint64(s.cur)&wheelMask]
+		if idx < 0 {
+			if !s.wheelNext(int64(until)) {
+				if s.npending > 0 && until > s.now {
 					s.now = until
 				}
 				return s.now
 			}
-			s.windowPos++
-			s.now = sl.at
-			fn, ctx, arg := sl.fn, sl.ctx, sl.arg
-			// Recycle before firing: during its own callback the timer
-			// reads as spent (Active false, Stop no-op), and the slot is
-			// immediately reusable by events the callback schedules.
-			s.releaseSlot(e.idx)
-			s.Fired++
-			fn(ctx, arg)
-			if (s.stopWhen != nil && s.stopWhen()) || s.halted {
-				return s.now
-			}
+			continue
 		}
-		bucket, fire := s.wheelNext(int64(until))
-		if !fire {
-			if s.npending > 0 && until > s.now {
+		sl := &s.slots[idx]
+		if sl.at > until {
+			if until > s.now {
 				s.now = until
 			}
 			return s.now
 		}
-		s.window, s.windowPos = s.window[:0], 0
-		s.drainBucket(bucket)
+		s.unlink(idx)
+		s.now = sl.at
+		fn, ctx, arg := sl.fn, sl.ctx, sl.arg
+		// Recycle before firing: during its own callback the timer reads
+		// as spent (Active false, Stop no-op), and the slot is
+		// immediately reusable by events the callback schedules.
+		s.releaseSlot(idx)
+		s.Fired++
+		fn(ctx, arg)
+		if (s.stopWhen != nil && s.stopWhen()) || s.halted {
+			return s.now
+		}
 	}
 }
 
@@ -442,8 +408,8 @@ func (s *Simulator) RunAll() time.Duration {
 
 // Pending returns the number of events still queued. The count is
 // exact: Stop removes a timer from the pending set at cancellation
-// time, so cancelled timers are never counted, and events drained into
-// the dispatch scratch but not yet fired still are. A link's in-flight
+// time, so cancelled timers are never counted, and events of a window
+// a stop cut short still are. A link's in-flight
 // packets count as the one event they have armed, their line's head.
 func (s *Simulator) Pending() int { return s.npending }
 

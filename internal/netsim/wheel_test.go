@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,9 +128,13 @@ func recordFireEv(ctx, arg any) {
 
 const tick = time.Duration(1) << tickBits
 
+// fiveLevelSpan, 2^42 ns ≈ 73 minutes, is what wheel levels 0–4 cover:
+// a deadline further out sits on level 5 or above.
+const fiveLevelSpan = time.Duration(1) << (tickBits + wheelBits*5)
+
 // randomDelay draws from a mixture that exercises every wheel level,
-// several distinct deadlines inside one level-0 window, zero delays,
-// and the overflow list.
+// several distinct deadlines inside one level-0 window, and zero
+// delays.
 func randomDelay(rng *rand.Rand) time.Duration {
 	switch rng.Intn(10) {
 	case 0:
@@ -145,7 +150,7 @@ func randomDelay(rng *rand.Rand) time.Duration {
 	case 7:
 		return time.Duration(rng.Intn(int(time.Hour))) // ≤ level 4
 	case 8:
-		return time.Duration(wheelSpan) + time.Duration(rng.Intn(int(time.Hour))) // overflow
+		return fiveLevelSpan<<uint(rng.Intn(20)) + time.Duration(rng.Intn(int(time.Hour))) // levels 5–8
 	default:
 		return time.Duration(rng.Int63n(int64(10 * time.Second))) // ≤ level 3
 	}
@@ -414,6 +419,9 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 				t.Fatalf("seed %d op %d: Pending() = %d over %d handles, reference %d over %d",
 					seed, op, sim.Pending(), w.handles(), ref.pending(), r.handles())
 			}
+			if err := auditWheel(sim); err != "" {
+				t.Fatalf("seed %d op %d: %s", seed, op, err)
+			}
 			if op%8 == 0 {
 				at, ok := sim.NextEventAt()
 				if h := ref.next(); ok != (h >= 0) || (ok && at != ref.timers[h].at) {
@@ -425,6 +433,51 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 			run(ops, math.MaxInt64)
 		}
 	}
+}
+
+// auditWheel checks the wheel's structure, which the firing order
+// alone does not show: a stale occupancy bit or a broken back-link can
+// leave it intact. Every list's links and bucket fields agree, each
+// occupancy bit is set exactly when its list is non-empty, each
+// level-0 list holds one window in (deadline, seq) order, and the
+// lists hold Pending() slots between them. It returns "" when all
+// hold.
+func auditWheel(s *Simulator) string {
+	listed := 0
+	for b := range s.bhead {
+		lvl, slot := b/wheelSlots, b%wheelSlots
+		if occ := s.occ[lvl]>>uint(slot)&1 != 0; occ != (s.bhead[b] >= 0) {
+			return fmt.Sprintf("bucket %d: occupancy bit %v, head %d", b, occ, s.bhead[b])
+		}
+		prev := int32(-1)
+		for i := s.bhead[b]; i >= 0; prev, i = i, s.slots[i].next {
+			sl := &s.slots[i]
+			if sl.bucket != int32(b) || sl.prev != prev {
+				return fmt.Sprintf("bucket %d: slot %d has bucket %d, prev %d; want prev %d", b, i, sl.bucket, sl.prev, prev)
+			}
+			if listed++; listed > len(s.slots) {
+				return fmt.Sprintf("bucket %d: the list has a cycle", b)
+			}
+			if lvl != 0 {
+				continue
+			}
+			if et := int64(sl.at) >> tickBits; int(et&wheelMask) != slot || et < s.cur || et >= s.cur+wheelSlots {
+				return fmt.Sprintf("bucket %d: slot %d at tick %d, cursor %d", b, i, et, s.cur)
+			}
+			if prev >= 0 {
+				if p := &s.slots[prev]; p.at > sl.at || p.at == sl.at && p.seq >= sl.seq {
+					return fmt.Sprintf("bucket %d: (%v, %d) before (%v, %d)", b, p.at, p.seq, sl.at, sl.seq)
+				}
+			}
+		}
+		if s.btail[b] != prev {
+			return fmt.Sprintf("bucket %d: tail %d, last listed %d", b, s.btail[b], prev)
+		}
+	}
+	if listed != s.Pending() {
+		return fmt.Sprintf("%d slots listed, Pending() = %d", listed, s.Pending())
+	}
+	return ""
 }
 
 // --- same-deadline FIFO regression ---
@@ -468,12 +521,15 @@ func TestSameDeadlineFIFOAcrossLevels(t *testing.T) {
 	}
 }
 
-// --- overflow list ---
+// --- far-future deadlines ---
 
-func TestOverflowFarFutureDeadlines(t *testing.T) {
+// TestFarFutureDeadlines arms past what levels 0–4 cover: the deadlines
+// sit on the upper levels, cancel there, stay pending across a horizon
+// short of them, and fire in order once the clock gets there.
+func TestFarFutureDeadlines(t *testing.T) {
 	s := NewSimulator()
 	rec := &fireRecorder{}
-	far := time.Duration(wheelSpan) * 3 / 2 // beyond the wheel span
+	far := fiveLevelSpan * 3 / 2
 	s.ScheduleEventAt(far, recordFireEv, rec, 0)
 	s.ScheduleEventAt(far+time.Nanosecond, recordFireEv, rec, 1)
 	tm := s.ScheduleEventAt(far+2*time.Nanosecond, recordFireEv, rec, 2)
@@ -482,9 +538,9 @@ func TestOverflowFarFutureDeadlines(t *testing.T) {
 		t.Fatalf("Pending() = %d, want 4", s.Pending())
 	}
 	if !tm.Stop() {
-		t.Fatal("Stop of overflow-resident timer failed")
+		t.Fatal("Stop of a far-future timer failed")
 	}
-	// Horizon far beyond the near event but before the overflow events.
+	// Horizon far beyond the near event but before the far ones.
 	if end := s.Run(far - time.Second); end != far-time.Second {
 		t.Fatalf("Run = %v, want %v", end, far-time.Second)
 	}
@@ -503,12 +559,12 @@ func TestOverflowFarFutureDeadlines(t *testing.T) {
 	}
 }
 
-// TestOverflowMinInvalidation stops the earliest overflow timer and
-// checks the cached minimum is recomputed, not reused.
-func TestOverflowMinInvalidation(t *testing.T) {
+// TestFarFutureEarliestStopped stops the earliest far-future timer and
+// checks that the later one still fires, at its own deadline.
+func TestFarFutureEarliestStopped(t *testing.T) {
 	s := NewSimulator()
 	rec := &fireRecorder{}
-	far := time.Duration(wheelSpan) * 2
+	far := fiveLevelSpan * 2
 	early := s.ScheduleEventAt(far, recordFireEv, rec, 0)
 	s.ScheduleEventAt(far+time.Hour, recordFireEv, rec, 1)
 	early.Stop()
@@ -545,9 +601,9 @@ func TestScheduleSaturatesAtMaxDeadline(t *testing.T) {
 	}
 }
 
-// Reset used to store now+d unclamped: a wrapped negative deadline went
-// to the overflow list, behind the cursor for good, and Run spun
-// migrating the list into itself.
+// Reset used to store now+d unclamped: a wrapped negative deadline sat
+// behind the cursor for good, and Run never returned. A saturated one
+// sits on the top level.
 func TestResetSaturatesAtMaxDeadline(t *testing.T) {
 	s := NewSimulator()
 	s.Schedule(time.Second, func() {})
@@ -561,8 +617,8 @@ func TestResetSaturatesAtMaxDeadline(t *testing.T) {
 	if at, _ := s.NextEventAt(); at != math.MaxInt64 {
 		t.Fatalf("NextEventAt() = %v, want the saturated deadline", at)
 	}
-	if b := s.slots[nt.idx].bucket; b != overflowBucket {
-		t.Fatalf("reset timer sits in bucket %d, want the overflow list", b)
+	if lvl := s.slots[nt.idx].bucket / wheelSlots; lvl != wheelLevels-1 {
+		t.Fatalf("reset timer sits on level %d, want the top level %d", lvl, wheelLevels-1)
 	}
 	if end := s.Run(2 * time.Second); end != 2*time.Second || fired != 0 || s.Pending() != 1 {
 		t.Fatalf("Run(2s) = %v, fired %d, Pending %d: the timer must stay pending", end, fired, s.Pending())
@@ -651,10 +707,9 @@ func TestResetDeadTimerIsNoop(t *testing.T) {
 	}
 }
 
-// TestResetDuringSameInstantPause rearms a timer that is already
-// drained into the dispatch scratch (Run paused mid-instant by
-// StopWhen): its scratch entry must go stale and the timer fire at the
-// new deadline.
+// TestResetDuringSameInstantPause rearms a timer on the list of the
+// window a StopWhen pause cut short, mid-instant: it must leave that
+// list and fire at the new deadline.
 func TestResetDuringSameInstantPause(t *testing.T) {
 	s := NewSimulator()
 	rec := &fireRecorder{}
@@ -670,7 +725,7 @@ func TestResetDuringSameInstantPause(t *testing.T) {
 	s.StopWhen(nil)
 	nt, ok := tm2.Reset(time.Millisecond)
 	if !ok {
-		t.Fatal("Reset of a scratch-resident timer failed")
+		t.Fatal("Reset of a timer in the paused window failed")
 	}
 	if !nt.Active() || s.Pending() != 2 {
 		t.Fatalf("after Reset: Active=%v Pending=%d, want true/2", nt.Active(), s.Pending())
@@ -689,10 +744,9 @@ func TestResetDuringSameInstantPause(t *testing.T) {
 
 // --- allocation gates ---
 
-// TestWheelCascadeZeroAlloc schedules deadlines across every wheel
-// level (and the overflow list) and drains them, requiring the whole
-// insert → cascade → batch-dispatch cycle to stay allocation-free in
-// steady state.
+// TestWheelCascadeZeroAlloc schedules deadlines on wheel levels 0–6
+// and drains them, requiring the whole insert → cascade → fire cycle
+// to stay allocation-free in steady state.
 func TestWheelCascadeZeroAlloc(t *testing.T) {
 	if debugSequester {
 		t.Skip("sussdebug: pool sequesters, steady state allocates by design")
@@ -708,7 +762,8 @@ func TestWheelCascadeZeroAlloc(t *testing.T) {
 		40 * time.Millisecond,  // level 2
 		2 * time.Second,        // level 3
 		20 * time.Minute,       // level 4
-		90 * time.Minute,       // beyond wheelSpan: overflow + migration
+		90 * time.Minute,       // level 5
+		30 * 24 * time.Hour,    // level 6
 	}
 	warm := func() {
 		for _, d := range deltas {

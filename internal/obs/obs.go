@@ -24,7 +24,10 @@
 // human-readable timeline) live in export.go.
 package obs
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // EventKind enumerates what the flight recorder can witness.
 type EventKind uint8
@@ -674,38 +677,17 @@ func (l LossLedger) Check() []string {
 	var bad []string
 	if l.SegsRetrans != l.RetransFast+l.RetransRTO+l.RetransTLP+l.RetransReneg {
 		bad = append(bad, "retransmissions not partitioned by cause: "+
-			itoa(l.SegsRetrans)+" != "+itoa(l.RetransFast)+"+"+itoa(l.RetransRTO)+"+"+itoa(l.RetransTLP)+"+"+itoa(l.RetransReneg))
+			strconv.FormatInt(l.SegsRetrans, 10)+" != "+strconv.FormatInt(l.RetransFast, 10)+"+"+
+			strconv.FormatInt(l.RetransRTO, 10)+"+"+strconv.FormatInt(l.RetransTLP, 10)+"+"+
+			strconv.FormatInt(l.RetransReneg, 10))
 	}
 	if l.RetransFast > l.LossDetected {
-		bad = append(bad, "fast retransmits ("+itoa(l.RetransFast)+") exceed fast loss detections ("+itoa(l.LossDetected)+")")
+		bad = append(bad, "fast retransmits ("+strconv.FormatInt(l.RetransFast, 10)+
+			") exceed fast loss detections ("+strconv.FormatInt(l.LossDetected, 10)+")")
 	}
 	if l.RcvDupSegs > l.SegsRetrans+l.PathDuplicates {
-		bad = append(bad, "receiver dup segments ("+itoa(l.RcvDupSegs)+") exceed retransmissions ("+
-			itoa(l.SegsRetrans)+") + path duplicates ("+itoa(l.PathDuplicates)+")")
+		bad = append(bad, "receiver dup segments ("+strconv.FormatInt(l.RcvDupSegs, 10)+") exceed retransmissions ("+
+			strconv.FormatInt(l.SegsRetrans, 10)+") + path duplicates ("+strconv.FormatInt(l.PathDuplicates, 10)+")")
 	}
 	return bad
-}
-
-// itoa avoids strconv in the one diagnostic path (keeps import set
-// tiny; never on a hot path).
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -73,10 +73,10 @@ func (e *PanicError) Error() string {
 // Scratch is the simulation engine one worker keeps across the cells it
 // runs: Download and RunFleetShard run on it, resetting it first, so
 // only the first cell (and a cell larger than any before it) pays for
-// growing the timer arena, the packet slabs and the dispatch scratch. A
-// reset engine is indistinguishable from a new one (netsim's Reset
-// contract), so a cell's result never depends on what the scratch ran
-// before — a cell that panicked or was killed by the watchdog included.
+// growing the timer arena and the packet slabs. A reset engine is
+// indistinguishable from a new one (netsim's Reset contract), so a
+// cell's result never depends on what the scratch ran before — a cell
+// that panicked or was killed by the watchdog included.
 //
 // The same holds for its slab of slots, each a flow and one controller
 // per family (CUBIC, SUSS, BBR, Reno): a cell resets the slots it uses

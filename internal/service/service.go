@@ -312,8 +312,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // Submit validates a request, applies admission control, registers the
-// batch, and starts it in the background. Exposed for in-process
-// embedding (cmd/sussim's -daemon mode shares it with the HTTP path).
+// batch, and starts it in the background. The POST /v1/jobs handler
+// calls it; it is exported for in-process embedding, and the service's
+// own tests submit through it without HTTP.
 func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if s.draining.Load() {
 		return SubmitResponse{}, ErrDraining

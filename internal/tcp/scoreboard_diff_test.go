@@ -22,12 +22,11 @@ import (
 
 // diffSend is one emitted segment as the conn saw it.
 type diffSend struct {
-	at      time.Duration
-	seq     uint32
-	n       int
-	retrans bool
-	hasTS   bool
-	tsval   uint32
+	at    time.Duration
+	seq   uint32
+	n     int
+	hasTS bool // a retransmission carries no timestamp (Karn's rule)
+	tsval uint32
 }
 
 // diffConn logs what its endpoint sends and hands each segment to out.
@@ -41,7 +40,7 @@ func (c *diffConn) Clock() *netsim.Simulator { return c.sim }
 func (c *diffConn) SetHandler(wire.Handler)  {}
 func (c *diffConn) Close() error             { return nil }
 func (c *diffConn) Send(seg *wire.Segment, meta wire.SendMeta) int {
-	d := diffSend{c.sim.Now(), seg.Seq, seg.PayloadLen, meta.Retrans, seg.HasTS, seg.TSVal}
+	d := diffSend{c.sim.Now(), seg.Seq, seg.PayloadLen, seg.HasTS, seg.TSVal}
 	c.log = append(c.log, d)
 	if c.out != nil {
 		c.out(seg, d)

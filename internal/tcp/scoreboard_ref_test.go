@@ -340,7 +340,7 @@ func (s *refSender) emit(seg, l int64, retrans bool) {
 		}
 	}
 	s.ctrl.OnPacketSent(now, int(l), seg, retrans)
-	n := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes, Retrans: retrans})
+	n := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes})
 	if r := s.rec; r != nil {
 		r.C.WireFramesOut++
 		r.C.WireBytesOut += int64(n)

@@ -418,7 +418,7 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		}
 	}
 	s.ctrl.OnPacketSent(now, int(l), seg, retrans)
-	wrote := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes, Retrans: retrans})
+	wrote := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes})
 	if r := s.rec; r != nil {
 		r.C.WireFramesOut++
 		r.C.WireBytesOut += int64(wrote)

@@ -154,9 +154,6 @@ type SendMeta struct {
 	// backend accounts for the frame (the simulator's configurable
 	// per-segment header overhead). Zero means the frame's own length.
 	WireSize int
-	// Retrans marks a retransmission. No backend reads it; the
-	// scoreboard differential compares it between two senders.
-	Retrans bool
 }
 
 // Handler consumes one decoded incoming segment. The segment is
