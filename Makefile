@@ -40,10 +40,13 @@ archgate:
 
 # The runner's tests run a second time shuffled, twice over: Map keeps
 # idle Scratches process-wide, so a test that passes only after (or
-# before) another one fails here.
+# before) another one fails here. The transport's run again under
+# -short, whose smaller configurations must still cover what the
+# differential test insists on.
 test:
 	$(GO) test ./...
 	$(GO) test -shuffle=on -count=2 ./internal/runner
+	$(GO) test -short ./internal/tcp
 
 # The sussdebug build tag arms the packet-lifecycle detector
 # (double-release and use-after-release panic; the pool sequesters
@@ -178,7 +181,7 @@ loc:
 # The ceiling on loc's total. locgate fails when the tree has more
 # non-test lines than this; a PR may raise it only with a CHANGES.md
 # line that gives the rise and the reason.
-LOC_CEILING = 17514
+LOC_CEILING = 17504
 
 locgate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

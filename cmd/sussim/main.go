@@ -27,6 +27,7 @@ import (
 	"suss/internal/chaos"
 	"suss/internal/experiments"
 	"suss/internal/runner"
+	"suss/internal/trace"
 )
 
 func main() {
@@ -159,10 +160,8 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		fmt.Fprintln(f, "t_ms,cwnd_bytes,srtt_ms,delivered_bytes")
-		for _, p := range pts {
-			fmt.Fprintf(f, "%.3f,%d,%.3f,%d\n",
-				float64(p.T)/1e6, p.CwndBytes, float64(p.SRTT)/1e6, p.Delivered)
+		if err := trace.WriteCSV(f, pts); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("  trace         %d samples → %s\n", len(pts), *tracePath)
 	}

@@ -112,12 +112,14 @@ type BBR struct {
 	// timeout can be reverted (cc.Undoer).
 	undo bbrUndo
 
-	// rec, when non-nil, receives STARTUP round and boost events.
+	// ctr is the counter block of the flow env drives; rec, when
+	// non-nil, receives STARTUP boost events.
+	ctr *obs.FlowCounters
 	rec *obs.FlowRecorder
 }
 
-// AttachRecorder installs a flight recorder on this controller. Pass
-// nil to detach.
+// AttachRecorder installs a flight recorder for this controller's
+// events. Pass nil to detach.
 func (b *BBR) AttachRecorder(r *obs.FlowRecorder) { b.rec = r }
 
 // New creates a BBR controller.
@@ -143,13 +145,14 @@ func (b *BBR) Reset(env cc.Env, opt Options) {
 		bwFilter:   cc.MakeWindowedMax(bwWindowRounds),
 		minRTT:     cc.MakeWindowedMinRTT(rttWindow),
 		pacingGain: highGain,
+		ctr:        obs.CountersOf(env),
 	}
 }
 
 // BoostedRounds returns how many STARTUP rounds ran with doubled gains
 // (0 unless Options.SUSSStartup).
 func (b *BBR) BoostedRounds() int {
-	return b.boost.Boosts
+	return int(b.ctr.SussBoosts)
 }
 
 // State returns the current phase name (for traces).
@@ -255,8 +258,8 @@ func (b *BBR) OnAck(ev cc.AckEvent) {
 			// The boosted flag for the new round is now decided; a
 			// SUSS-boosted STARTUP round is this package's EvSussBoost.
 			if b.boost.boosted {
+				b.ctr.SussBoosts++
 				if r := b.rec; r != nil {
-					r.C.SussBoosts++
 					r.Record(ev.Now, obs.EvSussBoost, 0, 0, int64(boostGain*100), 0)
 				}
 			}

@@ -43,9 +43,6 @@ type sussBoost struct {
 
 	boosted  bool // current round runs with doubled gains
 	disabled bool
-
-	// Boosts counts accelerated rounds (for experiments).
-	Boosts int
 }
 
 const (
@@ -84,10 +81,7 @@ func (sb *sussBoost) onRoundStart(r *cc.Rounds, inStartup bool, bwNow float64) {
 			projected := prevMoRTT + time.Duration(float64(prevMoRTT-r.Min)/float64(n))
 			c2 = float64(projected) <= boostDelayFactor*float64(r.Min)
 		}
-		if c1 && c2 {
-			sb.boosted = true
-			sb.Boosts++
-		}
+		sb.boosted = c1 && c2
 	}
 
 	sb.lastBW = bwNow

@@ -129,13 +129,15 @@ type Suss struct {
 	enabled bool
 	stats   Stats
 
-	// rec, when non-nil, receives SUSS round/boost/exit events.
+	// ctr is the counter block of the flow env drives; rec, when
+	// non-nil, receives SUSS round/boost/exit events.
+	ctr *obs.FlowCounters
 	rec *obs.FlowRecorder
 }
 
-// AttachRecorder installs a flight recorder on this controller (and
-// on the wrapped CUBIC, so its HyStart exits are attributed too).
-// Pass nil to detach.
+// AttachRecorder installs a flight recorder for this controller's
+// events (and the wrapped CUBIC's, so its HyStart exits are attributed
+// too). Pass nil to detach.
 func (s *Suss) AttachRecorder(r *obs.FlowRecorder) {
 	s.rec = r
 	s.Cubic.AttachRecorder(r)
@@ -176,6 +178,7 @@ func (s *Suss) Reset(env cc.Env, opt Options) {
 		openGateFn:   s.openGateFn,
 		tickFn:       s.tickFn,
 		stopPacingFn: s.stopPacingFn,
+		ctr:          obs.CountersOf(env),
 	}
 	if s.tickFn == nil {
 		s.openGateFn, s.tickFn, s.stopPacingFn = s.openGate, s.tick, s.stopPacing
@@ -240,8 +243,8 @@ func (s *Suss) startRound(ev cc.AckEvent) {
 	s.prevBlueEnd = s.blueEnd
 	s.prevCwnd = s.CwndBytes() // cwnd_{i-1}: before this ACK's growth
 
+	s.ctr.SussRounds++
 	if r := s.rec; r != nil {
-		r.C.SussRounds++
 		r.Record(ev.Now, obs.EvSussRoundStart, ev.CumAck, 0, int64(s.Rounds().N+1), s.CwndBytes())
 	}
 	s.roundStartCum = ev.CumAck
@@ -321,8 +324,8 @@ func (s *Suss) beginPacing(g int) {
 		return
 	}
 	s.stats.AcceleratedRounds++
+	s.ctr.SussBoosts++
 	if r := s.rec; r != nil {
-		r.C.SussBoosts++
 		r.Record(now, obs.EvSussBoost, 0, 0, int64(g), redGrowth)
 	}
 
@@ -481,8 +484,8 @@ func (s *Suss) exitSlowStart(now time.Duration, reason obs.HyStartReason) {
 // is over, or a loss or timeout ended it.
 func (s *Suss) disable() {
 	if s.enabled {
+		s.ctr.SussExits++
 		if r := s.rec; r != nil {
-			r.C.SussExits++
 			var aborted int64
 			if s.pacingActive || s.frozenRound {
 				aborted = 1

@@ -81,12 +81,14 @@ type Cubic struct {
 	// timeout can be reverted (cc.Undoer).
 	undo cubicUndo
 
-	// rec, when non-nil, receives slow-start exit events.
+	// ctr is the counter block of the flow env drives; rec, when
+	// non-nil, receives slow-start exit events.
+	ctr *obs.FlowCounters
 	rec *obs.FlowRecorder
 }
 
-// AttachRecorder installs a flight recorder on this controller. Pass
-// nil to detach.
+// AttachRecorder installs a flight recorder for this controller's
+// events. Pass nil to detach.
 func (c *Cubic) AttachRecorder(r *obs.FlowRecorder) { c.rec = r }
 
 // New creates a CUBIC controller bound to the transport environment,
@@ -117,6 +119,7 @@ func (c *Cubic) Reset(env cc.Env, opt Options, ss cc.SlowStart) {
 		cwnd:     float64(opt.IW),
 		ssthresh: math.MaxFloat64 / 4,
 		ss:       ss,
+		ctr:      obs.CountersOf(env),
 	}
 	switch {
 	case ss != nil:
@@ -155,15 +158,15 @@ func (c *Cubic) SsthreshSegments() float64 { return c.ssthresh }
 func (c *Cubic) InSlowStart() bool { return c.cwnd < c.ssthresh }
 
 // ExitSlowStart is every policy's exit: it pins ssthresh to the
-// current window, ending exponential growth. Every call records the
-// decision and its reason in the flight recorder.
+// current window, ending exponential growth. Every call is counted,
+// and recorded with its reason in the flight recorder.
 func (c *Cubic) ExitSlowStart(now time.Duration, reason obs.HyStartReason) {
 	if c.InSlowStart() {
 		c.ssthresh = c.cwnd
 		c.exited = true
 	}
+	c.ctr.HyStartExits++
 	if r := c.rec; r != nil {
-		r.C.HyStartExits++
 		r.Record(now, obs.EvHyStartExit, 0, 0, int64(reason), c.CwndBytes())
 	}
 }

@@ -42,13 +42,10 @@ type LinkConfig struct {
 	// Qdisc selects the queue discipline (nil = drop-tail FIFO).
 	// netsim.CoDelFactory installs CoDel (RFC 8289).
 	Qdisc QdiscFactory
-	// AllowReorder permits jitter to reorder deliveries. When false
-	// (default) arrival times are clamped to be non-decreasing, which
-	// matches a FIFO pipe.
-	AllowReorder bool
 }
 
-// LinkStats counts what happened on a link.
+// LinkStats summarizes what happened on a link, computed from its
+// counter block.
 type LinkStats struct {
 	EnqueuedPackets   int
 	EnqueuedBytes     int64
@@ -66,7 +63,9 @@ type LinkStats struct {
 // Link is a unidirectional FIFO pipe: a drop-tail queue, a serializer
 // running at the (possibly time-varying) link rate, and a fixed
 // propagation delay plus optional jitter. After the propagation delay
-// the packet is handed to the destination node.
+// the packet is handed to the destination node. Arrival times are
+// clamped to be non-decreasing, which matches a FIFO pipe; only an
+// impairment stage's out-of-band verdict reorders.
 type Link struct {
 	sim *Simulator
 	cfg LinkConfig
@@ -77,24 +76,20 @@ type Link struct {
 
 	lastArrival time.Duration // for in-order clamping
 	line        pktFIFO       // in-band packets in propagation; one timer, the head's
-	stats       LinkStats
+	c           obs.LinkCounters
 
 	// rec, when non-nil, is the attached flight recorder for this
-	// link's queue counters and drop events.
+	// link's drop and duplicate events.
 	rec *obs.LinkRecorder
 
 	// impair, when non-nil, is the impairment pipeline judged on every
 	// packet after the wire-loss check. Unattached links pay a single
 	// nil check (pinned by an equality test).
 	impair *Impairments
-
-	// OnDrop, when non-nil, is invoked for every packet lost on this
-	// link (tail drop or random loss).
-	OnDrop func(pkt *Packet, congestion bool)
 }
 
-// AttachRecorder installs a flight recorder on this link. Pass nil to
-// detach.
+// AttachRecorder installs a flight recorder for this link's events.
+// Pass nil to detach.
 func (l *Link) AttachRecorder(r *obs.LinkRecorder) { l.rec = r }
 
 // AttachImpairments installs an impairment pipeline on this link.
@@ -113,7 +108,7 @@ func NewLink(sim *Simulator, cfg LinkConfig, dst Node) *Link {
 // reset puts l in the state NewLink(l.sim, cfg, l.dst) builds, whatever
 // its last run left behind: queued packets and packets on the line are
 // forgotten (the engine's Reset reclaims them), the counters are zero
-// and the recorder, impairments and OnDrop are detached. A drop-tail
+// and the recorder and impairments are detached. A drop-tail
 // queue is emptied in place; any other discipline is rebuilt from
 // cfg.Qdisc.
 func (l *Link) reset(cfg LinkConfig) {
@@ -137,8 +132,26 @@ func (l *Link) reset(cfg LinkConfig) {
 // Name returns the configured link name.
 func (l *Link) Name() string { return l.cfg.Name }
 
-// Stats returns a copy of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+// Counters returns the link's counter block, counted on every run.
+func (l *Link) Counters() *obs.LinkCounters { return &l.c }
+
+// Stats returns the link's summary, computed from its counter block.
+func (l *Link) Stats() LinkStats {
+	c := &l.c
+	return LinkStats{
+		EnqueuedPackets:   int(c.EnqueuedPkts),
+		EnqueuedBytes:     c.EnqueuedBytes,
+		DroppedPackets:    int(c.TailDropPkts + c.AQMDropPkts),
+		DroppedBytes:      c.TailDropBytes + c.AQMDropBytes,
+		ErasedPackets:     int(c.ErasedPkts),
+		CorruptedPackets:  int(c.CorruptPkts),
+		OutagePackets:     int(c.OutagePkts),
+		DuplicatedPackets: int(c.DupPkts),
+		DeliveredPackets:  int(c.DeliveredPkts),
+		DeliveredBytes:    c.DeliveredBytes,
+		MaxQueueBytes:     int(c.DepthHighWaterBytes),
+	}
+}
 
 // QueueBytes returns the bytes currently buffered.
 func (l *Link) QueueBytes() int { return l.qdisc.Bytes() }
@@ -158,30 +171,17 @@ func (l *Link) RateAt(now time.Duration) float64 {
 // Enqueue offers a packet to the link, transferring ownership: the
 // link either carries the packet to the destination node or releases
 // it on a drop. If the queue discipline refuses it (tail drop) the
-// packet is lost and OnDrop fires with congestion=true; the packet is
-// released after the callback returns, so drop observers must copy,
-// not retain.
+// packet is lost.
 func (l *Link) Enqueue(pkt *Packet) {
 	debugCheckLive(pkt, "link enqueue")
 	if !l.qdisc.Enqueue(l.sim.Now(), pkt) {
-		l.stats.DroppedPackets++
-		l.stats.DroppedBytes += int64(pkt.Size)
-		if r := l.rec; r != nil {
-			r.Dropped(l.sim.Now(), obs.DropTail, int32(pkt.Flow), pkt.Seq, pkt.Size, pkt.Kind == Data)
-		}
-		if l.OnDrop != nil {
-			l.OnDrop(pkt, true)
-		}
-		pkt.Release()
+		l.drop(pkt, obs.DropTail)
 		return
 	}
-	l.stats.EnqueuedPackets++
-	l.stats.EnqueuedBytes += int64(pkt.Size)
-	if b := l.qdisc.Bytes(); b > l.stats.MaxQueueBytes {
-		l.stats.MaxQueueBytes = b
-	}
-	if r := l.rec; r != nil {
-		r.Enqueued(pkt.Size, l.qdisc.Bytes())
+	l.c.EnqueuedPkts++
+	l.c.EnqueuedBytes += int64(pkt.Size)
+	if b := int64(l.qdisc.Bytes()); b > l.c.DepthHighWaterBytes {
+		l.c.DepthHighWaterBytes = b
 	}
 	if !l.busy {
 		l.startTransmit()
@@ -212,15 +212,7 @@ func (l *Link) startTransmit() {
 	pkt, dropped := l.qdisc.Dequeue(l.sim.Now())
 	for _, d := range dropped {
 		// AQM (CoDel) drops are congestion signals like tail drops.
-		l.stats.DroppedPackets++
-		l.stats.DroppedBytes += int64(d.Size)
-		if r := l.rec; r != nil {
-			r.Dropped(l.sim.Now(), obs.DropAQM, int32(d.Flow), d.Seq, d.Size, d.Kind == Data)
-		}
-		if l.OnDrop != nil {
-			l.OnDrop(d, true)
-		}
-		d.Release()
+		l.drop(d, obs.DropAQM)
 	}
 	if pkt == nil {
 		l.busy = false
@@ -241,7 +233,7 @@ func (l *Link) finishTransmit(pkt *Packet) {
 	l.startTransmit()
 
 	if l.cfg.Loss != nil && l.cfg.Loss(pkt) {
-		l.dropWire(pkt, obs.DropErasure)
+		l.drop(pkt, obs.DropErasure)
 		return
 	}
 
@@ -262,8 +254,8 @@ func (l *Link) finishTransmit(pkt *Packet) {
 // in-band packet joins the tail of the line: a long fat pipe holds a
 // BDP of packets but costs the scheduler one pending event. The packet
 // takes its arm sequence now, as a timer armed here would, and keeps
-// it for when it heads the line. Out-of-band and AllowReorder
-// deliveries are not FIFO and keep an event of their own.
+// it for when it heads the line. Out-of-band deliveries are not FIFO
+// and keep an event of their own.
 func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 	delay := l.cfg.Delay + extra
 	if l.cfg.Jitter != nil {
@@ -277,7 +269,7 @@ func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 		delay = 0
 	}
 	arrival := l.sim.Now() + delay
-	if outOfBand || l.cfg.AllowReorder {
+	if outOfBand {
 		l.sim.ScheduleEventAt(arrival, linkDeliverEv, l, pkt)
 		return
 	}
@@ -299,7 +291,7 @@ func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 func (l *Link) impairedPropagate(pkt *Packet) {
 	v := l.impair.judge(l.sim.Now(), pkt)
 	if v.Drop {
-		l.dropWire(pkt, v.Cause)
+		l.drop(pkt, v.Cause)
 		return
 	}
 	var dup *Packet
@@ -308,10 +300,8 @@ func (l *Link) impairedPropagate(pkt *Packet) {
 		// original may be delivered and released within this event.
 		dup = l.sim.Pool().Get()
 		dup.CopyFrom(pkt)
-		l.stats.DuplicatedPackets++
-		if r := l.rec; r != nil {
-			r.Duplicated(l.sim.Now(), int32(pkt.Flow), pkt.Seq, pkt.Size, pkt.Kind == Data)
-		}
+		l.c.CountDup(pkt.Size, pkt.Kind == Data)
+		l.rec.Duplicated(l.sim.Now(), int32(pkt.Flow), pkt.Seq, pkt.Size)
 	}
 	l.propagate(pkt, v.ExtraDelay, v.OutOfBand)
 	if dup != nil {
@@ -321,30 +311,17 @@ func (l *Link) impairedPropagate(pkt *Packet) {
 	}
 }
 
-// dropWire loses a packet to a non-congestion cause (wire erasure or
-// an impairment-stage drop), updating stats by cause and releasing it.
-func (l *Link) dropWire(pkt *Packet, cause obs.DropCause) {
-	switch cause {
-	case obs.DropCorrupt:
-		l.stats.CorruptedPackets++
-	case obs.DropOutage:
-		l.stats.OutagePackets++
-	default:
-		l.stats.ErasedPackets++
-	}
-	if r := l.rec; r != nil {
-		r.Dropped(l.sim.Now(), cause, int32(pkt.Flow), pkt.Seq, pkt.Size, pkt.Kind == Data)
-	}
-	if l.OnDrop != nil {
-		l.OnDrop(pkt, false)
-	}
+// drop loses a packet to cause, counting it and releasing it.
+func (l *Link) drop(pkt *Packet, cause obs.DropCause) {
+	l.c.CountDrop(cause, pkt.Size, pkt.Kind == Data)
+	l.rec.Dropped(l.sim.Now(), cause, int32(pkt.Flow), pkt.Seq, pkt.Size)
 	pkt.Release()
 }
 
 // deliver hands a fully-propagated packet to the destination node,
 // transferring ownership (routers forward it, endpoints release it).
 func (l *Link) deliver(pkt *Packet) {
-	l.stats.DeliveredPackets++
-	l.stats.DeliveredBytes += int64(pkt.Size)
+	l.c.DeliveredPkts++
+	l.c.DeliveredBytes += int64(pkt.Size)
 	l.dst.Deliver(pkt)
 }

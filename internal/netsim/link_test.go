@@ -47,13 +47,6 @@ func TestLinkDropTail(t *testing.T) {
 	sim := NewSimulator()
 	dst := &sink{id: 1, sim: sim}
 	l := NewLink(sim, LinkConfig{Name: "l", Rate: 8e6, Delay: time.Millisecond, QueueBytes: 2500}, dst)
-	var drops int
-	l.OnDrop = func(p *Packet, congestion bool) {
-		if !congestion {
-			t.Error("tail drop should report congestion=true")
-		}
-		drops++
-	}
 	sim.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
 			l.Enqueue(&Packet{Size: 1000, Dst: 1})
@@ -62,8 +55,12 @@ func TestLinkDropTail(t *testing.T) {
 	sim.RunAll()
 	// The first packet dequeues into the serializer immediately, so the
 	// 2500 B buffer then holds packets 2 and 3; packet 4 tail-drops.
-	if drops != 1 {
-		t.Errorf("drops = %d, want 1 (serializer + 2×1000B buffered)", drops)
+	c := l.Counters()
+	if c.TailDropPkts != 1 || c.TailDropBytes != 1000 {
+		t.Errorf("tail drops = %d (%d B), want 1 (serializer + 2×1000B buffered)", c.TailDropPkts, c.TailDropBytes)
+	}
+	if c.EnqueuedPkts != 3 || c.EnqueuedBytes != 3000 || c.DepthHighWaterBytes != 2000 {
+		t.Errorf("enqueued %d (%d B), queue high water %d B; want 3 (3000 B), 2000 B", c.EnqueuedPkts, c.EnqueuedBytes, c.DepthHighWaterBytes)
 	}
 	if got := l.Stats().DroppedPackets; got != 1 {
 		t.Errorf("stats drops = %d, want 1", got)
@@ -113,7 +110,7 @@ func TestLinkJitterInOrderClamp(t *testing.T) {
 		t.Fatalf("delivered %d, want 2", len(dst.pkts))
 	}
 	if dst.pkts[0].Seq != 1 || dst.pkts[1].Seq != 2 {
-		t.Errorf("reordered despite AllowReorder=false: %d then %d", dst.pkts[0].Seq, dst.pkts[1].Seq)
+		t.Errorf("jitter reordered a FIFO link: %d then %d", dst.pkts[0].Seq, dst.pkts[1].Seq)
 	}
 	if dst.at[1] < dst.at[0] {
 		t.Errorf("arrival times reordered: %v then %v", dst.at[0], dst.at[1])

@@ -12,8 +12,8 @@ package netsim
 //     owns it until it hands it to the network via Host.Send;
 //   - a Link (and its Qdisc) owns every packet it has queued, is
 //     serializing or holds on its in-flight line, and releases packets
-//     it drops (tail drop, AQM drop, random wire loss) after the
-//     OnDrop callback returns. Queues are threaded through the packets
+//     it drops (tail drop, AQM drop, random wire loss) once the drop
+//     is counted and recorded. Queues are threaded through the packets
 //     themselves (Packet.next), so a packet is in at most one queue at
 //     a time, and Get hands a packet out with no queue link set;
 //   - delivery transfers ownership to the destination node: routers

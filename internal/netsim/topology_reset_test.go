@@ -11,7 +11,7 @@ import (
 
 // Path.Reset and Tree.Reset promise "a reset topology is a new one".
 // These tests leave a topology mid-run — packets queued and on the
-// lines, a recorder, impairments and an OnDrop hook on every link —
+// lines, a recorder and impairments on every link —
 // reset it with its engine, and hold it to a fresh build on a fresh
 // engine: link by link, route by route, and under one reference script
 // whose every delivery and final counter must match.
@@ -26,10 +26,9 @@ type linkSnap struct {
 	Busy        bool
 	LastArrival time.Duration
 	Line        pktFIFO
-	Stats       LinkStats
+	Counters    obs.LinkCounters
 	Rec         *obs.LinkRecorder
 	Impair      *Impairments
-	OnDrop      bool
 }
 
 func snapLink(l *Link) linkSnap {
@@ -37,7 +36,7 @@ func snapLink(l *Link) linkSnap {
 	s := linkSnap{
 		Funcs: [4]bool{c.RateModel != nil, c.Jitter != nil, c.Loss != nil, c.Qdisc != nil},
 		Dst:   l.dst.ID(), Qdisc: l.qdisc, Busy: l.busy, LastArrival: l.lastArrival, Line: l.line,
-		Stats: l.stats, Rec: l.rec, Impair: l.impair, OnDrop: l.OnDrop != nil,
+		Counters: l.c, Rec: l.rec, Impair: l.impair,
 	}
 	c.RateModel, c.Jitter, c.Loss, c.Qdisc = nil, nil, nil, nil
 	s.Cfg = c
@@ -62,11 +61,15 @@ func routeSnap(routers []*Router, links []*Link) [][]int {
 	return out
 }
 
-// thirdStage corrupts every third packet: an impairment whose verdicts
-// the dirty phase's traffic cannot miss.
+// thirdStage corrupts every third packet and sends the one after it
+// out of band, late: an impairment whose verdicts the dirty phase's
+// traffic cannot miss, and which leaves deliveries off the line.
 type thirdStage struct{}
 
 func (thirdStage) Judge(_ time.Duration, p *Packet) ImpairVerdict {
+	if p.Seq%3 == 1 {
+		return ImpairVerdict{OutOfBand: true, ExtraDelay: 300 * time.Microsecond}
+	}
 	return ImpairVerdict{Drop: p.Seq%3 == 0, Cause: obs.DropCorrupt}
 }
 
@@ -91,8 +94,8 @@ func blast(s *Simulator, at time.Duration, hosts []*Host, dsts func(h int) []*Ho
 	}
 }
 
-// dirtyTopology attaches a recorder, an impairment pipeline and an
-// OnDrop hook to every link, sends traffic, and stops the run with
+// dirtyTopology attaches a recorder and an impairment pipeline to every
+// link, sends traffic, and stops the run with
 // packets both queued and on a line.
 func dirtyTopology(t *testing.T, s *Simulator, hosts []*Host, dsts func(int) []*Host, links []*Link) {
 	t.Helper()
@@ -100,7 +103,6 @@ func dirtyTopology(t *testing.T, s *Simulator, hosts []*Host, dsts func(int) []*
 	for i, l := range links {
 		l.AttachRecorder(reg.Link(fmt.Sprintf("l%d", i)))
 		l.AttachImpairments(NewImpairments(thirdStage{}))
-		l.OnDrop = func(*Packet, bool) {}
 	}
 	for _, h := range hosts {
 		h.SetHandler(func(p *Packet) { p.Release() })
@@ -219,7 +221,7 @@ func TestResetPathIsNewPath(t *testing.T) {
 	// reverse chain.
 	a := PathSpec{Forward: []LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 64 << 10, Qdisc: CoDelFactory},
-		{Name: "last", Delay: 2 * time.Millisecond, QueueBytes: 16 << 10, AllowReorder: true,
+		{Name: "last", Delay: 2 * time.Millisecond, QueueBytes: 16 << 10,
 			RateModel: func(now time.Duration) float64 { return 2e7 + float64(now/time.Millisecond%7)*1e6 },
 			Jitter:    func(_ time.Duration, p *Packet) time.Duration { return time.Duration(p.Seq%5) * 100 * time.Microsecond },
 			Loss:      func(p *Packet) bool { return p.Seq%11 == 0 }},

@@ -1,27 +1,27 @@
-// Package obs is the flight recorder: a structured per-flow event log
-// and a counters/gauges registry for the whole stack, the userspace
-// equivalent of the ftrace-style kernel instrumentation the paper's
-// evaluation leans on to explain *why* SUSS wins or loses on a path.
+// Package obs is the stack's counters and its flight recorder, the
+// userspace equivalent of the kernel's tcp_info counts and the
+// ftrace-style tracepoints the paper's evaluation leans on to explain
+// *why* SUSS wins or loses on a path.
 //
 // Design constraints, in order:
 //
-//   - Zero-allocation recording. Events are plain-scalar records
-//     written into a fixed-size ring buffer that overwrites its oldest
-//     entry when full; counters are struct-field increments. Recording
-//     never allocates, so attaching a recorder does not disturb the
-//     pooled hot path (see DESIGN.md "Memory reuse").
-//   - No-op when absent. Every emission point in internal/tcp,
-//     internal/netsim, internal/core, internal/cubic and internal/bbr
-//     is guarded by a nil recorder check; an unobserved simulation pays
-//     one predictable branch per site and nothing else.
+//   - Counters are always on. A tcp flow owns one FlowCounters, which
+//     its sender, receiver and congestion controller count into, and a
+//     netsim link one LinkCounters; SenderStats and LinkStats are
+//     computed from them on every run, observed or not.
+//   - Events are opt-in. Only an observed run attaches a recorder, which
+//     writes plain-scalar records into a fixed-size ring that overwrites
+//     its oldest entry when full, and never allocates. An event site is
+//     guarded by a nil recorder check where its arguments cost
+//     anything, so an unobserved run pays one branch per site.
 //   - Observers copy, never retain. Events carry scalars copied out of
 //     pool-owned packets at emission time; a recorder never holds a
 //     *netsim.Packet. This package deliberately imports nothing from
 //     the simulator, so any layer can emit into it.
 //
-// A Registry bundles the shared event ring with per-flow and per-link
-// counter blocks for one simulation; exporters (JSONL, CSV, a
-// human-readable timeline) live in export.go.
+// A Registry bundles one observed simulation's event ring with copies
+// of its counter blocks taken when the run is over; exporters (JSONL,
+// CSV, a human-readable timeline) live in export.go.
 package obs
 
 import (
@@ -327,7 +327,8 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 
 // FlowCounters aggregates one flow's transport activity. All fields
 // are plain int64s incremented inline — reading them mid-simulation is
-// always safe (the simulator is single-threaded).
+// always safe (the simulator is single-threaded). WriteCounters and
+// MakeLedger read all but LossEvents.
 type FlowCounters struct {
 	// Sender side.
 	SegsSent     int64 // fresh transmissions
@@ -341,6 +342,7 @@ type FlowCounters struct {
 	RTOFires     int64
 	TLPFires     int64
 	LossDetected int64 // segments newly marked lost by fast detection
+	LossEvents   int64 // fast-recovery episodes entered
 	// SpuriousRetrans counts loss markings contradicted by a later ACK
 	// of the original transmission: the segment was cumulatively or
 	// selectively acknowledged while still waiting in (or after leaving)
@@ -384,7 +386,8 @@ type FlowCounters struct {
 	WireBytesIn   int64
 }
 
-// LinkCounters aggregates one link's queue activity.
+// LinkCounters aggregates one link's queue activity. WriteCounters and
+// MakeLedger read all but the Delivered pair.
 type LinkCounters struct {
 	EnqueuedPkts  int64
 	EnqueuedBytes int64
@@ -410,10 +413,61 @@ type LinkCounters struct {
 	DataDropPkts int64
 	// DepthHighWaterBytes is the deepest queue occupancy seen.
 	DepthHighWaterBytes int64
+	// DeliveredPkts / DeliveredBytes count packets handed to the far end.
+	DeliveredPkts  int64
+	DeliveredBytes int64
 }
 
-// FlowRecorder is the per-flow handle emission points hold: a counter
-// block plus the registry's shared ring. All methods are safe on a nil
+// CountDrop counts a shed packet by cause. data reports whether the
+// packet carried payload (vs an ACK).
+func (c *LinkCounters) CountDrop(cause DropCause, size int, data bool) {
+	switch cause {
+	case DropTail:
+		c.TailDropPkts++
+		c.TailDropBytes += int64(size)
+	case DropAQM:
+		c.AQMDropPkts++
+		c.AQMDropBytes += int64(size)
+	case DropErasure:
+		c.ErasedPkts++
+		c.ErasedBytes += int64(size)
+	case DropCorrupt:
+		c.CorruptPkts++
+		c.CorruptBytes += int64(size)
+	case DropOutage:
+		c.OutagePkts++
+		c.OutageBytes += int64(size)
+	}
+	// Only congestion drops are visible to a sender's loss-vs-queue
+	// accounting; erasure-family causes (wire loss, corruption, outage)
+	// are path loss, tallied on the ledger's PathErasures side.
+	if data && (cause == DropTail || cause == DropAQM) {
+		c.DataDropPkts++
+	}
+}
+
+// CountDup counts a duplicate packet injected by an impairment stage.
+func (c *LinkCounters) CountDup(size int, data bool) {
+	c.DupPkts++
+	c.DupBytes += int64(size)
+	if data {
+		c.DupDataPkts++
+	}
+}
+
+// CountersOf returns the counter block of the flow a congestion
+// controller's environment (a tcp.Sender) drives, or a new block for
+// an environment that keeps none, such as a test's stand-in.
+func CountersOf(env any) *FlowCounters {
+	if k, ok := env.(interface{ Counters() *FlowCounters }); ok {
+		return k.Counters()
+	}
+	return new(FlowCounters)
+}
+
+// FlowRecorder is the per-flow handle event sites hold: the registry's
+// shared ring, stamped with the flow id, and C, a copy of the flow's
+// counters taken after the run. All methods are safe on a nil
 // receiver, so call sites may skip their guard when arguments are free
 // to compute.
 type FlowRecorder struct {
@@ -430,84 +484,44 @@ func (f *FlowRecorder) Record(t time.Duration, kind EventKind, seq, length, aux,
 	f.ring.Record(Event{T: t, Kind: kind, Flow: f.Flow, Seq: seq, Len: length, Aux: aux, Aux2: aux2})
 }
 
-// LinkRecorder is the per-link handle: queue counters plus the shared
-// ring for drop events.
+// LinkRecorder is the per-link handle: the shared ring for drop and
+// duplicate events, and, like FlowRecorder.C, a copy of the link's
+// counter block taken after the run.
 type LinkRecorder struct {
 	Name string
 	C    LinkCounters
 	ring *Ring
 }
 
-// Enqueued notes an accepted packet and maintains the depth high-water
-// gauge.
-func (l *LinkRecorder) Enqueued(size, depth int) {
+// Dropped records an EvQdiscDrop event for a shed packet.
+func (l *LinkRecorder) Dropped(t time.Duration, cause DropCause, flow int32, seq int64, size int) {
 	if l == nil {
 		return
-	}
-	l.C.EnqueuedPkts++
-	l.C.EnqueuedBytes += int64(size)
-	if int64(depth) > l.C.DepthHighWaterBytes {
-		l.C.DepthHighWaterBytes = int64(depth)
-	}
-}
-
-// Dropped notes a shed packet and records an EvQdiscDrop event. data
-// reports whether the packet carried payload (vs an ACK).
-func (l *LinkRecorder) Dropped(t time.Duration, cause DropCause, flow int32, seq int64, size int, data bool) {
-	if l == nil {
-		return
-	}
-	switch cause {
-	case DropTail:
-		l.C.TailDropPkts++
-		l.C.TailDropBytes += int64(size)
-	case DropAQM:
-		l.C.AQMDropPkts++
-		l.C.AQMDropBytes += int64(size)
-	case DropErasure:
-		l.C.ErasedPkts++
-		l.C.ErasedBytes += int64(size)
-	case DropCorrupt:
-		l.C.CorruptPkts++
-		l.C.CorruptBytes += int64(size)
-	case DropOutage:
-		l.C.OutagePkts++
-		l.C.OutageBytes += int64(size)
-	}
-	// Only congestion drops are visible to a sender's loss-vs-queue
-	// accounting; erasure-family causes (wire loss, corruption, outage)
-	// are path loss, tallied on the ledger's PathErasures side.
-	if data && (cause == DropTail || cause == DropAQM) {
-		l.C.DataDropPkts++
 	}
 	l.ring.Record(Event{T: t, Kind: EvQdiscDrop, Flow: flow, Seq: seq, Aux: int64(cause), Aux2: int64(size)})
 }
 
-// Duplicated notes a duplicate packet injected by an impairment stage
-// and records an EvLinkDup event.
-func (l *LinkRecorder) Duplicated(t time.Duration, flow int32, seq int64, size int, data bool) {
+// Duplicated records an EvLinkDup event for a duplicate packet
+// injected by an impairment stage.
+func (l *LinkRecorder) Duplicated(t time.Duration, flow int32, seq int64, size int) {
 	if l == nil {
 		return
-	}
-	l.C.DupPkts++
-	l.C.DupBytes += int64(size)
-	if data {
-		l.C.DupDataPkts++
 	}
 	l.ring.Record(Event{T: t, Kind: EvLinkDup, Flow: flow, Seq: seq, Aux2: int64(size)})
 }
 
-// Registry bundles one simulation's flight recorder: the shared event
-// ring and the per-flow / per-link counter blocks. It is not safe for
+// Registry bundles one observed simulation's flight recorder: the
+// shared event ring and the per-flow / per-link recorders, whose
+// counter blocks are filled in when the run is over. It is not safe for
 // concurrent use — one Registry per Simulator, like every other
 // simulation object.
 type Registry struct {
 	ring  *Ring
 	flows map[int32]*FlowRecorder
 	links map[string]*LinkRecorder
-	// ordered attach lists so exports are deterministic.
-	flowOrder []int32
-	linkOrder []string
+	// the recorders in attach order, so exports are deterministic.
+	flowList []*FlowRecorder
+	linkList []*LinkRecorder
 }
 
 // NewRegistry creates a registry whose event ring holds ringCap
@@ -531,7 +545,7 @@ func (g *Registry) Flow(id int32) *FlowRecorder {
 	}
 	f := &FlowRecorder{Flow: id, ring: g.ring}
 	g.flows[id] = f
-	g.flowOrder = append(g.flowOrder, id)
+	g.flowList = append(g.flowList, f)
 	return f
 }
 
@@ -542,27 +556,15 @@ func (g *Registry) Link(name string) *LinkRecorder {
 	}
 	l := &LinkRecorder{Name: name, ring: g.ring}
 	g.links[name] = l
-	g.linkOrder = append(g.linkOrder, name)
+	g.linkList = append(g.linkList, l)
 	return l
 }
 
 // Flows returns the flow recorders in attach order.
-func (g *Registry) Flows() []*FlowRecorder {
-	out := make([]*FlowRecorder, len(g.flowOrder))
-	for i, id := range g.flowOrder {
-		out[i] = g.flows[id]
-	}
-	return out
-}
+func (g *Registry) Flows() []*FlowRecorder { return g.flowList }
 
 // Links returns the link recorders in attach order.
-func (g *Registry) Links() []*LinkRecorder {
-	out := make([]*LinkRecorder, len(g.linkOrder))
-	for i, name := range g.linkOrder {
-		out[i] = g.links[name]
-	}
-	return out
-}
+func (g *Registry) Links() []*LinkRecorder { return g.linkList }
 
 // LossLedger cross-checks the loss bookkeeping of a flow against the
 // drops its path's links actually performed — the fig11-style loss

@@ -61,8 +61,8 @@ func TestNilRecordersAreSafe(t *testing.T) {
 	var f *FlowRecorder
 	f.Record(time.Millisecond, EvSegSent, 0, 1448, 0, 0)
 	var l *LinkRecorder
-	l.Enqueued(1500, 3000)
-	l.Dropped(time.Millisecond, DropTail, 1, 0, 1500, true)
+	l.Dropped(time.Millisecond, DropTail, 1, 0, 1500)
+	l.Duplicated(time.Millisecond, 1, 0, 1500)
 }
 
 func TestRegistryAttachAndOrder(t *testing.T) {
@@ -87,7 +87,7 @@ func TestRegistryAttachAndOrder(t *testing.T) {
 	}
 
 	f1.Record(time.Second, EvSegSent, 100, 1448, 0, 0)
-	lb.Dropped(2*time.Second, DropAQM, 1, 200, 1500, true)
+	lb.Dropped(2*time.Second, DropAQM, 1, 200, 1500)
 	evs := g.Events().Snapshot(nil)
 	if len(evs) != 2 {
 		t.Fatalf("shared ring holds %d events, want 2", len(evs))
@@ -100,25 +100,24 @@ func TestRegistryAttachAndOrder(t *testing.T) {
 	}
 }
 
+// TestLinkRecorderCounters: a link's counter block, which a recorder
+// copies after the run, splits drops by cause and counts duplicates.
 func TestLinkRecorderCounters(t *testing.T) {
-	g := NewRegistry(16)
-	l := g.Link("bn")
-	l.Enqueued(1500, 1500)
-	l.Enqueued(1500, 4500)
-	l.Enqueued(100, 3000) // depth below high water: gauge must not regress
-	l.Dropped(0, DropTail, 1, 0, 1500, true)
-	l.Dropped(0, DropAQM, 1, 10, 1500, true)
-	l.Dropped(0, DropErasure, 1, 20, 1500, true)
-	l.Dropped(0, DropTail, 1, 0, 40, false) // ACK drop: not a data drop
-	c := l.C
-	if c.EnqueuedPkts != 3 || c.EnqueuedBytes != 3100 {
-		t.Errorf("enqueue counters: %+v", c)
-	}
-	if c.DepthHighWaterBytes != 4500 {
-		t.Errorf("DepthHighWaterBytes = %d, want 4500", c.DepthHighWaterBytes)
-	}
-	if c.TailDropPkts != 2 || c.AQMDropPkts != 1 || c.ErasedPkts != 1 {
+	var c LinkCounters
+	c.CountDrop(DropTail, 1500, true)
+	c.CountDrop(DropAQM, 1500, true)
+	c.CountDrop(DropErasure, 1500, true)
+	c.CountDrop(DropCorrupt, 1000, true)
+	c.CountDrop(DropOutage, 1000, false)
+	c.CountDrop(DropTail, 40, false) // ACK drop: not a data drop
+	c.CountDup(1500, true)
+	c.CountDup(40, false)
+	if c.TailDropPkts != 2 || c.TailDropBytes != 1540 || c.AQMDropPkts != 1 || c.ErasedPkts != 1 ||
+		c.CorruptPkts != 1 || c.CorruptBytes != 1000 || c.OutagePkts != 1 || c.OutageBytes != 1000 {
 		t.Errorf("drop counters: %+v", c)
+	}
+	if c.DupPkts != 2 || c.DupBytes != 1540 || c.DupDataPkts != 1 {
+		t.Errorf("duplicate counters: %+v", c)
 	}
 	// Congestion drops of data packets only: tail(data) + aqm(data).
 	// The erasure and the ACK tail drop are excluded.
@@ -161,7 +160,7 @@ func TestExportJSONL(t *testing.T) {
 	f := g.Flow(1)
 	f.Record(1500*time.Microsecond, EvSegSent, 0, 1448, 1448, 0)
 	f.Record(2*time.Millisecond, EvSegRetrans, 0, 1448, int64(CauseRTO), 0)
-	g.Link("bn").Dropped(3*time.Millisecond, DropTail, 1, 2896, 1500, true)
+	g.Link("bn").Dropped(3*time.Millisecond, DropTail, 1, 2896, 1500)
 
 	var buf bytes.Buffer
 	if err := WriteEventsJSONL(&buf, g.Events()); err != nil {
@@ -257,19 +256,18 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 // TestRecordingAllocsZero is the recorder-path zero-alloc gate: once a
-// registry is attached, recording events and bumping counters must not
+// registry is attached, recording events and counting must not
 // allocate, so observation never disturbs the pooled hot path.
 func TestRecordingAllocsZero(t *testing.T) {
 	g := NewRegistry(1024)
 	f := g.Flow(1)
 	l := g.Link("bn")
+	var c LinkCounters
 	var seq int64
 	allocs := testing.AllocsPerRun(500, func() {
 		f.Record(time.Duration(seq)*time.Microsecond, EvSegSent, seq, 1448, 0, 0)
-		f.C.SegsSent++
-		f.C.AcksSeen++
-		l.Enqueued(1500, int(seq%100000))
-		l.Dropped(time.Duration(seq)*time.Microsecond, DropTail, 1, seq, 1500, true)
+		c.CountDrop(DropTail, 1500, true)
+		l.Dropped(time.Duration(seq)*time.Microsecond, DropTail, 1, seq, 1500)
 		seq += 1448
 	})
 	if allocs > 0 {
@@ -284,7 +282,7 @@ func TestNilRecorderAllocsZero(t *testing.T) {
 	var l *LinkRecorder
 	allocs := testing.AllocsPerRun(500, func() {
 		f.Record(0, EvSegSent, 0, 1448, 0, 0)
-		l.Enqueued(1500, 0)
+		l.Dropped(0, DropTail, 1, 0, 1500)
 	})
 	if allocs > 0 {
 		t.Errorf("nil recorder allocates %.1f per run, want 0", allocs)

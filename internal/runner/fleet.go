@@ -186,12 +186,7 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 		f, ctrl := scr.flow(i, j.Algo, j.SussOpt, cfg, netsim.FlowID(i+1),
 			tree.Servers[s], srvMux[s], tree.Clients[c], cliMux[c], fs.Size)
 		if reg != nil {
-			fr := reg.Flow(int32(i + 1))
-			f.Sender.AttachRecorder(fr)
-			f.Receiver.AttachRecorder(fr)
-			if a, ok := ctrl.(recorderAttacher); ok {
-				a.AttachRecorder(fr)
-			}
+			observe(reg, int32(i+1), f, ctrl)
 		}
 		f.Receiver.OnComplete = scr.countDone
 		f.StartAt(sim, fs.Start)
@@ -233,7 +228,15 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 		res.TotalDataDrops += l.Stats().DroppedPackets
 	}
 	if reg != nil {
-		res.Ledger = shardLedger(reg, len(flows))
+		// The links' drops once, however many flows share them, and
+		// every flow's own books.
+		led := obs.MakeLedger(&obs.FlowCounters{}, sealLinks(reg, downPathLinks(tree))...)
+		for i := range flows {
+			fr := reg.Flow(int32(i + 1))
+			fr.C = *slots[i].flow.Sender.Counters()
+			led.Add(obs.MakeLedger(&fr.C))
+		}
+		res.Ledger = &led
 	}
 	return res
 }
@@ -263,22 +266,6 @@ func downPathLinks(t *netsim.Tree) []*netsim.Link {
 	out = append(out, t.AggDown...)
 	out = append(out, t.AccessDown...)
 	return out
-}
-
-// shardLedger sums the per-flow ledgers and counts every link once:
-// LossLedger.Add is additive over flows, but the shared links would be
-// double-counted if added per flow.
-func shardLedger(reg *obs.Registry, nflows int) *obs.LossLedger {
-	links := reg.Links()
-	lcs := make([]*obs.LinkCounters, len(links))
-	for i, l := range links {
-		lcs[i] = &l.C
-	}
-	led := obs.MakeLedger(&reg.Flow(1).C, lcs...)
-	for id := 2; id <= nflows; id++ {
-		led.Add(obs.MakeLedger(&reg.Flow(int32(id)).C))
-	}
-	return &led
 }
 
 // RunFleet executes every shard of the population on the worker pool

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"suss/internal/cc"
 	"suss/internal/core"
 	"suss/internal/netsim"
 	"suss/internal/obs"
@@ -90,10 +91,11 @@ type ChaosEnv struct {
 	Flow *tcp.Flow
 	Seed int64
 	// Rec is the flow's flight recorder and Registry the one it records
-	// into, with every link's counters: nil unless the job is observed or
-	// watchdogged. The registry is the job's own and stays readable after
-	// the run; a result does not carry it, so a batch of observed results
-	// does not keep a ring of events per cell alive.
+	// into: nil unless the job is observed or watchdogged. The registry
+	// is the job's own; once the run is over it also holds a copy of the
+	// flow's and every forward link's counters, and stays readable. A
+	// result does not carry it, so a batch of observed results does not
+	// keep a ring of events per cell alive.
 	Rec      *obs.FlowRecorder
 	Registry *obs.Registry
 }
@@ -142,10 +144,16 @@ func (r DownloadResult) Verdict() error {
 	return nil
 }
 
-// recorderAttacher is implemented by every congestion controller that
-// can emit into the flight recorder.
-type recorderAttacher interface {
-	AttachRecorder(*obs.FlowRecorder)
+// observe attaches reg's recorder for flow id to f's endpoints and,
+// when it has events to emit, to its controller, and returns it.
+func observe(reg *obs.Registry, id int32, f *tcp.Flow, ctrl cc.Controller) *obs.FlowRecorder {
+	fr := reg.Flow(id)
+	f.Sender.AttachRecorder(fr)
+	f.Receiver.AttachRecorder(fr)
+	if a, ok := ctrl.(interface{ AttachRecorder(*obs.FlowRecorder) }); ok {
+		a.AttachRecorder(fr)
+	}
+	return fr
 }
 
 // Result pairs a job with its measurement. Err is non-nil when the
@@ -187,12 +195,7 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 	)
 	if j.Observe || j.WallLimit > 0 {
 		reg = obs.NewRegistry(0)
-		fr = reg.Flow(1)
-		f.Sender.AttachRecorder(fr)
-		f.Receiver.AttachRecorder(fr)
-		if a, ok := ctrl.(recorderAttacher); ok {
-			a.AttachRecorder(fr)
-		}
+		fr = observe(reg, 1, f, ctrl)
 		// Every forward link: the ledger needs all data-path drops, not
 		// just the last hop's.
 		for i, l := range p.Fwd {
@@ -238,15 +241,24 @@ func (scr *Scratch) Download(j Job) DownloadResult {
 		res.AccelRounds = s.Stats().AcceleratedRounds
 	}
 	if reg != nil {
-		links := reg.Links()
-		lcs := make([]*obs.LinkCounters, len(links))
-		for i, l := range links {
-			lcs[i] = &l.C
-		}
-		led := obs.MakeLedger(&reg.Flow(1).C, lcs...)
+		fr.C = *f.Sender.Counters()
+		led := obs.MakeLedger(&fr.C, sealLinks(reg, p.Fwd)...)
 		res.Ledger = &led
 	}
 	return res
+}
+
+// sealLinks copies a finished run's link counters into reg, whose link
+// recorders were attached in the order of links, and returns the
+// copies, which stay fixed while the scratch's links run on.
+func sealLinks(reg *obs.Registry, links []*netsim.Link) []*obs.LinkCounters {
+	recs := reg.Links()
+	lcs := make([]*obs.LinkCounters, len(recs))
+	for i, r := range recs {
+		r.C = *links[i].Counters()
+		lcs[i] = &r.C
+	}
+	return lcs
 }
 
 // Run executes a job batch on the worker pool and returns results in

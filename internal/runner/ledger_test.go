@@ -1,11 +1,16 @@
 package runner
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"suss/internal/netem"
+	"suss/internal/netsim"
 	"suss/internal/scenarios"
+	"suss/internal/tcp"
 )
 
 // wiredLossy builds a fully deterministic wired path whose only loss
@@ -92,5 +97,56 @@ func TestObserveDoesNotChangeOutcome(t *testing.T) {
 	obs.Ledger = nil
 	if base != obs {
 		t.Errorf("observed run diverged from unobserved run:\n  base: %+v\n  obs:  %+v", base, obs)
+	}
+}
+
+// TestAbortedFlowCounters pins the one SenderStats field that is not a
+// plain copy of a counter: Stats().RTOs counts every timeout that
+// fired, the one that tripped MaxConsecRTOs included, while rto_fires
+// leaves that one to flow_aborts. The flow's last hop dies 50 ms in, so
+// it gives up; its sender's and every link's Stats are the same whether
+// the run is observed or not.
+func TestAbortedFlowCounters(t *testing.T) {
+	transport := tcp.DefaultConfig()
+	transport.MaxConsecRTOs = 3
+	run := func(observe bool) (DownloadResult, tcp.SenderStats, []netsim.LinkStats) {
+		var env ChaosEnv
+		res := Download(Job{
+			Scenario:  scenarios.New(scenarios.OracleLondon, netem.Wired, 1),
+			Algo:      Cubic,
+			Size:      1 << 20,
+			Observe:   observe,
+			Transport: &transport,
+			Impair: func(e ChaosEnv) {
+				env = e
+				e.Path.Fwd[len(e.Path.Fwd)-1].AttachImpairments(
+					netsim.NewImpairments(&netem.Outage{Windows: []netem.Window{
+						{Start: 50 * time.Millisecond, End: time.Duration(math.MaxInt64)},
+					}}))
+			},
+		})
+		var links []netsim.LinkStats
+		for _, l := range env.Path.Fwd {
+			links = append(links, l.Stats())
+		}
+		for _, l := range env.Path.Rev {
+			links = append(links, l.Stats())
+		}
+		return res, env.Flow.Sender.Stats(), links
+	}
+	res, st, links := run(true)
+	if !errors.Is(res.FlowErr, tcp.ErrRetransLimit) {
+		t.Fatalf("flow error = %v, want ErrRetransLimit", res.FlowErr)
+	}
+	if l := res.Ledger; st.RTOs != 4 || res.RTOs != 4 || l.RTOFires != 3 || l.FlowAborts != 1 {
+		t.Errorf("Stats().RTOs %d, result RTOs %d, rto_fires %d, flow_aborts %d; want 4, 4, 3, 1",
+			st.RTOs, res.RTOs, l.RTOFires, l.FlowAborts)
+	}
+	_, offSt, offLinks := run(false)
+	if offSt != st {
+		t.Errorf("sender stats differ with observation off:\n on  %+v\n off %+v", st, offSt)
+	}
+	if !reflect.DeepEqual(offLinks, links) {
+		t.Errorf("link stats differ with observation off:\n on  %+v\n off %+v", links, offLinks)
 	}
 }

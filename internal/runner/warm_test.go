@@ -143,10 +143,8 @@ func TestScratchOutlivesMap(t *testing.T) {
 }
 
 // chaosShard makes j an observed shard whose hook attaches netem
-// reordering to every aggregation downlink, and an outage and an OnDrop
-// hook, which counts into the returned int, to the core.
-func chaosShard(j FleetJob) (FleetJob, *int) {
-	drops := new(int)
+// reordering to every aggregation downlink, and an outage to the core.
+func chaosShard(j FleetJob) FleetJob {
 	j.Observe = true
 	j.Impair = func(env FleetChaosEnv) {
 		for i, l := range env.Tree.AggDown {
@@ -156,29 +154,24 @@ func chaosShard(j FleetJob) (FleetJob, *int) {
 		env.Tree.Core.AttachImpairments(netsim.NewImpairments(&netem.Outage{Windows: []netem.Window{
 			{Start: 200 * time.Millisecond, End: 300 * time.Millisecond},
 		}}))
-		env.Tree.Core.OnDrop = func(*netsim.Packet, bool) { *drops++ }
 	}
-	return j, drops
+	return j
 }
 
 func TestWarmTopologySequences(t *testing.T) {
 	t.Run("chaos shard then plain shard", func(t *testing.T) {
 		plain := testFleetJob(600)
 		plain.Shards, plain.Shard = 3, 1
-		chaos, drops := chaosShard(plain)
+		chaos := chaosShard(plain)
 		chaos.Shard = 0
 		c1 := mapShards([]FleetJob{chaos}, 1)
-		if c1[0].Err != nil || c1[0].Value.Res.Core.OutagePackets == 0 || *drops == 0 || c1[0].Value.Res.Ledger == nil {
-			t.Fatalf("the chaos shard did not engage: err %v, %d outage drops, %d OnDrop calls", c1[0].Err, c1[0].Value.Res.Core.OutagePackets, *drops)
+		if r := c1[0].Value.Res; c1[0].Err != nil || r.Core.OutagePackets == 0 || r.Ledger == nil || r.Ledger.PathOutage == 0 {
+			t.Fatalf("the chaos shard did not engage: err %v, %d outage drops, ledger %+v", c1[0].Err, r.Core.OutagePackets, r.Ledger)
 		}
-		seen := *drops
 		c2 := mapShards([]FleetJob{plain}, 1)
 		oneScratch(t, "chaos → plain", c1, c2)
 		if c2[0].Value.topo != c1[0].Value.topo {
 			t.Fatal("the plain shard did not run on the chaos shard's tree")
-		}
-		if *drops != seen {
-			t.Errorf("the chaos shard's OnDrop hook ran %d times during the plain shard", *drops-seen)
 		}
 		sameAsOneShot(t, "plain shard after a chaos shard", []FleetJob{plain}, c2, shardTap)
 		sameAsOneShot(t, "chaos shard", []FleetJob{chaos}, c1, shardTap)

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"suss/internal/netem"
 	"suss/internal/netsim"
+	"suss/internal/wire"
 )
 
 // auditingFlow runs a flow under hostile conditions while auditing the
@@ -136,24 +138,38 @@ func TestAckLossTolerance(t *testing.T) {
 }
 
 func TestReorderingTolerance(t *testing.T) {
-	// Mild reordering (AllowReorder with jitter) may cause spurious
-	// retransmissions but must not corrupt the scoreboard or stall.
+	// Mild reordering (a netem stage holding a third of the packets
+	// back 0–2 ms) may cause spurious retransmissions but must not
+	// corrupt the scoreboard or stall.
 	rng := rand.New(rand.NewSource(9))
 	sim := netsim.NewSimulator()
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
-		{Name: "bneck", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 2 << 20,
-			AllowReorder: true,
-			Jitter: func(now time.Duration, pkt *netsim.Packet) time.Duration {
-				return time.Duration(rng.Intn(2_000_000)) // 0–2 ms
-			}},
+		{Name: "bneck", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 2 << 20},
 	}})
+	p.Fwd[0].AttachImpairments(netsim.NewImpairments(netem.NewReorder(1.0/3, 0, 2*time.Millisecond, rng)))
 	cfg := DefaultConfig()
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 2<<20, nil)
 	f.Sender.SetController(&fixedCC{cwnd: 64 * 1448, halveOnLoss: true})
+	// Only first transmissions carry a timestamp: one arriving below
+	// another's sequence was overtaken on the path.
+	var top uint32
+	late := 0
+	f.Receiver.OnData = func(_ time.Duration, seg *wire.Segment) {
+		if !seg.HasTS {
+			return
+		}
+		if seg.Seq < top {
+			late++
+		}
+		top = max(top, seg.Seq)
+	}
 	f.StartAt(sim, 0)
 	sim.Run(time.Minute)
 	if !f.Done() {
 		t.Fatal("flow did not survive reordering")
+	}
+	if late == 0 {
+		t.Fatal("no segment arrived behind a later one: the path did not reorder")
 	}
 	if problems := f.Sender.AuditScoreboard(); len(problems) != 0 {
 		t.Fatalf("audit: %v", problems)

@@ -5,6 +5,7 @@ import (
 
 	"suss/internal/cc"
 	"suss/internal/netsim"
+	"suss/internal/obs"
 	"suss/internal/wire"
 	"suss/internal/wire/simbackend"
 )
@@ -20,15 +21,18 @@ func NewDemux(host *netsim.Host) *Demux { return simbackend.NewDemux(host) }
 
 // Flow bundles a sender and receiver wired across a wire backend.
 //
-// A flow is one allocation: Sender and Receiver point into it, and so
-// do the two simulator conns NewFlow wires them over. Reset turns a
-// used flow into the one NewFlow would build, keeping the buffers it
-// grew, so a caller that runs many flows can keep a slab of them.
+// A flow is one allocation holding its endpoints, the two simulator
+// conns NewFlow wires them over and the counter block they count into
+// (rc is the receiver's when its conn runs on an event loop of its
+// own). Reset turns a used flow into the one NewFlow would build,
+// keeping the buffers it grew, so a caller that runs many flows can
+// keep a slab of them.
 type Flow struct {
 	Sender   *Sender
 	Receiver *Receiver
 
 	startAt time.Duration
+	c, rc   obs.FlowCounters
 
 	snd          Sender
 	rcv          Receiver
@@ -82,10 +86,14 @@ func (f *Flow) Reset(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 }
 
 func (f *Flow) reset(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn, size int64, ctrl cc.Controller) {
-	f.startAt = 0
+	f.startAt, f.c, f.rc = 0, obs.FlowCounters{}, obs.FlowCounters{}
+	rc := &f.c
+	if rconn.Clock() != sconn.Clock() {
+		rc = &f.rc
+	}
 	f.Sender, f.Receiver = &f.snd, &f.rcv
-	f.snd.reset(sconn, cfg, id, size, ctrl)
-	f.rcv.reset(rconn, cfg, id, size)
+	f.snd.reset(sconn, cfg, id, size, ctrl, &f.c)
+	f.rcv.reset(rconn, cfg, id, size, rc)
 	if f.onAck == nil {
 		f.onAck, f.onData = f.snd.HandleAck, f.rcv.Handle
 	}

@@ -38,13 +38,6 @@ func runJitterSpike(t *testing.T, frto bool) spikeRun {
 	cfg.FRTO = frto
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 1<<20, nil)
 	f.Sender.SetController(cubic.New(f.Sender, cubic.DefaultOptions()))
-	reg := obs.NewRegistry(0)
-	fr := reg.Flow(1)
-	f.Sender.AttachRecorder(fr)
-	f.Receiver.AttachRecorder(fr)
-	for i, l := range p.Fwd {
-		l.AttachRecorder(reg.Link(l.Name() + string(rune('0'+i))))
-	}
 
 	p.Fwd[1].AttachImpairments(netsim.NewImpairments(&netem.RTTStep{
 		Steps: []netem.DelayStep{
@@ -65,17 +58,12 @@ func runJitterSpike(t *testing.T, frto bool) spikeRun {
 	f.StartAt(sim, 0)
 	sim.Run(30 * time.Second)
 
-	links := reg.Links()
-	lcs := make([]*obs.LinkCounters, len(links))
-	for i, l := range links {
-		lcs[i] = &l.C
-	}
 	return spikeRun{
 		fct:      f.FCT(),
 		postCwnd: postCwnd,
 		stats:    f.Sender.Stats(),
-		c:        &fr.C,
-		ledger:   obs.MakeLedger(&fr.C, lcs...),
+		c:        f.Sender.Counters(),
+		ledger:   obs.MakeLedger(f.Sender.Counters(), p.Fwd[0].Counters(), p.Fwd[1].Counters()),
 		done:     f.Done(),
 	}
 }
@@ -143,10 +131,6 @@ func TestReceiverReneging(t *testing.T) {
 	}})
 	f := NewFlow(sim, DefaultConfig(), 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 2<<20, nil)
 	f.Sender.SetController(cubic.New(f.Sender, cubic.DefaultOptions()))
-	reg := obs.NewRegistry(0)
-	fr := reg.Flow(1)
-	f.Sender.AttachRecorder(fr)
-	f.Receiver.AttachRecorder(fr)
 	f.Receiver.EnableReneging(25*time.Millisecond, 1.0, nil)
 	f.StartAt(sim, 0)
 	sim.Run(time.Minute)
@@ -154,16 +138,17 @@ func TestReceiverReneging(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow did not complete under a reneging receiver")
 	}
-	if fr.C.RcvRenegeEvents == 0 {
+	c := f.Sender.Counters()
+	if c.RcvRenegeEvents == 0 {
 		t.Fatal("receiver never reneged; the fault mode did not engage")
 	}
-	if fr.C.SackRenegings == 0 {
+	if c.SackRenegings == 0 {
 		t.Error("sender never detected the reneging")
 	}
-	if fr.C.RetransReneg == 0 {
+	if c.RetransReneg == 0 {
 		t.Error("no segments were retransmitted under the reneging cause")
 	}
-	led := obs.MakeLedger(&fr.C)
+	led := obs.MakeLedger(c)
 	if bad := led.Check(); len(bad) > 0 {
 		t.Errorf("ledger violations: %v", bad)
 	}

@@ -63,9 +63,11 @@ type Receiver struct {
 	// frame: observers must copy what they keep, never retain seg.
 	OnData func(now time.Duration, seg *wire.Segment)
 
-	// rec, when non-nil, receives ground-truth duplicate-payload
-	// counters (the receiver-side complement of the sender's
-	// spurious-retransmit detection).
+	// c is the flow's counter block: the receiver counts its ground
+	// truth of duplicate payload there, the complement of the sender's
+	// spurious-retransmit detection. rec, when non-nil, receives the
+	// receiver's events.
+	c   *obs.FlowCounters
 	rec *obs.FlowRecorder
 
 	// SACK-reneging fault injection (EnableReneging): every
@@ -78,23 +80,27 @@ type Receiver struct {
 	renegeTimer netsim.Timer
 }
 
-// AttachRecorder installs a flight recorder on this receiver. Pass
-// nil to detach.
+// AttachRecorder installs a flight recorder for this receiver's
+// events. Pass nil to detach.
 func (r *Receiver) AttachRecorder(rec *obs.FlowRecorder) { r.rec = rec }
 
-// NewReceiver creates a receiver for one flow terminating at conn.
-// size is the expected stream length for completion detection (0
-// disables it). The caller must install Handle as the conn's handler
-// (NewFlowOver does both).
+// NewReceiver creates a receiver for one flow terminating at conn,
+// with a counter block of its own. size is the expected stream length
+// for completion detection (0 disables it). The caller must install
+// Handle as the conn's handler (NewFlowOver does both).
 func NewReceiver(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) *Receiver {
-	r := new(Receiver)
-	r.reset(conn, cfg, flow, size)
-	return r
+	r := new(struct {
+		Receiver
+		c obs.FlowCounters
+	})
+	r.reset(conn, cfg, flow, size, &r.c)
+	return &r.Receiver
 }
 
-// reset makes r exactly what NewReceiver returns, keeping only the
-// reassembly set and its scratch slice (see Sender.reset).
-func (r *Receiver) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) {
+// reset makes r exactly what NewReceiver returns, counting into c and
+// keeping only the reassembly set and its scratch slice (see
+// Sender.reset).
+func (r *Receiver) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, c *obs.FlowCounters) {
 	r.ranges.reset()
 	*r = Receiver{
 		conn:       conn,
@@ -105,6 +111,7 @@ func (r *Receiver) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size in
 		ranges:     r.ranges,
 		fresh:      r.fresh[:0],
 		OnComplete: noComplete,
+		c:          c,
 	}
 }
 
@@ -180,9 +187,9 @@ func (r *Receiver) renege() {
 	// Forget the recency list too: those ranges no longer exist, and
 	// re-announcing them in SACK blocks would be lying twice over.
 	r.nRecent = 0
+	r.c.RcvRenegeEvents++
+	r.c.RcvRenegedBytes += discarded
 	if o := r.rec; o != nil {
-		o.C.RcvRenegeEvents++
-		o.C.RcvRenegedBytes += discarded
 		o.Record(r.sim.Now(), obs.EvSackReneged, r.CumAck(), discarded, 0, 0)
 	}
 }
@@ -198,10 +205,8 @@ func (r *Receiver) Handle(seg *wire.Segment, wireLen int) {
 	if !seg.IsData() {
 		return
 	}
-	if o := r.rec; o != nil {
-		o.C.WireFramesIn++
-		o.C.WireBytesIn += int64(wireLen)
-	}
+	r.c.WireFramesIn++
+	r.c.WireBytesIn += int64(wireLen)
 	if r.OnData != nil {
 		r.OnData(r.sim.Now(), seg)
 	}
@@ -217,14 +222,12 @@ func (r *Receiver) Handle(seg *wire.Segment, wireLen int) {
 	added := r.merge(seq, seq+segLen)
 	r.received += added
 	newCum := r.CumAck()
-	if o := r.rec; o != nil {
-		o.C.RcvSegs++
-		if added < segLen {
-			// Part of the payload was already held: a retransmission
-			// (or a spuriously resent segment) duplicated data.
-			o.C.RcvDupSegs++
-			o.C.RcvDupBytes += segLen - added
-		}
+	r.c.RcvSegs++
+	if added < segLen {
+		// Part of the payload was already held: a retransmission (or a
+		// spuriously resent segment) duplicated data.
+		r.c.RcvDupSegs++
+		r.c.RcvDupBytes += segLen - added
 	}
 
 	if !r.completed && r.size > 0 && newCum >= r.size {
@@ -269,10 +272,8 @@ func (r *Receiver) sendAck(echo bool, tsecr uint32) {
 		a.TSEcr = tsecr
 	}
 	n := r.conn.Send(a, wire.SendMeta{WireSize: r.cfg.AckBytes})
-	if o := r.rec; o != nil {
-		o.C.WireFramesOut++
-		o.C.WireBytesOut += int64(n)
-	}
+	r.c.WireFramesOut++
+	r.c.WireBytesOut += int64(n)
 }
 
 // fillSackBlocks writes up to maxSack ranges above the

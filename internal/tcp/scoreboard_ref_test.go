@@ -526,6 +526,9 @@ func (s *refSender) HandleAck(seg *wire.Segment, wireLen int) {
 		s.inRecovery = true
 		s.recoveryEnd = s.sndNxt
 		s.stats.LossEvents++
+		if r := s.rec; r != nil {
+			r.C.LossEvents++
+		}
 		s.ctrl.OnLoss(cc.LossEvent{
 			Now:       now,
 			Inflight:  s.inflight,

@@ -19,7 +19,8 @@ import (
 // instead of backing off forever.
 var ErrRetransLimit = errors.New("tcp: consecutive retransmission timeouts exceeded limit")
 
-// SenderStats summarizes a flow from the sender's perspective.
+// SenderStats summarizes a flow from the sender's perspective,
+// computed from the flow's counter block.
 type SenderStats struct {
 	SegmentsSent    int
 	Retransmissions int
@@ -121,34 +122,39 @@ type Sender struct {
 	// when Config.AdaptReoWnd is set; zero otherwise).
 	reoWnd time.Duration
 
-	stats SenderStats
-
-	// rec, when non-nil, is the attached flight recorder; every
-	// emission site is guarded by a nil check so an unobserved sender
-	// pays one branch per site. lastCwnd backs EvCwndChanged.
-	rec      *obs.FlowRecorder
+	// c is the flow's counter block, counted on every run; lastCwnd
+	// backs CwndChanges.
+	c        *obs.FlowCounters
 	lastCwnd int64
+
+	// rec, when non-nil, is the attached flight recorder; every event
+	// site is guarded by a nil check so an unobserved sender pays one
+	// branch per site.
+	rec *obs.FlowRecorder
 
 	// OnAckTrace, when non-nil, observes state after each processed
 	// ACK (for cwnd/RTT time series).
 	OnAckTrace func(now time.Duration, cwnd int64, srtt time.Duration, delivered int64)
 }
 
-// NewSender creates a sender for one flow transmitting through conn.
-// The caller must install HandleAck as the conn's handler (NewFlowOver
-// does both).
+// NewSender creates a sender for one flow transmitting through conn,
+// with a counter block of its own. The caller must install HandleAck
+// as the conn's handler (NewFlowOver does both).
 func NewSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *Sender {
-	s := new(Sender)
-	s.reset(conn, cfg, flow, size, ctrl)
-	return s
+	s := new(struct {
+		Sender
+		c obs.FlowCounters
+	})
+	s.reset(conn, cfg, flow, size, ctrl, &s.c)
+	return &s.Sender
 }
 
-// reset makes s exactly what NewSender returns, keeping the buffers
-// the last flow grew. The literal names only those, so every other
-// field — hooks, recorder, timers, counters — is zero without being
-// listed. The ring is zero outside the last window, so only that is
-// cleared.
-func (s *Sender) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) {
+// reset makes s exactly what NewSender returns, counting into the zero
+// block c and keeping the buffers the last flow grew. The literal names
+// only those, so every other field — hooks, recorder, timers — is zero
+// without being listed. The ring is zero outside the last window, so
+// only that is cleared.
+func (s *Sender) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller, c *obs.FlowCounters) {
 	if size/int64(cfg.MSS) >= math.MaxInt32 {
 		panic("tcp: flow size exceeds the scoreboard's 2^31 segments")
 	}
@@ -171,6 +177,7 @@ func (s *Sender) reset(conn wire.Conn, cfg Config, flow netsim.FlowID, size int6
 		ccChunks:  s.ccChunks,
 		ccCur:     s.ccChunks,
 		rtt:       rttEstimator{minRTO: cfg.MinRTO, maxRTO: cfg.MaxRTO},
+		c:         c,
 	}
 }
 
@@ -215,12 +222,26 @@ func (s *Sender) MSS() int { return s.cfg.MSS }
 
 // --- public accessors ---
 
-// Stats returns a copy of the sender counters.
+// Stats returns the sender's summary, computed from the flow's
+// counter block. RTOs counts every timeout that fired, the one that
+// made the flow give up (a flow abort, not an RTO fire) included.
 func (s *Sender) Stats() SenderStats {
-	st := s.stats
-	st.Delivered = s.delivered
-	return st
+	c := s.c
+	return SenderStats{
+		SegmentsSent:    int(c.SegsSent + c.SegsRetrans),
+		Retransmissions: int(c.SegsRetrans),
+		RTOs:            int(c.RTOFires + c.FlowAborts),
+		SpuriousRTOs:    int(c.SpuriousRTOUndos),
+		SackRenegs:      int(c.SackRenegings),
+		TLPs:            int(c.TLPFires),
+		LossEvents:      int(c.LossEvents),
+		Delivered:       s.delivered,
+	}
 }
+
+// Counters returns the flow's counter block, which the sender, a
+// Flow's receiver and the congestion controller count into.
+func (s *Sender) Counters() *obs.FlowCounters { return s.c }
 
 // Controller returns the congestion controller driving this sender.
 func (s *Sender) Controller() cc.Controller { return s.ctrl }
@@ -252,26 +273,18 @@ func (s *Sender) Delivered() int64 { return s.delivered }
 // flow with a nil controller, then install one before Start.
 func (s *Sender) SetController(ctrl cc.Controller) { s.ctrl = ctrl }
 
-// AttachRecorder installs a flight recorder on this sender. Attach
-// after SetController so the cwnd-change baseline starts at the
-// controller's initial window. Pass nil to detach.
-func (s *Sender) AttachRecorder(r *obs.FlowRecorder) {
-	s.rec = r
-	if r != nil && s.ctrl != nil {
-		s.lastCwnd = s.ctrl.CwndBytes()
-	}
-}
+// AttachRecorder installs a flight recorder for this sender's events.
+// Pass nil to detach.
+func (s *Sender) AttachRecorder(r *obs.FlowRecorder) { s.rec = r }
 
-// noteCwnd records a congestion-window change observed after a
+// noteCwnd counts a congestion-window change observed after a
 // controller callback returned.
 func (s *Sender) noteCwnd(now time.Duration) {
-	r := s.rec
-	if r == nil {
-		return
-	}
 	if cw := s.ctrl.CwndBytes(); cw != s.lastCwnd {
-		r.C.CwndChanges++
-		r.Record(now, obs.EvCwndChanged, 0, 0, cw, s.lastCwnd)
+		s.c.CwndChanges++
+		if r := s.rec; r != nil {
+			r.Record(now, obs.EvCwndChanged, 0, 0, cw, s.lastCwnd)
+		}
 		s.lastCwnd = cw
 	}
 }
@@ -285,6 +298,7 @@ func (s *Sender) Start() {
 		panic("tcp: Start before SetController")
 	}
 	s.started = true
+	s.lastCwnd = s.ctrl.CwndBytes()
 	s.trySend()
 }
 
@@ -385,7 +399,17 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		s.sb.removeLost(n)
 		*sl = slot{st: stRetransInFlight, sentAt: now, delivAtSend: s.delivered, retrans: true}
 		s.sb.rtxAppend(n) // RACK may need to re-detect it
-		s.stats.Retransmissions++
+		s.c.SegsRetrans++
+		switch obs.RetransCause(cause) {
+		case obs.CauseFast:
+			s.c.RetransFast++
+		case obs.CauseRTO:
+			s.c.RetransRTO++
+		case obs.CauseTLP:
+			s.c.RetransTLP++
+		case obs.CauseReneg:
+			s.c.RetransReneg++
+		}
 	} else {
 		// Karn's rule: only fresh transmissions carry a timestamp for the
 		// receiver to echo — the option's presence is the echo-validity
@@ -395,34 +419,20 @@ func (s *Sender) emit(seg, l int64, retrans bool) {
 		s.sb.reserve(s.segNo(s.sndUna), n)
 		*s.sb.at(n) = slot{st: stInflight, sentAt: now, delivAtSend: s.delivered}
 		s.sndNxt = seg + l
+		s.c.SegsSent++
 	}
 	s.inflight += l
-	s.stats.SegmentsSent++
 	if r := s.rec; r != nil {
 		if retrans {
-			r.C.SegsRetrans++
-			switch obs.RetransCause(cause) {
-			case obs.CauseFast:
-				r.C.RetransFast++
-			case obs.CauseRTO:
-				r.C.RetransRTO++
-			case obs.CauseTLP:
-				r.C.RetransTLP++
-			case obs.CauseReneg:
-				r.C.RetransReneg++
-			}
 			r.Record(now, obs.EvSegRetrans, seg, l, int64(cause), 0)
 		} else {
-			r.C.SegsSent++
 			r.Record(now, obs.EvSegSent, seg, l, s.inflight, 0)
 		}
 	}
 	s.ctrl.OnPacketSent(now, int(l), seg, retrans)
 	wrote := s.conn.Send(ws, wire.SendMeta{WireSize: int(l) + s.cfg.HeaderBytes})
-	if r := s.rec; r != nil {
-		r.C.WireFramesOut++
-		r.C.WireBytesOut += int64(wrote)
-	}
+	s.c.WireFramesOut++
+	s.c.WireBytesOut += int64(wrote)
 	s.armRTO()
 }
 
@@ -439,10 +449,8 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 		return
 	}
 	now := s.sim.Now()
-	if r := s.rec; r != nil {
-		r.C.WireFramesIn++
-		r.C.WireBytesIn += int64(wireLen)
-	}
+	s.c.WireFramesIn++
+	s.c.WireBytesIn += int64(wireLen)
 	cumAck := wire.Unwrap32(s.sndUna, seg.Ack)
 	hasEcho := seg.HasTS
 	var echoTS time.Duration
@@ -501,9 +509,7 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 				// segment was still marked lost: the loss marking was
 				// contradicted, so any retransmission is (or would have
 				// been) spurious.
-				if r := s.rec; r != nil {
-					r.C.SpuriousRetrans++
-				}
+				s.c.SpuriousRetrans++
 				s.bumpReoWnd()
 			case stSacked:
 				// already counted
@@ -554,9 +560,7 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 					s.sb.removeLost(n)
 					// Selectively acked while marked lost: contradicted
 					// loss marking, same as the cumulative case above.
-					if r := s.rec; r != nil {
-						r.C.SpuriousRetrans++
-					}
+					s.c.SpuriousRetrans++
 					s.bumpReoWnd()
 				}
 				sl.st = stSacked
@@ -581,11 +585,11 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 		s.onSackReneg(now)
 	}
 
+	s.c.AcksSeen++
+	s.c.SackRanges += int64(seg.NSack)
 	if r := s.rec; r != nil {
-		r.C.AcksSeen++
 		r.Record(now, obs.EvAckRecvd, cumAck, newBytes, s.inflight, 0)
 		if seg.NSack > 0 {
-			r.C.SackRanges += int64(seg.NSack)
 			r.Record(now, obs.EvSackRecvd, cumAck, 0, int64(seg.NSack), 0)
 		}
 	}
@@ -601,7 +605,7 @@ func (s *Sender) HandleAck(seg *wire.Segment, wireLen int) {
 	if newlyLost > 0 && !s.inRecovery {
 		s.inRecovery = true
 		s.recoveryEnd = s.sndNxt
-		s.stats.LossEvents++
+		s.c.LossEvents++
 		s.ctrl.OnLoss(cc.LossEvent{
 			Now:       now,
 			Inflight:  s.inflight,
@@ -670,6 +674,7 @@ func (s *Sender) fastLost(n int32, sl *slot) int64 {
 	l := s.segLen(int64(n) * int64(s.cfg.MSS))
 	s.inflight -= l
 	s.markLost(n, sl, obs.CauseFast)
+	s.c.LossDetected++
 	if s.rec != nil {
 		s.newlyLost = append(s.newlyLost, n)
 	}
@@ -749,7 +754,6 @@ func (s *Sender) detectLosses(now time.Duration) int64 {
 		slices.Sort(s.newlyLost)
 		for _, n := range s.newlyLost {
 			seg := int64(n) * mss
-			r.C.LossDetected++
 			r.Record(now, obs.EvLossDetected, seg, s.segLen(seg), 0, 0)
 		}
 		s.newlyLost = s.newlyLost[:0]
@@ -821,11 +825,10 @@ func (s *Sender) fireTLP() {
 		return
 	}
 	s.tlpArmed = false
-	s.stats.TLPs++
+	s.c.TLPFires++
 	seg := int64(tail) * mss
 	l := s.segLen(seg)
 	if r := s.rec; r != nil {
-		r.C.TLPFires++
 		r.Record(s.sim.Now(), obs.EvTLPFired, seg, l, 0, 0)
 	}
 	// Re-send the tail as a retransmission (accounting: the original is
@@ -861,7 +864,6 @@ func (s *Sender) fireRTO() {
 		return
 	}
 	now := s.sim.Now()
-	s.stats.RTOs++
 	s.consecRTOs++
 	if s.cfg.MaxConsecRTOs > 0 && s.consecRTOs > s.cfg.MaxConsecRTOs {
 		s.fail(now, fmt.Errorf("%w (%d fires, stuck at seq %d)", ErrRetransLimit, s.consecRTOs, s.sndUna))
@@ -870,9 +872,9 @@ func (s *Sender) fireRTO() {
 	s.tlpArmed = false
 	s.tlpTimer.Stop()
 	s.rtt.Backoff()
+	s.c.RTOFires++
 	if r := s.rec; r != nil {
-		r.C.RTOFires++
-		r.Record(now, obs.EvRTOFired, s.sndUna, 0, int64(s.stats.RTOs), 0)
+		r.Record(now, obs.EvRTOFired, s.sndUna, 0, s.c.RTOFires, 0)
 	}
 	// Arm F-RTO before the controller collapses: the first ACKs after
 	// the timeout will either prove it spurious (pre-timeout echo with
@@ -930,7 +932,7 @@ func (s *Sender) fireRTO() {
 // exponential backoff is cleared.
 func (s *Sender) undoRTO(now time.Duration) {
 	s.frtoPending = false
-	s.stats.SpuriousRTOs++
+	s.c.SpuriousRTOUndos++
 	s.rtt.UndoBackoff()
 	if u, ok := s.ctrl.(cc.Undoer); ok {
 		u.UndoRTO(now)
@@ -954,8 +956,7 @@ func (s *Sender) undoRTO(now time.Duration) {
 	}
 	s.bumpReoWnd()
 	if r := s.rec; r != nil {
-		r.C.SpuriousRTOUndos++
-		r.Record(now, obs.EvRTOUndone, s.sndUna, 0, int64(s.stats.SpuriousRTOs), s.ctrl.CwndBytes())
+		r.Record(now, obs.EvRTOUndone, s.sndUna, 0, s.c.SpuriousRTOUndos, s.ctrl.CwndBytes())
 	}
 	s.noteCwnd(now)
 	s.resetRTO()
@@ -967,9 +968,8 @@ func (s *Sender) undoRTO(now time.Duration) {
 // retransmission, and the SACK interval set is cleared so the
 // receiver's next (truthful) blocks rebuild it from scratch.
 func (s *Sender) onSackReneg(now time.Duration) {
-	s.stats.SackRenegs++
+	s.c.SackRenegings++
 	if r := s.rec; r != nil {
-		r.C.SackRenegings++
 		r.Record(now, obs.EvRenegDetected, s.sndUna, 0, s.highestSacked, 0)
 	}
 	mss := int64(s.cfg.MSS)
@@ -995,9 +995,9 @@ func (s *Sender) fail(now time.Duration, err error) {
 	s.rtoTimer.Stop()
 	s.tlpTimer.Stop()
 	s.kickTimer.Stop()
+	s.c.FlowAborts++
 	if r := s.rec; r != nil {
-		r.C.FlowAborts++
-		r.Record(now, obs.EvFlowAbort, s.sndUna, 0, int64(s.stats.RTOs), 0)
+		r.Record(now, obs.EvFlowAbort, s.sndUna, 0, s.c.RTOFires+s.c.FlowAborts, 0)
 	}
 }
 

@@ -87,12 +87,13 @@ func (tr *FlowTrace) TimeToCwnd(w int64) (time.Duration, bool) {
 	return 0, false
 }
 
-// WriteCSV emits "t_ms,cwnd_bytes,srtt_ms,delivered_bytes" rows.
-func (tr *FlowTrace) WriteCSV(w io.Writer) error {
+// WriteCSV writes samples as "t_ms,cwnd_bytes,srtt_ms,delivered_bytes"
+// rows under that header.
+func WriteCSV(w io.Writer, samples []Sample) error {
 	if _, err := fmt.Fprintf(w, "t_ms,cwnd_bytes,srtt_ms,delivered_bytes\n"); err != nil {
 		return err
 	}
-	for _, s := range tr.Samples {
+	for _, s := range samples {
 		if _, err := fmt.Fprintf(w, "%.3f,%d,%.3f,%d\n",
 			float64(s.T)/1e6, s.CwndBytes, float64(s.SRTT)/1e6, s.Delivered); err != nil {
 			return err

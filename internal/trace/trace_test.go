@@ -163,7 +163,7 @@ func TestAtExactBoundary(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	tr := runTracedFlow(t, 10*time.Millisecond)
 	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
+	if err := WriteCSV(&b, tr.Samples); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
