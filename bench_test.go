@@ -149,7 +149,7 @@ const fig11SerialSweepAllocs = 39
 // work, and moves when the way events are armed does.
 const (
 	fig11SerialSweepFired  = 196975
-	fig11SerialSweepPlaced = 284657
+	fig11SerialSweepPlaced = 243224
 )
 
 // TestFig11SerialSweepAllocBudget is the alloc gate of the sweep hot

@@ -201,11 +201,13 @@ func (t Timer) Active() bool {
 }
 
 // Reset rearms a still-pending timer in place to fire after d of
-// virtual time, keeping its callback and arguments: the slot is
-// relinked into the wheel directly instead of passing through the
-// free list, which is the fast path for the RTO/pacing rearm-per-ACK
-// pattern. A negative d is treated as zero, and now+d saturates at
-// math.MaxInt64.
+// virtual time, keeping its callback and arguments: the slot never
+// passes through the free list, which is the fast path for the
+// RTO/TLP rearm-per-ACK pattern. A timer in a level ≥ 1 bucket whose
+// range still spans the new deadline stays on that list untouched (the
+// bucket is unordered and its cascade re-places by key); any other is
+// unlinked and placed anew. A negative d is treated as zero, and now+d
+// saturates at math.MaxInt64.
 //
 // The rearmed timer takes a fresh insertion sequence number and a
 // fresh generation, so event ordering is byte-identical to Stop
@@ -222,11 +224,14 @@ func (t Timer) Reset(d time.Duration) (Timer, bool) {
 	if sl.gen != t.gen || sl.bucket == bucketNone {
 		return Timer{}, false
 	}
-	s.unlink(t.idx)
+	was := sl.at
 	sl.at, sl.seq = s.after(d), s.seq
 	s.seq++
 	sl.gen++
-	s.place(t.idx)
+	if shift := tickBits + wheelBits*uint(sl.bucket>>wheelBits); shift == tickBits || int64(sl.at)>>shift != int64(was)>>shift {
+		s.unlink(t.idx)
+		s.place(t.idx)
+	}
 	return Timer{s: s, idx: t.idx, gen: sl.gen}, true
 }
 
@@ -352,12 +357,9 @@ func (s *Simulator) Halt() { s.halted = true }
 // a Run horizon already in the past executes nothing and leaves Now()
 // unchanged.
 //
-// Events fire from the cursor's level-0 bucket, the window holding the
-// earliest deadline, whose list the wheel keeps in (deadline, seq)
-// order: Run fires its head, one event at a time, the clock advancing
-// event by event, and moves the cursor on when the list is empty. A
-// horizon, Halt or StopWhen stop inside a window leaves the rest of it
-// on its list, pending like any other event.
+// Run fires the head of the cursor's level-0 list, one event at a
+// time, and moves the cursor on when the list is empty; a stop inside
+// a window leaves the rest of it pending on its list.
 func (s *Simulator) Run(until time.Duration) time.Duration {
 	defer s.noteHighWaters()
 	s.halted = false

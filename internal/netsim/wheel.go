@@ -1,61 +1,26 @@
 package netsim
 
 // The pending-timer index: a hierarchical timing wheel (Varghese &
-// Lauck) over the slot arena in sim.go, and the only place a pending
-// timer lives. TCP timers are the textbook "cancelled before firing"
-// workload — every ACK stops and rearms the RTO, every paced packet
-// arms a kick — and the wheel keeps all three mutations cheap: insert
-// links the slot into a bucket list, Stop/Reset unlink it.
+// Lauck) over the slot arena in sim.go, the only place a pending timer
+// lives. DESIGN.md ("Event scheduler") gives its geometry's reasons
+// and its work per event on every workload.
 //
-// Geometry: 9 levels × 64 slots over a 2^12 ns (4.096 µs) tick. A
-// level-L bucket is 2^(12+6L) ns wide. A deadline is at most 2^51
-// ticks past the cursor (time.Duration is 63 bits), below 64^9, so
-// every deadline, "never" included, has a bucket: levels 5–8 hold
-// what lies more than 73 minutes ahead, and no real timer goes there.
-//
-// Why 2^12 ns: every event a simulated packet causes is 10 µs–300 ms
-// ahead of the clock, and the shortest deadline commonly armed is one
-// 1500 B serialization at 1 Gbit/s = 12 µs. A finer tick buys nothing
-// and costs a descent: at 1 ns (7 levels) such events entered at level
-// 2–4 and were unlinked and re-placed once per level on the way down —
-// 3.12 place calls, 2.30 wheelNext rounds and 1.38 cascades per fired
-// event on the 10k-flow fleet benchmark. At 4 µs a serialization
-// deadline lands at level 0 directly and an RTO at level 2: 1.50, 0.78
-// and 0.03. Deliveries are not armed as packets propagate: a link arms
-// one timer, for the head of its in-flight line, one inter-arrival gap
-// ahead (link.go), so they mostly land at level 0 too: 1.17, 0.78 and
-// 0.02 (DESIGN.md has every workload).
-//
-// Deadlines are placed by the delta, in ticks, between their tick and
-// the wheel cursor `cur`: level = floor(log64(delta)), slot = the
-// level-L digit of the deadline's tick. The cursor trails the tick of
-// min(now, every pending deadline) and only moves forward; placement
-// deltas are therefore never negative, and at most one "lap" of any
-// level is live at a time, so a slot identifies its bucket's tick range
-// unambiguously (the one exception — the cursor's own slot at levels
-// ≥ 1, which can hold either the lap the cursor sits on or the next one
-// — is resolved by peeking a resident deadline). Advancing the cursor
-// into a bucket's range cascades the bucket first: its events are
-// re-placed by their now-smaller deltas and land at strictly lower
-// levels. Cascades are what is left of the per-level descent: only
-// events armed more than 64 ticks (262 µs) ahead take one.
-//
-// Ordering: events fire in (deadline, arm sequence) order — golden CSVs
-// depend on that. A level-0 bucket is one 4 µs window, and its list is
-// kept in that order: place links a level-0 slot in by walking back
-// from the tail, which arms mostly arriving in order keep short.
-// Deeper buckets stay unordered until they cascade. Run fires the head
-// of the cursor's level-0 list, one event at a time; whatever a
-// callback arms into that window is linked in by key and fires in
-// turn, and a horizon, Halt or StopWhen stop leaves the rest on the
-// list, pending like any other event. Same-deadline FIFO-by-arm-order
-// is a tested invariant, not an accident. A dense window armed out of
-// order costs O(n²) comparisons; no workload builds one (DESIGN.md).
-//
-// The relative arm paths and Reset compute now+delay saturated at
-// math.MaxInt64 (Simulator.after), so a "never" delay is a deadline at
-// the top level, not a wrapped negative one that fires at once or,
-// behind the cursor, never lets Run return.
+// 9 levels × 64 slots over a 2^12 ns tick: a level-L bucket is
+// 2^(12+6L) ns wide, and every deadline, "never" included, has one. A
+// deadline goes to level floor(log64(tick - cur)), in the slot of its
+// tick's level-L digit. The cursor cur trails min(now, every deadline)
+// and only moves forward, so a slot names one lap (the cursor's own
+// slot at levels ≥ 1 is resolved by peeking a resident). Moving the
+// cursor into a level ≥ 1 bucket's range cascades it to lower levels.
+// Events fire in (deadline, arm sequence) order: a level-0 bucket is
+// one window whose list place keeps in that order; deeper lists are
+// unordered. Outside wheelNext two invariants hold, and keep the
+// per-ACK path off the wheel's slow parts:
+//   - a level ≥ 1 bucket's range spans each resident deadline, so
+//     Timer.Reset leaves a timer whose new deadline stays in it there;
+//   - every level ≥ 1 bucket starts past the cursor on a multiple of
+//     64 ticks, so a level-0 window in the cursor's own 64-tick block
+//     is the next window, found without the level scan.
 
 import (
 	"math"
@@ -166,14 +131,14 @@ func (s *Simulator) cascade(b int) {
 // horizon) can never land behind the cursor.
 func (s *Simulator) wheelNext(until int64) bool {
 	until >>= tickBits
+	// Every level ≥ 1 bucket starts past the cursor's 64-tick block, so
+	// a level-0 window inside that block is the next one.
+	if e0 := s.window0(); e0>>wheelBits == s.cur>>wheelBits && e0 <= until {
+		s.cur = e0
+		return true
+	}
 	for {
-		// Level-0 candidate: exact to the tick, since level 0 holds at
-		// most the 64 windows from the cursor on.
-		e0 := int64(math.MaxInt64)
-		if s.occ[0] != 0 {
-			ci := int(uint64(s.cur) & wheelMask)
-			e0 = s.cur + int64(bits.TrailingZeros64(bits.RotateLeft64(s.occ[0], -ci)))
-		}
+		e0 := s.window0()
 
 		// Earliest possible tick among levels ≥ 1: a lower bound, the
 		// range start of the earliest occupied bucket.
@@ -238,12 +203,21 @@ func (s *Simulator) wheelNext(until int64) bool {
 	}
 }
 
+// window0 returns the earliest occupied level-0 window, exact to the
+// tick since level 0 holds at most the 64 windows from the cursor on,
+// or math.MaxInt64 when level 0 is empty.
+func (s *Simulator) window0() int64 {
+	if s.occ[0] == 0 {
+		return math.MaxInt64
+	}
+	ci := int(uint64(s.cur) & wheelMask)
+	return s.cur + int64(bits.TrailingZeros64(bits.RotateLeft64(s.occ[0], -ci)))
+}
+
 // NextEventAt returns the exact deadline of the earliest pending
-// event, or false when nothing is pending. It walks every bucket list
-// — O(pending) — which is fine for its audience: the real-time driver
-// (the UDP wire backend's reactor) that runs a private Simulator at
-// wall-clock pace and needs to know how long to sleep between
-// Run(now) calls. The hot simulation loop never calls it.
+// event, or false when nothing is pending. It walks every bucket list,
+// O(pending): it is for the UDP wire backend's reactor, which runs a
+// private Simulator at wall-clock pace; the simulation never calls it.
 func (s *Simulator) NextEventAt() (time.Duration, bool) {
 	if s.npending == 0 {
 		return 0, false

@@ -189,6 +189,11 @@ type wheelOps struct {
 	log      *[]int64
 	cbRng    *rand.Rand
 	stopNow  bool // read by the StopWhen predicate
+
+	// inBucket and acrossBucket count the Resets of a level ≥ 1 timer
+	// to a deadline inside its bucket's range (left on its list) and
+	// outside it (placed anew).
+	inBucket, acrossBucket int
 }
 
 func (w *wheelOps) now() time.Duration { return w.sim.Now() }
@@ -212,6 +217,13 @@ func (w *wheelOps) armReserved(d time.Duration) {
 	w.hs = append(w.hs, w.sim.armSlot(w.sim.after(d), seq, wheelFired, w, len(w.hs)))
 }
 func (w *wheelOps) reset(h int, d time.Duration) bool {
+	if lo, width, ok := w.bucketRange(h); ok {
+		if at := w.sim.after(d); at >= lo && at < lo+width {
+			w.inBucket++
+		} else {
+			w.acrossBucket++
+		}
+	}
 	nt, ok := w.hs[h].Reset(d)
 	if ok {
 		w.hs[h] = nt
@@ -219,6 +231,21 @@ func (w *wheelOps) reset(h int, d time.Duration) bool {
 	return ok
 }
 func (w *wheelOps) stop(h int) bool { return w.hs[h].Stop() }
+
+// bucketRange returns the time range of handle h's bucket when h is
+// pending on a level ≥ 1 bucket.
+func (w *wheelOps) bucketRange(h int) (lo, width time.Duration, ok bool) {
+	t := w.hs[h]
+	if !t.Active() {
+		return 0, 0, false
+	}
+	sl := &w.sim.slots[t.idx]
+	shift := tickBits + wheelBits*uint(sl.bucket>>wheelBits)
+	if shift == tickBits {
+		return 0, 0, false
+	}
+	return sl.at >> shift << shift, time.Duration(1) << shift, true
+}
 
 // halt alternates the two ways a callback can pause Run mid-window.
 func (w *wheelOps) halt() {
@@ -391,6 +418,24 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 					continue
 				}
 				h, d := pickHandle(rng, w.handles()), randomDelay(rng)
+				lo, width, ok := w.bucketRange(h)
+				for try := 0; try < 8 && !ok && choice < 54; try++ {
+					h = pickHandle(rng, w.handles())
+					lo, width, ok = w.bucketRange(h)
+				}
+				if ok && choice < 54 {
+					// A level ≥ 1 timer: to a deadline in its bucket's
+					// range, left where it is, in the next range, or in
+					// the same slot a lap on.
+					at := lo + time.Duration(rng.Int63n(int64(width)))
+					switch choice {
+					case 51, 52:
+						at += width
+					case 53:
+						at += wheelSlots * width
+					}
+					d = at - sim.Now()
+				}
 				if ok, refOK := w.reset(h, d), r.reset(h, d); ok != refOK {
 					t.Fatalf("seed %d op %d: Reset(%d) = %v, reference %v", seed, op, h, ok, refOK)
 				}
@@ -432,6 +477,10 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 		for sim.Pending() > 0 || ref.pending() > 0 { // a callback may pause a RunAll
 			run(ops, math.MaxInt64)
 		}
+		if w.inBucket == 0 || w.acrossBucket == 0 {
+			t.Fatalf("seed %d: %d Resets of a level ≥ 1 timer within its bucket's range, %d across; want both",
+				seed, w.inBucket, w.acrossBucket)
+		}
 	}
 }
 
@@ -439,9 +488,10 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 // alone does not show: a stale occupancy bit or a broken back-link can
 // leave it intact. Every list's links and bucket fields agree, each
 // occupancy bit is set exactly when its list is non-empty, each
-// level-0 list holds one window in (deadline, seq) order, and the
-// lists hold Pending() slots between them. It returns "" when all
-// hold.
+// level-0 list holds one window in (deadline, seq) order, each level
+// ≥ 1 list one range that spans all its deadlines and starts past the
+// cursor, at most a lap ahead of it, and the lists hold Pending() slots
+// between them. It returns "" when all hold.
 func auditWheel(s *Simulator) string {
 	listed := 0
 	for b := range s.bhead {
@@ -459,6 +509,11 @@ func auditWheel(s *Simulator) string {
 				return fmt.Sprintf("bucket %d: the list has a cycle", b)
 			}
 			if lvl != 0 {
+				shift := uint(wheelBits * lvl)
+				lap, head := int64(sl.at)>>tickBits>>shift, int64(s.slots[s.bhead[b]].at)>>tickBits>>shift
+				if int(lap&wheelMask) != slot || lap != head || lap<<shift <= s.cur || lap > s.cur>>shift+wheelSlots {
+					return fmt.Sprintf("bucket %d: slot %d at %v, head at %v, cursor at tick %d", b, i, sl.at, s.slots[s.bhead[b]].at, s.cur)
+				}
 				continue
 			}
 			if et := int64(sl.at) >> tickBits; int(et&wheelMask) != slot || et < s.cur || et >= s.cur+wheelSlots {
@@ -672,6 +727,90 @@ func TestResetTakesFreshSeq(t *testing.T) {
 	s.RunAll()
 	if len(rec.got) != 2 || rec.got[0] != 1 || rec.got[1] != 0 {
 		t.Fatalf("fired %v, want [1 0] (reset timer joins the tie-break queue last)", rec.got)
+	}
+}
+
+// TestResetInBucketMatchesStopSchedule moves a level-1 timer within its
+// bucket's range: the Reset places nothing, and the engine fires what
+// Stop followed by a new Schedule fires, in the same order.
+func TestResetInBucketMatchesStopSchedule(t *testing.T) {
+	// A level-1 bucket spans 2^18 ns; ticks 192–255 of it are
+	// 786 432–1 048 575 ns, all 1 ms or so ahead of a cursor at 0.
+	const lo, hi = 786_432 * time.Nanosecond, 1_048_575 * time.Nanosecond
+	run := func(inPlace bool) []int {
+		s := NewSimulator()
+		rec := &fireRecorder{}
+		tm := s.ScheduleEvent(hi, recordFireEv, rec, 0)
+		s.ScheduleEvent(lo, recordFireEv, rec, 1)
+		s.ScheduleEvent(900*time.Microsecond, recordFireEv, rec, 2)
+		if b := s.slots[tm.idx].bucket; b>>wheelBits != 1 {
+			t.Fatalf("timer armed %v ahead sits in bucket %d, want level 1", hi, b)
+		}
+		placed := s.Placed
+		if inPlace {
+			if _, ok := tm.Reset(900 * time.Microsecond); !ok {
+				t.Fatal("Reset of a pending timer failed")
+			}
+			if s.Placed != placed {
+				t.Fatalf("in-range Reset placed %d times, want 0", s.Placed-placed)
+			}
+		} else {
+			tm.Stop()
+			s.ScheduleEvent(900*time.Microsecond, recordFireEv, rec, 0)
+		}
+		s.ScheduleEvent(900*time.Microsecond, recordFireEv, rec, 3)
+		s.RunAll()
+		return rec.got
+	}
+	got, want := run(true), run(false)
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got) != "[1 2 0 3]" {
+		t.Fatalf("Reset fired %v, Stop + Schedule %v; want both [1 2 0 3]", got, want)
+	}
+}
+
+// TestNextWindowAtLevelOneBoundary puts the next level-0 window on the
+// last tick of the cursor's 64-tick block and a level-1 bucket right at
+// the boundary after it. The window fires first; its callback arms into
+// the boundary's window, which the level-1 bucket, armed earlier at the
+// same deadline, must still reach first.
+func TestNextWindowAtLevelOneBoundary(t *testing.T) {
+	s := NewSimulator()
+	rec := &fireRecorder{}
+	last, boundary := 63*tick, 64*tick
+	tb := s.ScheduleEventAt(boundary, recordFireEv, rec, 1)
+	s.ScheduleEventAt(last, func(ctx, arg any) {
+		recordFireEv(ctx, arg)
+		s.ScheduleEventAt(boundary, recordFireEv, rec, 2)
+	}, rec, 0)
+	if b := s.slots[tb.idx].bucket; b != wheelSlots+1 {
+		t.Fatalf("deadline %v armed at the cursor sits in bucket %d, want level 1 slot 1", boundary, b)
+	}
+	if end := s.Run(last); end != last || fmt.Sprint(rec.got) != "[0]" || s.cur != 63 || s.Cascades != 0 {
+		t.Fatalf("Run(%v) = %v fired %v, cursor %d after %d cascades; want the last window alone", last, end, rec.got, s.cur, s.Cascades)
+	}
+	s.RunAll()
+	if fmt.Sprint(rec.got) != "[0 1 2]" || s.cur != 64 || s.Cascades != 1 {
+		t.Fatalf("fired %v, cursor %d after %d cascades; want [0 1 2] at 64 after 1", rec.got, s.cur, s.Cascades)
+	}
+}
+
+// TestNextWindowAfterTiedCascade has a level-1 and a level-2 bucket
+// start on the same tick. Cascading the first puts its event in the
+// cursor's own 64-tick block, but the level-2 bucket, which starts at
+// the cursor, holds an earlier one: the next window is only known once
+// both have cascaded.
+func TestNextWindowAfterTiedCascade(t *testing.T) {
+	s := NewSimulator()
+	rec := &fireRecorder{}
+	boundary := time.Duration(wheelSlots*wheelSlots) * tick
+	s.ScheduleEventAt(boundary+3*tick, recordFireEv, rec, 1) // level 2 from tick 0
+	s.ScheduleEventAt(10*tick, func(ctx, arg any) {
+		recordFireEv(ctx, arg)
+		s.ScheduleEventAt(boundary+5*tick, recordFireEv, rec, 2) // level 1 from tick 10
+	}, rec, 0)
+	s.RunAll()
+	if fmt.Sprint(rec.got) != "[0 1 2]" || s.Cascades != 2 {
+		t.Fatalf("fired %v after %d cascades, want [0 1 2] after 2", rec.got, s.Cascades)
 	}
 }
 

@@ -173,13 +173,20 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 		}
 	}
 
+	// The shard halts at the event that completes its last flow; aborted
+	// flows (dead paths) drain the event queue on their own.
+	if scr.countDone == nil {
+		scr.countDone = func(time.Duration) {
+			if scr.done++; scr.done == scr.flows {
+				scr.sim.Halt()
+			}
+		}
+	}
+	scr.done, scr.flows = 0, len(flows)
+
 	// Flows are spread round-robin: flow i downloads from server
 	// i%Servers to client i%NumClients, so every leaf and every branch
 	// carries its share of the population.
-	if scr.countDone == nil {
-		scr.countDone = func(time.Duration) { scr.done++ }
-	}
-	scr.done = 0
 	for i, fs := range flows {
 		s := i % len(tree.Servers)
 		c := i % tree.NumClients()
@@ -192,10 +199,6 @@ func (scr *Scratch) RunFleetShard(j FleetJob) ShardResult {
 		f.StartAt(sim, fs.Start)
 	}
 	slots := scr.slots[:len(flows)]
-	// Stop as soon as the whole population has finished; abandoned
-	// flows (dead-path aborts) drain the event queue on their own.
-	sim.StopWhen(func() bool { return scr.done == len(flows) })
-	defer sim.StopWhen(nil)
 
 	if j.Impair != nil {
 		j.Impair(FleetChaosEnv{Sim: sim, Tree: tree, Seed: fl.Seed})

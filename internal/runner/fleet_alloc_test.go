@@ -28,7 +28,7 @@ func skipAllocCount(t *testing.T) {
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fleetShardAllocs = 6494
+const fleetShardAllocs = 6493
 
 // fleetShardFired and fleetShardPlaced are the events that replay
 // fires and the timing-wheel placements they cost (netsim.Simulator
@@ -37,7 +37,7 @@ const fleetShardAllocs = 6494
 // are armed does. The warm replay must read the same two numbers.
 const (
 	fleetShardFired  = 130077
-	fleetShardPlaced = 156484
+	fleetShardPlaced = 144238
 )
 
 // TestFleetShardAllocBudget is the alloc gate of the population hot
@@ -74,11 +74,11 @@ func checkShardWork(t *testing.T, sim *netsim.Simulator) {
 
 // warmFleetShardAllocs is the number of mallocs the same shard makes
 // on a Scratch that has run it before, whose engine, flow slab and tree
-// are grown: what is left is the shard's flow list, the stop predicate
-// and the result (a slot's flow and its controller are reset in place,
-// the tree and its demuxes with them). The constant has no per-flow
-// term, so one allocation added to a flow's set-up shows ×400.
-const warmFleetShardAllocs = 7
+// are grown: what is left is the shard's flow list and the result (a
+// slot's flow and its controller are reset in place, the tree and its
+// demuxes with them). The constant has no per-flow term, so one
+// allocation added to a flow's set-up shows ×400.
+const warmFleetShardAllocs = 6
 
 // TestWarmFleetShardAllocBudget is the alloc gate of warm flows (part
 // of `make allocgate`).

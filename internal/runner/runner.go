@@ -119,10 +119,11 @@ type Scratch struct {
 	srvMux []*tcp.Demux
 	cliMux []*tcp.Demux
 
-	// done counts the running fleet shard's completed flows; countDone,
-	// bound once, is the OnComplete hook that counts them.
-	done      int
-	countDone func(time.Duration)
+	// done counts the running fleet shard's completed flows out of
+	// flows; countDone, bound once, is the OnComplete hook that counts
+	// them and halts the engine at the last.
+	done, flows int
+	countDone   func(time.Duration)
 }
 
 // slot is one flow of a Scratch's slab and the controllers it can run

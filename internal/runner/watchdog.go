@@ -83,7 +83,7 @@ func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration) (tim
 		return sim.Run(horizon), nil
 	}
 	// The caller may already have a semantic stop condition installed
-	// (RunFleetShard's all-flows-done early exit). The watchdog must not
+	// (Fig. 9's stop at slow-start exit). The watchdog must not
 	// replace it: the run stops when either predicate fires, and the
 	// caller's predicate is restored on return.
 	caller := sim.StopPred()

@@ -792,14 +792,17 @@ func (s *Sender) armTLP() {
 	if s.finished || !s.tlpArmed || s.inflight <= 0 || s.tlpTimer.Active() {
 		return
 	}
+	s.tlpTimer = s.sim.ScheduleEvent(s.pto(), senderFireTLPEv, s, nil)
+}
+
+// pto is the tail loss probe's timeout: two smoothed RTTs, at most
+// half the RTO and at least 10 ms.
+func (s *Sender) pto() time.Duration {
 	pto := 2 * s.rtt.SRTT()
 	if pto == 0 || pto > s.rtt.RTO()/2 {
 		pto = s.rtt.RTO() / 2
 	}
-	if pto < 10*time.Millisecond {
-		pto = 10 * time.Millisecond
-	}
-	s.tlpTimer = s.sim.ScheduleEvent(pto, senderFireTLPEv, s, nil)
+	return max(pto, 10*time.Millisecond)
 }
 
 // fireTLP retransmits the highest outstanding segment once per flight,
@@ -838,22 +841,29 @@ func (s *Sender) fireTLP() {
 	s.emit(seg, l, true)
 }
 
+// resetRTO restarts the RTO, then the tail loss probe, or stops both
+// when nothing is left to guard. A pending timer is rearmed with
+// Timer.Reset, which mostly leaves it in its wheel bucket and takes a
+// fresh arm sequence as a new Schedule would, so ordering is as if both
+// were stopped and scheduled anew.
 func (s *Sender) resetRTO() {
-	s.tlpTimer.Stop()
 	if s.finished || s.failed || !s.rtoNeeded() {
+		s.tlpTimer.Stop()
 		s.rtoTimer.Stop()
 		return
 	}
-	// Rearm in place when the timer is still pending: one O(1) wheel
-	// unlink+relink instead of Stop + slot release + fresh Schedule.
-	// Reset takes a fresh arm sequence number, so same-deadline
-	// ordering is identical to the Stop+Schedule path it replaces.
 	if t, ok := s.rtoTimer.Reset(s.rtt.RTO()); ok {
 		s.rtoTimer = t
 	} else {
 		s.rtoTimer = s.sim.ScheduleEvent(s.rtt.RTO(), senderFireRTOEv, s, nil)
 	}
-	s.armTLP()
+	if !s.tlpArmed || s.inflight <= 0 {
+		s.tlpTimer.Stop()
+	} else if t, ok := s.tlpTimer.Reset(s.pto()); ok {
+		s.tlpTimer = t
+	} else {
+		s.tlpTimer = s.sim.ScheduleEvent(s.pto(), senderFireTLPEv, s, nil)
+	}
 }
 
 func (s *Sender) fireRTO() {

@@ -58,16 +58,17 @@ var (
 	ErrFrameSize   = errors.New("wire: frame exceeds the 16-bit IP total length")
 )
 
-// ipChecksum is the RFC 1071 ones-complement sum over the IPv4
-// header, with the checksum field taken as zero by the caller.
+// ipChecksum is the RFC 1071 ones-complement sum over the 20-byte
+// IPv4 header h, its checksum field taken as zero: the nine other
+// 16-bit words are summed and the field itself is never read.
 func ipChecksum(h []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(h); i += 2 {
-		sum += uint32(h[i])<<8 | uint32(h[i+1])
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
+	h = h[:IPHeaderLen]
+	be := binary.BigEndian
+	sum := uint32(be.Uint16(h[0:])) + uint32(be.Uint16(h[2:])) + uint32(be.Uint16(h[4:])) +
+		uint32(be.Uint16(h[6:])) + uint32(be.Uint16(h[8:])) + uint32(be.Uint16(h[12:])) +
+		uint32(be.Uint16(h[14:])) + uint32(be.Uint16(h[16:])) + uint32(be.Uint16(h[18:]))
+	sum = sum&0xFFFF + sum>>16
+	sum += sum >> 16
 	return ^uint16(sum)
 }
 
@@ -143,7 +144,6 @@ func EncodeSegment(buf []byte, seg *Segment) (int, error) {
 	binary.BigEndian.PutUint16(ip[6:], 0x4000) // DF
 	ip[8] = 64                                 // TTL
 	ip[9] = 6                                  // TCP
-	ip[10], ip[11] = 0, 0
 	binary.BigEndian.PutUint32(ip[12:], seg.SrcAddr)
 	binary.BigEndian.PutUint32(ip[16:], seg.DstAddr)
 	binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip))
@@ -224,11 +224,7 @@ func DecodeSegment(frame []byte, seg *Segment) (int, error) {
 		return 0, ErrIPProto
 	}
 	ip := frame[:IPHeaderLen]
-	got := binary.BigEndian.Uint16(ip[10:])
-	ip[10], ip[11] = 0, 0
-	want := ipChecksum(ip)
-	binary.BigEndian.PutUint16(ip[10:], got)
-	if got != want {
+	if binary.BigEndian.Uint16(ip[10:]) != ipChecksum(ip) {
 		return 0, ErrIPChecksum
 	}
 	wireLen := int(binary.BigEndian.Uint16(ip[2:]))

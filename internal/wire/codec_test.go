@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -286,6 +287,54 @@ func TestUnwrapTS(t *testing.T) {
 			if got := UnwrapTS(now, WrapTS(sent)); got != sent {
 				t.Fatalf("UnwrapTS(%v, WrapTS(%v)) = %v", now, sent, got)
 			}
+		}
+	}
+}
+
+// TestIPChecksumMatchesRFC1071 holds the nine-word sum to the RFC 1071
+// byte-pair loop over the header with its checksum field zeroed, on
+// random headers and on the all-ones one that carries twice.
+func TestIPChecksumMatchesRFC1071(t *testing.T) {
+	ref := func(h []byte) uint16 {
+		z := bytes.Clone(h)
+		z[10], z[11] = 0, 0
+		var sum uint32
+		for i := 0; i+1 < len(z); i += 2 {
+			sum += uint32(z[i])<<8 | uint32(z[i+1])
+		}
+		for sum>>16 != 0 {
+			sum = sum&0xFFFF + sum>>16
+		}
+		return ^uint16(sum)
+	}
+	rng := rand.New(rand.NewSource(1))
+	h := bytes.Repeat([]byte{0xFF}, IPHeaderLen)
+	for i := 0; i < 100_000; i++ {
+		if got, want := ipChecksum(h), ref(h); got != want {
+			t.Fatalf("header % x: ipChecksum %#04x, RFC 1071 %#04x", h, got, want)
+		}
+		rng.Read(h)
+	}
+}
+
+// TestDecodeLeavesFrameUnwritten checks that a decode, accepted or
+// refused for its checksum, reads the frame and never writes it.
+func TestDecodeLeavesFrameUnwritten(t *testing.T) {
+	seg := &Segment{Flags: FlagACK, Window: 65535, HasTS: true, TSVal: 1, TSEcr: 2, PayloadLen: 100}
+	good, _ := mustEncode(t, seg)
+	bad := bytes.Clone(good)
+	bad[11] ^= 1
+	for _, c := range []struct {
+		frame []byte
+		want  error
+	}{{good, nil}, {bad, ErrIPChecksum}} {
+		was := bytes.Clone(c.frame)
+		var out Segment
+		if _, err := DecodeSegment(c.frame, &out); !errors.Is(err, c.want) {
+			t.Fatalf("decode of % x: %v, want %v", c.frame[:IPHeaderLen], err, c.want)
+		}
+		if !bytes.Equal(c.frame, was) {
+			t.Fatalf("decode wrote into the frame: % x, was % x", c.frame, was)
 		}
 	}
 }

@@ -16,7 +16,6 @@
 package simbackend
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -32,12 +31,19 @@ var _ [netsim.MaxFrameLen - wire.MaxHeaderLen]struct{}
 // terminating there, so several flows can share one host (the paper's
 // Fig. 16 workload reuses client-server pairs for sequential flows).
 //
-// The conns are kept sorted by flow ID and found by binary search.
-// Every caller registers its flows in increasing ID order, so the
-// insert is an append; there is no map on the packet path, and so no
-// hash seed that could make two runs allocate differently.
+// The routes are kept sorted by flow ID and found by binary search
+// over the IDs stored inline, so a probe reads no conn. Every caller
+// registers its flows in increasing ID order, so the insert is an
+// append; there is no map on the packet path, and so no hash seed that
+// could make two runs allocate differently.
 type Demux struct {
-	conns []*Conn
+	routes []route
+}
+
+// route is one registration: the flow and the conn it terminates at.
+type route struct {
+	flow netsim.FlowID
+	conn *Conn
 }
 
 // NewDemux installs a demultiplexer as the host's packet handler.
@@ -52,24 +58,32 @@ func NewDemux(host *netsim.Host) *Demux {
 
 func (d *Demux) deliver(pkt *netsim.Packet) {
 	if i, ok := d.search(pkt.Flow); ok {
-		d.conns[i].deliver(pkt)
+		d.routes[i].conn.deliver(pkt)
 	} else {
 		pkt.Release()
 	}
 }
 
-// search returns the index of flow id's conn, or where it would go.
+// search returns the index of flow id's route, or where it would go.
 func (d *Demux) search(id netsim.FlowID) (int, bool) {
-	return slices.BinarySearchFunc(d.conns, id, func(c *Conn, id netsim.FlowID) int { return cmp.Compare(c.flow, id) })
+	lo, hi := 0, len(d.routes)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); d.routes[m].flow < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(d.routes) && d.routes[lo].flow == id
 }
 
 // register routes packets of c's flow to c, replacing any previous
 // registration of that flow.
 func (d *Demux) register(c *Conn) {
 	if i, ok := d.search(c.flow); ok {
-		d.conns[i] = c
+		d.routes[i].conn = c
 	} else {
-		d.conns = slices.Insert(d.conns, i, c)
+		d.routes = slices.Insert(d.routes, i, route{c.flow, c})
 	}
 }
 
@@ -77,14 +91,14 @@ func (d *Demux) register(c *Conn) {
 // host and the capacity it grew: the demux NewDemux gives, for a
 // topology that outlives the flows of one simulation.
 func (d *Demux) Reset() {
-	clear(d.conns)
-	d.conns = d.conns[:0]
+	clear(d.routes)
+	d.routes = d.routes[:0]
 }
 
 // Unregister removes a flow's conn.
 func (d *Demux) Unregister(id netsim.FlowID) {
 	if i, ok := d.search(id); ok {
-		d.conns = slices.Delete(d.conns, i, i+1)
+		d.routes = slices.Delete(d.routes, i, i+1)
 	}
 }
 
