@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet archgate test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults identity loc locgate bench-smoke clean
+.PHONY: check build vet archgate detknobs test testdebug race allocgate chaos interop fuzz-short fleet-smoke fleet-chaos sussd-smoke sussd-faults identity loc locgate bench-smoke clean
 
 # The full gate CI runs: build + vet + tests (including the
 # AllocsPerRun zero-allocation gates in internal/netsim) + the
@@ -16,6 +16,25 @@ build:
 vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
+
+# Bytes that do not depend on the process: the identity table
+# (TestBehaviourDigest) and the CLI's quick render (TestQuickRenderGolden)
+# run unchanged once per runtime knob — FMA off, AVX2 off (the CPU
+# features the runtime and the stdlib pick code by), one P, the collector
+# off, and the collector at every turn. The test binaries are built
+# first, so each knob acts on the test process only, never on the go
+# command. A leg that fails is a determinism bug with a reproducer.
+DETKNOBS = GODEBUG=cpu.fma=off GODEBUG=cpu.avx2=off GOMAXPROCS=1 GOGC=off GOGC=1
+
+detknobs:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -o "$$dir/service.test" ./internal/service || exit 1; \
+	$(GO) test -c -o "$$dir/sussbench.test" ./cmd/sussbench || exit 1; \
+	for knob in $(DETKNOBS); do \
+		echo "detknobs: $$knob"; \
+		(cd internal/service && env $$knob "$$dir/service.test" -test.count=1 -test.run '^TestBehaviourDigest$$') || exit 1; \
+		(cd cmd/sussbench && env $$knob "$$dir/sussbench.test" -test.count=1 -test.run '^TestQuickRenderGolden$$') || exit 1; \
+	done
 
 # Bytes that do not depend on the CPU. The Go spec lets a compiler fuse
 # x*y + z into one multiply-add that rounds once instead of twice;
@@ -117,15 +136,16 @@ interop:
 
 # Short fuzz passes over the strict segment decoder, the cache key
 # (every scalar of a Job, explicit renderer against the reflective
-# reference, alone and as a matrix's memoized keys) and the strict
-# fig11 cell-record parser (against
-# encoding/json): enough iterations to catch regressions in CI without
-# open-ended fuzzing.
+# reference, alone and as a matrix's memoized keys), the strict
+# fig11 cell-record parser (against encoding/json) and the fig11 CSV's
+# fixed-precision float formatter (against strconv's 'f' form): enough
+# iterations to catch regressions in CI without open-ended fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzJobKeyMatchesOracle -fuzztime 30s ./internal/service/confhash
 	$(GO) test -run '^$$' -fuzz FuzzJobKeysMatchOracle -fuzztime 30s ./internal/service/confhash
 	$(GO) test -run '^$$' -fuzz FuzzJobCellRecord -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzAppendFixed -fuzztime 30s ./internal/experiments
 
 # Population smoke under -race: a 10k-flow fleet over 4 shared
 # bottleneck trees, SUSS off vs on over the identical population, run

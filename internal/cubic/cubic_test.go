@@ -198,6 +198,34 @@ func TestHyStartAckTrainExit(t *testing.T) {
 	}
 }
 
+// TestHyStartAckTrainBoundary: a train spanning exactly minRTT/2 from
+// the round start stays in slow start; the next ACK, a nanosecond past
+// it, exits.
+func TestHyStartAckTrainBoundary(t *testing.T) {
+	c, env := newTestCubic(DefaultOptions())
+	c.SetCwndSegments(64)
+	mss := env.mss
+	env.now = 100 * time.Millisecond
+	c.OnAck(ackEvent(env, mss, 1448, 1448*300, 100*time.Millisecond)) // minRTT = 100 ms
+
+	var cum int64 = 1448 * 300
+	env.now = 200 * time.Millisecond // the new round's start
+	c.OnAck(ackEvent(env, mss, cum+1448, cum+1448*300, 100*time.Millisecond))
+	for env.now < 250*time.Millisecond {
+		env.now += 2 * time.Millisecond
+		cum += 1448
+		c.OnAck(ackEvent(env, mss, cum, cum+1448*300, 100*time.Millisecond))
+	}
+	if !c.InSlowStart() {
+		t.Fatal("a train spanning exactly minRTT/2 exited slow start")
+	}
+	env.now += time.Nanosecond
+	c.OnAck(ackEvent(env, mss, cum+1448, cum+1448*300, 100*time.Millisecond))
+	if c.InSlowStart() || !c.ExitedByHyStart() {
+		t.Fatal("a train spanning minRTT/2 + 1 ns did not exit slow start by HyStart")
+	}
+}
+
 func TestHyStartDelayExit(t *testing.T) {
 	c, env := newTestCubic(DefaultOptions())
 	c.SetCwndSegments(64)

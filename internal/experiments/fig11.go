@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -241,12 +242,61 @@ func (r Fig11Result) WriteCSV(w io.Writer) error {
 				b = append(append(b, lt.String()...), ',')
 				b = append(strconv.AppendInt(b, size, 10), ',')
 				b = append(append(b, a.String()...), ',')
-				b = append(strconv.AppendFloat(b, s.Mean, 'f', 6, 64), ',')
-				b = append(strconv.AppendFloat(b, s.StdDev, 'f', 6, 64), ',')
-				b = append(strconv.AppendFloat(b, r.Improvement[li][si], 'f', 4, 64), '\n')
+				b = append(appendFixed(b, s.Mean, 6), ',')
+				b = append(appendFixed(b, s.StdDev, 6), ',')
+				b = append(appendFixed(b, r.Improvement[li][si], 4), '\n')
 			}
 		}
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// tenPow[k+17] is the least float64 ≥ 10^k, k in [-17, 18], so x ≥
+// tenPow[k+17] is x ≥ 10^k exactly, though 10^k (k < 0) is no float64.
+var tenPow = func() (t [36]float64) {
+	for i := range t {
+		t[i], _ = strconv.ParseFloat("1e"+strconv.Itoa(i-17), 64) // the nearest float64
+		if strconv.FormatFloat(t[i], 'e', 30, 64)[0] == '9' {     // below 10^k
+			t[i] = math.Nextafter(t[i], 1)
+		}
+	}
+	return t
+}()
+
+// appendFixed appends strconv.AppendFloat(b, x, 'f', prec, 64), which
+// only strconv's multiprecision path formats. It asks for the same n
+// digits in 'e' form, which its fast path rounds alike (to nearest, ties
+// to even) when n ≤ 18 and 10^-17 ≤ |x| < 10^18, and lays them out as
+// 'f' does; otherwise it calls 'f'.
+func appendFixed(b []byte, x float64, prec int) []byte {
+	ax := math.Abs(x)
+	_, e2 := math.Frexp(ax)
+	e, in := (e2-1)*78913>>18, ax >= tenPow[0] && ax < tenPow[35] // e = floor((e2-1)·log10 2)
+	if in && ax >= tenPow[e+18] {
+		e++ // now e = floor(log10(ax)), and 'f' prints n = e+1+prec digits
+	}
+	if !in || prec < 0 || e+prec < 0 || e+prec > 17 {
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	var buf [32]byte
+	d := strconv.AppendFloat(buf[:0], ax, 'e', e+prec, 64) // D.DDDe±XX, or De±XX
+	ex, _ := strconv.Atoi(string(d[len(d)-3:]))            // ±XX: |ex| ≤ 18 has two digits
+	digits := append(d[:1], d[2:e+prec+2]...)
+	if ex != e { // rounding carried to 10^(e+1), one digit longer in 'f'
+		digits = append(digits, '0')
+	}
+	if math.Signbit(x) {
+		b = append(b, '-')
+	}
+	if ex < 0 {
+		for b = append(b, "0."...); ex < -1; ex++ {
+			b = append(b, '0')
+		}
+		return append(b, digits...)
+	}
+	if b = append(b, digits[:ex+1]...); prec > 0 {
+		b = append(append(b, '.'), digits[ex+1:]...)
+	}
+	return b
 }

@@ -27,20 +27,11 @@ package netsim
 // sequestered (never recycled) so stale pointers cannot be
 // revalidated by reuse.
 //
-// Growth and lives. Get serves a released packet when there is one and
-// otherwise the next never-used packet of the current slab, growing by
-// a slab (slabMin packets, doubling to slabMax) only when every slab is
-// used up — one allocation per slab, not one per packet, and the
-// packets of a flight sit next to each other in memory. Simulator.Reset
-// starts a new life: the free list is dropped and the never-used cursor
-// goes back to the first packet of the first slab, so a reused pool
-// hands out the same packets in the same (address) order as a fresh
-// one and never allocates until a cell needs more than any before it.
-// Carrying the free list over instead would hand the next cell its
-// packets in the order the last one happened to release them; measured
-// on the six bulk_steady cells, that address-scrambled flight costs
-// 10–18 % against the address-ordered restart (DESIGN.md "Memory
-// reuse").
+// Growth and lives. Get serves a released packet, else the next
+// never-used one, growing by a slab only when every slab is used up.
+// Simulator.Reset drops the free list and restarts at the first packet,
+// so a reused pool hands packets out in a fresh one's address order
+// (DESIGN.md "Memory reuse" gives the measured reason).
 type PacketPool struct {
 	// slabs are kept for as long as the pool is; this life has opened
 	// the first `opened` of them, and fresh is what it has not handed out

@@ -29,6 +29,22 @@ func TestDropTailBasics(t *testing.T) {
 	}
 }
 
+// TestDropTailLimitBoundary: a queue of limit L holds packets totalling
+// exactly L bytes, and tail-drops a packet one byte past it.
+func TestDropTailLimitBoundary(t *testing.T) {
+	q := NewDropTail(2500)
+	if !q.Enqueue(0, &Packet{Size: 1500}) || !q.Enqueue(0, &Packet{Size: 1000}) {
+		t.Fatal("packets totalling exactly the limit refused")
+	}
+	if q.Enqueue(0, &Packet{Size: 1}) {
+		t.Fatal("a byte past the limit accepted")
+	}
+	q.Dequeue(0)
+	if !q.Enqueue(0, &Packet{Size: 1500}) || q.Enqueue(0, &Packet{Size: 1}) || q.Bytes() != 2500 {
+		t.Fatalf("refilled to the limit: %d bytes queued, want 2500 and the next byte dropped", q.Bytes())
+	}
+}
+
 func TestCoDelPassesLowDelayTraffic(t *testing.T) {
 	q := NewCoDel(1 << 20).(*CoDel)
 	now := time.Duration(0)

@@ -1,24 +1,12 @@
 // Package netsim implements a deterministic discrete-event network
 // simulator: an event loop with a virtual clock, links with finite
 // rate, propagation delay and drop-tail queues, routers, hosts, and
-// topology builders (multi-hop paths and dumbbells).
-//
-// The simulator is single-threaded. All component callbacks run inside
-// Simulator.Run, ordered by virtual time with FIFO tie-breaking, so no
-// locking is needed anywhere in the stack built on top of it.
-//
-// The event core is allocation-free in steady state: timers live in a
-// pooled, generation-counted arena owned by the Simulator, and the
-// capture-free ScheduleEvent/ScheduleEventAt entry points let hot
-// paths (link serialization, RTO re-arming) schedule without building
-// a closure per event. Slots are recycled the moment a timer fires or
-// is stopped; a Timer handle carries the slot's generation so a Stop
-// on a recycled handle is a detected no-op.
-//
-// Pending timers live in a hierarchical timing wheel rather than a
-// comparison heap (see wheel.go): Schedule, Stop, and Reset link or
-// unlink one slot, and Run fires each 4 µs window from its bucket list,
-// which the wheel keeps in dispatch order.
+// topology builders (multi-hop paths and dumbbells). It is
+// single-threaded: every callback runs inside Simulator.Run, in virtual
+// time order with FIFO ties, so nothing built on it locks. Timers live
+// in a pooled, generation-counted arena, indexed by a hierarchical
+// timing wheel (wheel.go); DESIGN.md ("Memory reuse", "Event
+// scheduler") gives both.
 package netsim
 
 import (

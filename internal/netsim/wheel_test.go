@@ -84,6 +84,15 @@ func (r *refSched) reset(h int, d time.Duration) bool {
 
 func (r *refSched) pending() int { return len(r.alive) }
 
+// last returns the latest pending deadline, or now when idle.
+func (r *refSched) last() time.Duration {
+	at := r.now
+	for _, h := range r.alive {
+		at = max(at, r.timers[h].at)
+	}
+	return at
+}
+
 // next returns the handle of the (at, seq) minimum, -1 when idle.
 func (r *refSched) next() int {
 	best := -1
@@ -194,15 +203,32 @@ type wheelOps struct {
 	// to a deadline inside its bucket's range (left on its list) and
 	// outside it (placed anew).
 	inBucket, acrossBucket int
+	// level[h] is the wheel level handle h was last placed on by an arm
+	// or a Reset; since only a cascade moves a timer between those, one
+	// that fires from level L ≥ 1 counts in fromLevel[L].
+	level     []int
+	fromLevel [wheelLevels]int
+}
+
+// placed records the level of the timer just armed or reset on h.
+func (w *wheelOps) placed(h int) {
+	for len(w.level) <= h {
+		w.level = append(w.level, 0)
+	}
+	if t := w.hs[h]; t.Active() {
+		w.level[h] = int(w.sim.slots[t.idx].bucket) / wheelSlots
+	}
 }
 
 func (w *wheelOps) now() time.Duration { return w.sim.Now() }
 func (w *wheelOps) handles() int       { return len(w.hs) }
 func (w *wheelOps) armAt(at time.Duration) {
 	w.hs = append(w.hs, w.sim.ScheduleEventAt(at, wheelFired, w, len(w.hs)))
+	w.placed(len(w.hs) - 1)
 }
 func (w *wheelOps) arm(d time.Duration) {
 	w.hs = append(w.hs, w.sim.ScheduleEvent(d, wheelFired, w, len(w.hs)))
+	w.placed(len(w.hs) - 1)
 }
 func (w *wheelOps) reserve() {
 	w.reserved = append(w.reserved, w.sim.seq)
@@ -215,6 +241,7 @@ func (w *wheelOps) armReserved(d time.Duration) {
 	seq := w.reserved[0]
 	w.reserved = w.reserved[1:]
 	w.hs = append(w.hs, w.sim.armSlot(w.sim.after(d), seq, wheelFired, w, len(w.hs)))
+	w.placed(len(w.hs) - 1)
 }
 func (w *wheelOps) reset(h int, d time.Duration) bool {
 	if lo, width, ok := w.bucketRange(h); ok {
@@ -227,6 +254,7 @@ func (w *wheelOps) reset(h int, d time.Duration) bool {
 	nt, ok := w.hs[h].Reset(d)
 	if ok {
 		w.hs[h] = nt
+		w.placed(h)
 	}
 	return ok
 }
@@ -258,6 +286,9 @@ func (w *wheelOps) halt() {
 
 func wheelFired(ctx, arg any) {
 	w := ctx.(*wheelOps)
+	if lvl := w.level[arg.(int)]; lvl > 0 {
+		w.fromLevel[lvl]++
+	}
 	onFire(w, w.cbRng, w.log, arg.(int))
 }
 
@@ -337,6 +368,12 @@ func TestWheelMatchesReferenceScheduler(t *testing.T) {
 // wheelScript drives, per seed, an engine — which must be in the state
 // NewSimulator gives — and a reference scheduler through ops mirrored
 // random operations and holds every observable equal.
+//
+// The clock stays finite: the far advance runs to the latest pending
+// deadline, but no further than a ceiling that rises with the op count
+// to 7/8 of the int64 range. Far deadlines thus pass level-8 bucket
+// boundaries (2^60 ns apart) a few times per seed, and no op runs at
+// the end of time, where every arm would land on one deadline.
 func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator) {
 	t.Helper()
 	for _, seed := range seeds {
@@ -382,7 +419,11 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 		}
 
 		var lastAt time.Duration
+		finite := 0 // ops that ran with the clock below math.MaxInt64
 		for op := 0; op < ops; op++ {
+			if sim.Now() < math.MaxInt64 {
+				finite++
+			}
 			choice := rng.Intn(100)
 			if ref.pending() > 256 && choice < 60 {
 				choice = 60 + rng.Intn(40) // drain: force stop/run ops
@@ -450,7 +491,8 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 			default: // advance
 				switch k := rng.Intn(20); {
 				case k == 0:
-					run(op, math.MaxInt64) // RunAll
+					ceiling := time.Duration(float64(op+1) / float64(ops) * 7 / 8 * math.MaxInt64)
+					run(op, min(ref.last(), ceiling))
 				case k < 6:
 					run(op, sim.Now()+time.Duration(rng.Int63n(int64(2*time.Second))))
 				default:
@@ -474,6 +516,16 @@ func wheelScript(t *testing.T, seeds []int64, ops int, engine func() *Simulator)
 				}
 			}
 		}
+		if finite < ops*9/10 {
+			t.Fatalf("seed %d: %d of %d ops ran with the clock below math.MaxInt64; want 90 %%", seed, finite, ops)
+		}
+		// randomDelay's level 5–8 draws reach the top level.
+		for lvl := 1; lvl < wheelLevels; lvl++ {
+			if w.fromLevel[lvl] == 0 {
+				t.Fatalf("seed %d: no timer fired after a cascade from level %d; fired from levels 1–8: %v", seed, lvl, w.fromLevel[1:])
+			}
+		}
+		t.Logf("seed %d: clock %v at the end, timers fired from levels 1–8: %v", seed, sim.Now(), w.fromLevel[1:])
 		for sim.Pending() > 0 || ref.pending() > 0 { // a callback may pause a RunAll
 			run(ops, math.MaxInt64)
 		}

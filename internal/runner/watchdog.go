@@ -95,8 +95,8 @@ func RunGuarded(sim Engine, reg *obs.Registry, horizon, wall time.Duration) (tim
 	sim.StopWhen(pred)
 	defer sim.StopWhen(caller)
 	t := time.AfterFunc(wall, func() { expired.Store(true) })
+	defer t.Stop() // also when Run panics: the timer must not outlive the run
 	end := sim.Run(horizon)
-	t.Stop()
 	if !expired.Load() {
 		return end, nil
 	}

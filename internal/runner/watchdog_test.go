@@ -93,6 +93,30 @@ func TestRunGuardedNoCallerPredicate(t *testing.T) {
 	}
 }
 
+// TestRunGuardedPanicStopsTimer: a Run that panics, as the wedged and
+// killed shards' do, leaves no timer armed behind it. The predicate the
+// run was given must still read false once the wall budget has passed.
+func TestRunGuardedPanicStopsTimer(t *testing.T) {
+	const wall = 20 * time.Millisecond
+	var pred func() bool
+	eng := &fakeEngine{inRun: func(p func() bool) {
+		pred = p
+		panic("engine blew up")
+	}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RunGuarded swallowed the engine's panic")
+			}
+		}()
+		RunGuarded(eng, nil, time.Second, wall)
+	}()
+	time.Sleep(5 * wall)
+	if pred == nil || pred() {
+		t.Fatal("the panicked run's watchdog timer fired after RunGuarded returned")
+	}
+}
+
 // TestFleetShardWallLimitKeepsEarlyExit is the end-to-end regression
 // from the issue: a wall-limited single-sim fleet shard must stop at
 // population completion, not silently simulate the full horizon, and

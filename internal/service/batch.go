@@ -195,19 +195,10 @@ func (b *batch) status(withCells bool) (JobStatus, int) {
 	return st, b.version
 }
 
-// The fig11 cell record: the subset of a download result the figure's
-// aggregation and CSV consume, as one JSON object. Its text is a frozen
-// on-disk contract like the key it is stored under: every -cachefile
-// holds it. It is exactly what encoding/json wrote for the struct
-//
-//	fct int64 · loss_rate float64 · delivered int64 · segments,
-//	retrans, rtos, drops, peak_queue, max_g, accel_rounds int ·
-//	completed bool · err string
-//
-// in that order, every field but fct and completed omitted when zero.
-// Floats take encoding/json's shortest round-trip form, so a result
-// reassembled from cache produces byte-identical CSV output.
-// encoding/json stays the oracle (cellcodec_test.go).
+// The fig11 cell record is a frozen on-disk contract like its key: the
+// JSON object encoding/json wrote for the result fields the fold reads,
+// in order, all but fct and completed omitted when zero (DESIGN.md,
+// "Cache policy"). encoding/json stays the oracle (cellcodec_test.go).
 
 // jobCellInts are the record's integer fields after loss_rate, in
 // record order; each is omitted when zero.
@@ -286,9 +277,8 @@ func quoteErr(msg string) []byte {
 // errNotCanonical. A record without an error parses without
 // allocating.
 //
-// An error message holding invalid UTF-8 is the one value appendJobCell
-// cannot give back (encoding/json writes it as \ufffd, which reads back
-// as a different string), so its record is refused too and the cell is
+// An error message with invalid UTF-8 does not survive encoding/json
+// (it reads back as \ufffd), so its record is refused too and the cell
 // recomputed each time; simulator errors are ASCII.
 func parseJobCell(j runner.Job, raw []byte) (runner.Result, error) {
 	res := runner.Result{Job: j}
@@ -437,16 +427,18 @@ func encodeShardCell(r runner.FleetResult) ([]byte, error) {
 	return json.Marshal(c)
 }
 
-func decodeShardCell(raw []byte) (runner.FleetResult, error) {
-	var c cellShard
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return runner.FleetResult{}, err
+// loadShardCell is the fleet plan's load: every hit decodes its record
+// anew, since a shard's record holds thousands of flows.
+func loadShardCell(c *Cache, key string, _ int, r *runner.FleetResult) bool {
+	raw, ok := c.Get(key)
+	var cs cellShard
+	if !ok || json.Unmarshal(raw, &cs) != nil {
+		return false
 	}
-	res := runner.FleetResult{ShardResult: c.Shard}
-	if c.Err != "" {
-		res.Err = errors.New(c.Err)
+	if r.ShardResult = cs.Shard; cs.Err != "" {
+		r.Err = errors.New(cs.Err)
 	}
-	return res, nil
+	return true
 }
 
 // plan is what a matrix kind is, as its planner returns it for one
@@ -463,7 +455,9 @@ type plan[R any] struct {
 	// a wall-clock artifact, not a property of the config.
 	run    func(ctx context.Context, i int) (res R, cacheable bool, cellErr error)
 	encode func(R) ([]byte, error)
-	decode func(i int, raw []byte) (R, error)
+	// load reads cell i's record, cached under key, into its result slot
+	// and reports whether it serves the cell.
+	load func(c *Cache, key string, i int, res *R) bool
 	// unrun stands in for a cell the pool never ran to completion (a
 	// captured panic), so fold sees a full matrix.
 	unrun func(i int, err error) R
@@ -483,7 +477,7 @@ var kinds = map[string]planner{
 }
 
 // kindOf erases a typed planner's cell type by binding it to execute.
-// It probes and decodes each cell once, at submit: a cell is a miss if
+// It probes and loads each cell once, at submit: a cell is a miss if
 // the cache has no record for it or one that does not decode.
 func kindOf[R any](p func(*Server, SubmitRequest, int64) (plan[R], error)) planner {
 	return func(s *Server, req SubmitRequest, seed int64) ([]string, []int, func(*batch), error) {
@@ -494,11 +488,7 @@ func kindOf[R any](p func(*Server, SubmitRequest, int64) (plan[R], error)) plann
 		results := make([]R, len(pl.keys))
 		var miss []int
 		for i, key := range pl.keys {
-			raw, ok := s.cache.Get(key)
-			if ok {
-				results[i], err = pl.decode(i, raw)
-			}
-			if !ok || err != nil {
+			if !pl.load(s.cache, key, i, &results[i]) {
 				miss = append(miss, i)
 			}
 		}

@@ -4,31 +4,42 @@ import (
 	"bytes"
 	"sync"
 	"sync/atomic"
+
+	"suss/internal/runner"
 )
 
 // Cache is the content-addressed result store: confhash key → encoded
-// cell result. Entries are immutable once stored (a key is a hash of
-// everything that determines the result, so there is nothing to
-// update) and live for the daemon's lifetime — a simulation cell is a
-// few hundred bytes, so even a week of sweeps is megabytes.
-//
-// With a backing log (NewPersistentCache) every Put is also appended
-// to an append-only record file, and a restarted daemon replays it so
-// persisted cells survive kill -9 — see persist.go for the framing and
-// recovery rules.
+// cell result, immutable once stored and kept for the daemon's lifetime;
+// a fig11 record also keeps its parsed value (parsedCell). With a backing
+// log (NewPersistentCache, persist.go) every Put is also appended to a
+// file that a restarted daemon replays.
 type Cache struct {
 	mu          sync.Mutex
-	entries     map[string][]byte
-	log         *cacheLog // nil = memory-only
+	entries     map[string]record
+	cells       []cellValue // the current block of kept fig11 values
+	log         *cacheLog   // nil = memory-only
 	hits        atomic.Int64
 	misses      atomic.Int64
 	persistErrs atomic.Int64
 	persistErr  error // first append failure, for diagnostics
 }
 
+// record is one entry: the stored bytes and, once a hit has parsed a
+// fig11 record, its value.
+type record struct {
+	raw  []byte
+	cell *cellValue
+}
+
+// cellValue is a fig11 record's value, without the job a hit fills in.
+type cellValue struct {
+	runner.DownloadResult
+	err error
+}
+
 // NewCache returns an empty memory-only cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string][]byte)}
+	return &Cache{entries: make(map[string]record)}
 }
 
 // NewPersistentCache opens (or creates) the record log at path,
@@ -50,9 +61,32 @@ func NewPersistentCache(path string) (*Cache, RecoveryInfo, error) {
 // hits and misses once it runs.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	v, ok := c.entries[key]
+	e, ok := c.entries[key]
 	c.mu.Unlock()
-	return v, ok
+	return e.raw, ok
+}
+
+// parsedCell returns the value of key's fig11 record. The first hit parses
+// the stored bytes and keeps the value (in blocks of 256), so a record
+// is parsed once per daemon lifetime; one that does not parse is a miss
+// until a Put replaces it.
+func (c *Cache) parsedCell(key string) (*cellValue, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if ok && e.cell == nil {
+		r, err := parseJobCell(runner.Job{}, e.raw)
+		if err != nil {
+			return nil, false
+		}
+		if len(c.cells) == cap(c.cells) {
+			c.cells = make([]cellValue, 0, 256)
+		}
+		c.cells = append(c.cells, cellValue{r.DownloadResult, r.Err})
+		e.cell = &c.cells[len(c.cells)-1]
+		c.entries[key] = e
+	}
+	return e.cell, ok
 }
 
 // Put stores an entry and, when the cache is persistent, appends it to
@@ -64,10 +98,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 func (c *Cache) Put(key string, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok && bytes.Equal(old, val) {
+	if old, ok := c.entries[key]; ok && bytes.Equal(old.raw, val) {
 		return
 	}
-	c.entries[key] = val
+	c.entries[key] = record{raw: val}
 	if c.log != nil {
 		if err := c.log.append(key, val); err != nil {
 			if c.persistErr == nil {

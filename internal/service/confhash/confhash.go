@@ -2,20 +2,10 @@
 // experiment jobs: two configs that would produce byte-identical
 // results share a key, and any difference that could change a result
 // changes it. A job is normalized (every default the runner would fill
-// is filled, so a defaulted config and its explicit spelling are one
-// key), rendered by one explicit append function per type of the key
-// graph, and hashed with SHA-256. The rendered text is a frozen on-disk
-// contract, since every cache file is keyed by it: struct fields in
-// sorted-name order as Name:value, nil as null, slices in brackets,
-// interface values tagged with their concrete type
-// (<workload.Lognormal>{…}), strings quoted, floats in shortest
-// round-trip form. The tests hold it byte-equal to a reflective
-// reference renderer, so a field added to any type here fails them
-// until its append function writes it. A job whose outcome is not a
-// pure function of the text is refused: a non-nil Impair hook, any
-// Backend but the simulator, and a size or arrival distribution of a
-// type not listed here, pointer variants included (its parameters
-// could be unexported).
+// is filled), rendered by one explicit append function per type of the
+// key graph, and hashed with SHA-256. The rendered text is a frozen
+// on-disk contract, held byte-equal to the reflective reference in the
+// tests; DESIGN.md ("Cache keys") gives its form and what is refused.
 package confhash
 
 import (
@@ -40,13 +30,12 @@ import (
 
 // JobKey returns the cache key of a download job, or why it has none.
 func JobKey(j runner.Job) (string, error) {
-	n, err := normalizeJob(j)
-	if err != nil {
+	if err := normalizeJob(&j); err != nil {
 		return "", err
 	}
 	var buf [1024]byte
 	var k [keyLen]byte
-	return string(appendKey(k[:0], "job:", appendJob(buf[:0], n))), nil
+	return string(appendKey(k[:0], "job:", appendJob(buf[:0], &j))), nil
 }
 
 // JobKeys returns JobKey of every job, or the first refusal. A matrix
@@ -58,13 +47,14 @@ func JobKeys(jobs []runner.Job) ([]string, error) {
 	var all strings.Builder
 	all.Grow(len(jobs) * keyLen)
 	var buf [1024]byte
-	for _, j := range jobs {
-		n, err := normalizeJob(j)
-		if err != nil {
+	var n runner.Job
+	for i := range jobs {
+		n = jobs[i]
+		if err := normalizeJob(&n); err != nil {
 			return nil, err
 		}
 		var k [keyLen]byte
-		all.Write(appendKey(k[:0], "job:", text.append(buf[:0], n)))
+		all.Write(appendKey(k[:0], "job:", text.append(buf[:0], &n)))
 	}
 	s, keys := all.String(), make([]string, len(jobs))
 	for i := range keys {
@@ -110,12 +100,12 @@ var (
 // Suss; other algorithms ignore SussOpt, so it is cleared. WallLimit
 // folds into Observe (a watchdogged job runs observed) and is cleared:
 // it only matters to stalled runs, which are never cached.
-func normalizeJob(j runner.Job) (runner.Job, error) {
+func normalizeJob(j *runner.Job) error {
 	if j.Impair != nil {
-		return j, errors.New("confhash: job with an Impair hook is not cacheable")
+		return errors.New("confhash: job with an Impair hook is not cacheable")
 	}
 	if j.Backend != "" && j.Backend != "sim" {
-		return j, fmt.Errorf("confhash: backend %q is not the simulator and is not cacheable", j.Backend)
+		return fmt.Errorf("confhash: backend %q is not the simulator and is not cacheable", j.Backend)
 	}
 	j.Backend = "sim"
 	if j.Horizon <= 0 {
@@ -131,7 +121,7 @@ func normalizeJob(j runner.Job) (runner.Job, error) {
 	}
 	j.Observe = j.Observe || j.WallLimit > 0
 	j.WallLimit = 0
-	return j, nil
+	return nil
 }
 
 // normalizeFleetJob treats the knobs a shard shares with a download job
@@ -146,8 +136,8 @@ func normalizeFleetJob(j runner.FleetJob) (runner.FleetJob, error) {
 	if j.Shard < 0 || j.Shard >= j.Shards {
 		return j, fmt.Errorf("confhash: shard %d out of range [0,%d)", j.Shard, j.Shards)
 	}
-	r, _ := normalizeJob(runner.Job{Algo: j.Algo, SussOpt: j.SussOpt, Transport: j.Transport,
-		Horizon: j.Horizon, Observe: j.Observe, WallLimit: j.WallLimit}) // no hook, no backend: cannot fail
+	r := runner.Job{Algo: j.Algo, SussOpt: j.SussOpt, Transport: j.Transport, Horizon: j.Horizon, Observe: j.Observe, WallLimit: j.WallLimit}
+	normalizeJob(&r) // no hook, no backend: cannot fail
 	j.SussOpt, j.Transport, j.Horizon, j.Observe, j.WallLimit = r.SussOpt, r.Transport, r.Horizon, r.Observe, r.WallLimit
 	if len(j.Pop.Mix) == 0 {
 		j.Pop.Mix = defaultMix
@@ -174,7 +164,7 @@ func appendBool(b []byte, name string, v bool) []byte {
 }
 
 // appendJob renders a download job whose Impair is nil.
-func appendJob(b []byte, j runner.Job) []byte { return jobText{}.append(b, j) }
+func appendJob(b []byte, j *runner.Job) []byte { return jobText{}.append(b, j) }
 
 // jobText renders download jobs; with memos (JobKeys) it copies the
 // text of a scenario or run tail it rendered before.
@@ -183,7 +173,7 @@ type jobText struct {
 	tails *memo[runTail]
 }
 
-func (t jobText) append(b []byte, j runner.Job) []byte {
+func (t jobText) append(b []byte, j *runner.Job) []byte {
 	b = appendInt(b, "{Algo:", int64(j.Algo))
 	b = strconv.AppendQuote(append(b, ",Backend:"...), j.Backend)
 	b = appendInt(b, ",Domains:", int64(j.Domains))

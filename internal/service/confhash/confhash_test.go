@@ -560,12 +560,12 @@ func TestKeysMatchOracle(t *testing.T) {
 	all := sha256.New()
 	jobs := corpusJobs()
 	for _, j := range jobs {
-		n, err := normalizeJob(j)
-		if err != nil {
+		n := j
+		if err := normalizeJob(&n); err != nil {
 			t.Fatal(err)
 		}
 		want := mustCanonical(t, n)
-		if got := string(appendJob(nil, n)); got != want {
+		if got := string(appendJob(nil, &n)); got != want {
 			t.Fatalf("canonical form differs from the reference renderer:\n got %s\nwant %s", got, want)
 		}
 		k := mustJobKey(t, j)
@@ -669,10 +669,11 @@ func FuzzJobKeyMatchesOracle(f *testing.F) {
 		var j runner.Job
 		fill(t, reflect.ValueOf(&j).Elem(), &words{raw: raw}, backend)
 		want := mustCanonical(t, j)
-		if got := string(appendJob(nil, j)); got != want {
+		if got := string(appendJob(nil, &j)); got != want {
 			t.Fatalf("canonical form differs from the reference renderer:\n got %s\nwant %s", got, want)
 		}
-		n, nerr := normalizeJob(j)
+		n := j
+		nerr := normalizeJob(&n)
 		k, err := JobKey(j)
 		switch {
 		case (err == nil) != (nerr == nil):
@@ -774,7 +775,8 @@ func TestJobKeysMatchJobKey(t *testing.T) {
 			t.Fatalf("JobKeys: %d keys for %d jobs, err %v", len(keys), len(jobs), err)
 		}
 		for i, j := range jobs {
-			n, _ := normalizeJob(j)
+			n := j
+			normalizeJob(&n)
 			if want := mustJobKey(t, j); keys[i] != want || keys[i] != oracleKey(t, "job:", n) {
 				t.Fatalf("job %d: JobKeys %s, JobKey %s, reference %s", i, keys[i], want, oracleKey(t, "job:", n))
 			}
@@ -811,7 +813,8 @@ func FuzzJobKeysMatchOracle(f *testing.F) {
 		}
 		keys, err := JobKeys(jobs[:])
 		for i, j := range jobs {
-			n, nerr := normalizeJob(j)
+			n := j
+			nerr := normalizeJob(&n)
 			switch {
 			case nerr != nil:
 				if err == nil {

@@ -11,25 +11,10 @@ import (
 )
 
 // The durable half of the content-addressed cache: an append-only
-// record log. Put appends one framed record per new cell; New replays
-// the whole file at startup. Because every record carries its own
-// length and SHA-256 checksum, a daemon killed mid-write (kill -9,
-// OOM, power loss short of losing the page cache) costs at most the
-// records that never reached the file: replay stops at the first torn
-// or corrupt record, truncates the tail there, and reports what was
-// dropped. Everything before the truncation point is served as cache
-// hits with zero simulator runs.
-//
-// File layout:
-//
-//	header  "sussdcache/1\n"
-//	record  u32(BE) payload length
-//	        [32]byte sha256(payload)
-//	        payload = u16(BE) key length | key | value
-//
-// Records are immutable and never rewritten (a key is a hash of
-// everything that determines the value), so append is the only write
-// path and replay order is irrelevant beyond last-write-wins.
+// record log ("sussdcache/1\n", then per record a u32 length, the
+// payload's SHA-256 and the payload, u16 key length | key | value),
+// replayed at startup up to the first torn or corrupt record. DESIGN.md
+// ("Service robustness") gives the recovery rules.
 
 const (
 	cacheMagic = "sussdcache/1\n"
@@ -78,7 +63,7 @@ type cacheLog struct {
 // openCacheLog opens (or creates) the log at path, replays every
 // intact record into entries, and truncates the file at the first bad
 // record so subsequent appends extend a known-good prefix.
-func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryInfo, error) {
+func openCacheLog(path string, entries map[string]record) (*cacheLog, RecoveryInfo, error) {
 	// O_APPEND: every Write lands at the end of the file, so truncating
 	// to the known-good offset is all it takes to reposition.
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
@@ -109,7 +94,7 @@ func openCacheLog(path string, entries map[string][]byte) (*cacheLog, RecoveryIn
 // replay scans the file and fills entries, returning the offset of the
 // last intact record's end. It never errors on corruption — that is
 // reported in RecoveryInfo and handled by truncation — only on I/O.
-func replay(f *os.File, entries map[string][]byte) (RecoveryInfo, int64, error) {
+func replay(f *os.File, entries map[string]record) (RecoveryInfo, int64, error) {
 	var info RecoveryInfo
 	st, err := f.Stat()
 	if err != nil {
@@ -160,7 +145,7 @@ func replay(f *os.File, entries map[string][]byte) (RecoveryInfo, int64, error) 
 			info.Truncated, info.Reason = true, "record key overruns payload"
 			break
 		}
-		entries[string(payload[2:2+klen])] = payload[2+klen:]
+		entries[string(payload[2:2+klen])] = record{raw: payload[2+klen:]}
 		good += int64(frameLen) + int64(n)
 		info.Entries++
 	}

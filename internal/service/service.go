@@ -1,31 +1,9 @@
 // Package service is the warm experiment daemon behind cmd/sussd: the
-// same declarative sweeps the CLI runs (the fig11 FCT matrix, the
-// population-scale fleet comparison) behind an HTTP/JSON API, with
-// every matrix cell content-addressed by a canonical hash of its fully
-// defaulted configuration (internal/service/confhash). Because each
-// cell is a deterministic simulation — same config, same bytes —
-// resubmitting a config the daemon has seen costs zero simulator runs,
-// and a changed sweep only simulates the cells that actually changed.
-//
-// The daemon is built to survive operation, not just the happy path:
-// the cache can be backed by an append-only record log (Config.
-// CacheFile) that a restarted — or kill -9'd — daemon replays, batches
-// are cancellable (DELETE /v1/jobs/{id}) and bounded by admission
-// control (429 + Retry-After past the queued-cell limit), terminal
-// batches are garbage-collected past a retention cap, and /healthz +
-// /readyz expose liveness and drain state.
-//
-// API:
-//
-//	POST   /v1/jobs             submit a matrix  → {id, cells, cached}
-//	GET    /v1/jobs             list batches
-//	GET    /v1/jobs/{id}        per-cell status
-//	DELETE /v1/jobs/{id}        cancel: no new cells start, done cells stay cached
-//	GET    /v1/jobs/{id}/stream NDJSON progress until terminal
-//	GET    /v1/jobs/{id}/result the CSV the CLI would emit (?wait=1 blocks)
-//	GET    /v1/stats            cache/queue/eviction counters
-//	GET    /healthz             liveness (always 200 while serving)
-//	GET    /readyz              readiness (503 while draining)
+// CLI's sweeps (the fig11 FCT matrix, the fleet comparison) behind an
+// HTTP/JSON API, each matrix cell cached under a content-addressed key
+// (internal/service/confhash), so a resubmission simulates only the
+// cells that changed. DESIGN.md ("Experiment service", "Service
+// robustness") gives its API, cache, persistence and admission rules.
 package service
 
 import (
@@ -477,7 +455,14 @@ func planFig11(s *Server, req SubmitRequest, seed int64) (plan[runner.Result], e
 		return res, cacheable, res.Err
 	}
 	p.encode = encodeJobCell
-	p.decode = func(i int, raw []byte) (runner.Result, error) { return parseJobCell(jobs[i], raw) }
+	p.load = func(c *Cache, key string, i int, r *runner.Result) bool {
+		v, ok := c.parsedCell(key)
+		if ok {
+			r.Job, r.DownloadResult, r.Err = jobs[i], v.DownloadResult, v.err
+			r.Algo, r.Size = jobs[i].Algo, jobs[i].Size
+		}
+		return ok
+	}
 	p.unrun = func(i int, err error) runner.Result { return runner.Result{Job: jobs[i], Err: err} }
 	p.fold = func(rs []runner.Result, csv io.Writer) error {
 		return experiments.Fig11FromResults(srv, sizes, iters, rs, false).WriteCSV(csv)
@@ -544,7 +529,7 @@ func planFleet(s *Server, req SubmitRequest, seed int64) (plan[runner.FleetResul
 		return res, res.Err == nil, res.Err
 	}
 	p.encode = encodeShardCell
-	p.decode = func(_ int, raw []byte) (runner.FleetResult, error) { return decodeShardCell(raw) }
+	p.load = loadShardCell
 	p.unrun = func(_ int, err error) runner.FleetResult { return runner.FleetResult{Err: err} }
 	p.fold = func(rs []runner.FleetResult, csv io.Writer) error {
 		return experiments.FleetFromShards(fc, [2][]runner.FleetResult{rs[:n], rs[n:]}, false).WriteCSV(csv)

@@ -1,21 +1,8 @@
 // Package wire defines the transport's on-the-wire representation and
-// the substrate boundary the endpoints speak through.
-//
-// The codec (codec.go) turns a Segment — the in-memory image of one
-// IPv4+TCP frame — into bytes and back: fixed IPv4 and TCP headers
-// plus the option kinds the stack uses (MSS, window scale,
-// SACK-permitted, SACK blocks, timestamps). Encoding writes into a
-// caller-supplied buffer and decoding validates strictly, so the pair
-// is allocation-free on the hot path and safe on untrusted input.
-//
-// Conn is the one substrate seam: a transport endpoint hands every
-// outgoing segment to Send (which encodes it) and receives every
-// incoming segment through its handler (already decoded from the
-// frame bytes). Two backends implement it — simbackend over the
-// deterministic simulator and udpbackend over a UDP socket with
-// wall-clock timers — and the same sender/receiver code runs
-// unmodified over both (tcp.NewFlowOver takes two Conns), which is
-// the point: congestion-control logic is substrate-independent.
+// the substrate boundary the endpoints speak through: the codec
+// (codec.go) between a Segment and its IPv4+TCP frame, strict and
+// allocation-free, and Conn, the one seam, which simbackend and
+// udpbackend implement (DESIGN.md, "Wire layer").
 //
 // Wire values are raw: sequence numbers, ACKs and timestamps are the
 // 32-bit fields that actually travel. Endpoints keep 64-bit state and
