@@ -18,8 +18,10 @@ vet:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 
 # Bytes that do not depend on the process: the identity table
-# (TestBehaviourDigest) and the CLI's quick render (TestQuickRenderGolden)
-# run unchanged once per runtime knob — FMA off, AVX2 off (the CPU
+# (TestBehaviourDigest), the CLI's quick render (TestQuickRenderGolden)
+# and netem's stage schedules (TestImpairGolden, whose Flaps and
+# VariableRate draws go through math.Exp and math.Log) run unchanged
+# once per runtime knob — FMA off, AVX2 off (the CPU
 # features the runtime and the stdlib pick code by), one P, the collector
 # off, and the collector at every turn. The test binaries are built
 # first, so each knob acts on the test process only, never on the go
@@ -30,10 +32,12 @@ detknobs:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/service.test" ./internal/service || exit 1; \
 	$(GO) test -c -o "$$dir/sussbench.test" ./cmd/sussbench || exit 1; \
+	$(GO) test -c -o "$$dir/netem.test" ./internal/netem || exit 1; \
 	for knob in $(DETKNOBS); do \
 		echo "detknobs: $$knob"; \
 		(cd internal/service && env $$knob "$$dir/service.test" -test.count=1 -test.run '^TestBehaviourDigest$$') || exit 1; \
 		(cd cmd/sussbench && env $$knob "$$dir/sussbench.test" -test.count=1 -test.run '^TestQuickRenderGolden$$') || exit 1; \
+		(cd internal/netem && env $$knob "$$dir/netem.test" -test.count=1 -test.run '^TestImpairGolden$$') || exit 1; \
 	done
 
 # Bytes that do not depend on the CPU. The Go spec lets a compiler fuse
@@ -201,7 +205,7 @@ loc:
 # The ceiling on loc's total. locgate fails when the tree has more
 # non-test lines than this; a PR may raise it only with a CHANGES.md
 # line that gives the rise and the reason.
-LOC_CEILING = 17504
+LOC_CEILING = 17463
 
 locgate:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -20,13 +20,12 @@ const handshakeTimeout = 10 * time.Minute
 // serveFlow is the server half of the two-process UDP demo: bind addr,
 // wait for a fetch's SYN, then push size bytes through the unmodified
 // transport over the UDP underlay. wireLoss > 0 erases that fraction
-// of outgoing frames at the sending edge (the same Bernoulli stage
-// simulator links use), so recovery runs over real datagrams.
+// of outgoing frames at the sending edge (the Bernoulli stage a
+// simulated wireless last hop runs), so recovery runs over real datagrams.
 func serveFlow(addr string, algo suss.Algorithm, size int64, wireLoss float64, seed int64) error {
 	cfg := udpbackend.Config{}
 	if wireLoss > 0 {
-		cfg.Impair = netsim.NewImpairments(
-			netem.Erasure{Fn: netem.Bernoulli(wireLoss, rand.New(rand.NewSource(seed)))})
+		cfg.Impair = netsim.Impairments{netem.Bernoulli(wireLoss, rand.New(rand.NewSource(seed)))}
 	}
 	ep, err := udpbackend.Listen(addr, cfg)
 	if err != nil {

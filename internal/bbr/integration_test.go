@@ -7,29 +7,37 @@ import (
 	"suss/internal/bbr"
 	"suss/internal/cubic"
 	"suss/internal/netsim"
+	"suss/internal/obs"
 	"suss/internal/tcp"
 )
+
+// everyNth erases every nth data packet: deterministic random-like
+// loss.
+type everyNth struct{ n, seen int }
+
+func (e *everyNth) Judge(_ time.Duration, p *netsim.Packet) netsim.ImpairVerdict {
+	if p.Kind != netsim.Data {
+		return netsim.ImpairVerdict{}
+	}
+	e.seen++
+	if e.seen%e.n == 0 {
+		return netsim.ImpairVerdict{Drop: true, Cause: obs.DropErasure}
+	}
+	return netsim.ImpairVerdict{}
+}
 
 func runBBRFlow(t *testing.T, size int64, rate float64, owd time.Duration, bufBDP float64, lossP float64, mk func(f *tcp.Flow)) (*tcp.Flow, *netsim.Path) {
 	t.Helper()
 	sim := netsim.NewSimulator()
 	rtt := 2 * owd
 	bdp := rate / 8 * rtt.Seconds()
-	var loss netsim.LossFunc
+	var loss netsim.Impairments
 	if lossP > 0 {
-		n := 0
-		period := int(1 / lossP)
-		loss = func(p *netsim.Packet) bool {
-			if p.Kind != netsim.Data {
-				return false
-			}
-			n++
-			return n%period == 0
-		}
+		loss = netsim.Impairments{&everyNth{n: int(1 / lossP)}}
 	}
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: owd / 2, QueueBytes: 64 << 20},
-		{Name: "bneck", Rate: rate, Delay: owd - owd/2, QueueBytes: int(bufBDP * bdp), Loss: loss},
+		{Name: "bneck", Rate: rate, Delay: owd - owd/2, QueueBytes: int(bufBDP * bdp), Impair: loss},
 	}})
 	f := tcp.NewFlow(sim, tcp.DefaultConfig(), 1, p.Sender, tcp.NewDemux(p.Sender), p.Receiver, tcp.NewDemux(p.Receiver), size, nil)
 	mk(f)

@@ -47,41 +47,34 @@ func lastFwd(env runner.ChaosEnv) *netsim.Link {
 func Catalog() []Impairment {
 	return []Impairment{
 		{Name: "reorder", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				netem.NewReorder(0.03, 2*time.Millisecond, 25*time.Millisecond, rng)))
+			lastFwd(env).AttachImpairments(netem.NewReorder(0.03, 2*time.Millisecond, 25*time.Millisecond, rng))
 		}},
 		{Name: "duplicate", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				netem.NewDuplicate(0.02, time.Millisecond, rng)))
+			lastFwd(env).AttachImpairments(netem.NewDuplicate(0.02, time.Millisecond, rng))
 		}},
 		{Name: "corrupt", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				netem.NewCorrupt(0.005, rng)))
+			lastFwd(env).AttachImpairments(netem.NewCorrupt(0.005, rng))
 		}},
 		{Name: "burst-loss", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				netem.Erasure{Fn: netem.NewGilbertElliott(0.003, 0.25, 0, 0.5, rng).Drop}))
+			lastFwd(env).AttachImpairments(netem.NewGilbertElliott(0.003, 0.25, 0, 0.5, rng))
 		}},
 		// The scheduled impairments are timed for the matrix's default
 		// download (a few hundred ms of virtual time): every window
 		// lands while the flow is alive.
 		{Name: "outage", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				&netem.Outage{Windows: []netem.Window{
-					{Start: 60 * time.Millisecond, End: 180 * time.Millisecond},
-					{Start: 400 * time.Millisecond, End: 480 * time.Millisecond},
-				}}))
+			lastFwd(env).AttachImpairments(&netem.Outage{Windows: []netem.Window{
+				{Start: 60 * time.Millisecond, End: 180 * time.Millisecond},
+				{Start: 400 * time.Millisecond, End: 480 * time.Millisecond},
+			}})
 		}},
 		{Name: "flaps", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				netem.NewFlaps(350*time.Millisecond, 60*time.Millisecond, rng)))
+			lastFwd(env).AttachImpairments(netem.NewFlaps(350*time.Millisecond, 60*time.Millisecond, rng))
 		}},
 		{Name: "rtt-step", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
-			lastFwd(env).AttachImpairments(netsim.NewImpairments(
-				&netem.RTTStep{Steps: []netem.DelayStep{
-					{At: 100 * time.Millisecond, Delta: 80 * time.Millisecond},
-					{At: 350 * time.Millisecond, Delta: -50 * time.Millisecond},
-				}}))
+			lastFwd(env).AttachImpairments(&netem.RTTStep{Steps: []netem.DelayStep{
+				{At: 100 * time.Millisecond, Delta: 80 * time.Millisecond},
+				{At: 350 * time.Millisecond, Delta: -50 * time.Millisecond},
+			}})
 		}},
 		{Name: "sack-reneg", Attach: func(env runner.ChaosEnv, rng *rand.Rand) {
 			env.Flow.Receiver.EnableReneging(50*time.Millisecond, 1.0, rng)

@@ -108,53 +108,65 @@ func TestWatchdogKillsWedgedJob(t *testing.T) {
 
 // TestInertImpairmentsAreFree pins the acceptance criterion that an
 // unattached (or attached-but-inert) pipeline cannot perturb a run:
-// the same job with no impairments, with an empty pipeline, and with
-// zero-probability stages must produce identical measurements.
+// the same job with no impairments, with a configured empty pipeline,
+// and with zero-probability stages must produce identical
+// measurements. On a 4G last hop the zero-probability stages run after
+// the link's own loss and jitter, which must still act as they do
+// alone.
 func TestInertImpairmentsAreFree(t *testing.T) {
-	base := runner.Job{
-		Scenario: scenarios.New(scenarios.OracleLondon, netem.Wired, 3),
-		Algo:     runner.Suss,
-		Size:     2 << 20,
-		Observe:  true,
-	}
-	ref := runner.Download(base)
-	if !ref.Completed {
-		t.Fatal("reference flow did not complete")
-	}
+	wired := scenarios.New(scenarios.OracleLondon, netem.Wired, 3)
+	lte := scenarios.New(scenarios.OracleLondon, netem.LTE4G, 3)
 
-	hooks := map[string]func(env runner.ChaosEnv){
-		"empty-pipeline": func(env runner.ChaosEnv) {
-			for _, l := range env.Path.Fwd {
-				l.AttachImpairments(netsim.NewImpairments())
-			}
-		},
-		"zero-prob-stages": func(env runner.ChaosEnv) {
-			// Private stream: zero-probability stages still consume draws,
-			// and the contract is that those draws never leak into the
-			// scenario's randomness.
-			rng := rand.New(rand.NewSource(env.Seed))
-			for _, l := range env.Path.Fwd {
-				l.AttachImpairments(netsim.NewImpairments(
-					netem.NewReorder(0, time.Millisecond, 2*time.Millisecond, rng),
-					netem.NewDuplicate(0, time.Millisecond, rng),
-					netem.NewCorrupt(0, rng),
-					&netem.Outage{},
-					&netem.RTTStep{},
-				))
-			}
-		},
+	// emptyPipeline rewires the path with a non-nil pipeline of no
+	// stages on every forward link, so each packet runs the pipeline.
+	emptyPipeline := func(env runner.ChaosEnv) {
+		sc := wired
+		sc.Seed = env.Seed
+		spec := sc.Spec(new(scenarios.Wiring))
+		for i := range spec.Forward {
+			spec.Forward[i].Impair = netsim.Impairments{}
+		}
+		env.Path.Reset(spec)
 	}
-	for name, hook := range hooks {
+	zeroProbStages := func(env runner.ChaosEnv) {
+		// Private stream: zero-probability stages still consume draws,
+		// and the contract is that those draws never leak into the
+		// scenario's randomness.
+		rng := rand.New(rand.NewSource(env.Seed))
+		for _, l := range env.Path.Fwd {
+			l.AttachImpairments(
+				netem.NewReorder(0, time.Millisecond, 2*time.Millisecond, rng),
+				netem.NewDuplicate(0, time.Millisecond, rng),
+				netem.NewCorrupt(0, rng),
+				&netem.Outage{},
+				&netem.RTTStep{},
+			)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		sc   scenarios.Scenario
+		hook func(env runner.ChaosEnv)
+	}{
+		{"wired/empty-pipeline", wired, emptyPipeline},
+		{"wired/zero-prob-stages", wired, zeroProbStages},
+		{"4g/zero-prob-stages", lte, zeroProbStages},
+	} {
+		base := runner.Job{Scenario: c.sc, Algo: runner.Suss, Size: 2 << 20, Observe: true}
+		ref := runner.Download(base)
+		if !ref.Completed {
+			t.Fatalf("%s: reference flow did not complete", c.name)
+		}
 		j := base
-		j.Impair = hook
+		j.Impair = c.hook
 		got := runner.Download(j)
 		if got.FCT != ref.FCT || got.Segments != ref.Segments ||
-			got.Retrans != ref.Retrans || got.Delivered != ref.Delivered ||
-			got.Drops != ref.Drops || got.PeakQueue != ref.PeakQueue {
-			t.Errorf("%s perturbed the run:\n got  fct=%v segs=%d retrans=%d delivered=%d drops=%d peakq=%d\n want fct=%v segs=%d retrans=%d delivered=%d drops=%d peakq=%d",
-				name,
-				got.FCT, got.Segments, got.Retrans, got.Delivered, got.Drops, got.PeakQueue,
-				ref.FCT, ref.Segments, ref.Retrans, ref.Delivered, ref.Drops, ref.PeakQueue)
+			got.Retrans != ref.Retrans || got.RTOs != ref.RTOs || got.Delivered != ref.Delivered ||
+			got.Drops != ref.Drops || got.PeakQueue != ref.PeakQueue || got.LossRate != ref.LossRate {
+			t.Errorf("%s perturbed the run:\n got  fct=%v segs=%d retrans=%d rtos=%d delivered=%d drops=%d peakq=%d\n want fct=%v segs=%d retrans=%d rtos=%d delivered=%d drops=%d peakq=%d",
+				c.name,
+				got.FCT, got.Segments, got.Retrans, got.RTOs, got.Delivered, got.Drops, got.PeakQueue,
+				ref.FCT, ref.Segments, ref.Retrans, ref.RTOs, ref.Delivered, ref.Drops, ref.PeakQueue)
 		}
 	}
 }
@@ -175,10 +187,9 @@ func TestGiveUpOnDeadPath(t *testing.T) {
 		WallLimit: 10 * time.Second,
 		Impair: func(env runner.ChaosEnv) {
 			// Kill the last hop forever from 50 ms on.
-			env.Path.Fwd[len(env.Path.Fwd)-1].AttachImpairments(
-				netsim.NewImpairments(&netem.Outage{Windows: []netem.Window{
-					{Start: 50 * time.Millisecond, End: time.Duration(math.MaxInt64)},
-				}}))
+			env.Path.Fwd[len(env.Path.Fwd)-1].AttachImpairments(&netem.Outage{Windows: []netem.Window{
+				{Start: 50 * time.Millisecond, End: time.Duration(math.MaxInt64)},
+			}})
 		},
 	}
 	res := runner.Download(j)

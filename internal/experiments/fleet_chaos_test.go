@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"suss/internal/netem"
-	"suss/internal/netsim"
 	"suss/internal/runner"
 )
 
@@ -19,15 +18,11 @@ import (
 func chaosImpair(env runner.FleetChaosEnv) {
 	for i, l := range env.Tree.AggDown {
 		rng := rand.New(rand.NewSource(env.Seed*31 + int64(i)*7919 + 13))
-		l.AttachImpairments(netsim.NewImpairments(
-			netem.NewReorder(0.02, time.Millisecond, 5*time.Millisecond, rng),
-		))
+		l.AttachImpairments(netem.NewReorder(0.02, time.Millisecond, 5*time.Millisecond, rng))
 	}
-	env.Tree.Core.AttachImpairments(netsim.NewImpairments(
-		&netem.Outage{Windows: []netem.Window{
-			{Start: 300 * time.Millisecond, End: 450 * time.Millisecond},
-		}},
-	))
+	env.Tree.Core.AttachImpairments(&netem.Outage{Windows: []netem.Window{
+		{Start: 300 * time.Millisecond, End: 450 * time.Millisecond},
+	}})
 }
 
 // TestFleetChaos runs the population comparison with impairments

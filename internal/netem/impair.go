@@ -8,11 +8,11 @@ import (
 	"suss/internal/obs"
 )
 
-// This file holds the composable impairment stages that plug into a
-// link's netsim.Impairments pipeline. Every stochastic stage draws
-// from its own caller-supplied *rand.Rand, so a pipeline's schedule is
-// a pure function of its seeds and the packet sequence — and a stage
-// with probability zero consumes draws from its private stream only,
+// This file holds the stages a hook attaches to a link's pipeline,
+// after its configured ones. Every stochastic stage draws from its own
+// caller-supplied *rand.Rand, so a pipeline's schedule is a pure
+// function of its seeds and the packet sequence — and a stage with
+// probability zero consumes draws from its private stream only,
 // leaving every other stage (and the unimpaired simulation) untouched.
 
 // Reorder delays a random subset of packets by an extra out-of-band
@@ -89,22 +89,6 @@ func NewCorrupt(prob float64, rng *rand.Rand) *Corrupt {
 func (c *Corrupt) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
 	if c.rng.Float64() < c.Prob {
 		return netsim.ImpairVerdict{Drop: true, Cause: obs.DropCorrupt}
-	}
-	return netsim.ImpairVerdict{}
-}
-
-// Erasure adapts any netsim.LossFunc (Bernoulli, GilbertElliott) into
-// a pipeline stage, so burst-loss models compose with the other
-// impairments instead of occupying the link's single Loss slot.
-type Erasure struct {
-	// Fn decides the drop; it owns whatever RNG it was built with.
-	Fn netsim.LossFunc
-}
-
-// Judge implements netsim.ImpairStage.
-func (e Erasure) Judge(now time.Duration, pkt *netsim.Packet) netsim.ImpairVerdict {
-	if e.Fn(pkt) {
-		return netsim.ImpairVerdict{Drop: true, Cause: obs.DropErasure}
 	}
 	return netsim.ImpairVerdict{}
 }

@@ -44,7 +44,7 @@ func stageFactories() map[string]func(seed int64) netsim.ImpairStage {
 			return NewCorrupt(0.1, rand.New(rand.NewSource(seed)))
 		},
 		"erasure-ge": func(seed int64) netsim.ImpairStage {
-			return Erasure{Fn: NewGilbertElliott(0.05, 0.3, 0, 0.5, rand.New(rand.NewSource(seed))).Drop}
+			return NewGilbertElliott(0.05, 0.3, 0, 0.5, rand.New(rand.NewSource(seed)))
 		},
 		"flaps": func(seed int64) netsim.ImpairStage {
 			return NewFlaps(20*time.Millisecond, 5*time.Millisecond, rand.New(rand.NewSource(seed)))

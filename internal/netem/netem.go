@@ -4,6 +4,9 @@
 // models that stand in for the paper's real wireless last hops
 // (Wi-Fi, 4G, 5G).
 //
+// Every per-packet model is a netsim.ImpairStage: a link applies them
+// all through one netsim.Impairments pipeline, as the netem qdisc does.
+//
 // All randomness is drawn from caller-supplied *rand.Rand instances so
 // simulations are reproducible from a seed.
 package netem
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"suss/internal/netsim"
+	"suss/internal/obs"
 )
 
 // Step returns a RateFunc that switches from before to after at the
@@ -96,22 +100,22 @@ type corrJitter struct {
 	current, nextAt time.Duration
 }
 
-// Delay implements netsim.DelayFunc.
-func (j *corrJitter) Delay(now time.Duration, _ *netsim.Packet) time.Duration {
+// Judge implements netsim.ImpairStage.
+func (j *corrJitter) Judge(now time.Duration, _ *netsim.Packet) netsim.ImpairVerdict {
 	for now >= j.nextAt {
 		j.current = time.Duration(j.rng.Int63n(int64(j.max)))
 		j.nextAt += j.interval
 	}
-	return j.current
+	return netsim.ImpairVerdict{ExtraDelay: j.current}
 }
 
-// Bernoulli returns a LossFunc dropping each packet independently with
-// probability p. p ≤ 0 returns nil (no loss).
-func Bernoulli(p float64, rng *rand.Rand) netsim.LossFunc {
-	if p <= 0 {
-		return nil
-	}
-	return (&bernoulli{p: p, rng: rng}).Drop
+// erased is the verdict of a random wire loss.
+var erased = netsim.ImpairVerdict{Drop: true, Cause: obs.DropErasure}
+
+// Bernoulli returns a stage dropping each packet independently with
+// probability p, drawing one value from rng per packet.
+func Bernoulli(p float64, rng *rand.Rand) netsim.ImpairStage {
+	return &bernoulli{p: p, rng: rng}
 }
 
 // bernoulli is Bernoulli's state.
@@ -120,8 +124,13 @@ type bernoulli struct {
 	rng *rand.Rand
 }
 
-// Drop implements netsim.LossFunc.
-func (b *bernoulli) Drop(*netsim.Packet) bool { return b.rng.Float64() < b.p }
+// Judge implements netsim.ImpairStage.
+func (b *bernoulli) Judge(time.Duration, *netsim.Packet) netsim.ImpairVerdict {
+	if b.rng.Float64() < b.p {
+		return erased
+	}
+	return netsim.ImpairVerdict{}
+}
 
 // GilbertElliott is a two-state burst-loss model: in the Good state
 // packets drop with probability LossGood (usually 0), in the Bad state
@@ -140,8 +149,8 @@ func NewGilbertElliott(pGB, pBG, lossGood, lossBad float64, rng *rand.Rand) *Gil
 	return &GilbertElliott{PGoodToBad: pGB, PBadToGood: pBG, LossGood: lossGood, LossBad: lossBad, rng: rng}
 }
 
-// Drop implements netsim.LossFunc.
-func (g *GilbertElliott) Drop(*netsim.Packet) bool {
+// Judge implements netsim.ImpairStage.
+func (g *GilbertElliott) Judge(time.Duration, *netsim.Packet) netsim.ImpairVerdict {
 	if g.bad {
 		if g.rng.Float64() < g.PBadToGood {
 			g.bad = false
@@ -155,7 +164,10 @@ func (g *GilbertElliott) Drop(*netsim.Packet) bool {
 	if g.bad {
 		p = g.LossBad
 	}
-	return g.rng.Float64() < p
+	if g.rng.Float64() < p {
+		return erased
+	}
+	return netsim.ImpairVerdict{}
 }
 
 // LinkType enumerates the paper's four last-hop technologies.
@@ -219,27 +231,28 @@ func DefaultProfile(t LinkType, meanRate float64) Profile {
 	}
 }
 
-// Models holds a last hop's stochastic models, the variable rate,
-// correlated jitter and Bernoulli loss, for Profile.Apply to rewrite in
-// place: each model's method value is bound on its first use, so a
-// caller that keeps one Models applies profile after profile without
-// allocating. The link configs Apply returns share its models, so a
-// Models serves one link at a time.
+// Models holds a last hop's stochastic models, the variable rate, the
+// Bernoulli loss and the correlated jitter, for Profile.Apply to
+// rewrite in place: the rate's method value is bound on its first use
+// and the stages live in a fixed buffer, so a caller that keeps one
+// Models applies profile after profile without allocating. The link
+// configs Apply returns share its models, so a Models serves one link
+// at a time.
 type Models struct {
 	rate   VariableRate
 	jitter corrJitter
 	loss   bernoulli
 
-	rateFn   netsim.RateFunc
-	jitterFn netsim.DelayFunc
-	lossFn   netsim.LossFunc
+	rateFn netsim.RateFunc
+	stages [2]netsim.ImpairStage
 }
 
 // Apply converts the profile into a netsim.LinkConfig for the last-hop
 // link, with its models reset in m to draw from rng. oneWayDelay is the
 // link's propagation delay; the drop-tail buffer is sized BufferBDPs ×
-// MeanRate × (2×pathOneWayDelay). A model the profile does not use is
-// nil in the config.
+// MeanRate × (2×pathOneWayDelay). The pipeline is loss, then jitter:
+// a dropped packet draws no jitter. A model the profile does not use is
+// left out; a profile with neither leaves Impair nil.
 func (p Profile) Apply(m *Models, name string, oneWayDelay, pathRTT time.Duration, rng *rand.Rand) netsim.LinkConfig {
 	cfg := netsim.LinkConfig{
 		Name:  name,
@@ -254,19 +267,17 @@ func (p Profile) Apply(m *Models, name string, oneWayDelay, pathRTT time.Duratio
 	} else {
 		cfg.Rate = p.MeanRate
 	}
-	if p.JitterMax > 0 {
-		m.jitter = corrJitter{max: p.JitterMax, interval: 20 * time.Millisecond, rng: rng}
-		if m.jitterFn == nil {
-			m.jitterFn = m.jitter.Delay
-		}
-		cfg.Jitter = m.jitterFn
-	}
+	im := m.stages[:0]
 	if p.Loss > 0 {
 		m.loss = bernoulli{p: p.Loss, rng: rng}
-		if m.lossFn == nil {
-			m.lossFn = m.loss.Drop
-		}
-		cfg.Loss = m.lossFn
+		im = append(im, &m.loss)
+	}
+	if p.JitterMax > 0 {
+		m.jitter = corrJitter{max: p.JitterMax, interval: 20 * time.Millisecond, rng: rng}
+		im = append(im, &m.jitter)
+	}
+	if len(im) > 0 {
+		cfg.Impair = im
 	}
 	bdp := p.MeanRate / 8 * pathRTT.Seconds()
 	buf := int(p.BufferBDPs * bdp)

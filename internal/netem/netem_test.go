@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"suss/internal/netsim"
+	"suss/internal/obs"
 )
 
 func TestStep(t *testing.T) {
@@ -74,16 +75,24 @@ func TestBernoulliRate(t *testing.T) {
 	drops := 0
 	n := 100000
 	for i := 0; i < n; i++ {
-		if l(nil) {
+		if v := l.Judge(0, nil); v.Drop {
+			if v.Cause != obs.DropErasure {
+				t.Fatalf("drop cause %v, want wire erasure", v.Cause)
+			}
 			drops++
+		} else if v != (netsim.ImpairVerdict{}) {
+			t.Fatalf("a passed packet got verdict %+v, want the zero verdict", v)
 		}
 	}
 	got := float64(drops) / float64(n)
 	if math.Abs(got-p) > 0.01 {
 		t.Errorf("loss rate %v, want ≈%v", got, p)
 	}
-	if Bernoulli(0, rng) != nil {
-		t.Error("zero loss should return nil")
+	zero := Bernoulli(0, rng)
+	for i := 0; i < 1000; i++ {
+		if zero.Judge(0, nil).Drop {
+			t.Fatal("zero loss dropped a packet")
+		}
 	}
 }
 
@@ -93,7 +102,7 @@ func TestGilbertElliottBursts(t *testing.T) {
 	drops, runs, inRun := 0, 0, false
 	n := 200000
 	for i := 0; i < n; i++ {
-		if g.Drop(nil) {
+		if g.Judge(0, nil).Drop {
 			drops++
 			if !inRun {
 				runs++
@@ -140,8 +149,10 @@ func TestProfileApply(t *testing.T) {
 	if cfg.RateModel == nil {
 		t.Fatal("4G profile must install a rate model")
 	}
-	if cfg.Jitter == nil {
-		t.Fatal("4G profile must install jitter")
+	// Loss before jitter: a packet draws its loss first, and a dropped
+	// one draws no jitter.
+	if len(cfg.Impair) != 2 || cfg.Impair[0] != &m.loss || cfg.Impair[1] != &m.jitter {
+		t.Fatalf("4G pipeline %v, want [loss jitter]", cfg.Impair)
 	}
 	// Buffer = 3 BDP of 50 Mbps × 200 ms = 3 × 1.25 MB.
 	wantBuf := int(3 * 5e7 / 8 * 0.2)
@@ -150,7 +161,7 @@ func TestProfileApply(t *testing.T) {
 	}
 
 	w := DefaultProfile(Wired, 5e7).Apply(&m, "wired", time.Millisecond, 100*time.Millisecond, rng)
-	if w.RateModel != nil || w.Jitter != nil || w.Loss != nil {
+	if w.RateModel != nil || w.Impair != nil {
 		t.Error("wired profile should have no impairments")
 	}
 	if w.Rate != 5e7 {
@@ -185,27 +196,28 @@ func TestApplyReusedModels(t *testing.T) {
 	}
 }
 
-// draws is what run saw a link config's models do: which are set, and
-// a digest of their outputs.
+// draws is what run saw a link config's models do: whether the rate
+// model is set, how many stages the pipeline has, and a digest of
+// their outputs.
 type draws struct {
-	rate, jitter, loss bool
-	sum                float64
-	drops              int
+	rate   bool
+	stages int
+	sum    float64
+	drops  int
 }
 
 // run steps cfg's models 1 ms apart, steps times, as a link would.
 func run(cfg netsim.LinkConfig, steps int) draws {
-	d := draws{rate: cfg.RateModel != nil, jitter: cfg.Jitter != nil, loss: cfg.Loss != nil}
+	d := draws{rate: cfg.RateModel != nil, stages: len(cfg.Impair)}
 	for i := range steps {
 		now := time.Duration(i) * time.Millisecond
 		if d.rate {
 			d.sum += cfg.RateModel(now)
 		}
-		if d.jitter {
-			d.sum += float64(cfg.Jitter(now, nil))
-		}
-		if d.loss && cfg.Loss(nil) {
+		if v := cfg.Impair.Judge(now, nil); v.Drop {
 			d.drops++
+		} else {
+			d.sum += float64(v.ExtraDelay)
 		}
 	}
 	return d

@@ -8,7 +8,7 @@ import (
 
 // ImpairVerdict is one stage's judgement on a single packet about to
 // propagate. Verdicts from consecutive stages are combined by the
-// pipeline (see Impairments.judge).
+// pipeline (see Impairments.Judge).
 type ImpairVerdict struct {
 	// Drop discards the packet with the given Cause (an erasure-family
 	// obs.DropCause: DropErasure, DropCorrupt or DropOutage). A drop
@@ -42,34 +42,24 @@ type ImpairStage interface {
 	Judge(now time.Duration, pkt *Packet) ImpairVerdict
 }
 
-// Impairments is an ordered pipeline of stages attached to a link.
-// Stages run in the order given; the combined verdict is:
+// Impairments is the ordered pipeline of stages a link judges every
+// packet through after serialization: its configured stages
+// (LinkConfig.Impair; a last hop's loss, then jitter), then attached
+// ones (Link.AttachImpairments). The combined verdict is:
 //
 //   - the first Drop wins and stops the pipeline (a dropped packet
 //     cannot be further delayed or duplicated);
 //   - ExtraDelay accumulates across stages;
 //   - OutOfBand and Duplicate are OR-ed;
 //   - the first duplicating stage's DupExtraDelay is kept.
-type Impairments struct {
-	stages []ImpairStage
-}
-
-// NewImpairments builds a pipeline of stages.
-func NewImpairments(stages ...ImpairStage) *Impairments {
-	return &Impairments{stages: stages}
-}
+type Impairments []ImpairStage
 
 // Judge runs the pipeline on one packet and returns the combined
-// verdict. Links call this internally; the real-time UDP wire backend
-// calls it directly to reuse the same impairment stages at the frame
-// layer.
-func (im *Impairments) Judge(now time.Duration, pkt *Packet) ImpairVerdict {
-	return im.judge(now, pkt)
-}
-
-func (im *Impairments) judge(now time.Duration, pkt *Packet) ImpairVerdict {
+// verdict. Links call it on every packet; the real-time UDP wire
+// backend calls it to reuse the same stages at the frame layer.
+func (im Impairments) Judge(now time.Duration, pkt *Packet) ImpairVerdict {
 	var v ImpairVerdict
-	for _, s := range im.stages {
+	for _, s := range im {
 		sv := s.Judge(now, pkt)
 		if sv.Drop {
 			sv.ExtraDelay = 0

@@ -12,14 +12,6 @@ import (
 // positive value.
 type RateFunc func(now time.Duration) float64
 
-// DelayFunc returns extra one-way delay (jitter) to add to a packet's
-// propagation at virtual time now, and may be stochastic.
-type DelayFunc func(now time.Duration, pkt *Packet) time.Duration
-
-// LossFunc reports whether to drop pkt after it leaves the queue
-// (random wire loss, independent of congestion drops).
-type LossFunc func(pkt *Packet) bool
-
 // LinkConfig describes one unidirectional link.
 type LinkConfig struct {
 	// Name appears in traces and error messages.
@@ -32,10 +24,10 @@ type LinkConfig struct {
 	RateModel RateFunc
 	// Delay is the one-way propagation delay.
 	Delay time.Duration
-	// Jitter, when non-nil, adds per-packet extra delay.
-	Jitter DelayFunc
-	// Loss, when non-nil, drops packets randomly after dequeue.
-	Loss LossFunc
+	// Impair, when non-nil, is the link's own impairment pipeline
+	// (a last hop's wire loss and jitter), judged on every packet
+	// after it leaves the serializer.
+	Impair Impairments
 	// QueueBytes is the buffer capacity. Zero means a generous
 	// default of 1 MiB.
 	QueueBytes int
@@ -61,8 +53,8 @@ type LinkStats struct {
 }
 
 // Link is a unidirectional FIFO pipe: a drop-tail queue, a serializer
-// running at the (possibly time-varying) link rate, and a fixed
-// propagation delay plus optional jitter. After the propagation delay
+// running at the (possibly time-varying) link rate, an optional
+// impairment pipeline and a fixed propagation delay. After the delay
 // the packet is handed to the destination node. Arrival times are
 // clamped to be non-decreasing, which matches a FIFO pipe; only an
 // impairment stage's out-of-band verdict reorders.
@@ -82,19 +74,22 @@ type Link struct {
 	// link's drop and duplicate events.
 	rec *obs.LinkRecorder
 
-	// impair, when non-nil, is the impairment pipeline judged on every
-	// packet after the wire-loss check. Unattached links pay a single
-	// nil check (pinned by an equality test).
-	impair *Impairments
+	// impair is judged on every packet after serialization:
+	// cfg.Impair's stages, then attached ones. A link with neither
+	// pays a single nil check (pinned by an equality test).
+	impair Impairments
 }
 
 // AttachRecorder installs a flight recorder for this link's events.
 // Pass nil to detach.
 func (l *Link) AttachRecorder(r *obs.LinkRecorder) { l.rec = r }
 
-// AttachImpairments installs an impairment pipeline on this link.
-// Pass nil to detach.
-func (l *Link) AttachImpairments(im *Impairments) { l.impair = im }
+// AttachImpairments appends stages to this link's pipeline, after its
+// configured ones, in a slice the link owns: cfg.Impair is never
+// written, and a reset restores the configured stages alone.
+func (l *Link) AttachImpairments(stages ...ImpairStage) {
+	l.impair = append(l.impair[:len(l.impair):len(l.impair)], stages...)
+}
 
 // NewLink creates a link feeding dst. The configuration is validated:
 // a non-positive fixed rate panics, since it would stall the queue
@@ -107,10 +102,10 @@ func NewLink(sim *Simulator, cfg LinkConfig, dst Node) *Link {
 
 // reset puts l in the state NewLink(l.sim, cfg, l.dst) builds, whatever
 // its last run left behind: queued packets and packets on the line are
-// forgotten (the engine's Reset reclaims them), the counters are zero
-// and the recorder and impairments are detached. A drop-tail
-// queue is emptied in place; any other discipline is rebuilt from
-// cfg.Qdisc.
+// forgotten (the engine's Reset reclaims them), the counters are zero,
+// the recorder is detached and only cfg.Impair's stages remain. A
+// drop-tail queue is emptied in place; any other discipline is rebuilt
+// from cfg.Qdisc.
 func (l *Link) reset(cfg LinkConfig) {
 	if cfg.RateModel == nil && cfg.Rate <= 0 {
 		panic(fmt.Sprintf("netsim: link %q has non-positive rate %v", cfg.Name, cfg.Rate))
@@ -126,7 +121,7 @@ func (l *Link) reset(cfg LinkConfig) {
 	} else {
 		q = NewDropTail(cfg.QueueBytes)
 	}
-	*l = Link{sim: l.sim, cfg: cfg, dst: l.dst, qdisc: q}
+	*l = Link{sim: l.sim, cfg: cfg, dst: l.dst, qdisc: q, impair: cfg.Impair}
 }
 
 // Name returns the configured link name.
@@ -227,25 +222,42 @@ func (l *Link) startTransmit() {
 	l.sim.ScheduleEvent(txTime, linkFinishTransmitEv, l, pkt)
 }
 
+// finishTransmit runs when pkt leaves the serializer: the impairment
+// pipeline, if the link has one, judges it, and it propagates as the
+// verdict says.
 func (l *Link) finishTransmit(pkt *Packet) {
 	// Start serializing the next packet immediately: the serializer is
 	// busy back-to-back while the queue is non-empty.
 	l.startTransmit()
 
-	if l.cfg.Loss != nil && l.cfg.Loss(pkt) {
-		l.drop(pkt, obs.DropErasure)
+	if l.impair == nil {
+		l.propagate(pkt, 0, false)
 		return
 	}
-
-	if l.impair != nil {
-		l.impairedPropagate(pkt)
+	v := l.impair.Judge(l.sim.Now(), pkt)
+	if v.Drop {
+		l.drop(pkt, v.Cause)
 		return
 	}
-	l.propagate(pkt, 0, false)
+	var dup *Packet
+	if v.Duplicate {
+		// Copy before handing the original on: once propagated the
+		// original may be delivered and released within this event.
+		dup = l.sim.Pool().Get()
+		dup.CopyFrom(pkt)
+		l.c.CountDup(pkt.Size, pkt.Kind == Data)
+		l.rec.Duplicated(l.sim.Now(), int32(pkt.Flow), pkt.Seq, pkt.Size)
+	}
+	l.propagate(pkt, v.ExtraDelay, v.OutOfBand)
+	if dup != nil {
+		// Duplicates are always out-of-band: the copy must not drag
+		// the FIFO watermark forward for later packets.
+		l.propagate(dup, v.ExtraDelay+v.DupExtraDelay, true)
+	}
 }
 
 // propagate schedules a packet's delivery after the configured
-// propagation delay, jitter, and extra impairment delay. An outOfBand
+// propagation delay and extra impairment delay. An outOfBand
 // delivery skips the FIFO arrival clamp and does not advance the clamp
 // watermark, so genuinely reordered copies can land behind successors
 // without delaying them.
@@ -258,11 +270,6 @@ func (l *Link) finishTransmit(pkt *Packet) {
 // and keep an event of their own.
 func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 	delay := l.cfg.Delay + extra
-	if l.cfg.Jitter != nil {
-		if j := l.cfg.Jitter(l.sim.Now(), pkt); j > 0 {
-			delay += j
-		}
-	}
 	if delay < 0 {
 		// A negative RTT step can outweigh the base delay; arrivals
 		// never precede departure.
@@ -284,31 +291,6 @@ func (l *Link) propagate(pkt *Packet, extra time.Duration, outOfBand bool) {
 		s.armSlot(arrival, pkt.armSeq, linkLineEv, l, nil)
 	}
 	l.line.push(pkt)
-}
-
-// impairedPropagate runs the impairment pipeline on a packet that
-// survived the wire-loss check and acts on the combined verdict.
-func (l *Link) impairedPropagate(pkt *Packet) {
-	v := l.impair.judge(l.sim.Now(), pkt)
-	if v.Drop {
-		l.drop(pkt, v.Cause)
-		return
-	}
-	var dup *Packet
-	if v.Duplicate {
-		// Copy before handing the original on: once propagated the
-		// original may be delivered and released within this event.
-		dup = l.sim.Pool().Get()
-		dup.CopyFrom(pkt)
-		l.c.CountDup(pkt.Size, pkt.Kind == Data)
-		l.rec.Duplicated(l.sim.Now(), int32(pkt.Flow), pkt.Seq, pkt.Size)
-	}
-	l.propagate(pkt, v.ExtraDelay, v.OutOfBand)
-	if dup != nil {
-		// Duplicates are always out-of-band: the copy must not drag
-		// the FIFO watermark forward for later packets.
-		l.propagate(dup, v.ExtraDelay+v.DupExtraDelay, true)
-	}
 }
 
 // drop loses a packet to cause, counting it and releasing it.

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"suss/internal/obs"
 )
 
 // sink collects delivered packets with arrival timestamps.
@@ -76,7 +78,7 @@ func TestLinkRandomLoss(t *testing.T) {
 	n := 0
 	l := NewLink(sim, LinkConfig{
 		Name: "l", Rate: 1e9, Delay: time.Millisecond,
-		Loss: func(*Packet) bool { n++; return n%2 == 0 },
+		Impair: Impairments{dropIf(func(*Packet) bool { n++; return n%2 == 0 })},
 	}, dst)
 	sim.Schedule(0, func() {
 		for i := 0; i < 10; i++ {
@@ -99,7 +101,7 @@ func TestLinkJitterInOrderClamp(t *testing.T) {
 	i := 0
 	l := NewLink(sim, LinkConfig{
 		Name: "l", Rate: 8e7, Delay: time.Millisecond,
-		Jitter: func(time.Duration, *Packet) time.Duration { d := jit[i%2]; i++; return d },
+		Impair: Impairments{delayBy(func(*Packet) time.Duration { d := jit[i%2]; i++; return d })},
 	}, dst)
 	sim.Schedule(0, func() {
 		l.Enqueue(&Packet{Size: 1000, Seq: 1, Dst: 1})
@@ -202,6 +204,23 @@ func TestNewLinkValidation(t *testing.T) {
 	NewLink(NewSimulator(), LinkConfig{Name: "bad"}, &sink{})
 }
 
+// dropIf is a wire-loss stage: it erases the packets its func picks.
+type dropIf func(*Packet) bool
+
+func (d dropIf) Judge(_ time.Duration, p *Packet) ImpairVerdict {
+	if d(p) {
+		return ImpairVerdict{Drop: true, Cause: obs.DropErasure}
+	}
+	return ImpairVerdict{}
+}
+
+// delayBy is a jitter stage: it adds its func's delay to each packet.
+type delayBy func(*Packet) time.Duration
+
+func (d delayBy) Judge(_ time.Duration, p *Packet) ImpairVerdict {
+	return ImpairVerdict{ExtraDelay: d(p)}
+}
+
 // scriptStage is an impairment stage with a fixed verdict per Seq.
 type scriptStage map[int64]ImpairVerdict
 
@@ -259,7 +278,7 @@ func TestLinkLine(t *testing.T) {
 		sim := NewSimulator()
 		dst := &sink{id: 1, sim: sim}
 		l := newLink(sim, dst)
-		l.AttachImpairments(NewImpairments(scriptStage{
+		l.AttachImpairments(scriptStage{
 			// A copy of 3 lands on 6's arrival; it propagated first.
 			3: {Duplicate: true, DupExtraDelay: 3 * tx},
 			// 5 is held back onto 8's arrival; it propagated first.
@@ -267,7 +286,7 @@ func TestLinkLine(t *testing.T) {
 			// 7 overtakes onto 6's arrival; it propagated after 6 did,
 			// but before 6 came to head the line.
 			7: {OutOfBand: true, ExtraDelay: -tx},
-		}))
+		})
 		for i := 0; i < 10; i++ {
 			l.Enqueue(&Packet{Size: 1500, Seq: int64(i), Dst: 1})
 		}

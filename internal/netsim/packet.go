@@ -39,7 +39,7 @@ func (k PacketKind) String() string {
 // follow a single-owner lifecycle: whoever holds the packet — a
 // queueing link, then the destination endpoint — must either pass it
 // on or Release it exactly once. Observers (trace samplers, OnData
-// callbacks, Loss and Jitter functions) must copy any fields
+// callbacks, impairment stages) must copy any fields
 // they keep; retaining the pointer past the callback reads recycled
 // memory. Packets built directly with a literal (tests, ad-hoc
 // traffic) have no pool and Release on them is a no-op.

@@ -17,10 +17,12 @@ import (
 // whose every delivery and final counter must match.
 
 // linkSnap is what of a link a fresh build fixes. The config's funcs
-// cannot be compared, so only whether each is set is.
+// and stages cannot be compared, so only whether each func is set is,
+// and how many stages the config and the link's pipeline hold.
 type linkSnap struct {
 	Cfg         LinkConfig
-	Funcs       [4]bool // RateModel, Jitter, Loss, Qdisc
+	Funcs       [2]bool // RateModel, Qdisc
+	Stages      [2]int  // cfg.Impair, the link's pipeline
 	Dst         NodeID
 	Qdisc       Qdisc
 	Busy        bool
@@ -28,17 +30,17 @@ type linkSnap struct {
 	Line        pktFIFO
 	Counters    obs.LinkCounters
 	Rec         *obs.LinkRecorder
-	Impair      *Impairments
 }
 
 func snapLink(l *Link) linkSnap {
 	c := l.cfg
 	s := linkSnap{
-		Funcs: [4]bool{c.RateModel != nil, c.Jitter != nil, c.Loss != nil, c.Qdisc != nil},
-		Dst:   l.dst.ID(), Qdisc: l.qdisc, Busy: l.busy, LastArrival: l.lastArrival, Line: l.line,
-		Counters: l.c, Rec: l.rec, Impair: l.impair,
+		Funcs:  [2]bool{c.RateModel != nil, c.Qdisc != nil},
+		Stages: [2]int{len(c.Impair), len(l.impair)},
+		Dst:    l.dst.ID(), Qdisc: l.qdisc, Busy: l.busy, LastArrival: l.lastArrival, Line: l.line,
+		Counters: l.c, Rec: l.rec,
 	}
-	c.RateModel, c.Jitter, c.Loss, c.Qdisc = nil, nil, nil, nil
+	c.RateModel, c.Impair, c.Qdisc = nil, nil, nil
 	s.Cfg = c
 	return s
 }
@@ -102,7 +104,7 @@ func dirtyTopology(t *testing.T, s *Simulator, hosts []*Host, dsts func(int) []*
 	reg := obs.NewRegistry(0)
 	for i, l := range links {
 		l.AttachRecorder(reg.Link(fmt.Sprintf("l%d", i)))
-		l.AttachImpairments(NewImpairments(thirdStage{}))
+		l.AttachImpairments(thirdStage{})
 	}
 	for _, h := range hosts {
 		h.SetHandler(func(p *Packet) { p.Release() })
@@ -223,8 +225,10 @@ func TestResetPathIsNewPath(t *testing.T) {
 		{Name: "core", Rate: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 64 << 10, Qdisc: CoDelFactory},
 		{Name: "last", Delay: 2 * time.Millisecond, QueueBytes: 16 << 10,
 			RateModel: func(now time.Duration) float64 { return 2e7 + float64(now/time.Millisecond%7)*1e6 },
-			Jitter:    func(_ time.Duration, p *Packet) time.Duration { return time.Duration(p.Seq%5) * 100 * time.Microsecond },
-			Loss:      func(p *Packet) bool { return p.Seq%11 == 0 }},
+			Impair: Impairments{
+				dropIf(func(p *Packet) bool { return p.Seq%11 == 0 }),
+				delayBy(func(p *Packet) time.Duration { return time.Duration(p.Seq%5) * 100 * time.Microsecond }),
+			}},
 	}}
 	b := PathSpec{
 		Forward: []LinkConfig{

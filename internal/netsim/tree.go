@@ -61,11 +61,12 @@ type Tree struct {
 }
 
 // ackMirror derives the reverse-direction config for a duplex level:
-// same rate and delay, a queue generous enough that the ACK path is
-// never the bottleneck unless the caller overrides it explicitly, and
-// the name cfg.Name+"-rev". was is the reverse link's name before a
-// reset ("" for a new link); it is kept when it already is that name,
-// so rewiring to unchanged names builds no string.
+// same rate, delay and impairment stages (the stages and their RNG are
+// shared), a queue generous enough that the ACK path is never the
+// bottleneck unless the caller overrides it explicitly, and the name
+// cfg.Name+"-rev". was is the reverse link's name before a reset ("" for
+// a new link); it is kept when it already is that name, so rewiring to
+// unchanged names builds no string.
 func ackMirror(cfg LinkConfig, was string) LinkConfig {
 	rc := cfg
 	rc.Name = was

@@ -119,10 +119,9 @@ func TestAbortedFlowCounters(t *testing.T) {
 			Transport: &transport,
 			Impair: func(e ChaosEnv) {
 				env = e
-				e.Path.Fwd[len(e.Path.Fwd)-1].AttachImpairments(
-					netsim.NewImpairments(&netem.Outage{Windows: []netem.Window{
-						{Start: 50 * time.Millisecond, End: time.Duration(math.MaxInt64)},
-					}}))
+				e.Path.Fwd[len(e.Path.Fwd)-1].AttachImpairments(&netem.Outage{Windows: []netem.Window{
+					{Start: 50 * time.Millisecond, End: time.Duration(math.MaxInt64)},
+				}})
 			},
 		})
 		var links []netsim.LinkStats

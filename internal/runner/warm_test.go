@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"suss/internal/netem"
-	"suss/internal/netsim"
 	"suss/internal/scenarios"
 )
 
@@ -149,11 +148,11 @@ func chaosShard(j FleetJob) FleetJob {
 	j.Impair = func(env FleetChaosEnv) {
 		for i, l := range env.Tree.AggDown {
 			rng := rand.New(rand.NewSource(env.Seed*31 + int64(i)))
-			l.AttachImpairments(netsim.NewImpairments(netem.NewReorder(0.05, time.Millisecond, 5*time.Millisecond, rng)))
+			l.AttachImpairments(netem.NewReorder(0.05, time.Millisecond, 5*time.Millisecond, rng))
 		}
-		env.Tree.Core.AttachImpairments(netsim.NewImpairments(&netem.Outage{Windows: []netem.Window{
+		env.Tree.Core.AttachImpairments(&netem.Outage{Windows: []netem.Window{
 			{Start: 200 * time.Millisecond, End: 300 * time.Millisecond},
-		}}))
+		}})
 	}
 	return j
 }
@@ -205,7 +204,7 @@ func TestWarmTopologySequences(t *testing.T) {
 		// the cell's derived seed.
 		erase := func(env ChaosEnv) {
 			rng := rand.New(rand.NewSource(env.Seed))
-			env.Path.Fwd[1].AttachImpairments(netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.01, rng)}))
+			env.Path.Fwd[1].AttachImpairments(netem.Bernoulli(0.01, rng))
 		}
 		var calls [][]Outcome[tap[DownloadResult]]
 		for k, lt := range []netem.LinkType{netem.Wired, netem.LTE4G, netem.WiFi, netem.NR5G, netem.Wired} {

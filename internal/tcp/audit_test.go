@@ -31,7 +31,7 @@ func runAuditedFlow(t *testing.T, seed int64, lossP float64, blackout bool, queu
 	}
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: 10 * time.Millisecond, QueueBytes: 16 << 20},
-		{Name: "bneck", Rate: 2e7, Delay: 15 * time.Millisecond, QueueBytes: queueBytes, Loss: loss},
+		{Name: "bneck", Rate: 2e7, Delay: 15 * time.Millisecond, QueueBytes: queueBytes, Impair: netsim.Impairments{dropIf(loss)}},
 	}})
 	cfg := DefaultConfig()
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 1<<20, nil)
@@ -96,7 +96,7 @@ func TestScoreboardInvariantProperty(t *testing.T) {
 			return pkt.Kind == netsim.Data && rng.Float64() < lossP
 		}
 		p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
-			{Name: "bneck", Rate: 2e7, Delay: 20 * time.Millisecond, QueueBytes: queue, Loss: loss},
+			{Name: "bneck", Rate: 2e7, Delay: 20 * time.Millisecond, QueueBytes: queue, Impair: netsim.Impairments{dropIf(loss)}},
 		}})
 		cfg := DefaultConfig()
 		fl := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 256<<10, nil)
@@ -121,7 +121,7 @@ func TestAckLossTolerance(t *testing.T) {
 		},
 		Reverse: []netsim.LinkConfig{
 			{Name: "rev", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20,
-				Loss: func(*netsim.Packet) bool { return rng.Float64() < 0.2 }},
+				Impair: netsim.Impairments{netem.Bernoulli(0.2, rng)}},
 		},
 	})
 	cfg := DefaultConfig()
@@ -146,7 +146,7 @@ func TestReorderingTolerance(t *testing.T) {
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "bneck", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 2 << 20},
 	}})
-	p.Fwd[0].AttachImpairments(netsim.NewImpairments(netem.NewReorder(1.0/3, 0, 2*time.Millisecond, rng)))
+	p.Fwd[0].AttachImpairments(netem.NewReorder(1.0/3, 0, 2*time.Millisecond, rng))
 	cfg := DefaultConfig()
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 2<<20, nil)
 	f.Sender.SetController(&fixedCC{cwnd: 64 * 1448, halveOnLoss: true})
@@ -193,7 +193,7 @@ func TestTLPFiresOnTailLoss(t *testing.T) {
 		return false
 	}
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
-		{Name: "bneck", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20, Loss: loss},
+		{Name: "bneck", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20, Impair: netsim.Impairments{dropIf(loss)}},
 	}})
 	cfg := DefaultConfig()
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 10*1448, nil)

@@ -47,8 +47,7 @@ type Flow struct {
 // over an arbitrary pair of wire conns (one per endpoint), installing
 // each endpoint as its conn's frame handler. This is the
 // backend-agnostic constructor: the same sender and receiver code
-// runs whether the conns attach to the simulator, an in-memory pipe
-// or a UDP socket.
+// runs whether the conns attach to the simulator or a UDP socket.
 func NewFlowOver(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn,
 	size int64, ctrl cc.Controller) *Flow {
 

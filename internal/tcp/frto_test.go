@@ -39,12 +39,12 @@ func runJitterSpike(t *testing.T, frto bool) spikeRun {
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 1<<20, nil)
 	f.Sender.SetController(cubic.New(f.Sender, cubic.DefaultOptions()))
 
-	p.Fwd[1].AttachImpairments(netsim.NewImpairments(&netem.RTTStep{
+	p.Fwd[1].AttachImpairments(&netem.RTTStep{
 		Steps: []netem.DelayStep{
 			{At: 150 * time.Millisecond, Delta: 450 * time.Millisecond},
 			{At: 200 * time.Millisecond, Delta: -450 * time.Millisecond},
 		},
-	}))
+	})
 
 	var postCwnd int64
 	f.Sender.OnAckTrace = func(now time.Duration, cwnd int64, _ time.Duration, _ int64) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"suss/internal/netem"
 	"suss/internal/netsim"
 )
 
@@ -29,7 +30,7 @@ func TestPacketPoolOwnershipLossyDumbbell(t *testing.T) {
 			Rate:       20e6,
 			Delay:      20 * time.Millisecond,
 			QueueBytes: 30000, // ~20 packets: forces tail drops under cwnd=64
-			Loss:       func(*netsim.Packet) bool { return rng.Float64() < 0.02 },
+			Impair:     netsim.Impairments{netem.Bernoulli(0.02, rng)},
 		},
 	})
 

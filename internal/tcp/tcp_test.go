@@ -8,9 +8,22 @@ import (
 	"time"
 
 	"suss/internal/cc"
+	"suss/internal/netem"
 	"suss/internal/netsim"
+	"suss/internal/obs"
 	"suss/internal/wire"
 )
+
+// dropIf is a wire-loss stage for a link's impairment pipeline: it
+// erases the packets its func picks.
+type dropIf func(*netsim.Packet) bool
+
+func (d dropIf) Judge(_ time.Duration, p *netsim.Packet) netsim.ImpairVerdict {
+	if d(p) {
+		return netsim.ImpairVerdict{Drop: true, Cause: obs.DropErasure}
+	}
+	return netsim.ImpairVerdict{}
+}
 
 // fixedCC is a window-only stub controller for exercising the
 // transport in isolation.
@@ -151,7 +164,7 @@ func TestRTORecovery(t *testing.T) {
 	}
 	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: 10 * time.Millisecond, QueueBytes: 16 << 20},
-		{Name: "bneck", Rate: 1e7, Delay: 10 * time.Millisecond, QueueBytes: 1 << 20, Loss: blackout},
+		{Name: "bneck", Rate: 1e7, Delay: 10 * time.Millisecond, QueueBytes: 1 << 20, Impair: netsim.Impairments{dropIf(blackout)}},
 	}})
 	cfg := DefaultConfig()
 	ctrl := &fixedCC{cwnd: 64 * 1448}
@@ -345,7 +358,7 @@ func TestFlowSurvivesRandomLossProperty(t *testing.T) {
 		p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
 			{Name: "core", Rate: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 16 << 20},
 			{Name: "bneck", Rate: 2e7, Delay: 5 * time.Millisecond, QueueBytes: 256 << 10,
-				Loss: func(*netsim.Packet) bool { return rng.Float64() < lossP }},
+				Impair: netsim.Impairments{netem.Bernoulli(lossP, rng)}},
 		}})
 		cfg := DefaultConfig()
 		ctrl := &fixedCC{cwnd: 64 * 1448, halveOnLoss: true}

@@ -1,5 +1,5 @@
 // Package rtclock runs a private netsim.Simulator at wall-clock pace
-// for the real-time wire backends (in-memory pipe, UDP underlay).
+// for the real-time wire backend (the UDP underlay).
 //
 // The deterministic transport endpoints only know the simulator's
 // virtual clock: timers are netsim events, "now" is Simulator.Now().

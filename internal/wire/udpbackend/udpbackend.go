@@ -46,7 +46,7 @@ type Config struct {
 	// Impair, when non-nil, judges every outgoing frame (the same
 	// stages simulator links run; drops erase the datagram before the
 	// socket sees it, extra delay defers the write).
-	Impair *netsim.Impairments
+	Impair netsim.Impairments
 }
 
 func (c Config) mss() int {

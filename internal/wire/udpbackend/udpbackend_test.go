@@ -118,11 +118,11 @@ func TestUDPLoopbackDownloadClean(t *testing.T) {
 // then see the whole stream acknowledged.
 func TestUDPLoopbackDownloadLossy(t *testing.T) {
 	lb, err := udpbackend.NewLoopback(udpbackend.Config{
-		Impair: netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.05, rand.New(rand.NewSource(7)))}),
+		Impair: netsim.Impairments{netem.Bernoulli(0.05, rand.New(rand.NewSource(7)))},
 	}, udpbackend.Config{
 		// Seed 32 erases its 6th ACK: the stage fires however few ACKs
 		// the wall-clock run ends up sending.
-		Impair: netsim.NewImpairments(netem.Erasure{Fn: netem.Bernoulli(0.02, rand.New(rand.NewSource(32)))}),
+		Impair: netsim.Impairments{netem.Bernoulli(0.02, rand.New(rand.NewSource(32)))},
 	})
 	if err != nil {
 		t.Fatal(err)
