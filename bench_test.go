@@ -35,8 +35,8 @@ func BenchmarkFig01SlowStartUnderutilization(b *testing.B) {
 func BenchmarkFig02LateJoinerConvergence(b *testing.B) {
 	var cubicShare, bbrShare float64
 	for i := 0; i < b.N; i++ {
-		rc := experiments.RunFig02(runner.Cubic, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
-		rb := experiments.RunFig02(runner.BBR2, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second)
+		rc := experiments.RunFig02(runner.Cubic, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second, runner.Options{})
+		rb := experiments.RunFig02(runner.BBR2, 100*time.Millisecond, 2, 15*time.Second, 40*time.Second, runner.Options{})
 		cubicShare = rc.Fig02Mean(15)
 		bbrShare = rb.Fig02Mean(15)
 	}
@@ -230,7 +230,7 @@ func BenchmarkFig15Fairness(b *testing.B) {
 	cfg := experiments.Fig15Config{RTT: 200 * time.Millisecond, BufferBDP: 1}
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig15(cfg, 15*time.Second, 40*time.Second)
+		r := experiments.RunFig15(cfg, 15*time.Second, 40*time.Second, runner.Options{})
 		off, on = r.MeanPostJoin[0], r.MeanPostJoin[1]
 	}
 	b.ReportMetric(off, "jain-post-join-suss-off")
@@ -240,7 +240,7 @@ func BenchmarkFig15Fairness(b *testing.B) {
 func BenchmarkFig16StabilityTrace(b *testing.B) {
 	var largeFCT, smallFCT float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
+		r := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20, runner.Options{})
 		largeFCT = r.LargeFCT
 		smallFCT = stats.Mean(r.SmallFCTs)
 	}
@@ -251,8 +251,8 @@ func BenchmarkFig16StabilityTrace(b *testing.B) {
 func BenchmarkTable1Stability(b *testing.B) {
 	var imp, delta float64
 	for i := 0; i < b.N; i++ {
-		off := experiments.RunFig16(runner.Cubic, runner.Cubic, 100*time.Millisecond, 1, 40<<20)
-		on := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
+		off := experiments.RunFig16(runner.Cubic, runner.Cubic, 100*time.Millisecond, 1, 40<<20, runner.Options{})
+		on := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20, runner.Options{})
 		imp = experiments.Improvement(stats.Mean(off.SmallFCTs), stats.Mean(on.SmallFCTs))
 		delta = (on.LargeFCT - off.LargeFCT) / off.LargeFCT
 	}
@@ -332,7 +332,7 @@ func BenchmarkAblationSlowStartExits(b *testing.B) {
 func BenchmarkWebMixWorkload(b *testing.B) {
 	var small float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunWebMix(30, 3, int64(i+1))
+		r := experiments.RunWebMix(30, 3, int64(i+1), runner.Options{})
 		small = r.SmallImprovement
 	}
 	b.ReportMetric(100*small, "small-flow-improvement-%")

@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// reproduces the paper's Fig. 2(b) convergence. See
 			// EXPERIMENTS.md.
 			for _, algo := range []runner.Algo{runner.Cubic, runner.BBR2} {
-				emit(experiments.RunFig02(algo, 100*time.Millisecond, 1, joinAt, horizon).Render())
+				emit(experiments.RunFig02(algo, 100*time.Millisecond, 1, joinAt, horizon, opts("fig02")).Render())
 			}
 		})
 	}
@@ -219,13 +219,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				cfgs = cfgs[:4]
 			}
 			for _, cfg := range cfgs {
-				emit(experiments.RunFig15(cfg, joinAt, horizon).Render())
+				emit(experiments.RunFig15(cfg, joinAt, horizon, opts("fig15")).Render())
 			}
 		})
 	}
 	if run("fig16") {
 		timed("fig16", func() {
-			emit(experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, large).Render())
+			emit(experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, large, opts("fig16")).Render())
 		})
 	}
 	if run("table1") {
@@ -271,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *quick {
 				nflows = 40
 			}
-			emit(experiments.RunWebMix(nflows, 3, *seed).Render())
+			emit(experiments.RunWebMix(nflows, 3, *seed, opts("webmix")).Render())
 		})
 	}
 	if run("fleet") {

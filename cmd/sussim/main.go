@@ -183,20 +183,7 @@ func main() {
 // sharded over independent bottleneck trees and run twice (SUSS off,
 // then on) over the identical population.
 func fleetSweep(seed int64, flows, shards int, arrival float64, fullMix bool, csvPath string) error {
-	fc := experiments.DefaultFleetConfig(seed)
-	if flows > 0 {
-		fc.Flows = flows
-	}
-	if shards > 0 {
-		fc.Shards = shards
-	}
-	if arrival > 0 {
-		fc.ArrivalRate = arrival
-	}
-	if fullMix {
-		fc.Mix = nil // RunFleet falls back to workload.DefaultMix
-	}
-	r := experiments.RunFleet(fc, runner.Options{Progress: func(done, total int) {
+	r := experiments.RunFleet(experiments.FleetConfigFor(seed, flows, shards, arrival, fullMix), runner.Options{Progress: func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r[fleet] %d/%d shards", done, total)
 		if done == total {
 			fmt.Fprintln(os.Stderr)
@@ -279,9 +266,12 @@ func parseSize(s string) (int64, error) {
 	case strings.HasSuffix(s, "B"):
 		s = strings.TrimSuffix(s, "B")
 	}
+	// A size is a whole number of bytes in [1, MaxInt64]; the negated
+	// range test also refuses NaN.
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	b := v * float64(mult)
+	if err != nil || !(b >= 1 && b < 1<<63) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	return int64(b), nil
 }

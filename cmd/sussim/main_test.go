@@ -26,7 +26,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, want %d", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "MB", "-1MB", "0", "xMB"} {
+	for _, bad := range []string{"", "MB", "-1MB", "0", "xMB", "NaNMB", "InfKB", "1e30GB", "0.5B", "1e-9MB"} {
 		if _, err := parseSize(bad); err == nil {
 			t.Errorf("parseSize(%q) should fail", bad)
 		}

@@ -56,6 +56,6 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	}
 	var r FairnessResult
 	r.Jain, r.RecoveryTime, r.MeanPostJoin = experiments.RunFig15Variant(
-		experiments.Fig15Config{RTT: cfg.RTT, BufferBDP: cfg.BufferBDP}, algo, cfg.JoinAt, cfg.Horizon)
+		experiments.Fig15Config{RTT: cfg.RTT, BufferBDP: cfg.BufferBDP}, algo, cfg.JoinAt, cfg.Horizon, runner.Options{})
 	return r, nil
 }

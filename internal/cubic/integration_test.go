@@ -68,9 +68,9 @@ func TestCubicSlowStartOverPath(t *testing.T) {
 
 func TestCubicFairnessTwoFlows(t *testing.T) {
 	sim := netsim.NewSimulator()
+	acc := netsim.LinkConfig{Rate: 1e9, Delay: 5 * time.Millisecond}
 	d := netsim.NewDumbbell(sim, netsim.DumbbellSpec{
-		Pairs:      2,
-		Access:     netsim.LinkConfig{Rate: 1e9, Delay: 5 * time.Millisecond},
+		Access:     []netsim.LinkConfig{acc, acc},
 		Bottleneck: netsim.LinkConfig{Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: int(5e7 / 8 * 0.05)},
 	})
 	cfg := tcp.DefaultConfig()

@@ -128,7 +128,7 @@ func TestFig15Shape(t *testing.T) {
 	// CUBIC's loss-truncated slow start leaves the joiner starved for
 	// tens of seconds (Fig. 15, right-hand panels).
 	cfg := Fig15Config{RTT: 200 * time.Millisecond, BufferBDP: 1}
-	r := RunFig15(cfg, 20*time.Second, 50*time.Second)
+	r := RunFig15(cfg, 20*time.Second, 50*time.Second, runner.Options{})
 	if len(r.Jain[0]) == 0 || len(r.Jain[1]) == 0 {
 		t.Fatal("no Jain series")
 	}

@@ -37,9 +37,9 @@ type Fig02Result struct {
 
 // RunFig02 runs the late-joiner experiment for one algorithm family
 // (all five flows use it).
-func RunFig02(algo runner.Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon time.Duration) Fig02Result {
+func RunFig02(algo runner.Algo, rtt time.Duration, bufferBDP float64, joinAt, horizon time.Duration, opt runner.Options) Fig02Result {
 	tb := scenarios.DefaultTestbed(rtt, bufferBDP)
-	run := runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0]
+	run := runTestbeds(opt, lateJoiner(algo, tb, joinAt, horizon))[0]
 
 	res := Fig02Result{Algo: algo, JoinAt: joinAt, FairShare: tb.BtlRate / 5}
 	joinBin := int(joinAt / time.Second)

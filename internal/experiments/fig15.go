@@ -47,10 +47,10 @@ type Fig15Result struct {
 }
 
 // RunFig15 runs both variants for one configuration as one pool batch.
-func RunFig15(cfg Fig15Config, joinAt, horizon time.Duration) Fig15Result {
+func RunFig15(cfg Fig15Config, joinAt, horizon time.Duration, opt runner.Options) Fig15Result {
 	res := Fig15Result{Config: cfg, JoinAt: joinAt}
 	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
-	runs := runTestbeds(lateJoiner(runner.Cubic, tb, joinAt, horizon), lateJoiner(runner.Suss, tb, joinAt, horizon))
+	runs := runTestbeds(opt, lateJoiner(runner.Cubic, tb, joinAt, horizon), lateJoiner(runner.Suss, tb, joinAt, horizon))
 	for v, run := range runs {
 		res.Jain[v], res.RecoveryTime[v], res.MeanPostJoin[v] = fairnessRecovery(run, joinAt)
 	}
@@ -60,9 +60,9 @@ func RunFig15(cfg Fig15Config, joinAt, horizon time.Duration) Fig15Result {
 // RunFig15Variant runs one variant of a configuration, algo
 // runner.Cubic for SUSS off or runner.Suss for on, and returns what
 // Fig15Result holds for it.
-func RunFig15Variant(cfg Fig15Config, algo runner.Algo, joinAt, horizon time.Duration) (jain []float64, recovery time.Duration, meanPostJoin float64) {
+func RunFig15Variant(cfg Fig15Config, algo runner.Algo, joinAt, horizon time.Duration, opt runner.Options) (jain []float64, recovery time.Duration, meanPostJoin float64) {
 	tb := scenarios.DefaultTestbed(cfg.RTT, cfg.BufferBDP)
-	return fairnessRecovery(runTestbeds(lateJoiner(algo, tb, joinAt, horizon))[0], joinAt)
+	return fairnessRecovery(runTestbeds(opt, lateJoiner(algo, tb, joinAt, horizon))[0], joinAt)
 }
 
 // fairnessRecovery folds a late-joiner run into Jain's index per bin

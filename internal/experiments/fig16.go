@@ -30,9 +30,9 @@ type Fig16Result struct {
 // RunFig16 runs the stability workload: a large flow of largeSize
 // bytes plus twelve 2 MB flows at 2-second intervals, small flows
 // rotating over the remaining four pairs with spread minRTTs.
-func RunFig16(largeAlgo, smallAlgo runner.Algo, rtt time.Duration, bufferBDP float64, largeSize int64) Fig16Result {
+func RunFig16(largeAlgo, smallAlgo runner.Algo, rtt time.Duration, bufferBDP float64, largeSize int64, opt runner.Options) Fig16Result {
 	c := fig16Cell{largeAlgo, smallAlgo, rtt, bufferBDP, largeSize}
-	return c.result(runTestbeds(c.job())[0])
+	return c.result(runTestbeds(opt, c.job())[0])
 }
 
 // fig16Cell is one stability run's parameters.

@@ -73,6 +73,27 @@ func DefaultFleetConfig(seed int64) FleetConfig {
 	}
 }
 
+// FleetConfigFor is DefaultFleetConfig(seed) under the overrides a
+// fleet request or command line may set: a positive flows, shards or
+// arrival replaces the default, and fullMix swaps the smoke mix for
+// workload.DefaultMix.
+func FleetConfigFor(seed int64, flows, shards int, arrival float64, fullMix bool) FleetConfig {
+	fc := DefaultFleetConfig(seed)
+	if flows > 0 {
+		fc.Flows = flows
+	}
+	if shards > 0 {
+		fc.Shards = shards
+	}
+	if arrival > 0 {
+		fc.ArrivalRate = arrival
+	}
+	if fullMix {
+		fc.Mix = nil // RunFleet falls back to workload.DefaultMix
+	}
+	return fc
+}
+
 // FleetClassStats is one flow class's population outcome under both
 // variants (index 0 = SUSS off, 1 = on).
 type FleetClassStats struct {

@@ -24,13 +24,13 @@ func downloadTrace(j runner.Job, every time.Duration) (runner.DownloadResult, *t
 	return runner.Download(j), tr
 }
 
-// runTestbeds runs testbed cells on the worker pool, each on its
-// worker's warm Scratch, and returns their results in job order. A cell
-// that panics panics here, as a direct run would.
-func runTestbeds(jobs ...runner.TestbedJob) []runner.TestbedResult {
+// runTestbeds runs testbed cells on the worker pool under opt, each on
+// its worker's warm Scratch, and returns their results in job order. A
+// cell that panics panics here, as a direct run would.
+func runTestbeds(opt runner.Options, jobs ...runner.TestbedJob) []runner.TestbedResult {
 	outs := runner.Map(context.TODO(), jobs, func(ctx context.Context, _ int, j runner.TestbedJob) (runner.TestbedResult, error) {
 		return runner.ScratchFrom(ctx).RunTestbed(j), nil
-	}, runner.Options{})
+	}, opt)
 	res := make([]runner.TestbedResult, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {

@@ -32,7 +32,7 @@ type WebMixResult struct {
 // RunWebMix launches n flows with WebMix sizes and Poisson arrivals
 // across the local dumbbell's five pairs, once with CUBIC and once
 // with CUBIC+SUSS, and compares per-flow FCTs.
-func RunWebMix(n int, arrivalRate float64, seed int64) WebMixResult {
+func RunWebMix(n int, arrivalRate float64, seed int64, opt runner.Options) WebMixResult {
 	rng := rand.New(rand.NewSource(seed))
 	dist := workload.WebMix()
 	sizes := make([]int64, n)
@@ -57,7 +57,7 @@ func RunWebMix(n int, arrivalRate float64, seed int64) WebMixResult {
 	}
 	res := WebMixResult{Flows: n}
 	var fcts [2][]float64
-	for variant, run := range runTestbeds(jobs[:]...) {
+	for variant, run := range runTestbeds(opt, jobs[:]...) {
 		var small, large []float64
 		for i, f := range run.Flows {
 			if !f.Completed {

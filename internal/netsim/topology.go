@@ -3,18 +3,17 @@ package netsim
 import "fmt"
 
 // PathSpec describes a linear sender→receiver path of one or more
-// links. ACKs travel the Reverse chain; when Reverse is nil a mirror
-// of Forward is used (same rates and delays, generous queues) so that
-// the return path is never the bottleneck unless asked for.
+// links. ACKs travel a mirror of Forward (same rates, delays and
+// impairment stages, generous queues; see ackMirror) so that the return
+// path is never the bottleneck.
 type PathSpec struct {
 	Forward []LinkConfig
-	Reverse []LinkConfig
 }
 
-// Path is a wired linear topology: the degenerate one-branch member
-// of the topology family Fabric compiles (see Tree for the shared
-// bottleneck generalization). One sender, one receiver, a chain of
-// links with a mirrored reverse chain through the same routers.
+// Path is a wired linear topology: the degenerate one-branch member of
+// the topology family (see Tree for the shared bottleneck
+// generalization). One sender, one receiver, a chain of links with a
+// mirrored reverse chain through the same routers.
 type Path struct {
 	Sim      *Simulator
 	Sender   *Host
@@ -24,77 +23,67 @@ type Path struct {
 	Routers  []*Router
 }
 
-// Bottleneck returns the forward link with the lowest configured fixed
-// rate; links using rate models are compared by their rate at time 0.
-func (p *Path) Bottleneck() *Link {
-	var best *Link
-	for _, l := range p.Fwd {
-		if best == nil || l.RateAt(0) < best.RateAt(0) {
-			best = l
-		}
-	}
-	return best
+// ids hands out node IDs in wiring order from 1. Packets carry the IDs
+// and frames encode them as addresses, so NewPath, NewDumbbell and
+// NewTree each allocate their nodes in one fixed order.
+type ids NodeID
+
+func (n *ids) host(name string) *Host {
+	*n++
+	return NewHost(NodeID(*n), name)
+}
+
+func (n *ids) router(name string) *Router {
+	*n++
+	return NewRouter(NodeID(*n), name)
 }
 
 // NewPath wires the linear topology
 //
 //	sender → fwd[0] → R0 → fwd[1] → … → fwd[n-1] → receiver
 //
-// with the mirrored reverse chain through the same routers. Routes are
-// compiled by the fabric; on a chain they are the unique next hops.
+// with the mirrored reverse chain through the same routers. Router i
+// sends toward the receiver on fwd[i+1] and toward the sender on the
+// reverse link that leaves it.
 func NewPath(sim *Simulator, spec PathSpec) *Path {
 	n := len(spec.Forward)
 	if n == 0 {
 		panic("netsim: NewPath needs at least one forward link")
 	}
-	if spec.Reverse != nil && len(spec.Reverse) != n {
-		panic("netsim: reverse chain must have the same number of links as forward")
-	}
 
 	p := &Path{Sim: sim}
-	f := NewFabric(sim)
-	p.Sender = f.Host("sender")
-	p.Receiver = f.Host("receiver")
+	var id ids
+	p.Sender = id.host("sender")
+	p.Receiver = id.host("receiver")
 	for i := 0; i < n-1; i++ {
-		p.Routers = append(p.Routers, f.Router(fmt.Sprintf("r%d", i)))
+		p.Routers = append(p.Routers, id.router(fmt.Sprintf("r%d", i)))
 	}
 
 	// Forward chain: sender → r0 → … → receiver.
 	p.Fwd = make([]*Link, n)
-	for i := 0; i < n; i++ {
-		var from, to Node = p.Sender, p.Receiver
-		if i > 0 {
-			from = p.Routers[i-1]
-		}
+	for i := range p.Fwd {
+		var to Node = p.Receiver
 		if i < n-1 {
 			to = p.Routers[i]
 		}
-		p.Fwd[i] = f.Connect(from, to, spec.Forward[i])
+		p.Fwd[i] = NewLink(sim, spec.Forward[i], to)
 	}
 	// Reverse chain: receiver → r(n-2) → … → sender.
 	p.Rev = make([]*Link, n)
-	for i := 0; i < n; i++ {
-		var from, to Node = p.Receiver, p.Sender
-		if i > 0 {
-			from = p.Routers[n-1-i]
-		}
+	for i := range p.Rev {
+		var to Node = p.Sender
 		if i < n-1 {
 			to = p.Routers[n-2-i]
 		}
-		p.Rev[i] = f.Connect(from, to, spec.reverse(i, ""))
+		p.Rev[i] = NewLink(sim, ackMirror(spec.Forward[n-1-i], ""), to)
 	}
-	f.Compile()
+	p.Sender.SetOutput(p.Fwd[0])
+	p.Receiver.SetOutput(p.Rev[0])
+	for i, r := range p.Routers {
+		r.AddRoute(p.Receiver.ID(), p.Fwd[i+1])
+		r.AddRoute(p.Sender.ID(), p.Rev[n-1-i])
+	}
 	return p
-}
-
-// reverse returns the config of reverse link i (receiver side first):
-// Reverse[i], or the ACK mirror of the forward link it pairs with, which
-// keeps the name was when it is the mirror's (see ackMirror).
-func (spec PathSpec) reverse(i int, was string) LinkConfig {
-	if spec.Reverse != nil {
-		return spec.Reverse[i]
-	}
-	return ackMirror(spec.Forward[len(spec.Forward)-1-i], was)
 }
 
 // Reset turns p into the path NewPath(p.Sim, spec) wires, reusing its
@@ -105,33 +94,27 @@ func (spec PathSpec) reverse(i int, was string) LinkConfig {
 // belong to its pool, which Simulator.Reset reclaims.
 func (p *Path) Reset(spec PathSpec) {
 	n := len(p.Fwd)
-	if len(spec.Forward) != n || (spec.Reverse != nil && len(spec.Reverse) != n) {
+	if len(spec.Forward) != n {
 		panic(fmt.Sprintf("netsim: Path.Reset of a %d-hop path to a %d-hop spec", n, len(spec.Forward)))
 	}
 	for i, l := range p.Fwd {
 		l.reset(spec.Forward[i])
 	}
 	for i, l := range p.Rev {
-		l.reset(spec.reverse(i, l.Name()))
+		l.reset(ackMirror(spec.Forward[n-1-i], l.Name()))
 	}
 }
 
-// DumbbellSpec describes the classic n-pair dumbbell: n servers on the
-// left, n clients on the right, two routers joined by a shared
+// DumbbellSpec describes the classic dumbbell: one server on the left
+// and one client on the right per pair, two routers joined by a shared
 // bottleneck. Data flows server→client.
 type DumbbellSpec struct {
-	Pairs int
-	// Access configures every access link, server and client side, in
-	// both directions; it should be much faster than the bottleneck.
-	// PairDelay may override it per pair to give flows different
-	// minRTTs.
-	Access LinkConfig
-	// PairDelay, when non-nil, returns pair i's access config in place
-	// of Access: it applies to all four of the pair's access links
-	// (server up and down, client up and down). Nil means Access
-	// everywhere.
-	PairDelay func(i int) LinkConfig
-	// Bottleneck configures the shared R1→R2 link (and its mirror).
+	// Access holds one config per pair: it applies to all four of the
+	// pair's access links (server up and down, client up and down) and
+	// should be much faster than the bottleneck. An empty name becomes
+	// "access<i>".
+	Access []LinkConfig
+	// Bottleneck configures the shared left→right link (and its mirror).
 	Bottleneck LinkConfig
 }
 
@@ -145,47 +128,46 @@ type Dumbbell struct {
 	Bottleneck *Link   // left→right, the congested direction
 }
 
-// NewDumbbell wires the topology. Every server i sends to client i.
+// NewDumbbell wires the topology. Every server i sends to client i. The
+// left router sends to a server on its srv-down link and to every client
+// on the bottleneck; the right router sends to a client on its cli-down
+// link and to every server on the bottleneck's mirror.
 func NewDumbbell(sim *Simulator, spec DumbbellSpec) *Dumbbell {
-	if spec.Pairs <= 0 {
+	if len(spec.Access) == 0 {
 		panic("netsim: dumbbell needs at least one pair")
 	}
 	d := &Dumbbell{}
-	f := NewFabric(sim)
-
-	d.Left = f.Router("left")
-	d.Right = f.Router("right")
+	var id ids
+	d.Left = id.router("left")
+	d.Right = id.router("right")
 
 	bcfg := spec.Bottleneck
 	if bcfg.Name == "" {
 		bcfg.Name = "bottleneck"
 	}
-	d.Bottleneck, _ = f.Duplex(d.Left, d.Right, bcfg, ackMirror(bcfg, ""))
+	d.Bottleneck = NewLink(sim, bcfg, d.Right)
+	mirror := NewLink(sim, ackMirror(bcfg, ""), d.Left)
 
-	for i := 0; i < spec.Pairs; i++ {
-		srv := f.Host(fmt.Sprintf("server%d", i))
-		cli := f.Host(fmt.Sprintf("client%d", i))
+	for i, acc := range spec.Access {
+		srv := id.host(fmt.Sprintf("server%d", i))
+		cli := id.host(fmt.Sprintf("client%d", i))
 		d.Servers = append(d.Servers, srv)
 		d.Clients = append(d.Clients, cli)
-
-		acc := spec.Access
-		if spec.PairDelay != nil {
-			acc = spec.PairDelay(i)
-		}
 		if acc.Name == "" {
 			acc.Name = fmt.Sprintf("access%d", i)
 		}
-
-		// Server up, client down, client up, server down.
-		for _, e := range [4]struct {
-			from, to Node
-			dir      string
-		}{{srv, d.Left, "srv-up"}, {d.Right, cli, "cli-down"}, {cli, d.Right, "cli-up"}, {d.Left, srv, "srv-down"}} {
+		access := func(dir string, to Node) *Link {
 			c := acc
-			c.Name = acc.Name + "-" + e.dir
-			f.Connect(e.from, e.to, c)
+			c.Name = acc.Name + "-" + dir
+			return NewLink(sim, c, to)
 		}
+		// Server up, client down, client up, server down.
+		srv.SetOutput(access("srv-up", d.Left))
+		d.Right.AddRoute(cli.ID(), access("cli-down", cli))
+		cli.SetOutput(access("cli-up", d.Right))
+		d.Left.AddRoute(srv.ID(), access("srv-down", srv))
+		d.Left.AddRoute(cli.ID(), d.Bottleneck)
+		d.Right.AddRoute(srv.ID(), mirror)
 	}
-	f.Compile()
 	return d
 }

@@ -219,8 +219,7 @@ func TestResetTreeIsNewTree(t *testing.T) {
 func TestResetPathIsNewPath(t *testing.T) {
 	// a is a wireless-like path: a CoDel core, a last hop with a rate
 	// model, jitter and loss (deterministic, so both runs agree). b is
-	// plain drop-tail with other names, rates and queues, and an explicit
-	// reverse chain.
+	// plain drop-tail with other names, rates and queues.
 	a := PathSpec{Forward: []LinkConfig{
 		{Name: "core", Rate: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 64 << 10, Qdisc: CoDelFactory},
 		{Name: "last", Delay: 2 * time.Millisecond, QueueBytes: 16 << 10,
@@ -230,16 +229,10 @@ func TestResetPathIsNewPath(t *testing.T) {
 				delayBy(func(p *Packet) time.Duration { return time.Duration(p.Seq%5) * 100 * time.Microsecond }),
 			}},
 	}}
-	b := PathSpec{
-		Forward: []LinkConfig{
-			{Name: "wan", Rate: 5e8, Delay: 8 * time.Millisecond, QueueBytes: 1 << 20},
-			{Name: "fiber", Rate: 3e7, Delay: time.Millisecond, QueueBytes: 12 << 10},
-		},
-		Reverse: []LinkConfig{
-			{Name: "up-fiber", Rate: 3e7, Delay: time.Millisecond},
-			{Name: "up-wan", Rate: 5e8, Delay: 8 * time.Millisecond, QueueBytes: 8 << 10},
-		},
-	}
+	b := PathSpec{Forward: []LinkConfig{
+		{Name: "wan", Rate: 5e8, Delay: 8 * time.Millisecond, QueueBytes: 1 << 20},
+		{Name: "fiber", Rate: 3e7, Delay: time.Millisecond, QueueBytes: 12 << 10},
+	}}
 	s := NewSimulator()
 	p := NewPath(s, a)
 	hosts := []*Host{p.Sender, p.Receiver}

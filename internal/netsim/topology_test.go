@@ -68,23 +68,11 @@ func TestPathSingleLink(t *testing.T) {
 	}
 }
 
-func TestPathBottleneckSelection(t *testing.T) {
-	sim := NewSimulator()
-	p := NewPath(sim, PathSpec{Forward: []LinkConfig{
-		{Name: "fast", Rate: 1e9, Delay: time.Millisecond},
-		{Name: "slow", Rate: 5e7, Delay: time.Millisecond},
-		{Name: "mid", Rate: 1e8, Delay: time.Millisecond},
-	}})
-	if p.Bottleneck().Name() != "slow" {
-		t.Errorf("bottleneck = %q, want slow", p.Bottleneck().Name())
-	}
-}
-
 func TestDumbbellAllPairsConnected(t *testing.T) {
 	sim := NewSimulator()
+	acc := LinkConfig{Rate: 1e9, Delay: time.Millisecond}
 	d := NewDumbbell(sim, DumbbellSpec{
-		Pairs:      3,
-		Access:     LinkConfig{Rate: 1e9, Delay: time.Millisecond},
+		Access:     []LinkConfig{acc, acc, acc},
 		Bottleneck: LinkConfig{Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20},
 	})
 	received := make([]int, 3)
@@ -116,9 +104,9 @@ func TestDumbbellAllPairsConnected(t *testing.T) {
 
 func TestDumbbellSharedBottleneckContention(t *testing.T) {
 	sim := NewSimulator()
+	acc := LinkConfig{Rate: 1e9, Delay: time.Millisecond}
 	d := NewDumbbell(sim, DumbbellSpec{
-		Pairs:      2,
-		Access:     LinkConfig{Rate: 1e9, Delay: time.Millisecond},
+		Access:     []LinkConfig{acc, acc},
 		Bottleneck: LinkConfig{Rate: 8e6, Delay: time.Millisecond, QueueBytes: 3000},
 	})
 	for i := range d.Clients {
@@ -145,14 +133,10 @@ func TestDumbbellSharedBottleneckContention(t *testing.T) {
 
 func TestDumbbellPerPairDelay(t *testing.T) {
 	sim := NewSimulator()
-	base := LinkConfig{Rate: 1e9, Delay: time.Millisecond}
 	d := NewDumbbell(sim, DumbbellSpec{
-		Pairs:  2,
-		Access: base,
-		PairDelay: func(i int) LinkConfig {
-			c := base
-			c.Delay = time.Duration(1+10*i) * time.Millisecond
-			return c
+		Access: []LinkConfig{
+			{Rate: 1e9, Delay: time.Millisecond},
+			{Rate: 1e9, Delay: 11 * time.Millisecond},
 		},
 		Bottleneck: LinkConfig{Rate: 1e8, Delay: 5 * time.Millisecond},
 	})

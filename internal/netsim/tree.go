@@ -63,8 +63,7 @@ type Tree struct {
 // ackMirror derives the reverse-direction config for a duplex level:
 // same rate, delay and impairment stages (the stages and their RNG are
 // shared), a queue generous enough that the ACK path is never the
-// bottleneck unless the caller overrides it explicitly, and the name
-// cfg.Name+"-rev". was is the reverse link's name before a reset ("" for
+// bottleneck, and the name cfg.Name+"-rev". was is the reverse link's name before a reset ("" for
 // a new link); it is kept when it already is that name, so rewiring to
 // unchanged names builds no string.
 func ackMirror(cfg LinkConfig, was string) LinkConfig {
@@ -77,8 +76,11 @@ func ackMirror(cfg LinkConfig, was string) LinkConfig {
 	return rc
 }
 
-// NewTree wires the topology and compiles the static route tables for
-// every host pair.
+// NewTree wires the topology and installs every router's routes. The
+// trunk sends to a server on its SrvDown link and to every client on the
+// core; the root sends to every server on CoreRev and to a client on its
+// group's AggDown link; an aggregation router sends to its own clients
+// on their AccessDown links and to every other host on its AggUp link.
 func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 	if spec.Groups <= 0 || spec.HostsPerGroup <= 0 {
 		panic("netsim: tree needs at least one group and one host per group")
@@ -93,43 +95,41 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 	// Each server⇄trunk edge runs at 4× the core rate with no extra
 	// delay, so the server farm is never the bottleneck.
 	srv := LinkConfig{Rate: 4 * core.Rate, QueueBytes: 64 << 20}
-	if srv.Rate <= 0 {
-		srv.Rate = 4 * core.RateAt0()
+	if srv.Rate <= 0 && core.RateModel != nil {
+		srv.Rate = 4 * core.RateModel(0)
 	}
 
 	t := &Tree{Sim: sim, Spec: spec}
-	f := NewFabric(sim)
-
-	t.Trunk = f.Router("trunk")
-	t.Root = f.Router("root")
+	var id ids
+	t.Trunk = id.router("trunk")
+	t.Root = id.router("root")
 	for g := 0; g < spec.Groups; g++ {
-		t.Aggs = append(t.Aggs, f.Router(fmt.Sprintf("agg%d", g)))
+		t.Aggs = append(t.Aggs, id.router(fmt.Sprintf("agg%d", g)))
 	}
 	for s := 0; s < spec.Servers; s++ {
-		t.Servers = append(t.Servers, f.Host(fmt.Sprintf("server%d", s)))
+		t.Servers = append(t.Servers, id.host(fmt.Sprintf("server%d", s)))
 	}
 	for g := 0; g < spec.Groups; g++ {
 		for h := 0; h < spec.HostsPerGroup; h++ {
-			t.Clients = append(t.Clients, f.Host(fmt.Sprintf("client%d.%d", g, h)))
+			t.Clients = append(t.Clients, id.host(fmt.Sprintf("client%d.%d", g, h)))
 		}
 	}
 
 	for s, host := range t.Servers {
 		cfg := srv
-		if cfg.Name == "" {
-			cfg.Name = fmt.Sprintf("srv%d", s)
-		}
-		up, down := f.Duplex(host, t.Trunk, cfg, ackMirror(cfg, ""))
+		cfg.Name = fmt.Sprintf("srv%d", s)
+		up, down := NewLink(sim, cfg, t.Trunk), NewLink(sim, ackMirror(cfg, ""), host)
+		host.SetOutput(up)
 		t.SrvUp = append(t.SrvUp, up)
 		t.SrvDown = append(t.SrvDown, down)
 	}
-	t.Core, t.CoreRev = f.Duplex(t.Trunk, t.Root, core, ackMirror(core, ""))
+	t.Core, t.CoreRev = NewLink(sim, core, t.Root), NewLink(sim, ackMirror(core, ""), t.Trunk)
 	for g := 0; g < spec.Groups; g++ {
 		cfg := spec.Agg
 		if cfg.Name == "" {
 			cfg.Name = fmt.Sprintf("agg%d", g)
 		}
-		down, up := f.Duplex(t.Root, t.Aggs[g], cfg, ackMirror(cfg, ""))
+		down, up := NewLink(sim, cfg, t.Aggs[g]), NewLink(sim, ackMirror(cfg, ""), t.Root)
 		t.AggDown = append(t.AggDown, down)
 		t.AggUp = append(t.AggUp, up)
 		for h := 0; h < spec.HostsPerGroup; h++ {
@@ -138,12 +138,32 @@ func NewTree(sim *Simulator, spec TreeSpec) *Tree {
 				acc.Name = fmt.Sprintf("access%d.%d", g, h)
 			}
 			cli := t.Clients[g*spec.HostsPerGroup+h]
-			adown, aup := f.Duplex(t.Aggs[g], cli, acc, ackMirror(acc, ""))
+			adown, aup := NewLink(sim, acc, cli), NewLink(sim, ackMirror(acc, ""), t.Aggs[g])
+			cli.SetOutput(aup)
 			t.AccessDown = append(t.AccessDown, adown)
 			t.AccessUp = append(t.AccessUp, aup)
 		}
 	}
-	f.Compile()
+
+	for s, host := range t.Servers {
+		t.Trunk.AddRoute(host.ID(), t.SrvDown[s])
+		t.Root.AddRoute(host.ID(), t.CoreRev)
+		for g, agg := range t.Aggs {
+			agg.AddRoute(host.ID(), t.AggUp[g])
+		}
+	}
+	for c, cli := range t.Clients {
+		g := c / spec.HostsPerGroup
+		t.Trunk.AddRoute(cli.ID(), t.Core)
+		t.Root.AddRoute(cli.ID(), t.AggDown[g])
+		for a, agg := range t.Aggs {
+			if a == g {
+				agg.AddRoute(cli.ID(), t.AccessDown[c])
+			} else {
+				agg.AddRoute(cli.ID(), t.AggUp[a])
+			}
+		}
+	}
 	return t
 }
 
@@ -162,35 +182,5 @@ func (t *Tree) Reset() {
 	t.CoreRev.reset(t.CoreRev.cfg)
 }
 
-// RateAt0 returns the link's rate at time zero (fixed rate, or the
-// rate model sampled at 0).
-func (c LinkConfig) RateAt0() float64 {
-	if c.RateModel != nil {
-		return c.RateModel(0)
-	}
-	return c.Rate
-}
-
 // NumClients returns the number of client leaves.
 func (t *Tree) NumClients() int { return len(t.Clients) }
-
-// Client returns the leaf host for (group, host).
-func (t *Tree) Client(g, h int) *Host {
-	return t.Clients[g*t.Spec.HostsPerGroup+h]
-}
-
-// GroupOf returns the aggregation group of flattened client index c.
-func (t *Tree) GroupOf(c int) int { return c / t.Spec.HostsPerGroup }
-
-// DownLinks returns the forward (download) chain server s → client c:
-// server access, core, the client's aggregation link, and its access
-// link — the links a flow's data crosses, in order, for recorder and
-// impairment attachment.
-func (t *Tree) DownLinks(s, c int) []*Link {
-	return []*Link{t.SrvUp[s], t.Core, t.AggDown[t.GroupOf(c)], t.AccessDown[c]}
-}
-
-// UpLinks returns the reverse (ACK) chain client c → server s.
-func (t *Tree) UpLinks(s, c int) []*Link {
-	return []*Link{t.AccessUp[c], t.AggUp[t.GroupOf(c)], t.CoreRev, t.SrvDown[s]}
-}

@@ -17,7 +17,7 @@ func smallTreeSpec() TreeSpec {
 }
 
 // Every (server, client) pair must exchange a data packet and an ACK:
-// the compiled route tables cover the full host matrix in both
+// the route tables cover the full host matrix in both
 // directions.
 func TestTreeAllPairsConnected(t *testing.T) {
 	sim := NewSimulator()
@@ -71,8 +71,8 @@ func TestTreeAllPairsConnected(t *testing.T) {
 }
 
 // The ACK path of every pair must mirror the data path level for
-// level: each link in DownLinks carries the data packet, each link in
-// UpLinks carries the ACK, and nothing strays onto another group's
+// level: each link down from the server carries the data packet, each
+// link back up carries the ACK, and nothing strays onto another group's
 // branch.
 func TestTreeReversePathMirrorsForward(t *testing.T) {
 	sim := NewSimulator()
@@ -94,20 +94,19 @@ func TestTreeReversePathMirrorsForward(t *testing.T) {
 	if !gotAck {
 		t.Fatal("ack never returned")
 	}
-	for i, l := range tr.DownLinks(s, c) {
+	// Data: server 1's access, the core, group 1's aggregation link and
+	// client 5's access; the ACK climbs the mirrors of the same four.
+	for i, l := range []*Link{
+		tr.SrvUp[1], tr.Core, tr.AggDown[1], tr.AccessDown[5],
+		tr.AccessUp[5], tr.AggUp[1], tr.CoreRev, tr.SrvDown[1],
+	} {
 		if got := l.Stats().DeliveredPackets; got != 1 {
-			t.Errorf("down link %d (%s): delivered %d, want 1", i, l.Name(), got)
+			t.Errorf("link %d (%s): delivered %d, want 1", i, l.Name(), got)
 		}
 	}
-	for i, l := range tr.UpLinks(s, c) {
-		if got := l.Stats().DeliveredPackets; got != 1 {
-			t.Errorf("up link %d (%s): delivered %d, want 1", i, l.Name(), got)
-		}
-	}
-	// The other group's branch saw nothing.
-	other := tr.GroupOf(c) ^ 1
-	if got := tr.AggDown[other].Stats().DeliveredPackets + tr.AggUp[other].Stats().DeliveredPackets; got != 0 {
-		t.Errorf("group %d branch carried %d packets, want 0", other, got)
+	// Group 0's branch saw nothing.
+	if got := tr.AggDown[0].Stats().DeliveredPackets + tr.AggUp[0].Stats().DeliveredPackets; got != 0 {
+		t.Errorf("group 0 branch carried %d packets, want 0", got)
 	}
 	// The other server's access links saw only what it sent (nothing).
 	if got := tr.SrvUp[0].Stats().EnqueuedPackets + tr.SrvDown[0].Stats().EnqueuedPackets; got != 0 {
@@ -156,7 +155,7 @@ func TestTreeAggregationContention(t *testing.T) {
 	// behind an 8 Mbps serializer must drop.
 	sim.Schedule(0, func() {
 		for j := 0; j < 10; j++ {
-			tr.Servers[0].Send(&Packet{Kind: Data, Size: 1000, Dst: tr.Client(0, j%3).ID()})
+			tr.Servers[0].Send(&Packet{Kind: Data, Size: 1000, Dst: tr.Clients[j%3].ID()})
 		}
 	})
 	sim.RunAll()

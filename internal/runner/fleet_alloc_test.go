@@ -28,7 +28,7 @@ func skipAllocCount(t *testing.T) {
 // left on the packet path, so the count is exact (30 uncached
 // processes read one number) and the gate is an equality. A change
 // that legitimately moves the count edits this one number.
-const fleetShardAllocs = 6493
+const fleetShardAllocs = 5831
 
 // fleetShardFired and fleetShardPlaced are the events that replay
 // fires and the timing-wheel placements they cost (netsim.Simulator

@@ -517,7 +517,7 @@ func TestWarmCellAllocBudget(t *testing.T) {
 // drained first, so the worker cannot start warm; the count is exact
 // and the gate an equality, like the warm pass the root package pins
 // (TestFig11SerialSweepAllocBudget).
-const coldSweepAllocs = 167
+const coldSweepAllocs = 146
 
 // TestColdSweepAllocBudget is the alloc gate of cold growth (part of
 // `make allocgate`), which the warm pins no longer see.

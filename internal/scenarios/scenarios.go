@@ -257,22 +257,18 @@ func (tb Testbed) Build(sim *netsim.Simulator) *netsim.Dumbbell {
 	// carry the remainder so a pair's one-way delay sums to RTT/2.
 	bneckDelay := tb.RTT / 4
 	spec := netsim.DumbbellSpec{
-		Pairs:      tb.Pairs,
-		Access:     netsim.LinkConfig{Rate: tb.AccessRate, Delay: tb.RTT/2 - bneckDelay - tb.RTT/8, QueueBytes: 16 << 20},
+		Access:     make([]netsim.LinkConfig, tb.Pairs),
 		Bottleneck: netsim.LinkConfig{Rate: tb.BtlRate, Delay: bneckDelay, QueueBytes: queue},
 	}
-	if len(tb.PerPairRTT) > 0 {
-		spec.PairDelay = func(i int) netsim.LinkConfig {
+	for i := range spec.Access {
+		spec.Access[i] = netsim.LinkConfig{Rate: tb.AccessRate, Delay: tb.RTT/2 - bneckDelay - tb.RTT/8, QueueBytes: 16 << 20}
+		if len(tb.PerPairRTT) > 0 {
 			rtt := tb.RTT
 			if i < len(tb.PerPairRTT) {
 				rtt = tb.PerPairRTT[i]
 			}
-			d := rtt/2 - bneckDelay
-			if d < 0 {
-				d = 0
-			}
 			// Split the access budget between the two access hops.
-			return netsim.LinkConfig{Rate: tb.AccessRate, Delay: d / 2, QueueBytes: 16 << 20}
+			spec.Access[i].Delay = max(rtt/2-bneckDelay, 0) / 2
 		}
 	}
 	return netsim.NewDumbbell(sim, spec)

@@ -206,18 +206,18 @@ func behaviourLines(t *testing.T) []string {
 	// paths of the AQM comparison and Appendix B.
 	joinAt, horizon := 15*time.Second, 40*time.Second
 	for _, a := range []runner.Algo{runner.Cubic, runner.BBR2} {
-		r := experiments.RunFig02(a, 100*time.Millisecond, 2, joinAt, horizon)
+		r := experiments.RunFig02(a, 100*time.Millisecond, 2, joinAt, horizon, runner.Options{})
 		add("fig02/"+a.String(), "-", fmt.Appendf(nil, "%v %v %v %v", r.FairShare, r.Share, r.TimeToHalfShare, r.TimeToFairShare))
 	}
-	f15 := experiments.RunFig15(experiments.Fig15Config{RTT: 200 * time.Millisecond, BufferBDP: 1}, joinAt, horizon)
+	f15 := experiments.RunFig15(experiments.Fig15Config{RTT: 200 * time.Millisecond, BufferBDP: 1}, joinAt, horizon, runner.Options{})
 	for v, name := range []string{"off", "on"} {
 		add("fig15/200ms/1bdp/"+name, "-", fmt.Appendf(nil, "%v %v %v", f15.Jain[v], f15.RecoveryTime[v], f15.MeanPostJoin[v]))
 	}
-	f16 := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20)
+	f16 := experiments.RunFig16(runner.Cubic, runner.Suss, 100*time.Millisecond, 1, 40<<20, runner.Options{})
 	add("fig16/40MB", "-", fmt.Appendf(nil, "%v %v %v", f16.LargeFCT, f16.SmallFCTs, f16.LargeGoodput))
 	t1 := experiments.RunTable1(runner.Cubic, 40<<20, runner.Options{})
 	add("table1/cubic/40MB", "-", fmt.Appendf(nil, "%v %v", t1.Rows, t1.Failed))
-	wm := experiments.RunWebMix(40, 3, 1)
+	wm := experiments.RunWebMix(40, 3, 1, runner.Options{})
 	add("webmix/s1/40", "-", fmt.Appendf(nil, "%v", wm))
 	aqm := experiments.RunAQMComparison(4<<20, runner.Options{})
 	add("aqm/4MB", "-", fmt.Appendf(nil, "%v %v %v %v %v", aqm.Variants, aqm.FCT, aqm.Loss, aqm.MaxRTTms, aqm.Incomplete))

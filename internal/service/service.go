@@ -484,20 +484,7 @@ func jobCell(j runner.Job, r runner.DownloadResult) (runner.Result, bool) {
 // reuses every shard it shares with a previous run.
 func planFleet(s *Server, req SubmitRequest, seed int64) (plan[runner.FleetResult], error) {
 	var p plan[runner.FleetResult]
-	fc := experiments.DefaultFleetConfig(seed)
-	if req.Flows > 0 {
-		fc.Flows = req.Flows
-	}
-	if req.Shards > 0 {
-		fc.Shards = req.Shards
-	}
-	if req.Arrival > 0 {
-		fc.ArrivalRate = req.Arrival
-	}
-	if req.FullMix {
-		fc.Mix = nil // fall back to workload.DefaultMix
-	}
-	fc = fc.Normalized()
+	fc := experiments.FleetConfigFor(seed, req.Flows, req.Shards, req.Arrival, req.FullMix).Normalized()
 	if fc.Flows > maxFleetFlows {
 		return p, fmt.Errorf("fleet too large: %d flows, limit %d", fc.Flows, maxFleetFlows)
 	}

@@ -115,15 +115,10 @@ func TestAckLossTolerance(t *testing.T) {
 	// self-healing).
 	rng := rand.New(rand.NewSource(3))
 	sim := netsim.NewSimulator()
-	p := netsim.NewPath(sim, netsim.PathSpec{
-		Forward: []netsim.LinkConfig{
-			{Name: "fwd", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20},
-		},
-		Reverse: []netsim.LinkConfig{
-			{Name: "rev", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20,
-				Impair: netsim.Impairments{netem.Bernoulli(0.2, rng)}},
-		},
-	})
+	p := netsim.NewPath(sim, netsim.PathSpec{Forward: []netsim.LinkConfig{
+		{Name: "fwd", Rate: 5e7, Delay: 20 * time.Millisecond, QueueBytes: 1 << 20},
+	}})
+	p.Rev[0].AttachImpairments(netem.Bernoulli(0.2, rng))
 	cfg := DefaultConfig()
 	f := NewFlow(sim, cfg, 1, p.Sender, NewDemux(p.Sender), p.Receiver, NewDemux(p.Receiver), 1<<20, nil)
 	f.Sender.SetController(&fixedCC{cwnd: 64 * 1448})

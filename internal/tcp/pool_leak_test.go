@@ -24,8 +24,10 @@ func TestPacketPoolOwnershipLossyDumbbell(t *testing.T) {
 	sim := netsim.NewSimulator()
 	rng := rand.New(rand.NewSource(7))
 	d := netsim.NewDumbbell(sim, netsim.DumbbellSpec{
-		Pairs:  2,
-		Access: netsim.LinkConfig{Rate: 1e9, Delay: 2 * time.Millisecond, QueueBytes: 4 << 20},
+		Access: []netsim.LinkConfig{
+			{Rate: 1e9, Delay: 2 * time.Millisecond, QueueBytes: 4 << 20},
+			{Rate: 1e9, Delay: 2 * time.Millisecond, QueueBytes: 4 << 20},
+		},
 		Bottleneck: netsim.LinkConfig{
 			Rate:       20e6,
 			Delay:      20 * time.Millisecond,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"suss/internal/experiments"
+	"suss/internal/runner"
 )
 
 // WorkloadStats summarizes per-flow completion times for one variant
@@ -35,7 +36,7 @@ func RunWebWorkload(n int, arrivalRate float64, seed int64) (WorkloadResult, err
 	if n <= 0 || arrivalRate <= 0 {
 		return WorkloadResult{}, fmt.Errorf("suss: need positive flow count and arrival rate")
 	}
-	r := experiments.RunWebMix(n, arrivalRate, seed)
+	r := experiments.RunWebMix(n, arrivalRate, seed, runner.Options{})
 	return WorkloadResult{
 		Flows:                r.Flows,
 		AllOff:               WorkloadStats{MeanFCT: r.All[0].Mean, P95FCT: r.All[0].P95},
