@@ -60,11 +60,14 @@ func parseSummary(t *testing.T, stderr string) submitSummary {
 
 // TestSussdSmoke is the two-process end-to-end: build the shipped
 // daemon and the client with -race, submit the same small fig11 matrix
-// twice from a separate client process, and require the second pass to
-// be 100 % cache hits with zero additional simulator runs and
-// byte-identical CSV — which must also match the in-process sweep's
-// CSV. It ends the way a deployment does: SIGTERM, and the daemon must
-// drain and exit 0 (66 would be a detected race) inside -draintimeout.
+// twice from a separate client process, and require the second pass
+// (a replay of the first batch) to be 100 % cache hits with zero
+// additional simulator runs and byte-identical CSV — which must also
+// match the in-process sweep's CSV. A third pass submits a subset of
+// the matrix, which takes the per-cell path: it too must be fully
+// cached, run nothing, and match the in-process sweep of the subset. It
+// ends the way a deployment does: SIGTERM, and the daemon must drain
+// and exit 0 (66 would be a detected race) inside -draintimeout.
 func TestSussdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-process smoke skipped in -short")
@@ -109,8 +112,27 @@ func TestSussdSmoke(t *testing.T) {
 	if !bytes.Equal(csv1, buf.Bytes()) {
 		t.Errorf("daemon CSV differs from in-process sweep:\ndaemon:\n%s\ndirect:\n%s", csv1, buf.Bytes())
 	}
-	fmt.Printf("sussd smoke: %d cells, pass2 cached=%d sim_runs delta=%d\n",
-		wantCells, sum2.cached, sum2.simRuns-sum1.simRuns)
+
+	// Every cell of the subset is cached, but the request is not the
+	// first one: the cell path keys, probes and folds it.
+	const subset = `{"kind":"fig11","sizes":[262144],"iters":2,"seed":1}`
+	csv3, sum3 := submitCLI(t, sussim, url, subset)
+	if sum3.cells != wantCells/2 || sum3.cached != sum3.cells {
+		t.Errorf("pass 3: %d/%d cells cached, want all %d", sum3.cached, sum3.cells, wantCells/2)
+	}
+	if sum3.simRuns != sum1.simRuns || sum3.misses != sum2.misses {
+		t.Errorf("pass 3 ran %d simulations and missed %d cells, want 0", sum3.simRuns-sum1.simRuns, sum3.misses-sum2.misses)
+	}
+	buf.Reset()
+	direct = experiments.RunFig11(scenarios.GoogleTokyo, []int64{262144}, 2, 1, runner.Options{}, false)
+	if err := direct.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv3, buf.Bytes()) {
+		t.Errorf("daemon CSV of the subset differs from the in-process sweep:\ndaemon:\n%s\ndirect:\n%s", csv3, buf.Bytes())
+	}
+	fmt.Printf("sussd smoke: %d cells, pass2 cached=%d, pass3 cached=%d of %d, sim_runs delta=%d\n",
+		wantCells, sum2.cached, sum3.cached, sum3.cells, sum3.simRuns-sum1.simRuns)
 
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -57,12 +57,14 @@ const (
 type batch struct {
 	id      string
 	kind    string
+	canon   string // the request's canonical text, the replay index's key; "" = none
 	created time.Time
 
 	// ctx governs the batch's executor; cancel is fired by
 	// DELETE /v1/jobs/{id} and by daemon drain. In-flight cells run to
 	// completion (a simulation cannot be interrupted mid-run), but no
-	// new cell starts once the context is cancelled.
+	// new cell starts once the context is cancelled. A replayed batch
+	// has no executor and no ctx.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -516,6 +518,7 @@ func execute[R any](s *Server, b *batch, p plan[R], results []R, miss []int) {
 	}
 	s.cache.hits.Add(int64(len(p.keys) - len(miss)))
 	s.cache.misses.Add(int64(len(miss)))
+	var stored atomic.Int64
 	outs := runner.Map(b.ctx, miss, func(ctx context.Context, _ int, i int) (R, error) {
 		s.dequeueCell(b)
 		b.setCell(i, CellRunning, "")
@@ -527,6 +530,7 @@ func execute[R any](s *Server, b *batch, p plan[R], results []R, miss []int) {
 		if cacheable {
 			if raw, err := p.encode(res); err == nil {
 				s.cache.Put(p.keys[i], raw)
+				stored.Add(1)
 			}
 		}
 		if cellErr != nil {
@@ -560,5 +564,12 @@ func execute[R any](s *Server, b *batch, p plan[R], results []R, miss []int) {
 	}
 	var buf bytes.Buffer
 	err := p.fold(results, &buf)
+	// A batch of hits and stored misses joins the replay index before its
+	// done channel closes, so a resubmission after a result wait replays.
+	if err == nil && stored.Load() == int64(len(miss)) && b.canon != "" {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.replays[b.canon] = b
+	}
 	b.finish(buf.Bytes(), err)
 }

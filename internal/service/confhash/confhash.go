@@ -43,7 +43,7 @@ func JobKey(j runner.Job) (string, error) {
 // and splices its text into every cell's; a cell then costs one hash.
 // The keys are slices of one string.
 func JobKeys(jobs []runner.Job) ([]string, error) {
-	text := jobText{&memo[scenarioKey]{}, &memo[runTail]{}}
+	text := jobText{&memo[scenarios.Scenario]{}, &memo[runTail]{}}
 	var all strings.Builder
 	all.Grow(len(jobs) * keyLen)
 	var buf [1024]byte
@@ -169,39 +169,44 @@ func appendJob(b []byte, j *runner.Job) []byte { return jobText{}.append(b, j) }
 // jobText renders download jobs; with memos (JobKeys) it copies the
 // text of a scenario or run tail it rendered before.
 type jobText struct {
-	scens *memo[scenarioKey]
+	scens *memo[scenarios.Scenario]
 	tails *memo[runTail]
 }
 
 func (t jobText) append(b []byte, j *runner.Job) []byte {
 	b = appendInt(b, "{Algo:", int64(j.Algo))
-	b = strconv.AppendQuote(append(b, ",Backend:"...), j.Backend)
+	if j.Backend == "sim" { // what normalizeJob leaves
+		b = append(b, `,Backend:"sim"`...)
+	} else {
+		b = strconv.AppendQuote(append(b, ",Backend:"...), j.Backend)
+	}
 	b = appendInt(b, ",Domains:", int64(j.Domains))
 	b = appendInt(b, ",Horizon:", int64(j.Horizon))
 	b = appendInt(b, ",Impair:null,Iter:", int64(j.Iter))
 	b = appendBool(b, ",Observe:", j.Observe)
-	sc, ok := keyScenario(j.Scenario), false
-	if b, ok = t.scens.get(append(b, ",Scenario:"...), sc); !ok {
-		b = t.scens.put(sc, len(b), appendScenario(b, j.Scenario))
+	sc, ok := &j.Scenario, false
+	if b = append(b, ",Scenario:"...); !exactEq(sc) {
+		b = appendScenario(b, *sc)
+	} else if b, ok = t.scens.get(b, sc); !ok {
+		b = t.scens.put(sc, len(b), appendScenario(b, *sc))
 	}
 	b = appendInt(b, ",Size:", j.Size)
 	tail := runTail{j.SussOpt, j.Transport, j.WallLimit}
-	if b, ok = t.tails.get(b, tail); !ok {
-		b = t.tails.put(tail, len(b), appendRunTail(b, tail))
+	if b, ok = t.tails.get(b, &tail); !ok {
+		b = t.tails.put(&tail, len(b), appendRunTail(b, tail))
 	}
 	return b
 }
 
-// scenarioKey is a scenario with its floats' bits: == on scenarios
-// alone would take -0 for 0, which renders differently.
-type scenarioKey struct {
-	s    scenarios.Scenario
-	bits [5]uint64
-}
-
-func keyScenario(s scenarios.Scenario) scenarioKey {
-	h, bits := s.LastHop, math.Float64bits
-	return scenarioKey{s, [...]uint64{bits(s.CoreRate), bits(h.BufferBDPs), bits(h.Loss), bits(h.MeanRate), bits(h.RelStdDev)}}
+// exactEq reports whether == on s is equal text, so s may be memoized:
+// no float is NaN, equal to nothing, or -0, equal to 0 but not its text.
+func exactEq(s *scenarios.Scenario) bool {
+	for _, x := range [...]float64{s.CoreRate, s.LastHop.BufferBDPs, s.LastHop.Loss, s.LastHop.MeanRate, s.LastHop.RelStdDev} {
+		if x != x || math.Float64bits(x) == 1<<63 {
+			return false
+		}
+	}
+	return true
 }
 
 // memo holds the first few distinct keys' texts; a nil memo holds none.
@@ -212,9 +217,9 @@ type memo[K comparable] struct {
 }
 
 // get appends k's text to b if the memo holds it.
-func (m *memo[K]) get(b []byte, k K) ([]byte, bool) {
+func (m *memo[K]) get(b []byte, k *K) ([]byte, bool) {
 	for i := 0; m != nil && i < m.n; i++ {
-		if m.keys[i] == k {
+		if m.keys[i] == *k {
 			return append(b, m.texts[i]...), true
 		}
 	}
@@ -222,9 +227,9 @@ func (m *memo[K]) get(b []byte, k K) ([]byte, bool) {
 }
 
 // put remembers b[from:] as k's text, if there is room, and returns b.
-func (m *memo[K]) put(k K, from int, b []byte) []byte {
+func (m *memo[K]) put(k *K, from int, b []byte) []byte {
 	if m != nil && m.n < len(m.keys) {
-		m.keys[m.n], m.texts[m.n] = k, bytes.Clone(b[from:])
+		m.keys[m.n], m.texts[m.n] = *k, bytes.Clone(b[from:])
 		m.n++
 	}
 	return b

@@ -127,6 +127,9 @@ func testCancelMidBatch(t *testing.T, req SubmitRequest) {
 	// the first batch got to. Cancel it too rather than simulating the
 	// remaining slow cells.
 	second := c.submit(req)
+	if replayed(t, s, second.ID) {
+		t.Error("resubmission after cancel replayed the canceled batch")
+	}
 	if second.Cached == 0 {
 		t.Error("resubmission after cancel found nothing cached")
 	}

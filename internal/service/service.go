@@ -100,6 +100,9 @@ type Server struct {
 	batches map[string]*batch
 	order   []string
 	nextID  int
+	// replays maps a request encoded whole (no field aliases two matrices)
+	// to its newest retained batch that may replay (DESIGN.md, "The warm path").
+	replays map[string]*batch
 }
 
 // New returns an idle server. With Config.CacheFile set it replays the
@@ -124,6 +127,7 @@ func New(cfg Config) (*Server, error) {
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		batches:    make(map[string]*batch),
+		replays:    make(map[string]*batch),
 	}, nil
 }
 
@@ -297,28 +301,27 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if s.draining.Load() {
 		return SubmitResponse{}, ErrDraining
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
+	if req.Seed == 0 {
+		req.Seed = 1
 	}
 	plan, ok := kinds[req.Kind]
 	if !ok {
 		return SubmitResponse{}, fmt.Errorf("unknown kind %q (want fig11 or fleet)", req.Kind)
 	}
-	keys, miss, run, err := plan(s, req, seed)
+	canon, err := json.Marshal(req)
+	if err != nil {
+		canon = nil // a request that does not encode is never indexed
+	}
+	if resp, ok, err := s.serveReplay(req.Kind, canon); ok {
+		return resp, err
+	}
+	keys, miss, run, err := plan(s, req, req.Seed)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-
-	// Admission control: bound the backlog of cells that are admitted
-	// but not yet simulating. A batch landing on an idle queue is
-	// always admitted (otherwise a single batch bigger than the cap
-	// could never run); past that, the cap holds within one batch.
 	est := int64(len(miss))
-	if cap := s.cfg.maxQueued(); cap > 0 {
-		if q := s.queued.Load(); q > 0 && q+est > cap {
-			return SubmitResponse{}, &OverloadError{Queued: q, Limit: cap, RetryAfter: retryAfter(q)}
-		}
+	if err := s.admit(est); err != nil {
+		return SubmitResponse{}, err
 	}
 	s.queued.Add(est)
 
@@ -326,6 +329,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	s.nextID++
 	id := "j" + strconv.Itoa(s.nextID)
 	b := newBatch(id, req.Kind, keys, s.rootCtx)
+	b.canon = string(canon)
 	b.queuedLeft.Store(est)
 	s.batches[id] = b
 	s.order = append(s.order, id)
@@ -334,6 +338,43 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	s.running.Add(1)
 	go s.runBatch(b, run)
 	return SubmitResponse{ID: id, Kind: req.Kind, Cells: len(keys), Cached: len(keys) - len(miss)}, nil
+}
+
+// admit bounds the backlog of admitted, unsimulated cells. An idle queue
+// admits any batch, so one bigger than the cap can still run.
+func (s *Server) admit(est int64) error {
+	if cap := s.cfg.maxQueued(); cap > 0 {
+		if q := s.queued.Load(); q > 0 && q+est > cap {
+			return &OverloadError{Queued: q, Limit: cap, RetryAfter: retryAfter(q)}
+		}
+	}
+	return nil
+}
+
+// serveReplay registers an indexed request as a batch sealed at birth that
+// shares its source's cells (all cached), CSV and done channel; ok = indexed.
+func (s *Server) serveReplay(kind string, canon []byte) (_ SubmitResponse, ok bool, err error) {
+	s.mu.Lock()
+	src, ok := s.replays[string(canon)]
+	if err = s.admit(0); !ok || err != nil { // Submit ignores err unless ok
+		s.mu.Unlock()
+		return SubmitResponse{}, ok, err
+	}
+	s.nextID++
+	b := &batch{id: "j" + strconv.Itoa(s.nextID), kind: kind, canon: src.canon, created: time.Now(),
+		cancel: func() {}, cells: src.cells, state: stateDone, csv: src.csv, done: src.done}
+	if src.ctx != nil { // the source ran the cell path: list its keys as cached
+		b.cells = make([]CellInfo, len(src.cells))
+		for i := range b.cells {
+			b.cells[i] = CellInfo{Key: src.cells[i].Key, Status: CellCached}
+		}
+	}
+	s.replays[b.canon], s.batches[b.id] = b, b
+	s.order = append(s.order, b.id)
+	s.mu.Unlock()
+	s.cache.hits.Add(int64(len(b.cells)))
+	s.gcBatches()
+	return SubmitResponse{ID: b.id, Kind: kind, Cells: len(b.cells), Cached: len(b.cells)}, true, nil
 }
 
 // runBatch wraps a batch executor with the lifecycle bookkeeping every
@@ -389,7 +430,10 @@ func (s *Server) gcBatches() {
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
-		if evict > 0 && s.batches[id].terminal() {
+		if b := s.batches[id]; evict > 0 && b.terminal() {
+			if s.replays[b.canon] == b {
+				delete(s.replays, b.canon)
+			}
 			delete(s.batches, id)
 			s.evicted.Add(1)
 			evict--
