@@ -51,9 +51,6 @@ func main() {
 	fleetArrival := flag.Float64("arrival", 0, "with -fleet: per-shard Poisson arrival rate in flows/s (0 = default)")
 	fleetFull := flag.Bool("fullmix", false, "with -fleet: use the full heavy-tailed class mix (64 MB elephants) instead of the CI-sized smoke mix")
 	fleetCSV := flag.String("fleetcsv", "", "with -fleet: write the merged per-class FCT CDFs to this CSV file")
-	serveAddr := flag.String("serve", "", "serve -size bytes over a real UDP socket on this address (e.g. 127.0.0.1:7000); pair with a -fetch process")
-	fetchAddr := flag.String("fetch", "", "fetch -size bytes from a -serve process at this address")
-	wireLoss := flag.Float64("wireloss", 0, "with -serve: fraction of outgoing frames to erase at the wire (e.g. 0.05)")
 	submitURL := flag.String("submit", "", "submit -spec to a sussd daemon at this base URL (e.g. http://127.0.0.1:7077), wait, and print the result CSV")
 	spec := flag.String("spec", "", `with -submit: the job matrix as JSON, e.g. {"kind":"fig11","sizes":[262144],"iters":2,"seed":1}`)
 	outPath := flag.String("o", "", "with -submit: write the result CSV here instead of stdout")
@@ -99,19 +96,6 @@ func main() {
 	size, err := parseSize(*sizeStr)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *serveAddr != "" {
-		if err := serveFlow(*serveAddr, algo, size, *wireLoss, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *fetchAddr != "" {
-		if err := fetchFlow(*fetchAddr, size); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	observe := *eventsPath != "" || *counters

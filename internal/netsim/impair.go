@@ -55,8 +55,7 @@ type ImpairStage interface {
 type Impairments []ImpairStage
 
 // Judge runs the pipeline on one packet and returns the combined
-// verdict. Links call it on every packet; the real-time UDP wire
-// backend calls it to reuse the same stages at the frame layer.
+// verdict. Links call it on every packet.
 func (im Impairments) Judge(now time.Duration, pkt *Packet) ImpairVerdict {
 	var v ImpairVerdict
 	for _, s := range im {

@@ -253,8 +253,8 @@ func TestLinkLine(t *testing.T) {
 		if n != 1000 || sim.Pending() != 1 {
 			t.Fatalf("%d packets on the line, %d events pending; want 1000 and 1", n, sim.Pending())
 		}
-		if at, ok := sim.NextEventAt(); !ok || at != arrival(0) {
-			t.Fatalf("NextEventAt() = %v, %v; want the head's arrival %v", at, ok, arrival(0))
+		if at, ok := nextEventAt(sim); !ok || at != arrival(0) {
+			t.Fatalf("nextEventAt() = %v, %v; want the head's arrival %v", at, ok, arrival(0))
 		}
 		// Packet 1 propagated long ago but is not the head yet: a timer
 		// armed now at its arrival must fire after it is delivered.

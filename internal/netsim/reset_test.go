@@ -172,7 +172,7 @@ func assertFreshState(t *testing.T, s *Simulator) {
 	if s.Pool().Stats() != (PoolStats{}) || len(s.pool.free) != 0 || s.pool.used != 0 {
 		t.Errorf("reset pool: stats %+v, %d on the free list, %d used", s.Pool().Stats(), len(s.pool.free), s.pool.used)
 	}
-	if at, ok := s.NextEventAt(); ok {
+	if at, ok := nextEventAt(s); ok {
 		t.Errorf("reset engine has an event pending at %v", at)
 	}
 	// Slots come out 0, 1, 2 … like a fresh arena's appends.

@@ -25,7 +25,6 @@ package netsim
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 const (
@@ -212,25 +211,4 @@ func (s *Simulator) window0() int64 {
 	}
 	ci := int(uint64(s.cur) & wheelMask)
 	return s.cur + int64(bits.TrailingZeros64(bits.RotateLeft64(s.occ[0], -ci)))
-}
-
-// NextEventAt returns the exact deadline of the earliest pending
-// event, or false when nothing is pending. It walks every bucket list,
-// O(pending): it is for the UDP wire backend's reactor, which runs a
-// private Simulator at wall-clock pace; the simulation never calls it.
-func (s *Simulator) NextEventAt() (time.Duration, bool) {
-	if s.npending == 0 {
-		return 0, false
-	}
-	first := time.Duration(math.MaxInt64)
-	for lvl, occ := range s.occ {
-		for occ != 0 {
-			b := lvl*wheelSlots + bits.TrailingZeros64(occ)
-			occ &= occ - 1
-			for i := s.bhead[b]; i >= 0; i = s.slots[i].next {
-				first = min(first, s.slots[i].at)
-			}
-		}
-	}
-	return first, true
 }

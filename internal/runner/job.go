@@ -35,10 +35,9 @@ type Job struct {
 	Size     int64
 	Iter     int
 	// Backend is retired: the runner drives the deterministic simulator
-	// only (wall-clock substrates are wire.Conns a test wires up itself,
-	// see udpbackend.Loopback). Like Domains the field survives because
-	// the frozen bench/ module reads it; "" and "sim" are accepted and
-	// Download panics on anything else.
+	// only. Like Domains the field survives because the frozen bench/
+	// module reads it; "" and "sim" are accepted and Download panics on
+	// anything else.
 	Backend string
 	// SussOpt overrides the SUSS configuration when Algo == Suss (nil
 	// = defaults); ablations use it to disable individual mechanisms.

@@ -11,20 +11,19 @@ import (
 )
 
 // Demux dispatches packets delivered to a host among the flows
-// terminating there. It lives with the simulator backend now (the
-// other wire backends carry one flow per conn and need no demux); the
-// alias keeps the many existing construction sites unchanged.
+// terminating there. It lives with the simulator backend, whose conns
+// it routes to; the alias keeps the many existing construction sites
+// unchanged.
 type Demux = simbackend.Demux
 
 // NewDemux installs a demultiplexer as the host's packet handler.
 func NewDemux(host *netsim.Host) *Demux { return simbackend.NewDemux(host) }
 
-// Flow bundles a sender and receiver wired across a wire backend.
+// Flow bundles a sender and receiver wired across the simulator.
 //
 // A flow is one allocation holding its endpoints, the two simulator
-// conns NewFlow wires them over and the counter block they count into
-// (rc is the receiver's when its conn runs on an event loop of its
-// own). Reset turns a used flow into the one NewFlow would build,
+// conns NewFlow wires them over and the one counter block both count
+// into. Reset turns a used flow into the one NewFlow would build,
 // keeping the buffers it grew, so a caller that runs many flows can
 // keep a slab of them.
 type Flow struct {
@@ -32,7 +31,7 @@ type Flow struct {
 	Receiver *Receiver
 
 	startAt time.Duration
-	c, rc   obs.FlowCounters
+	c       obs.FlowCounters
 
 	snd          Sender
 	rcv          Receiver
@@ -41,19 +40,6 @@ type Flow struct {
 	// The endpoints' conn handlers, bound once for the flow's lifetime
 	// (a method value allocates).
 	onAck, onData wire.Handler
-}
-
-// NewFlowOver wires a sender and receiver for a size-byte transfer
-// over an arbitrary pair of wire conns (one per endpoint), installing
-// each endpoint as its conn's frame handler. This is the
-// backend-agnostic constructor: the same sender and receiver code
-// runs whether the conns attach to the simulator or a UDP socket.
-func NewFlowOver(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn,
-	size int64, ctrl cc.Controller) *Flow {
-
-	f := new(Flow)
-	f.reset(cfg, id, sconn, rconn, size, ctrl)
-	return f
 }
 
 // NewFlow wires a sender on srcHost and a receiver on dstHost for a
@@ -81,23 +67,15 @@ func (f *Flow) Reset(sim *netsim.Simulator, cfg Config, id netsim.FlowID,
 
 	f.sconn.Reset(sim, srcHost, srcMux, dstHost.ID(), id)
 	f.rconn.Reset(sim, dstHost, dstMux, srcHost.ID(), id)
-	f.reset(cfg, id, &f.sconn, &f.rconn, size, ctrl)
-}
-
-func (f *Flow) reset(cfg Config, id netsim.FlowID, sconn, rconn wire.Conn, size int64, ctrl cc.Controller) {
-	f.startAt, f.c, f.rc = 0, obs.FlowCounters{}, obs.FlowCounters{}
-	rc := &f.c
-	if rconn.Clock() != sconn.Clock() {
-		rc = &f.rc
-	}
+	f.startAt, f.c = 0, obs.FlowCounters{}
 	f.Sender, f.Receiver = &f.snd, &f.rcv
-	f.snd.reset(sconn, cfg, id, size, ctrl, &f.c)
-	f.rcv.reset(rconn, cfg, id, size, rc)
+	f.snd.reset(&f.sconn, cfg, id, size, ctrl, &f.c)
+	f.rcv.reset(&f.rconn, cfg, id, size, &f.c)
 	if f.onAck == nil {
 		f.onAck, f.onData = f.snd.HandleAck, f.rcv.Handle
 	}
-	sconn.SetHandler(f.onAck)
-	rconn.SetHandler(f.onData)
+	f.sconn.SetHandler(f.onAck)
+	f.rconn.SetHandler(f.onData)
 }
 
 // senderStartEv starts a flow's sender without a per-flow closure.

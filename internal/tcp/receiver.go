@@ -87,7 +87,7 @@ func (r *Receiver) AttachRecorder(rec *obs.FlowRecorder) { r.rec = rec }
 // NewReceiver creates a receiver for one flow terminating at conn,
 // with a counter block of its own. size is the expected stream length
 // for completion detection (0 disables it). The caller must install
-// Handle as the conn's handler (NewFlowOver does both).
+// Handle as the conn's handler; a Flow wires its own endpoints.
 func NewReceiver(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64) *Receiver {
 	r := new(struct {
 		Receiver

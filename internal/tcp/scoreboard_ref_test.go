@@ -145,8 +145,7 @@ type refSender struct {
 }
 
 // newRefSender creates a reference sender for one flow transmitting through conn.
-// The caller must install HandleAck as the conn's handler (NewFlowOver
-// does both).
+// The caller must install HandleAck as the conn's handler.
 func newRefSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *refSender {
 	return &refSender{
 		conn:  conn,

@@ -139,7 +139,7 @@ type Sender struct {
 
 // NewSender creates a sender for one flow transmitting through conn,
 // with a counter block of its own. The caller must install HandleAck
-// as the conn's handler (NewFlowOver does both).
+// as the conn's handler; a Flow wires its own endpoints.
 func NewSender(conn wire.Conn, cfg Config, flow netsim.FlowID, size int64, ctrl cc.Controller) *Sender {
 	s := new(struct {
 		Sender

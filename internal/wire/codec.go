@@ -158,7 +158,7 @@ func EncodeSegment(buf []byte, seg *Segment) (int, error) {
 	tcp[13] = seg.Flags
 	binary.BigEndian.PutUint16(tcp[14:], seg.Window)
 	// Checksum stays zero: the transport treats it as offloaded (the
-	// simulator and pipe have no corrupting medium; UDP has its own).
+	// simulator has no corrupting medium).
 	tcp[16], tcp[17] = 0, 0
 	binary.BigEndian.PutUint16(tcp[18:], 0) // urgent pointer
 

@@ -1,8 +1,10 @@
 // Package wire defines the transport's on-the-wire representation and
 // the substrate boundary the endpoints speak through: the codec
 // (codec.go) between a Segment and its IPv4+TCP frame, strict and
-// allocation-free, and Conn, the one seam, which simbackend and
-// udpbackend implement (DESIGN.md, "Wire layer").
+// allocation-free, and Conn, the seam the endpoints speak through.
+// simbackend implements it over the simulator; the transport's tests
+// and the benchmark's stub substitute fakes through it (DESIGN.md,
+// "Wire layer").
 //
 // Wire values are raw: sequence numbers, ACKs and timestamps are the
 // 32-bit fields that actually travel. Endpoints keep 64-bit state and
@@ -47,8 +49,7 @@ type SackBlock struct {
 type Segment struct {
 	// SrcAddr/DstAddr are the IPv4 addresses. The transport leaves
 	// them zero; the backend fills them before encoding (the simulator
-	// maps node IDs into 10.0.0.0/8, the UDP backend uses the socket's
-	// real addressing).
+	// maps node IDs into 10.0.0.0/8).
 	SrcAddr, DstAddr uint32
 	// SrcPort/DstPort carry the flow identity.
 	SrcPort, DstPort uint16
@@ -151,16 +152,14 @@ type Handler func(seg *Segment, wireLen int)
 
 // Conn is one endpoint's attachment to a substrate, bound to a single
 // flow: Send frames and transmits a segment, the handler receives
-// decoded peer segments, and Clock supplies the virtual-or-wall clock
-// and timer wheel every transport timer runs on.
+// decoded peer segments, and Clock supplies the virtual clock and
+// timer wheel every transport timer runs on.
 //
 // Conns are not goroutine-safe: all calls — and the handler — run on
-// the backend's event loop (the simulator run loop, or a backend
-// reactor goroutine driving a private Simulator in wall time).
+// the simulator's event loop.
 type Conn interface {
 	// Clock returns the scheduler this endpoint's timers and callbacks
-	// run on. For real-time backends it is a private Simulator driven
-	// by a reactor loop at wall-clock pace.
+	// run on.
 	Clock() *netsim.Simulator
 	// Send encodes seg and transmits the frame, returning its wire
 	// length (the IP total length). The segment is caller-owned
